@@ -60,6 +60,7 @@ class RunConfig:
     seed: int = 0
     random_probes: int = 0
     tolerance: float = 1e-12
+    timings: str | None = None
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -193,7 +194,8 @@ def run_verify_suite(cfg: RunConfig) -> SuiteResult:
     for m in cfg.m_values:
         for n in degrees_for(m, cfg.n_spec):
             element = _build(cfg, m, n)
-            probe_degree = cfg.probe_degree or n + 5
+            probe_degree = n + 5 if cfg.probe_degree is None \
+                else cfg.probe_degree
             nu_values = cfg.nu_values if cfg.nu_values is not None \
                 else list(range(cfg.dimension + 1))
             for check in checks:
@@ -257,6 +259,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         good = sum(1 for r in suite.reports if r.passed)
         lines.append(f"{good}/{total} checks passed")
         emit("\n".join(lines) + "\n", cfg.output)
+    if cfg.timings is not None:
+        text = "".join(f"{label}\t{seconds:.6f}\n"
+                       for label, seconds in suite.timings)
+        if cfg.timings == "-":
+            sys.stderr.write(text)
+        else:
+            emit(text, cfg.timings)
     return suite.exit_status
 
 
@@ -299,7 +308,8 @@ def cmd_interp(cfg: RunConfig, input_text: str, samples: int,
     m, n = cfg.m_values[0], degrees_for(cfg.m_values[0], cfg.n_spec)[0]
     element = element1d.build_element(m, n)
     u = parse_input_function(input_text)
-    order = cfg.quadrature_order or element.default_quadrature_order
+    order = element.default_quadrature_order \
+        if cfg.quadrature_order is None else cfg.quadrature_order
 
     if two_cell:
         report = element1d.two_cell_continuity_demo(
@@ -387,6 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tolerance", type=float, default=1e-12)
     p_verify.add_argument("--format", default="json", dest="fmt",
                           choices=["json", "text"])
+    p_verify.add_argument("--timings", metavar="PATH|-",
+                          help="write per-check wall times as "
+                               "label<TAB>seconds lines to PATH, or to "
+                               "stderr for -; never part of the report")
 
     p_tensor = sub.add_parser("tensor", help="emit tensor space tables")
     common(p_tensor, grid=False)
@@ -443,6 +457,7 @@ def main(argv=None) -> int:
             cfg.probe_degree = args.probe_degree
             cfg.seed = args.seed
             cfg.random_probes = args.random_probes
+            cfg.timings = args.timings
             return cmd_verify(cfg)
         if args.command == "tensor":
             chi = tuple(parse_int_list(args.chi))

@@ -133,19 +133,28 @@ def node_matrix(e: Element1D, k: int) -> np.ndarray:
     raise ValueError("form degree must be 0 or 1")
 
 
+def _family(e: Element1D, k: int):
+    """(functionals, basis, alpha) of the k-form space."""
+    if k == 0:
+        return e.functionals0, e.basis0, e.alpha0
+    if k == 1:
+        return e.functionals1, e.basis1, e.alpha1
+    raise ValueError("form degree must be 0 or 1")
+
+
+def interpolation_coefficients(e: Element1D, k: int,
+                               u: Polynomial) -> np.ndarray:
+    """Exact coefficients of I_k u over the k-form basis: alpha_k times
+    the node-functional values of u."""
+    functionals, _, alpha = _family(e, k)
+    return alpha @ np.array([f.apply(u) for f in functionals], dtype=object)
+
+
 def interpolate(e: Element1D, k: int, u: Polynomial) -> Polynomial:
     """Exact interpolation: the unique element-space polynomial with the
     same node-functional values as u."""
-    if k == 0:
-        functionals, basis, alpha = e.functionals0, e.basis0, e.alpha0
-    elif k == 1:
-        functionals, basis, alpha = e.functionals1, e.basis1, e.alpha1
-    else:
-        raise ValueError("form degree must be 0 or 1")
-    values = np.array([f.apply(u) for f in functionals], dtype=object)
-    coeffs = alpha @ values
     result = Polynomial.zero()
-    for c, p in zip(coeffs, basis):
+    for c, p in zip(interpolation_coefficients(e, k, u), _family(e, k)[1]):
         result = result + p * c
     return result
 
@@ -155,12 +164,7 @@ def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
     """Floating-point interpolation of a smooth callback input."""
     if quadrature_order is None:
         quadrature_order = e.default_quadrature_order
-    if k == 0:
-        functionals, basis, alpha = e.functionals0, e.basis0, e.alpha0
-    elif k == 1:
-        functionals, basis, alpha = e.functionals1, e.basis1, e.alpha1
-    else:
-        raise ValueError("form degree must be 0 or 1")
+    functionals, basis, alpha = _family(e, k)
     values = np.array([apply_functional_smooth(f, u, quadrature_order)
                        for f in functionals])
     coeffs = linalg.to_float(alpha) @ values

@@ -18,12 +18,10 @@ import numpy as np
 from .element1d import Element1D
 from .functionals import FUNCTIONAL_ORDER_VERSION
 from .polycore import Polynomial
-from .tensor import (TensorNodeFunctional, _block_widths, enumerate_chi,
-                     space_dimension, tensor_node_functionals)
+from .tensor import (_block_widths, enumerate_chi, space_dimension,
+                     tensor_node_functionals)
 
 SCHEMA_VERSION = 1
-
-_VARIABLES_BY_AXIS = ("u", "v", "w")
 
 
 def fraction_str(value: Fraction) -> str:

@@ -13,6 +13,16 @@ basis functions.  Two representations coexist and are cross-checked:
   rule (the derivative of 0-form basis function j is 1-form basis
   function j, and the constant dies).
 
+Interpolating a rank-one form factorizes into 1D interpolations, so its
+coefficients are the outer product of one 1D coefficient column per
+factor.  Each column is computed once per element and factor polynomial
+and kept as integer numerators over one denominator.  The commutation
+kernel stacks many forms on a trailing axis of Python-int numerator
+blocks, one denominator per form, fills each block with one face-
+splitting (Khatri-Rao) product of the columns, and compares the two
+sides of the commutation identity exactly after scaling each form to
+the lcm of its two denominators.
+
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
 and commutation of interpolation with the exterior derivative.
@@ -22,14 +32,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from . import linalg
-from .element1d import Element1D, interpolate
+from .element1d import Element1D, interpolation_coefficients
 from .functionals import NodeFunctional
 from .polycore import Polynomial
 from .report import VerificationReport
@@ -234,30 +245,47 @@ def d_tensor(u: TensorForm, sign_rule=theta) -> TensorForm:
         return TensorForm(N, u.nu + 1, n, {})
     exact = not any(block.dtype == float for block in u.blocks.values())
     out = TensorForm.zero(N, u.nu + 1, n, exact=exact)
-    for chi, block in u.blocks.items():
-        for t in range(N):
-            if chi[t] == 1:
-                continue
-            target = chi[:t] + (1,) + chi[t + 1:]
-            slicer = tuple(slice(0, n) if axis == t else slice(None)
-                           for axis in range(N))
-            piece = block[slicer]
-            if sign_rule(chi, t) < 0:
-                piece = -piece
-            out.blocks[target] = out.blocks[target] + piece
+    _index_rule(u.blocks, n, sign_rule, out.blocks)
     return out
 
 
-@lru_cache(maxsize=None)
+def _index_rule(blocks: dict, n: int, sign_rule, out: dict) -> dict:
+    """Add d of the chi blocks into ``out`` (the blocks of degree nu+1).
+
+    The rule acts on the leading N axes of each block; trailing axes,
+    such as the probe axis of a batch, ride along untouched.
+    """
+    for chi, block in blocks.items():
+        for t, bit in enumerate(chi):
+            if bit == 1:
+                continue
+            target = chi[:t] + (1,) + chi[t + 1:]
+            piece = block[(slice(None),) * t + (slice(0, n),)]
+            if sign_rule(chi, t) < 0:
+                piece = -piece
+            out[target] = out[target] + piece
+    return out
+
+
+# Per-element memos.  They are keyed weakly, so an element and everything
+# derived from it are freed together; a corrupted copy of an element is
+# a different key and never sees the pristine element's entries.
+_BASIS_INVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _basis_inverse(element: Element1D, k: int) -> np.ndarray:
     """Inverse of the monomial-coefficient matrix of the k-form basis."""
-    basis = element.basis0 if k == 0 else element.basis1
-    width = element.n + 1 - k
-    matrix = np.full((width, width), Fraction(0), dtype=object)
-    for j, p in enumerate(basis):
-        for i, c in enumerate(p.coeffs):
-            matrix[i][j] = c
-    return linalg.invert(matrix)
+    memo = _BASIS_INVERSES.setdefault(element, {})
+    if k not in memo:
+        basis = element.basis0 if k == 0 else element.basis1
+        width = element.n + 1 - k
+        matrix = np.full((width, width), Fraction(0), dtype=object)
+        for j, p in enumerate(basis):
+            for i, c in enumerate(p.coeffs):
+                matrix[i][j] = c
+        memo[k] = linalg.invert(matrix)
+    return memo[k]
 
 
 def expand_in_basis(element: Element1D, k: int, p: Polynomial) -> np.ndarray:
@@ -294,6 +322,71 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
             arr = vec if arr is None else np.multiply.outer(arr, vec)
         out.blocks[term.chi] = out.blocks[term.chi] + term.sign * arr
     return out
+
+
+def _column(element: Element1D, k: int, p: Polynomial,
+            memo: dict) -> tuple[tuple[int, ...], int]:
+    """The 1D interpolant I_k p over the k-form basis, as (integer
+    numerators, common denominator), computed once per memo."""
+    key = (k, p)
+    column = memo.get(key)
+    if column is None:
+        coeffs = interpolation_coefficients(element, k, p)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        column = memo[key] = (
+            tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+    return column
+
+
+def _zero_batch(dimension: int, nu: int, n: int, count: int) -> dict:
+    return {chi: np.zeros(_block_widths(chi, n) + (count,), dtype=object)
+            for chi in enumerate_chi(dimension, nu)}
+
+
+def _interpolate_batch(element: Element1D, dimension: int, nu: int, terms,
+                       owners, count: int) -> tuple[dict, list[int]]:
+    """Exact interpolants of ``count`` forms, stacked on a trailing axis.
+
+    ``terms[i]`` is a rank-one term of form ``owners[i]``.  Returns
+    Python-int numerator blocks of shape widths(chi) + (count,) and one
+    denominator per form: form p has coefficients
+    ``blocks[chi][..., p] / dens[p]``.  Every chi block is one
+    face-splitting product of the terms' 1D numerator columns.
+    """
+    memo = _COLUMNS.setdefault(element, {})
+    columns, term_dens = [], []
+    for term in terms:
+        if term.dimension != dimension or term.nu != nu:
+            raise ValueError(
+                f"probe has dimension {term.dimension}, degree {term.nu}; "
+                f"expected {dimension} and {nu}")
+        factor_columns = [_column(element, bit, p, memo)
+                          for bit, p in term.factors]
+        columns.append(factor_columns)
+        term_dens.append(term.sign.denominator
+                         * math.prod(den for _, den in factor_columns))
+    dens = [1] * count
+    for owner, den in zip(owners, term_dens):
+        dens[owner] = math.lcm(dens[owner], den)
+
+    blocks = _zero_batch(dimension, nu, element.n, count)
+    members: dict = {chi: [] for chi in blocks}
+    for i, term in enumerate(terms):
+        members[term.chi].append(i)
+    for chi, group in members.items():
+        if not group:
+            continue
+        product = np.array(
+            [terms[i].sign.numerator * (dens[owners[i]] // term_dens[i])
+             for i in group],
+            dtype=object)
+        for axis in range(dimension):
+            factor = np.array([columns[i][axis][0] for i in group],
+                              dtype=object).T
+            product = product[..., None, :] * factor
+        np.add.at(blocks[chi], (Ellipsis, [owners[i] for i in group]),
+                  product)
+    return blocks, dens
 
 
 def _contract(block: np.ndarray, vectors) -> object:
@@ -475,21 +568,11 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     if isinstance(u, RankOneForm):
         u = [u]
     if isinstance(u, (list, tuple)):
-        out = TensorForm.zero(dimension, nu, element.n)
-        for term in u:
-            if term.dimension != dimension or term.nu != nu:
-                raise ValueError(
-                    f"probe has dimension {term.dimension}, degree {term.nu}; "
-                    f"expected {dimension} and {nu}")
-            projected = rank_one(
-                [(bit, interpolate(element, bit, p)) for bit, p in term.factors],
-                sign=term.sign)
-            arr = None
-            for bit, p in projected.factors:
-                vec = expand_in_basis(element, bit, p)
-                arr = vec if arr is None else np.multiply.outer(arr, vec)
-            out.blocks[term.chi] = out.blocks[term.chi] + term.sign * arr
-        return out
+        blocks, (den,) = _interpolate_batch(element, dimension, nu, u,
+                                            [0] * len(u), 1)
+        return TensorForm(dimension, nu, element.n,
+                          {chi: block[..., 0] * Fraction(1, den)
+                           for chi, block in blocks.items()})
 
     if isinstance(u, TensorForm):
         if (u.dimension, u.nu, u.degree) != (dimension, nu, element.n):
@@ -679,31 +762,57 @@ def rank_one_monomial_probes(dimension: int, nu: int,
 def verify_tensor_commutation(dimension: int, nu: int, probes,
                               element: Element1D,
                               sign_rule=theta) -> VerificationReport:
-    """Interpolation commutes with d: I(du) == d(I(u)), exactly."""
+    """Interpolation commutes with d: I(du) == d(I(u)), exactly.
+
+    A probe is a rank-one form or a list of them.  All probes run as one
+    batch: d(I(u)) is the index rule applied to the batched interpolants,
+    I(du) interpolates every term of every du with its probe as owner,
+    and the two sides are compared per probe on integer numerators over
+    the lcm of their denominators.  Top-degree probes need no comparison:
+    d maps them into the empty (N+1)-form space.
+    """
+    forms = [[probe] if isinstance(probe, RankOneForm) else list(probe)
+             for probe in probes]
+    terms = [term for form in forms for term in form]
+    owners = [index for index, form in enumerate(forms) for _ in form]
+    count = len(forms)
+    lhs, lhs_dens = _interpolate_batch(element, dimension, nu, terms, owners,
+                                       count)
     witness: list[dict] = []
-    for index, probe in enumerate(probes):
-        interpolated = tensor_interpolate(dimension, nu, probe, element)
-        lhs = d_tensor(interpolated, sign_rule)
-        if nu == dimension:
-            if not lhs.is_zero():
+    if nu < dimension:
+        # rebinding frees the interpolants before I(du) is built
+        lhs = _index_rule(lhs, element.n, sign_rule,
+                          _zero_batch(dimension, nu + 1, element.n, count))
+        du, du_owners = [], []
+        for term, owner in zip(terms, owners):
+            pieces = d_rank_one(term, sign_rule)
+            du += pieces
+            du_owners += [owner] * len(pieces)
+        rhs, rhs_dens = _interpolate_batch(element, dimension, nu + 1, du,
+                                           du_owners, count)
+        common = [math.lcm(a, b) for a, b in zip(lhs_dens, rhs_dens)]
+        left = np.array([c // a for c, a in zip(common, lhs_dens)],
+                        dtype=object)
+        right = np.array([c // b for c, b in zip(common, rhs_dens)],
+                         dtype=object)
+        leading = tuple(range(dimension))
+        nonzero, peak = {}, {}
+        for chi, block in lhs.items():
+            residual = block * left - rhs[chi] * right
+            nonzero[chi] = (residual != 0).any(axis=leading)
+            peak[chi] = np.abs(residual).max(axis=leading)
+        for index in range(count):
+            bad_blocks = [list(chi) for chi in lhs if nonzero[chi][index]]
+            if bad_blocks:
+                largest = max(peak[chi][index] for chi in lhs)
                 witness.append({"check": "tensor-commutation", "probe": index,
-                                "detail": "d of a top-degree interpolant "
-                                          "must vanish"})
-            continue
-        du = d_rank_one(probe, sign_rule) if isinstance(probe, RankOneForm) \
-            else [piece for term in probe for piece in d_rank_one(term, sign_rule)]
-        rhs = tensor_interpolate(dimension, nu + 1, du, element)
-        residual = lhs - rhs
-        if not residual.is_zero():
-            bad_blocks = [list(chi) for chi, block in residual.blocks.items()
-                          if not bool((block == 0).all())]
-            witness.append({"check": "tensor-commutation", "probe": index,
-                            "blocks": bad_blocks,
-                            "max_abs": str(residual.max_abs())})
+                                "blocks": bad_blocks,
+                                "max_abs": str(Fraction(largest,
+                                                        common[index]))})
     return VerificationReport(name="tensor-commutation", passed=not witness,
                               parameters={"N": dimension, "nu": nu,
                                           "m": element.m, "n": element.n,
-                                          "probes": len(probes)},
+                                          "probes": count},
                               witness=witness)
 
 

@@ -170,6 +170,35 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown checks" in err
 
+    def test_probe_degree_zero_is_not_the_default(self, capsys):
+        code, out, err = run(capsys, "verify", "--m", "1", "--n", "3",
+                             "--probe-degree", "0", "--format", "text")
+        assert code == 2 and out == ""
+        assert "error: probe_degree must be at least n" in err
+
+    def test_timings_to_file(self, capsys, tmp_path):
+        args = ("verify", "--m", "0", "--n", "1..2",
+                "--checks", "unisolvence,tensor-commutation", "--nu", "1")
+        _, plain, _ = run(capsys, *args)
+        path = tmp_path / "timings.tsv"
+        code, out, err = run(capsys, *args, "--timings", str(path))
+        assert code == 0 and err == ""
+        assert out == plain  # timings never enter the report
+        labels = [line.split("\t")[0] for line in
+                  path.read_text().splitlines()]
+        assert labels == ["unisolvence[m=0,n=1]",
+                          "tensor-commutation[N=2,nu=1,m=0,n=1]",
+                          "unisolvence[m=0,n=2]",
+                          "tensor-commutation[N=2,nu=1,m=0,n=2]"]
+
+    def test_timings_to_stderr(self, capsys):
+        code, out, err = run(capsys, "verify", "--m", "1", "--n", "3",
+                             "--checks", "unisolvence", "--timings", "-")
+        assert code == 0 and "timings" not in out
+        label, seconds = err.rstrip("\n").split("\t")
+        assert label == "unisolvence[m=1,n=3]"
+        assert float(seconds) >= 0
+
     def test_continuity_demo_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3",
                            "--checks", "continuity-demo")
@@ -236,6 +265,14 @@ class TestInterpCommand:
         assert out.startswith("x,u,interp\n")
         assert "# junction mismatch order 0:" in out
         assert "# junction mismatch order 1:" in out
+
+    @pytest.mark.parametrize("extra", [(), ("--two-cell",)])
+    def test_quadrature_order_zero_is_rejected(self, capsys, extra):
+        code, out, err = run(capsys, "interp", "--m", "1", "--n", "3",
+                             "--input", "sin", "--quadrature-order", "0",
+                             *extra)
+        assert code == 2 and out == ""
+        assert "error: quadrature" in err and "must be >= 1" in err
 
     def test_unknown_input_is_cli_error(self, capsys):
         code, _, err = run(capsys, "interp", "--m", "0", "--n", "1",
