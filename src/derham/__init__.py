@@ -7,11 +7,11 @@ for unisolvence, the commutation of interpolation with the exterior
 derivative, and the cochain property d after d = 0.
 """
 
-from .element1d import (Element1D, apply_functional, apply_functional_smooth,
-                        build_element, cell_interpolant, interpolate,
-                        interpolate_smooth, monomial_probes, node_matrix,
-                        two_cell_continuity_demo, verify_commutation,
-                        verify_lemma_hypotheses, verify_unisolvence)
+from .element1d import (Element1D, apply_functional_smooth, build_element,
+                        cell_interpolant, interpolate, interpolate_smooth,
+                        monomial_probes, two_cell_continuity_demo,
+                        verify_commutation, verify_lemma_hypotheses,
+                        verify_unisolvence)
 from .functionals import (EndpointDerivative, EndpointSum, Moment,
                           NodeFunctional, one_form_functionals,
                           zero_form_functionals)
@@ -22,7 +22,7 @@ from .smooth import (SmoothFunction1D, SmoothFunctionND, exponential,
                      exponential_nd, named_function, sine, sinusoid)
 from .tensor import (RankOneForm, SmoothFormND, TensorForm,
                      TensorNodeFunctional, canonicalize, d_rank_one, d_smooth,
-                     d_tensor, enumerate_chi, exterior_derivative, rank_one,
+                     d_tensor, enumerate_chi, rank_one,
                      rank_one_monomial_probes, space_dimension,
                      tensor_interpolate, tensor_node_functionals, theta,
                      verify_dd_zero, verify_dimensions, verify_kron_structure,
@@ -34,17 +34,15 @@ __all__ = [
     "Element1D", "EndpointDerivative", "EndpointSum", "Moment",
     "NodeFunctional", "Polynomial", "RankOneForm", "SmoothFormND",
     "SmoothFunction1D", "SmoothFunctionND", "SuiteResult", "TensorForm",
-    "TensorNodeFunctional", "VerificationReport", "apply_functional",
-    "apply_functional_smooth", "build_element", "canonicalize",
-    "cell_interpolant", "d_rank_one", "d_smooth", "d_tensor",
-    "enumerate_chi", "exponential", "exponential_nd", "exterior_derivative",
+    "TensorNodeFunctional", "VerificationReport", "apply_functional_smooth",
+    "build_element", "canonicalize", "cell_interpolant", "d_rank_one",
+    "d_smooth", "d_tensor", "enumerate_chi", "exponential", "exponential_nd",
     "hermite_basis", "integrated_legendre", "interpolate",
     "interpolate_smooth", "legendre", "legendre_expansion",
-    "monomial_probes", "named_function", "node_matrix",
-    "one_form_functionals", "rank_one", "rank_one_monomial_probes", "sine",
-    "sinusoid", "space_dimension", "tensor_interpolate",
-    "tensor_node_functionals", "theta", "two_cell_continuity_demo",
-    "verify_commutation", "verify_dd_zero", "verify_dimensions",
-    "verify_kron_structure", "verify_lemma_hypotheses",
+    "monomial_probes", "named_function", "one_form_functionals", "rank_one",
+    "rank_one_monomial_probes", "sine", "sinusoid", "space_dimension",
+    "tensor_interpolate", "tensor_node_functionals", "theta",
+    "two_cell_continuity_demo", "verify_commutation", "verify_dd_zero",
+    "verify_dimensions", "verify_kron_structure", "verify_lemma_hypotheses",
     "verify_tensor_commutation", "zero_form_functionals",
 ]

@@ -349,6 +349,17 @@ def cmd_interp(cfg: RunConfig, input_text: str, samples: int,
     return 0 if worst <= cfg.tolerance else 1
 
 
+def _int_at_least(low: int):
+    """argparse type for integers >= low; argparse rejects the rest."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="derham",
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "functionals", "basis-samples"])
     p_element.add_argument("--form", type=int, default=0, choices=[0, 1],
                            help="form degree for basis-samples")
-    p_element.add_argument("--samples", type=int, default=101)
+    p_element.add_argument("--samples", type=_int_at_least(1), default=101)
     p_element.add_argument("--corrupt", choices=corruptions.CORRUPTION_NAMES)
 
     p_verify = sub.add_parser("verify", help="run verifier suites on a grid")
@@ -390,9 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: all)")
     p_verify.add_argument("--corrupt", choices=corruptions.CORRUPTION_NAMES,
                           help="negative-control fixture")
-    p_verify.add_argument("--probe-degree", type=int, default=None)
+    p_verify.add_argument("--probe-degree", type=_int_at_least(0),
+                          default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--random-probes", type=int, default=0,
+    p_verify.add_argument("--random-probes", type=_int_at_least(0), default=0,
                           help="extra seeded random probes for commutation")
     p_verify.add_argument("--tolerance", type=float, default=1e-12)
     p_verify.add_argument("--format", default="json", dest="fmt",
@@ -412,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="characteristic vector for basis-samples")
     p_tensor.add_argument("--index", default="1,1",
                           help="1-based basis indices for basis-samples")
-    p_tensor.add_argument("--samples", type=int, default=33)
+    p_tensor.add_argument("--samples", type=_int_at_least(1), default=33)
 
     p_interp = sub.add_parser("interp",
                               help="interpolate a function and emit samples")
@@ -420,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp.add_argument("--input", required=True,
                           help="sin, cos, exp, or a polynomial literal "
                                "like 3/2x^2-x+1")
-    p_interp.add_argument("--samples", type=int, default=101)
+    p_interp.add_argument("--samples", type=_int_at_least(1), default=101)
     p_interp.add_argument("--two-cell", action="store_true",
                           help="run the two-cell continuity demo on [0,2]")
     p_interp.add_argument("--tolerance", type=float, default=1e-12)

@@ -53,11 +53,6 @@ class Element1D:
     alpha1: np.ndarray
 
     @property
-    def rank_d(self) -> int:
-        """Rank of the derivative on the 0-form space (always n)."""
-        return self.n
-
-    @property
     def default_quadrature_order(self) -> int:
         return 2 * (self.n + 2)
 
@@ -114,23 +109,11 @@ def build_element(m: int, n: int) -> Element1D:
                             basis0, basis1)
 
 
-def apply_functional(f: NodeFunctional, u: Polynomial) -> Fraction:
-    return f.apply(u)
-
-
 def apply_functional_smooth(f: NodeFunctional, u: SmoothFunction1D,
                             quadrature_order: int) -> float:
     if quadrature_order < 1:
         raise ValueError("quadrature_order must be >= 1")
     return f.apply_smooth(u, quadrature_order)
-
-
-def node_matrix(e: Element1D, k: int) -> np.ndarray:
-    if k == 0:
-        return e.M0
-    if k == 1:
-        return e.M1
-    raise ValueError("form degree must be 0 or 1")
 
 
 def _family(e: Element1D, k: int):
@@ -229,7 +212,7 @@ def verify_unisolvence(e: Element1D) -> VerificationReport:
         if M0[i][i] == zero:
             witness.append(_entry_witness("diagonal", i + 1, i + 1, 0))
 
-    truncated = linalg.delete_last_row_col(M0)
+    truncated = M0[:-1, :-1]
     if not (truncated == M1).all():
         rows, cols = np.nonzero(truncated != M1)
         for i, j in zip(rows, cols):

@@ -100,9 +100,5 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def delete_last_row_col(matrix: np.ndarray) -> np.ndarray:
-    return np.array(matrix[:-1, :-1], dtype=object)
-
-
 def to_float(matrix: np.ndarray) -> np.ndarray:
     return np.array(matrix, dtype=float)

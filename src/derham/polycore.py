@@ -65,10 +65,6 @@ class Polynomial:
         return Polynomial((1,))
 
     @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial((0, 1))
-
-    @staticmethod
     def monomial(power: int, coeff=1) -> "Polynomial":
         if power < 0:
             raise ValueError("power must be nonnegative")

@@ -117,6 +117,9 @@ def tensor_basis_samples_csv(e: Element1D, chi, index, count: int = 33) -> str:
     """Grid samples of one 2D rank-one basis function (plot data)."""
     if len(chi) != 2 or len(index) != 2:
         raise ValueError("grid sampling covers the 2D case")
+    if any(bit not in (0, 1) for bit in chi):
+        raise ValueError(f"characteristic vector {list(chi)} may hold only "
+                         "0 (0-form) and 1 (1-form)")
     factors = []
     for bit, j in zip(chi, index):
         basis = e.basis0 if bit == 0 else e.basis1

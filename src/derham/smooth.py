@@ -23,12 +23,6 @@ _SPOT_CHECK_POINTS = (0.25, 0.75)
 _SPOT_CHECK_TOL = 1e-9
 
 
-def _as_float(value) -> float:
-    if isinstance(value, Fraction):
-        return float(value)
-    return float(value)
-
-
 class SmoothFunction1D:
     """A scalar function on [0,1] known through derivative callbacks."""
 
@@ -201,7 +195,7 @@ class SmoothFunctionND:
         return self + (-other)
 
     def __rmul__(self, scalar) -> "SmoothFunctionND":
-        scale = _as_float(scalar)
+        scale = float(scalar)
         base = self._mixed
         return SmoothFunctionND(
             self.dimension, lambda orders, point: scale * base(orders, point))

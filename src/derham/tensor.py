@@ -13,15 +13,16 @@ basis functions.  Two representations coexist and are cross-checked:
   rule (the derivative of 0-form basis function j is 1-form basis
   function j, and the constant dies).
 
-Interpolating a rank-one form factorizes into 1D interpolations, so its
+Interpolating a rank-one form factorizes into 1D interpolations, and
+expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
-factor.  Each column is computed once per element and factor polynomial
-and kept as integer numerators over one denominator.  The commutation
+factor.  Each column is computed once per element, source and factor
+polynomial and kept as integer numerators over one denominator.  One
 kernel stacks many forms on a trailing axis of Python-int numerator
-blocks, one denominator per form, fills each block with one face-
-splitting (Khatri-Rao) product of the columns, and compares the two
-sides of the commutation identity exactly after scaling each form to
-the lcm of its two denominators.
+blocks, one denominator per form, and fills each block with one face-
+splitting (Khatri-Rao) product of the columns.  The commutation and
+d-after-d verifiers both run on it and compare their routes exactly,
+on numerators scaled to a common denominator per form.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -96,6 +97,12 @@ class RankOneForm:
     sign: Fraction
     factors: tuple[tuple[int, Polynomial], ...]
 
+    def __post_init__(self):
+        for bit, _ in self.factors:
+            if bit not in (0, 1):
+                raise ValueError(f"factor bit {bit!r} is neither 0 (0-form) "
+                                 "nor 1 (1-form)")
+
     @property
     def dimension(self) -> int:
         return len(self.factors)
@@ -133,15 +140,6 @@ def d_rank_one(u: RankOneForm, sign_rule=theta) -> list[RankOneForm]:
         factors = u.factors[:t] + ((1, dp),) + u.factors[t + 1:]
         terms.append(RankOneForm(u.sign * sign_rule(u.chi, t), factors))
     return terms
-
-
-def evaluate_rank_one_terms(terms, chi: Chi, point):
-    """Value of the chi component of a sum of rank-one terms at a point."""
-    total = 0
-    for term in terms:
-        if term.chi == chi:
-            total = total + term.value(point)
-    return total
 
 
 class TensorForm:
@@ -312,26 +310,22 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
         nu = terms[0].nu
     if dimension is None or nu is None:
         raise ValueError("empty term list needs explicit dimension and nu")
-    out = TensorForm.zero(dimension, nu, element.n)
-    for term in terms:
-        if term.dimension != dimension or term.nu != nu:
-            raise ValueError("terms live in different spaces")
-        arr = None
-        for bit, p in term.factors:
-            vec = expand_in_basis(element, bit, p)
-            arr = vec if arr is None else np.multiply.outer(arr, vec)
-        out.blocks[term.chi] = out.blocks[term.chi] + term.sign * arr
-    return out
+    return _single_form(element, dimension, nu, terms, expand_in_basis)
 
 
-def _column(element: Element1D, k: int, p: Polynomial,
+def _column(element: Element1D, k: int, p: Polynomial, source,
             memo: dict) -> tuple[tuple[int, ...], int]:
-    """The 1D interpolant I_k p over the k-form basis, as (integer
-    numerators, common denominator), computed once per memo."""
-    key = (k, p)
+    """``source(element, k, p)`` as (integer numerators, common
+    denominator), computed once per memo.
+
+    The source is part of the key: the interpolant I_k p and the basis
+    expansion of p differ on a corrupted element, so one must never be
+    served for the other.
+    """
+    key = (source, k, p)
     column = memo.get(key)
     if column is None:
-        coeffs = interpolation_coefficients(element, k, p)
+        coeffs = source(element, k, p)
         den = math.lcm(*(c.denominator for c in coeffs))
         column = memo[key] = (
             tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
@@ -343,24 +337,27 @@ def _zero_batch(dimension: int, nu: int, n: int, count: int) -> dict:
             for chi in enumerate_chi(dimension, nu)}
 
 
-def _interpolate_batch(element: Element1D, dimension: int, nu: int, terms,
-                       owners, count: int) -> tuple[dict, list[int]]:
-    """Exact interpolants of ``count`` forms, stacked on a trailing axis.
+def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
+                       owners, count: int, source) -> tuple[dict, list[int]]:
+    """Basis coefficients of ``count`` forms, stacked on a trailing axis.
 
-    ``terms[i]`` is a rank-one term of form ``owners[i]``.  Returns
-    Python-int numerator blocks of shape widths(chi) + (count,) and one
-    denominator per form: form p has coefficients
-    ``blocks[chi][..., p] / dens[p]``.  Every chi block is one
-    face-splitting product of the terms' 1D numerator columns.
+    ``terms[i]`` is a rank-one term of form ``owners[i]``; ``source`` maps
+    one factor to its 1D coefficient column, either
+    :func:`interpolation_coefficients` (the interpolant) or
+    :func:`expand_in_basis` (the form itself, which must then lie in the
+    element space).  Returns Python-int numerator blocks of shape
+    widths(chi) + (count,) and one denominator per form: form p has
+    coefficients ``blocks[chi][..., p] / dens[p]``.  Every chi block is
+    one face-splitting product of the terms' 1D numerator columns.
     """
     memo = _COLUMNS.setdefault(element, {})
     columns, term_dens = [], []
     for term in terms:
         if term.dimension != dimension or term.nu != nu:
             raise ValueError(
-                f"probe has dimension {term.dimension}, degree {term.nu}; "
+                f"term has dimension {term.dimension}, degree {term.nu}; "
                 f"expected {dimension} and {nu}")
-        factor_columns = [_column(element, bit, p, memo)
+        factor_columns = [_column(element, bit, p, source, memo)
                           for bit, p in term.factors]
         columns.append(factor_columns)
         term_dens.append(term.sign.denominator
@@ -387,6 +384,16 @@ def _interpolate_batch(element: Element1D, dimension: int, nu: int, terms,
         np.add.at(blocks[chi], (Ellipsis, [owners[i] for i in group]),
                   product)
     return blocks, dens
+
+
+def _single_form(element: Element1D, dimension: int, nu: int, terms,
+                 source) -> TensorForm:
+    """The sum of ``terms`` as one Fraction-valued TensorForm."""
+    blocks, (den,) = _coefficient_batch(element, dimension, nu, terms,
+                                        [0] * len(terms), 1, source)
+    return TensorForm(dimension, nu, element.n,
+                      {chi: block[..., 0] * Fraction(1, den)
+                       for chi, block in blocks.items()})
 
 
 def _contract(block: np.ndarray, vectors) -> object:
@@ -568,11 +575,8 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     if isinstance(u, RankOneForm):
         u = [u]
     if isinstance(u, (list, tuple)):
-        blocks, (den,) = _interpolate_batch(element, dimension, nu, u,
-                                            [0] * len(u), 1)
-        return TensorForm(dimension, nu, element.n,
-                          {chi: block[..., 0] * Fraction(1, den)
-                           for chi, block in blocks.items()})
+        return _single_form(element, dimension, nu, u,
+                            interpolation_coefficients)
 
     if isinstance(u, TensorForm):
         if (u.dimension, u.nu, u.degree) != (dimension, nu, element.n):
@@ -604,35 +608,6 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
                 np.tensordot(alphas[bit], coeffs, axes=(1, axis)), 0, axis)
         out.blocks[chi] = coeffs
     return out
-
-
-def exterior_derivative(u, element: Element1D | None = None, sign_rule=theta):
-    """Exterior derivative in whichever representation u uses.
-
-    TensorForm inputs return a TensorForm; rank-one inputs return the
-    list of rank-one terms, or a TensorForm when the element is supplied
-    (so the result can be canonicalized).
-    """
-    if isinstance(u, TensorForm):
-        return d_tensor(u, sign_rule)
-    if isinstance(u, RankOneForm):
-        terms = d_rank_one(u, sign_rule)
-    else:
-        terms = [piece for term in u for piece in d_rank_one(term, sign_rule)]
-    if element is None:
-        return terms
-    if isinstance(u, RankOneForm):
-        dim, nu = u.dimension, u.nu
-    else:
-        dim, nu = u[0].dimension, u[0].nu
-    return canonicalize(terms, element, dim, nu + 1)
-
-
-def _unit_form(dimension: int, nu: int, degree: int, chi: Chi,
-               idx: tuple[int, ...]) -> TensorForm:
-    form = TensorForm.zero(dimension, nu, degree)
-    form.blocks[chi][idx] = Fraction(1)
-    return form
 
 
 def _basis_rank_one(element: Element1D, chi: Chi, idx: tuple[int, ...]) -> RankOneForm:
@@ -688,58 +663,82 @@ def verify_dimensions(dimension: int, element: Element1D,
                               witness=witness)
 
 
-def verify_dd_zero(dimension: int, element: Element1D, sign_rule=theta,
-                   cross_check_limit: int | None = None) -> VerificationReport:
+def _d_batch(terms, owners, sign_rule) -> tuple[list, list]:
+    """d_rank_one of every term; each piece keeps its term's owner."""
+    out, out_owners = [], []
+    for term, owner in zip(terms, owners):
+        pieces = d_rank_one(term, sign_rule)
+        out += pieces
+        out_owners += [owner] * len(pieces)
+    return out, out_owners
+
+
+def _failing(count: int, blocks) -> np.ndarray:
+    """Which of ``count`` batched forms has a nonzero entry in any block."""
+    out = np.zeros(count, dtype=bool)
+    for block in blocks:
+        out |= (block != 0).reshape(-1, count).any(axis=0)
+    return out
+
+
+def verify_dd_zero(dimension: int, element: Element1D,
+                   sign_rule=theta) -> VerificationReport:
     """d after d annihilates every rank-one basis element, exactly.
 
     Routes: (1) the index rule applied twice in the basis
     representation; (2) consistency of the index rule with honest
-    polynomial differentiation (canonicalize(d(poly)) must equal
-    d(canonicalize)); (3) for a deterministic subset, the polynomial
-    route applied twice and canonicalized.  Route 2 extends route 1 to
-    the polynomial representation by linearity, route 3 spot-checks that
-    argument directly.
+    polynomial differentiation (the basis expansion of d(poly) must equal
+    the index rule's d); (3) the polynomial route applied twice and
+    expanded.  Route 2 extends route 1 to the polynomial representation
+    by linearity, route 3 checks that argument directly.  Every basis
+    element takes all three routes: the elements of one characteristic
+    vector run as one batch on a trailing axis, and each reports its
+    first failing route only.
     """
     n = element.n
     witness: list[dict] = []
     checked = 0
-    cross_checked = 0
     for nu in range(dimension + 1):
         for chi in enumerate_chi(dimension, nu):
             widths = _block_widths(chi, n)
-            for idx in itertools.product(*(range(w) for w in widths)):
-                unit = _unit_form(dimension, nu, n, chi, idx)
-                first = d_tensor(unit, sign_rule)
-                second = d_tensor(first, sign_rule)
-                checked += 1
-                if not second.is_zero():
-                    witness.append({"check": "dd-zero", "nu": nu,
+            indices = list(itertools.product(*(range(w) for w in widths)))
+            count = len(indices)
+            checked += count
+            if nu == dimension:
+                continue  # d maps top forms into the empty (N+1)-form space
+            units = np.eye(count, dtype=object).reshape(widths + (count,))
+            first = _index_rule({chi: units}, n, sign_rule,
+                                _zero_batch(dimension, nu + 1, n, count))
+            d_terms, d_owners = _d_batch(
+                [_basis_rank_one(element, chi, idx) for idx in indices],
+                range(count), sign_rule)
+            expanded, dens = _coefficient_batch(
+                element, dimension, nu + 1, d_terms, d_owners, count,
+                expand_in_basis)
+            scale = np.array(dens, dtype=object)
+            route2 = _failing(count,
+                              (block * scale - expanded[target]
+                               for target, block in first.items()))
+            route1 = route3 = np.zeros(count, dtype=bool)
+            if nu + 2 <= dimension:
+                second = _index_rule(first, n, sign_rule,
+                                     _zero_batch(dimension, nu + 2, n, count))
+                route1 = _failing(count, second.values())
+                twice, _ = _coefficient_batch(
+                    element, dimension, nu + 2,
+                    *_d_batch(d_terms, d_owners, sign_rule), count,
+                    expand_in_basis)
+                route3 = _failing(count, twice.values())
+            routes = (("dd-zero", route1),
+                      ("representation-consistency", route2),
+                      ("dd-zero-polynomial", route3))
+            for owner, idx in enumerate(indices):
+                check = next((name for name, bad in routes if bad[owner]),
+                             None)
+                if check is not None:
+                    witness.append({"check": check, "nu": nu,
                                     "chi": list(chi),
                                     "index": [j + 1 for j in idx]})
-                    continue
-                poly = _basis_rank_one(element, chi, idx)
-                d_poly = d_rank_one(poly, sign_rule)
-                via_poly = canonicalize(d_poly, element, dimension, nu + 1) \
-                    if nu < dimension else TensorForm(dimension, nu + 1, n, {})
-                if not (via_poly == first):
-                    witness.append({"check": "representation-consistency",
-                                    "nu": nu, "chi": list(chi),
-                                    "index": [j + 1 for j in idx]})
-                    continue
-                if cross_check_limit is None or cross_checked < cross_check_limit:
-                    cross_checked += 1
-                    dd_terms = [piece for term in d_poly
-                                for piece in d_rank_one(term, sign_rule)]
-                    if nu + 2 <= dimension:
-                        dd_form = canonicalize(dd_terms, element,
-                                               dimension, nu + 2)
-                        ok = dd_form.is_zero()
-                    else:
-                        ok = not dd_terms
-                    if not ok:
-                        witness.append({"check": "dd-zero-polynomial",
-                                        "nu": nu, "chi": list(chi),
-                                        "index": [j + 1 for j in idx]})
     return VerificationReport(name="dd-zero", passed=not witness,
                               parameters={"N": dimension, "m": element.m,
                                           "n": element.n,
@@ -776,20 +775,16 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     terms = [term for form in forms for term in form]
     owners = [index for index, form in enumerate(forms) for _ in form]
     count = len(forms)
-    lhs, lhs_dens = _interpolate_batch(element, dimension, nu, terms, owners,
-                                       count)
+    lhs, lhs_dens = _coefficient_batch(element, dimension, nu, terms, owners,
+                                       count, interpolation_coefficients)
     witness: list[dict] = []
     if nu < dimension:
         # rebinding frees the interpolants before I(du) is built
         lhs = _index_rule(lhs, element.n, sign_rule,
                           _zero_batch(dimension, nu + 1, element.n, count))
-        du, du_owners = [], []
-        for term, owner in zip(terms, owners):
-            pieces = d_rank_one(term, sign_rule)
-            du += pieces
-            du_owners += [owner] * len(pieces)
-        rhs, rhs_dens = _interpolate_batch(element, dimension, nu + 1, du,
-                                           du_owners, count)
+        rhs, rhs_dens = _coefficient_batch(
+            element, dimension, nu + 1, *_d_batch(terms, owners, sign_rule),
+            count, interpolation_coefficients)
         common = [math.lcm(a, b) for a, b in zip(lhs_dens, rhs_dens)]
         left = np.array([c // a for c, a in zip(common, lhs_dens)],
                         dtype=object)

@@ -148,12 +148,7 @@ def test_criterion_06_dd_zero_exact_for_n2_n3():
     for m, n in TENSOR_GRID:
         e = element(m, n)
         for dimension in (2, 3):
-            # routes 1 and 2 (index rule twice; index rule vs polynomial
-            # differentiation) cover every basis element; the redundant
-            # third route (polynomial d twice) is capped in 3D to stay
-            # inside the runtime budget
-            limit = None if dimension == 2 else 64
-            report = verify_dd_zero(dimension, e, cross_check_limit=limit)
+            report = verify_dd_zero(dimension, e)
             if not report.passed:
                 failures.append((dimension, m, n, report.witness[:2]))
     conclude("criterion 06: d after d vanishes", failures,

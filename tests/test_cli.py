@@ -165,6 +165,17 @@ class TestVerifyCommand:
         data = json.loads(out1)
         assert data["reports"][0]["parameters"]["probes"] == 9 + 3
 
+    @pytest.mark.parametrize("flag", ["--probe-degree", "--random-probes"])
+    def test_negative_probe_count_rejected(self, capsys, flag):
+        # a negative degree used to yield probes=0 and a vacuous pass
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--m", "1", "--n", "3", "--checks",
+                  "commutation,tensor-commutation", flag, "-1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag}: must be >= 0, got -1" in captured.err
+
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--checks", "nonsense")
         assert code == 2
@@ -226,6 +237,12 @@ class TestTensorCommand:
         assert code == 0
         assert out.startswith("x,y,value\n")
 
+    def test_bad_chi_bit_is_cli_error(self, capsys):
+        code, out, err = run(capsys, "tensor", "--m", "0", "--n", "1",
+                             "--emit", "basis-samples", "--chi", "0,2")
+        assert code == 2 and out == ""
+        assert "may hold only 0" in err
+
     def test_bad_index_is_cli_error(self, capsys):
         code, _, err = run(capsys, "tensor", "--m", "0", "--n", "1",
                            "--emit", "basis-samples", "--chi", "0,1",
@@ -279,3 +296,19 @@ class TestInterpCommand:
                            "--input", "bogus")
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("element", "--emit", "basis-samples"),
+    ("tensor", "--emit", "basis-samples"),
+    ("interp", "--input", "sin"),
+    ("interp", "--input", "sin", "--two-cell"),
+])
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_samples_must_be_positive(capsys, command, samples):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--samples", samples])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no CSV header before the error
+    assert f"--samples: must be >= 1, got {samples}" in captured.err

@@ -5,6 +5,7 @@ functional agrees on u and I(u), and I(u) lies in the element space),
 plus an independent sympy linear solve for a frozen instance.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from derham import linalg
-from derham.element1d import (Element1D, apply_functional, build_element,
-                              interpolate, monomial_probes, node_matrix,
+from derham.element1d import (Element1D, build_element, interpolate,
+                              interpolation_coefficients, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
                               verify_unisolvence, zero_form_basis)
 from derham.polycore import Polynomial
@@ -47,7 +48,6 @@ class TestConstruction:
             assert len(e.basis1) == n
             assert len(e.functionals0) == n + 1
             assert len(e.functionals1) == n
-            assert e.rank_d == n
             assert e.default_quadrature_order == 2 * (n + 2)
             # Hermite block has degree 2m+1, bubble j has degree 2m+j,
             # the trailing constant degree 0
@@ -84,11 +84,9 @@ class TestConstruction:
             assert (e.M0 @ e.alpha0 == linalg.identity(n + 1)).all()
             assert (e.M1 @ e.alpha1 == linalg.identity(n)).all()
 
-    def test_node_matrix_accessor(self, e13):
-        assert node_matrix(e13, 0) is e13.M0
-        assert node_matrix(e13, 1) is e13.M1
-        with pytest.raises(ValueError):
-            node_matrix(e13, 2)
+    def test_form_degree_must_be_0_or_1(self, e13):
+        with pytest.raises(ValueError, match="form degree must be 0 or 1"):
+            interpolation_coefficients(e13, 2, Polynomial.one())
 
 
 class TestVerifiers:
@@ -98,6 +96,13 @@ class TestVerifiers:
             assert report.passed, (m, n, report.witness)
             assert report.name == "unisolvence"
             assert report.parameters == {"m": m, "n": n}
+
+    def test_unisolvence_flags_deletion_identity(self, e13):
+        M1 = e13.M1.copy()
+        M1[1, 2] += 1
+        report = verify_unisolvence(dataclasses.replace(e13, M1=M1))
+        assert {"check": "deletion-identity", "row": 2, "col": 3,
+                "value": str(M1[1, 2])} in report.witness
 
     def test_lemma_hypotheses_on_grid(self):
         for m, n in GRID:
@@ -144,7 +149,7 @@ class TestInterpolation:
             projected = interpolate(e, k, u)
             assert projected.degree <= e.n - k
             for f in functionals:
-                assert apply_functional(f, projected) == apply_functional(f, u)
+                assert f.apply(projected) == f.apply(u)
             # idempotence
             assert interpolate(e, k, projected) == projected
 

@@ -15,7 +15,7 @@ from derham.smooth import SmoothFunction1D, cosine, exponential, sine
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 polys_st = st.lists(fractions_st, min_size=0, max_size=7).map(Polynomial)
 
-X = Polynomial.x()
+X = Polynomial.monomial(1)
 
 
 class TestExactAction:

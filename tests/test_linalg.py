@@ -109,12 +109,6 @@ def test_kron_identity_neutral():
     assert (linalg.kron(linalg.identity(1), a) == a).all()
 
 
-def test_delete_last_row_col():
-    a = linalg.frac_array([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    trimmed = linalg.delete_last_row_col(a)
-    assert (trimmed == linalg.frac_array([[1, 2], [4, 5]])).all()
-
-
 def test_to_float():
     a = linalg.frac_array([[Fraction(1, 2), 2]])
     out = linalg.to_float(a)

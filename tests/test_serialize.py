@@ -99,6 +99,8 @@ def test_tensor_basis_samples_csv():
         tensor_basis_samples_csv(e, (0, 0, 0), (1, 1, 1))
     with pytest.raises(ValueError, match="out of range"):
         tensor_basis_samples_csv(e, (0, 1), (1, 5))
+    with pytest.raises(ValueError, match="only 0"):
+        tensor_basis_samples_csv(e, (0, 2), (1, 1))
 
 
 def test_interp_csv():

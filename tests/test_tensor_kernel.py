@@ -1,14 +1,18 @@
-"""The batched integer commutation kernel against the per-probe oracle.
+"""The batched integer kernel against the per-form oracles it replaced.
 
-The oracle below is the Fraction route the kernel replaced: every factor
-of every probe is interpolated to a Polynomial, re-expanded over the
-basis through the inverse of its monomial-coefficient matrix, and the
-N-D blocks are built and compared probe by probe in Fraction object
-arrays.  The kernel must reproduce its reports exactly, witness order,
-``blocks`` and ``max_abs`` included.
+The commutation oracle is the old Fraction route: every factor of every
+probe is interpolated to a Polynomial, re-expanded over the basis
+through the inverse of its monomial-coefficient matrix, and the N-D
+blocks are built and compared probe by probe in Fraction object arrays.
+The dd-zero oracle is the old per-basis-element loop: one dense
+Fraction form per unit, d applied twice, and the polynomial routes
+expanded through per-term outer products.  The kernel must reproduce
+their reports exactly, witness order, ``blocks`` and ``max_abs``
+included.
 """
 
 import gc
+import itertools
 import json
 import weakref
 from fractions import Fraction
@@ -18,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham.corruptions import permute_alpha, wrong_functional
-from derham.element1d import build_element, interpolate
+from derham.corruptions import permute_alpha, swap_basis, wrong_functional
+from derham.element1d import assemble_element, build_element, interpolate
 from derham.polycore import Polynomial
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, d_rank_one, enumerate_chi,
@@ -30,15 +34,21 @@ from derham.tensor import (RankOneForm, TensorForm, d_rank_one, enumerate_chi,
 TENSOR_GRID = [(m, n) for m in (0, 1, 2) for n in range(2 * m + 1, 2 * m + 4)]
 
 
-def oracle_interpolate(dimension, nu, terms, element):
+def oracle_expand(dimension, nu, terms, element, column=expand_in_basis):
     out = TensorForm.zero(dimension, nu, element.n)
     for term in terms:
         arr = None
         for bit, p in term.factors:
-            vec = expand_in_basis(element, bit, interpolate(element, bit, p))
+            vec = column(element, bit, p)
             arr = vec if arr is None else np.multiply.outer(arr, vec)
         out.blocks[term.chi] = out.blocks[term.chi] + term.sign * arr
     return out
+
+
+def oracle_interpolate(dimension, nu, terms, element):
+    return oracle_expand(
+        dimension, nu, terms, element,
+        lambda e, bit, p: expand_in_basis(e, bit, interpolate(e, bit, p)))
 
 
 def oracle_d(u, sign_rule):
@@ -83,6 +93,50 @@ def oracle_verify(dimension, nu, probes, element, sign_rule=theta):
                               witness=witness)
 
 
+def oracle_dd_zero(dimension, element, sign_rule=theta):
+    n = element.n
+    witness = []
+    checked = 0
+    for nu in range(dimension + 1):
+        for chi in enumerate_chi(dimension, nu):
+            widths = [n + 1 - bit for bit in chi]
+            for idx in itertools.product(*(range(w) for w in widths)):
+                unit = TensorForm.zero(dimension, nu, n)
+                unit.blocks[chi][idx] = Fraction(1)
+                first = oracle_d(unit, sign_rule)
+                second = oracle_d(first, sign_rule)
+                checked += 1
+                where = {"nu": nu, "chi": list(chi),
+                         "index": [j + 1 for j in idx]}
+                if not second.is_zero():
+                    witness.append({"check": "dd-zero", **where})
+                    continue
+                poly = rank_one(
+                    [(bit, (element.basis0 if bit == 0 else element.basis1)[j])
+                     for bit, j in zip(chi, idx)])
+                d_poly = d_rank_one(poly, sign_rule)
+                via_poly = oracle_expand(dimension, nu + 1, d_poly, element) \
+                    if nu < dimension else TensorForm(dimension, nu + 1, n, {})
+                if not via_poly == first:
+                    witness.append({"check": "representation-consistency",
+                                    **where})
+                    continue
+                dd_terms = [piece for term in d_poly
+                            for piece in d_rank_one(term, sign_rule)]
+                if nu + 2 <= dimension:
+                    ok = oracle_expand(dimension, nu + 2, dd_terms,
+                                       element).is_zero()
+                else:
+                    ok = not dd_terms
+                if not ok:
+                    witness.append({"check": "dd-zero-polynomial", **where})
+    return VerificationReport(name="dd-zero", passed=not witness,
+                              parameters={"N": dimension, "m": element.m,
+                                          "n": element.n,
+                                          "basis_elements": checked},
+                              witness=witness)
+
+
 def report_json(report) -> str:
     return json.dumps(report.to_json(), indent=2)
 
@@ -94,8 +148,19 @@ def assert_same_report(dimension, nu, probes, element, sign_rule=theta):
     return got
 
 
+def scaled_basis1(e):
+    """basis1[0] doubled, assembled consistently: d(basis0[0]) is then
+    half a 1-form basis function, which the index rule cannot see."""
+    basis1 = list(e.basis1)
+    basis1[0] = basis1[0] * 2
+    return assemble_element(e.m, e.n, e.functionals0, e.functionals1,
+                            e.basis0, basis1)
+
+
 _CORRUPTIONS = {"permute-alpha": permute_alpha,
-                "wrong-functional": wrong_functional}
+                "wrong-functional": wrong_functional,
+                "swap-basis": swap_basis,
+                "scaled-basis1": scaled_basis1}
 _ELEMENTS: dict = {}
 
 
@@ -242,3 +307,66 @@ def test_elements_collectable_after_tensor_verifiers():
     del e
     gc.collect()
     assert ref() is None
+
+
+def assert_same_dd_zero(dimension, e, sign_rule=theta):
+    got = verify_dd_zero(dimension, e, sign_rule)
+    want = oracle_dd_zero(dimension, e, sign_rule)
+    assert report_json(got) == report_json(want)
+    return {w["check"] for w in got.witness}
+
+
+def check_dd_zero_controls(dimension, m, n, corruptions):
+    assert assert_same_dd_zero(dimension, element(m, n)) == set()
+    assert "dd-zero" in assert_same_dd_zero(dimension, element(m, n),
+                                            flat_sign)
+    # the index rule cannot see the scaled basis; only route 2 can
+    assert assert_same_dd_zero(dimension, element(m, n, "scaled-basis1")) \
+        == {"representation-consistency"}
+    for control in corruptions:
+        # consistent rebuilds and 1-form tables leave d after d intact
+        assert assert_same_dd_zero(dimension, element(m, n, control)) == set()
+
+
+@pytest.mark.parametrize("mn", TENSOR_GRID)
+def test_dd_zero_matches_oracle_2d(mn):
+    m, n = mn
+    corruptions = ["wrong-functional"]
+    if n >= 2:
+        corruptions += ["swap-basis", "permute-alpha"]
+    check_dd_zero_controls(2, m, n, corruptions)
+
+
+@pytest.mark.parametrize("mn", [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)])
+def test_dd_zero_matches_oracle_3d(mn):
+    m, n = mn
+    corruptions = ["wrong-functional", "swap-basis", "permute-alpha"] \
+        if mn == (1, 3) else []
+    check_dd_zero_controls(3, m, n, corruptions)
+
+
+def test_dd_zero_matches_oracle_4d():
+    check_dd_zero_controls(4, 0, 1, ["wrong-functional"])
+    assert assert_same_dd_zero(4, element(1, 3, "scaled-basis1")) == \
+        {"representation-consistency"}
+    report = verify_dd_zero(4, element(1, 3))
+    assert report.passed and report.parameters["basis_elements"] == 7 ** 4
+
+
+@pytest.mark.parametrize("dd_zero_first", [True, False])
+def test_column_sources_never_mix(dd_zero_first):
+    """Interpolant columns and basis expansions share one memo per
+    element; on permute-alpha they differ for the same (k, p), so a
+    report must not depend on which verifier filled the memo first."""
+    def fresh():
+        return permute_alpha(build_element(1, 3))
+
+    e = fresh()
+    probes = [rank_one([(0, p), (0, q)]) for p in e.basis0 for q in e.basis0]
+    runs = [lambda x: verify_dd_zero(2, x),
+            lambda x: verify_tensor_commutation(2, 0, probes, x)]
+    if not dd_zero_first:
+        runs.reverse()
+    for run in runs:
+        assert report_json(run(e)) == report_json(run(fresh()))
+    assert not verify_tensor_commutation(2, 0, probes, e).passed
