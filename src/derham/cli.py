@@ -4,9 +4,9 @@ Four subcommands:
 
 * ``element`` — build one (m, n) element and emit its tables (JSON) or
   basis samples (CSV).
-* ``verify``  — run selected verifiers over an (m, n) grid, optionally
-  tensorized to N dimensions and optionally corrupted (negative
-  controls); exit status 0 iff everything passes.
+* ``verify``  — run the selected rows of the check table ``CHECKS`` over
+  an (m, n) grid, optionally tensorized to N dimensions and optionally
+  corrupted (negative controls); exit status 0 iff everything passes.
 * ``tensor``  — emit the N-dimensional space tables or 2D basis samples.
 * ``interp``  — interpolate a named function (sin, cos, exp) or a
   polynomial literal like ``3/2x^2-x+1`` and emit sample columns with
@@ -21,46 +21,20 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import corruptions, element1d, serialize, tensor
 from .polycore import Polynomial
-from .report import SuiteResult, VerificationReport
+from .report import SuiteResult
 from .smooth import SmoothFunction1D, named_function
-from .tensor import flat_sign, theta
-
-CHECK_ORDER = ("unisolvence", "lemma-hypotheses", "commutation", "dimensions",
-               "dd-zero", "tensor-commutation", "continuity-demo")
-ONE_D_CHECKS = {"unisolvence", "lemma-hypotheses", "commutation",
-                "continuity-demo"}
-TENSOR_CHECKS = {"dimensions", "dd-zero", "tensor-commutation"}
 
 OUTDIR_ENV = "DERHAM_OUTDIR"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    m_values: list[int] = field(default_factory=lambda: [0])
-    n_spec: str = "auto+0"
-    dimension: int = 2
-    nu_values: list[int] | None = None
-    checks: list[str] = field(default_factory=lambda: list(CHECK_ORDER))
-    corrupt: str | None = None
-    fmt: str = "json"
-    output: str | None = None
-    quadrature_order: int | None = None
-    probe_degree: int | None = None
-    seed: int = 0
-    random_probes: int = 0
-    tolerance: float = 1e-12
-    timings: str | None = None
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -73,7 +47,10 @@ def parse_int_list(text: str) -> list[int]:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise ValueError(f"empty list {text!r}")
+        return values
     return [int(text)]
 
 
@@ -161,15 +138,18 @@ def emit(text: str, path: str | None) -> None:
         handle.write(text)
 
 
-def _build(cfg: RunConfig, m: int, n: int):
+def _build(m: int, n: int, corrupt: str | None):
     element = element1d.build_element(m, n)
-    if cfg.corrupt and cfg.corrupt != "flip-theta":
-        element = corruptions.corrupt(element, cfg.corrupt)
-    return element
+    return corruptions.corrupt(element, corrupt) if corrupt else element
 
 
-def _sign_rule(cfg: RunConfig):
-    return flat_sign if cfg.corrupt == "flip-theta" else theta
+def _one_element(args, corrupt: str | None = None):
+    """The element of a command that takes exactly one (m, n)."""
+    if len(args.grid) != 1:
+        raise ValueError(f"{args.command} takes one (m, n); --m {args.m} "
+                         f"--n {args.n} gives {len(args.grid)}")
+    (m, n), = args.grid
+    return _build(m, n, corrupt)
 
 
 def _random_probe_polys(seed: int, count: int, max_degree: int) -> list[Polynomial]:
@@ -182,70 +162,86 @@ def _random_probe_polys(seed: int, count: int, max_degree: int) -> list[Polynomi
     return probes
 
 
-def run_verify_suite(cfg: RunConfig) -> SuiteResult:
-    checks = [c for c in CHECK_ORDER if c in cfg.checks]
-    reports: list[VerificationReport] = []
-    timings: list[tuple[str, float]] = []
+def _probe_degree(cfg, n: int) -> int:
+    return n + 5 if cfg.probe_degree is None else cfg.probe_degree
 
-    def record(label: str, report: VerificationReport, started: float) -> None:
-        reports.append(report)
-        timings.append((label, time.perf_counter() - started))
 
-    for m in cfg.m_values:
-        for n in degrees_for(m, cfg.n_spec):
-            element = _build(cfg, m, n)
-            probe_degree = n + 5 if cfg.probe_degree is None \
-                else cfg.probe_degree
-            nu_values = cfg.nu_values if cfg.nu_values is not None \
-                else list(range(cfg.dimension + 1))
-            for check in checks:
-                label = f"{check}[m={m},n={n}]"
+def _commutation(cfg, element, nu):
+    degree = _probe_degree(cfg, element.n)
+    probes = element1d.monomial_probes(degree)
+    if cfg.random_probes:
+        probes += _random_probe_polys(cfg.seed, cfg.random_probes, degree)
+    return element1d.verify_commutation(element, probes)
+
+
+def _tensor_commutation(cfg, element, nu):
+    n = element.n
+    degrees = range(min(n + 3, _probe_degree(cfg, n)) + 1) \
+        if cfg.dimension <= 2 else sorted({0, 2, n, n + 3})
+    probes = tensor.rank_one_monomial_probes(cfg.dimension, nu, degrees)
+    return tensor.verify_tensor_commutation(
+        cfg.dimension, nu, probes, element,
+        sign_rule=corruptions.sign_rule(cfg.corrupt))
+
+
+# Label scopes: the parameters that name one report (and one timing).
+# A scope with "nu" runs its check once per form degree.
+_1D, _ND, _PER_NU = ("m", "n"), ("N", "m", "n"), ("N", "nu", "m", "n")
+
+# check name -> (label scope, verifier call(cfg, element, nu)), in run order
+CHECKS = {
+    "unisolvence":
+        (_1D, lambda cfg, e, nu: element1d.verify_unisolvence(e)),
+    "lemma-hypotheses":
+        (_1D, lambda cfg, e, nu: element1d.verify_lemma_hypotheses(
+            e, _probe_degree(cfg, e.n))),
+    "commutation": (_1D, _commutation),
+    "dimensions":
+        (_ND, lambda cfg, e, nu: tensor.verify_dimensions(cfg.dimension, e)),
+    "dd-zero":
+        (_ND, lambda cfg, e, nu: tensor.verify_dd_zero(
+            cfg.dimension, e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
+    "tensor-commutation": (_PER_NU, _tensor_commutation),
+    "continuity-demo":
+        (_1D, lambda cfg, e, nu: element1d.two_cell_continuity_demo(
+            e, named_function("sin"), cfg.tolerance, cfg.quadrature_order)),
+}
+CHECK_ORDER = tuple(CHECKS)
+
+
+def run_verify_suite(cfg) -> SuiteResult:
+    """Run the selected checks on every (m, n) of ``cfg.grid``.
+
+    ``cfg`` is the parsed ``verify`` namespace.  Each report gets one
+    timing, labelled ``name[scope]``, e.g. ``dd-zero[N=2,m=1,n=3]``.
+    """
+    rows = [(name, *row) for name, row in CHECKS.items()
+            if name in cfg.checks]
+    nu_values = cfg.nu if cfg.nu is not None else range(cfg.dimension + 1)
+    suite = SuiteResult()
+    for m, n in cfg.grid:
+        element = _build(m, n, cfg.corrupt)
+        for name, scope, check in rows:
+            for nu in nu_values if "nu" in scope else (None,):
+                values = {"N": cfg.dimension, "nu": nu, "m": m, "n": n}
+                params = ",".join(f"{k}={values[k]}" for k in scope)
                 started = time.perf_counter()
-                if check == "unisolvence":
-                    record(label, element1d.verify_unisolvence(element), started)
-                elif check == "lemma-hypotheses":
-                    record(label, element1d.verify_lemma_hypotheses(
-                        element, probe_degree), started)
-                elif check == "commutation":
-                    probes = element1d.monomial_probes(probe_degree)
-                    if cfg.random_probes:
-                        probes += _random_probe_polys(cfg.seed, cfg.random_probes,
-                                                      probe_degree)
-                    record(label, element1d.verify_commutation(element, probes),
-                           started)
-                elif check == "continuity-demo":
-                    record(label, element1d.two_cell_continuity_demo(
-                        element, named_function("sin"), cfg.tolerance,
-                        cfg.quadrature_order), started)
-                elif check == "dimensions":
-                    record(f"{check}[N={cfg.dimension},m={m},n={n}]",
-                           tensor.verify_dimensions(cfg.dimension, element),
-                           started)
-                elif check == "dd-zero":
-                    record(f"{check}[N={cfg.dimension},m={m},n={n}]",
-                           tensor.verify_dd_zero(cfg.dimension, element,
-                                                 sign_rule=_sign_rule(cfg)),
-                           started)
-                elif check == "tensor-commutation":
-                    for nu in nu_values:
-                        started = time.perf_counter()
-                        degrees = range(min(n + 3, probe_degree) + 1) \
-                            if cfg.dimension <= 2 else \
-                            sorted({0, 2, n, n + 3})
-                        probes = tensor.rank_one_monomial_probes(
-                            cfg.dimension, nu, degrees)
-                        record(f"{check}[N={cfg.dimension},nu={nu},m={m},n={n}]",
-                               tensor.verify_tensor_commutation(
-                                   cfg.dimension, nu, probes, element,
-                                   sign_rule=_sign_rule(cfg)),
-                               started)
-    return SuiteResult(reports=reports, timings=timings)
+                suite.reports.append(check(cfg, element, nu))
+                suite.timings.append((f"{name}[{params}]",
+                                      time.perf_counter() - started))
+    return suite
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    suite = run_verify_suite(cfg)
-    if cfg.fmt == "json":
-        emit(serialize.json_text(suite.to_json()), cfg.output)
+def cmd_verify(args) -> int:
+    args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = set(args.checks) - set(CHECK_ORDER)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if not args.checks:
+        raise ValueError("verify needs at least one check")
+    suite = run_verify_suite(args)
+    if args.fmt == "json":
+        emit(serialize.json_text(suite.to_json()), args.output)
     else:
         lines = []
         for report in suite.reports:
@@ -258,62 +254,61 @@ def cmd_verify(cfg: RunConfig) -> int:
         total = len(suite.reports)
         good = sum(1 for r in suite.reports if r.passed)
         lines.append(f"{good}/{total} checks passed")
-        emit("\n".join(lines) + "\n", cfg.output)
-    if cfg.timings is not None:
+        emit("\n".join(lines) + "\n", args.output)
+    if args.timings is not None:
         text = "".join(f"{label}\t{seconds:.6f}\n"
                        for label, seconds in suite.timings)
-        if cfg.timings == "-":
+        if args.timings == "-":
             sys.stderr.write(text)
         else:
-            emit(text, cfg.timings)
+            emit(text, args.timings)
     return suite.exit_status
 
 
-def cmd_element(cfg: RunConfig, emit_what: str, samples: int, form: int) -> int:
-    m, n = cfg.m_values[0], degrees_for(cfg.m_values[0], cfg.n_spec)[0]
-    element = _build(cfg, m, n)
-    if emit_what == "basis-samples":
-        emit(serialize.basis_samples_csv(element, form, samples), cfg.output)
+# element --emit -> the element_json fields it keeps besides m and n
+# (absent: all of them)
+ELEMENT_FIELDS = {"matrix": ("M0", "M1"), "basis": ("basis0", "basis1"),
+                  "functionals": ("functionals0", "functionals1")}
+
+
+def cmd_element(args) -> int:
+    element = _one_element(args, args.corrupt)
+    if args.emit == "basis-samples":
+        emit(serialize.basis_samples_csv(element, args.form, args.samples),
+             args.output)
         return 0
     data = serialize.element_json(element)
-    if emit_what == "matrix":
-        data = {"m": m, "n": n, "M0": data["M0"], "M1": data["M1"]}
-    elif emit_what == "basis":
-        data = {"m": m, "n": n, "basis0": data["basis0"],
-                "basis1": data["basis1"]}
-    elif emit_what == "functionals":
-        data = {"m": m, "n": n,
-                "functionals0": data["functionals0"],
-                "functionals1": data["functionals1"]}
-    emit(serialize.json_text(data), cfg.output)
+    if args.emit in ELEMENT_FIELDS:
+        data = {"m": element.m, "n": element.n,
+                **{key: data[key] for key in ELEMENT_FIELDS[args.emit]}}
+    emit(serialize.json_text(data), args.output)
     return 0
 
 
-def cmd_tensor(cfg: RunConfig, emit_what: str, chi, index, samples: int) -> int:
-    m, n = cfg.m_values[0], degrees_for(cfg.m_values[0], cfg.n_spec)[0]
-    element = _build(cfg, m, n)
-    if emit_what == "basis-samples":
-        emit(serialize.tensor_basis_samples_csv(element, chi, index, samples),
-             cfg.output)
+def cmd_tensor(args) -> int:
+    chi = tuple(parse_int_list(args.chi))
+    index = tuple(parse_int_list(args.index))
+    element = _one_element(args)
+    if args.emit == "basis-samples":
+        emit(serialize.tensor_basis_samples_csv(element, chi, index,
+                                                args.samples), args.output)
         return 0
-    nu_values = cfg.nu_values if cfg.nu_values is not None else None
     emit(serialize.json_text(
-        serialize.tensor_tables_json(cfg.dimension, element, nu_values)),
-        cfg.output)
+        serialize.tensor_tables_json(args.dimension, element, args.nu)),
+        args.output)
     return 0
 
 
-def cmd_interp(cfg: RunConfig, input_text: str, samples: int,
-               two_cell: bool) -> int:
-    m, n = cfg.m_values[0], degrees_for(cfg.m_values[0], cfg.n_spec)[0]
-    element = element1d.build_element(m, n)
-    u = parse_input_function(input_text)
+def cmd_interp(args) -> int:
+    element = _one_element(args)
+    u = parse_input_function(args.input)
     order = element.default_quadrature_order \
-        if cfg.quadrature_order is None else cfg.quadrature_order
+        if args.quadrature_order is None else args.quadrature_order
+    samples = args.samples
 
-    if two_cell:
+    if args.two_cell:
         report = element1d.two_cell_continuity_demo(
-            element, u, cfg.tolerance, cfg.quadrature_order)
+            element, u, args.tolerance, args.quadrature_order)
         left = element1d.cell_interpolant(element, u, 0.0, 1.0, order)
         right = element1d.cell_interpolant(element, u, 1.0, 2.0, order)
         rows = []
@@ -326,7 +321,7 @@ def cmd_interp(cfg: RunConfig, input_text: str, samples: int,
         text += "".join(
             f"# junction mismatch order {s}: {serialize.float_str(gap)}\n"
             for s, gap in enumerate(mismatches))
-        emit(text, cfg.output)
+        emit(text, args.output)
         return 0 if report.passed else 1
 
     i0u = element1d.interpolate_smooth(element, 0, u, order)
@@ -344,9 +339,9 @@ def cmd_interp(cfg: RunConfig, input_text: str, samples: int,
             "residual": d_i0u(x) - i1du(x),
         })
     emit(serialize.interp_csv(
-        rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"]), cfg.output)
+        rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"]), args.output)
     worst = max(abs(row["residual"]) for row in rows)
-    return 0 if worst <= cfg.tolerance else 1
+    return 0 if worst <= args.tolerance else 1
 
 
 def _int_at_least(low: int):
@@ -360,6 +355,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for finite tolerances >= 0; a NaN or infinite one
+    would let every comparison pass."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type in its messages
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="derham",
@@ -367,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "construction, interpolation, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid: bool):
+    def command(name: str, run, grid: bool, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--m", default="0",
                        help="continuity order; value, range 0..3, or list")
         p.add_argument("--n", default="auto",
@@ -376,25 +385,31 @@ def build_parser() -> argparse.ArgumentParser:
                        + (" (grids allowed)" if grid else ""))
         p.add_argument("--output", help="output file (default: stdout); "
                        f"relative paths resolve under ${OUTDIR_ENV}")
+        return p
+
+    def quadrature_order(p):
         p.add_argument("--quadrature-order", type=int, default=None,
                        help="Gauss points for smooth inputs "
                             "(default 2(n+2))")
 
-    p_element = sub.add_parser("element", help="emit one element's tables")
-    common(p_element, grid=False)
+    p_element = command("element", cmd_element, grid=False,
+                        help="emit one element's tables")
     p_element.add_argument("--emit", default="element",
-                           choices=["element", "matrix", "basis",
-                                    "functionals", "basis-samples"])
+                           choices=["element", *ELEMENT_FIELDS,
+                                    "basis-samples"])
     p_element.add_argument("--form", type=int, default=0, choices=[0, 1],
                            help="form degree for basis-samples")
     p_element.add_argument("--samples", type=_int_at_least(1), default=101)
-    p_element.add_argument("--corrupt", choices=corruptions.CORRUPTION_NAMES)
+    p_element.add_argument("--corrupt",
+                           choices=tuple(corruptions.ELEMENT_CORRUPTIONS))
 
-    p_verify = sub.add_parser("verify", help="run verifier suites on a grid")
-    common(p_verify, grid=True)
+    p_verify = command("verify", cmd_verify, grid=True,
+                       help="run verifier suites on a grid")
+    quadrature_order(p_verify)
     p_verify.add_argument("--checks", default=",".join(CHECK_ORDER),
                           help="comma list from: " + ", ".join(CHECK_ORDER))
-    p_verify.add_argument("--N", type=int, default=2, dest="dimension",
+    p_verify.add_argument("--N", type=_int_at_least(1), default=2,
+                          dest="dimension",
                           help="tensorization order for tensor checks")
     p_verify.add_argument("--nu", default=None,
                           help="form degrees for tensor-commutation "
@@ -406,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--random-probes", type=_int_at_least(0), default=0,
                           help="extra seeded random probes for commutation")
-    p_verify.add_argument("--tolerance", type=float, default=1e-12)
+    p_verify.add_argument("--tolerance", type=_tolerance, default=1e-12)
     p_verify.add_argument("--format", default="json", dest="fmt",
                           choices=["json", "text"])
     p_verify.add_argument("--timings", metavar="PATH|-",
@@ -414,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "label<TAB>seconds lines to PATH, or to "
                                "stderr for -; never part of the report")
 
-    p_tensor = sub.add_parser("tensor", help="emit tensor space tables")
-    common(p_tensor, grid=False)
-    p_tensor.add_argument("--N", type=int, default=2, dest="dimension")
+    p_tensor = command("tensor", cmd_tensor, grid=False,
+                       help="emit tensor space tables")
+    p_tensor.add_argument("--N", type=_int_at_least(1), default=2,
+                          dest="dimension")
     p_tensor.add_argument("--nu", default=None)
     p_tensor.add_argument("--emit", default="tables",
                           choices=["tables", "basis-samples"])
@@ -426,58 +442,28 @@ def build_parser() -> argparse.ArgumentParser:
                           help="1-based basis indices for basis-samples")
     p_tensor.add_argument("--samples", type=_int_at_least(1), default=33)
 
-    p_interp = sub.add_parser("interp",
-                              help="interpolate a function and emit samples")
-    common(p_interp, grid=False)
+    p_interp = command("interp", cmd_interp, grid=False,
+                       help="interpolate a function and emit samples")
+    quadrature_order(p_interp)
     p_interp.add_argument("--input", required=True,
                           help="sin, cos, exp, or a polynomial literal "
                                "like 3/2x^2-x+1")
     p_interp.add_argument("--samples", type=_int_at_least(1), default=101)
     p_interp.add_argument("--two-cell", action="store_true",
                           help="run the two-cell continuity demo on [0,2]")
-    p_interp.add_argument("--tolerance", type=float, default=1e-12)
+    p_interp.add_argument("--tolerance", type=_tolerance, default=1e-12)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(command=args.command)
-        cfg.m_values = parse_int_list(args.m)
-        cfg.n_spec = args.n
-        cfg.output = args.output
-        cfg.quadrature_order = args.quadrature_order
-        cfg.corrupt = getattr(args, "corrupt", None)
-        cfg.tolerance = getattr(args, "tolerance", 1e-12)
-        if hasattr(args, "dimension"):
-            cfg.dimension = args.dimension
+        args.grid = [(m, n) for m in parse_int_list(args.m)
+                     for n in degrees_for(m, args.n)]
         if getattr(args, "nu", None) is not None:
-            cfg.nu_values = parse_int_list(args.nu)
-
-        if args.command == "element":
-            return cmd_element(cfg, args.emit, args.samples, args.form)
-        if args.command == "verify":
-            cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-            unknown = set(cfg.checks) - set(CHECK_ORDER)
-            if unknown:
-                raise ValueError(f"unknown checks: {sorted(unknown)}")
-            if not cfg.checks:
-                raise ValueError("verify needs at least one check")
-            cfg.fmt = args.fmt
-            cfg.probe_degree = args.probe_degree
-            cfg.seed = args.seed
-            cfg.random_probes = args.random_probes
-            cfg.timings = args.timings
-            return cmd_verify(cfg)
-        if args.command == "tensor":
-            chi = tuple(parse_int_list(args.chi))
-            index = tuple(parse_int_list(args.index))
-            return cmd_tensor(cfg, args.emit, chi, index, args.samples)
-        if args.command == "interp":
-            return cmd_interp(cfg, args.input, args.samples, args.two_cell)
-        raise ValueError(f"unknown command {args.command!r}")
+            args.nu = parse_int_list(args.nu)
+        return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -32,9 +32,7 @@ from dataclasses import replace
 
 from .element1d import Element1D, assemble_element
 from .functionals import EndpointDerivative
-
-CORRUPTION_NAMES = ("swap-basis", "wrong-functional", "permute-alpha",
-                    "flip-theta")
+from .tensor import flat_sign, theta
 
 
 def swap_basis(element: Element1D) -> Element1D:
@@ -74,15 +72,26 @@ def permute_alpha(element: Element1D) -> Element1D:
     return replace(element, alpha1=alpha1)
 
 
+# CLI name -> fixture.  The element fixtures rebuild or patch the 1D
+# element; the sign-rule fixture leaves the element alone and replaces
+# theta in the tensor exterior derivative.
+ELEMENT_CORRUPTIONS = {"swap-basis": swap_basis,
+                       "wrong-functional": wrong_functional,
+                       "permute-alpha": permute_alpha}
+SIGN_RULE_CORRUPTIONS = {"flip-theta": flat_sign}
+CORRUPTION_NAMES = (*ELEMENT_CORRUPTIONS, *SIGN_RULE_CORRUPTIONS)
+
+
 def corrupt(element: Element1D, name: str) -> Element1D:
-    """Look up a 1D corruption by CLI name (flip-theta is tensor-level)."""
-    if name == "swap-basis":
-        return swap_basis(element)
-    if name == "wrong-functional":
-        return wrong_functional(element)
-    if name == "permute-alpha":
-        return permute_alpha(element)
-    if name == "flip-theta":
+    """The element under the corruption named ``name`` (CLI name)."""
+    if name in ELEMENT_CORRUPTIONS:
+        return ELEMENT_CORRUPTIONS[name](element)
+    if name in SIGN_RULE_CORRUPTIONS:
         return element
     raise ValueError(f"unknown corruption {name!r}; "
                      f"expected one of {CORRUPTION_NAMES}")
+
+
+def sign_rule(name: str | None):
+    """The tensor sign rule under the corruption named ``name``, if any."""
+    return SIGN_RULE_CORRUPTIONS.get(name, theta)

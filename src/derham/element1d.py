@@ -147,12 +147,18 @@ def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
     """Floating-point interpolation of a smooth callback input."""
     if quadrature_order is None:
         quadrature_order = e.default_quadrature_order
-    functionals, basis, alpha = _family(e, k)
-    values = np.array([apply_functional_smooth(f, u, quadrature_order)
-                       for f in functionals])
-    coeffs = linalg.to_float(alpha) @ values
-    width = max(e.n + 1 - k, 1)
-    out = np.zeros(width)
+    return _float_interpolant(e, k, [
+        apply_functional_smooth(f, u, quadrature_order)
+        for f in _family(e, k)[0]])
+
+
+def _float_interpolant(e: Element1D, k: int,
+                       values) -> np.polynomial.Polynomial:
+    """Sum of c_j * basis_j over the k-form basis, c = alpha_k @ values,
+    in floating point."""
+    _, basis, alpha = _family(e, k)
+    coeffs = linalg.to_float(alpha) @ np.array(values)
+    out = np.zeros(max(e.n + 1 - k, 1))
     for c, p in zip(coeffs, basis):
         fc = p.float_coeffs()
         out[:fc.size] += c * fc
@@ -355,12 +361,7 @@ def cell_interpolant(e: Element1D, u: SmoothFunction1D, a: float, b: float,
             values.append(h * sum(w * weight_poly(x) * u.derivative(1, a + h * x)
                                   for x, w in zip(nodes, weights)))
 
-    coeffs = linalg.to_float(e.alpha0) @ np.array(values)
-    out = np.zeros(e.n + 1)
-    for c, p in zip(coeffs, e.basis0):
-        fc = p.float_coeffs()
-        out[:fc.size] += c * fc
-    return np.polynomial.Polynomial(out)
+    return _float_interpolant(e, 0, values)
 
 
 def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,

@@ -305,9 +305,9 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
         terms = [terms]
     else:
         terms = list(terms)
-    if terms:
-        dimension = terms[0].dimension
-        nu = terms[0].nu
+    if terms:  # explicit values are checked against the terms, not replaced
+        dimension = terms[0].dimension if dimension is None else dimension
+        nu = terms[0].nu if nu is None else nu
     if dimension is None or nu is None:
         raise ValueError("empty term list needs explicit dimension and nu")
     return _single_form(element, dimension, nu, terms, expand_in_basis)
@@ -815,23 +815,22 @@ def verify_kron_structure(dimension: int, nu: int,
                           element: Element1D) -> VerificationReport:
     """Per-chi node matrices factor as Kronecker products and invert.
 
-    The direct route applies every product functional to every rank-one
-    basis element; the result must equal the Kronecker product of the 1D
-    node matrices, and must be exactly invertible.
+    The direct route applies the product functionals to the rank-one
+    basis elements.  Both act factor by factor, so the direct matrix is
+    the Kronecker product of the 1D tables f(b) built from the element's
+    functionals and basis; it must equal the Kronecker product of the
+    stored node matrices, and must be exactly invertible.
     """
     witness: list[dict] = []
     matrices = {0: element.M0, 1: element.M1}
+    tables = {k: np.array([[f.apply(b) for b in basis] for f in functionals],
+                          dtype=object)
+              for k, functionals, basis in (
+                  (0, element.functionals0, element.basis0),
+                  (1, element.functionals1, element.basis1))}
     for chi in enumerate_chi(dimension, nu):
-        widths = _block_widths(chi, element.n)
-        size = math.prod(widths)
-        functionals = [f for f in tensor_node_functionals(dimension, nu, element)
-                       if f.chi == chi]
-        direct = np.full((size, size), Fraction(0), dtype=object)
-        for row, functional in enumerate(functionals):
-            for col, idx in enumerate(itertools.product(
-                    *(range(w) for w in widths))):
-                direct[row][col] = functional.apply_rank_one(
-                    _basis_rank_one(element, chi, idx))
+        size = math.prod(_block_widths(chi, element.n))
+        direct = reduce(linalg.kron, (tables[bit] for bit in chi))
         expected = reduce(linalg.kron, (matrices[bit] for bit in chi))
         if not bool((direct == expected).all()):
             witness.append({"check": "kron-factorization", "chi": list(chi)})

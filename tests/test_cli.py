@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from derham.cli import (degrees_for, main, parse_int_list, parse_polynomial,
-                        parse_input_function)
+from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
+                        parse_polynomial, parse_input_function)
+from derham.corruptions import ELEMENT_CORRUPTIONS
 from derham.polycore import Polynomial
 
 
@@ -25,6 +26,8 @@ class TestArgumentParsing:
             parse_int_list("3..1")
         with pytest.raises(ValueError):
             parse_int_list("one")
+        with pytest.raises(ValueError, match="empty list"):
+            parse_int_list(",")
 
     def test_degrees_for(self):
         assert degrees_for(1, "auto") == [3]
@@ -188,8 +191,9 @@ class TestVerifyCommand:
         assert "error: probe_degree must be at least n" in err
 
     def test_timings_to_file(self, capsys, tmp_path):
-        args = ("verify", "--m", "0", "--n", "1..2",
-                "--checks", "unisolvence,tensor-commutation", "--nu", "1")
+        # one run through every row of the check table; the benchmark sums
+        # timings by the label prefix before "["
+        args = ("verify", "--m", "0", "--n", "1..2", "--nu", "0,2")
         _, plain, _ = run(capsys, *args)
         path = tmp_path / "timings.tsv"
         code, out, err = run(capsys, *args, "--timings", str(path))
@@ -197,10 +201,19 @@ class TestVerifyCommand:
         assert out == plain  # timings never enter the report
         labels = [line.split("\t")[0] for line in
                   path.read_text().splitlines()]
-        assert labels == ["unisolvence[m=0,n=1]",
-                          "tensor-commutation[N=2,nu=1,m=0,n=1]",
-                          "unisolvence[m=0,n=2]",
-                          "tensor-commutation[N=2,nu=1,m=0,n=2]"]
+        assert labels == [
+            label for n in (1, 2) for label in (
+                f"unisolvence[m=0,n={n}]",
+                f"lemma-hypotheses[m=0,n={n}]",
+                f"commutation[m=0,n={n}]",
+                f"dimensions[N=2,m=0,n={n}]",
+                f"dd-zero[N=2,m=0,n={n}]",
+                f"tensor-commutation[N=2,nu=0,m=0,n={n}]",
+                f"tensor-commutation[N=2,nu=2,m=0,n={n}]",
+                f"continuity-demo[m=0,n={n}]")]
+        assert [label.split("[")[0] for label in labels[:8]] == \
+            [name for name in CHECK_ORDER for _ in
+             range(2 if name == "tensor-commutation" else 1)]
 
     def test_timings_to_stderr(self, capsys):
         code, out, err = run(capsys, "verify", "--m", "1", "--n", "3",
@@ -312,3 +325,76 @@ def test_samples_must_be_positive(capsys, command, samples):
     captured = capsys.readouterr()
     assert captured.out == ""  # no CSV header before the error
     assert f"--samples: must be >= 1, got {samples}" in captured.err
+
+
+def rejected(capsys, *argv) -> str:
+    """Run argv, expect exit status 2 and an empty stdout; return stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_info:  # argparse rejections
+        code = exit_info.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    return captured.err
+
+
+class TestRejectedAtEntry:
+    """Input that would make a check pass vacuously, or that a command
+    would ignore, exits 2 before any artifact is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--N", "0", "--checks", "dd-zero"),
+        ("verify", "--N", "-1", "--checks", "tensor-commutation"),
+        ("tensor", "--N", "-1"),
+    ])
+    def test_dimension_below_one(self, capsys, argv):
+        assert "--N: must be >= 1" in rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
+    @pytest.mark.parametrize("command", [
+        # m=4 sin fails this check at the default tolerance
+        ("verify", "--m", "4", "--checks", "continuity-demo"),
+        ("interp", "--input", "sin"),
+        ("interp", "--input", "sin", "--two-cell"),
+    ])
+    def test_tolerance_finite_and_nonnegative(self, capsys, command, value):
+        err = rejected(capsys, *command, f"--tolerance={value}")
+        assert f"--tolerance: must be finite and >= 0, got {value}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--m", ","),
+        ("verify", "--n", ","),
+        ("verify", "--nu", ",", "--checks", "tensor-commutation"),
+        ("element", "--m", ","),
+        ("tensor", "--nu", ","),
+    ])
+    def test_empty_list(self, capsys, argv):
+        assert "error: empty list" in rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("grid", [("--m", "0..2"), ("--m", "0,1"),
+                                      ("--n", "auto+1"), ("--n", "3,4")])
+    @pytest.mark.parametrize("command", [
+        ("element",), ("element", "--emit", "basis-samples"),
+        ("tensor",), ("interp", "--input", "sin"),
+    ])
+    def test_single_element_commands_reject_grids(self, capsys, command,
+                                                  grid):
+        assert "takes one (m, n)" in rejected(capsys, *command, *grid)
+
+    def test_element_rejects_the_sign_rule_corruption(self, capsys):
+        err = rejected(capsys, "element", "--m", "1", "--n", "3",
+                       "--corrupt", "flip-theta")
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize("name", ELEMENT_CORRUPTIONS)
+    def test_element_corruptions_change_the_tables(self, capsys, name):
+        _, pristine, _ = run(capsys, "element", "--m", "1", "--n", "3")
+        code, out, _ = run(capsys, "element", "--m", "1", "--n", "3",
+                           "--corrupt", name)
+        assert code == 0 and out != pristine
+
+    @pytest.mark.parametrize("command", ["element", "tensor"])
+    def test_quadrature_order_only_where_it_acts(self, capsys, command):
+        err = rejected(capsys, command, "--m", "1", "--n", "3",
+                       "--quadrature-order", "-7")
+        assert "unrecognized arguments: --quadrature-order" in err

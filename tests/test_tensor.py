@@ -196,6 +196,14 @@ class TestCanonicalize:
         form = canonicalize([], e13, dimension=2, nu=1)
         assert form.is_zero()
 
+    def test_explicit_space_is_checked_not_overridden(self, e13):
+        terms = [rank_one([(0, poly(0, 1)), (1, poly(1))])]  # 2D 1-form
+        for dimension, nu in ((3, 0), (2, 0), (3, 1)):
+            with pytest.raises(ValueError, match="expected"):
+                canonicalize(terms, e13, dimension=dimension, nu=nu)
+        assert canonicalize(terms, e13, dimension=2, nu=1) == \
+            canonicalize(terms, e13)
+
     def test_d_representations_agree(self, e13):
         for probe in rank_one_monomial_probes(2, 0, [0, 1, 3]):
             form = canonicalize(probe, e13)

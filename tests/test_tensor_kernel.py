@@ -6,30 +6,35 @@ through the inverse of its monomial-coefficient matrix, and the N-D
 blocks are built and compared probe by probe in Fraction object arrays.
 The dd-zero oracle is the old per-basis-element loop: one dense
 Fraction form per unit, d applied twice, and the polynomial routes
-expanded through per-term outer products.  The kernel must reproduce
-their reports exactly, witness order, ``blocks`` and ``max_abs``
-included.
+expanded through per-term outer products.  The kron-structure oracle
+applies every product functional to every rank-one basis element.  The
+kernel must reproduce their reports exactly, witness order, ``blocks``
+and ``max_abs`` included.
 """
 
 import gc
 import itertools
 import json
+import math
 import weakref
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derham import linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
 from derham.element1d import assemble_element, build_element, interpolate
 from derham.polycore import Polynomial
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, d_rank_one, enumerate_chi,
                            expand_in_basis, flat_sign, rank_one,
-                           rank_one_monomial_probes, tensor_interpolate, theta,
-                           verify_dd_zero, verify_tensor_commutation)
+                           rank_one_monomial_probes, tensor_interpolate,
+                           tensor_node_functionals, theta, verify_dd_zero,
+                           verify_kron_structure, verify_tensor_commutation)
 
 TENSOR_GRID = [(m, n) for m in (0, 1, 2) for n in range(2 * m + 1, 2 * m + 4)]
 
@@ -370,3 +375,55 @@ def test_column_sources_never_mix(dd_zero_first):
     for run in runs:
         assert report_json(run(e)) == report_json(run(fresh()))
     assert not verify_tensor_commutation(2, 0, probes, e).passed
+
+
+def oracle_kron_structure(dimension, nu, element):
+    """The old direct route: every product functional applied to every
+    rank-one basis element, entry by entry."""
+    witness = []
+    matrices = {0: element.M0, 1: element.M1}
+    for chi in enumerate_chi(dimension, nu):
+        bases = [element.basis0 if bit == 0 else element.basis1
+                 for bit in chi]
+        size = math.prod(len(basis) for basis in bases)
+        functionals = [f for f in
+                       tensor_node_functionals(dimension, nu, element)
+                       if f.chi == chi]
+        direct = np.full((size, size), Fraction(0), dtype=object)
+        for row, functional in enumerate(functionals):
+            for col, factors in enumerate(itertools.product(*bases)):
+                direct[row][col] = functional.apply_rank_one(
+                    rank_one(list(zip(chi, factors))))
+        expected = reduce(linalg.kron, (matrices[bit] for bit in chi))
+        if not bool((direct == expected).all()):
+            witness.append({"check": "kron-factorization", "chi": list(chi)})
+            continue
+        if linalg.rank(direct) != size:
+            witness.append({"check": "kron-invertibility", "chi": list(chi),
+                            "size": size})
+    return VerificationReport(name="kron-structure", passed=not witness,
+                              parameters={"N": dimension, "nu": nu,
+                                          "m": element.m, "n": element.n},
+                              witness=witness)
+
+
+@pytest.mark.parametrize("dimension, mn", [(2, mn) for mn in TENSOR_GRID]
+                         + [(3, (0, 1)), (3, (1, 3))])
+def test_kron_structure_matches_oracle(dimension, mn):
+    m, n = mn
+    for control in (None, "swap-basis", "wrong-functional", "permute-alpha"):
+        if n < 2 and control in ("swap-basis", "permute-alpha"):
+            continue
+        e = element(m, n, control)
+        for nu in range(dimension + 1):
+            got = verify_kron_structure(dimension, nu, e)
+            assert report_json(got) == \
+                report_json(oracle_kron_structure(dimension, nu, e))
+            if control == "wrong-functional":
+                # the stored M_1 no longer matches the functionals, so
+                # every block with a 1-form factor fails to factor
+                assert got.witness == [
+                    {"check": "kron-factorization", "chi": list(chi)}
+                    for chi in enumerate_chi(dimension, nu) if 1 in chi]
+            else:
+                assert got.passed
