@@ -388,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def quadrature_order(p):
-        p.add_argument("--quadrature-order", type=int, default=None,
+        p.add_argument("--quadrature-order", type=_int_at_least(1),
+                       default=None,
                        help="Gauss points for smooth inputs "
                             "(default 2(n+2))")
 

@@ -31,12 +31,22 @@ import numpy as np
 
 from . import linalg
 from .functionals import (EndpointDerivative, EndpointSum, Moment,
-                          NodeFunctional, one_form_functionals,
+                          NodeFunctional, monomial_row, one_form_functionals,
                           zero_form_functionals)
-from .polycore import Polynomial, hermite_basis, integrated_legendre, legendre
+from .polycore import (Polynomial, coefficient_matrix, hermite_basis,
+                       integrated_legendre, legendre)
 from .quadrature import gauss_rule
 from .report import VerificationReport
 from .smooth import SmoothFunction1D
+
+
+def _check_degrees(m: int, n: int) -> None:
+    if m < 0:
+        raise ValueError("continuity order m must be >= 0")
+    if n < 2 * m + 1:
+        raise ValueError(
+            f"degree n={n} too low to host the C^{m} Hermite block; "
+            f"need n >= {2 * m + 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +61,19 @@ class Element1D:
     M1: np.ndarray
     alpha0: np.ndarray
     alpha1: np.ndarray
+
+    def __post_init__(self):
+        _check_degrees(self.m, self.n)
+        for k, size in ((0, self.n + 1), (1, self.n)):
+            for field, want in ((f"functionals{k}", (size,)),
+                                (f"basis{k}", (size,)),
+                                (f"M{k}", (size, size)),
+                                (f"alpha{k}", (size, size))):
+                value = getattr(self, field)
+                shape = np.shape(value) if len(want) == 2 else (len(value),)
+                if shape != want:
+                    raise ValueError(f"{field} has shape {shape}, "
+                                     f"expected {want}")
 
     @property
     def default_quadrature_order(self) -> int:
@@ -71,6 +94,30 @@ def zero_form_basis(m: int, n: int) -> list[Polynomial]:
     return basis
 
 
+def _functional_table(functionals, width: int) -> np.ndarray:
+    """Monomial rows of ``functionals``, truncated to ``width`` columns."""
+    return np.array([monomial_row(f, width)[:width] for f in functionals],
+                    dtype=object).reshape(len(functionals), width)
+
+
+def _product(*factors) -> tuple[np.ndarray, int]:
+    """Exact matrix product as (integer numerators, denominator)."""
+    nums, den = linalg.integer_form(factors[-1])
+    for factor in reversed(factors[:-1]):
+        factor_nums, factor_den = linalg.integer_form(factor)
+        nums, den = factor_nums @ nums, factor_den * den
+    return nums, den
+
+
+def node_table(functionals, basis) -> np.ndarray:
+    """The table f(b) of every functional (rows) on every basis polynomial
+    (columns): functional monomial rows times basis coefficient columns."""
+    width = max((len(p.coeffs) for p in basis), default=0)
+    nums, den = _product(_functional_table(functionals, width),
+                         coefficient_matrix(basis, width).T)
+    return nums * Fraction(1, den)
+
+
 def assemble_element(m: int, n: int,
                      functionals0, functionals1,
                      basis0, basis1) -> Element1D:
@@ -80,10 +127,8 @@ def assemble_element(m: int, n: int,
     entry point exists so deliberately corrupted elements can be
     assembled for the negative-control tests.
     """
-    M0 = np.array([[f.apply(b) for b in basis0] for f in functionals0],
-                  dtype=object)
-    M1 = np.array([[f.apply(b) for b in basis1] for f in functionals1],
-                  dtype=object)
+    M0 = node_table(functionals0, basis0)
+    M1 = node_table(functionals1, basis1)
     alpha0 = linalg.invert(M0)
     alpha1 = linalg.invert(M1)
     return Element1D(m=m, n=n,
@@ -95,12 +140,7 @@ def assemble_element(m: int, n: int,
 
 
 def build_element(m: int, n: int) -> Element1D:
-    if m < 0:
-        raise ValueError("continuity order m must be >= 0")
-    if n < 2 * m + 1:
-        raise ValueError(
-            f"degree n={n} too low to host the C^{m} Hermite block; "
-            f"need n >= {2 * m + 1}")
+    _check_degrees(m, n)
     basis0 = zero_form_basis(m, n)
     basis1 = [p.derivative() for p in basis0[:n]]
     return assemble_element(m, n,
@@ -225,25 +265,13 @@ def verify_unisolvence(e: Element1D) -> VerificationReport:
             witness.append(_entry_witness("deletion-identity",
                                           int(i) + 1, int(j) + 1, M1[i][j]))
 
-    if linalg.rank(M0) != n + 1:
-        witness.append({"check": "rank-M0", "rank": linalg.rank(M0),
-                        "expected": n + 1})
-    if linalg.rank(M1) != n:
-        witness.append({"check": "rank-M1", "rank": linalg.rank(M1),
-                        "expected": n})
+    for name, matrix, expected in (("rank-M0", M0, n + 1), ("rank-M1", M1, n)):
+        rank = linalg.rank(matrix)
+        if rank != expected:
+            witness.append({"check": name, "rank": rank, "expected": expected})
 
     return VerificationReport(name="unisolvence", passed=not witness,
                               parameters={"m": m, "n": n}, witness=witness)
-
-
-def _coefficient_matrix(polys, width: int) -> np.ndarray:
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * width
-        for i, c in enumerate(p.coeffs):
-            row[i] = c
-        rows.append(row)
-    return np.array(rows, dtype=object)
 
 
 def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> VerificationReport:
@@ -282,7 +310,7 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
                             "value": str(value)})
 
     derived = [p.derivative() for p in e.basis0[:n]]
-    if linalg.rank(_coefficient_matrix(derived, n)) != n:
+    if linalg.rank(coefficient_matrix(derived, n)) != n:
         witness.append({"check": "range", "detail":
                         "derivatives of the first n basis functions do not "
                         "span the 1-form space"})
@@ -291,15 +319,16 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
         if derived[j] != e.basis1[j]:
             witness.append({"check": "basis-pairing", "basis": j + 1})
 
-    for probe in monomial_probes(probe_degree):
-        du = probe.derivative()
+    # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k)
+    rows0 = [monomial_row(f, probe_degree + 1) for f in e.functionals0[:n]]
+    rows1 = [monomial_row(f, probe_degree) for f in e.functionals1]
+    for k in range(probe_degree + 1):
         for i in range(n):
-            left = e.functionals1[i].apply(du)
-            right = e.functionals0[i].apply(probe)
+            left = k * rows1[i][k - 1] if k else Fraction(0)
+            right = rows0[i][k]
             if left != right:
                 witness.append({"check": "functional-pairing",
-                                "functional": i + 1,
-                                "probe_degree": probe.degree,
+                                "functional": i + 1, "probe_degree": k,
                                 "left": str(left), "right": str(right)})
 
     return VerificationReport(name="lemma-hypotheses", passed=not witness,
@@ -312,10 +341,26 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     """d(I0 u) == I1(du) exactly, for every probe polynomial u."""
     if probes is None:
         probes = monomial_probes(e.n + 5)
+    # monomial coefficients of d(I0 u) and I1(du), one column per probe:
+    # d(basis0) alpha0 T0 P and basis1 alpha1 T1 P', T_k the functional rows
+    width = max([1] + [len(u.coeffs) for u in probes])
+    derived = [b.derivative() for b in e.basis0]
+    height = max(len(p.coeffs) for p in derived + list(e.basis1))
+    left, left_den = _product(
+        coefficient_matrix(derived, height).T, e.alpha0,
+        _functional_table(e.functionals0, width),
+        coefficient_matrix(probes, width).T)
+    right, right_den = _product(
+        coefficient_matrix(e.basis1, height).T, e.alpha1,
+        _functional_table(e.functionals1, width - 1),
+        coefficient_matrix([u.derivative() for u in probes], width - 1).T)
+    residuals = left * right_den - right * left_den
+    den = left_den * right_den
     witness: list[dict] = []
     for index, u in enumerate(probes):
-        residual = interpolate(e, 0, u).derivative() - interpolate(e, 1, u.derivative())
-        if not residual.is_zero():
+        if residuals[:, index].any():
+            residual = Polynomial([Fraction(c, den)
+                                   for c in residuals[:, index]])
             witness.append({"check": "commutation", "probe": index,
                             "probe_degree": u.degree,
                             "residual": [str(c) for c in residual.coeffs]})

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Union
 
-from .polycore import Polynomial, legendre
+from .polycore import Polynomial, legendre, monomial_derivative
 from .quadrature import gauss_rule
 
 FUNCTIONAL_ORDER_VERSION = 1
@@ -36,6 +37,23 @@ FUNCTIONAL_ORDER_VERSION = 1
 #: its atoms of weight * d^order u(node).  Moment atoms carry quadrature
 #: weights, so they are exact only up to the quadrature error.
 Atom = tuple[float, float, int]
+
+# A functional is linear: its exact value on a polynomial is its monomial
+# row (f(1), f(x), ..), in closed form, dotted with the coefficients.
+# Descriptors are frozen values, so equal functionals share one row.
+_ROWS: dict = {}
+
+
+def monomial_row(f, length: int) -> list[Fraction]:
+    """``f`` on 1, x, .., x^(length-1), memoized; may be longer."""
+    row = _ROWS.setdefault(f, [])
+    row.extend(map(f.monomial_value, range(len(row), length)))
+    return row
+
+
+def _apply(f, u: Polynomial) -> Fraction:
+    return sum(map(Fraction.__mul__, monomial_row(f, len(u.coeffs)),
+                   u.coeffs), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -57,8 +75,10 @@ class EndpointDerivative:
                 f"endpoint derivative order must be >= {minimum} "
                 f"for {self.form_degree}-forms")
 
-    def apply(self, u: Polynomial) -> Fraction:
-        return u.derivative_value(self.order, Fraction(self.point))
+    def monomial_value(self, k: int) -> Fraction:
+        return monomial_derivative(k, self.order, self.point)
+
+    apply = _apply
 
     def apply_smooth(self, u, quadrature_order: int = 0) -> float:
         return u.derivative(self.order, float(self.point))
@@ -95,9 +115,17 @@ class Moment:
         if self.form_degree == 1 and self.of_derivative:
             raise ValueError("1-form moments act on the value")
 
-    def apply(self, u: Polynomial) -> Fraction:
-        integrand = u.derivative() if self.of_derivative else u
-        return (legendre(self.legendre_index) * integrand).integral01()
+    def monomial_value(self, k: int) -> Fraction:
+        """int l_i x^k = (k!)^2 / ((k-i)! (k+i+1)!), zero for k < i by
+        orthogonality; on the derivative, k times the x^(k-1) entry."""
+        scale, k = (k, k - 1) if self.of_derivative else (1, k)
+        i = self.legendre_index
+        if k < i:
+            return Fraction(0)
+        return Fraction(scale * factorial(k) ** 2,
+                        factorial(k - i) * factorial(k + i + 1))
+
+    apply = _apply
 
     def apply_smooth(self, u, quadrature_order: int) -> float:
         nodes, weights = gauss_rule(quadrature_order)
@@ -138,8 +166,10 @@ class EndpointSum:
         if self.form_degree != 0:
             raise ValueError("endpoint sum exists for 0-forms only")
 
-    def apply(self, u: Polynomial) -> Fraction:
-        return u(Fraction(1)) + u(Fraction(0))
+    def monomial_value(self, k: int) -> Fraction:
+        return Fraction(2 if k == 0 else 1)
+
+    apply = _apply
 
     def apply_smooth(self, u, quadrature_order: int = 0) -> float:
         return u.derivative(0, 1.0) + u.derivative(0, 0.0)

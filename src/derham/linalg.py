@@ -9,6 +9,7 @@ pivoting is all we need.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j in range(ca):
             out[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = a[i, j] * b
     return out
+
+
+def integer_form(values) -> tuple[np.ndarray, int]:
+    """Rational array as (Python-int numerators, common denominator)."""
+    a = np.asarray(values, dtype=object)
+    den = math.lcm(*(x.denominator for x in a.flat))
+    return np.frompyfunc(lambda x: x.numerator * (den // x.denominator),
+                         1, 1)(a), den
 
 
 def to_float(matrix: np.ndarray) -> np.ndarray:

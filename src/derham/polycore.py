@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -178,6 +179,22 @@ class Polynomial:
             if self.coeffs else np.zeros(1)
 
 
+def coefficient_matrix(polys, width: int) -> np.ndarray:
+    """Monomial coefficients of ``polys``, one zero-padded row each."""
+    out = np.full((len(polys), width), Fraction(0), dtype=object)
+    for row, p in zip(out, polys):
+        row[:len(p.coeffs)] = p.coeffs
+    return out
+
+
+def monomial_derivative(k: int, order: int, point) -> Fraction:
+    """d^order x^k at ``point``: a falling factorial times a power."""
+    if k < order:
+        return Fraction(0)
+    falling = factorial(k) // factorial(k - order)
+    return falling * Fraction(point) ** (k - order)
+
+
 @lru_cache(maxsize=None)
 def legendre(j: int) -> Polynomial:
     """Shifted Legendre polynomial of degree j on [0, 1].
@@ -242,16 +259,8 @@ def hermite_basis(m: int, endpoint: int, beta: int) -> Polynomial:
     rhs = []
     for point, match in ((endpoint, True), (1 - endpoint, False)):
         for gamma in range(m + 1):
-            row = []
-            for k in range(size):
-                if k < gamma:
-                    row.append(Fraction(0))
-                else:
-                    falling = Fraction(1)
-                    for s in range(gamma):
-                        falling *= k - s
-                    row.append(falling * Fraction(point) ** (k - gamma))
-            rows.append(row)
+            rows.append([monomial_derivative(k, gamma, point)
+                         for k in range(size)])
             rhs.append(Fraction(1) if match and gamma == beta else Fraction(0))
     coeffs = linalg.solve(linalg.frac_array(rows), np.array(rhs, dtype=object))
     h = Polynomial(coeffs)

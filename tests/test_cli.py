@@ -298,11 +298,9 @@ class TestInterpCommand:
 
     @pytest.mark.parametrize("extra", [(), ("--two-cell",)])
     def test_quadrature_order_zero_is_rejected(self, capsys, extra):
-        code, out, err = run(capsys, "interp", "--m", "1", "--n", "3",
-                             "--input", "sin", "--quadrature-order", "0",
-                             *extra)
-        assert code == 2 and out == ""
-        assert "error: quadrature" in err and "must be >= 1" in err
+        err = rejected(capsys, "interp", "--m", "1", "--n", "3",
+                       "--input", "sin", "--quadrature-order", "0", *extra)
+        assert "--quadrature-order: must be >= 1, got 0" in err
 
     def test_unknown_input_is_cli_error(self, capsys):
         code, _, err = run(capsys, "interp", "--m", "0", "--n", "1",
@@ -392,6 +390,20 @@ class TestRejectedAtEntry:
         code, out, _ = run(capsys, "element", "--m", "1", "--n", "3",
                            "--corrupt", name)
         assert code == 0 and out != pristine
+
+    @pytest.mark.parametrize("value", ["0", "-7"])
+    @pytest.mark.parametrize("command", [
+        ("verify", "--checks", "dimensions"),
+        ("verify", "--checks", "unisolvence,commutation"),
+        ("verify", "--checks", "continuity-demo"),
+        ("interp", "--input", "sin"),
+        ("interp", "--input", "sin", "--two-cell"),
+    ])
+    def test_quadrature_order_below_one(self, capsys, command, value):
+        # rejected whether or not a selected check reads it
+        err = rejected(capsys, *command, "--m", "1", "--n", "3",
+                       "--quadrature-order", value)
+        assert f"--quadrature-order: must be >= 1, got {value}" in err
 
     @pytest.mark.parametrize("command", ["element", "tensor"])
     def test_quadrature_order_only_where_it_acts(self, capsys, command):

@@ -41,6 +41,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match="n >= 5"):
             build_element(2, 4)
 
+    @pytest.mark.parametrize("field", ["functionals0", "functionals1",
+                                       "basis0", "basis1"])
+    def test_rejects_wrong_family_length(self, e13, field):
+        with pytest.raises(ValueError, match=f"^{field} has"):
+            dataclasses.replace(e13, **{field: getattr(e13, field)[:-1]})
+
+    @pytest.mark.parametrize("field", ["M0", "M1", "alpha0", "alpha1"])
+    def test_rejects_wrong_matrix_shape(self, e13, field):
+        for bad in (getattr(e13, field)[:-1], getattr(e13, field)[:, :-1],
+                    getattr(e13, field)[0]):
+            with pytest.raises(ValueError, match=f"^{field} has shape"):
+                dataclasses.replace(e13, **{field: bad})
+
+    def test_rejects_bad_degrees(self, e13):
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            dataclasses.replace(e13, m=-1)
+        with pytest.raises(ValueError, match="n=2 too low"):
+            dataclasses.replace(e13, n=2)
+
+    def test_malformed_element_never_reaches_the_verifiers(self, e13):
+        # a 3x3 M0 used to die in verify_unisolvence with an IndexError
+        with pytest.raises(ValueError, match="M0 has shape"):
+            dataclasses.replace(e13, M0=e13.M0[:3, :3])
+
     def test_counts_and_degrees(self):
         for m, n in GRID:
             e = build_element(m, n)

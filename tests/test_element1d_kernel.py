@@ -1,0 +1,207 @@
+"""The 1D verifiers on monomial tables against the routes they replaced.
+
+The oracles are the old implementations.  Each node functional acts
+through ``Polynomial`` products, derivatives and integrals; the node
+matrices are assembled entry by entry; the functional pairing is
+checked probe by probe; and commutation interpolates every probe twice
+and differentiates.  The table kernels must reproduce their matrices
+and reports exactly, witness order and residual strings included.
+"""
+
+import json
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from derham import linalg
+from derham.corruptions import permute_alpha, swap_basis, wrong_functional
+from derham.element1d import (assemble_element, build_element,
+                              monomial_probes, verify_commutation,
+                              verify_lemma_hypotheses)
+from derham.functionals import (EndpointDerivative, EndpointSum, Moment,
+                                one_form_functionals, zero_form_functionals)
+from derham.polycore import Polynomial, coefficient_matrix, legendre
+from derham.report import VerificationReport
+
+UNISOLVENCE_GRID = [(m, n) for m in range(5)
+                    for n in range(2 * m + 1, 2 * m + 7)]
+CONTROLS = {None: None, "swap-basis": swap_basis,
+            "wrong-functional": wrong_functional,
+            "permute-alpha": permute_alpha}
+
+
+@lru_cache(maxsize=None)
+def polynomial_route(f, u: Polynomial) -> Fraction:
+    """The old ``apply``: the functional evaluated on the polynomial."""
+    if isinstance(f, EndpointDerivative):
+        return u.derivative_value(f.order, Fraction(f.point))
+    if isinstance(f, Moment):
+        integrand = u.derivative() if f.of_derivative else u
+        return (legendre(f.legendre_index) * integrand).integral01()
+    assert isinstance(f, EndpointSum)
+    return u(Fraction(1)) + u(Fraction(0))
+
+
+def oracle_table(functionals, basis) -> np.ndarray:
+    return np.array([[polynomial_route(f, b) for b in basis]
+                     for f in functionals], dtype=object)
+
+
+def oracle_interpolate(e, k, u: Polynomial) -> Polynomial:
+    functionals, basis, alpha = ((e.functionals0, e.basis0, e.alpha0)
+                                 if k == 0 else
+                                 (e.functionals1, e.basis1, e.alpha1))
+    coeffs = alpha @ np.array([polynomial_route(f, u) for f in functionals],
+                              dtype=object)
+    result = Polynomial.zero()
+    for c, p in zip(coeffs, basis):
+        result = result + p * c
+    return result
+
+
+def oracle_commutation(e, probes) -> VerificationReport:
+    witness = []
+    for index, u in enumerate(probes):
+        residual = (oracle_interpolate(e, 0, u).derivative()
+                    - oracle_interpolate(e, 1, u.derivative()))
+        if not residual.is_zero():
+            witness.append({"check": "commutation", "probe": index,
+                            "probe_degree": u.degree,
+                            "residual": [str(c) for c in residual.coeffs]})
+    return VerificationReport(name="commutation", passed=not witness,
+                              parameters={"m": e.m, "n": e.n,
+                                          "probes": len(probes)},
+                              witness=witness)
+
+
+def oracle_lemma_hypotheses(e, probe_degree) -> VerificationReport:
+    m, n = e.m, e.n
+    witness = []
+    if not e.basis0[n].derivative().is_zero():
+        witness.append({"check": "kernel", "detail":
+                        "d of the last basis function is not zero"})
+    for i in range(n):
+        value = polynomial_route(e.functionals0[i], e.basis0[n])
+        if value != 0:
+            witness.append({"check": "kernel-separation", "functional": i + 1,
+                            "value": str(value)})
+    for j in range(n):
+        value = polynomial_route(e.functionals0[n], e.basis0[j])
+        if value != 0:
+            witness.append({"check": "kernel-separation", "basis": j + 1,
+                            "value": str(value)})
+    derived = [p.derivative() for p in e.basis0[:n]]
+    if linalg.rank(coefficient_matrix(derived, n)) != n:
+        witness.append({"check": "range", "detail":
+                        "derivatives of the first n basis functions do not "
+                        "span the 1-form space"})
+    for j in range(n):
+        if derived[j] != e.basis1[j]:
+            witness.append({"check": "basis-pairing", "basis": j + 1})
+    for probe in monomial_probes(probe_degree):
+        du = probe.derivative()
+        for i in range(n):
+            left = polynomial_route(e.functionals1[i], du)
+            right = polynomial_route(e.functionals0[i], probe)
+            if left != right:
+                witness.append({"check": "functional-pairing",
+                                "functional": i + 1,
+                                "probe_degree": probe.degree,
+                                "left": str(left), "right": str(right)})
+    return VerificationReport(name="lemma-hypotheses", passed=not witness,
+                              parameters={"m": m, "n": n,
+                                          "probe_degree": probe_degree},
+                              witness=witness)
+
+
+def report_json(report) -> str:
+    return json.dumps(report.to_json(), indent=2)
+
+
+def elements(m, n):
+    """The pristine element and every 1D fixture that applies to it."""
+    pristine = build_element(m, n)
+    return {name: pristine if fixture is None else fixture(pristine)
+            for name, fixture in CONTROLS.items()
+            if n >= 2 or name in (None, "wrong-functional")}
+
+
+def random_probes(seed, count, max_degree):
+    """Rational probes drawn like the CLI's ``--random-probes``."""
+    rng = random.Random(seed)
+    return [Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(max_degree + 1)])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("m, n", UNISOLVENCE_GRID)
+def test_tables_match_entrywise_assembly(m, n):
+    for name, e in elements(m, n).items():
+        tables = (oracle_table(e.functionals0, e.basis0),
+                  oracle_table(e.functionals1, e.basis1))
+        if name != "wrong-functional":  # it keeps the pristine M1 on purpose
+            assert (e.M0 == tables[0]).all() and (e.M1 == tables[1]).all()
+        parts = (m, n, e.functionals0, e.functionals1, e.basis0, e.basis1)
+        if linalg.rank(tables[1]) < n:  # a wrong functional can do this
+            with pytest.raises(ZeroDivisionError):
+                assemble_element(*parts)
+            continue
+        rebuilt = assemble_element(*parts)
+        assert (rebuilt.M0 == tables[0]).all()
+        assert (rebuilt.M1 == tables[1]).all()
+        assert (rebuilt.alpha0 == linalg.invert(tables[0])).all()
+        assert (rebuilt.alpha1 == linalg.invert(tables[1])).all()
+        assert all(type(x) is Fraction for x in rebuilt.M0.flat)
+
+
+@pytest.mark.parametrize("m, n", UNISOLVENCE_GRID)
+def test_lemma_hypotheses_match_oracle(m, n):
+    for name, e in elements(m, n).items():
+        for degree in (n, n + 9):
+            got = verify_lemma_hypotheses(e, degree)
+            assert report_json(got) == \
+                report_json(oracle_lemma_hypotheses(e, degree))
+            assert got.passed == (name != "wrong-functional")
+
+
+@pytest.mark.parametrize("m, n", UNISOLVENCE_GRID)
+def test_commutation_matches_oracle(m, n):
+    for name, e in elements(m, n).items():
+        for degree in (n, n + 9):
+            probes = monomial_probes(degree) + random_probes(m + n, 3, degree)
+            got = verify_commutation(e, probes)
+            assert report_json(got) == \
+                report_json(oracle_commutation(e, probes))
+            assert got.passed == (name in (None, "swap-basis"))
+
+
+@pytest.mark.parametrize("probes", [
+    [], [Polynomial.zero()], [Polynomial.one()],
+    [Polynomial.zero(), Polynomial.monomial(7, Fraction(-3, 4)),
+     Polynomial.one()],
+], ids=["empty", "zero", "constant", "mixed"])
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 3), (2, 7)])
+def test_commutation_edge_probes(m, n, probes):
+    for e in elements(m, n).values():
+        got = verify_commutation(e, probes)
+        assert report_json(got) == report_json(oracle_commutation(e, probes))
+        assert got.parameters["probes"] == len(probes)
+
+
+fractions_st = st.fractions(min_value=-7, max_value=7, max_denominator=9)
+polys_st = st.lists(fractions_st, min_size=0, max_size=12).map(Polynomial)
+mn_st = st.integers(0, 3).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2 * m + 1, 2 * m + 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mn=mn_st, u=polys_st)
+def test_closed_form_apply_matches_polynomial_route(mn, u):
+    m, n = mn
+    for f in (*zero_form_functionals(m, n), *one_form_functionals(m, n)):
+        assert f.apply(u) == polynomial_route.__wrapped__(f, u)

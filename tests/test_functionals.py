@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from derham.functionals import (FUNCTIONAL_ORDER_VERSION, EndpointDerivative,
                                 EndpointSum, Moment, functional_from_json,
-                                one_form_functionals, zero_form_functionals)
+                                monomial_row, one_form_functionals,
+                                zero_form_functionals)
 from derham.polycore import Polynomial, legendre
 from derham.smooth import SmoothFunction1D, cosine, exponential, sine
 
@@ -41,6 +42,35 @@ class TestExactAction:
     def test_first_derivative_moment_telescopes(self, p):
         telescoped = p(Fraction(1)) - p(Fraction(0))
         assert Moment(0, 0, of_derivative=True).apply(p) == telescoped
+
+
+class TestMonomialRows:
+    """The closed-form rows against the functionals' definitions."""
+
+    def test_moment_rows(self):
+        for i in range(15):
+            value_row = monomial_row(Moment(1, i, of_derivative=False), 25)
+            derivative_row = monomial_row(Moment(0, i, of_derivative=True), 25)
+            for k in range(25):
+                x_k = Polynomial.monomial(k)
+                assert value_row[k] == (legendre(i) * x_k).integral01()
+                assert derivative_row[k] == \
+                    (legendre(i) * x_k.derivative()).integral01()
+
+    def test_endpoint_rows(self):
+        for order in range(8):
+            for point in (0, 1):
+                row = monomial_row(EndpointDerivative(1, point, order), 25)
+                for k in range(25):
+                    assert row[k] == Polynomial.monomial(k).derivative_value(
+                        order, Fraction(point))
+        assert monomial_row(EndpointSum(), 4)[:4] == [2, 1, 1, 1]
+
+    def test_rows_grow_on_demand_and_are_shared(self):
+        short = monomial_row(Moment(1, 3, of_derivative=False), 2)
+        long = monomial_row(Moment(1, 3, of_derivative=False), 30)
+        assert short is long and len(long) >= 30
+        assert all(type(x) is Fraction for x in long)
 
 
 class TestSmoothAction:

@@ -7,11 +7,13 @@ blocks are built and compared probe by probe in Fraction object arrays.
 The dd-zero oracle is the old per-basis-element loop: one dense
 Fraction form per unit, d applied twice, and the polynomial routes
 expanded through per-term outer products.  The kron-structure oracle
-applies every product functional to every rank-one basis element.  The
+applies every product functional to every rank-one basis element and
+row-reduces the full product.  The
 kernel must reproduce their reports exactly, witness order, ``blocks``
 and ``max_abs`` included.
 """
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -27,7 +29,8 @@ from hypothesis import strategies as st
 
 from derham import linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
-from derham.element1d import assemble_element, build_element, interpolate
+from derham.element1d import (assemble_element, build_element, interpolate,
+                              node_table)
 from derham.polycore import Polynomial
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, d_rank_one, enumerate_chi,
@@ -427,3 +430,28 @@ def test_kron_structure_matches_oracle(dimension, mn):
                     for chi in enumerate_chi(dimension, nu) if 1 in chi]
             else:
                 assert got.passed
+
+
+def rank_deficient(m, n):
+    """basis0[1] replaced by basis0[0], with node matrices that match the
+    new basis: the tables factor, but neither is invertible."""
+    e = element(m, n)
+    basis0 = (e.basis0[0],) + e.basis0[:1] + e.basis0[2:]
+    basis1 = tuple(p.derivative() for p in basis0[:n])
+    return dataclasses.replace(
+        e, basis0=basis0, basis1=basis1,
+        M0=node_table(e.functionals0, basis0),
+        M1=node_table(e.functionals1, basis1))
+
+
+@pytest.mark.parametrize("dimension, mn", [(2, (0, 2)), (2, (1, 4)),
+                                           (3, (0, 2)), (3, (1, 3))])
+def test_kron_invertibility_from_rank_deficient_tables(dimension, mn):
+    e = rank_deficient(*mn)
+    assert linalg.rank(e.M0) == e.n and linalg.rank(e.M1) == e.n - 1
+    for nu in range(dimension + 1):
+        got = verify_kron_structure(dimension, nu, e)
+        assert report_json(got) == \
+            report_json(oracle_kron_structure(dimension, nu, e))
+        assert [w["check"] for w in got.witness] == \
+            ["kron-invertibility"] * len(enumerate_chi(dimension, nu))
