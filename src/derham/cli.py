@@ -464,6 +464,9 @@ def main(argv=None) -> int:
                      for n in degrees_for(m, args.n)]
         if getattr(args, "nu", None) is not None:
             args.nu = parse_int_list(args.nu)
+            if not all(0 <= nu <= args.dimension for nu in args.nu):
+                raise ValueError(f"--nu {args.nu} out of range "
+                                 f"0..{args.dimension}")
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

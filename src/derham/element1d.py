@@ -149,13 +149,6 @@ def build_element(m: int, n: int) -> Element1D:
                             basis0, basis1)
 
 
-def apply_functional_smooth(f: NodeFunctional, u: SmoothFunction1D,
-                            quadrature_order: int) -> float:
-    if quadrature_order < 1:
-        raise ValueError("quadrature_order must be >= 1")
-    return f.apply_smooth(u, quadrature_order)
-
-
 def _family(e: Element1D, k: int):
     """(functionals, basis, alpha) of the k-form space."""
     if k == 0:
@@ -187,9 +180,8 @@ def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
     """Floating-point interpolation of a smooth callback input."""
     if quadrature_order is None:
         quadrature_order = e.default_quadrature_order
-    return _float_interpolant(e, k, [
-        apply_functional_smooth(f, u, quadrature_order)
-        for f in _family(e, k)[0]])
+    return _float_interpolant(e, k, [f.apply_smooth(u, quadrature_order)
+                                     for f in _family(e, k)[0]])
 
 
 def _float_interpolant(e: Element1D, k: int,

@@ -3,9 +3,9 @@
 Three variants cover every degree of freedom: endpoint derivatives of
 Hermite type, moments against shifted Legendre polynomials, and the sum
 of the two endpoint values.  The same descriptors apply exactly to
-polynomials and, through quadrature, to smooth callback functions; they
-also expand into pointwise "atoms" so products of them can act on
-functions of several variables.
+polynomials and, as sums over pointwise "atoms" (quadrature nodes for
+the moments), to smooth callback functions; products of them act on
+functions of several variables through the same atoms.
 
 Family layout for the degree-n element with smoothness m (the ordering is
 frozen; serialized tables record ``FUNCTIONAL_ORDER_VERSION``):
@@ -56,6 +56,11 @@ def _apply(f, u: Polynomial) -> Fraction:
                    u.coeffs), Fraction(0))
 
 
+def _apply_smooth(f, u, quadrature_order: int = 0) -> float:
+    return sum(w * u.derivative(order, x)
+               for w, x, order in f.atoms(quadrature_order))
+
+
 @dataclass(frozen=True)
 class EndpointDerivative:
     """d^order u evaluated at an endpoint (order 0 is the plain value)."""
@@ -79,9 +84,7 @@ class EndpointDerivative:
         return monomial_derivative(k, self.order, self.point)
 
     apply = _apply
-
-    def apply_smooth(self, u, quadrature_order: int = 0) -> float:
-        return u.derivative(self.order, float(self.point))
+    apply_smooth = _apply_smooth
 
     def atoms(self, quadrature_order: int) -> list[Atom]:
         return [(1.0, float(self.point), self.order)]
@@ -126,13 +129,7 @@ class Moment:
                         factorial(k - i) * factorial(k + i + 1))
 
     apply = _apply
-
-    def apply_smooth(self, u, quadrature_order: int) -> float:
-        nodes, weights = gauss_rule(quadrature_order)
-        weight_poly = legendre(self.legendre_index)
-        order = 1 if self.of_derivative else 0
-        return sum(w * weight_poly(x) * u.derivative(order, x)
-                   for x, w in zip(nodes, weights))
+    apply_smooth = _apply_smooth
 
     def atoms(self, quadrature_order: int) -> list[Atom]:
         nodes, weights = gauss_rule(quadrature_order)
@@ -170,9 +167,7 @@ class EndpointSum:
         return Fraction(2 if k == 0 else 1)
 
     apply = _apply
-
-    def apply_smooth(self, u, quadrature_order: int = 0) -> float:
-        return u.derivative(0, 1.0) + u.derivative(0, 0.0)
+    apply_smooth = _apply_smooth
 
     def atoms(self, quadrature_order: int) -> list[Atom]:
         return [(1.0, 1.0, 0), (1.0, 0.0, 0)]
@@ -185,17 +180,6 @@ class EndpointSum:
 
 
 NodeFunctional = Union[EndpointDerivative, Moment, EndpointSum]
-
-
-def functional_from_json(data: dict) -> NodeFunctional:
-    kind = data["kind"]
-    if kind == "endpoint_derivative":
-        return EndpointDerivative(data["form"], data["point"], data["order"])
-    if kind == "moment":
-        return Moment(data["form"], data["legendre_index"], data["of_derivative"])
-    if kind == "endpoint_sum":
-        return EndpointSum()
-    raise ValueError(f"unknown functional kind {kind!r}")
 
 
 def zero_form_functionals(m: int, n: int) -> list[NodeFunctional]:

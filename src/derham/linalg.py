@@ -3,8 +3,8 @@
 Matrices are 2-d numpy arrays with ``dtype=object`` holding
 :class:`fractions.Fraction` values, so every solve, inverse and rank
 computation below is exact.  The matrices in this package are tiny
-(order 20 at most), hence plain Gaussian elimination with first-nonzero
-pivoting is all we need.
+(order 20 at most), hence one Gauss-Jordan loop with first-nonzero
+pivoting serves solve, invert and rank.
 """
 
 from __future__ import annotations
@@ -32,49 +32,10 @@ def zeros(shape) -> np.ndarray:
     return np.full(shape, Fraction(0), dtype=object)
 
 
-def solve(matrix: np.ndarray, rhs) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` exactly.
-
-    ``rhs`` may be a vector or a matrix of compatible shape.  Raises
-    ``ZeroDivisionError`` if the matrix is singular.
-    """
-    a = np.array(matrix, dtype=object)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    b = np.array(rhs, dtype=object)
-    vector_input = b.ndim == 1
-    if vector_input:
-        b = b.reshape(n, 1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r, col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        inv = Fraction(1) / Fraction(a[col, col])
-        a[col] = a[col] * inv
-        b[col] = b[col] * inv
-        for r in range(n):
-            if r != col and a[r, col] != 0:
-                factor = a[r, col]
-                a[r] = a[r] - factor * a[col]
-                b[r] = b[r] - factor * b[col]
-    return b[:, 0] if vector_input else b
-
-
-def invert(matrix: np.ndarray) -> np.ndarray:
-    return solve(matrix, identity(matrix.shape[0]))
-
-
-def rank(matrix: np.ndarray) -> int:
-    """Exact rank by row reduction."""
-    a = np.array(matrix, dtype=object)
-    if a.size == 0:
-        return 0
-    rows, cols = a.shape
-    r = 0
+def _eliminate(a: np.ndarray, cols: int) -> int:
+    """Gauss-Jordan elimination, in place, on the leading ``cols`` columns
+    of ``a``, pivoting on first nonzero entries; returns the pivot count."""
+    rows, r = a.shape[0], 0
     for col in range(cols):
         pivot = next((i for i in range(r, rows) if a[i, col] != 0), None)
         if pivot is None:
@@ -86,9 +47,34 @@ def rank(matrix: np.ndarray) -> int:
             if i != r and a[i, col] != 0:
                 a[i] = a[i] - a[i, col] * a[r]
         r += 1
-        if r == rows:
-            break
     return r
+
+
+def solve(matrix: np.ndarray, rhs) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` exactly.
+
+    ``rhs`` may be a vector or a matrix of compatible shape.  Raises
+    ``ZeroDivisionError`` if the matrix is singular.
+    """
+    n = np.shape(matrix)[0]
+    if np.shape(matrix) != (n, n):
+        raise ValueError(f"matrix must be square, got {np.shape(matrix)}")
+    b = np.array(rhs, dtype=object)
+    augmented = np.hstack([np.asarray(matrix, dtype=object),
+                           b[:, None] if b.ndim == 1 else b])
+    if _eliminate(augmented, n) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return augmented[:, n] if b.ndim == 1 else augmented[:, n:]
+
+
+def invert(matrix: np.ndarray) -> np.ndarray:
+    return solve(matrix, identity(matrix.shape[0]))
+
+
+def rank(matrix: np.ndarray) -> int:
+    """Exact rank by row reduction."""
+    a = np.array(matrix, dtype=object)
+    return _eliminate(a, a.shape[1]) if a.size else 0
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -116,22 +116,15 @@ class SmoothFunctionND:
 
     ``mixed_derivative(orders, point)`` returns
     d^{orders[0]}_{x_0} ... d^{orders[N-1]}_{x_{N-1}} u at ``point``.
-    ``rank_one_polynomials``, when present, is a list of N exact
-    polynomials whose product equals the function; it gives exact paths
-    something to cross-check against.
     """
 
-    __slots__ = ("dimension", "_mixed", "rank_one_polynomials")
+    __slots__ = ("dimension", "_mixed")
 
-    def __init__(self, dimension: int, mixed_derivative, *,
-                 rank_one_polynomials: list[Polynomial] | None = None):
+    def __init__(self, dimension: int, mixed_derivative):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if rank_one_polynomials is not None and len(rank_one_polynomials) != dimension:
-            raise ValueError("rank-one factorization must have one factor per axis")
         self.dimension = dimension
         self._mixed = mixed_derivative
-        self.rank_one_polynomials = rank_one_polynomials
 
     @classmethod
     def from_factors(cls, factors: list[SmoothFunction1D]) -> "SmoothFunctionND":
@@ -143,15 +136,7 @@ class SmoothFunctionND:
             for f, order, x in zip(factors, orders, point):
                 out *= f.derivative(order, x)
             return out
-
-        exact = None
-        if all(f.exact_polynomial is not None for f in factors):
-            exact = [f.exact_polynomial for f in factors]
-        return cls(len(factors), mixed, rank_one_polynomials=exact)
-
-    @classmethod
-    def from_polynomials(cls, polys: list[Polynomial]) -> "SmoothFunctionND":
-        return cls.from_factors([SmoothFunction1D.from_polynomial(p) for p in polys])
+        return cls(len(factors), mixed)
 
     def value(self, point) -> float:
         return self._mixed((0,) * self.dimension, tuple(point))
@@ -173,11 +158,7 @@ class SmoothFunctionND:
             bumped = tuple(o + (1 if t == axis else 0) for t, o in enumerate(orders))
             return base(bumped, point)
 
-        exact = None
-        if self.rank_one_polynomials is not None:
-            exact = [p.derivative() if t == axis else p
-                     for t, p in enumerate(self.rank_one_polynomials)]
-        return SmoothFunctionND(dim, mixed, rank_one_polynomials=exact)
+        return SmoothFunctionND(dim, mixed)
 
     def __add__(self, other: "SmoothFunctionND") -> "SmoothFunctionND":
         if not isinstance(other, SmoothFunctionND):
@@ -187,12 +168,6 @@ class SmoothFunctionND:
         a, b = self._mixed, other._mixed
         return SmoothFunctionND(
             self.dimension, lambda orders, point: a(orders, point) + b(orders, point))
-
-    def __neg__(self) -> "SmoothFunctionND":
-        return (-1.0) * self
-
-    def __sub__(self, other: "SmoothFunctionND") -> "SmoothFunctionND":
-        return self + (-other)
 
     def __rmul__(self, scalar) -> "SmoothFunctionND":
         scale = float(scalar)

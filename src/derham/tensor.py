@@ -37,6 +37,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from numbers import Rational
 
 import numpy as np
 
@@ -98,6 +99,8 @@ class RankOneForm:
     factors: tuple[tuple[int, Polynomial], ...]
 
     def __post_init__(self):
+        if not isinstance(self.sign, Rational):
+            raise TypeError(f"sign {self.sign!r} is not an int or Fraction")
         for bit, _ in self.factors:
             if bit not in (0, 1):
                 raise ValueError(f"factor bit {bit!r} is neither 0 (0-form) "
@@ -225,10 +228,6 @@ class TensorForm:
                 if candidate > best:
                     best = candidate
         return best
-
-    def copy(self) -> "TensorForm":
-        return TensorForm(self.dimension, self.nu, self.degree,
-                          {chi: block.copy() for chi, block in self.blocks.items()})
 
 
 def d_tensor(u: TensorForm, sign_rule=theta) -> TensorForm:
@@ -387,24 +386,6 @@ def _single_form(element: Element1D, dimension: int, nu: int, terms,
                        for chi, block in blocks.items()})
 
 
-def _contract(block: np.ndarray, vectors) -> object:
-    """Sum of block[j1..jN] * v1[j1] * ... * vN[jN]."""
-    arr = block
-    for vec in vectors:
-        pieces = [vj * arr[j] for j, vj in enumerate(vec)]
-        arr = reduce(lambda a, b: a + b, pieces)
-    return arr
-
-
-def evaluate_component(form: TensorForm, element: Element1D, chi: Chi, point):
-    """Value of one chi component of a TensorForm at a point."""
-    vectors = []
-    for bit, x in zip(chi, point):
-        basis = element.basis0 if bit == 0 else element.basis1
-        vectors.append([p(x) for p in basis])
-    return _contract(form.blocks[chi], vectors)
-
-
 @dataclass(frozen=True)
 class TensorNodeFunctional:
     """Product of 1D node functionals, one per axis."""
@@ -412,27 +393,6 @@ class TensorNodeFunctional:
     chi: Chi
     index: tuple[int, ...]
     parts: tuple[NodeFunctional, ...]
-
-    def apply_rank_one(self, term: RankOneForm):
-        if term.chi != self.chi:
-            return Fraction(0)
-        out = term.sign
-        for part, (_, p) in zip(self.parts, term.factors):
-            out = out * part.apply(p)
-        return out
-
-    def apply(self, u, element: Element1D | None = None):
-        if isinstance(u, RankOneForm):
-            return self.apply_rank_one(u)
-        if isinstance(u, TensorForm):
-            if element is None:
-                raise ValueError("basis-represented input needs the element")
-            vectors = []
-            for bit, part in zip(self.chi, self.parts):
-                basis = element.basis0 if bit == 0 else element.basis1
-                vectors.append([part.apply(p) for p in basis])
-            return _contract(u.blocks[self.chi], vectors)
-        return sum((self.apply_rank_one(term) for term in u), Fraction(0))
 
     def apply_smooth(self, u: SmoothFunctionND, quadrature_order: int,
                      cache: dict | None = None) -> float:
@@ -520,6 +480,8 @@ def as_smooth_form(u, dimension: int, nu: int) -> SmoothFormND:
         if (u.dimension, u.nu) != (dimension, nu):
             raise ValueError("form does not match the requested space")
         return u
+    if not isinstance(u, SmoothFunctionND):
+        raise TypeError(f"cannot interpolate a {type(u).__name__}")
     if nu == 0:
         chi = (0,) * dimension
     elif nu == dimension:
@@ -554,8 +516,7 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
                        quadrature_order: int | None = None) -> TensorForm:
     """Interpolate onto the nu-form tensor space.
 
-    Accepts a rank-one polynomial form (or a list of them), an element
-    of the space itself (projection: returned unchanged), or a smooth
+    Accepts a rank-one polynomial form (or a list of them) or a smooth
     callback input (bare function for nu in {0, N}, SmoothFormND
     otherwise).  On a rank-one input the operator factorizes into the 1D
     interpolations of the factors.
@@ -568,11 +529,6 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     if isinstance(u, (list, tuple)):
         return _single_form(element, dimension, nu, u,
                             interpolation_coefficients)
-
-    if isinstance(u, TensorForm):
-        if (u.dimension, u.nu, u.degree) != (dimension, nu, element.n):
-            raise ValueError("form does not match the requested space")
-        return u.copy()
 
     form = as_smooth_form(u, dimension, nu)
     if quadrature_order is None:

@@ -1,13 +1,17 @@
 """Command-line interface: parsing, artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
                         parse_polynomial, parse_input_function)
-from derham.corruptions import ELEMENT_CORRUPTIONS
+from derham.corruptions import CORRUPTION_NAMES, ELEMENT_CORRUPTIONS
 from derham.polycore import Polynomial
 
 
@@ -405,8 +409,125 @@ class TestRejectedAtEntry:
                        "--quadrature-order", value)
         assert f"--quadrature-order: must be >= 1, got {value}" in err
 
+    @pytest.mark.parametrize("argv", [
+        # no selected check reads --nu, so 7 used to pass unnoticed
+        ("verify", "--checks", "unisolvence", "--nu", "7"),
+        ("verify", "--checks", "tensor-commutation", "--nu", "3"),
+        ("verify", "--checks", "dimensions", "--N", "3", "--nu", "0..4"),
+        ("verify", "--nu=-1"),
+        ("tensor", "--nu", "3"),
+        ("tensor", "--N", "1", "--nu", "0,2"),
+    ])
+    def test_nu_outside_zero_to_dimension(self, capsys, argv):
+        err = rejected(capsys, *argv, "--m", "1", "--n", "3")
+        assert "--nu" in err and "out of range 0.." in err
+
     @pytest.mark.parametrize("command", ["element", "tensor"])
     def test_quadrature_order_only_where_it_acts(self, capsys, command):
         err = rejected(capsys, command, "--m", "1", "--n", "3",
                        "--quadrature-order", "-7")
         assert "unrecognized arguments: --quadrature-order" in err
+
+
+# flag -> (values to try, values every command must reject where they
+# enter); the value "" marks a switch
+GRID = {"--m": (["0", "1", "0..1"], ["-1", "1..0", "x", ","]),
+        "--n": (["auto", "auto+1", "1", "2", "3", "4", "2..4", "1,3"],
+                ["auto+x", "4..2", "x", ",", "-1", "0"])}
+DIMENSION = {"--N": (["1", "2"], ["0", "-1", "x"])}
+NU = {"--nu": (["0", "1", "2", "0..2", "0,2"], ["3", "-1", ",", "a"])}
+TOLERANCE = {"--tolerance": (["1e-12", "0", "1e-3", "-0"],
+                             ["nan", "-1", "inf", "x"])}
+QUADRATURE = {"--quadrature-order": (["1", "2", "5"], ["0", "-3", "x"])}
+SAMPLES = {"--samples": (["1", "2", "5"], ["0", "x"])}
+CORRUPT = {"--corrupt": (list(CORRUPTION_NAMES), ["bogus"])}
+VOCABULARY = {
+    "verify": {**GRID, **DIMENSION, **NU, **TOLERANCE, **QUADRATURE,
+               **CORRUPT,
+               "--checks": ([",".join(subset) for subset in (
+                   CHECK_ORDER, CHECK_ORDER[:3], CHECK_ORDER[3:6],
+                   ("continuity-demo",), ("tensor-commutation",),
+                   ("dd-zero", "unisolvence"))],
+                   ["", ",", "bogus", "dd-zero,bogus"]),
+               "--probe-degree": (["0", "3", "6"], ["-1", "x"]),
+               "--random-probes": (["0", "2"], ["-1"]),
+               "--seed": (["0", "7"], ["x"]),
+               "--format": (["json", "text"], ["csv"])},
+    "element": {**GRID, **SAMPLES,
+                **{"--corrupt": (list(ELEMENT_CORRUPTIONS),
+                                 ["flip-theta", "bogus"])},
+                "--emit": (["element", "matrix", "basis", "functionals",
+                            "basis-samples"], ["bogus"]),
+                "--form": (["0", "1"], ["2"])},
+    "tensor": {**GRID, **DIMENSION, **NU, **SAMPLES,
+               "--emit": (["tables", "basis-samples"], ["bogus"]),
+               # a bad bit or index is caught only by --emit basis-samples
+               "--chi": (["0,0", "0,1", "1,1", "0,2", "1", "1,1,1"], ["x"]),
+               "--index": (["1,1", "2,1", "9,9", "0,1", "1"], ["x", ","])},
+    "interp": {**GRID, **TOLERANCE, **QUADRATURE, **SAMPLES,
+               "--input": (["sin", "cos", "exp", "x^2", "3/2x^2-x+1", "-2/5",
+                            "0", "x^3+1/7x"],
+                           ["1/0", "x**2", "y", "", "sin(x)", "3//2"]),
+               "--two-cell": ([""], [])},
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command with a random subset of its flags, in random order, and
+    the one flag, if any, that takes a value the command must reject."""
+    command = draw(st.sampled_from(sorted(VOCABULARY)))
+    flags = VOCABULARY[command]
+    bad = draw(st.one_of(st.none(), st.sampled_from(
+        [flag for flag, (_, rejected) in flags.items() if rejected])))
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        accepted, rejected_values = flags[flag]
+        if flag == bad:
+            argv.append(f"{flag}={draw(st.sampled_from(rejected_values))}")
+        elif flag == "--input" or draw(st.booleans()):
+            value = draw(st.sampled_from(accepted))
+            argv.append(f"{flag}={value}" if value else flag)
+    return argv, bad
+
+
+def run_captured(argv) -> tuple[int, str]:
+    """Exit status and stdout of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exit_info:  # argparse rejections
+            status = exit_info.code
+    return status, out.getvalue()
+
+
+class TestProperties:
+    @given(argvs())
+    @settings(max_examples=200, deadline=None)
+    def test_any_argv_exits_0_1_or_2(self, case):
+        argv, bad = case
+        status, out = run_captured(argv)
+        assert status in (0, 1, 2), (argv, status)
+        if bad is not None:
+            assert status == 2, argv
+        if status == 2:
+            assert out == "", argv
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12),
+                              st.integers(0, 6), st.sampled_from(["", "*"]),
+                              st.booleans(), st.sampled_from(["", " "])),
+                    min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_polynomial_round_trip(self, terms):
+        expected, text = Polynomial.zero(), ""
+        for num, den, power, star, implicit, space in terms:
+            coeff = Fraction(num, den)
+            variable = "" if power == 0 else star + (
+                "x" if power == 1 else f"x^{power}")
+            magnitude = f"{abs(num)}/{den}"
+            if variable and implicit and abs(coeff) == 1:
+                magnitude = ""  # "x" and "-x" carry coefficient 1
+            text += space + ("-" if num < 0 else "+") + magnitude + variable
+            expected = expected + Polynomial.monomial(power, coeff)
+        assert parse_polynomial(text) == expected

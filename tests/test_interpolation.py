@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from derham.element1d import (apply_functional_smooth, build_element,
-                              cell_interpolant, interpolate,
+from derham.element1d import (build_element, cell_interpolant, interpolate,
                               interpolate_smooth, two_cell_continuity_demo)
 from derham.polycore import Polynomial
 from derham.smooth import SmoothFunction1D, exponential, sine
@@ -32,15 +31,16 @@ class TestSmoothPathAgainstExact:
             assert smooth(x) == pytest.approx(float(exact(x)), abs=1e-12)
 
     def test_quadrature_order_validated(self):
+        # every family holds a moment, and no Gauss rule has 0 points
         e = build_element(0, 1)
-        with pytest.raises(ValueError):
-            apply_functional_smooth(e.functionals0[0], sine(), 0)
+        with pytest.raises(ValueError, match="quadrature order"):
+            interpolate_smooth(e, 0, sine(), 0)
 
     def test_functional_data_for_sine(self):
         e = build_element(1, 3)
         u = sine()
         order = 12
-        got = [apply_functional_smooth(f, u, order) for f in e.functionals0]
+        got = [f.apply_smooth(u, order) for f in e.functionals0]
         expected = [math.cos(0.0), math.cos(1.0),
                     math.sin(1.0) - math.sin(0.0),
                     math.sin(1.0) + math.sin(0.0)]

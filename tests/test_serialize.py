@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from derham.element1d import build_element
-from derham.functionals import functional_from_json
 from derham.polycore import Polynomial
 from derham.serialize import (SCHEMA_VERSION, basis_samples_csv, element_json,
                               float_str, fraction_str, interp_csv, json_text,
@@ -47,7 +46,7 @@ def test_element_json_layout_and_roundtrip():
     # descriptors carry both machine fields and display text
     first = data["functionals0"][0]
     assert first["text"] == "u'(0)"
-    assert functional_from_json(first) == e.functionals0[0]
+    assert first == {**e.functionals0[0].to_json(), "text": "u'(0)"}
     # the whole thing must be plain JSON
     parsed = json.loads(json_text(data))
     assert parsed["M0"][0][0] == "1/1"

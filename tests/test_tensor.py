@@ -6,20 +6,22 @@ evaluation is the common ground truth.
 """
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from derham.element1d import build_element, interpolate
 from derham.polycore import Polynomial
-from derham.smooth import SmoothFunctionND, sinusoid
+from derham.smooth import SmoothFunction1D, SmoothFunctionND, sinusoid
 from derham.tensor import (DEFAULT_ND_TOLERANCE, RankOneForm, SmoothFormND,
                            TensorForm, as_smooth_form, canonicalize,
                            d_rank_one, d_smooth, d_tensor, enumerate_chi,
-                           evaluate_component, flat_sign, rank_one,
-                           rank_one_monomial_probes, space_dimension,
-                           tensor_interpolate, tensor_node_functionals, theta,
+                           flat_sign, rank_one, rank_one_monomial_probes,
+                           space_dimension, tensor_interpolate,
+                           tensor_node_functionals, theta,
                            verify_dd_zero, verify_dimensions,
                            verify_kron_structure, verify_tensor_commutation)
 
@@ -42,6 +44,29 @@ def evaluate_terms(terms, chi, point):
     """Value of the chi component of a sum of rank-one terms at a point."""
     return sum((term.value(point) for term in terms if term.chi == chi),
                Fraction(0))
+
+
+def contract(block, vectors):
+    """Sum of block[j1..jN] * v1[j1] * ... * vN[jN]."""
+    for vec in vectors:
+        block = reduce(operator.add,
+                       [vj * block[j] for j, vj in enumerate(vec)])
+    return block
+
+
+def evaluate_component(form, element, chi, point):
+    """Value of one chi component of a TensorForm at a point."""
+    return contract(form.blocks[chi], [
+        [p(x) for p in (element.basis0 if bit == 0 else element.basis1)]
+        for bit, x in zip(chi, point)])
+
+
+def product_functional(f, terms):
+    """A product functional on a sum of rank-one terms: per term of its
+    chi, the sign times the product of the 1D parts on the factors."""
+    return sum((term.sign * math.prod(part.apply(p) for part, (_, p)
+                                      in zip(f.parts, term.factors))
+                for term in terms if term.chi == f.chi), Fraction(0))
 
 
 SAMPLE_POINTS_2D = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
@@ -112,7 +137,7 @@ class TestTensorForm:
         a = TensorForm.zero(2, 1, 3)
         assert a.is_zero()
         assert a.max_abs() == 0
-        b = a.copy()
+        b = TensorForm.zero(2, 1, 3)
         b.blocks[(0, 1)][0, 0] = Fraction(2)
         assert a.is_zero() and not b.is_zero()
         assert (b - b).is_zero()
@@ -147,6 +172,16 @@ class TestRankOneForms:
             rank_one([(0, poly(1)), (2, poly(1))])
         with pytest.raises(ValueError, match="bit -1"):
             RankOneForm(Fraction(1), ((-1, poly(1)),))
+
+    def test_sign_must_be_rational(self, e13):
+        x = poly(0, 1)
+        for sign in (0.1, 1.0, "1", 1j):
+            with pytest.raises(TypeError, match="sign"):
+                RankOneForm(sign, ((0, x), (0, x)))
+        for sign in (-2, Fraction(1, 3)):  # x * y lies in the space
+            term = RankOneForm(sign, ((0, x), (0, x)))
+            assert tensor_interpolate(2, 0, term, e13) == \
+                canonicalize(term, e13)
 
     def test_d_rank_one_signs(self):
         # d(x0 * x1 dx1) = dx0 ^ (x1 dx1): only axis 0 contributes, sign +1
@@ -242,20 +277,11 @@ class TestNodeFunctionals:
                  rank_one([(0, poly(0, 1, 1)), (1, poly(0, 2))], sign=-1)]
         form = canonicalize(terms, e13)
         for f in tensor_node_functionals(2, 1, e13):
-            via_terms = f.apply(terms)
-            via_form = f.apply(form, element=e13)
-            assert via_terms == via_form
-
-    def test_apply_rank_one_chi_mismatch_is_zero(self, e13):
-        f = tensor_node_functionals(2, 1, e13)[0]
-        assert f.chi == (0, 1)
-        other = rank_one([(1, poly(1)), (0, poly(0, 1))])
-        assert f.apply_rank_one(other) == 0
-
-    def test_tensorform_route_needs_element(self, e13):
-        f = tensor_node_functionals(2, 1, e13)[0]
-        with pytest.raises(ValueError, match="element"):
-            f.apply(TensorForm.zero(2, 1, 3))
+            via_form = contract(form.blocks[f.chi], [
+                [part.apply(p) for p in (e13.basis0 if bit == 0
+                                         else e13.basis1)]
+                for bit, part in zip(f.chi, f.parts)])
+            assert product_functional(f, terms) == via_form
 
     def test_apply_smooth_mixed_endpoint_and_moment(self):
         # u'(0)*(v(1)-v(0)) on sin(x + 2y) integrates d/dy of
@@ -330,27 +356,22 @@ class TestTensorInterpolate:
             assert evaluate_component(form, e13, (0, 0), point) == \
                 ix(point[0]) * point[1]
 
-    def test_projection_returns_equal_copy(self, e13):
-        form = canonicalize(rank_one([(0, poly(1, 1)), (1, poly(0, 1))]), e13)
-        back = tensor_interpolate(2, 1, form, e13)
-        assert back == form
-        assert back is not form
-
     def test_space_mismatch_rejected(self, e13):
         with pytest.raises(ValueError, match="out of range"):
             tensor_interpolate(2, 3, [], e13)
         with pytest.raises(ValueError, match="expected"):
             tensor_interpolate(2, 1, rank_one([(0, poly(1)), (0, poly(1))]),
                                e13)
-        other_degree = TensorForm.zero(2, 1, 4)
-        with pytest.raises(ValueError, match="requested space"):
-            tensor_interpolate(2, 1, other_degree, e13)
+        # a form of the space is not an input to interpolate
+        for form in (TensorForm.zero(2, 0, 3), TensorForm.zero(2, 1, 4)):
+            with pytest.raises(TypeError, match="cannot interpolate"):
+                tensor_interpolate(2, form.nu, form, e13)
 
     def test_smooth_matches_exact_on_rank_one_input(self, e13):
         px, py = poly(1, -2, 0, 1), poly(0, 1, 1)
         exact = tensor_interpolate(2, 0, rank_one([(0, px), (0, py)]), e13)
-        smooth = tensor_interpolate(2, 0, SmoothFunctionND.from_polynomials(
-            [px, py]), e13)
+        smooth = tensor_interpolate(2, 0, SmoothFunctionND.from_factors(
+            [SmoothFunction1D.from_polynomial(p) for p in (px, py)]), e13)
         gap = np.abs(smooth.blocks[(0, 0)]
                      - np.vectorize(float)(exact.blocks[(0, 0)])).max()
         assert gap <= 1e-12

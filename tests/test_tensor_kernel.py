@@ -395,8 +395,10 @@ def oracle_kron_structure(dimension, nu, element):
         direct = np.full((size, size), Fraction(0), dtype=object)
         for row, functional in enumerate(functionals):
             for col, factors in enumerate(itertools.product(*bases)):
-                direct[row][col] = functional.apply_rank_one(
-                    rank_one(list(zip(chi, factors))))
+                term = rank_one(list(zip(chi, factors)))
+                direct[row][col] = term.sign * math.prod(
+                    part.apply(p)
+                    for part, (_, p) in zip(functional.parts, term.factors))
         expected = reduce(linalg.kron, (matrices[bit] for bit in chi))
         if not bool((direct == expected).all()):
             witness.append({"check": "kron-factorization", "chi": list(chi)})
