@@ -286,12 +286,18 @@ def cmd_element(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    chi = tuple(parse_int_list(args.chi))
-    index = tuple(parse_int_list(args.index))
+    given = [f"--{flag}" for flag in ("chi", "index", "samples")
+             if getattr(args, flag) is not None]
+    if given and args.emit != "basis-samples":
+        raise ValueError(f"{', '.join(given)}: only --emit basis-samples "
+                         "reads them")
     element = _one_element(args)
     if args.emit == "basis-samples":
-        emit(serialize.tensor_basis_samples_csv(element, chi, index,
-                                                args.samples), args.output)
+        chi = parse_int_list("0,0" if args.chi is None else args.chi)
+        index = parse_int_list("1,1" if args.index is None else args.index)
+        samples = 33 if args.samples is None else args.samples
+        emit(serialize.tensor_basis_samples_csv(
+            element, tuple(chi), tuple(index), samples), args.output)
         return 0
     emit(serialize.json_text(
         serialize.tensor_tables_json(args.dimension, element, args.nu)),
@@ -302,13 +308,12 @@ def cmd_tensor(args) -> int:
 def cmd_interp(args) -> int:
     element = _one_element(args)
     u = parse_input_function(args.input)
-    order = element.default_quadrature_order \
-        if args.quadrature_order is None else args.quadrature_order
+    order = args.quadrature_order
     samples = args.samples
 
     if args.two_cell:
-        report = element1d.two_cell_continuity_demo(
-            element, u, args.tolerance, args.quadrature_order)
+        report = element1d.two_cell_continuity_demo(element, u,
+                                                    args.tolerance, order)
         left = element1d.cell_interpolant(element, u, 0.0, 1.0, order)
         right = element1d.cell_interpolant(element, u, 1.0, 2.0, order)
         rows = []
@@ -437,11 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tensor.add_argument("--nu", default=None)
     p_tensor.add_argument("--emit", default="tables",
                           choices=["tables", "basis-samples"])
-    p_tensor.add_argument("--chi", default="0,0",
-                          help="characteristic vector for basis-samples")
-    p_tensor.add_argument("--index", default="1,1",
-                          help="1-based basis indices for basis-samples")
-    p_tensor.add_argument("--samples", type=_int_at_least(1), default=33)
+    p_tensor.add_argument("--chi", help="characteristic vector for "
+                          "basis-samples (default 0,0)")
+    p_tensor.add_argument("--index", help="1-based basis indices for "
+                          "basis-samples (default 1,1)")
+    p_tensor.add_argument("--samples", type=_int_at_least(1),
+                          help="samples per axis for basis-samples "
+                               "(default 33)")
 
     p_interp = command("interp", cmd_interp, grid=False,
                        help="interpolate a function and emit samples")

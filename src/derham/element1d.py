@@ -30,12 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .functionals import (EndpointDerivative, EndpointSum, Moment,
-                          NodeFunctional, monomial_row, one_form_functionals,
+from .functionals import (NodeFunctional, monomial_row, one_form_functionals,
                           zero_form_functionals)
 from .polycore import (Polynomial, coefficient_matrix, hermite_basis,
-                       integrated_legendre, legendre)
-from .quadrature import gauss_rule
+                       integrated_legendre)
 from .report import VerificationReport
 from .smooth import SmoothFunction1D
 
@@ -166,35 +164,38 @@ def interpolation_coefficients(e: Element1D, k: int,
     return alpha @ np.array([f.apply(u) for f in functionals], dtype=object)
 
 
+def _interpolant(e: Element1D, k: int, values) -> Polynomial:
+    """The k-form element polynomial with node values ``values``: basis
+    columns times alpha_k times values, on integer numerators.  Every
+    interpolant, exact or smooth, is built here."""
+    _, basis, alpha = _family(e, k)
+    width = max((len(p.coeffs) for p in basis), default=0)
+    nums, den = _product(coefficient_matrix(basis, width).T, alpha,
+                         np.array(values, dtype=object))
+    return Polynomial([Fraction(c, den) for c in nums])
+
+
 def interpolate(e: Element1D, k: int, u: Polynomial) -> Polynomial:
     """Exact interpolation: the unique element-space polynomial with the
     same node-functional values as u."""
-    result = Polynomial.zero()
-    for c, p in zip(interpolation_coefficients(e, k, u), _family(e, k)[1]):
-        result = result + p * c
-    return result
+    return _interpolant(e, k, [f.apply(u) for f in _family(e, k)[0]])
+
+
+def _smooth_values(e: Element1D, k: int, u: SmoothFunction1D,
+                   quadrature_order: int | None) -> list[Fraction]:
+    """Float node-functional values of u, held exactly as Fractions."""
+    if quadrature_order is None:
+        quadrature_order = e.default_quadrature_order
+    return [Fraction(f.apply_smooth(u, quadrature_order))
+            for f in _family(e, k)[0]]
 
 
 def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
                        quadrature_order: int | None = None) -> np.polynomial.Polynomial:
-    """Floating-point interpolation of a smooth callback input."""
-    if quadrature_order is None:
-        quadrature_order = e.default_quadrature_order
-    return _float_interpolant(e, k, [f.apply_smooth(u, quadrature_order)
-                                     for f in _family(e, k)[0]])
-
-
-def _float_interpolant(e: Element1D, k: int,
-                       values) -> np.polynomial.Polynomial:
-    """Sum of c_j * basis_j over the k-form basis, c = alpha_k @ values,
-    in floating point."""
-    _, basis, alpha = _family(e, k)
-    coeffs = linalg.to_float(alpha) @ np.array(values)
-    out = np.zeros(max(e.n + 1 - k, 1))
-    for c, p in zip(coeffs, basis):
-        fc = p.float_coeffs()
-        out[:fc.size] += c * fc
-    return np.polynomial.Polynomial(out)
+    """Interpolation of a smooth callback input: float node values, the
+    exact tail, and coefficients rounded once."""
+    p = _interpolant(e, k, _smooth_values(e, k, u, quadrature_order))
+    return np.polynomial.Polynomial([float(c) for c in p.coeffs] or [0.0])
 
 
 def monomial_probes(max_degree: int) -> list[Polynomial]:
@@ -363,42 +364,26 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
 
 
 def cell_interpolant(e: Element1D, u: SmoothFunction1D, a: float, b: float,
-                     quadrature_order: int | None = None) -> np.polynomial.Polynomial:
-    """Interpolate u on the cell [a, b], returned in the reference variable.
+                     quadrature_order: int | None = None) -> Polynomial:
+    """Exact interpolant of u on the cell [a, b], in the reference variable.
 
-    The cell dofs are the implementation-facing ones: endpoint values
-    u(a), u(b) enter the two combination functionals exactly, endpoint
-    derivatives of order s scale by h^s (h = b - a), and bubble moments
-    are integrated over the cell by quadrature.  Endpoint data is taken
+    The 0-form functionals act on the pull-back x -> u(a + h x), h = b - a,
+    whose order-s derivative scales by h^s.  Its endpoint data is taken
     from inside the cell (one-sided callbacks, when available), so cells
     that meet at a kink each see their own side.
     """
-    if quadrature_order is None:
-        quadrature_order = e.default_quadrature_order
     h = b - a
     if h <= 0:
         raise ValueError("cell must have positive width")
-    nodes, weights = gauss_rule(quadrature_order)
 
-    def endpoint(order: int, point: int) -> float:
-        if point == 0:
-            return u.derivative_sided(order, a, +1)
-        return u.derivative_sided(order, b, -1)
+    def pulled_back(order: int, x: float) -> float:
+        value = (u.derivative_sided(order, a, +1) if x == 0.0 else
+                 u.derivative_sided(order, b, -1) if x == 1.0 else
+                 u.derivative(order, a + h * x))
+        return h ** order * value
 
-    values = []
-    for f in e.functionals0:
-        if isinstance(f, EndpointDerivative):
-            values.append(h ** f.order * endpoint(f.order, f.point))
-        elif isinstance(f, EndpointSum):
-            values.append(endpoint(0, 1) + endpoint(0, 0))
-        elif isinstance(f, Moment) and f.legendre_index == 0:
-            values.append(endpoint(0, 1) - endpoint(0, 0))
-        else:
-            weight_poly = legendre(f.legendre_index)
-            values.append(h * sum(w * weight_poly(x) * u.derivative(1, a + h * x)
-                                  for x, w in zip(nodes, weights)))
-
-    return _float_interpolant(e, 0, values)
+    return _interpolant(e, 0, _smooth_values(
+        e, 0, SmoothFunction1D(pulled_back, name=u.name), quadrature_order))
 
 
 def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,
@@ -413,22 +398,18 @@ def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,
     """
     left = cell_interpolant(e, u, 0.0, 1.0, quadrature_order)
     right = cell_interpolant(e, u, 1.0, 2.0, quadrature_order)
-    witness: list[dict] = []
-    mismatches = []
-    for s in range(e.m + 1):
-        gap = abs(left.deriv(s)(1.0) - right.deriv(s)(0.0))
-        mismatches.append(gap)
-        if gap > tolerance:
-            witness.append({"check": "junction-continuity", "order": s,
-                            "mismatch": gap})
+    # exact junction derivatives, rounded once
+    mismatches = [float(abs(left.derivative(s)(1) - right.derivative(s)(0)))
+                  for s in range(e.m + 1)]
+    witness = [{"check": "junction-continuity", "order": s, "mismatch": gap}
+               for s, gap in enumerate(mismatches) if gap > tolerance]
 
     details = {"junction_mismatch": mismatches, "tolerance": tolerance}
     if witness and u.has_sided:
-        jumps = []
-        for s in range(e.m + 1):
-            jump = abs(u.derivative_sided(s, 1.0, -1) - u.derivative_sided(s, 1.0, +1))
-            if jump > tolerance:
-                jumps.append({"order": s, "jump": jump})
+        jumps = [abs(u.derivative_sided(s, 1.0, -1)
+                     - u.derivative_sided(s, 1.0, +1)) for s in range(e.m + 1)]
+        jumps = [{"order": s, "jump": jump}
+                 for s, jump in enumerate(jumps) if jump > tolerance]
         if jumps:
             details["input_regularity"] = {
                 "message": f"input lacks C^{e.m} continuity at the junction",

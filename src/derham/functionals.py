@@ -43,6 +43,9 @@ Atom = tuple[float, float, int]
 # Descriptors are frozen values, so equal functionals share one row.
 _ROWS: dict = {}
 
+# Moment atoms per (descriptor, quadrature order), for the same reason.
+_ATOMS: dict = {}
+
 
 def monomial_row(f, length: int) -> list[Fraction]:
     """``f`` on 1, x, .., x^(length-1), memoized; may be longer."""
@@ -86,8 +89,8 @@ class EndpointDerivative:
     apply = _apply
     apply_smooth = _apply_smooth
 
-    def atoms(self, quadrature_order: int) -> list[Atom]:
-        return [(1.0, float(self.point), self.order)]
+    def atoms(self, quadrature_order: int) -> tuple[Atom, ...]:
+        return ((1.0, float(self.point), self.order),)
 
     def describe(self, var: str = "u") -> str:
         if self.order == 0:
@@ -131,11 +134,14 @@ class Moment:
     apply = _apply
     apply_smooth = _apply_smooth
 
-    def atoms(self, quadrature_order: int) -> list[Atom]:
-        nodes, weights = gauss_rule(quadrature_order)
-        weight_poly = legendre(self.legendre_index)
-        order = 1 if self.of_derivative else 0
-        return [(w * weight_poly(x), x, order) for x, w in zip(nodes, weights)]
+    def atoms(self, quadrature_order: int) -> tuple[Atom, ...]:
+        key = (self, quadrature_order)
+        if key not in _ATOMS:
+            nodes, weights = gauss_rule(quadrature_order)
+            l_i = legendre(self.legendre_index)
+            _ATOMS[key] = tuple((w * l_i(x), x, int(self.of_derivative))
+                                for x, w in zip(nodes, weights))
+        return _ATOMS[key]
 
     def describe(self, var: str = "u") -> str:
         if self.of_derivative:
@@ -169,8 +175,8 @@ class EndpointSum:
     apply = _apply
     apply_smooth = _apply_smooth
 
-    def atoms(self, quadrature_order: int) -> list[Atom]:
-        return [(1.0, 1.0, 0), (1.0, 0.0, 0)]
+    def atoms(self, quadrature_order: int) -> tuple[Atom, ...]:
+        return ((1.0, 1.0, 0), (1.0, 0.0, 0))
 
     def describe(self, var: str = "u") -> str:
         return f"{var}(1)+{var}(0)"

@@ -174,10 +174,6 @@ class Polynomial:
     def derivative_value(self, order: int, x):
         return self.derivative(order)(x)
 
-    def float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs], dtype=float) \
-            if self.coeffs else np.zeros(1)
-
 
 def coefficient_matrix(polys, width: int) -> np.ndarray:
     """Monomial coefficients of ``polys``, one zero-padded row each."""

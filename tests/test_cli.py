@@ -1,6 +1,7 @@
 """Command-line interface: parsing, artifacts, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derham import cli
 from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
                         parse_polynomial, parse_input_function)
-from derham.corruptions import CORRUPTION_NAMES, ELEMENT_CORRUPTIONS
+from derham.corruptions import (CORRUPTION_NAMES, ELEMENT_CORRUPTIONS,
+                                permute_alpha)
+from derham.element1d import build_element
 from derham.polycore import Polynomial
 
 
@@ -235,6 +239,34 @@ class TestVerifyCommand:
         assert data["reports"][0]["name"] == "continuity-demo"
         assert data["reports"][0]["parameters"]["function"] == "sin"
 
+    def test_continuity_demo_passes_the_acceptance_grid(self, capsys):
+        code, out, _ = run(capsys, "verify", "--m", "0..4", "--n", "auto+5",
+                           "--checks", "continuity-demo")
+        reports = json.loads(out)["reports"]
+        assert code == 0 and len(reports) == 30
+        for report in reports:
+            assert report["details"]["junction_mismatch"][1:] == \
+                [0.0] * report["parameters"]["m"]
+
+
+class TestExactArtifacts:
+    """The exact-arithmetic artifacts are pinned byte for byte; a change
+    that moves one of these hashes changes what users read."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("element", "--m", "2", "--n", "6"),
+         "ad6e89fe1ba6e403e3b272d307df1444bb8c34799f601fb52e720240dadaae05"),
+        (("tensor", "--m", "1", "--n", "3", "--N", "3"),
+         "deac72b44bb4d6069c3d3443463111e36aface62f54963df1320b1864da66980"),
+        (("verify", "--m", "1", "--n", "3", "--checks",
+          ",".join(c for c in CHECK_ORDER if c != "continuity-demo")),
+         "40e56589dbc866beabea8ecf3eb5202e56f07196395b6d2e7959b34e0e1cd3a1"),
+    ], ids=["element", "tensor", "verify"])
+    def test_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestTensorCommand:
     def test_tables(self, capsys):
@@ -286,11 +318,17 @@ class TestInterpCommand:
                            "--quadrature-order", "12")
         assert code == 0
 
-    def test_impossible_tolerance_fails(self, capsys):
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        # a pristine element leaves no residual on these samples, so the
+        # exit-1 path runs on an element whose 1-form inverse is permuted
+        monkeypatch.setattr(cli, "_build", lambda m, n, corrupt:
+                            permute_alpha(build_element(m, n)))
         code, out, _ = run(capsys, "interp", "--m", "2", "--n", "5",
-                           "--input", "exp", "--samples", "21",
-                           "--tolerance", "1e-18")
-        assert code == 1  # residual is roundoff-sized, never below 1e-18
+                           "--input", "exp", "--samples", "21")
+        assert code == 1
+        residuals = [float(line.rsplit(",", 1)[1])
+                     for line in out.strip().split("\n")[1:]]
+        assert max(map(abs, residuals)) > 1e-3
 
     def test_two_cell_output(self, capsys):
         code, out, _ = run(capsys, "interp", "--m", "1", "--n", "3",
@@ -354,7 +392,6 @@ class TestRejectedAtEntry:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
     @pytest.mark.parametrize("command", [
-        # m=4 sin fails this check at the default tolerance
         ("verify", "--m", "4", "--checks", "continuity-demo"),
         ("interp", "--input", "sin"),
         ("interp", "--input", "sin", "--two-cell"),
@@ -428,6 +465,18 @@ class TestRejectedAtEntry:
                        "--quadrature-order", "-7")
         assert "unrecognized arguments: --quadrature-order" in err
 
+    @pytest.mark.parametrize("argv", [
+        # a bad bit or index used to pass unnoticed under --emit tables
+        ("--chi", "0,2", "--index", "9,9", "--samples", "3"),
+        ("--chi", "0,1"),
+        ("--index", "1,1"),
+        ("--samples", "33"),
+        ("--emit", "tables", "--samples", "3"),
+    ])
+    def test_sample_flags_only_with_basis_samples(self, capsys, argv):
+        err = rejected(capsys, "tensor", "--m", "1", "--n", "3", *argv)
+        assert "only --emit basis-samples reads them" in err
+
 
 # flag -> (values to try, values every command must reject where they
 # enter); the value "" marks a switch
@@ -461,7 +510,7 @@ VOCABULARY = {
                 "--form": (["0", "1"], ["2"])},
     "tensor": {**GRID, **DIMENSION, **NU, **SAMPLES,
                "--emit": (["tables", "basis-samples"], ["bogus"]),
-               # a bad bit or index is caught only by --emit basis-samples
+               # without --emit basis-samples these three flags exit 2
                "--chi": (["0,0", "0,1", "1,1", "0,2", "1", "1,1,1"], ["x"]),
                "--index": (["1,1", "2,1", "9,9", "0,1", "1"], ["x", ","])},
     "interp": {**GRID, **TOLERANCE, **QUADRATURE, **SAMPLES,

@@ -62,12 +62,13 @@ class TestCommutationResidual:
 
 class TestCellInterpolant:
     def test_reference_cell_matches_interpolate_smooth(self):
+        # both go through the same node values and the same exact tail
         e = build_element(1, 3)
         u = sine()
         a = cell_interpolant(e, u, 0.0, 1.0, quadrature_order=12)
         b = interpolate_smooth(e, 0, u, quadrature_order=12)
-        for x in sample_points():
-            assert a(x) == pytest.approx(b(x), abs=1e-13)
+        assert isinstance(a, Polynomial)
+        assert [float(c) for c in a.coeffs] == list(b.coef)
 
     def test_polynomial_reproduction_on_short_cell(self):
         # the interpolant in the reference variable equals u(a + h x)
@@ -99,6 +100,19 @@ class TestTwoCellContinuity:
                                               tolerance=1e-13)
             assert report.passed, report.witness
             assert len(report.details["junction_mismatch"]) == m + 1
+
+    @pytest.mark.parametrize("mn", [(1, 3), (2, 5), (3, 7), (4, 9)])
+    @pytest.mark.parametrize("u", [sine(), exponential()],
+                             ids=["sin", "exp"])
+    def test_junction_derivatives_match_exactly(self, mn, u):
+        # both cells share the exact endpoint dofs of orders 1..m, so the
+        # exact tail reproduces them bit for bit; order 0 carries the
+        # quadrature of the first moment
+        report = two_cell_continuity_demo(build_element(*mn), u)
+        assert report.passed, report.witness
+        value_gap, *derivative_gaps = report.details["junction_mismatch"]
+        assert derivative_gaps == [0.0] * mn[0]
+        assert value_gap <= 1e-14
 
     def test_kink_is_detected_and_attributed(self):
         # u(x) = |x-1|(x-1): value and slope continuous at x=1, second
