@@ -312,10 +312,11 @@ def cmd_interp(args) -> int:
     samples = args.samples
 
     if args.two_cell:
-        report = element1d.two_cell_continuity_demo(element, u,
-                                                    args.tolerance, order)
-        left = element1d.cell_interpolant(element, u, 0.0, 1.0, order)
-        right = element1d.cell_interpolant(element, u, 1.0, 2.0, order)
+        cells = [element1d.cell_interpolant(element, u, a, a + 1, order)
+                 for a in (0.0, 1.0)]
+        report = element1d.two_cell_continuity_demo(
+            element, u, args.tolerance, cells=cells)
+        left, right = map(element1d.rounded, cells)
         rows = []
         for i in range(samples):
             x = 2.0 * i / (samples - 1) if samples > 1 else 0.0

@@ -182,20 +182,25 @@ def interpolate(e: Element1D, k: int, u: Polynomial) -> Polynomial:
 
 
 def _smooth_values(e: Element1D, k: int, u: SmoothFunction1D,
-                   quadrature_order: int | None) -> list[Fraction]:
+                   quadrature_order: int | None, telescope=False) -> list[Fraction]:
     """Float node-functional values of u, held exactly as Fractions."""
     if quadrature_order is None:
         quadrature_order = e.default_quadrature_order
-    return [Fraction(f.apply_smooth(u, quadrature_order))
+    return [Fraction(f.apply_smooth(u, quadrature_order, telescope))
             for f in _family(e, k)[0]]
+
+
+def rounded(p: Polynomial) -> np.polynomial.Polynomial:
+    """``p`` with its coefficients rounded once to floats."""
+    return np.polynomial.Polynomial([float(c) for c in p.coeffs] or [0.0])
 
 
 def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
                        quadrature_order: int | None = None) -> np.polynomial.Polynomial:
     """Interpolation of a smooth callback input: float node values, the
     exact tail, and coefficients rounded once."""
-    p = _interpolant(e, k, _smooth_values(e, k, u, quadrature_order))
-    return np.polynomial.Polynomial([float(c) for c in p.coeffs] or [0.0])
+    return rounded(_interpolant(e, k, _smooth_values(e, k, u,
+                                                     quadrature_order)))
 
 
 def monomial_probes(max_degree: int) -> list[Polynomial]:
@@ -370,7 +375,8 @@ def cell_interpolant(e: Element1D, u: SmoothFunction1D, a: float, b: float,
     The 0-form functionals act on the pull-back x -> u(a + h x), h = b - a,
     whose order-s derivative scales by h^s.  Its endpoint data is taken
     from inside the cell (one-sided callbacks, when available), so cells
-    that meet at a kink each see their own side.
+    that meet at a kink each see their own side.  The first moment of u'
+    is u(b) - u(a), so neighbours agree to rounding at a shared point.
     """
     h = b - a
     if h <= 0:
@@ -383,21 +389,24 @@ def cell_interpolant(e: Element1D, u: SmoothFunction1D, a: float, b: float,
         return h ** order * value
 
     return _interpolant(e, 0, _smooth_values(
-        e, 0, SmoothFunction1D(pulled_back, name=u.name), quadrature_order))
+        e, 0, SmoothFunction1D(pulled_back, name=u.name), quadrature_order,
+        telescope=True))
 
 
 def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,
                              tolerance: float = 1e-12,
-                             quadrature_order: int | None = None) -> VerificationReport:
+                             quadrature_order: int | None = None,
+                             cells=None) -> VerificationReport:
     """Interpolate u on [0,1] and [1,2] and check C^m matching at x=1.
 
     Shared endpoint dofs force derivative orders 0..m to agree at the
     junction whenever u itself is C^m there.  If u carries one-sided
     callbacks that disagree at x=1, the report attributes the failure to
-    the input's regularity rather than to the element.
+    the input's regularity rather than to the element.  ``cells``, when
+    given, are the two cell interpolants already built.
     """
-    left = cell_interpolant(e, u, 0.0, 1.0, quadrature_order)
-    right = cell_interpolant(e, u, 1.0, 2.0, quadrature_order)
+    left, right = cells or [cell_interpolant(e, u, a, a + 1, quadrature_order)
+                            for a in (0.0, 1.0)]
     # exact junction derivatives, rounded once
     mismatches = [float(abs(left.derivative(s)(1) - right.derivative(s)(0)))
                   for s in range(e.m + 1)]

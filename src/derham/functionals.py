@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isfinite
 from typing import Union
 
 from .polycore import Polynomial, legendre, monomial_derivative
@@ -59,9 +59,12 @@ def _apply(f, u: Polynomial) -> Fraction:
                    u.coeffs), Fraction(0))
 
 
-def _apply_smooth(f, u, quadrature_order: int = 0) -> float:
-    return sum(w * u.derivative(order, x)
-               for w, x, order in f.atoms(quadrature_order))
+def _apply_smooth(f, u, quadrature_order: int = 0, telescope=False) -> float:
+    value = sum(w * u.derivative(order, x)
+                for w, x, order in f.atoms(quadrature_order, telescope))
+    if not isfinite(value):
+        raise ValueError(f"{f.describe()} of {u.name!r} is {value}, not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class EndpointDerivative:
     apply = _apply
     apply_smooth = _apply_smooth
 
-    def atoms(self, quadrature_order: int) -> tuple[Atom, ...]:
+    def atoms(self, quadrature_order: int, telescope=False) -> tuple[Atom, ...]:
         return ((1.0, float(self.point), self.order),)
 
     def describe(self, var: str = "u") -> str:
@@ -134,7 +137,10 @@ class Moment:
     apply = _apply
     apply_smooth = _apply_smooth
 
-    def atoms(self, quadrature_order: int) -> tuple[Atom, ...]:
+    def atoms(self, quadrature_order: int, telescope=False) -> tuple[Atom, ...]:
+        # telescoped, int l_0 u' is u(1) - u(0), free of quadrature error
+        if telescope and self.of_derivative and self.legendre_index == 0:
+            return ((1.0, 1.0, 0), (-1.0, 0.0, 0))
         key = (self, quadrature_order)
         if key not in _ATOMS:
             nodes, weights = gauss_rule(quadrature_order)
@@ -175,7 +181,7 @@ class EndpointSum:
     apply = _apply
     apply_smooth = _apply_smooth
 
-    def atoms(self, quadrature_order: int) -> tuple[Atom, ...]:
+    def atoms(self, quadrature_order: int, telescope=False) -> tuple[Atom, ...]:
         return ((1.0, 1.0, 0), (1.0, 0.0, 0))
 
     def describe(self, var: str = "u") -> str:

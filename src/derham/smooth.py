@@ -126,18 +126,6 @@ class SmoothFunctionND:
         self.dimension = dimension
         self._mixed = mixed_derivative
 
-    @classmethod
-    def from_factors(cls, factors: list[SmoothFunction1D]) -> "SmoothFunctionND":
-        """Product u(x) = f_0(x_0) * ... * f_{N-1}(x_{N-1})."""
-        factors = list(factors)
-
-        def mixed(orders, point):
-            out = 1.0
-            for f, order, x in zip(factors, orders, point):
-                out *= f.derivative(order, x)
-            return out
-        return cls(len(factors), mixed)
-
     def value(self, point) -> float:
         return self._mixed((0,) * self.dimension, tuple(point))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import cli
+from derham import cli, element1d
 from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
                         parse_polynomial, parse_input_function)
 from derham.corruptions import (CORRUPTION_NAMES, ELEMENT_CORRUPTIONS,
@@ -338,6 +338,26 @@ class TestInterpCommand:
         assert "# junction mismatch order 0:" in out
         assert "# junction mismatch order 1:" in out
 
+    def test_two_cell_builds_each_cell_once(self, capsys, monkeypatch):
+        built = []
+        original = element1d.cell_interpolant
+
+        def counted(e, u, a, b, order=None):
+            built.append((a, b))
+            return original(e, u, a, b, order)
+        monkeypatch.setattr(element1d, "cell_interpolant", counted)
+        code, _, _ = run(capsys, "interp", "--m", "2", "--n", "5",
+                         "--input", "exp", "--two-cell")
+        assert code == 0 and built == [(0.0, 1.0), (1.0, 2.0)]
+
+    @pytest.mark.parametrize("order", ["1", "4"])
+    def test_two_cell_passes_at_low_quadrature_order(self, capsys, order):
+        for argv in (("interp", "--input", "sin", "--two-cell"),
+                     ("verify", "--checks", "continuity-demo")):
+            code, _, _ = run(capsys, *argv, "--m", "1", "--n", "3",
+                             "--quadrature-order", order)
+            assert code == 0
+
     @pytest.mark.parametrize("extra", [(), ("--two-cell",)])
     def test_quadrature_order_zero_is_rejected(self, capsys, extra):
         err = rejected(capsys, "interp", "--m", "1", "--n", "3",
@@ -476,6 +496,13 @@ class TestRejectedAtEntry:
     def test_sample_flags_only_with_basis_samples(self, capsys, argv):
         err = rejected(capsys, "tensor", "--m", "1", "--n", "3", *argv)
         assert "only --emit basis-samples reads them" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--two-cell",)])
+    def test_non_finite_node_value(self, capsys, extra):
+        # 1e308 is finite, but u(1) + u(0) overflows
+        err = rejected(capsys, "interp", "--m", "0", "--n", "1",
+                       "--input", "1" + "0" * 308, *extra)
+        assert "u(1)+u(0) of '1000" in err and "is inf, not finite" in err
 
 
 # flag -> (values to try, values every command must reject where they

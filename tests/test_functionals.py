@@ -87,6 +87,26 @@ class TestSmoothAction:
         got = EndpointSum().apply_smooth(cosine())
         assert got == pytest.approx(1.0 + math.cos(1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("order", [1, 4, 12])
+    def test_telescoped_first_moment(self, order):
+        # int l_0 u' becomes u(1) - u(0), whatever the rule; nothing else
+        # changes
+        first = Moment(0, 0, of_derivative=True)
+        assert first.atoms(order, telescope=True) == ((1.0, 1.0, 0),
+                                                      (-1.0, 0.0, 0))
+        assert first.apply_smooth(exponential(), order, telescope=True) \
+            == math.e - 1.0
+        for other in (Moment(0, 1, True), Moment(1, 0, False),
+                      EndpointDerivative(0, 1, 1), EndpointSum()):
+            assert other.atoms(order, telescope=True) == other.atoms(order)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, value):
+        u = SmoothFunction1D(lambda order, x: value, name="bad")
+        for functional in (EndpointSum(), Moment(1, 0, False)):
+            with pytest.raises(ValueError, match="'bad' is .*not finite"):
+                functional.apply_smooth(u, 4)
+
     @given(polys_st, st.sampled_from([EndpointDerivative(0, 0, 1),
                                       EndpointDerivative(1, 1, 0),
                                       Moment(0, 2, True),

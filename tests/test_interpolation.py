@@ -62,13 +62,16 @@ class TestCommutationResidual:
 
 class TestCellInterpolant:
     def test_reference_cell_matches_interpolate_smooth(self):
-        # both go through the same node values and the same exact tail
+        # the same functionals and the same exact tail; only the first
+        # moment of u' differs, u(1) - u(0) on the cell against Gauss
+        # quadrature in interpolate_smooth, by one quadrature error
         e = build_element(1, 3)
         u = sine()
         a = cell_interpolant(e, u, 0.0, 1.0, quadrature_order=12)
         b = interpolate_smooth(e, 0, u, quadrature_order=12)
         assert isinstance(a, Polynomial)
-        assert [float(c) for c in a.coeffs] == list(b.coef)
+        assert [float(c) for c in a.coeffs] == pytest.approx(list(b.coef),
+                                                             abs=1e-15)
 
     def test_polynomial_reproduction_on_short_cell(self):
         # the interpolant in the reference variable equals u(a + h x)
@@ -106,13 +109,34 @@ class TestTwoCellContinuity:
                              ids=["sin", "exp"])
     def test_junction_derivatives_match_exactly(self, mn, u):
         # both cells share the exact endpoint dofs of orders 1..m, so the
-        # exact tail reproduces them bit for bit; order 0 carries the
-        # quadrature of the first moment
+        # exact tail reproduces them bit for bit; order 0 rounds the
+        # endpoint sum and difference
         report = two_cell_continuity_demo(build_element(*mn), u)
         assert report.passed, report.witness
         value_gap, *derivative_gaps = report.details["junction_mismatch"]
         assert derivative_gaps == [0.0] * mn[0]
         assert value_gap <= 1e-14
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mn", [(0, 1), (1, 3), (2, 7)])
+    @pytest.mark.parametrize("u", [sine(), exponential()],
+                             ids=["sin", "exp"])
+    def test_junction_value_free_of_quadrature_error(self, mn, u, order):
+        # the first moment of u' is u(b) - u(a) on each cell, so even a
+        # one-point rule leaves the junction value at rounding size
+        report = two_cell_continuity_demo(build_element(*mn), u,
+                                          quadrature_order=order)
+        assert report.passed, report.witness
+        assert report.details["junction_mismatch"][0] <= 1e-15
+
+    def test_non_finite_node_value_rejected(self):
+        e = build_element(1, 3)
+        u = SmoothFunction1D(lambda order, x: math.inf if x == 1.0 else 0.0,
+                             name="blowup")
+        for build in (lambda: interpolate_smooth(e, 0, u),
+                      lambda: cell_interpolant(e, u, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="'blowup' is inf"):
+                build()
 
     def test_kink_is_detected_and_attributed(self):
         # u(x) = |x-1|(x-1): value and slope continuous at x=1, second

@@ -63,9 +63,17 @@ class TestSmoothFunction1D:
         assert exponential().derivative(3, 0.4) == pytest.approx(math.exp(0.4))
 
 
+def product(factors) -> SmoothFunctionND:
+    """u(x) = f_0(x_0) * ... * f_{N-1}(x_{N-1})."""
+    def mixed(orders, point):
+        return math.prod(f.derivative(order, x)
+                         for f, order, x in zip(factors, orders, point))
+    return SmoothFunctionND(len(factors), mixed)
+
+
 class TestSmoothFunctionND:
     def test_product_of_factors(self):
-        u = SmoothFunctionND.from_factors([sine(), exponential()])
+        u = product([sine(), exponential()])
         point = (0.3, 0.6)
         assert u.value(point) == pytest.approx(math.sin(0.3) * math.exp(0.6))
         assert u.derivative((1, 0), point) == \
@@ -74,7 +82,7 @@ class TestSmoothFunctionND:
             pytest.approx(math.cos(0.3) * math.exp(0.6))
 
     def test_differentiated_axis(self):
-        u = SmoothFunctionND.from_factors([
+        u = product([
             SmoothFunction1D.from_polynomial(Polynomial(coeffs))
             for coeffs in ([0, 1], [0, 0, 1])])
         dy = u.differentiated(1)

@@ -370,8 +370,10 @@ class TestTensorInterpolate:
     def test_smooth_matches_exact_on_rank_one_input(self, e13):
         px, py = poly(1, -2, 0, 1), poly(0, 1, 1)
         exact = tensor_interpolate(2, 0, rank_one([(0, px), (0, py)]), e13)
-        smooth = tensor_interpolate(2, 0, SmoothFunctionND.from_factors(
-            [SmoothFunction1D.from_polynomial(p) for p in (px, py)]), e13)
+        sx, sy = (SmoothFunction1D.from_polynomial(p) for p in (px, py))
+        smooth = tensor_interpolate(2, 0, SmoothFunctionND(
+            2, lambda o, x: sx.derivative(o[0], x[0]) * sy.derivative(o[1], x[1])),
+            e13)
         gap = np.abs(smooth.blocks[(0, 0)]
                      - np.vectorize(float)(exact.blocks[(0, 0)])).max()
         assert gap <= 1e-12
