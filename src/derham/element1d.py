@@ -34,6 +34,7 @@ from .functionals import (NodeFunctional, monomial_row, one_form_functionals,
                           zero_form_functionals)
 from .polycore import (Polynomial, coefficient_matrix, hermite_basis,
                        integrated_legendre)
+from .quadrature import check_order
 from .report import VerificationReport
 from .smooth import SmoothFunction1D
 
@@ -186,6 +187,7 @@ def _smooth_values(e: Element1D, k: int, u: SmoothFunction1D,
     """Float node-functional values of u, held exactly as Fractions."""
     if quadrature_order is None:
         quadrature_order = e.default_quadrature_order
+    check_order(quadrature_order)
     return [Fraction(f.apply_smooth(u, quadrature_order, telescope))
             for f in _family(e, k)[0]]
 

@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Integral
 
 from numpy.polynomial.legendre import leggauss
+
+
+def check_order(order: int) -> int:
+    """``order`` itself if it is an int >= 1; a bool is not, though
+    True == 1 would otherwise run as the 1-point rule."""
+    if isinstance(order, bool) or not isinstance(order, Integral) or order < 1:
+        raise ValueError(
+            f"quadrature order must be an int >= 1, not {order!r}")
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -13,7 +23,5 @@ def gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     Exact (up to rounding) for polynomials of degree <= 2*order - 1.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    nodes, weights = leggauss(order)
+    nodes, weights = leggauss(check_order(order))
     return tuple((x + 1.0) / 2.0 for x in nodes), tuple(w / 2.0 for w in weights)

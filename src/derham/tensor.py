@@ -42,9 +42,11 @@ from numbers import Rational
 import numpy as np
 
 from . import linalg
-from .element1d import Element1D, interpolation_coefficients, node_table
+from .element1d import (Element1D, _family, interpolation_coefficients,
+                        node_table)
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficient_matrix
+from .quadrature import check_order
 from .report import VerificationReport
 from .smooth import SmoothFunctionND
 
@@ -220,14 +222,13 @@ class TensorForm:
         return all(bool((block == 0).all()) for block in self.blocks.values())
 
     def max_abs(self):
-        """Largest absolute coefficient (0 for the empty top form)."""
-        best = 0
-        for block in self.blocks.values():
-            if block.size:
-                candidate = np.abs(block).max()
-                if candidate > best:
-                    best = candidate
-        return best
+        """Largest absolute coefficient (0 for the empty top form, nan if
+        any coefficient is nan)."""
+        peaks = [np.abs(block).max() for block in self.blocks.values()
+                 if block.size]
+        if any(peak != peak for peak in peaks):  # nan compares False
+            return math.nan
+        return max(peaks, default=0)
 
 
 def d_tensor(u: TensorForm, sign_rule=theta) -> TensorForm:
@@ -269,6 +270,7 @@ def _index_rule(blocks: dict, n: int, sign_rule, out: dict) -> dict:
 # a different key and never sees the pristine element's entries.
 _BASIS_INVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _basis_inverse(element: Element1D, k: int) -> np.ndarray:
@@ -394,8 +396,8 @@ class TensorNodeFunctional:
     index: tuple[int, ...]
     parts: tuple[NodeFunctional, ...]
 
-    def apply_smooth(self, u: SmoothFunctionND, quadrature_order: int,
-                     cache: dict | None = None) -> float:
+    def apply_smooth(self, u: SmoothFunctionND,
+                     quadrature_order: int) -> float:
         """Product functional on an N-variable callback function.
 
         Every 1D part expands into pointwise atoms (weight, node,
@@ -405,20 +407,10 @@ class TensorNodeFunctional:
         atoms = [part.atoms(quadrature_order) for part in self.parts]
         total = 0.0
         for combo in itertools.product(*atoms):
-            weight = 1.0
-            for w, _, _ in combo:
-                weight *= w
+            weight = math.prod(w for w, _, _ in combo)
             orders = tuple(order for _, _, order in combo)
             point = tuple(x for _, x, _ in combo)
-            if cache is None:
-                value = u.derivative(orders, point)
-            else:
-                key = (orders, point)
-                value = cache.get(key)
-                if value is None:
-                    value = u.derivative(orders, point)
-                    cache[key] = value
-            total += weight * value
+            total += weight * u.derivative(orders, point)
         return total
 
     def describe(self, variables=_VARIABLE_NAMES) -> str:
@@ -519,7 +511,8 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     Accepts a rank-one polynomial form (or a list of them) or a smooth
     callback input (bare function for nu in {0, N}, SmoothFormND
     otherwise).  On a rank-one input the operator factorizes into the 1D
-    interpolations of the factors.
+    interpolations of the factors; a smooth component is evaluated once
+    on its atom grid and contracted axis by axis with folded tables.
     """
     if not 0 <= nu <= dimension:
         raise ValueError(f"form degree nu={nu} out of range 0..{dimension}")
@@ -533,28 +526,53 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     form = as_smooth_form(u, dimension, nu)
     if quadrature_order is None:
         quadrature_order = element.default_quadrature_order
-    alphas = {0: linalg.to_float(element.alpha0),
-              1: linalg.to_float(element.alpha1)}
-    families = {0: element.functionals0, 1: element.functionals1}
+    check_order(quadrature_order)
     out = TensorForm.zero(dimension, nu, element.n, exact=False)
-    for chi in enumerate_chi(dimension, nu):
-        comp = form.components.get(chi)
-        if comp is None:
-            continue
-        widths = _block_widths(chi, element.n)
-        values = np.zeros(widths)
-        cache: dict = {}
-        for idx in itertools.product(*(range(w) for w in widths)):
-            functional = TensorNodeFunctional(
-                chi=chi, index=tuple(j + 1 for j in idx),
-                parts=tuple(families[bit][j] for bit, j in zip(chi, idx)))
-            values[idx] = functional.apply_smooth(comp, quadrature_order, cache)
-        coeffs = values
-        for axis, bit in enumerate(chi):
-            coeffs = np.moveaxis(
-                np.tensordot(alphas[bit], coeffs, axes=(1, axis)), 0, axis)
+    for chi, comp in form.components.items():
+        atoms, tables = zip(*(_folded_table(element, bit, quadrature_order)
+                              for bit in chi))
+        # sum factorization: contracting the leading axis with each
+        # family's table in turn leaves the axes in their original order
+        coeffs = _atom_grid(comp, chi, atoms)
+        for table in tables:
+            coeffs = np.tensordot(coeffs, table, axes=(0, 1))
         out.blocks[chi] = coeffs
     return out
+
+
+def _folded_table(element: Element1D, bit: int,
+                  quadrature_order: int) -> tuple[tuple, np.ndarray]:
+    """The distinct (derivative order, node) atoms of the bit-form
+    functionals and alpha_bit @ W, W[j, a] the summed weight of atom a in
+    functional j, folded exactly on the float weights and rounded once."""
+    memo = _TABLES.setdefault(element, {})
+    key = (bit, quadrature_order)
+    if key not in memo:
+        functionals, _, alpha = _family(element, bit)
+        weights: dict = {}
+        for j, f in enumerate(functionals):
+            for w, x, order in f.atoms(quadrature_order):
+                column = weights.setdefault((order, x),
+                                            [0] * len(functionals))
+                column[j] += Fraction(w)
+        folded = alpha @ np.array(list(weights.values()), dtype=object).T
+        memo[key] = tuple(weights), linalg.to_float(folded)
+    return memo[key]
+
+
+def _atom_grid(comp: SmoothFunctionND, chi: Chi, atoms) -> np.ndarray:
+    """The component's mixed partials on the product of the axes' atom
+    lists, each (orders, point) evaluated once; non-finite values raise."""
+    combos = list(itertools.product(*atoms))
+    # zip(*combo) splits the per-axis (order, node) pairs into orders, point
+    values = np.array([comp.derivative(*zip(*combo)) for combo in combos],
+                      dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        orders, point = zip(*combos[bad[0]])
+        raise ValueError(f"component {chi}: derivative {orders} at {point} "
+                         f"is {values[bad[0]]}, not finite")
+    return values.reshape([len(axis) for axis in atoms])
 
 
 def _basis_rank_one(element: Element1D, chi: Chi, idx: tuple[int, ...]) -> RankOneForm:

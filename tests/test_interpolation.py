@@ -36,6 +36,14 @@ class TestSmoothPathAgainstExact:
         with pytest.raises(ValueError, match="quadrature order"):
             interpolate_smooth(e, 0, sine(), 0)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_bool_quadrature_order_rejected(self, k):
+        # True == 1 used to run the 1-point rule unnoticed
+        e = build_element(0, 1)
+        for order in (True, False):
+            with pytest.raises(ValueError, match="quadrature order"):
+                interpolate_smooth(e, k, sine(), order)
+
     def test_functional_data_for_sine(self):
         e = build_element(1, 3)
         u = sine()

@@ -5,8 +5,11 @@ coefficients) are cross-checked against each other throughout; pointwise
 evaluation is the common ground truth.
 """
 
+import itertools
 import math
 import operator
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -15,7 +18,8 @@ import pytest
 
 from derham.element1d import build_element, interpolate
 from derham.polycore import Polynomial
-from derham.smooth import SmoothFunction1D, SmoothFunctionND, sinusoid
+from derham.smooth import (SmoothFunction1D, SmoothFunctionND,
+                           exponential_nd, sinusoid)
 from derham.tensor import (DEFAULT_ND_TOLERANCE, RankOneForm, SmoothFormND,
                            TensorForm, as_smooth_form, canonicalize,
                            d_rank_one, d_smooth, d_tensor, enumerate_chi,
@@ -67,6 +71,24 @@ def product_functional(f, terms):
     return sum((term.sign * math.prod(part.apply(p) for part, (_, p)
                                       in zip(f.parts, term.factors))
                 for term in terms if term.chi == f.chi), Fraction(0))
+
+
+# the benchmark's N-D grids: the acceptance TENSOR_GRID, and its points
+# with n <= 4 in 3D
+GRID_2D = [(m, n) for m in range(3) for n in range(2 * m + 1, 2 * m + 4)]
+GRID_3D = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]
+
+
+def seeded_form(rng, dimension, nu):
+    """A smooth nu-form with seeded sinusoid and exponential components."""
+    components = {}
+    for i, chi in enumerate(enumerate_chi(dimension, nu)):
+        coeffs = [rng.uniform(0.5, 2.0) * rng.choice((-1, 1))
+                  for _ in range(dimension)]
+        components[chi] = (sinusoid(coeffs, phase=rng.uniform(0.0, 3.0))
+                           if i % 2 == 0 else
+                           exponential_nd([c / 2 for c in coeffs]))
+    return SmoothFormND(dimension, nu, components)
 
 
 SAMPLE_POINTS_2D = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
@@ -144,6 +166,17 @@ class TestTensorForm:
         assert (b + b).blocks[(0, 1)][0, 0] == 4
         assert b == b and not (a == b)
         assert b.max_abs() == 2
+
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0)])
+    def test_max_abs_propagates_nan(self, where):
+        # a nan residual must not read as a pass: nan > x is always False
+        form = TensorForm.zero(2, 1, 3, exact=False)
+        form.blocks[(1, 0)][0, 0] = 5.0
+        form.blocks[where][0, 0] = math.nan
+        assert math.isnan(form.max_abs())
+        form.blocks[where][:] = math.nan
+        assert math.isnan(form.max_abs())
+        assert not form.max_abs() <= DEFAULT_ND_TOLERANCE
 
     def test_mismatched_spaces_rejected(self):
         a = TensorForm.zero(2, 1, 3)
@@ -293,16 +326,6 @@ class TestNodeFunctionals:
         got = f.apply_smooth(u, quadrature_order=12)
         assert got == pytest.approx(math.cos(2.0) - 1.0, abs=5e-13)
 
-    def test_apply_smooth_cache_is_used(self, e13):
-        f = next(f for f in tensor_node_functionals(2, 0, e13)
-                 if f.index == (3, 3))
-        u = sinusoid((1.0, 1.0))
-        cache: dict = {}
-        first = f.apply_smooth(u, 8, cache)
-        assert cache
-        second = f.apply_smooth(u, 8, cache)
-        assert first == second
-
 
 class TestSmoothForms:
     def test_as_smooth_form_wrapping(self):
@@ -383,6 +406,71 @@ class TestTensorInterpolate:
         lhs = d_tensor(tensor_interpolate(2, 0, u, e13))
         rhs = tensor_interpolate(2, 1, d_smooth(u), e13)
         assert (lhs - rhs).max_abs() <= DEFAULT_ND_TOLERANCE
+
+    def test_smooth_matches_per_functional_route(self):
+        # the folded-table route, mapped back to node values through
+        # M_bit along every axis, against apply_smooth per functional
+        rng = random.Random(2024)
+        worst = 0.0
+        for dimension, grid in ((2, GRID_2D), (3, GRID_3D)):
+            for m, n in grid:
+                e = build_element(m, n)
+                matrices = {0: np.array(e.M0, dtype=float),
+                            1: np.array(e.M1, dtype=float)}
+                for nu in range(dimension):
+                    form = seeded_form(rng, dimension, nu)
+                    for u in (form, d_smooth(form)):
+                        got = tensor_interpolate(dimension, u.nu, u, e)
+                        for chi, comp in u.components.items():
+                            values = got.blocks[chi]
+                            for bit in chi:
+                                values = np.tensordot(values, matrices[bit],
+                                                      axes=(0, 1))
+                            want = np.array([
+                                f.apply_smooth(comp, e.default_quadrature_order)
+                                for f in tensor_node_functionals(
+                                    dimension, u.nu, e) if f.chi == chi])
+                            gap = np.abs(values.ravel() - want).max()
+                            worst = max(worst, gap / np.abs(want).max())
+        assert worst <= 1e-13
+
+    def test_each_atom_evaluated_once_per_component(self, e13):
+        calls = {chi: Counter() for chi in enumerate_chi(2, 1)}
+
+        def counted(chi):
+            u = sinusoid((1.0, -2.0), phase=0.5)
+
+            def mixed(orders, point):
+                calls[chi][orders, point] += 1
+                return u.derivative(orders, point)
+            return SmoothFunctionND(2, mixed)
+
+        form = SmoothFormND(2, 1, {chi: counted(chi) for chi in calls})
+        tensor_interpolate(2, 1, form, e13, quadrature_order=8)
+        for chi, counts in calls.items():
+            atoms = {(tuple(o for _, _, o in combo),
+                      tuple(x for _, x, _ in combo))
+                     for f in tensor_node_functionals(2, 1, e13)
+                     if f.chi == chi
+                     for combo in itertools.product(
+                         *(part.atoms(8) for part in f.parts))}
+            assert set(counts) == atoms
+            assert set(counts.values()) == {1}
+
+    def test_non_finite_node_value_rejected(self, e13):
+        def mixed(orders, point):
+            return math.inf if point == (0.0, 1.0) else 1.0
+
+        with pytest.raises(ValueError, match=r"component \(0, 0\): "
+                           r"derivative \(\d, \d\) at \(0\.0, 1\.0\) "
+                           "is inf, not finite"):
+            tensor_interpolate(2, 0, SmoothFunctionND(2, mixed), e13)
+
+    @pytest.mark.parametrize("order", [0, True, False, 2.5])
+    def test_quadrature_order_must_be_positive_int(self, e13, order):
+        with pytest.raises(ValueError, match="quadrature order"):
+            tensor_interpolate(2, 0, sinusoid((1.0, 1.0)), e13,
+                               quadrature_order=order)
 
 
 class TestVerifiers:
