@@ -114,7 +114,7 @@ def node_table(functionals, basis) -> np.ndarray:
     width = max((len(p.coeffs) for p in basis), default=0)
     nums, den = _product(_functional_table(functionals, width),
                          coefficient_matrix(basis, width).T)
-    return nums * Fraction(1, den)
+    return np.frompyfunc(Fraction, 2, 1)(nums, den)
 
 
 def assemble_element(m: int, n: int,

@@ -1,10 +1,8 @@
-"""Exact linear algebra over Fraction entries.
-
-Matrices are 2-d numpy arrays with ``dtype=object`` holding
-:class:`fractions.Fraction` values, so every solve, inverse and rank
-computation below is exact.  The matrices in this package are tiny
-(order 20 at most), hence one Gauss-Jordan loop with first-nonzero
-pivoting serves solve, invert and rank.
+"""Exact linear algebra on rational matrices: entries are Python ints or
+Fractions, in ``dtype=object`` arrays or nested lists, and any other
+entry (a float, NaN, a bool, a numpy scalar) raises ``TypeError`` where
+it enters.  Solve, invert and rank share one fraction-free (Bareiss)
+Gauss-Jordan loop on integer rows; a solution is divided once at the end.
 """
 
 from __future__ import annotations
@@ -14,85 +12,90 @@ from fractions import Fraction
 
 import numpy as np
 
-
-def frac_array(rows) -> np.ndarray:
-    """Build an object array of Fractions from nested int/Fraction data."""
-    arr = np.array([[Fraction(entry) for entry in row] for row in rows], dtype=object)
-    return arr
+_RATIONAL = {int, Fraction}
 
 
-def identity(n: int) -> np.ndarray:
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
+def _entries(values) -> list:
+    """Flat list of the entries, each an int or a Fraction."""
+    flat = np.asarray(values, dtype=object).ravel().tolist()
+    if not _RATIONAL.issuperset(map(type, flat)):
+        bad = next(x for x in flat if type(x) not in _RATIONAL)
+        raise TypeError(f"entry {bad!r} is not an int or Fraction")
+    return flat
 
 
-def zeros(shape) -> np.ndarray:
-    return np.full(shape, Fraction(0), dtype=object)
+def _scaled(entries: list) -> tuple[list[int], int]:
+    """Entries times the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(x.denominator for x in entries))
+    return [x.numerator * (den // x.denominator) for x in entries], den
 
 
-def _eliminate(a: np.ndarray, cols: int) -> int:
-    """Gauss-Jordan elimination, in place, on the leading ``cols`` columns
-    of ``a``, pivoting on first nonzero entries; returns the pivot count."""
-    rows, r = a.shape[0], 0
+def _eliminate(rows: list[list[int]], cols: int) -> int:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place, on the
+    leading ``cols`` columns of integer rows with first-nonzero pivots;
+    returns the pivot count.  Every other row becomes ``(p * row - row[col]
+    * top) // prev``, an exact division by the previous pivot.  Columns
+    left of ``col`` would only scale by p / prev and are not carried, so a
+    full-rank square block ends as the last pivot times the reduced rows."""
+    r, prev = 0, 1
     for col in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, col] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] * (Fraction(1) / Fraction(a[r, col]))
-        for i in range(rows):
-            if i != r and a[i, col] != 0:
-                a[i] = a[i] - a[i, col] * a[r]
-        r += 1
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r][col:]
+        p = top[0]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                row[col:] = [(p * x - f * y) // prev
+                             for x, y in zip(row[col:], top)]
+        prev, r = p, r + 1
     return r
 
 
 def solve(matrix: np.ndarray, rhs) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` exactly.
-
-    ``rhs`` may be a vector or a matrix of compatible shape.  Raises
-    ``ZeroDivisionError`` if the matrix is singular.
-    """
+    """Solve ``matrix @ x = rhs`` exactly; ``rhs`` is a vector or a matrix
+    with as many rows as ``matrix``.  A singular matrix raises
+    ``ZeroDivisionError``."""
     n = np.shape(matrix)[0]
     if np.shape(matrix) != (n, n):
         raise ValueError(f"matrix must be square, got {np.shape(matrix)}")
-    b = np.array(rhs, dtype=object)
-    augmented = np.hstack([np.asarray(matrix, dtype=object),
-                           b[:, None] if b.ndim == 1 else b])
-    if _eliminate(augmented, n) < n:
+    b = np.asarray(rhs, dtype=object)
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs of shape {b.shape} does not fit a matrix of "
+                         f"shape {(n, n)}")
+    a, right, k = _entries(matrix), _entries(b), b.size // n if n else 0
+    rows = [_scaled(a[i * n:(i + 1) * n] + right[i * k:(i + 1) * k])[0]
+            for i in range(n)]
+    if _eliminate(rows, n) < n:
         raise ZeroDivisionError("matrix is singular")
-    return augmented[:, n] if b.ndim == 1 else augmented[:, n:]
+    last = rows[-1][n - 1] if n else 1
+    return np.array([Fraction(x, last) for row in rows for x in row[n:]],
+                    dtype=object).reshape(b.shape)
 
 
 def invert(matrix: np.ndarray) -> np.ndarray:
-    return solve(matrix, identity(matrix.shape[0]))
+    return solve(matrix, np.eye(np.shape(matrix)[0], dtype=int).astype(object))
 
 
 def rank(matrix: np.ndarray) -> int:
-    """Exact rank by row reduction."""
-    a = np.array(matrix, dtype=object)
-    return _eliminate(a, a.shape[1]) if a.size else 0
+    """Exact rank by fraction-free row reduction."""
+    height, width = np.shape(matrix)
+    flat = _entries(matrix)
+    return _eliminate([_scaled(flat[i * width:(i + 1) * width])[0]
+                       for i in range(height)], width)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Kronecker product of two object-array matrices."""
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    out = zeros((ra * rb, ca * cb))
-    for i in range(ra):
-        for j in range(ca):
-            out[i * rb:(i + 1) * rb, j * cb:(j + 1) * cb] = a[i, j] * b
-    return out
+    return np.kron(a, b)
 
 
 def integer_form(values) -> tuple[np.ndarray, int]:
     """Rational array as (Python-int numerators, common denominator)."""
-    a = np.asarray(values, dtype=object)
-    den = math.lcm(*(x.denominator for x in a.flat))
-    return np.frompyfunc(lambda x: x.numerator * (den // x.denominator),
-                         1, 1)(a), den
+    nums, den = _scaled(_entries(values))
+    return np.array(nums, dtype=object).reshape(np.shape(values)), den
 
 
 def to_float(matrix: np.ndarray) -> np.ndarray:

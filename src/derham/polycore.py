@@ -250,16 +250,12 @@ def hermite_basis(m: int, endpoint: int, beta: int) -> Polynomial:
         raise ValueError("endpoint must be 0 or 1")
     if not 0 <= beta <= m:
         raise ValueError(f"beta must lie in 0..{m}")
-    size = 2 * m + 2
-    rows = []
-    rhs = []
-    for point, match in ((endpoint, True), (1 - endpoint, False)):
-        for gamma in range(m + 1):
-            rows.append([monomial_derivative(k, gamma, point)
-                         for k in range(size)])
-            rhs.append(Fraction(1) if match and gamma == beta else Fraction(0))
-    coeffs = linalg.solve(linalg.frac_array(rows), np.array(rhs, dtype=object))
-    h = Polynomial(coeffs)
+    conditions = [(point, gamma) for point in (endpoint, 1 - endpoint)
+                  for gamma in range(m + 1)]
+    h = Polynomial(linalg.solve(
+        [[monomial_derivative(k, gamma, point) for k in range(2 * m + 2)]
+         for point, gamma in conditions],
+        [int(c == (endpoint, beta)) for c in conditions]))
     for gamma in range(m + 1):
         want = Fraction(1) if gamma == beta else Fraction(0)
         if h.derivative_value(gamma, Fraction(endpoint)) != want \

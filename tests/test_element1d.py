@@ -13,7 +13,6 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from derham import linalg
 from derham.element1d import (Element1D, build_element, interpolate,
                               interpolation_coefficients, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
@@ -23,6 +22,10 @@ from derham.polycore import Polynomial
 GRID = [(0, 1), (0, 3), (1, 3), (1, 5), (2, 5), (2, 6), (3, 7)]
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def identity(n: int) -> np.ndarray:
+    return np.eye(n, dtype=int).astype(object)
 
 
 def poly(*coeffs) -> Polynomial:
@@ -90,13 +93,13 @@ class TestConstruction:
         assert list(e13.basis0) == [poly(0, 1, -2, 1), poly(0, 0, -1, 1),
                                     poly(Fraction(-1, 2), 0, 3, -2),
                                     poly(Fraction(1, 2))]
-        assert (e13.M0 == linalg.identity(4)).all()
-        assert (e13.M1 == linalg.identity(3)).all()
+        assert (e13.M0 == identity(4)).all()
+        assert (e13.M1 == identity(3)).all()
 
     def test_frozen_m0_n1(self):
         e = build_element(0, 1)
         assert list(e.basis0) == [poly(Fraction(-1, 2), 1), poly(Fraction(1, 2))]
-        assert (e.M0 == linalg.identity(2)).all()
+        assert (e.M0 == identity(2)).all()
 
     def test_zero_form_basis_matches_element(self):
         for m, n in GRID:
@@ -105,8 +108,8 @@ class TestConstruction:
     def test_stored_inverses(self):
         for m, n in GRID:
             e = build_element(m, n)
-            assert (e.M0 @ e.alpha0 == linalg.identity(n + 1)).all()
-            assert (e.M1 @ e.alpha1 == linalg.identity(n)).all()
+            assert (e.M0 @ e.alpha0 == identity(n + 1)).all()
+            assert (e.M1 @ e.alpha1 == identity(n)).all()
 
     def test_form_degree_must_be_0_or_1(self, e13):
         with pytest.raises(ValueError, match="form degree must be 0 or 1"):

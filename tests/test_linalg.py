@@ -1,5 +1,8 @@
-"""Exact Fraction linear algebra, cross-checked against sympy matrices."""
+"""Exact linear algebra, cross-checked against sympy matrices and against
+the Fraction Gauss-Jordan route that the fraction-free loop replaced."""
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,108 @@ from hypothesis import given, settings, strategies as st
 from derham import linalg
 
 entries_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# mixed denominators up to 60, with plenty of exact zeros
+mixed_st = st.one_of(st.just(Fraction(0)), st.integers(-5, 5),
+                     st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=60))
+
+
+def frac_array(rows) -> np.ndarray:
+    """Object array of Fractions from nested int/Fraction data."""
+    return np.array([[Fraction(entry) for entry in row] for row in rows],
+                    dtype=object)
+
+
+def identity(n: int) -> np.ndarray:
+    return frac_array([[int(i == j) for j in range(n)]
+                       for i in range(n)]).reshape(n, n)
+
+
+def zeros(shape) -> np.ndarray:
+    return np.full(shape, Fraction(0), dtype=object)
+
+
+def oracle_eliminate(a: np.ndarray, cols: int) -> int:
+    """Gauss-Jordan elimination over Fraction entries, in place, on the
+    leading ``cols`` columns of ``a``, pivoting on first nonzero entries;
+    returns the pivot count."""
+    rows, r = a.shape[0], 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i, col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        a[r] = a[r] * (Fraction(1) / Fraction(a[r, col]))
+        for i in range(rows):
+            if i != r and a[i, col] != 0:
+                a[i] = a[i] - a[i, col] * a[r]
+        r += 1
+    return r
+
+
+def oracle_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    n = matrix.shape[0]
+    augmented = np.hstack([np.asarray(matrix, dtype=object),
+                           rhs[:, None] if rhs.ndim == 1 else rhs])
+    if oracle_eliminate(augmented, n) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return augmented[:, n] if rhs.ndim == 1 else augmented[:, n:]
+
+
+def oracle_rank(matrix: np.ndarray) -> int:
+    a = np.array(matrix, dtype=object)
+    return oracle_eliminate(a, a.shape[1]) if a.size else 0
+
+
+def matrices(height, width):
+    return st.lists(st.lists(mixed_st, min_size=width, max_size=width),
+                    min_size=height, max_size=height).map(
+        lambda rows: np.array(rows, dtype=object).reshape(height, width))
+
+
+@st.composite
+def square_systems(draw, max_size=5):
+    """A square matrix, made singular about half the time (a zero row, a
+    zero column or a dependent row), and a vector or matrix rhs."""
+    n = draw(st.integers(0, max_size))
+    a = draw(matrices(n, n))
+    if n and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["row", "column", "dependent"]))
+        if kind == "row":
+            a[i] = Fraction(0)
+        elif kind == "column":
+            a[:, j] = Fraction(0)
+        else:
+            a[i] = draw(mixed_st) * a[j] + draw(mixed_st) * a[(j + 1) % n]
+            if i in (j, (j + 1) % n):
+                a[i] = Fraction(0)
+    k = draw(st.integers(0, 3))
+    rhs = draw(matrices(n, max(k, 1)))
+    return a, rhs[:, 0] if k == 0 else rhs
+
+
+@st.composite
+def rectangular(draw, max_size=6):
+    """Any shape, 0xk and kx0 included, sometimes with zero rows and
+    columns or a repeated row."""
+    a = draw(matrices(draw(st.integers(0, max_size)),
+                      draw(st.integers(0, max_size))))
+    height, width = a.shape
+    if height and width and draw(st.booleans()):
+        a[draw(st.integers(0, height - 1))] = Fraction(0)
+        a[:, draw(st.integers(0, width - 1))] = Fraction(0)
+    if height > 1 and draw(st.booleans()):
+        a[-1] = draw(mixed_st) * a[0]
+    return a
+
+
+def outcome(route, *args):
+    try:
+        return route(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
 
 
 def square_matrices(max_size=4):
@@ -25,37 +130,24 @@ def to_sympy(a: np.ndarray) -> sympy.Matrix:
                                                     a[i, j].denominator))
 
 
-def test_frac_array_and_constructors():
-    a = linalg.frac_array([[1, 2], [3, Fraction(1, 2)]])
-    assert a.dtype == object
-    assert a[1, 1] == Fraction(1, 2)
-    assert isinstance(a[0, 0], Fraction)
-
-    eye = linalg.identity(3)
-    assert (eye == linalg.frac_array([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).all()
-
-    z = linalg.zeros((2, 3))
-    assert z.shape == (2, 3)
-    assert all(v == 0 for v in z.flat)
-
-
 def test_solve_vector_and_matrix_rhs():
-    a = linalg.frac_array([[2, 1], [1, 3]])
+    a = frac_array([[2, 1], [1, 3]])
     x = linalg.solve(a, np.array([Fraction(3), Fraction(5)], dtype=object))
     assert list(x) == [Fraction(4, 5), Fraction(7, 5)]
     assert (a @ x == np.array([Fraction(3), Fraction(5)], dtype=object)).all()
 
     inv = linalg.invert(a)
-    assert (a @ inv == linalg.identity(2)).all()
+    assert (a @ inv == identity(2)).all()
+    assert all(type(v) is Fraction for v in inv.flat)
 
 
 def test_solve_requires_square():
     with pytest.raises(ValueError):
-        linalg.solve(linalg.zeros((2, 3)), np.array([1, 2], dtype=object))
+        linalg.solve(zeros((2, 3)), np.array([1, 2], dtype=object))
 
 
 def test_singular_matrix_raises():
-    singular = linalg.frac_array([[1, 2], [2, 4]])
+    singular = frac_array([[1, 2], [2, 4]])
     with pytest.raises(ZeroDivisionError):
         linalg.solve(singular, np.array([Fraction(1), Fraction(0)], dtype=object))
     with pytest.raises(ZeroDivisionError):
@@ -65,7 +157,7 @@ def test_singular_matrix_raises():
 @given(square_matrices())
 @settings(max_examples=25, deadline=None)
 def test_invert_against_sympy(rows):
-    a = linalg.frac_array(rows)
+    a = frac_array(rows)
     sym = to_sympy(a)
     if sym.det() == 0:
         with pytest.raises(ZeroDivisionError):
@@ -78,20 +170,75 @@ def test_invert_against_sympy(rows):
 @given(square_matrices())
 @settings(max_examples=25, deadline=None)
 def test_rank_against_sympy(rows):
-    a = linalg.frac_array(rows)
+    a = frac_array(rows)
     assert linalg.rank(a) == to_sympy(a).rank()
 
 
+@given(square_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_and_invert_match_fraction_route(system):
+    a, rhs = system
+    for ours, oracle in ((outcome(linalg.solve, a, rhs),
+                          outcome(oracle_solve, a, rhs)),
+                         (outcome(linalg.invert, a),
+                          outcome(oracle_solve, a, identity(a.shape[0])))):
+        if oracle is ZeroDivisionError:
+            assert ours is ZeroDivisionError
+            continue
+        assert ours.shape == oracle.shape
+        assert ours.tolist() == oracle.tolist()
+        assert all(type(v) is Fraction for v in ours.flat)
+
+
+@given(rectangular())
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_fraction_route(a):
+    assert linalg.rank(a) == oracle_rank(a)
+
+
 def test_rank_rectangular_and_empty():
-    a = linalg.frac_array([[1, 2, 3], [2, 4, 6]])
+    a = frac_array([[1, 2, 3], [2, 4, 6]])
     assert linalg.rank(a) == 1
-    assert linalg.rank(linalg.zeros((0, 0))) == 0
-    assert linalg.rank(linalg.zeros((3, 2))) == 0
+    assert linalg.rank(zeros((0, 0))) == 0
+    assert linalg.rank(zeros((3, 2))) == 0
+
+
+@pytest.mark.parametrize("bad", [0.1, float("nan"), True, np.float64(1.0),
+                                 np.int64(1)])
+def test_non_rational_entries_rejected(bad):
+    matrix = frac_array([[1, 2], [3, 4]])
+    matrix[1, 0] = bad
+    message = f"entry {bad!r} is not an int or Fraction"
+    for route, args in ((linalg.solve, (matrix, [1, 2])),
+                        (linalg.solve, (identity(2), [1, bad])),
+                        (linalg.invert, (matrix,)),
+                        (linalg.rank, (matrix,)),
+                        (linalg.integer_form, (matrix,)),
+                        (linalg.integer_form, ([Fraction(1, 2), bad],))):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            route(*args)
+
+
+def test_rhs_row_count_must_match():
+    with pytest.raises(ValueError, match=r"rhs of shape \(3,\) does not fit "
+                                         r"a matrix of shape \(2, 2\)"):
+        linalg.solve(identity(2), [1, 2, 3])
+    with pytest.raises(ValueError, match=r"\(1, 2\).*\(2, 2\)"):
+        linalg.solve(identity(2), [[1, 2]])
+
+
+@given(rectangular())
+@settings(max_examples=50, deadline=None)
+def test_integer_form_is_exact(a):
+    nums, den = linalg.integer_form(a)
+    assert nums.shape == a.shape and all(type(v) is int for v in nums.flat)
+    assert (nums * Fraction(1, den) == a).all()
+    assert math.gcd(den, *nums.flat) == 1 or not a.size
 
 
 def test_kron_definition():
-    a = linalg.frac_array([[1, 2], [3, 4]])
-    b = linalg.frac_array([[0, 5], [6, 7]])
+    a = frac_array([[1, 2], [3, 4]])
+    b = frac_array([[0, 5], [6, 7]])
     k = linalg.kron(a, b)
     assert k.shape == (4, 4)
     for i in range(2):
@@ -105,19 +252,19 @@ def test_kron_definition():
 
 
 def test_kron_identity_neutral():
-    a = linalg.frac_array([[1, 2], [3, 4]])
-    assert (linalg.kron(linalg.identity(1), a) == a).all()
+    a = frac_array([[1, 2], [3, 4]])
+    assert (linalg.kron(identity(1), a) == a).all()
 
 
 def test_to_float():
-    a = linalg.frac_array([[Fraction(1, 2), 2]])
+    a = frac_array([[Fraction(1, 2), 2]])
     out = linalg.to_float(a)
     assert out.dtype == float
     assert out.tolist() == [[0.5, 2.0]]
 
 
 def test_solve_does_not_mutate_inputs():
-    a = linalg.frac_array([[2, 1], [1, 3]])
+    a = frac_array([[2, 1], [1, 3]])
     b = np.array([Fraction(3), Fraction(5)], dtype=object)
     a_copy, b_copy = a.copy(), b.copy()
     linalg.solve(a, b)
