@@ -21,6 +21,7 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -373,6 +374,7 @@ def _tolerance(text: str) -> float:
 _tolerance.__name__ = "float"  # argparse names the type in its messages
 
 
+@functools.cache  # parse_args builds a fresh namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="derham",

@@ -8,14 +8,16 @@ ones), and an optional one-sided derivative callback for functions that
 are smooth on each side of a point but not across it.
 
 :class:`SmoothFunctionND` is the N-variable analogue keyed by a mixed
-partial-derivative callback; sums and scalar multiples are provided so
-exterior derivatives of component functions can be formed on the fly.
+partial-derivative callback on point grids; sums and scalar multiples
+let exterior derivatives of component functions be formed on the fly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .polycore import Polynomial
 
@@ -115,7 +117,10 @@ class SmoothFunctionND:
     """A scalar function on [0,1]^N known through mixed partials.
 
     ``mixed_derivative(orders, point)`` returns
-    d^{orders[0]}_{x_0} ... d^{orders[N-1]}_{x_{N-1}} u at ``point``.
+    d^{orders[0]}_{x_0} ... d^{orders[N-1]}_{x_{N-1}} u at ``point``, for
+    a tuple of N int orders and a tuple of N float arrays that broadcast
+    together (an open mesh, as ``numpy.ix_`` builds), in their broadcast
+    shape (a scalar broadcasts); a point of N floats is the 0-d case.
     """
 
     __slots__ = ("dimension", "_mixed")
@@ -126,27 +131,22 @@ class SmoothFunctionND:
         self.dimension = dimension
         self._mixed = mixed_derivative
 
-    def value(self, point) -> float:
-        return self._mixed((0,) * self.dimension, tuple(point))
+    def value(self, point):
+        return self.derivative((0,) * self.dimension, point)
 
-    def derivative(self, orders, point) -> float:
-        orders = tuple(orders)
-        if len(orders) != self.dimension:
-            raise ValueError("one derivative order per axis required")
-        return self._mixed(orders, tuple(point))
+    def derivative(self, orders, point):
+        orders, point = tuple(orders), tuple(point)
+        if not len(orders) == len(point) == self.dimension:
+            raise ValueError("need one order and one coordinate per axis")
+        return self._mixed(orders, point)
 
     def differentiated(self, axis: int) -> "SmoothFunctionND":
         """Partial derivative along one axis."""
         if not 0 <= axis < self.dimension:
             raise ValueError("axis out of range")
         base = self._mixed
-        dim = self.dimension
-
-        def mixed(orders, point):
-            bumped = tuple(o + (1 if t == axis else 0) for t, o in enumerate(orders))
-            return base(bumped, point)
-
-        return SmoothFunctionND(dim, mixed)
+        return SmoothFunctionND(self.dimension, lambda orders, point: base(
+            orders[:axis] + (orders[axis] + 1,) + orders[axis + 1:], point))
 
     def __add__(self, other: "SmoothFunctionND") -> "SmoothFunctionND":
         if not isinstance(other, SmoothFunctionND):
@@ -164,17 +164,22 @@ class SmoothFunctionND:
             self.dimension, lambda orders, point: scale * base(orders, point))
 
 
+def _elementwise(fn, values):
+    """``fn`` on each entry, bitwise as scalar calls (numpy's SIMD ``exp``
+    is not); 0-d values give a float."""
+    values = np.asarray(values, dtype=float)
+    out = list(map(fn, values.ravel().tolist()))
+    return np.array(out).reshape(values.shape) if values.ndim else out[0]
+
+
 def sinusoid(coefficients, phase: float = 0.0) -> SmoothFunctionND:
     """u(x) = sin(c . x + phase) with all mixed partials in closed form."""
     coeffs = tuple(float(c) for c in coefficients)
 
     def mixed(orders, point):
-        total = sum(orders)
         arg = sum(c * x for c, x in zip(coeffs, point)) + phase
-        scale = 1.0
-        for c, order in zip(coeffs, orders):
-            scale *= c ** order
-        return scale * math.sin(arg + total * math.pi / 2.0)
+        scale = math.prod(c ** order for c, order in zip(coeffs, orders))
+        return scale * _elementwise(math.sin, arg + sum(orders) * math.pi / 2)
 
     return SmoothFunctionND(len(coeffs), mixed)
 
@@ -184,9 +189,8 @@ def exponential_nd(coefficients) -> SmoothFunctionND:
     coeffs = tuple(float(c) for c in coefficients)
 
     def mixed(orders, point):
-        scale = 1.0
-        for c, order in zip(coeffs, orders):
-            scale *= c ** order
-        return scale * math.exp(sum(c * x for c, x in zip(coeffs, point)))
+        scale = math.prod(c ** order for c, order in zip(coeffs, orders))
+        return scale * _elementwise(
+            math.exp, sum(c * x for c, x in zip(coeffs, point)))
 
     return SmoothFunctionND(len(coeffs), mixed)

@@ -562,17 +562,31 @@ def _folded_table(element: Element1D, bit: int,
 
 def _atom_grid(comp: SmoothFunctionND, chi: Chi, atoms) -> np.ndarray:
     """The component's mixed partials on the product of the axes' atom
-    lists, each (orders, point) evaluated once; non-finite values raise."""
-    combos = list(itertools.product(*atoms))
-    # zip(*combo) splits the per-axis (order, node) pairs into orders, point
-    values = np.array([comp.derivative(*zip(*combo)) for combo in combos],
-                      dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
+    lists: one callback per combination of per-axis derivative orders, on
+    the open mesh of those orders' nodes; bad or non-finite values raise."""
+    # per axis and derivative order: (order, grid positions, nodes)
+    groups = [[(order, *zip(*((i, x) for i, (o, x) in enumerate(axis)
+                              if o == order)))
+               for order in dict.fromkeys(o for o, _ in axis)]
+              for axis in atoms]
+    grid = np.empty([len(axis) for axis in atoms])
+    for block in itertools.product(*groups):
+        orders, positions, nodes = zip(*block)
+        values = np.asarray(comp.derivative(orders, np.ix_(*nodes)))
+        shape = tuple(map(len, positions))
+        fits = values.ndim <= len(shape) and all(
+            s in (1, t) for s, t in zip(values.shape[::-1], shape[::-1]))
+        if values.dtype.kind not in "iuf" or not fits:
+            raise ValueError(f"component {chi}: derivative {orders} returned "
+                             f"{values.dtype} values of shape {values.shape},"
+                             f" not numbers broadcasting to {shape}")
+        grid[np.ix_(*positions)] = values
+    bad = np.argwhere(~np.isfinite(grid))
     if bad.size:
-        orders, point = zip(*combos[bad[0]])
+        orders, point = zip(*(axis[i] for axis, i in zip(atoms, bad[0])))
         raise ValueError(f"component {chi}: derivative {orders} at {point} "
-                         f"is {values[bad[0]]}, not finite")
-    return values.reshape([len(axis) for axis in atoms])
+                         f"is {grid[tuple(bad[0])]}, not finite")
+    return grid
 
 
 def _basis_rank_one(element: Element1D, chi: Chi, idx: tuple[int, ...]) -> RankOneForm:

@@ -158,6 +158,22 @@ class TestVerifyCommand:
         assert len(data["reports"]) == 1
         assert data["reports"][0]["parameters"]["nu"] == 1
 
+    def test_successive_calls_do_not_leak_flags(self, capsys):
+        # the parser is built once; every call still starts from defaults
+        base = ("verify", "--m", "0", "--n", "1", "--checks",
+                "tensor-commutation", "--N", "2")
+        _, out, _ = run(capsys, *base, "--nu", "1")
+        assert len(json.loads(out)["reports"]) == 1
+        _, out, _ = run(capsys, *base)
+        assert [r["parameters"]["nu"] for r in json.loads(out)["reports"]] \
+            == [0, 1, 2]
+        unisolvence = ("verify", "--m", "1", "--n", "3", "--checks",
+                       "unisolvence")
+        assert run(capsys, *unisolvence, "--corrupt", "swap-basis")[0] == 1
+        code, out, _ = run(capsys, *unisolvence)
+        assert code == 0 and json.loads(out)["all_pass"] is True
+        assert cli.build_parser() is cli.build_parser()
+
     def test_corrupt_fails_with_witness(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3",
                            "--checks", "unisolvence", "--corrupt",

@@ -1,8 +1,10 @@
 """Smooth callback wrappers for the floating-point interpolation paths."""
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derham.polycore import Polynomial
@@ -64,10 +66,13 @@ class TestSmoothFunction1D:
 
 
 def product(factors) -> SmoothFunctionND:
-    """u(x) = f_0(x_0) * ... * f_{N-1}(x_{N-1})."""
+    """u(x) = f_0(x_0) * ... * f_{N-1}(x_{N-1}): each factor's derivative
+    mapped over its axis of the mesh (or its coordinate of a point)."""
     def mixed(orders, point):
-        return math.prod(f.derivative(order, x)
-                         for f, order, x in zip(factors, orders, point))
+        return math.prod(
+            np.reshape([f.derivative(order, x) for x in np.ravel(xs).tolist()],
+                       np.shape(xs))
+            for f, order, xs in zip(factors, orders, point))
     return SmoothFunctionND(len(factors), mixed)
 
 
@@ -80,6 +85,20 @@ class TestSmoothFunctionND:
             pytest.approx(math.cos(0.3) * math.exp(0.6))
         assert u.derivative((1, 2), point) == \
             pytest.approx(math.cos(0.3) * math.exp(0.6))
+
+    def test_mesh_values_are_bitwise_scalar_values(self):
+        # an open mesh gives, entry by entry, exactly the scalar calls
+        mesh = np.ix_([0.0, 0.3, 1.0], [0.25, 0.6])
+        u, v = sinusoid((1.5, -2.0), phase=0.7), exponential_nd((0.5, -1.5))
+        for w in (u, v, u.differentiated(0), u + v, -2.5 * v,
+                  product([sine(), exponential()])):
+            for orders in ((0, 0), (1, 0), (2, 1)):
+                got = w.derivative(orders, mesh)
+                assert got.shape == (3, 2)
+                for (i, x), (j, y) in itertools.product(
+                        enumerate(mesh[0].ravel().tolist()),
+                        enumerate(mesh[1].ravel().tolist())):
+                    assert got[i, j] == w.derivative(orders, (x, y))
 
     def test_differentiated_axis(self):
         u = product([
@@ -107,6 +126,12 @@ class TestSmoothFunctionND:
         u = sinusoid((1.0, 1.0))
         with pytest.raises(ValueError):
             u.derivative((1,), (0.5, 0.5))
+        # a point with a missing or extra coordinate is not cut to fit
+        for point in ((0.5,), (0.5, 0.5, 0.5), np.ix_([0.5], [0.5], [0.5])):
+            with pytest.raises(ValueError, match="one coordinate per axis"):
+                u.derivative((0, 0), point)
+            with pytest.raises(ValueError, match="one coordinate per axis"):
+                u.value(point)
         with pytest.raises(ValueError):
             sinusoid((1.0,)) + sinusoid((1.0, 1.0))
 

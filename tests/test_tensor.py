@@ -21,7 +21,8 @@ from derham.polycore import Polynomial
 from derham.smooth import (SmoothFunction1D, SmoothFunctionND,
                            exponential_nd, sinusoid)
 from derham.tensor import (DEFAULT_ND_TOLERANCE, RankOneForm, SmoothFormND,
-                           TensorForm, as_smooth_form, canonicalize,
+                           TensorForm, _atom_grid, _folded_table,
+                           as_smooth_form, canonicalize,
                            d_rank_one, d_smooth, d_tensor, enumerate_chi,
                            flat_sign, rank_one, rank_one_monomial_probes,
                            space_dimension, tensor_interpolate,
@@ -79,16 +80,62 @@ GRID_2D = [(m, n) for m in range(3) for n in range(2 * m + 1, 2 * m + 4)]
 GRID_3D = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]
 
 
-def seeded_form(rng, dimension, nu):
+def seeded_form(rng, dimension, nu, families=(sinusoid, exponential_nd)):
     """A smooth nu-form with seeded sinusoid and exponential components."""
+    sine, exp = families
     components = {}
     for i, chi in enumerate(enumerate_chi(dimension, nu)):
         coeffs = [rng.uniform(0.5, 2.0) * rng.choice((-1, 1))
                   for _ in range(dimension)]
-        components[chi] = (sinusoid(coeffs, phase=rng.uniform(0.0, 3.0))
+        components[chi] = (sine(coeffs, phase=rng.uniform(0.0, 3.0))
                            if i % 2 == 0 else
-                           exponential_nd([c / 2 for c in coeffs]))
+                           exp([c / 2 for c in coeffs]))
     return SmoothFormND(dimension, nu, components)
+
+
+def scalar_sinusoid(coefficients, phase=0.0):
+    """``sinusoid`` as it was before the array contract: one point of
+    Python floats per call."""
+    coeffs = tuple(float(c) for c in coefficients)
+
+    def mixed(orders, point):
+        total = sum(orders)
+        arg = sum(c * x for c, x in zip(coeffs, point)) + phase
+        scale = 1.0
+        for c, order in zip(coeffs, orders):
+            scale *= c ** order
+        return scale * math.sin(arg + total * math.pi / 2.0)
+
+    return SmoothFunctionND(len(coeffs), mixed)
+
+
+def scalar_exponential_nd(coefficients):
+    """``exponential_nd`` as it was before the array contract."""
+    coeffs = tuple(float(c) for c in coefficients)
+
+    def mixed(orders, point):
+        scale = 1.0
+        for c, order in zip(coeffs, orders):
+            scale *= c ** order
+        return scale * math.exp(sum(c * x for c, x in zip(coeffs, point)))
+
+    return SmoothFunctionND(len(coeffs), mixed)
+
+
+def oracle_atom_grid(comp, atoms):
+    """The per-atom loop that ``_atom_grid`` replaced: one scalar callback
+    per (orders, point) of the product of the axes' atom lists."""
+    combos = list(itertools.product(*atoms))
+    # zip(*combo) splits the per-axis (order, node) pairs into orders, point
+    values = np.array([comp.derivative(*zip(*combo)) for combo in combos],
+                      dtype=float)
+    return values.reshape([len(axis) for axis in atoms])
+
+
+def axis_map(f, order, xs):
+    """A 1D factor's derivative on every entry of one axis of a mesh."""
+    return np.reshape([f.derivative(order, x) for x in np.ravel(xs).tolist()],
+                      np.shape(xs))
 
 
 SAMPLE_POINTS_2D = [(Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(1, 2)),
@@ -395,7 +442,7 @@ class TestTensorInterpolate:
         exact = tensor_interpolate(2, 0, rank_one([(0, px), (0, py)]), e13)
         sx, sy = (SmoothFunction1D.from_polynomial(p) for p in (px, py))
         smooth = tensor_interpolate(2, 0, SmoothFunctionND(
-            2, lambda o, x: sx.derivative(o[0], x[0]) * sy.derivative(o[1], x[1])),
+            2, lambda o, x: axis_map(sx, o[0], x[0]) * axis_map(sy, o[1], x[1])),
             e13)
         gap = np.abs(smooth.blocks[(0, 0)]
                      - np.vectorize(float)(exact.blocks[(0, 0)])).max()
@@ -435,36 +482,93 @@ class TestTensorInterpolate:
         assert worst <= 1e-13
 
     def test_each_atom_evaluated_once_per_component(self, e13):
-        calls = {chi: Counter() for chi in enumerate_chi(2, 1)}
+        seen = {chi: Counter() for chi in enumerate_chi(2, 1)}
+        calls = Counter()
 
         def counted(chi):
             u = sinusoid((1.0, -2.0), phase=0.5)
 
             def mixed(orders, point):
-                calls[chi][orders, point] += 1
+                calls[chi] += 1
+                # an open mesh: axis t varies along dimension t only
+                for t, xs in enumerate(point):
+                    assert np.shape(xs) == tuple(
+                        np.size(xs) if s == t else 1 for s in range(2))
+                for x in itertools.product(
+                        *(np.ravel(xs).tolist() for xs in point)):
+                    seen[chi][orders, x] += 1
                 return u.derivative(orders, point)
             return SmoothFunctionND(2, mixed)
 
-        form = SmoothFormND(2, 1, {chi: counted(chi) for chi in calls})
+        form = SmoothFormND(2, 1, {chi: counted(chi) for chi in seen})
         tensor_interpolate(2, 1, form, e13, quadrature_order=8)
-        for chi, counts in calls.items():
+        for chi, counts in seen.items():
+            functionals = [f for f in tensor_node_functionals(2, 1, e13)
+                           if f.chi == chi]
             atoms = {(tuple(o for _, _, o in combo),
                       tuple(x for _, x, _ in combo))
-                     for f in tensor_node_functionals(2, 1, e13)
-                     if f.chi == chi
+                     for f in functionals
                      for combo in itertools.product(
                          *(part.atoms(8) for part in f.parts))}
             assert set(counts) == atoms
             assert set(counts.values()) == {1}
+            # one call per combination of per-axis derivative orders
+            assert calls[chi] == math.prod(
+                len({o for f in functionals for _, _, o in f.parts[t].atoms(8)})
+                for t in range(2))
+
+    def test_atom_grid_bitwise_equals_scalar_oracle(self):
+        # seeded forms and their d_smooth, against the scalar closures
+        # through the per-atom loop, with no tolerance
+        scalar = (scalar_sinusoid, scalar_exponential_nd)
+        compared = 0
+        for dimension, grid in ((2, GRID_2D), (3, GRID_3D)):
+            for m, n in grid:
+                e = build_element(m, n)
+                q = e.default_quadrature_order
+                for nu in range(dimension + 1):
+                    seed = f"{dimension} {m} {n} {nu}"
+                    form = seeded_form(random.Random(seed), dimension, nu)
+                    oracle = seeded_form(random.Random(seed), dimension, nu,
+                                         scalar)
+                    for u, v in ((form, oracle),
+                                 (d_smooth(form), d_smooth(oracle))):
+                        for chi, comp in u.components.items():
+                            atoms = [_folded_table(e, bit, q)[0]
+                                     for bit in chi]
+                            assert np.array_equal(
+                                _atom_grid(comp, chi, atoms),
+                                oracle_atom_grid(v.components[chi], atoms)), \
+                                (dimension, m, n, nu, chi)
+                            compared += 1
+        assert compared == 138
 
     def test_non_finite_node_value_rejected(self, e13):
         def mixed(orders, point):
-            return math.inf if point == (0.0, 1.0) else 1.0
+            x, y = point
+            return np.where((x == 0.0) & (y == 1.0), math.inf, 1.0)
 
         with pytest.raises(ValueError, match=r"component \(0, 0\): "
                            r"derivative \(\d, \d\) at \(0\.0, 1\.0\) "
                            "is inf, not finite"):
             tensor_interpolate(2, 0, SmoothFunctionND(2, mixed), e13)
+
+    @pytest.mark.parametrize("returned", [
+        np.ones(1000), np.ones((1, 1, 1)), [[1.0, 2.0]] * 3],
+        ids=["long", "extra-axis", "wrong-shape"])
+    def test_callback_output_must_broadcast_to_its_block(self, e13, returned):
+        with pytest.raises(ValueError, match=r"component \(0, 0\): derivative "
+                           r"\(\d, \d\) returned float64 values of shape"):
+            tensor_interpolate(2, 0, SmoothFunctionND(
+                2, lambda orders, point: returned), e13)
+
+    @pytest.mark.parametrize("returned", [
+        "1.0", None, Fraction(1, 2), True, 1j, np.array(["a", "b"])])
+    def test_callback_output_must_be_real_numbers(self, e13, returned):
+        with pytest.raises(ValueError, match=r"component \(0, 0\): derivative "
+                           r"\(\d, \d\) returned .* not numbers"):
+            tensor_interpolate(2, 0, SmoothFunctionND(
+                2, lambda orders, point: returned), e13)
 
     @pytest.mark.parametrize("order", [0, True, False, 2.5])
     def test_quadrature_order_must_be_positive_int(self, e13, order):
