@@ -99,21 +99,12 @@ def _functional_table(functionals, width: int) -> np.ndarray:
                     dtype=object).reshape(len(functionals), width)
 
 
-def _product(*factors) -> tuple[np.ndarray, int]:
-    """Exact matrix product as (integer numerators, denominator)."""
-    nums, den = linalg.integer_form(factors[-1])
-    for factor in reversed(factors[:-1]):
-        factor_nums, factor_den = linalg.integer_form(factor)
-        nums, den = factor_nums @ nums, factor_den * den
-    return nums, den
-
-
 def node_table(functionals, basis) -> np.ndarray:
     """The table f(b) of every functional (rows) on every basis polynomial
     (columns): functional monomial rows times basis coefficient columns."""
     width = max((len(p.coeffs) for p in basis), default=0)
-    nums, den = _product(_functional_table(functionals, width),
-                         coefficient_matrix(basis, width).T)
+    nums, den = linalg.product(_functional_table(functionals, width),
+                               coefficient_matrix(basis, width).T)
     return np.frompyfunc(Fraction, 2, 1)(nums, den)
 
 
@@ -158,11 +149,11 @@ def _family(e: Element1D, k: int):
 
 
 def interpolation_coefficients(e: Element1D, k: int,
-                               u: Polynomial) -> np.ndarray:
-    """Exact coefficients of I_k u over the k-form basis: alpha_k times
-    the node-functional values of u."""
+                               u: Polynomial) -> tuple[np.ndarray, int]:
+    """(Numerators, denominator) of I_k u over the k-form basis: alpha_k
+    times the node-functional values of u."""
     functionals, _, alpha = _family(e, k)
-    return alpha @ np.array([f.apply(u) for f in functionals], dtype=object)
+    return linalg.product(alpha, [f.apply(u) for f in functionals])
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
@@ -171,8 +162,8 @@ def _interpolant(e: Element1D, k: int, values) -> Polynomial:
     interpolant, exact or smooth, is built here."""
     _, basis, alpha = _family(e, k)
     width = max((len(p.coeffs) for p in basis), default=0)
-    nums, den = _product(coefficient_matrix(basis, width).T, alpha,
-                         np.array(values, dtype=object))
+    nums, den = linalg.product(coefficient_matrix(basis, width).T, alpha,
+                               values)
     return Polynomial([Fraction(c, den) for c in nums])
 
 
@@ -338,22 +329,35 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
 
 
 def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
-    """d(I0 u) == I1(du) exactly, for every probe polynomial u."""
+    """d(I0 u) == I1(du) exactly, for every probe polynomial u, and each
+    I_k is a projection: alpha_k (T_k B_k) = I, so every basis function
+    interpolates to itself (d kills the constant, so commutation alone
+    cannot see alpha0's last row).  Projection witnesses are 1-based."""
     if probes is None:
         probes = monomial_probes(e.n + 5)
-    # monomial coefficients of d(I0 u) and I1(du), one column per probe:
-    # d(basis0) alpha0 T0 P and basis1 alpha1 T1 P', T_k the functional rows
-    width = max([1] + [len(u.coeffs) for u in probes])
+    count = len(probes)
+    width = max([e.n + 1] + [len(u.coeffs) for u in probes])
     derived = [b.derivative() for b in e.basis0]
     height = max(len(p.coeffs) for p in derived + list(e.basis1))
-    left, left_den = _product(
-        coefficient_matrix(derived, height).T, e.alpha0,
-        _functional_table(e.functionals0, width),
-        coefficient_matrix(probes, width).T)
-    right, right_den = _product(
-        coefficient_matrix(e.basis1, height).T, e.alpha1,
-        _functional_table(e.functionals1, width - 1),
-        coefficient_matrix([u.derivative() for u in probes], width - 1).T)
+    # per form degree: alpha_k T_k [P_k | B_k], T_k the functional rows,
+    # holds the interpolants of the probes (P_0 = P, P_1 = P') and of the
+    # basis; the probe columns map to the monomial coefficients of d(I0 u)
+    # through d(basis0) and of I1(du) through basis1
+    sides, projection = [], []
+    for k, inputs, rows in ((0, probes, derived),
+                            (1, [u.derivative() for u in probes], e.basis1)):
+        functionals, basis, alpha = _family(e, k)
+        coeffs, den = linalg.product(
+            alpha, _functional_table(functionals, width - k),
+            coefficient_matrix([*inputs, *basis], width - k).T)
+        nums, scale = linalg.product(coefficient_matrix(rows, height).T,
+                                     coeffs[:, :count])
+        sides.append((nums, scale * den))
+        for i, j in zip(*np.nonzero(
+                coeffs[:, count:] != den * np.eye(len(basis), dtype=object))):
+            projection.append({"check": "projection", "form": k,
+                               "row": int(i) + 1, "col": int(j) + 1})
+    (left, left_den), (right, right_den) = sides
     residuals = left * right_den - right * left_den
     den = left_den * right_den
     witness: list[dict] = []
@@ -364,9 +368,10 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
             witness.append({"check": "commutation", "probe": index,
                             "probe_degree": u.degree,
                             "residual": [str(c) for c in residual.coeffs]})
+    witness += projection
     return VerificationReport(name="commutation", passed=not witness,
                               parameters={"m": e.m, "n": e.n,
-                                          "probes": len(probes)},
+                                          "probes": count},
                               witness=witness)
 
 

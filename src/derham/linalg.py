@@ -1,8 +1,8 @@
 """Exact linear algebra on rational matrices: entries are Python ints or
 Fractions, in ``dtype=object`` arrays or nested lists, and any other
 entry (a float, NaN, a bool, a numpy scalar) raises ``TypeError`` where
-it enters.  Solve, invert and rank share one fraction-free (Bareiss)
-Gauss-Jordan loop on integer rows; a solution is divided once at the end.
+it enters.  Products, solve, invert and rank all run on Python-int rows;
+the last three share one fraction-free (Bareiss) Gauss-Jordan loop.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ def _entries(values) -> list:
 
 def _scaled(entries: list) -> tuple[list[int], int]:
     """Entries times the lcm of their denominators, and that lcm."""
-    den = math.lcm(*(x.denominator for x in entries))
-    return [x.numerator * (den // x.denominator) for x in entries], den
+    pairs = [x.as_integer_ratio() for x in entries]
+    den = math.lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _eliminate(rows: list[list[int]], cols: int) -> int:
@@ -87,16 +88,19 @@ def rank(matrix: np.ndarray) -> int:
                        for i in range(height)], width)
 
 
+def product(*factors) -> tuple[np.ndarray, int]:
+    """Exact product of rational matrices and vectors as (Python-int
+    numerators, denominator) in lowest terms; one factor gives its
+    integer form.  Each factor is scaled to ints once."""
+    nums, den = None, 1
+    for factor in reversed(factors):
+        scaled, scale = _scaled(_entries(factor))
+        scaled = np.array(scaled, dtype=object).reshape(np.shape(factor))
+        nums, den = scaled if nums is None else scaled @ nums, scale * den
+    common = math.gcd(den, *np.ravel(nums).tolist())
+    return nums // common, den // common
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Kronecker product of two object-array matrices."""
     return np.kron(a, b)
-
-
-def integer_form(values) -> tuple[np.ndarray, int]:
-    """Rational array as (Python-int numerators, common denominator)."""
-    nums, den = _scaled(_entries(values))
-    return np.array(nums, dtype=object).reshape(np.shape(values)), den
-
-
-def to_float(matrix: np.ndarray) -> np.ndarray:
-    return np.array(matrix, dtype=float)

@@ -31,6 +31,8 @@ __all__ = [
 
 
 def _as_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("exact coefficients required, got float; use Fraction or int")
     return Fraction(value)
@@ -150,7 +152,8 @@ class Polynomial:
             raise ValueError("order must be nonnegative")
         coeffs = self.coeffs
         for _ in range(order):
-            coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:]
+            coeffs = tuple(k * c if c else c
+                           for k, c in enumerate(coeffs[1:], 1))
         return Polynomial(coeffs)
 
     def antiderivative(self) -> "Polynomial":

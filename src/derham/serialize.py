@@ -25,7 +25,7 @@ SCHEMA_VERSION = 1
 
 
 def fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
+    """An int or a Fraction as "num/den", read off as it is."""
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -166,7 +166,10 @@ class SmoothFunctionND:
 
 def _elementwise(fn, values):
     """``fn`` on each entry, bitwise as scalar calls (numpy's SIMD ``exp``
-    is not); 0-d values give a float."""
+    is not); a float goes to ``fn`` directly, other 0-d values give a
+    float."""
+    if isinstance(values, float):
+        return fn(values)
     values = np.asarray(values, dtype=float)
     out = list(map(fn, values.ravel().tolist()))
     return np.array(out).reshape(values.shape) if values.ndim else out[0]

@@ -283,13 +283,14 @@ def _basis_inverse(element: Element1D, k: int) -> np.ndarray:
     return memo[k]
 
 
-def expand_in_basis(element: Element1D, k: int, p: Polynomial) -> np.ndarray:
-    """Coefficients of p over the element's k-form basis (exact)."""
+def expand_in_basis(element: Element1D, k: int, p: Polynomial) -> tuple:
+    """(Numerators, denominator) of p over the element's k-form basis."""
     width = element.n + 1 - k
     if p.degree >= width:
         raise ValueError(f"degree {p.degree} polynomial does not lie in the "
                          f"{k}-form element space (degree <= {width - 1})")
-    return _basis_inverse(element, k) @ coefficient_matrix([p], width)[0]
+    return linalg.product(_basis_inverse(element, k),
+                          coefficient_matrix([p], width)[0])
 
 
 def canonicalize(terms, element: Element1D, dimension: int | None = None,
@@ -308,9 +309,9 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
 
 
 def _column(element: Element1D, k: int, p: Polynomial, source,
-            memo: dict) -> tuple[tuple[int, ...], int]:
-    """``source(element, k, p)`` as (integer numerators, common
-    denominator), computed once per memo.
+            memo: dict) -> tuple[np.ndarray, int]:
+    """``source(element, k, p)``, (integer numerators, denominator),
+    computed once per memo.
 
     The source is part of the key: the interpolant I_k p and the basis
     expansion of p differ on a corrupted element, so one must never be
@@ -319,8 +320,7 @@ def _column(element: Element1D, k: int, p: Polynomial, source,
     key = (source, k, p)
     column = memo.get(key)
     if column is None:
-        nums, den = linalg.integer_form(source(element, k, p))
-        column = memo[key] = (tuple(nums), den)
+        column = memo[key] = source(element, k, p)
     return column
 
 
@@ -544,7 +544,7 @@ def _folded_table(element: Element1D, bit: int,
                   quadrature_order: int) -> tuple[tuple, np.ndarray]:
     """The distinct (derivative order, node) atoms of the bit-form
     functionals and alpha_bit @ W, W[j, a] the summed weight of atom a in
-    functional j, folded exactly on the float weights and rounded once."""
+    functional j, one exact product rounded once per entry."""
     memo = _TABLES.setdefault(element, {})
     key = (bit, quadrature_order)
     if key not in memo:
@@ -555,8 +555,8 @@ def _folded_table(element: Element1D, bit: int,
                 column = weights.setdefault((order, x),
                                             [0] * len(functionals))
                 column[j] += Fraction(w)
-        folded = alpha @ np.array(list(weights.values()), dtype=object).T
-        memo[key] = tuple(weights), linalg.to_float(folded)
+        nums, den = linalg.product(alpha, list(zip(*weights.values())))
+        memo[key] = tuple(weights), (nums / den).astype(float)
     return memo[key]
 
 

@@ -4,7 +4,8 @@ The oracles are the old implementations.  Each node functional acts
 through ``Polynomial`` products, derivatives and integrals; the node
 matrices are assembled entry by entry; the functional pairing is
 checked probe by probe; and commutation interpolates every probe twice
-and differentiates.  The table kernels must reproduce their matrices
+and differentiates, then multiplies each stored inverse by the table
+of the functionals on the basis, which must be the identity.  The table kernels must reproduce their matrices
 and reports exactly, witness order and residual strings included.
 """
 
@@ -73,6 +74,15 @@ def oracle_commutation(e, probes) -> VerificationReport:
             witness.append({"check": "commutation", "probe": index,
                             "probe_degree": u.degree,
                             "residual": [str(c) for c in residual.coeffs]})
+    for k, (functionals, basis, alpha) in enumerate((
+            (e.functionals0, e.basis0, e.alpha0),
+            (e.functionals1, e.basis1, e.alpha1))):
+        product = alpha @ oracle_table(functionals, basis)
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                if product[i, j] != (i == j):
+                    witness.append({"check": "projection", "form": k,
+                                    "row": i + 1, "col": j + 1})
     return VerificationReport(name="commutation", passed=not witness,
                               parameters={"m": e.m, "n": e.n,
                                           "probes": len(probes)},

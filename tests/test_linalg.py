@@ -2,8 +2,10 @@
 the Fraction Gauss-Jordan route that the fraction-free loop replaced."""
 
 import math
+import operator
 import re
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -213,8 +215,9 @@ def test_non_rational_entries_rejected(bad):
                         (linalg.solve, (identity(2), [1, bad])),
                         (linalg.invert, (matrix,)),
                         (linalg.rank, (matrix,)),
-                        (linalg.integer_form, (matrix,)),
-                        (linalg.integer_form, ([Fraction(1, 2), bad],))):
+                        (linalg.product, (matrix,)),
+                        (linalg.product, ([Fraction(1, 2), bad],)),
+                        (linalg.product, (identity(2), matrix))):
         with pytest.raises(TypeError, match=re.escape(message)):
             route(*args)
 
@@ -227,13 +230,46 @@ def test_rhs_row_count_must_match():
         linalg.solve(identity(2), [[1, 2]])
 
 
+@st.composite
+def chains(draw, max_size=4):
+    """1 to 4 factors whose inner sizes match, 0 included; the first may
+    be a (row) vector and the last a (column) vector."""
+    count = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(0, max_size)) for _ in range(count + 1)]
+    factors = [draw(matrices(sizes[i], sizes[i + 1])) for i in range(count)]
+    if draw(st.booleans()):
+        factors[0] = draw(matrices(1, sizes[1]))[0]
+    if draw(st.booleans()) and (count > 1 or factors[0].ndim == 2):
+        factors[-1] = draw(matrices(sizes[-2], 1))[:, 0]
+    return factors
+
+
+@given(chains())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_fraction_chain(factors):
+    nums, den = linalg.product(*factors)
+    oracle = np.asarray(reduce(operator.matmul, factors), dtype=object)
+    nums = np.asarray(nums, dtype=object)
+    assert nums.shape == oracle.shape
+    assert all(type(v) is int for v in nums.flat) and den >= 1
+    assert (nums * Fraction(1, den) == oracle).all()
+    assert math.gcd(den, *nums.flat) == 1  # lowest terms
+
+
 @given(rectangular())
 @settings(max_examples=50, deadline=None)
-def test_integer_form_is_exact(a):
-    nums, den = linalg.integer_form(a)
+def test_one_factor_is_its_integer_form(a):
+    nums, den = linalg.product(a)
     assert nums.shape == a.shape and all(type(v) is int for v in nums.flat)
+    assert den == math.lcm(*(Fraction(v).denominator for v in a.flat))
     assert (nums * Fraction(1, den) == a).all()
-    assert math.gcd(den, *nums.flat) == 1 or not a.size
+
+
+def test_product_of_zero_size_factors():
+    nums, den = linalg.product(zeros((2, 0)), zeros((0, 3)))
+    assert nums.tolist() == [[0] * 3] * 2 and den == 1
+    nums, den = linalg.product(zeros((0, 2)), frac_array([[Fraction(1, 3)]] * 2))
+    assert nums.shape == (0, 1) and den == 1
 
 
 def test_kron_definition():
@@ -247,20 +283,14 @@ def test_kron_definition():
                 for q in range(2):
                     assert k[2 * i + p, 2 * j + q] == a[i, j] * b[p, q]
     # float cross-check against numpy's kron
-    assert np.allclose(linalg.to_float(k),
-                       np.kron(linalg.to_float(a), linalg.to_float(b)))
+    assert np.allclose(np.array(k, dtype=float),
+                       np.kron(np.array(a, dtype=float),
+                               np.array(b, dtype=float)))
 
 
 def test_kron_identity_neutral():
     a = frac_array([[1, 2], [3, 4]])
     assert (linalg.kron(identity(1), a) == a).all()
-
-
-def test_to_float():
-    a = frac_array([[Fraction(1, 2), 2]])
-    out = linalg.to_float(a)
-    assert out.dtype == float
-    assert out.tolist() == [[0.5, 2.0]]
 
 
 def test_solve_does_not_mutate_inputs():

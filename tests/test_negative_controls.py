@@ -10,8 +10,11 @@ the element space, so the commutation verifier necessarily fails with
 it.
 """
 
+import dataclasses
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derham.cli import main
@@ -91,6 +94,49 @@ class TestPermuteAlpha:
         report = verify_commutation(permute_alpha(build_element(1, 3)))
         assert report.witness[0]["check"] == "commutation"
         assert report.witness[0]["residual"]
+
+    def test_projection_witnesses_follow(self):
+        # the swapped rows of alpha1 times M1 swap the first two rows of I
+        report = verify_commutation(permute_alpha(build_element(1, 3)))
+        checks = [w["check"] for w in report.witness]
+        assert checks == sorted(checks)  # commutation, then projection
+        assert [w for w in report.witness if w["check"] == "projection"] == [
+            {"check": "projection", "form": 1, "row": row, "col": col}
+            for row, col in ((1, 1), (1, 2), (2, 1), (2, 2))]
+
+
+def perturbed(element, field: str, index):
+    """``element`` with 1/7 added to one entry of a stored table."""
+    table = getattr(element, field).copy()
+    table[index] += Fraction(1, 7)
+    return dataclasses.replace(element, **{field: table})
+
+
+class TestStoredTableMutants:
+    """Every single-entry perturbation of a stored node matrix or inverse
+    fails a 1D check.  Nothing is rebuilt, so the tables lie about the
+    functionals and basis they came from.  Commutation alone cannot see
+    alpha0's last row, the coefficient of the constant basis function
+    that d kills; the projection part of the commutation check does."""
+
+    @pytest.mark.parametrize("mn", GRID)
+    def test_no_mutant_survives(self, mn):
+        e = build_element(*mn)
+        checks = (verify_unisolvence, verify_lemma_hypotheses,
+                  verify_commutation)
+        survivors = [(field, index)
+                     for field in ("alpha0", "alpha1", "M0", "M1")
+                     for index in np.ndindex(getattr(e, field).shape)
+                     if all(check(perturbed(e, field, index)).passed
+                            for check in checks)]
+        assert survivors == []
+
+    def test_constant_row_fails_projection_only(self):
+        e = build_element(1, 3)
+        report = verify_commutation(perturbed(e, "alpha0", (3, 0)))
+        # alpha0' M0 = I + e_4 (M0's first row) / 7, and that row is e_1
+        assert report.witness == [{"check": "projection", "form": 0,
+                                   "row": 4, "col": 1}]
 
 
 class TestFlatSign:

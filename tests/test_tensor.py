@@ -448,6 +448,25 @@ class TestTensorInterpolate:
                      - np.vectorize(float)(exact.blocks[(0, 0)])).max()
         assert gap <= 1e-12
 
+    @pytest.mark.parametrize("mn", sorted(set(GRID_2D) | set(GRID_3D)))
+    def test_folded_table_bitwise_equals_fraction_route(self, mn):
+        # the Fraction route: alpha_k times W_k held as Fractions, each
+        # entry rounded by float(Fraction)
+        e = build_element(*mn)
+        for bit, functionals, alpha in ((0, e.functionals0, e.alpha0),
+                                        (1, e.functionals1, e.alpha1)):
+            for q in (3, e.default_quadrature_order):
+                atoms, table = _folded_table(e, bit, q)
+                assert set(atoms) == {(order, x) for f in functionals
+                                      for _, x, order in f.atoms(q)}
+                weights = np.array(
+                    [[sum((Fraction(w) for w, x, order in f.atoms(q)
+                           if (order, x) == atom), Fraction(0))
+                      for atom in atoms] for f in functionals], dtype=object)
+                oracle = np.array(alpha @ weights, dtype=float)
+                assert table.dtype == float and table.shape == oracle.shape
+                assert table.tobytes() == oracle.tobytes(), (mn, bit, q)
+
     def test_smooth_commutation_residual(self, e13):
         u = sinusoid((1.0, 2.0), phase=0.3)
         lhs = d_tensor(tensor_interpolate(2, 0, u, e13))

@@ -31,10 +31,10 @@ from derham import linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
 from derham.element1d import (assemble_element, build_element, interpolate,
                               node_table)
-from derham.polycore import Polynomial
+from derham.polycore import Polynomial, coefficient_matrix
 from derham.report import VerificationReport
-from derham.tensor import (RankOneForm, TensorForm, d_rank_one, enumerate_chi,
-                           expand_in_basis, flat_sign, rank_one,
+from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
+                           d_rank_one, enumerate_chi, flat_sign, rank_one,
                            rank_one_monomial_probes, tensor_interpolate,
                            tensor_node_functionals, theta, verify_dd_zero,
                            verify_kron_structure, verify_tensor_commutation)
@@ -42,7 +42,14 @@ from derham.tensor import (RankOneForm, TensorForm, d_rank_one, enumerate_chi,
 TENSOR_GRID = [(m, n) for m in (0, 1, 2) for n in range(2 * m + 1, 2 * m + 4)]
 
 
-def oracle_expand(dimension, nu, terms, element, column=expand_in_basis):
+def fraction_expand(element, bit, p):
+    """The Fraction route of the basis expansion: the inverse of the
+    basis's monomial-coefficient matrix times p's coefficients."""
+    return _basis_inverse(element, bit) @ \
+        coefficient_matrix([p], element.n + 1 - bit)[0]
+
+
+def oracle_expand(dimension, nu, terms, element, column=fraction_expand):
     out = TensorForm.zero(dimension, nu, element.n)
     for term in terms:
         arr = None
@@ -56,7 +63,7 @@ def oracle_expand(dimension, nu, terms, element, column=expand_in_basis):
 def oracle_interpolate(dimension, nu, terms, element):
     return oracle_expand(
         dimension, nu, terms, element,
-        lambda e, bit, p: expand_in_basis(e, bit, interpolate(e, bit, p)))
+        lambda e, bit, p: fraction_expand(e, bit, interpolate(e, bit, p)))
 
 
 def oracle_d(u, sign_rule):

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import derham  # noqa: F401  (imports every submodule the tracer patches)
 from derham import cli, functionals  # noqa: F401
+from derham.corruptions import permute_alpha
+from derham.element1d import build_element
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -57,3 +59,13 @@ def test_install_then_restore_returns_every_original():
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] \
         == []
+
+
+def test_element_fingerprint_is_a_value_identity():
+    # the tracer hashes tuple(e.alpha0.flat): the stored inverses must
+    # stay arrays of hashable exact entries
+    fingerprint = load_tracing().Tracer().element_fingerprint
+    first, second = build_element(1, 3), build_element(1, 3)
+    assert first is not second
+    assert fingerprint(first) == fingerprint(second)
+    assert fingerprint(permute_alpha(first)) != fingerprint(first)
