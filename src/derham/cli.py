@@ -55,6 +55,14 @@ def parse_int_list(text: str) -> list[int]:
     return [int(text)]
 
 
+def _distinct(flag: str, values: list) -> list:
+    """``values``; a repeat would run (or emit) the same thing twice."""
+    repeated = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeated:
+        raise ValueError(f"--{flag} repeats {repeated[0]}")
+    return values
+
+
 def degrees_for(m: int, n_spec: str) -> list[int]:
     """Resolve the --n specification for one m.
 
@@ -234,7 +242,8 @@ def run_verify_suite(cfg) -> SuiteResult:
 
 
 def cmd_verify(args) -> int:
-    args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    args.checks = _distinct("checks", [c.strip() for c in
+                                       args.checks.split(",") if c.strip()])
     unknown = set(args.checks) - set(CHECK_ORDER)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -470,10 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.grid = [(m, n) for m in parse_int_list(args.m)
-                     for n in degrees_for(m, args.n)]
+        args.grid = [(m, n) for m in _distinct("m", parse_int_list(args.m))
+                     for n in _distinct("n", degrees_for(m, args.n))]
         if getattr(args, "nu", None) is not None:
-            args.nu = parse_int_list(args.nu)
+            args.nu = _distinct("nu", parse_int_list(args.nu))
             if not all(0 <= nu <= args.dimension for nu in args.nu):
                 raise ValueError(f"--nu {args.nu} out of range "
                                  f"0..{args.dimension}")

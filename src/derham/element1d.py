@@ -148,12 +148,22 @@ def _family(e: Element1D, k: int):
     raise ValueError("form degree must be 0 or 1")
 
 
+def interpolant_columns(e: Element1D, k: int,
+                        coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
+    over the k-form basis, of the polynomials whose monomial coefficients
+    are P's columns; T_k holds the functionals' monomial rows."""
+    functionals, _, alpha = _family(e, k)
+    return linalg.product(alpha, _functional_table(functionals, len(coeffs)),
+                          coeffs)
+
+
 def interpolation_coefficients(e: Element1D, k: int,
                                u: Polynomial) -> tuple[np.ndarray, int]:
-    """(Numerators, denominator) of I_k u over the k-form basis: alpha_k
-    times the node-functional values of u."""
-    functionals, _, alpha = _family(e, k)
-    return linalg.product(alpha, [f.apply(u) for f in functionals])
+    """(Numerators, denominator) of I_k u over the k-form basis."""
+    nums, den = interpolant_columns(
+        e, k, coefficient_matrix([u], len(u.coeffs)).T)
+    return nums[:, 0], den
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
@@ -346,10 +356,9 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     sides, projection = [], []
     for k, inputs, rows in ((0, probes, derived),
                             (1, [u.derivative() for u in probes], e.basis1)):
-        functionals, basis, alpha = _family(e, k)
-        coeffs, den = linalg.product(
-            alpha, _functional_table(functionals, width - k),
-            coefficient_matrix([*inputs, *basis], width - k).T)
+        basis = _family(e, k)[1]
+        coeffs, den = interpolant_columns(
+            e, k, coefficient_matrix([*inputs, *basis], width - k).T)
         nums, scale = linalg.product(coefficient_matrix(rows, height).T,
                                      coeffs[:, :count])
         sides.append((nums, scale * den))

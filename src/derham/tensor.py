@@ -16,13 +16,18 @@ basis functions.  Two representations coexist and are cross-checked:
 Interpolating a rank-one form factorizes into 1D interpolations, and
 expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
-factor.  Each column is computed once per element, source and factor
-polynomial and kept as integer numerators over one denominator.  One
-kernel stacks many forms on a trailing axis of Python-int numerator
-blocks, one denominator per form, and fills each block with one face-
-splitting (Khatri-Rao) product of the columns.  The commutation and
-d-after-d verifiers both run on it and compare their routes exactly,
-on numerators scaled to a common denominator per form.
+factor.  Every such column is linear in the factor's monomial
+coefficients, so one kernel reads the factors of a whole batch of forms
+into one monomial-coefficient matrix P_k per form degree k and takes
+all columns from one exact product: alpha_k T_k P_k for the interpolant
+(T_k the functionals' monomial rows), B_k^-1 P_k for the basis
+expansion, and the same with D P_0 (D the derivative's shift-and-scale
+matrix) for a differentiated axis.  It stacks the forms on a trailing
+axis of Python-int numerator blocks, one denominator per form, and
+fills each block with one face-splitting (Khatri-Rao) product of the
+columns.  The commutation and d-after-d verifiers both run on it and
+compare their routes exactly, on numerators scaled to a common
+denominator per form.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -42,7 +47,7 @@ from numbers import Rational
 import numpy as np
 
 from . import linalg
-from .element1d import (Element1D, _family, interpolation_coefficients,
+from .element1d import (Element1D, _family, interpolant_columns,
                         node_table)
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficient_matrix
@@ -269,7 +274,6 @@ def _index_rule(blocks: dict, n: int, sign_rule, out: dict) -> dict:
 # derived from it are freed together; a corrupted copy of an element is
 # a different key and never sees the pristine element's entries.
 _BASIS_INVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -277,51 +281,43 @@ def _basis_inverse(element: Element1D, k: int) -> np.ndarray:
     """Inverse of the monomial-coefficient matrix of the k-form basis."""
     memo = _BASIS_INVERSES.setdefault(element, {})
     if k not in memo:
-        basis = element.basis0 if k == 0 else element.basis1
-        memo[k] = linalg.invert(
-            coefficient_matrix(basis, element.n + 1 - k).T)
+        memo[k] = linalg.invert(coefficient_matrix(
+            _family(element, k)[1], element.n + 1 - k).T)
     return memo[k]
+
+
+def _expansion_columns(element: Element1D, k: int,
+                       coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """B_k^-1 P as (numerators, denominator): P's columns, which must lie
+    in the k-form element space, over the k-form basis."""
+    width = element.n + 1 - k
+    outside = (coeffs[width:] != 0).any(axis=0)
+    if outside.any():
+        degree = np.flatnonzero(coeffs[:, outside.argmax()] != 0)[-1]
+        raise ValueError(f"degree {degree} polynomial does not lie in the "
+                         f"{k}-form element space (degree <= {width - 1})")
+    padded = np.zeros((width, coeffs.shape[1]), dtype=object)
+    padded[:len(coeffs)] = coeffs[:width]
+    return linalg.product(_basis_inverse(element, k), padded)
 
 
 def expand_in_basis(element: Element1D, k: int, p: Polynomial) -> tuple:
     """(Numerators, denominator) of p over the element's k-form basis."""
-    width = element.n + 1 - k
-    if p.degree >= width:
-        raise ValueError(f"degree {p.degree} polynomial does not lie in the "
-                         f"{k}-form element space (degree <= {width - 1})")
-    return linalg.product(_basis_inverse(element, k),
-                          coefficient_matrix([p], width)[0])
+    nums, den = _expansion_columns(
+        element, k, coefficient_matrix([p], len(p.coeffs)).T)
+    return nums[:, 0], den
 
 
 def canonicalize(terms, element: Element1D, dimension: int | None = None,
                  nu: int | None = None) -> TensorForm:
     """Convert rank-one terms to the basis representation (exact)."""
-    if isinstance(terms, RankOneForm):
-        terms = [terms]
-    else:
-        terms = list(terms)
+    terms = [terms] if isinstance(terms, RankOneForm) else list(terms)
     if terms:  # explicit values are checked against the terms, not replaced
         dimension = terms[0].dimension if dimension is None else dimension
         nu = terms[0].nu if nu is None else nu
     if dimension is None or nu is None:
         raise ValueError("empty term list needs explicit dimension and nu")
-    return _single_form(element, dimension, nu, terms, expand_in_basis)
-
-
-def _column(element: Element1D, k: int, p: Polynomial, source,
-            memo: dict) -> tuple[np.ndarray, int]:
-    """``source(element, k, p)``, (integer numerators, denominator),
-    computed once per memo.
-
-    The source is part of the key: the interpolant I_k p and the basis
-    expansion of p differ on a corrupted element, so one must never be
-    served for the other.
-    """
-    key = (source, k, p)
-    column = memo.get(key)
-    if column is None:
-        column = memo[key] = source(element, k, p)
-    return column
+    return _single_form(element, dimension, nu, terms, _expansion_columns)
 
 
 def _zero_batch(dimension: int, nu: int, n: int, count: int) -> dict:
@@ -330,50 +326,62 @@ def _zero_batch(dimension: int, nu: int, n: int, count: int) -> dict:
 
 
 def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
-                       owners, count: int, source) -> tuple[dict, list[int]]:
+                       owners, count: int, source, times: int = 0,
+                       sign_rule=theta) -> tuple[dict, list[int]]:
     """Basis coefficients of ``count`` forms, stacked on a trailing axis.
 
-    ``terms[i]`` is a rank-one term of form ``owners[i]``; ``source`` maps
-    one factor to its 1D coefficient column, either
-    :func:`interpolation_coefficients` (the interpolant) or
-    :func:`expand_in_basis` (the form itself, which must then lie in the
-    element space).  Returns Python-int numerator blocks of shape
-    widths(chi) + (count,) and one denominator per form: form p has
-    coefficients ``blocks[chi][..., p] / dens[p]``.  Every chi block is
-    one face-splitting product of the terms' 1D numerator columns.
+    Form p is d applied ``times`` times (with ``sign_rule``) to the sum of
+    the rank-one ``terms[i]`` with ``owners[i] == p``.  The factors of bit
+    k, told apart by identity (hashing a Polynomial hashes its Fractions),
+    are the columns of a monomial-coefficient matrix P_k; ``source``
+    (:func:`interpolant_columns` or :func:`_expansion_columns`) maps P_0,
+    P_1 and D P_0 to the columns of plain and differentiated axes, and
+    each (target chi, source per axis) group of pieces fills its block
+    with one face-splitting product of picked columns.  Returns Python-int
+    numerator blocks of shape widths(chi) + (count,) and one denominator
+    per form: form p has coefficients ``blocks[chi][..., p] / dens[p]``.
     """
-    memo = _COLUMNS.setdefault(element, {})
-    columns, term_dens = [], []
+    seen, chis, columns = ({}, {}), [], []  # seen[bit]: id -> (column, p)
     for term in terms:
-        if term.dimension != dimension or term.nu != nu:
+        chi = term.chi
+        if len(chi) != dimension or sum(chi) != nu:
             raise ValueError(
-                f"term has dimension {term.dimension}, degree {term.nu}; "
+                f"term has dimension {len(chi)}, degree {sum(chi)}; "
                 f"expected {dimension} and {nu}")
-        factor_columns = [_column(element, bit, p, source, memo)
-                          for bit, p in term.factors]
-        columns.append(factor_columns)
-        term_dens.append(term.sign.denominator
-                         * math.prod(den for _, den in factor_columns))
+        chis.append(chi)
+        columns.append([seen[bit].setdefault(id(p), (len(seen[bit]), p))[0]
+                        for bit, p in term.factors])
+    matrices = [coefficient_matrix(
+        polys, max((len(p.coeffs) for p in polys), default=0)).T
+        for polys in ([p for _, p in factors.values()] for factors in seen)]
+    sources = [source(element, bit, P) for bit, P in enumerate(matrices)]
+    if times:  # row i of D P_0 is i + 1 times row i + 1 of P_0
+        sources.append(source(element, 1, matrices[0][1:] * np.arange(
+            1, len(matrices[0]), dtype=object)[:, None]))
     dens = [1] * count
-    for owner, den in zip(owners, term_dens):
-        dens[owner] = math.lcm(dens[owner], den)
-
-    blocks = _zero_batch(dimension, nu, element.n, count)
-    members: dict = {chi: [] for chi in blocks}
-    for i, term in enumerate(terms):
-        members[term.chi].append(i)
-    for chi, group in members.items():
-        if not group:
-            continue
-        product = np.array(
-            [terms[i].sign.numerator * (dens[owners[i]] // term_dens[i])
-             for i in group],
-            dtype=object)
-        for axis in range(dimension):
-            factor = np.array([columns[i][axis][0] for i in group],
-                              dtype=object).T
-            product = product[..., None, :] * factor
-        np.add.at(blocks[chi], (Ellipsis, [owners[i] for i in group]),
+    groups: dict = {}  # (target chi, source per axis) -> [(term, sign, den)]
+    for i, chi in enumerate(chis):
+        # one piece per ordered choice of 0-form axes to differentiate
+        for axes in itertools.permutations(
+                [t for t, bit in enumerate(chi) if bit == 0], times):
+            target, sign = chi, 1
+            for t in axes:
+                sign *= sign_rule(target, t)
+                target = target[:t] + (1,) + target[t + 1:]
+            kinds = tuple(2 if t in axes else bit for t, bit in enumerate(chi))
+            den = terms[i].sign.denominator * math.prod(
+                sources[k][1] for k in kinds)
+            dens[owners[i]] = math.lcm(dens[owners[i]], den)
+            groups.setdefault((target, kinds), []).append((i, sign, den))
+    blocks = _zero_batch(dimension, nu + times, element.n, count)
+    for (target, kinds), group in groups.items():
+        product = np.array([sign * terms[i].sign.numerator
+                            * (dens[owners[i]] // den)
+                            for i, sign, den in group], dtype=object)
+        for axis, k in enumerate(kinds):
+            picked = sources[k][0][:, [columns[i][axis] for i, *_ in group]]
+            product = product[..., None, :] * picked
+        np.add.at(blocks[target], (Ellipsis, [owners[i] for i, *_ in group]),
                   product)
     return blocks, dens
 
@@ -520,8 +528,7 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     if isinstance(u, RankOneForm):
         u = [u]
     if isinstance(u, (list, tuple)):
-        return _single_form(element, dimension, nu, u,
-                            interpolation_coefficients)
+        return _single_form(element, dimension, nu, u, interpolant_columns)
 
     form = as_smooth_form(u, dimension, nu)
     if quadrature_order is None:
@@ -589,14 +596,6 @@ def _atom_grid(comp: SmoothFunctionND, chi: Chi, atoms) -> np.ndarray:
     return grid
 
 
-def _basis_rank_one(element: Element1D, chi: Chi, idx: tuple[int, ...]) -> RankOneForm:
-    factors = []
-    for bit, j in zip(chi, idx):
-        basis = element.basis0 if bit == 0 else element.basis1
-        factors.append((bit, basis[j]))
-    return rank_one(factors)
-
-
 def verify_dimensions(dimension: int, element: Element1D,
                       nu_values=None) -> VerificationReport:
     """Dimension bookkeeping of the tensor spaces.
@@ -642,16 +641,6 @@ def verify_dimensions(dimension: int, element: Element1D,
                               witness=witness)
 
 
-def _d_batch(terms, owners, sign_rule) -> tuple[list, list]:
-    """d_rank_one of every term; each piece keeps its term's owner."""
-    out, out_owners = [], []
-    for term, owner in zip(terms, owners):
-        pieces = d_rank_one(term, sign_rule)
-        out += pieces
-        out_owners += [owner] * len(pieces)
-    return out, out_owners
-
-
 def _failing(count: int, blocks) -> np.ndarray:
     """Which of ``count`` batched forms has a nonzero entry in any block."""
     out = np.zeros(count, dtype=bool)
@@ -688,12 +677,11 @@ def verify_dd_zero(dimension: int, element: Element1D,
             units = np.eye(count, dtype=object).reshape(widths + (count,))
             first = _index_rule({chi: units}, n, sign_rule,
                                 _zero_batch(dimension, nu + 1, n, count))
-            d_terms, d_owners = _d_batch(
-                [_basis_rank_one(element, chi, idx) for idx in indices],
-                range(count), sign_rule)
+            bases = [_family(element, bit)[1] for bit in chi]
+            basis = [rank_one(zip(chi, f)) for f in itertools.product(*bases)]
             expanded, dens = _coefficient_batch(
-                element, dimension, nu + 1, d_terms, d_owners, count,
-                expand_in_basis)
+                element, dimension, nu, basis, range(count), count,
+                _expansion_columns, 1, sign_rule)
             scale = np.array(dens, dtype=object)
             route2 = _failing(count,
                               (block * scale - expanded[target]
@@ -704,9 +692,8 @@ def verify_dd_zero(dimension: int, element: Element1D,
                                      _zero_batch(dimension, nu + 2, n, count))
                 route1 = _failing(count, second.values())
                 twice, _ = _coefficient_batch(
-                    element, dimension, nu + 2,
-                    *_d_batch(d_terms, d_owners, sign_rule), count,
-                    expand_in_basis)
+                    element, dimension, nu, basis, range(count), count,
+                    _expansion_columns, 2, sign_rule)
                 route3 = _failing(count, twice.values())
             routes = (("dd-zero", route1),
                       ("representation-consistency", route2),
@@ -728,13 +715,10 @@ def verify_dd_zero(dimension: int, element: Element1D,
 def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
     """Rank-one probes with monomial factors x^a, a drawn from degrees."""
-    degrees = sorted(set(int(d) for d in degrees))
-    probes = []
-    for chi in enumerate_chi(dimension, nu):
-        for combo in itertools.product(degrees, repeat=dimension):
-            probes.append(rank_one(
-                [(bit, Polynomial.monomial(a)) for bit, a in zip(chi, combo)]))
-    return probes
+    monomials = {a: Polynomial.monomial(a) for a in sorted(map(int, degrees))}
+    return [rank_one([(bit, monomials[a]) for bit, a in zip(chi, combo)])
+            for chi in enumerate_chi(dimension, nu)
+            for combo in itertools.product(monomials, repeat=dimension)]
 
 
 def verify_tensor_commutation(dimension: int, nu: int, probes,
@@ -755,20 +739,18 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     owners = [index for index, form in enumerate(forms) for _ in form]
     count = len(forms)
     lhs, lhs_dens = _coefficient_batch(element, dimension, nu, terms, owners,
-                                       count, interpolation_coefficients)
+                                       count, interpolant_columns)
     witness: list[dict] = []
     if nu < dimension:
         # rebinding frees the interpolants before I(du) is built
         lhs = _index_rule(lhs, element.n, sign_rule,
                           _zero_batch(dimension, nu + 1, element.n, count))
         rhs, rhs_dens = _coefficient_batch(
-            element, dimension, nu + 1, *_d_batch(terms, owners, sign_rule),
-            count, interpolation_coefficients)
+            element, dimension, nu, terms, owners, count,
+            interpolant_columns, 1, sign_rule)
         common = [math.lcm(a, b) for a, b in zip(lhs_dens, rhs_dens)]
-        left = np.array([c // a for c, a in zip(common, lhs_dens)],
-                        dtype=object)
-        right = np.array([c // b for c, b in zip(common, rhs_dens)],
-                         dtype=object)
+        left, right = (np.array([c // d for c, d in zip(common, dens)],
+                                dtype=object) for dens in (lhs_dens, rhs_dens))
         leading = tuple(range(dimension))
         nonzero, peak = {}, {}
         for chi, block in lhs.items():

@@ -495,6 +495,31 @@ class TestRejectedAtEntry:
         err = rejected(capsys, *argv, "--m", "1", "--n", "3")
         assert "--nu" in err and "out of range 0.." in err
 
+    @pytest.mark.parametrize("argv, repeated", [
+        # each used to run (or emit) the same thing twice
+        (("verify", "--m", "1", "--n", "3", "--nu", "1,1",
+          "--checks", "tensor-commutation"), "--nu repeats 1"),
+        (("verify", "--m", "1,1", "--n", "3"), "--m repeats 1"),
+        (("verify", "--m", "0,1,0", "--checks", "dimensions"),
+         "--m repeats 0"),
+        (("verify", "--m", "1", "--n", "3,3"), "--n repeats 3"),
+        (("verify", "--m", "0..1", "--n", "3,4,3"), "--n repeats 3"),
+        # used to be silently de-duplicated
+        (("verify", "--checks", "unisolvence,dd-zero,unisolvence"),
+         "--checks repeats unisolvence"),
+        (("tensor", "--m", "1", "--n", "3", "--nu", "0,2,0"),
+         "--nu repeats 0"),
+        (("tensor", "--m", "1,1", "--n", "3"), "--m repeats 1"),
+    ])
+    def test_repeated_values(self, capsys, argv, repeated):
+        assert f"error: {repeated}" in rejected(capsys, *argv)
+
+    def test_repeats_kept_where_they_name_a_basis_function(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--m", "1", "--n", "3",
+                           "--emit", "basis-samples", "--chi", "0,0",
+                           "--index", "1,1", "--samples", "2")
+        assert code == 0 and out
+
     @pytest.mark.parametrize("command", ["element", "tensor"])
     def test_quadrature_order_only_where_it_acts(self, capsys, command):
         err = rejected(capsys, command, "--m", "1", "--n", "3",

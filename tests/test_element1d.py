@@ -111,6 +111,18 @@ class TestConstruction:
             assert (e.M0 @ e.alpha0 == identity(n + 1)).all()
             assert (e.M1 @ e.alpha1 == identity(n)).all()
 
+    def test_interpolation_coefficients_are_alpha_times_node_values(self):
+        # the monomial-matrix route against alpha_k (f_i(u))_i
+        for m, n in GRID:
+            e = build_element(m, n)
+            for u in [Polynomial(), poly(Fraction(-2, 3)),
+                      poly(1, Fraction(1, 5), 0, 0, 0, 0, 0, 0, 3, -1)]:
+                for k, functionals, alpha in ((0, e.functionals0, e.alpha0),
+                                              (1, e.functionals1, e.alpha1)):
+                    nums, den = interpolation_coefficients(e, k, u)
+                    want = alpha @ [f.apply(u) for f in functionals]
+                    assert list(nums * Fraction(1, den)) == list(want)
+
     def test_form_degree_must_be_0_or_1(self, e13):
         with pytest.raises(ValueError, match="form degree must be 0 or 1"):
             interpolation_coefficients(e13, 2, Polynomial.one())

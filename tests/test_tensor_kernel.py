@@ -10,7 +10,10 @@ expanded through per-term outer products.  The kron-structure oracle
 applies every product functional to every rank-one basis element and
 row-reduces the full product.  The
 kernel must reproduce their reports exactly, witness order, ``blocks``
-and ``max_abs`` included.
+and ``max_abs`` included.  The kernel itself, which reads every column
+out of one exact product per form degree and source, is checked form by
+form against the per-factor Fraction columns, and its derivative (the
+columns of D P_0) against the rank-one route ``d_rank_one``.
 """
 
 import dataclasses
@@ -30,11 +33,13 @@ from hypothesis import strategies as st
 from derham import linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
 from derham.element1d import (assemble_element, build_element, interpolate,
-                              node_table)
+                              interpolant_columns, node_table)
 from derham.polycore import Polynomial, coefficient_matrix
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
-                           d_rank_one, enumerate_chi, flat_sign, rank_one,
+                           _coefficient_batch, _expansion_columns,
+                           canonicalize, d_rank_one, enumerate_chi,
+                           expand_in_basis, flat_sign, rank_one,
                            rank_one_monomial_probes, tensor_interpolate,
                            tensor_node_functionals, theta, verify_dd_zero,
                            verify_kron_structure, verify_tensor_commutation)
@@ -60,10 +65,13 @@ def oracle_expand(dimension, nu, terms, element, column=fraction_expand):
     return out
 
 
+def interpolated_column(element, bit, p):
+    """The Fraction route of I_k p: interpolate to a Polynomial, expand."""
+    return fraction_expand(element, bit, interpolate(element, bit, p))
+
+
 def oracle_interpolate(dimension, nu, terms, element):
-    return oracle_expand(
-        dimension, nu, terms, element,
-        lambda e, bit, p: fraction_expand(e, bit, interpolate(e, bit, p)))
+    return oracle_expand(dimension, nu, terms, element, interpolated_column)
 
 
 def oracle_d(u, sign_rule):
@@ -368,13 +376,52 @@ def test_dd_zero_matches_oracle_4d():
     assert report.passed and report.parameters["basis_elements"] == 7 ** 4
 
 
+def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
+    """One batch of the kernel, split back into one TensorForm per form."""
+    terms = [term for form in forms for term in form]
+    owners = [p for p, form in enumerate(forms) for _ in form]
+    blocks, dens = _coefficient_batch(e, dimension, nu, terms, owners,
+                                      len(forms), source, times, sign_rule)
+    return [TensorForm(dimension, nu + times, e.n,
+                       {chi: block[..., p] * Fraction(1, dens[p])
+                        for chi, block in blocks.items()})
+            for p in range(len(forms))]
+
+
+def rank_one_d(terms, sign_rule, times):
+    """d applied ``times`` times through d_rank_one, term by term."""
+    for _ in range(times):
+        terms = [piece for term in terms
+                 for piece in d_rank_one(term, sign_rule)]
+    return terms
+
+
+# kernel source -> the per-factor Fraction column it replaces
+SOURCES = {"interpolant": (interpolant_columns, interpolated_column),
+           "expansion": (_expansion_columns, fraction_expand)}
+
+
+def assert_kernel_matches(e, dimension, nu, forms, source, times=0,
+                          sign_rule=theta):
+    kernel, column = SOURCES[source]
+    got = kernel_forms(e, dimension, nu, forms, kernel, times, sign_rule)
+    for form, kernel_form in zip(forms, got):
+        assert kernel_form == oracle_expand(
+            dimension, nu + times, rank_one_d(form, sign_rule, times), e,
+            column)
+    return got
+
+
+@pytest.mark.parametrize("control", ["permute-alpha", "scaled-basis1"])
 @pytest.mark.parametrize("dd_zero_first", [True, False])
-def test_column_sources_never_mix(dd_zero_first):
-    """Interpolant columns and basis expansions share one memo per
-    element; on permute-alpha they differ for the same (k, p), so a
-    report must not depend on which verifier filled the memo first."""
+def test_column_sources_never_mix(control, dd_zero_first):
+    """The interpolant (alpha_k T_k P), the expansion (B_k^-1 P) and the
+    derivative columns (either one on D P_0) are different products, and
+    on these elements they differ for the same factors.  A report must
+    not depend on which verifier ran first on the element, and each
+    batch, in either order, must match its own oracle."""
     def fresh():
-        return permute_alpha(build_element(1, 3))
+        return _CORRUPTIONS[control](build_element(1, 3))
 
     e = fresh()
     probes = [rank_one([(0, p), (0, q)]) for p in e.basis0 for q in e.basis0]
@@ -384,7 +431,120 @@ def test_column_sources_never_mix(dd_zero_first):
         runs.reverse()
     for run in runs:
         assert report_json(run(e)) == report_json(run(fresh()))
-    assert not verify_tensor_commutation(2, 0, probes, e).passed
+    forms = {0: [[probe] for probe in probes],
+             1: [[rank_one([(0, p), (1, q)]), rank_one([(1, q), (0, p)])]
+                 for p in e.basis0 for q in e.basis1]}
+    batches = [(nu, source, times) for nu in forms for source in SOURCES
+               for times in range(3 - nu)]
+    if not dd_zero_first:
+        batches.reverse()
+    got = {batch: assert_kernel_matches(e, 2, batch[0], forms[batch[0]],
+                                        *batch[1:])
+           for batch in batches}
+    pairs = [((nu, "interpolant", times), (nu, "expansion", times))
+             for nu, times in ((0, 1), (1, 0), (1, 1))]
+    if control == "permute-alpha":
+        assert not verify_tensor_commutation(2, 0, probes, e).passed
+        assert all(got[a] != got[b] for a, b in pairs)
+    else:  # alpha_1 fits the scaled basis; only D P_0 sees the scaling
+        assert all(got[a] == got[b] for a, b in pairs)
+        assert not verify_dd_zero(2, e).passed
+
+
+@st.composite
+def kernel_cases(draw):
+    """Multi-form batches of multi-term rank-one forms, N = 1..3.  Each
+    bit draws its factors from a small pool, so one factor object often
+    recurs, and the pool may hold an equal but distinct copy; factors
+    may be zero and have any width (within the element space when the
+    case is an expansion)."""
+    m = draw(st.integers(0, 1))
+    n = draw(st.integers(2 * m + 1, 2 * m + 3))
+    control = draw(st.sampled_from(
+        [None, "wrong-functional", "scaled-basis1"]
+        + (["permute-alpha"] if n >= 2 else [])))
+    dimension = draw(st.integers(1, 3))
+    nu = draw(st.integers(0, dimension))
+    source = draw(st.sampled_from(sorted(SOURCES)))
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    pools = {}
+    for bit in (0, 1):
+        top = n + 1 - bit if source == "expansion" else n + 4
+        pools[bit] = [Polynomial(draw(st.lists(rationals, max_size=top)))
+                      for _ in range(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            pools[bit].append(Polynomial(pools[bit][0].coeffs))
+    chis = enumerate_chi(dimension, nu)
+
+    def term():
+        return rank_one([(bit, draw(st.sampled_from(pools[bit])))
+                         for bit in draw(st.sampled_from(chis))],
+                        sign=draw(rationals))
+
+    forms = [[term() for _ in range(draw(st.integers(0, 3)))]
+             for _ in range(draw(st.integers(1, 3)))]
+    return element(m, n, control), dimension, nu, forms, source
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_per_factor_oracles(case):
+    e, dimension, nu, forms, source = case
+    got = assert_kernel_matches(e, dimension, nu, forms, source)
+    if len(forms) == 1:  # the public single-form entry points
+        public = tensor_interpolate if source == "interpolant" else \
+            (lambda N, k, terms, x: canonicalize(terms, x, N, k))
+        assert public(dimension, nu, forms[0], e) == got[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.sampled_from([theta, flat_sign]),
+       st.integers(1, 2))
+def test_kernel_derivative_matches_d_rank_one(case, sign_rule, times):
+    """The kernel's d (columns of D P_0 on the differentiated axes, signs
+    from ``sign_rule``) equals the rank-one route, form by form: for the
+    interpolant that is I(du) as tensor-commutation compares it, for the
+    expansion route 2 (times 1) and route 3 (times 2) of dd-zero."""
+    e, dimension, nu, forms, source = case
+    if nu + times <= dimension:
+        assert_kernel_matches(e, dimension, nu, forms, source, times,
+                              sign_rule)
+
+
+@pytest.mark.parametrize("control", [None, "wrong-functional",
+                                     "permute-alpha"])
+@pytest.mark.parametrize("sign_rule", [theta, flat_sign])
+def test_interpolated_du_matches_d_rank_one_per_probe(control, sign_rule):
+    e = element(1, 4, control)
+    for dimension, degrees in ((2, range(8)), (3, (0, 2, 4, 7))):
+        for nu in range(dimension):
+            probes = rank_one_monomial_probes(dimension, nu, degrees)
+            assert_kernel_matches(e, dimension, nu, [[p] for p in probes],
+                                  "interpolant", 1, sign_rule)
+
+
+def test_out_of_space_expansion_names_the_degree():
+    e = element(1, 3)
+    x = Polynomial.monomial
+    for factors, message in (
+            ([(0, x(1)), (0, x(5))], "degree 5 polynomial does not lie in "
+                                     "the 0-form element space"),
+            ([(1, x(3)), (0, x(0))], "degree 3 polynomial does not lie in "
+                                     "the 1-form element space"),
+            ([(0, x(2)), (1, poly(1, 0, 0, 0, 2))],
+             "degree 4 polynomial does not lie in the 1-form element space")):
+        with pytest.raises(ValueError, match=message + r".*\(degree <= "):
+            canonicalize(rank_one(factors), e)
+    with pytest.raises(ValueError, match="degree 3 polynomial .* 1-form "
+                                         r"element space \(degree <= 2\)"):
+        expand_in_basis(e, 1, x(3))
+    # factors narrower than the space are zero-padded to its width
+    nums, den = expand_in_basis(e, 0, poly(Fraction(1, 2)))
+    assert list(nums) == [0, 0, 0, 1] and den == 1
+    term = rank_one([(0, Polynomial.one()), (1, Polynomial())], sign=-2)
+    assert canonicalize(term, e).is_zero()
+    assert canonicalize(rank_one([(0, x(0)), (0, x(1))]), e) == \
+        oracle_expand(2, 0, [rank_one([(0, x(0)), (0, x(1))])], e)
 
 
 def oracle_kron_structure(dimension, nu, element):
