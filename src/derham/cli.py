@@ -1,16 +1,13 @@
-"""Command-line front end.
+"""Command-line front end, four subcommands:
 
-Four subcommands:
-
-* ``element`` — build one (m, n) element and emit its tables (JSON) or
-  basis samples (CSV).
-* ``verify``  — run the selected rows of the check table ``CHECKS`` over
-  an (m, n) grid, optionally tensorized to N dimensions and optionally
-  corrupted (negative controls); exit status 0 iff everything passes.
-* ``tensor``  — emit the N-dimensional space tables or 2D basis samples.
-* ``interp``  — interpolate a named function (sin, cos, exp) or a
-  polynomial literal like ``3/2x^2-x+1`` and emit sample columns with
-  the commutation residual, or run the two-cell continuity demo.
+* ``element`` — one (m, n) element's tables (JSON) or basis samples (CSV).
+* ``verify``  — the selected rows of the check table ``CHECKS`` over an
+  (m, n) grid, optionally tensorized to N dimensions and corrupted
+  (negative controls); exit status 0 iff everything passes.
+* ``tensor``  — the N-dimensional space tables or 2D basis samples.
+* ``interp``  — samples of a named function (sin, cos, exp) or a
+  polynomial literal like ``3/2x^2-x+1``, its interpolants and their
+  commutation residual, or the two-cell continuity demo.
 
 Artifacts are deterministic: rationals are exact "num/den" strings,
 floats carry 17 significant digits, and no timings or timestamps are
@@ -163,12 +160,8 @@ def _one_element(args, corrupt: str | None = None):
 
 def _random_probe_polys(seed: int, count: int, max_degree: int) -> list[Polynomial]:
     rng = random.Random(seed)
-    probes = []
-    for _ in range(count):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for _ in range(max_degree + 1)]
-        probes.append(Polynomial(coeffs))
-    return probes
+    return [Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(max_degree + 1)]) for _ in range(count)]
 
 
 def _probe_degree(cfg, n: int) -> int:
@@ -211,11 +204,15 @@ CHECKS = {
         (_ND, lambda cfg, e, nu: tensor.verify_dd_zero(
             cfg.dimension, e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
     "tensor-commutation": (_PER_NU, _tensor_commutation),
+    "kron-structure":
+        (_PER_NU, lambda cfg, e, nu: tensor.verify_kron_structure(
+            cfg.dimension, nu, e)),
     "continuity-demo":
         (_1D, lambda cfg, e, nu: element1d.two_cell_continuity_demo(
             e, named_function("sin"), cfg.tolerance, cfg.quadrature_order)),
 }
-CHECK_ORDER = tuple(CHECKS)
+# the default --checks: every row but the opt-in kron-structure
+CHECK_ORDER = tuple(name for name in CHECKS if name != "kron-structure")
 
 
 def run_verify_suite(cfg) -> SuiteResult:
@@ -244,7 +241,7 @@ def run_verify_suite(cfg) -> SuiteResult:
 def cmd_verify(args) -> int:
     args.checks = _distinct("checks", [c.strip() for c in
                                        args.checks.split(",") if c.strip()])
-    unknown = set(args.checks) - set(CHECK_ORDER)
+    unknown = set(args.checks) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if not args.checks:
@@ -261,9 +258,8 @@ def cmd_verify(args) -> int:
             if not report.passed:
                 line += f" witness[{len(report.witness)}]: {report.witness[0]}"
             lines.append(line)
-        total = len(suite.reports)
-        good = sum(1 for r in suite.reports if r.passed)
-        lines.append(f"{good}/{total} checks passed")
+        good = sum(report.passed for report in suite.reports)
+        lines.append(f"{good}/{len(suite.reports)} checks passed")
         emit("\n".join(lines) + "\n", args.output)
     if args.timings is not None:
         text = "".join(f"{label}\t{seconds:.6f}\n"
@@ -318,8 +314,8 @@ def cmd_tensor(args) -> int:
 def cmd_interp(args) -> int:
     element = _one_element(args)
     u = parse_input_function(args.input)
-    order = args.quadrature_order
-    samples = args.samples
+    order, samples = args.quadrature_order, args.samples
+    grid = [i / (samples - 1) if samples > 1 else 0.0 for i in range(samples)]
 
     if args.two_cell:
         cells = [element1d.cell_interpolant(element, u, a, a + 1, order)
@@ -327,11 +323,9 @@ def cmd_interp(args) -> int:
         report = element1d.two_cell_continuity_demo(
             element, u, args.tolerance, cells=cells)
         left, right = map(element1d.rounded, cells)
-        rows = []
-        for i in range(samples):
-            x = 2.0 * i / (samples - 1) if samples > 1 else 0.0
-            interp = left(x) if x <= 1.0 else right(x - 1.0)
-            rows.append({"x": x, "u": u.value(x), "interp": interp})
+        rows = [{"x": x, "u": u.value(x),
+                 "interp": left(x) if x <= 1.0 else right(x - 1.0)}
+                for x in (2.0 * g for g in grid)]
         text = serialize.interp_csv(rows, ["x", "u", "interp"])
         mismatches = report.details["junction_mismatch"]
         text += "".join(
@@ -343,17 +337,8 @@ def cmd_interp(args) -> int:
     i0u = element1d.interpolate_smooth(element, 0, u, order)
     d_i0u = i0u.deriv(1)
     i1du = element1d.interpolate_smooth(element, 1, u.differentiated(), order)
-    rows = []
-    for i in range(samples):
-        x = i / (samples - 1) if samples > 1 else 0.0
-        rows.append({
-            "x": x,
-            "u": u.value(x),
-            "I0u": i0u(x),
-            "dI0u": d_i0u(x),
-            "I1du": i1du(x),
-            "residual": d_i0u(x) - i1du(x),
-        })
+    rows = [{"x": x, "u": u.value(x), "I0u": i0u(x), "dI0u": d_i0u(x),
+             "I1du": i1du(x), "residual": d_i0u(x) - i1du(x)} for x in grid]
     emit(serialize.interp_csv(
         rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"]), args.output)
     worst = max(abs(row["residual"]) for row in rows)
@@ -425,13 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run verifier suites on a grid")
     quadrature_order(p_verify)
     p_verify.add_argument("--checks", default=",".join(CHECK_ORDER),
-                          help="comma list from: " + ", ".join(CHECK_ORDER))
+                          help="comma list from: " + ", ".join(CHECKS)
+                          + " (default: all but kron-structure)")
     p_verify.add_argument("--N", type=_int_at_least(1), default=2,
                           dest="dimension",
                           help="tensorization order for tensor checks")
     p_verify.add_argument("--nu", default=None,
-                          help="form degrees for tensor-commutation "
-                               "(default: all)")
+                          help="form degrees for tensor-commutation and "
+                               "kron-structure (default: all)")
     p_verify.add_argument("--corrupt", choices=corruptions.CORRUPTION_NAMES,
                           help="negative-control fixture")
     p_verify.add_argument("--probe-degree", type=_int_at_least(0),

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .element1d import Element1D, assemble_element
+from .element1d import Element1D
 from .functionals import EndpointDerivative
+from .linalg import Exact
 from .tensor import flat_sign, theta
 
 
@@ -42,9 +43,8 @@ def swap_basis(element: Element1D) -> Element1D:
     basis0 = list(element.basis0)
     basis0[0], basis0[1] = basis0[1], basis0[0]
     basis1 = [p.derivative() for p in basis0[:element.n]]
-    return assemble_element(element.m, element.n,
-                            element.functionals0, element.functionals1,
-                            basis0, basis1)
+    return Element1D(element.m, element.n, element.functionals0,
+                     element.functionals1, basis0, basis1)
 
 
 def wrong_functional(element: Element1D) -> Element1D:
@@ -67,9 +67,9 @@ def permute_alpha(element: Element1D) -> Element1D:
     """Swap the first two rows of the stored 1-form inverse."""
     if element.n < 2:
         raise ValueError("need at least a 2x2 inverse to permute")
-    alpha1 = element.alpha1.copy()
-    alpha1[[0, 1]] = alpha1[[1, 0]]
-    return replace(element, alpha1=alpha1)
+    nums = element.alpha1.nums.copy()
+    nums[[0, 1]] = nums[[1, 0]]
+    return replace(element, alpha1=Exact(nums, element.alpha1.den))
 
 
 # CLI name -> fixture.  The element fixtures rebuild or patch the 1D

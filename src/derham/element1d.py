@@ -24,7 +24,7 @@ of the first n of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -50,33 +50,91 @@ def _check_degrees(m: int, n: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Element1D:
+    """The element pair and its exact tables, all ``linalg.Exact``: the
+    node matrix ``M_k`` (functional i on basis function j) and its
+    inverse ``alpha_k``, built from the functionals and basis unless
+    given (a corrupted element's tables may lie), and the basis
+    coefficients ``B_k``, one column per basis function."""
+
     m: int
     n: int
     functionals0: tuple[NodeFunctional, ...]
     functionals1: tuple[NodeFunctional, ...]
     basis0: tuple[Polynomial, ...]
     basis1: tuple[Polynomial, ...]
-    M0: np.ndarray
-    M1: np.ndarray
-    alpha0: np.ndarray
-    alpha1: np.ndarray
+    M0: linalg.Exact | None = None
+    M1: linalg.Exact | None = None
+    alpha0: linalg.Exact | None = None
+    alpha1: linalg.Exact | None = None
+    B0: linalg.Exact = field(init=False, repr=False)
+    B1: linalg.Exact = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         _check_degrees(self.m, self.n)
         for k, size in ((0, self.n + 1), (1, self.n)):
-            for field, want in ((f"functionals{k}", (size,)),
-                                (f"basis{k}", (size,)),
-                                (f"M{k}", (size, size)),
-                                (f"alpha{k}", (size, size))):
-                value = getattr(self, field)
-                shape = np.shape(value) if len(want) == 2 else (len(value),)
-                if shape != want:
-                    raise ValueError(f"{field} has shape {shape}, "
-                                     f"expected {want}")
+            for name in (f"functionals{k}", f"basis{k}"):
+                family = tuple(getattr(self, name))
+                object.__setattr__(self, name, family)
+                if len(family) != size:
+                    raise ValueError(f"{name} has shape {(len(family),)}, "
+                                     f"expected {(size,)}")
+            basis = self.basis0 if k == 0 else self.basis1
+            for j, p in enumerate(basis):
+                if p.degree >= size:
+                    raise ValueError(f"basis{k}[{j}] has degree {p.degree}, "
+                                     f"above {size - 1}")
+            object.__setattr__(self, f"B{k}",
+                               _exact(coefficient_matrix(basis, size).T))
+            for name, build in ((f"M{k}", lambda: self.node_table(k)),
+                                (f"alpha{k}", lambda: linalg.invert(
+                                    getattr(self, f"M{k}")))):
+                table = getattr(self, name)
+                if table is None:  # built here: nothing to check
+                    object.__setattr__(self, name, build())
+                elif not isinstance(table, linalg.Exact):
+                    raise TypeError(f"{name} is a {type(table).__name__}, "
+                                    "not a linalg.Exact")
+                else:
+                    table.check(name, (size, size))
 
     @property
     def default_quadrature_order(self) -> int:
         return 2 * (self.n + 2)
+
+    def cached(self, key, build):
+        """``build()``, made once per element and ``key``."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def rows(self, k: int, width: int) -> linalg.Exact:
+        """T_k: the k-form functionals on 1, x, .., x^(width-1), one row
+        per functional."""
+        return self.cached(("rows", k, width), lambda: _exact(
+            [monomial_row(f, width)[:width] for f in _family(self, k)[0]]))
+
+    def node_table(self, k: int) -> linalg.Exact:
+        """T_k B_k from the functionals and basis themselves (a stored M_k
+        may differ from it)."""
+        basis = _family(self, k)[2]
+        return self.cached(("table", k), lambda: _exact(
+            self.rows(k, len(basis.nums)), basis))
+
+
+def _exact(*factors) -> linalg.Exact:
+    """The exact product of ``factors`` (one factor: its integer form)."""
+    return linalg.Exact(*linalg.product(*factors))
+
+
+def _derivative_rows(coeffs: np.ndarray) -> np.ndarray:
+    """D P: row i of P's derivative columns is i + 1 times row i + 1."""
+    return coeffs[1:] * np.arange(1, len(coeffs), dtype=object)[:, None]
+
+
+def _derived(B: linalg.Exact) -> linalg.Exact:
+    """D B: the derivatives of B's columns."""
+    return linalg.Exact.reduced(_derivative_rows(B.nums), B.den)
 
 
 def zero_form_basis(m: int, n: int) -> list[Polynomial]:
@@ -93,58 +151,20 @@ def zero_form_basis(m: int, n: int) -> list[Polynomial]:
     return basis
 
 
-def _functional_table(functionals, width: int) -> np.ndarray:
-    """Monomial rows of ``functionals``, truncated to ``width`` columns."""
-    return np.array([monomial_row(f, width)[:width] for f in functionals],
-                    dtype=object).reshape(len(functionals), width)
-
-
-def node_table(functionals, basis) -> np.ndarray:
-    """The table f(b) of every functional (rows) on every basis polynomial
-    (columns): functional monomial rows times basis coefficient columns."""
-    width = max((len(p.coeffs) for p in basis), default=0)
-    nums, den = linalg.product(_functional_table(functionals, width),
-                               coefficient_matrix(basis, width).T)
-    return np.frompyfunc(Fraction, 2, 1)(nums, den)
-
-
-def assemble_element(m: int, n: int,
-                     functionals0, functionals1,
-                     basis0, basis1) -> Element1D:
-    """Build the node matrices and their inverses from explicit parts.
-
-    The standard construction goes through :func:`build_element`; this
-    entry point exists so deliberately corrupted elements can be
-    assembled for the negative-control tests.
-    """
-    M0 = node_table(functionals0, basis0)
-    M1 = node_table(functionals1, basis1)
-    alpha0 = linalg.invert(M0)
-    alpha1 = linalg.invert(M1)
-    return Element1D(m=m, n=n,
-                     functionals0=tuple(functionals0),
-                     functionals1=tuple(functionals1),
-                     basis0=tuple(basis0),
-                     basis1=tuple(basis1),
-                     M0=M0, M1=M1, alpha0=alpha0, alpha1=alpha1)
-
-
 def build_element(m: int, n: int) -> Element1D:
     _check_degrees(m, n)
     basis0 = zero_form_basis(m, n)
-    basis1 = [p.derivative() for p in basis0[:n]]
-    return assemble_element(m, n,
-                            zero_form_functionals(m, n),
-                            one_form_functionals(m, n),
-                            basis0, basis1)
+    return Element1D(m, n, zero_form_functionals(m, n),
+                     one_form_functionals(m, n), basis0,
+                     [p.derivative() for p in basis0[:n]])
 
 
 def _family(e: Element1D, k: int):
-    """(functionals, basis, alpha) of the k-form space."""
+    """(functionals, basis, B_k, alpha) of the k-form space."""
     if k == 0:
-        return e.functionals0, e.basis0, e.alpha0
+        return e.functionals0, e.basis0, e.B0, e.alpha0
     if k == 1:
-        return e.functionals1, e.basis1, e.alpha1
+        return e.functionals1, e.basis1, e.B1, e.alpha1
     raise ValueError("form degree must be 0 or 1")
 
 
@@ -153,27 +173,14 @@ def interpolant_columns(e: Element1D, k: int,
     """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
     over the k-form basis, of the polynomials whose monomial coefficients
     are P's columns; T_k holds the functionals' monomial rows."""
-    functionals, _, alpha = _family(e, k)
-    return linalg.product(alpha, _functional_table(functionals, len(coeffs)),
-                          coeffs)
-
-
-def interpolation_coefficients(e: Element1D, k: int,
-                               u: Polynomial) -> tuple[np.ndarray, int]:
-    """(Numerators, denominator) of I_k u over the k-form basis."""
-    nums, den = interpolant_columns(
-        e, k, coefficient_matrix([u], len(u.coeffs)).T)
-    return nums[:, 0], den
+    return linalg.product(_family(e, k)[3], e.rows(k, len(coeffs)), coeffs)
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
-    """The k-form element polynomial with node values ``values``: basis
-    columns times alpha_k times values, on integer numerators.  Every
-    interpolant, exact or smooth, is built here."""
-    _, basis, alpha = _family(e, k)
-    width = max((len(p.coeffs) for p in basis), default=0)
-    nums, den = linalg.product(coefficient_matrix(basis, width).T, alpha,
-                               values)
+    """The k-form element polynomial with node values ``values``: B_k
+    alpha_k times values, on integer numerators.  Every interpolant,
+    exact or smooth, is built here."""
+    nums, den = linalg.product(*_family(e, k)[2:], values)
     return Polynomial([Fraction(c, den) for c in nums])
 
 
@@ -211,8 +218,10 @@ def monomial_probes(max_degree: int) -> list[Polynomial]:
     return [Polynomial.monomial(d) for d in range(max_degree + 1)]
 
 
-def _entry_witness(check: str, row: int, col: int, value) -> dict:
-    return {"check": check, "row": row, "col": col, "value": str(value)}
+def _entry_witness(check: str, row: int, col: int, num: int,
+                   den: int = 1) -> dict:
+    return {"check": check, "row": row, "col": col,
+            "value": linalg.ratio_str(num, den)}
 
 
 def verify_unisolvence(e: Element1D) -> VerificationReport:
@@ -225,54 +234,37 @@ def verify_unisolvence(e: Element1D) -> VerificationReport:
     row and column; both must have full rank.  Witness indices are
     1-based.
     """
-    m, n = e.m, e.n
-    M0, M1 = e.M0, e.M1
+    m, n, head = e.m, e.n, 2 * e.m + 1
+    M0, den = e.M0.nums.tolist(), e.M0.den
     witness: list[dict] = []
-    one, zero = Fraction(1), Fraction(0)
+    # a region's entries are M0's denominator on the diagonal, else zero
+    regions = (("identity-block", [(i, j) for i in range(head)
+                                   for j in range(head)]),
+               ("bubble-columns", [(i, j) for i in range(head)
+                                   for j in range(head, n)]),
+               ("bubble-triangular", [(i, j) for i in range(head, n)
+                                      for j in range(i + 1, n)]),
+               ("last-row", [(n, j) for j in range(n + 1)]),
+               ("last-column", [(i, n) for i in range(n + 1)]))
+    for check, cells in regions:
+        witness += [_entry_witness(check, i + 1, j + 1, M0[i][j], den)
+                    for i, j in cells if M0[i][j] != (den if i == j else 0)]
+    witness += [_entry_witness("diagonal", i + 1, i + 1, 0)
+                for i in range(n + 1) if not M0[i][i]]
 
-    head = 2 * m + 1
-    for i in range(head):
-        for j in range(head):
-            expect = one if i == j else zero
-            if M0[i][j] != expect:
-                witness.append(_entry_witness("identity-block", i + 1, j + 1,
-                                              M0[i][j]))
-    for i in range(head):
-        for j in range(head, n):
-            if M0[i][j] != zero:
-                witness.append(_entry_witness("bubble-columns", i + 1, j + 1,
-                                              M0[i][j]))
-    for i in range(head, n):
-        for j in range(i + 1, n):
-            if M0[i][j] != zero:
-                witness.append(_entry_witness("bubble-triangular", i + 1, j + 1,
-                                              M0[i][j]))
-    for j in range(n + 1):
-        expect = one if j == n else zero
-        if M0[n][j] != expect:
-            witness.append(_entry_witness("last-row", n + 1, j + 1, M0[n][j]))
-    for i in range(n + 1):
-        expect = one if i == n else zero
-        if M0[i][n] != expect:
-            witness.append(_entry_witness("last-column", i + 1, n + 1, M0[i][n]))
-    for i in range(n + 1):
-        if M0[i][i] == zero:
-            witness.append(_entry_witness("diagonal", i + 1, i + 1, 0))
+    M1 = e.M1
+    for i, j in zip(*np.nonzero(e.M0.nums[:-1, :-1] * M1.den
+                                != M1.nums * den)):
+        witness.append(_entry_witness("deletion-identity", int(i) + 1,
+                                      int(j) + 1, M1.nums[i, j], M1.den))
 
-    truncated = M0[:-1, :-1]
-    if not (truncated == M1).all():
-        rows, cols = np.nonzero(truncated != M1)
-        for i, j in zip(rows, cols):
-            witness.append(_entry_witness("deletion-identity",
-                                          int(i) + 1, int(j) + 1, M1[i][j]))
-
-    for name, matrix, expected in (("rank-M0", M0, n + 1), ("rank-M1", M1, n)):
+    for name, matrix, expected in (("rank-M0", e.M0, n + 1),
+                                   ("rank-M1", M1, n)):
         rank = linalg.rank(matrix)
         if rank != expected:
             witness.append({"check": name, "rank": rank, "expected": expected})
 
-    return VerificationReport(name="unisolvence", passed=not witness,
-                              parameters={"m": m, "n": n}, witness=witness)
+    return VerificationReport.of("unisolvence", witness, m=m, n=n)
 
 
 def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> VerificationReport:
@@ -292,50 +284,43 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     if probe_degree < n:
         raise ValueError("probe_degree must be at least n")
     witness: list[dict] = []
-    zero = Fraction(0)
 
-    if not e.basis0[n].derivative().is_zero():
+    derived = _derived(e.B0)
+    if derived.nums[:, n].any():
         witness.append({"check": "kernel", "detail":
                         "d of the last basis function is not zero"})
 
-    for i in range(n):
-        value = e.functionals0[i].apply(e.basis0[n])
-        if value != zero:
-            witness.append({"check": "kernel-separation", "functional": i + 1,
-                            "value": str(value)})
-    last = e.functionals0[n]
-    for j in range(n):
-        value = last.apply(e.basis0[j])
-        if value != zero:
-            witness.append({"check": "kernel-separation", "basis": j + 1,
-                            "value": str(value)})
+    table = e.node_table(0)
+    for key, values in (("functional", table.nums[:n, n]),
+                        ("basis", table.nums[n, :n])):
+        witness += [{"check": "kernel-separation", key: i + 1,
+                     "value": linalg.ratio_str(value, table.den)}
+                    for i, value in enumerate(values) if value]
 
-    derived = [p.derivative() for p in e.basis0[:n]]
-    if linalg.rank(coefficient_matrix(derived, n)) != n:
+    if linalg.rank(derived.nums[:, :n]) != n:
         witness.append({"check": "range", "detail":
                         "derivatives of the first n basis functions do not "
                         "span the 1-form space"})
 
-    for j in range(n):
-        if derived[j] != e.basis1[j]:
-            witness.append({"check": "basis-pairing", "basis": j + 1})
+    for j in np.flatnonzero((derived.nums[:, :n] * e.B1.den
+                             != e.B1.nums * derived.den).any(axis=0)):
+        witness.append({"check": "basis-pairing", "basis": int(j) + 1})
 
     # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k)
-    rows0 = [monomial_row(f, probe_degree + 1) for f in e.functionals0[:n]]
-    rows1 = [monomial_row(f, probe_degree) for f in e.functionals1]
+    T0, T1 = e.rows(0, probe_degree + 1), e.rows(1, probe_degree)
+    rows0, rows1 = T0.nums.tolist(), T1.nums.tolist()
     for k in range(probe_degree + 1):
         for i in range(n):
-            left = k * rows1[i][k - 1] if k else Fraction(0)
+            left = k * rows1[i][k - 1] if k else 0
             right = rows0[i][k]
-            if left != right:
+            if left * T0.den != right * T1.den:
                 witness.append({"check": "functional-pairing",
                                 "functional": i + 1, "probe_degree": k,
-                                "left": str(left), "right": str(right)})
+                                "left": linalg.ratio_str(left, T1.den),
+                                "right": linalg.ratio_str(right, T0.den)})
 
-    return VerificationReport(name="lemma-hypotheses", passed=not witness,
-                              parameters={"m": m, "n": n,
-                                          "probe_degree": probe_degree},
-                              witness=witness)
+    return VerificationReport.of("lemma-hypotheses", witness, m=m, n=n,
+                                 probe_degree=probe_degree)
 
 
 def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
@@ -347,28 +332,14 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
         probes = monomial_probes(e.n + 5)
     count = len(probes)
     width = max([e.n + 1] + [len(u.coeffs) for u in probes])
-    derived = [b.derivative() for b in e.basis0]
-    height = max(len(p.coeffs) for p in derived + list(e.basis1))
-    # per form degree: alpha_k T_k [P_k | B_k], T_k the functional rows,
-    # holds the interpolants of the probes (P_0 = P, P_1 = P') and of the
-    # basis; the probe columns map to the monomial coefficients of d(I0 u)
-    # through d(basis0) and of I1(du) through basis1
-    sides, projection = [], []
-    for k, inputs, rows in ((0, probes, derived),
-                            (1, [u.derivative() for u in probes], e.basis1)):
-        basis = _family(e, k)[1]
-        coeffs, den = interpolant_columns(
-            e, k, coefficient_matrix([*inputs, *basis], width - k).T)
-        nums, scale = linalg.product(coefficient_matrix(rows, height).T,
-                                     coeffs[:, :count])
-        sides.append((nums, scale * den))
-        for i, j in zip(*np.nonzero(
-                coeffs[:, count:] != den * np.eye(len(basis), dtype=object))):
-            projection.append({"check": "projection", "form": k,
-                               "row": int(i) + 1, "col": int(j) + 1})
-    (left, left_den), (right, right_den) = sides
+    # d(I0 u) is D B_0 alpha_0 T_0 P and I1(du) is B_1 alpha_1 T_1 D P
+    P, den = linalg.product(coefficient_matrix(probes, width).T)
+    left, left_den = linalg.product(_derived(e.B0), e.alpha0,
+                                    e.rows(0, width), P)
+    right, right_den = linalg.product(e.B1, e.alpha1, e.rows(1, width - 1),
+                                      _derivative_rows(P))
     residuals = left * right_den - right * left_den
-    den = left_den * right_den
+    den *= left_den * right_den
     witness: list[dict] = []
     for index, u in enumerate(probes):
         if residuals[:, index].any():
@@ -377,11 +348,14 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
             witness.append({"check": "commutation", "probe": index,
                             "probe_degree": u.degree,
                             "residual": [str(c) for c in residual.coeffs]})
-    witness += projection
-    return VerificationReport(name="commutation", passed=not witness,
-                              parameters={"m": e.m, "n": e.n,
-                                          "probes": count},
-                              witness=witness)
+    for k in (0, 1):
+        nums, scale = linalg.product(_family(e, k)[3], e.node_table(k))
+        for i, j in zip(*np.nonzero(
+                nums != scale * np.eye(len(nums), dtype=object))):
+            witness.append({"check": "projection", "form": k,
+                            "row": int(i) + 1, "col": int(j) + 1})
+    return VerificationReport.of("commutation", witness, m=e.m, n=e.n,
+                                 probes=count)
 
 
 def cell_interpolant(e: Element1D, u: SmoothFunction1D, a: float, b: float,
@@ -440,7 +414,5 @@ def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,
                 "message": f"input lacks C^{e.m} continuity at the junction",
                 "jumps": jumps}
 
-    return VerificationReport(name="continuity-demo", passed=not witness,
-                              parameters={"m": e.m, "n": e.n,
-                                          "function": u.name},
-                              witness=witness, details=details)
+    return VerificationReport.of("continuity-demo", witness, details,
+                                 m=e.m, n=e.n, function=u.name)

@@ -194,24 +194,21 @@ class EndpointSum:
 NodeFunctional = Union[EndpointDerivative, Moment, EndpointSum]
 
 
-def zero_form_functionals(m: int, n: int) -> list[NodeFunctional]:
-    """The n+1 functionals of the 0-form element, in frozen order."""
+def _derivatives_and_moments(k: int, m: int, n: int) -> list[NodeFunctional]:
+    """The endpoint derivatives and moments of the k-form family."""
     out: list[NodeFunctional] = []
     for i in range(m):
-        out.append(EndpointDerivative(0, 0, i + 1))
-        out.append(EndpointDerivative(0, 1, i + 1))
-    for i in range(1, n - 2 * m + 1):
-        out.append(Moment(0, i - 1, of_derivative=True))
-    out.append(EndpointSum())
-    return out
+        out += [EndpointDerivative(k, 0, i + 1 - k),
+                EndpointDerivative(k, 1, i + 1 - k)]
+    return out + [Moment(k, i, of_derivative=k == 0)
+                  for i in range(n - 2 * m)]
+
+
+def zero_form_functionals(m: int, n: int) -> list[NodeFunctional]:
+    """The n+1 functionals of the 0-form element, in frozen order."""
+    return _derivatives_and_moments(0, m, n) + [EndpointSum()]
 
 
 def one_form_functionals(m: int, n: int) -> list[NodeFunctional]:
     """The n functionals of the 1-form element, in frozen order."""
-    out: list[NodeFunctional] = []
-    for i in range(m):
-        out.append(EndpointDerivative(1, 0, i))
-        out.append(EndpointDerivative(1, 1, i))
-    for i in range(1, n - 2 * m + 1):
-        out.append(Moment(1, i - 1, of_derivative=False))
-    return out
+    return _derivatives_and_moments(1, m, n)

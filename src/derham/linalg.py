@@ -1,8 +1,9 @@
-"""Exact linear algebra on rational matrices: entries are Python ints or
-Fractions, in ``dtype=object`` arrays or nested lists, and any other
-entry (a float, NaN, a bool, a numpy scalar) raises ``TypeError`` where
-it enters.  Products, solve, invert and rank all run on Python-int rows;
-the last three share one fraction-free (Bareiss) Gauss-Jordan loop.
+"""Exact linear algebra on rational matrices: :class:`Exact` pairs, or
+``dtype=object`` arrays or nested lists of Python ints and Fractions;
+any other entry (a float, NaN, a bool, a numpy scalar) raises
+``TypeError`` where it enters.  Products, solve, invert and rank all run
+on Python-int rows; the last three share one fraction-free (Bareiss)
+loop, and solve and invert return an ``Exact`` read off its rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,71 @@ from fractions import Fraction
 
 import numpy as np
 
-_RATIONAL = {int, Fraction}
+_INT, _RATIONAL = {int}, {int, Fraction}
+
+
+class Exact:
+    """A rational vector or matrix as ``nums / den``: Python ints in an
+    object array over one positive int, in lowest terms, so equal arrays
+    are equal pairs.  Construction checks all of it."""
+
+    __slots__ = ("nums", "den")  # unhashable: it defines __eq__
+
+    def __init__(self, nums, den: int = 1):
+        if isinstance(nums, np.ndarray) and nums.dtype != object:
+            raise TypeError(f"nums is a {nums.dtype} array, not Python ints")
+        self.nums, self.den = np.asarray(nums, dtype=object), den
+        self.check()
+
+    @classmethod
+    def reduced(cls, nums, den: int) -> "Exact":
+        """Integer ``nums`` over a nonzero ``den`` in lowest terms."""
+        nums = np.asarray(nums, dtype=object)
+        common = math.gcd(den, *nums.ravel().tolist()) * (-1 if den < 0 else 1)
+        return cls(nums // common, den // common)
+
+    def check(self, name: str = "", shape: tuple | None = None) -> None:
+        """Raise ``TypeError`` or ``ValueError``, naming ``name`` (the field
+        that holds the pair, if any) and the part at fault, unless the
+        pair is what the class promises and has ``shape``, if given."""
+        if self.nums.ndim not in (1, 2) or shape not in (None, self.shape):
+            raise ValueError(f"{name or 'nums'} has shape {self.nums.shape}, "
+                             f"expected {shape or 'a vector or matrix'}")
+        prefix, flat = f"{name}: " if name else "", self.nums.ravel().tolist()
+        if not _INT.issuperset(map(type, flat)):
+            bad = next(x for x in flat if type(x) is not int)
+            raise TypeError(f"{prefix}nums entry {bad!r} is not a Python int")
+        if type(self.den) is not int or self.den <= 0:
+            raise (ValueError if type(self.den) is int else TypeError)(
+                f"{prefix}den {self.den!r} is not a positive Python int")
+        if (common := math.gcd(self.den, *flat)) != 1:
+            raise ValueError(f"{prefix}nums and den {self.den} share the "
+                             f"factor {common}: not in lowest terms")
+
+    @property
+    def shape(self) -> tuple[int, ...]:  # np.shape reads it too
+        return self.nums.shape
+
+    def fractions(self) -> np.ndarray:
+        """The entries as a Fraction object array."""
+        return np.frompyfunc(Fraction, 2, 1)(self.nums, self.den)
+
+    @property
+    def flat(self):
+        """The entries as Fractions in row-major order, like ndarray.flat."""
+        return self.fractions().flat
+
+    def __eq__(self, other) -> bool:  # never broadcast against an array
+        return isinstance(other, Exact) and self.den == other.den \
+            and np.array_equal(self.nums, other.nums)
+
+
+def ratio_str(num: int, den: int, whole: bool = True) -> str:
+    """``num / den`` (den > 0) in lowest terms, spelled as ``str(Fraction)``
+    does, or always as "n/d" without ``whole``."""
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if whole and den == 1 else f"{num}/{den}"
 
 
 def _entries(values) -> list:
@@ -26,18 +91,38 @@ def _entries(values) -> list:
 
 def _scaled(entries: list) -> tuple[list[int], int]:
     """Entries times the lcm of their denominators, and that lcm."""
+    if _INT.issuperset(map(type, entries)):
+        return entries, 1
     pairs = [x.as_integer_ratio() for x in entries]
     den = math.lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> int:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place, on the
-    leading ``cols`` columns of integer rows with first-nonzero pivots;
-    returns the pivot count.  Every other row becomes ``(p * row - row[col]
-    * top) // prev``, an exact division by the previous pivot.  Columns
-    left of ``col`` would only scale by p / prev and are not carried, so a
-    full-rank square block ends as the last pivot times the reduced rows."""
+def _rows(matrix, right=None) -> list[list[int]]:
+    """The rows of ``matrix`` (and of ``right`` beside them) scaled to
+    coprime Python ints: rank and solutions stay, and the ints small."""
+    if isinstance(matrix, Exact):  # nums x = den right
+        rows, scale = matrix.nums.tolist(), matrix.den
+    else:
+        height, width = np.shape(matrix)
+        flat, scale = _entries(matrix), 1
+        rows = [flat[i * width:(i + 1) * width] for i in range(height)]
+    if right is not None:
+        rows = [row + [scale * x for x in _entries(extra)]
+                for row, extra in zip(rows, right)]
+    rows = [_scaled(row)[0] for row in rows]
+    return [row if (g := math.gcd(*row)) <= 1 else [x // g for x in row]
+            for row in rows]
+
+
+def _eliminate(rows: list[list[int]], cols: int, back: bool) -> int:
+    """Fraction-free (Bareiss) elimination, in place, on the leading
+    ``cols`` columns of integer rows with first-nonzero pivots; returns
+    the pivot count.  Each pivot clears the rows below it (and above it
+    too with ``back``: Gauss-Jordan); a cleared row becomes ``(p * row -
+    row[col] * top) // prev``, exact by Sylvester's identity even where
+    columns are skipped.  Columns left of ``col`` are not carried, so a
+    full-rank square block ends as the last pivot times I."""
     r, prev = 0, 1
     for col in range(cols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -46,16 +131,17 @@ def _eliminate(rows: list[list[int]], cols: int) -> int:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         top = rows[r][col:]
         p = top[0]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
+        for i in range(0 if back else r + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            if i != r and (f or p != prev):  # else the row stays as it is
                 row[col:] = [(p * x - f * y) // prev
                              for x, y in zip(row[col:], top)]
         prev, r = p, r + 1
     return r
 
 
-def solve(matrix: np.ndarray, rhs) -> np.ndarray:
+def solve(matrix, rhs) -> Exact:
     """Solve ``matrix @ x = rhs`` exactly; ``rhs`` is a vector or a matrix
     with as many rows as ``matrix``.  A singular matrix raises
     ``ZeroDivisionError``."""
@@ -66,41 +152,42 @@ def solve(matrix: np.ndarray, rhs) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs of shape {b.shape} does not fit a matrix of "
                          f"shape {(n, n)}")
-    a, right, k = _entries(matrix), _entries(b), b.size // n if n else 0
-    rows = [_scaled(a[i * n:(i + 1) * n] + right[i * k:(i + 1) * k])[0]
-            for i in range(n)]
-    if _eliminate(rows, n) < n:
+    rows = _rows(matrix, b.reshape(n, -1) if n else None)
+    if _eliminate(rows, n, back=True) < n:
         raise ZeroDivisionError("matrix is singular")
     last = rows[-1][n - 1] if n else 1
-    return np.array([Fraction(x, last) for row in rows for x in row[n:]],
-                    dtype=object).reshape(b.shape)
+    return Exact.reduced(np.array([row[n:] for row in rows], dtype=object)
+                         .reshape(b.shape), last)
 
 
-def invert(matrix: np.ndarray) -> np.ndarray:
+def invert(matrix) -> Exact:
     return solve(matrix, np.eye(np.shape(matrix)[0], dtype=int).astype(object))
 
 
-def rank(matrix: np.ndarray) -> int:
-    """Exact rank by fraction-free row reduction."""
-    height, width = np.shape(matrix)
-    flat = _entries(matrix)
-    return _eliminate([_scaled(flat[i * width:(i + 1) * width])[0]
-                       for i in range(height)], width)
+def rank(matrix) -> int:
+    """Exact rank by forward fraction-free row reduction."""
+    return _eliminate(_rows(matrix), np.shape(matrix)[1], back=False)
 
 
 def product(*factors) -> tuple[np.ndarray, int]:
     """Exact product of rational matrices and vectors as (Python-int
     numerators, denominator) in lowest terms; one factor gives its
-    integer form.  Each factor is scaled to ints once."""
+    integer form.  An ``Exact`` factor is used as it is; any other is
+    scaled to ints once."""
     nums, den = None, 1
     for factor in reversed(factors):
-        scaled, scale = _scaled(_entries(factor))
-        scaled = np.array(scaled, dtype=object).reshape(np.shape(factor))
+        if isinstance(factor, Exact):
+            scaled, scale = factor.nums, factor.den
+        else:
+            scaled, scale = _scaled(_entries(factor))
+            scaled = np.array(scaled, dtype=object).reshape(np.shape(factor))
         nums, den = scaled if nums is None else scaled @ nums, scale * den
     common = math.gcd(den, *np.ravel(nums).tolist())
     return nums // common, den // common
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Kronecker product of two object-array matrices."""
+def kron(a, b):
+    """Exact Kronecker product of two object arrays or two ``Exact``."""
+    if isinstance(a, Exact) and isinstance(b, Exact):
+        return Exact.reduced(np.kron(a.nums, b.nums), a.den * b.den)
     return np.kron(a, b)

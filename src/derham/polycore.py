@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial
 
 import numpy as np
@@ -94,32 +95,17 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Polynomial(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{k}")
-        return "Polynomial(" + " + ".join(terms) + ")"
+        terms = [f"{c}*x^{k}" if k > 1 else f"{c}*x" if k else str(c)
+                 for k, c in enumerate(self.coeffs) if c]
+        return "Polynomial(" + (" + ".join(terms) or "0") + ")"
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
+        return Polynomial(a + b for a, b in
+                          zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -152,8 +138,8 @@ class Polynomial:
             raise ValueError("order must be nonnegative")
         coeffs = self.coeffs
         for _ in range(order):
-            coeffs = tuple(k * c if c else c
-                           for k, c in enumerate(coeffs[1:], 1))
+            coeffs = tuple(Fraction(k * c.numerator, c.denominator) if c
+                           else c for k, c in enumerate(coeffs[1:], 1))
         return Polynomial(coeffs)
 
     def antiderivative(self) -> "Polynomial":
@@ -258,7 +244,7 @@ def hermite_basis(m: int, endpoint: int, beta: int) -> Polynomial:
     h = Polynomial(linalg.solve(
         [[monomial_derivative(k, gamma, point) for k in range(2 * m + 2)]
          for point, gamma in conditions],
-        [int(c == (endpoint, beta)) for c in conditions]))
+        [int(c == (endpoint, beta)) for c in conditions]).fractions())
     for gamma in range(m + 1):
         want = Fraction(1) if gamma == beta else Fraction(0)
         if h.derivative_value(gamma, Fraction(endpoint)) != want \

@@ -24,6 +24,13 @@ class VerificationReport:
         if not self.passed and not self.witness:
             raise ValueError("failing report requires a non-empty witness")
 
+    @classmethod
+    def of(cls, name: str, witness: list, details: dict | None = None,
+           **parameters) -> "VerificationReport":
+        """The report of check ``name``: it passes iff ``witness`` is
+        empty; ``parameters`` keep their keyword order."""
+        return cls(name, not witness, parameters, witness, details or {})
+
     def to_json(self) -> dict:
         return {
             "name": self.name,

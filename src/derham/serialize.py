@@ -17,6 +17,7 @@ import numpy as np
 
 from .element1d import Element1D
 from .functionals import FUNCTIONAL_ORDER_VERSION
+from .linalg import Exact, ratio_str
 from .polycore import Polynomial
 from .tensor import (_block_widths, enumerate_chi, space_dimension,
                      tensor_node_functionals)
@@ -37,8 +38,9 @@ def poly_json(p: Polynomial) -> list[str]:
     return [fraction_str(c) for c in p.coeffs]
 
 
-def matrix_json(matrix: np.ndarray) -> list[list[str]]:
-    return [[fraction_str(entry) for entry in row] for row in matrix]
+def matrix_json(matrix: Exact) -> list[list[str]]:
+    return [[ratio_str(num, matrix.den, whole=False) for num in row]
+            for row in matrix.nums.tolist()]
 
 
 def functional_json(f) -> dict:

@@ -16,18 +16,11 @@ basis functions.  Two representations coexist and are cross-checked:
 Interpolating a rank-one form factorizes into 1D interpolations, and
 expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
-factor.  Every such column is linear in the factor's monomial
-coefficients, so one kernel reads the factors of a whole batch of forms
-into one monomial-coefficient matrix P_k per form degree k and takes
-all columns from one exact product: alpha_k T_k P_k for the interpolant
-(T_k the functionals' monomial rows), B_k^-1 P_k for the basis
-expansion, and the same with D P_0 (D the derivative's shift-and-scale
-matrix) for a differentiated axis.  It stacks the forms on a trailing
-axis of Python-int numerator blocks, one denominator per form, and
-fills each block with one face-splitting (Khatri-Rao) product of the
-columns.  The commutation and d-after-d verifiers both run on it and
-compare their routes exactly, on numerators scaled to a common
-denominator per form.
+factor, linear in the factor's monomial coefficients.  One integer
+kernel (:func:`_coefficient_batch`) takes the columns of a whole batch
+of forms from one exact product per form degree and fills each block
+with one face-splitting (Khatri-Rao) product; the commutation and
+d-after-d verifiers both run on it.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -38,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -47,8 +39,8 @@ from numbers import Rational
 import numpy as np
 
 from . import linalg
-from .element1d import (Element1D, _family, interpolant_columns,
-                        node_table)
+from .element1d import (Element1D, _derivative_rows, _family,
+                        interpolant_columns)
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficient_matrix
 from .quadrature import check_order
@@ -78,13 +70,8 @@ def theta(chi: Chi, t: int) -> int:
 
 
 def flat_sign(chi: Chi, t: int) -> int:
-    """Degenerate sign rule (always +1); breaks d after d = 0.
-
-    Exists as a corruption hook for the negative-control tests: a global
-    sign flip or a mirrored bit count would cancel out of d(d(u)) and of
-    the commutation identity, so the falsifiable corruption is dropping
-    the alternation altogether.
-    """
+    """Degenerate sign rule (always +1), the ``flip-theta`` corruption:
+    it breaks d after d = 0 (see :mod:`derham.corruptions`)."""
     return 1
 
 
@@ -194,31 +181,28 @@ class TensorForm:
                     blocks[chi] = np.zeros(shape)
         return cls(dimension, nu, degree, blocks)
 
-    def _compatible(self, other: "TensorForm"):
-        if (self.dimension, self.nu, self.degree) != \
-                (other.dimension, other.nu, other.degree):
+    def _space(self) -> tuple[int, int, int]:
+        return self.dimension, self.nu, self.degree
+
+    def _combine(self, other: "TensorForm", op) -> "TensorForm":
+        if self._space() != other._space():
             raise ValueError("forms live in different spaces")
+        return TensorForm(*self._space(), {chi: op(block, other.blocks[chi])
+                                           for chi, block in
+                                           self.blocks.items()})
 
     def __add__(self, other: "TensorForm") -> "TensorForm":
-        self._compatible(other)
-        return TensorForm(self.dimension, self.nu, self.degree,
-                          {chi: self.blocks[chi] + other.blocks[chi]
-                           for chi in self.blocks})
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "TensorForm") -> "TensorForm":
-        self._compatible(other)
-        return TensorForm(self.dimension, self.nu, self.degree,
-                          {chi: self.blocks[chi] - other.blocks[chi]
-                           for chi in self.blocks})
+        return self._combine(other, np.subtract)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorForm):
             return NotImplemented
-        if (self.dimension, self.nu, self.degree) != \
-                (other.dimension, other.nu, other.degree):
-            return False
-        return all(bool((self.blocks[chi] == other.blocks[chi]).all())
-                   for chi in self.blocks)
+        return self._space() == other._space() and all(
+            bool((self.blocks[chi] == other.blocks[chi]).all())
+            for chi in self.blocks)
 
     def __hash__(self):
         return object.__hash__(self)
@@ -270,20 +254,10 @@ def _index_rule(blocks: dict, n: int, sign_rule, out: dict) -> dict:
     return out
 
 
-# Per-element memos.  They are keyed weakly, so an element and everything
-# derived from it are freed together; a corrupted copy of an element is
-# a different key and never sees the pristine element's entries.
-_BASIS_INVERSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _basis_inverse(element: Element1D, k: int) -> np.ndarray:
-    """Inverse of the monomial-coefficient matrix of the k-form basis."""
-    memo = _BASIS_INVERSES.setdefault(element, {})
-    if k not in memo:
-        memo[k] = linalg.invert(coefficient_matrix(
-            _family(element, k)[1], element.n + 1 - k).T)
-    return memo[k]
+def _basis_inverse(element: Element1D, k: int) -> linalg.Exact:
+    """B_k^-1: the inverse of the k-form basis coefficient matrix."""
+    return element.cached(("basis inverse", k),
+                          lambda: linalg.invert(_family(element, k)[2]))
 
 
 def _expansion_columns(element: Element1D, k: int,
@@ -355,9 +329,8 @@ def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
         polys, max((len(p.coeffs) for p in polys), default=0)).T
         for polys in ([p for _, p in factors.values()] for factors in seen)]
     sources = [source(element, bit, P) for bit, P in enumerate(matrices)]
-    if times:  # row i of D P_0 is i + 1 times row i + 1 of P_0
-        sources.append(source(element, 1, matrices[0][1:] * np.arange(
-            1, len(matrices[0]), dtype=object)[:, None]))
+    if times:
+        sources.append(source(element, 1, _derivative_rows(matrices[0])))
     dens = [1] * count
     groups: dict = {}  # (target chi, source per axis) -> [(term, sign, den)]
     for i, chi in enumerate(chis):
@@ -552,10 +525,8 @@ def _folded_table(element: Element1D, bit: int,
     """The distinct (derivative order, node) atoms of the bit-form
     functionals and alpha_bit @ W, W[j, a] the summed weight of atom a in
     functional j, one exact product rounded once per entry."""
-    memo = _TABLES.setdefault(element, {})
-    key = (bit, quadrature_order)
-    if key not in memo:
-        functionals, _, alpha = _family(element, bit)
+    def build():
+        functionals, *_, alpha = _family(element, bit)
         weights: dict = {}
         for j, f in enumerate(functionals):
             for w, x, order in f.atoms(quadrature_order):
@@ -563,8 +534,8 @@ def _folded_table(element: Element1D, bit: int,
                                             [0] * len(functionals))
                 column[j] += Fraction(w)
         nums, den = linalg.product(alpha, list(zip(*weights.values())))
-        memo[key] = tuple(weights), (nums / den).astype(float)
-    return memo[key]
+        return tuple(weights), (nums / den).astype(float)
+    return element.cached(("folded", bit, quadrature_order), build)
 
 
 def _atom_grid(comp: SmoothFunctionND, chi: Chi, atoms) -> np.ndarray:
@@ -635,10 +606,8 @@ def verify_dimensions(dimension: int, element: Element1D,
         if total != closed_form:
             witness.append({"check": "total-dimension", "total": total,
                             "expected": closed_form})
-    return VerificationReport(name="dimensions", passed=not witness,
-                              parameters={"N": dimension, "m": element.m,
-                                          "n": element.n},
-                              witness=witness)
+    return VerificationReport.of("dimensions", witness, N=dimension,
+                                 m=element.m, n=element.n)
 
 
 def _failing(count: int, blocks) -> np.ndarray:
@@ -705,11 +674,9 @@ def verify_dd_zero(dimension: int, element: Element1D,
                     witness.append({"check": check, "nu": nu,
                                     "chi": list(chi),
                                     "index": [j + 1 for j in idx]})
-    return VerificationReport(name="dd-zero", passed=not witness,
-                              parameters={"N": dimension, "m": element.m,
-                                          "n": element.n,
-                                          "basis_elements": checked},
-                              witness=witness)
+    return VerificationReport.of("dd-zero", witness, N=dimension,
+                                 m=element.m, n=element.n,
+                                 basis_elements=checked)
 
 
 def rank_one_monomial_probes(dimension: int, nu: int,
@@ -765,11 +732,9 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
                                 "blocks": bad_blocks,
                                 "max_abs": str(Fraction(largest,
                                                         common[index]))})
-    return VerificationReport(name="tensor-commutation", passed=not witness,
-                              parameters={"N": dimension, "nu": nu,
-                                          "m": element.m, "n": element.n,
-                                          "probes": count},
-                              witness=witness)
+    return VerificationReport.of("tensor-commutation", witness,
+                                 N=dimension, nu=nu, m=element.m,
+                                 n=element.n, probes=count)
 
 
 def verify_kron_structure(dimension: int, nu: int,
@@ -786,20 +751,17 @@ def verify_kron_structure(dimension: int, nu: int,
     """
     witness: list[dict] = []
     matrices = {0: element.M0, 1: element.M1}
-    tables = {0: node_table(element.functionals0, element.basis0),
-              1: node_table(element.functionals1, element.basis1)}
+    tables = {k: element.node_table(k) for k in matrices}
     ranks = {k: linalg.rank(table) for k, table in tables.items()}
-    same = {k: np.array_equal(tables[k], matrices[k]) for k in tables}
+    same = {k: tables[k] == matrices[k] for k in tables}
     for chi in enumerate_chi(dimension, nu):
         size = math.prod(_block_widths(chi, element.n))
-        if not all(same[bit] for bit in chi) and not bool((
+        if not all(same[bit] for bit in chi) and (
                 reduce(linalg.kron, (tables[bit] for bit in chi))
-                == reduce(linalg.kron, (matrices[bit] for bit in chi))).all()):
+                != reduce(linalg.kron, (matrices[bit] for bit in chi))):
             witness.append({"check": "kron-factorization", "chi": list(chi)})
         elif math.prod(ranks[bit] for bit in chi) != size:
             witness.append({"check": "kron-invertibility", "chi": list(chi),
                             "size": size})
-    return VerificationReport(name="kron-structure", passed=not witness,
-                              parameters={"N": dimension, "nu": nu,
-                                          "m": element.m, "n": element.n},
-                              witness=witness)
+    return VerificationReport.of("kron-structure", witness, N=dimension,
+                                 nu=nu, m=element.m, n=element.n)

@@ -149,6 +149,30 @@ class TestVerifyCommand:
         assert names == ["dimensions", "dd-zero", "tensor-commutation",
                          "tensor-commutation", "tensor-commutation"]
 
+    def test_kron_structure_is_an_opt_in_per_nu_row(self, capsys):
+        assert "kron-structure" in cli.CHECKS
+        assert "kron-structure" not in CHECK_ORDER  # the default list
+        args = ("verify", "--m", "1", "--n", "3", "--checks",
+                "kron-structure", "--N", "2")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [(r["name"], r["passed"], r["parameters"]) for r in reports] \
+            == [("kron-structure", True, {"N": 2, "nu": nu, "m": 1, "n": 3})
+                for nu in range(3)]
+        code, out, _ = run(capsys, *args, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            f"PASS kron-structure (N=2,nu={nu},m=1,n=3)" for nu in range(3)
+        ] + ["3/3 checks passed"]
+        # the stored M1 of wrong-functional no longer matches its functionals
+        code, out, _ = run(capsys, *args, "--nu", "1", "--format", "text",
+                           "--corrupt", "wrong-functional")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL kron-structure (N=2,nu=1,m=1,n=3) witness[2]: "
+            "{'check': 'kron-factorization', 'chi': [0, 1]}")
+
     def test_nu_restriction(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "0", "--n", "1",
                            "--checks", "tensor-commutation", "--N", "2",
@@ -564,7 +588,7 @@ VOCABULARY = {
                "--checks": ([",".join(subset) for subset in (
                    CHECK_ORDER, CHECK_ORDER[:3], CHECK_ORDER[3:6],
                    ("continuity-demo",), ("tensor-commutation",),
-                   ("dd-zero", "unisolvence"))],
+                   ("dd-zero", "unisolvence"), ("kron-structure",))],
                    ["", ",", "bogus", "dd-zero,bogus"]),
                "--probe-degree": (["0", "3", "6"], ["-1", "x"]),
                "--random-probes": (["0", "2"], ["-1"]),

@@ -13,19 +13,20 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from derham import linalg
 from derham.element1d import (Element1D, build_element, interpolate,
-                              interpolation_coefficients, monomial_probes,
+                              interpolant_columns, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
                               verify_unisolvence, zero_form_basis)
-from derham.polycore import Polynomial
+from derham.polycore import Polynomial, coefficient_matrix
 
 GRID = [(0, 1), (0, 3), (1, 3), (1, 5), (2, 5), (2, 6), (3, 7)]
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=int).astype(object)
+def identity(n: int) -> linalg.Exact:
+    return linalg.Exact(np.eye(n, dtype=int).astype(object))
 
 
 def poly(*coeffs) -> Polynomial:
@@ -52,8 +53,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("field", ["M0", "M1", "alpha0", "alpha1"])
     def test_rejects_wrong_matrix_shape(self, e13, field):
-        for bad in (getattr(e13, field)[:-1], getattr(e13, field)[:, :-1],
-                    getattr(e13, field)[0]):
+        table = getattr(e13, field)
+        for nums in (table.nums[:-1], table.nums[:, :-1], table.nums[0]):
+            bad = linalg.Exact.reduced(nums, table.den)
             with pytest.raises(ValueError, match=f"^{field} has shape"):
                 dataclasses.replace(e13, **{field: bad})
 
@@ -66,7 +68,65 @@ class TestConstruction:
     def test_malformed_element_never_reaches_the_verifiers(self, e13):
         # a 3x3 M0 used to die in verify_unisolvence with an IndexError
         with pytest.raises(ValueError, match="M0 has shape"):
-            dataclasses.replace(e13, M0=e13.M0[:3, :3])
+            dataclasses.replace(e13, M0=linalg.Exact(e13.M0.nums[:3, :3]))
+
+    # tables are checked again where they enter an element: an Exact's
+    # arrays can be edited after it was built
+
+    @staticmethod
+    def edited(table: linalg.Exact) -> linalg.Exact:
+        return linalg.Exact(table.nums.copy(), table.den)
+
+    @pytest.mark.parametrize("field", ["M0", "alpha1"])
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.int64(1),
+                                     Fraction(1, 2)])
+    def test_rejects_numerators_that_are_not_python_ints(self, e13, field,
+                                                         bad):
+        table = self.edited(getattr(e13, field))
+        table.nums[0, 1] = bad
+        with pytest.raises(TypeError, match=f"^{field}: nums entry .* is "
+                                            "not a Python int"):
+            dataclasses.replace(e13, **{field: table})
+
+    @pytest.mark.parametrize("field", ["M1", "alpha0"])
+    @pytest.mark.parametrize("bad, error", [(0, ValueError), (-1, ValueError),
+                                            (1.0, TypeError),
+                                            (True, TypeError),
+                                            (np.int64(1), TypeError)])
+    def test_rejects_denominators_that_are_not_positive_ints(
+            self, e13, field, bad, error):
+        table = self.edited(getattr(e13, field))
+        table.den = bad
+        with pytest.raises(error, match=f"^{field}: den "):
+            dataclasses.replace(e13, **{field: table})
+
+    @pytest.mark.parametrize("field", ["M0", "M1", "alpha0", "alpha1"])
+    def test_rejects_tables_not_in_lowest_terms(self, e13, field):
+        table = self.edited(getattr(e13, field))
+        table.nums, table.den = table.nums * 6, table.den * 4
+        with pytest.raises(ValueError, match=f"^{field}: nums and den 4 "
+                                             "share the factor 2"):
+            dataclasses.replace(e13, **{field: table})
+
+    @pytest.mark.parametrize("field", ["M0", "alpha1"])
+    def test_rejects_tables_that_are_not_exact_pairs(self, e13, field):
+        fractions = getattr(e13, field).fractions()
+        with pytest.raises(TypeError,
+                           match=f"^{field} is a ndarray, not a linalg.Exact"):
+            dataclasses.replace(e13, **{field: fractions})
+
+    def test_rejects_basis_outside_the_element_space(self, e13):
+        basis1 = (Polynomial.monomial(3),) + e13.basis1[1:]
+        with pytest.raises(ValueError, match=r"^basis1\[0\] has degree 3, "
+                                             "above 2"):
+            dataclasses.replace(e13, basis1=basis1)
+
+    def test_tables_are_exact_pairs(self):
+        for m, n in GRID:
+            e = build_element(m, n)
+            for table in (e.M0, e.M1, e.alpha0, e.alpha1, e.B0, e.B1):
+                assert type(table) is linalg.Exact
+                assert {type(x) for x in table.nums.flat} <= {int}
 
     def test_counts_and_degrees(self):
         for m, n in GRID:
@@ -93,13 +153,13 @@ class TestConstruction:
         assert list(e13.basis0) == [poly(0, 1, -2, 1), poly(0, 0, -1, 1),
                                     poly(Fraction(-1, 2), 0, 3, -2),
                                     poly(Fraction(1, 2))]
-        assert (e13.M0 == identity(4)).all()
-        assert (e13.M1 == identity(3)).all()
+        assert e13.M0 == identity(4)
+        assert e13.M1 == identity(3)
 
     def test_frozen_m0_n1(self):
         e = build_element(0, 1)
         assert list(e.basis0) == [poly(Fraction(-1, 2), 1), poly(Fraction(1, 2))]
-        assert (e.M0 == identity(2)).all()
+        assert e.M0 == identity(2)
 
     def test_zero_form_basis_matches_element(self):
         for m, n in GRID:
@@ -108,8 +168,10 @@ class TestConstruction:
     def test_stored_inverses(self):
         for m, n in GRID:
             e = build_element(m, n)
-            assert (e.M0 @ e.alpha0 == identity(n + 1)).all()
-            assert (e.M1 @ e.alpha1 == identity(n)).all()
+            assert linalg.Exact(*linalg.product(e.M0, e.alpha0)) == \
+                identity(n + 1)
+            assert linalg.Exact(*linalg.product(e.M1, e.alpha1)) == \
+                identity(n)
 
     def test_interpolation_coefficients_are_alpha_times_node_values(self):
         # the monomial-matrix route against alpha_k (f_i(u))_i
@@ -119,13 +181,16 @@ class TestConstruction:
                       poly(1, Fraction(1, 5), 0, 0, 0, 0, 0, 0, 3, -1)]:
                 for k, functionals, alpha in ((0, e.functionals0, e.alpha0),
                                               (1, e.functionals1, e.alpha1)):
-                    nums, den = interpolation_coefficients(e, k, u)
-                    want = alpha @ [f.apply(u) for f in functionals]
-                    assert list(nums * Fraction(1, den)) == list(want)
+                    nums, den = interpolant_columns(
+                        e, k, coefficient_matrix([u], len(u.coeffs)).T)
+                    want = alpha.fractions() @ [f.apply(u)
+                                                for f in functionals]
+                    assert list(nums[:, 0] * Fraction(1, den)) == list(want)
 
     def test_form_degree_must_be_0_or_1(self, e13):
         with pytest.raises(ValueError, match="form degree must be 0 or 1"):
-            interpolation_coefficients(e13, 2, Polynomial.one())
+            interpolant_columns(e13, 2, coefficient_matrix([Polynomial.one()],
+                                                           1).T)
 
 
 class TestVerifiers:
@@ -137,11 +202,12 @@ class TestVerifiers:
             assert report.parameters == {"m": m, "n": n}
 
     def test_unisolvence_flags_deletion_identity(self, e13):
-        M1 = e13.M1.copy()
-        M1[1, 2] += 1
+        nums = e13.M1.nums.copy()
+        nums[1, 2] += e13.M1.den
+        M1 = linalg.Exact.reduced(nums, e13.M1.den)
         report = verify_unisolvence(dataclasses.replace(e13, M1=M1))
         assert {"check": "deletion-identity", "row": 2, "col": 3,
-                "value": str(M1[1, 2])} in report.witness
+                "value": "1"} in report.witness
 
     def test_lemma_hypotheses_on_grid(self):
         for m, n in GRID:

@@ -2,11 +2,15 @@
 
 The oracles are the old implementations.  Each node functional acts
 through ``Polynomial`` products, derivatives and integrals; the node
-matrices are assembled entry by entry; the functional pairing is
-checked probe by probe; and commutation interpolates every probe twice
-and differentiates, then multiplies each stored inverse by the table
-of the functionals on the basis, which must be the identity.  The table kernels must reproduce their matrices
-and reports exactly, witness order and residual strings included.
+matrices are assembled entry by entry, and also as the old Fraction
+``node_table`` built them (functional monomial rows times basis
+coefficient columns), and inverted by Fraction Gauss-Jordan
+elimination; the functional pairing is checked probe by probe; and
+commutation interpolates every probe twice and differentiates, then
+multiplies each stored inverse by the table of the functionals on the
+basis, which must be the identity.  The integer tables and kernels must
+reproduce their matrices and reports exactly, witness order and
+residual strings included.
 """
 
 import json
@@ -21,11 +25,12 @@ from hypothesis import strategies as st
 
 from derham import linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
-from derham.element1d import (assemble_element, build_element,
+from derham.element1d import (Element1D, _family, build_element,
                               monomial_probes, verify_commutation,
                               verify_lemma_hypotheses)
 from derham.functionals import (EndpointDerivative, EndpointSum, Moment,
-                                one_form_functionals, zero_form_functionals)
+                                monomial_row, one_form_functionals,
+                                zero_form_functionals)
 from derham.polycore import Polynomial, coefficient_matrix, legendre
 from derham.report import VerificationReport
 
@@ -53,12 +58,37 @@ def oracle_table(functionals, basis) -> np.ndarray:
                      for f in functionals], dtype=object)
 
 
+def fraction_node_table(functionals, basis) -> np.ndarray:
+    """The old ``node_table``: Fraction monomial rows of the functionals
+    times the Fraction coefficient columns of the basis."""
+    width = max((len(p.coeffs) for p in basis), default=0)
+    rows = np.array([monomial_row(f, width)[:width] for f in functionals],
+                    dtype=object).reshape(len(functionals), width)
+    return rows @ coefficient_matrix(basis, width).T
+
+
+def fraction_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Fraction Gauss-Jordan inversion with first-nonzero pivots."""
+    size = len(matrix)
+    a = np.hstack([np.array(matrix, dtype=object),
+                   np.eye(size, dtype=int).astype(object)]) * Fraction(1)
+    for col in range(size):
+        pivot = next(i for i in range(col, size) if a[i, col] != 0)
+        a[[col, pivot]] = a[[pivot, col]]
+        a[col] = a[col] / a[col, col]
+        for i in range(size):
+            if i != col and a[i, col] != 0:
+                a[i] = a[i] - a[i, col] * a[col]
+    return a[:, size:]
+
+
 def oracle_interpolate(e, k, u: Polynomial) -> Polynomial:
     functionals, basis, alpha = ((e.functionals0, e.basis0, e.alpha0)
                                  if k == 0 else
                                  (e.functionals1, e.basis1, e.alpha1))
-    coeffs = alpha @ np.array([polynomial_route(f, u) for f in functionals],
-                              dtype=object)
+    values = np.array([polynomial_route(f, u) for f in functionals],
+                      dtype=object)
+    coeffs = alpha.fractions() @ values
     result = Polynomial.zero()
     for c, p in zip(coeffs, basis):
         result = result + p * c
@@ -77,7 +107,7 @@ def oracle_commutation(e, probes) -> VerificationReport:
     for k, (functionals, basis, alpha) in enumerate((
             (e.functionals0, e.basis0, e.alpha0),
             (e.functionals1, e.basis1, e.alpha1))):
-        product = alpha @ oracle_table(functionals, basis)
+        product = alpha.fractions() @ oracle_table(functionals, basis)
         for i in range(len(basis)):
             for j in range(len(basis)):
                 if product[i, j] != (i == j):
@@ -151,22 +181,37 @@ def random_probes(seed, count, max_degree):
 
 @pytest.mark.parametrize("m, n", UNISOLVENCE_GRID)
 def test_tables_match_entrywise_assembly(m, n):
+    pristine = build_element(m, n)
     for name, e in elements(m, n).items():
         tables = (oracle_table(e.functionals0, e.basis0),
                   oracle_table(e.functionals1, e.basis1))
-        if name != "wrong-functional":  # it keeps the pristine M1 on purpose
-            assert (e.M0 == tables[0]).all() and (e.M1 == tables[1]).all()
+        for k, table in enumerate(tables):
+            assert (fraction_node_table(*_family(e, k)[:2]) == table).all()
+            assert (e.node_table(k).fractions() == table).all()
+        # wrong-functional keeps the pristine tables on purpose, and
+        # permute-alpha the pristine alpha_1 with two rows swapped
+        stored = tables if name != "wrong-functional" else (
+            oracle_table(pristine.functionals0, pristine.basis0),
+            oracle_table(pristine.functionals1, pristine.basis1))
+        inverses = [fraction_inverse(table) for table in stored]
+        if name == "permute-alpha":
+            inverses[1][[0, 1]] = inverses[1][[1, 0]]
+        for k in (0, 1):
+            M, alpha = (e.M0, e.alpha0) if k == 0 else (e.M1, e.alpha1)
+            assert (M.fractions() == stored[k]).all()
+            assert (alpha.fractions() == inverses[k]).all()
         parts = (m, n, e.functionals0, e.functionals1, e.basis0, e.basis1)
         if linalg.rank(tables[1]) < n:  # a wrong functional can do this
             with pytest.raises(ZeroDivisionError):
-                assemble_element(*parts)
+                Element1D(*parts)
             continue
-        rebuilt = assemble_element(*parts)
-        assert (rebuilt.M0 == tables[0]).all()
-        assert (rebuilt.M1 == tables[1]).all()
-        assert (rebuilt.alpha0 == linalg.invert(tables[0])).all()
-        assert (rebuilt.alpha1 == linalg.invert(tables[1])).all()
-        assert all(type(x) is Fraction for x in rebuilt.M0.flat)
+        rebuilt = Element1D(*parts)
+        for k, table in enumerate(tables):
+            M, alpha = (rebuilt.M0, rebuilt.alpha0) if k == 0 else \
+                (rebuilt.M1, rebuilt.alpha1)
+            assert (M.fractions() == table).all()
+            assert (alpha.fractions() == fraction_inverse(table)).all()
+            assert alpha == linalg.invert(table)
 
 
 @pytest.mark.parametrize("m, n", UNISOLVENCE_GRID)

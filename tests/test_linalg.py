@@ -1,5 +1,6 @@
 """Exact linear algebra, cross-checked against sympy matrices and against
-the Fraction Gauss-Jordan route that the fraction-free loop replaced."""
+the Fraction Gauss-Jordan route that the fraction-free loop replaced;
+``Exact`` pairs are checked where they are built."""
 
 import math
 import operator
@@ -135,12 +136,16 @@ def to_sympy(a: np.ndarray) -> sympy.Matrix:
 def test_solve_vector_and_matrix_rhs():
     a = frac_array([[2, 1], [1, 3]])
     x = linalg.solve(a, np.array([Fraction(3), Fraction(5)], dtype=object))
-    assert list(x) == [Fraction(4, 5), Fraction(7, 5)]
-    assert (a @ x == np.array([Fraction(3), Fraction(5)], dtype=object)).all()
+    assert x == linalg.Exact([4, 7], 5)
+    assert (a @ x.fractions()
+            == np.array([Fraction(3), Fraction(5)], dtype=object)).all()
 
     inv = linalg.invert(a)
-    assert (a @ inv == identity(2)).all()
-    assert all(type(v) is Fraction for v in inv.flat)
+    assert inv == linalg.Exact(np.array([[3, -1], [-1, 2]], dtype=object), 5)
+    assert (a @ inv.fractions() == identity(2)).all()
+    # an Exact matrix solves as its fractions do
+    assert linalg.invert(linalg.Exact(inv.nums, inv.den)) == \
+        linalg.Exact(*linalg.product(a))
 
 
 def test_solve_requires_square():
@@ -165,7 +170,7 @@ def test_invert_against_sympy(rows):
         with pytest.raises(ZeroDivisionError):
             linalg.invert(a)
         return
-    ours = to_sympy(linalg.invert(a))
+    ours = to_sympy(linalg.invert(a).fractions())
     assert ours == sym.inv()
 
 
@@ -187,15 +192,43 @@ def test_solve_and_invert_match_fraction_route(system):
         if oracle is ZeroDivisionError:
             assert ours is ZeroDivisionError
             continue
-        assert ours.shape == oracle.shape
-        assert ours.tolist() == oracle.tolist()
-        assert all(type(v) is Fraction for v in ours.flat)
+        assert type(ours) is linalg.Exact  # checked where it is built
+        assert ours.nums.shape == oracle.shape
+        assert ours.fractions().tolist() == oracle.tolist()
+        exact = linalg.Exact(*linalg.product(a))
+        if oracle.ndim == 2 and oracle.shape[1] == a.shape[0]:
+            assert linalg.invert(exact).fractions().tolist() == \
+                outcome(oracle_solve, a, identity(a.shape[0])).tolist()
 
 
 @given(rectangular())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_route(a):
     assert linalg.rank(a) == oracle_rank(a)
+    assert linalg.rank(linalg.Exact(*linalg.product(a))) == oracle_rank(a)
+
+
+@given(rectangular())
+@settings(max_examples=150, deadline=None)
+def test_forward_elimination_finds_the_gauss_jordan_pivots(a):
+    # rank clears only the rows below each pivot; it must find as many
+    # pivots as the full Gauss-Jordan loop that solve runs, on the same
+    # integer rows (random, rank-deficient and zero-column cases)
+    rows = [linalg._scaled(row)[0] for row in a.tolist()]
+    counts = [linalg._eliminate([list(row) for row in rows], a.shape[1],
+                                back)
+              for back in (False, True)]
+    assert counts[0] == counts[1] == oracle_rank(a)
+
+
+def test_forward_elimination_on_skipped_columns():
+    # zero and dependent columns make the pivots skip columns; Sylvester's
+    # identity keeps every division exact all the same
+    rows = [[0, 2, 4, 1, 3], [0, 1, 2, 5, 0], [0, 3, 6, 6, 3], [0, 0, 0, 7, 7]]
+    for back in (False, True):
+        work = [list(row) for row in rows]
+        assert linalg._eliminate(work, 5, back) == 3
+    assert oracle_rank(frac_array(rows)) == 3
 
 
 def test_rank_rectangular_and_empty():
@@ -300,3 +333,78 @@ def test_solve_does_not_mutate_inputs():
     linalg.solve(a, b)
     assert (a == a_copy).all()
     assert (b == b_copy).all()
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, float("nan"), True,
+                                 np.int64(1), Fraction(1, 2), Fraction(3)])
+def test_exact_rejects_numerators_that_are_not_python_ints(bad):
+    with pytest.raises(TypeError, match=re.escape(
+            f"nums entry {bad!r} is not a Python int")):
+        linalg.Exact(np.array([[1, bad], [0, 1]], dtype=object), 3)
+    with pytest.raises(TypeError, match="nums is a int64 array"):
+        linalg.Exact(np.array([[1, 2]]), 3)
+
+
+@pytest.mark.parametrize("bad, error", [(0, ValueError), (-2, ValueError),
+                                        (2.0, TypeError), (True, TypeError),
+                                        (np.int64(3), TypeError),
+                                        (Fraction(3), TypeError)])
+def test_exact_rejects_denominators_that_are_not_positive_ints(bad, error):
+    with pytest.raises(error, match=re.escape(f"den {bad!r}"
+                                              if error is TypeError
+                                              else f"den {bad} is not")):
+        linalg.Exact([[1, 2]], bad)
+
+
+def test_exact_rejects_pairs_not_in_lowest_terms():
+    with pytest.raises(ValueError, match="nums and den 6 share the factor 3"):
+        linalg.Exact([[3, 0], [9, -3]], 6)
+    assert linalg.Exact.reduced([[3, 0], [9, -3]], 6) == \
+        linalg.Exact([[1, 0], [3, -1]], 2)
+    # the sign goes to the numerators; a zero array is 0/1
+    assert linalg.Exact.reduced([4, -2], -6) == linalg.Exact([-2, 1], 3)
+    assert linalg.Exact.reduced([[0, 0]], 7) == linalg.Exact([[0, 0]], 1)
+
+
+@pytest.mark.parametrize("nums", [5, [[[1]]]])
+def test_exact_rejects_shapes_that_are_not_vectors_or_matrices(nums):
+    with pytest.raises(ValueError, match="expected a vector or matrix"):
+        linalg.Exact(nums, 1)
+
+
+def test_exact_views_equality_and_text():
+    a = linalg.Exact([[1, -2], [3, 4]], 6)
+    assert a.nums.shape == (2, 2)
+    assert a.fractions().tolist() == [[Fraction(1, 6), Fraction(-1, 3)],
+                                      [Fraction(1, 2), Fraction(2, 3)]]
+    assert tuple(a.flat) == tuple(a.fractions().flat)
+    assert a == linalg.Exact([[1, -2], [3, 4]], 6)
+    assert a != linalg.Exact([[1, -2], [3, 4]], 5)
+    assert a != linalg.Exact([1, -2, 3, 4], 6)
+    assert a != a.fractions()
+    assert [linalg.ratio_str(x, a.den) for x in a.nums.flat] == \
+        ["1/6", "-1/3", "1/2", "2/3"]
+    assert linalg.ratio_str(-4, 2) == "-2"
+    assert linalg.ratio_str(0, 9) == "0"
+    assert linalg.ratio_str(0, 9, whole=False) == "0/1"
+    assert linalg.ratio_str(-4, 2, whole=False) == "-2/1"
+
+
+@given(chains())
+@settings(max_examples=100, deadline=None)
+def test_exact_factors_multiply_as_their_fractions(factors):
+    exact = [linalg.Exact(*linalg.product(f)) for f in factors]
+    assert [e.fractions().tolist() for e in exact] == \
+        [np.asarray(f, dtype=object).tolist() for f in factors]
+    nums, den = linalg.product(*exact)
+    want, scale = linalg.product(*factors)
+    assert den == scale and np.array_equal(nums, want)
+
+
+def test_kron_of_exact_pairs_is_reduced():
+    a = linalg.Exact([[2, 0], [0, 4]], 1)
+    b = linalg.Exact([[1, 3], [0, 1]], 2)
+    k = linalg.kron(a, b)
+    assert k == linalg.Exact.reduced(
+        np.kron(a.nums, b.nums), a.den * b.den)
+    assert (k.fractions() == linalg.kron(a.fractions(), b.fractions())).all()

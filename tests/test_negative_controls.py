@@ -12,7 +12,6 @@ it.
 
 import dataclasses
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from derham.corruptions import (CORRUPTION_NAMES, corrupt, permute_alpha,
                                 swap_basis, wrong_functional)
 from derham.element1d import (build_element, verify_commutation,
                               verify_lemma_hypotheses, verify_unisolvence)
+from derham.linalg import Exact
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
     rank_one_monomial_probes
 
@@ -107,9 +107,11 @@ class TestPermuteAlpha:
 
 def perturbed(element, field: str, index):
     """``element`` with 1/7 added to one entry of a stored table."""
-    table = getattr(element, field).copy()
-    table[index] += Fraction(1, 7)
-    return dataclasses.replace(element, **{field: table})
+    table = getattr(element, field)
+    nums = table.nums * 7
+    nums[index] += table.den
+    return dataclasses.replace(
+        element, **{field: Exact.reduced(nums, 7 * table.den)})
 
 
 class TestStoredTableMutants:
@@ -124,9 +126,12 @@ class TestStoredTableMutants:
         e = build_element(*mn)
         checks = (verify_unisolvence, verify_lemma_hypotheses,
                   verify_commutation)
-        survivors = [(field, index)
-                     for field in ("alpha0", "alpha1", "M0", "M1")
-                     for index in np.ndindex(getattr(e, field).shape)
+        mutants = [(field, index)
+                   for field in ("alpha0", "alpha1", "M0", "M1")
+                   for index in np.ndindex(getattr(e, field).nums.shape)]
+        # 26 + 50 + 122 = 198 mutants over the grid
+        assert len(mutants) == 2 * ((e.n + 1) ** 2 + e.n ** 2)
+        survivors = [(field, index) for field, index in mutants
                      if all(check(perturbed(e, field, index)).passed
                             for check in checks)]
         assert survivors == []

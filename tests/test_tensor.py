@@ -463,7 +463,7 @@ class TestTensorInterpolate:
                     [[sum((Fraction(w) for w, x, order in f.atoms(q)
                            if (order, x) == atom), Fraction(0))
                       for atom in atoms] for f in functionals], dtype=object)
-                oracle = np.array(alpha @ weights, dtype=float)
+                oracle = np.array(alpha.fractions() @ weights, dtype=float)
                 assert table.dtype == float and table.shape == oracle.shape
                 assert table.tobytes() == oracle.tobytes(), (mn, bit, q)
 
@@ -481,8 +481,8 @@ class TestTensorInterpolate:
         for dimension, grid in ((2, GRID_2D), (3, GRID_3D)):
             for m, n in grid:
                 e = build_element(m, n)
-                matrices = {0: np.array(e.M0, dtype=float),
-                            1: np.array(e.M1, dtype=float)}
+                matrices = {0: np.array(e.M0.fractions(), dtype=float),
+                            1: np.array(e.M1.fractions(), dtype=float)}
                 for nu in range(dimension):
                     form = seeded_form(rng, dimension, nu)
                     for u in (form, d_smooth(form)):

@@ -32,8 +32,8 @@ from hypothesis import strategies as st
 
 from derham import linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
-from derham.element1d import (assemble_element, build_element, interpolate,
-                              interpolant_columns, node_table)
+from derham.element1d import (Element1D, build_element, interpolate,
+                              interpolant_columns)
 from derham.polycore import Polynomial, coefficient_matrix
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
@@ -50,7 +50,7 @@ TENSOR_GRID = [(m, n) for m in (0, 1, 2) for n in range(2 * m + 1, 2 * m + 4)]
 def fraction_expand(element, bit, p):
     """The Fraction route of the basis expansion: the inverse of the
     basis's monomial-coefficient matrix times p's coefficients."""
-    return _basis_inverse(element, bit) @ \
+    return _basis_inverse(element, bit).fractions() @ \
         coefficient_matrix([p], element.n + 1 - bit)[0]
 
 
@@ -176,8 +176,8 @@ def scaled_basis1(e):
     half a 1-form basis function, which the index rule cannot see."""
     basis1 = list(e.basis1)
     basis1[0] = basis1[0] * 2
-    return assemble_element(e.m, e.n, e.functionals0, e.functionals1,
-                            e.basis0, basis1)
+    return Element1D(e.m, e.n, e.functionals0, e.functionals1, e.basis0,
+                     basis1)
 
 
 _CORRUPTIONS = {"permute-alpha": permute_alpha,
@@ -551,7 +551,7 @@ def oracle_kron_structure(dimension, nu, element):
     """The old direct route: every product functional applied to every
     rank-one basis element, entry by entry."""
     witness = []
-    matrices = {0: element.M0, 1: element.M1}
+    matrices = {0: element.M0.fractions(), 1: element.M1.fractions()}
     for chi in enumerate_chi(dimension, nu):
         bases = [element.basis0 if bit == 0 else element.basis1
                  for bit in chi]
@@ -607,10 +607,8 @@ def rank_deficient(m, n):
     e = element(m, n)
     basis0 = (e.basis0[0],) + e.basis0[:1] + e.basis0[2:]
     basis1 = tuple(p.derivative() for p in basis0[:n])
-    return dataclasses.replace(
-        e, basis0=basis0, basis1=basis1,
-        M0=node_table(e.functionals0, basis0),
-        M1=node_table(e.functionals1, basis1))
+    e = dataclasses.replace(e, basis0=basis0, basis1=basis1)
+    return dataclasses.replace(e, M0=e.node_table(0), M1=e.node_table(1))
 
 
 @pytest.mark.parametrize("dimension, mn", [(2, (0, 2)), (2, (1, 4)),
