@@ -293,18 +293,30 @@ class TestExactArtifacts:
     """The exact-arithmetic artifacts are pinned byte for byte; a change
     that moves one of these hashes changes what users read."""
 
-    @pytest.mark.parametrize("argv, digest", [
-        (("element", "--m", "2", "--n", "6"),
+    ND_VERIFY = ("verify", "--m", "1", "--n", "3", "--N", "3", "--checks",
+                 "dimensions,dd-zero,tensor-commutation")
+
+    # the corrupted N = 3 rows pin witnesses: tensor-commutation ones with
+    # their blocks and max_abs (permute-alpha), dd-zero ones (flip-theta)
+    @pytest.mark.parametrize("argv, exit_code, digest", [
+        (("element", "--m", "2", "--n", "6"), 0,
          "ad6e89fe1ba6e403e3b272d307df1444bb8c34799f601fb52e720240dadaae05"),
-        (("tensor", "--m", "1", "--n", "3", "--N", "3"),
+        (("tensor", "--m", "1", "--n", "3", "--N", "3"), 0,
          "deac72b44bb4d6069c3d3443463111e36aface62f54963df1320b1864da66980"),
         (("verify", "--m", "1", "--n", "3", "--checks",
-          ",".join(c for c in CHECK_ORDER if c != "continuity-demo")),
+          ",".join(c for c in CHECK_ORDER if c != "continuity-demo")), 0,
          "40e56589dbc866beabea8ecf3eb5202e56f07196395b6d2e7959b34e0e1cd3a1"),
-    ], ids=["element", "tensor", "verify"])
-    def test_sha256(self, capsys, argv, digest):
+        (ND_VERIFY, 0,
+         "19ffcb65c15cedf2a331e6d7a9cfae5893d9c3b799701b2a0b396cc31566020e"),
+        (ND_VERIFY + ("--corrupt", "permute-alpha"), 1,
+         "c289720e53856eaa148e80f7151674283a5dd36285ba2d055c046cd2450803df"),
+        (ND_VERIFY + ("--corrupt", "flip-theta"), 1,
+         "b3979bb0d7ddf45dfd955ef8d3f107db31e00dc65896e077af2cd8de658c5f87"),
+    ], ids=["element", "tensor", "verify", "verify-3d",
+            "verify-3d-permute-alpha", "verify-3d-flip-theta"])
+    def test_sha256(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, *argv)
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
