@@ -178,8 +178,9 @@ def _commutation(cfg, element, nu):
 
 def _tensor_commutation(cfg, element, nu):
     n = element.n
-    degrees = range(min(n + 3, _probe_degree(cfg, n)) + 1) \
-        if cfg.dimension <= 2 else sorted({0, 2, n, n + 3})
+    cap = min(n + 3, _probe_degree(cfg, n))
+    degrees = range(cap + 1) if cfg.dimension <= 2 else \
+        [a for a in sorted({0, 2, n, n + 3}) if a <= cap]
     probes = tensor.rank_one_monomial_probes(cfg.dimension, nu, degrees)
     return tensor.verify_tensor_commutation(
         cfg.dimension, nu, probes, element,
@@ -421,7 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corrupt", choices=corruptions.CORRUPTION_NAMES,
                           help="negative-control fixture")
     p_verify.add_argument("--probe-degree", type=_int_at_least(0),
-                          default=None)
+                          default=None,
+                          help="largest monomial probe degree (default "
+                               "n+5); tensor-commutation caps it at n+3 "
+                               "and for N >= 3 keeps only the degrees "
+                               "0, 2, n, n+3 up to that cap")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--random-probes", type=_int_at_least(0), default=0,
                           help="extra seeded random probes for commutation")

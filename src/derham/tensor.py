@@ -18,9 +18,10 @@ expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
 factor, linear in the factor's monomial coefficients.  One integer
 kernel (:func:`_coefficient_batch`) takes the columns of a whole batch
-of forms from one exact product per form degree and fills each block
-with one face-splitting (Khatri-Rao) product; the commutation and
-d-after-d verifiers both run on it.
+of forms from one exact product per form degree and, once per
+characteristic vector and piece of d, fills a block with one
+face-splitting (Khatri-Rao) product; the commutation and d-after-d
+verifiers both run on it.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from numbers import Rational
 
 import numpy as np
 
@@ -93,12 +93,18 @@ class RankOneForm:
     factors: tuple[tuple[int, Polynomial], ...]
 
     def __post_init__(self):
-        if not isinstance(self.sign, Rational):
+        if type(self.sign) not in (int, Fraction):
             raise TypeError(f"sign {self.sign!r} is not an int or Fraction")
-        for bit, _ in self.factors:
+        for axis, (bit, p) in enumerate(self.factors):
+            if type(bit) is not int:
+                raise TypeError(f"axis {axis}: factor bit {bit!r} is not "
+                                "the int 0 or 1")
             if bit not in (0, 1):
-                raise ValueError(f"factor bit {bit!r} is neither 0 (0-form) "
-                                 "nor 1 (1-form)")
+                raise ValueError(f"axis {axis}: factor bit {bit!r} is "
+                                 "neither 0 (0-form) nor 1 (1-form)")
+            if not isinstance(p, Polynomial):
+                raise TypeError(f"axis {axis}: factor {p!r} is not a "
+                                "Polynomial")
 
     @property
     def dimension(self) -> int:
@@ -120,9 +126,11 @@ class RankOneForm:
 
 
 def rank_one(factors, sign=1) -> RankOneForm:
-    """Convenience builder: factors is a sequence of (bit, Polynomial)."""
-    return RankOneForm(Fraction(sign),
-                       tuple((int(bit), p) for bit, p in factors))
+    """Convenience builder: factors is a sequence of (bit, Polynomial),
+    sign an int or Fraction (anything else is rejected, never coerced)."""
+    if type(sign) in (int, Fraction):
+        sign = Fraction(sign)
+    return RankOneForm(sign, tuple((bit, p) for bit, p in factors))
 
 
 def d_rank_one(u: RankOneForm, sign_rule=theta) -> list[RankOneForm]:
@@ -309,32 +317,42 @@ def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
     k, told apart by identity (hashing a Polynomial hashes its Fractions),
     are the columns of a monomial-coefficient matrix P_k; ``source``
     (:func:`interpolant_columns` or :func:`_expansion_columns`) maps P_0,
-    P_1 and D P_0 to the columns of plain and differentiated axes, and
-    each (target chi, source per axis) group of pieces fills its block
-    with one face-splitting product of picked columns.  Returns Python-int
-    numerator blocks of shape widths(chi) + (count,) and one denominator
-    per form: form p has coefficients ``blocks[chi][..., p] / dens[p]``.
+    P_1 and D P_0 to the columns of plain and differentiated axes.  The
+    terms of one chi share their pieces (one per ordered choice of 0-form
+    axes to differentiate: target block, source per axis, sign; orders
+    with the same sources merge), so each piece of each chi fills its
+    block with one face-splitting product of picked columns.  Returns
+    Python-int numerator blocks of shape widths(chi) + (count,) and one
+    denominator per form: form p has coefficients
+    ``blocks[chi][..., p] / dens[p]``.
     """
-    seen, chis, columns = ({}, {}), [], []  # seen[bit]: id -> (column, p)
-    for term in terms:
+    seen, by_chi, columns = ({}, {}), {}, []  # seen[bit]: id -> (column, p)
+    for i, term in enumerate(terms):
         chi = term.chi
         if len(chi) != dimension or sum(chi) != nu:
             raise ValueError(
                 f"term has dimension {len(chi)}, degree {sum(chi)}; "
                 f"expected {dimension} and {nu}")
-        chis.append(chi)
+        by_chi.setdefault(chi, []).append(i)
         columns.append([seen[bit].setdefault(id(p), (len(seen[bit]), p))[0]
                         for bit, p in term.factors])
+    columns = np.array(columns, dtype=np.intp).reshape(len(terms), dimension)
+    owners = np.asarray(owners, dtype=np.intp)
+    nums = np.array([term.sign.numerator for term in terms], dtype=object)
+    sign_dens = np.array([term.sign.denominator for term in terms],
+                         dtype=object)
     matrices = [coefficient_matrix(
         polys, max((len(p.coeffs) for p in polys), default=0)).T
         for polys in ([p for _, p in factors.values()] for factors in seen)]
     sources = [source(element, bit, P) for bit, P in enumerate(matrices)]
     if times:
         sources.append(source(element, 1, _derivative_rows(matrices[0])))
-    dens = [1] * count
-    groups: dict = {}  # (target chi, source per axis) -> [(term, sign, den)]
-    for i, chi in enumerate(chis):
-        # one piece per ordered choice of 0-form axes to differentiate
+    dens = np.ones(count, dtype=object)
+    pieces = {}  # chi -> {(target chi, source per axis): [sign, base]}
+    for chi, rows in by_chi.items():
+        # one piece per ordered choice of 0-form axes to differentiate;
+        # orders that land on the same sources merge, their signs summed
+        merged = pieces[chi] = {}
         for axes in itertools.permutations(
                 [t for t, bit in enumerate(chi) if bit == 0], times):
             target, sign = chi, 1
@@ -342,21 +360,23 @@ def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
                 sign *= sign_rule(target, t)
                 target = target[:t] + (1,) + target[t + 1:]
             kinds = tuple(2 if t in axes else bit for t, bit in enumerate(chi))
-            den = terms[i].sign.denominator * math.prod(
-                sources[k][1] for k in kinds)
-            dens[owners[i]] = math.lcm(dens[owners[i]], den)
-            groups.setdefault((target, kinds), []).append((i, sign, den))
+            merged.setdefault((target, kinds), [0, math.prod(
+                sources[k][1] for k in kinds)])[0] += sign
+        # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
+        np.lcm.at(dens, owners[rows], sign_dens[rows] * math.lcm(
+            *(base for _, base in merged.values())))
     blocks = _zero_batch(dimension, nu + times, element.n, count)
-    for (target, kinds), group in groups.items():
-        product = np.array([sign * terms[i].sign.numerator
-                            * (dens[owners[i]] // den)
-                            for i, sign, den in group], dtype=object)
-        for axis, k in enumerate(kinds):
-            picked = sources[k][0][:, [columns[i][axis] for i, *_ in group]]
-            product = product[..., None, :] * picked
-        np.add.at(blocks[target], (Ellipsis, [owners[i] for i, *_ in group]),
-                  product)
-    return blocks, dens
+    for chi, rows in by_chi.items():
+        scale = nums[rows] * (dens[owners[rows]] // sign_dens[rows])
+        for (target, kinds), (sign, base) in pieces[chi].items():
+            if not sign:
+                continue
+            product = sign * (scale // base)
+            for axis, k in enumerate(kinds):
+                product = product[..., None, :] * \
+                    sources[k][0][:, columns[rows, axis]]
+            np.add.at(blocks[target], (Ellipsis, owners[rows]), product)
+    return blocks, dens.tolist()
 
 
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
@@ -719,19 +739,20 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
         left, right = (np.array([c // d for c, d in zip(common, dens)],
                                 dtype=object) for dens in (lhs_dens, rhs_dens))
         leading = tuple(range(dimension))
-        nonzero, peak = {}, {}
-        for chi, block in lhs.items():
-            residual = block * left - rhs[chi] * right
-            nonzero[chi] = (residual != 0).any(axis=leading)
-            peak[chi] = np.abs(residual).max(axis=leading)
-        for index in range(count):
-            bad_blocks = [list(chi) for chi in lhs if nonzero[chi][index]]
-            if bad_blocks:
-                largest = max(peak[chi][index] for chi in lhs)
-                witness.append({"check": "tensor-commutation", "probe": index,
-                                "blocks": bad_blocks,
-                                "max_abs": str(Fraction(largest,
-                                                        common[index]))})
+        residual = {chi: block * left - rhs[chi] * right
+                    for chi, block in lhs.items()}
+        nonzero = {chi: (block != 0).any(axis=leading)
+                   for chi, block in residual.items()}
+        failing = np.flatnonzero(np.any(list(nonzero.values()), axis=0))
+        # peaks only for the failing probes, over every block
+        peaks = np.max([np.abs(block[..., failing]).max(axis=leading)
+                        for block in residual.values()], axis=0)
+        for index, largest in zip(failing.tolist(), peaks):
+            witness.append({"check": "tensor-commutation", "probe": index,
+                            "blocks": [list(chi) for chi in residual
+                                       if nonzero[chi][index]],
+                            "max_abs": str(Fraction(largest,
+                                                    common[index]))})
     return VerificationReport.of("tensor-commutation", witness,
                                  N=dimension, nu=nu, m=element.m,
                                  n=element.n, probes=count)

@@ -238,6 +238,23 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "error: probe_degree must be at least n" in err
 
+    @pytest.mark.parametrize("dimension, flag, probes", [
+        (2, (), 7 ** 2), (2, ("--probe-degree", "0"), 1),
+        (3, (), 4 ** 3), (3, ("--probe-degree", "0"), 1),
+        (3, ("--probe-degree", "2"), 2 ** 3),
+        (3, ("--probe-degree", "5"), 3 ** 3),
+        (3, ("--probe-degree", "9"), 4 ** 3)])
+    def test_probe_degree_caps_tensor_commutation(self, capsys, dimension,
+                                                  flag, probes):
+        # N = 3 keeps the degrees 0, 2, n, n+3 (here 0, 2, 3, 6) that are
+        # at most min(n+3, --probe-degree); N = 2 keeps all of 0..that cap
+        code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3",
+                           "--N", str(dimension), "--nu", "0", "--checks",
+                           "tensor-commutation", *flag)
+        assert code == 0
+        report, = json.loads(out)["reports"]
+        assert report["parameters"]["probes"] == probes
+
     def test_timings_to_file(self, capsys, tmp_path):
         # one run through every row of the check table; the benchmark sums
         # timings by the label prefix before "["

@@ -9,6 +9,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -248,20 +249,36 @@ class TestRankOneForms:
             Fraction(-2) * Fraction(1, 2) * 2
 
     def test_bits_validated_on_construction(self):
-        with pytest.raises(ValueError, match="bit 2"):
+        x = poly(0, 1)
+        with pytest.raises(ValueError, match="axis 1: factor bit 2"):
             rank_one([(0, poly(1)), (2, poly(1))])
-        with pytest.raises(ValueError, match="bit -1"):
+        with pytest.raises(ValueError, match="axis 0: factor bit -1"):
             RankOneForm(Fraction(1), ((-1, poly(1)),))
+        # bits are never coerced: a float, a string, a bool or a numpy
+        # int is rejected on the axis that carries it
+        for bit in (1.7, 1.0, "1", True, np.int64(1)):
+            with pytest.raises(TypeError, match=f"axis 0: factor bit "
+                                                f"{re.escape(repr(bit))}"):
+                rank_one([(bit, x), (0, x)])
+            with pytest.raises(TypeError, match="axis 1: factor bit"):
+                RankOneForm(Fraction(1), ((0, x), (bit, x)))
+        for factor in (3, Fraction(1, 2), (0, 1), None):
+            with pytest.raises(TypeError, match="axis 0: factor .* is not "
+                                                "a Polynomial"):
+                RankOneForm(Fraction(1), ((0, factor), (0, x)))
 
     def test_sign_must_be_rational(self, e13):
         x = poly(0, 1)
-        for sign in (0.1, 1.0, "1", 1j):
+        for sign in (0.1, 1.0, "1", 1j, True, np.int64(2)):
             with pytest.raises(TypeError, match="sign"):
                 RankOneForm(sign, ((0, x), (0, x)))
+            with pytest.raises(TypeError, match="sign"):
+                rank_one([(0, x)], sign)
         for sign in (-2, Fraction(1, 3)):  # x * y lies in the space
             term = RankOneForm(sign, ((0, x), (0, x)))
             assert tensor_interpolate(2, 0, term, e13) == \
                 canonicalize(term, e13)
+            assert rank_one([(0, x), (0, x)], sign).sign == sign
 
     def test_d_rank_one_signs(self):
         # d(x0 * x1 dx1) = dx0 ^ (x1 dx1): only axis 0 contributes, sign +1

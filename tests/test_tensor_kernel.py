@@ -13,7 +13,8 @@ kernel must reproduce their reports exactly, witness order, ``blocks``
 and ``max_abs`` included.  The kernel itself, which reads every column
 out of one exact product per form degree and source, is checked form by
 form against the per-factor Fraction columns, and its derivative (the
-columns of D P_0) against the rank-one route ``d_rank_one``.
+columns of D P_0) against the rank-one route ``d_rank_one``; its
+denominators against the lcm taken one (term, piece) at a time.
 """
 
 import dataclasses
@@ -377,7 +378,8 @@ def test_dd_zero_matches_oracle_4d():
 
 
 def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
-    """One batch of the kernel, split back into one TensorForm per form."""
+    """One batch of the kernel, split back into one TensorForm per form,
+    and the kernel's denominators."""
     terms = [term for form in forms for term in form]
     owners = [p for p, form in enumerate(forms) for _ in form]
     blocks, dens = _coefficient_batch(e, dimension, nu, terms, owners,
@@ -385,7 +387,37 @@ def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
     return [TensorForm(dimension, nu + times, e.n,
                        {chi: block[..., p] * Fraction(1, dens[p])
                         for chi, block in blocks.items()})
-            for p in range(len(forms))]
+            for p in range(len(forms))], dens
+
+
+def oracle_dens(e, forms, column, times):
+    """The denominators one (term, piece) at a time: form p's is the lcm,
+    over its terms and every ordered choice of ``times`` 0-form axes, of
+    the term's sign denominator times the batch denominator of each
+    axis's source (0-form, 1-form or differentiated 0-form columns), the
+    lcm of the denominators of those columns over the whole batch."""
+    factors = [(bit, p) for form in forms for term in form
+               for bit, p in term.factors]
+
+    def batch_den(bit, polys):
+        return math.lcm(*(value.denominator for p in polys
+                          for value in column(e, bit, p)))
+
+    source_dens = [batch_den(bit, [p for b, p in factors if b == bit])
+                   for bit in (0, 1)]
+    source_dens.append(batch_den(1, [p.derivative() for b, p in factors
+                                     if b == 0]))
+    dens = []
+    for form in forms:
+        den = 1
+        for term in form:
+            for axes in itertools.permutations(
+                    [t for t, bit in enumerate(term.chi) if bit == 0], times):
+                den = math.lcm(den, term.sign.denominator * math.prod(
+                    source_dens[2 if t in axes else bit]
+                    for t, bit in enumerate(term.chi)))
+        dens.append(den)
+    return dens
 
 
 def rank_one_d(terms, sign_rule, times):
@@ -404,7 +436,9 @@ SOURCES = {"interpolant": (interpolant_columns, interpolated_column),
 def assert_kernel_matches(e, dimension, nu, forms, source, times=0,
                           sign_rule=theta):
     kernel, column = SOURCES[source]
-    got = kernel_forms(e, dimension, nu, forms, kernel, times, sign_rule)
+    got, dens = kernel_forms(e, dimension, nu, forms, kernel, times,
+                             sign_rule)
+    assert dens == oracle_dens(e, forms, column, times)
     for form, kernel_form in zip(forms, got):
         assert kernel_form == oracle_expand(
             dimension, nu + times, rank_one_d(form, sign_rule, times), e,
