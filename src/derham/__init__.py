@@ -25,7 +25,7 @@ from .tensor import (RankOneForm, SmoothFormND, TensorForm,
                      rank_one_monomial_probes, space_dimension,
                      tensor_interpolate, tensor_node_functionals, theta,
                      verify_dd_zero, verify_dimensions, verify_kron_structure,
-                     verify_tensor_commutation)
+                     verify_monomial_commutation, verify_tensor_commutation)
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,6 @@ __all__ = [
     "tensor_node_functionals", "theta", "two_cell_continuity_demo",
     "verify_commutation", "verify_dd_zero", "verify_dimensions",
     "verify_kron_structure", "verify_lemma_hypotheses",
-    "verify_tensor_commutation", "zero_form_functionals",
+    "verify_monomial_commutation", "verify_tensor_commutation",
+    "zero_form_functionals",
 ]

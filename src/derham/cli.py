@@ -181,9 +181,8 @@ def _tensor_commutation(cfg, element, nu):
     cap = min(n + 3, _probe_degree(cfg, n))
     degrees = range(cap + 1) if cfg.dimension <= 2 else \
         [a for a in sorted({0, 2, n, n + 3}) if a <= cap]
-    probes = tensor.rank_one_monomial_probes(cfg.dimension, nu, degrees)
-    return tensor.verify_tensor_commutation(
-        cfg.dimension, nu, probes, element,
+    return tensor.verify_monomial_commutation(
+        cfg.dimension, nu, degrees, element,
         sign_rule=corruptions.sign_rule(cfg.corrupt))
 
 

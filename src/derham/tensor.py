@@ -17,11 +17,15 @@ Interpolating a rank-one form factorizes into 1D interpolations, and
 expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
 factor, linear in the factor's monomial coefficients.  One integer
-kernel (:func:`_coefficient_batch`) takes the columns of a whole batch
-of forms from one exact product per form degree and, once per
-characteristic vector and piece of d, fills a block with one
-face-splitting (Khatri-Rao) product; the commutation and d-after-d
-verifiers both run on it.
+kernel (:func:`_coefficient_batch`) reads a term table of a whole batch
+of forms, takes every column from one exact product per form degree
+and, once per characteristic vector and piece of d, fills a block with
+one face-splitting (Khatri-Rao) product.  One call serves every order
+of d a verifier needs (I(u) and I(du); both polynomial routes of
+d-after-d), so the table and the products are made once per call.  The
+table comes from explicit rank-one terms or, when the input is a full
+grid of factors per chi (monomial probes, basis elements), straight
+from the factor lists with no per-term Python work.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -35,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +92,11 @@ def space_dimension(dimension: int, nu: int, element: Element1D) -> int:
 
 @dataclass(frozen=True)
 class RankOneForm:
-    """sign * p_1(x_1) ... p_N(x_N), each factor tagged 0-form or 1-form."""
+    """sign * p_1(x_1) ... p_N(x_N), each factor tagged 0-form or 1-form.
+
+    ``chi``, the tuple of factor bits, is worked out once on construction
+    (it is not a field: equality, hash and repr see sign and factors).
+    """
 
     sign: Fraction
     factors: tuple[tuple[int, Polynomial], ...]
@@ -105,14 +114,12 @@ class RankOneForm:
             if not isinstance(p, Polynomial):
                 raise TypeError(f"axis {axis}: factor {p!r} is not a "
                                 "Polynomial")
+        object.__setattr__(self, "chi",
+                           tuple(bit for bit, _ in self.factors))
 
     @property
     def dimension(self) -> int:
         return len(self.factors)
-
-    @property
-    def chi(self) -> Chi:
-        return tuple(bit for bit, _ in self.factors)
 
     @property
     def nu(self) -> int:
@@ -307,49 +314,110 @@ def _zero_batch(dimension: int, nu: int, n: int, count: int) -> dict:
             for chi in enumerate_chi(dimension, nu)}
 
 
-def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
-                       owners, count: int, source, times: int = 0,
-                       sign_rule=theta) -> tuple[dict, list[int]]:
-    """Basis coefficients of ``count`` forms, stacked on a trailing axis.
+class _Terms(NamedTuple):
+    """The rank-one terms of ``count`` forms of one space, as the kernel
+    reads them.  ``groups`` maps each chi to its terms' column ids (one
+    row per term, one column per axis), owners (the form each term
+    belongs to), sign numerators and sign denominators; ``factors[k]``
+    lists the distinct factors of bit k in column-id order."""
 
-    Form p is d applied ``times`` times (with ``sign_rule``) to the sum of
-    the rank-one ``terms[i]`` with ``owners[i] == p``.  The factors of bit
-    k, told apart by identity (hashing a Polynomial hashes its Fractions),
-    are the columns of a monomial-coefficient matrix P_k; ``source``
-    (:func:`interpolant_columns` or :func:`_expansion_columns`) maps P_0,
-    P_1 and D P_0 to the columns of plain and differentiated axes.  The
-    terms of one chi share their pieces (one per ordered choice of 0-form
-    axes to differentiate: target block, source per axis, sign; orders
-    with the same sources merge), so each piece of each chi fills its
-    block with one face-splitting product of picked columns.  Returns
-    Python-int numerator blocks of shape widths(chi) + (count,) and one
-    denominator per form: form p has coefficients
-    ``blocks[chi][..., p] / dens[p]``.
-    """
-    seen, by_chi, columns = ({}, {}), {}, []  # seen[bit]: id -> (column, p)
+    dimension: int
+    nu: int
+    count: int
+    groups: dict
+    factors: tuple
+
+
+def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
+    """The table of explicit terms, ``terms[i]`` a term of form
+    ``owners[i]``.  Factors of one bit are told apart by identity (hashing
+    a Polynomial hashes its Fractions) and numbered in term order."""
+    seen, rows, columns = ({}, {}), {}, []  # seen[bit]: id -> (column, p)
     for i, term in enumerate(terms):
         chi = term.chi
         if len(chi) != dimension or sum(chi) != nu:
             raise ValueError(
                 f"term has dimension {len(chi)}, degree {sum(chi)}; "
                 f"expected {dimension} and {nu}")
-        by_chi.setdefault(chi, []).append(i)
+        rows.setdefault(chi, []).append(i)
         columns.append([seen[bit].setdefault(id(p), (len(seen[bit]), p))[0]
                         for bit, p in term.factors])
+    enumerate_chi(dimension, nu)  # an empty batch must still fit a space
     columns = np.array(columns, dtype=np.intp).reshape(len(terms), dimension)
     owners = np.asarray(owners, dtype=np.intp)
     nums = np.array([term.sign.numerator for term in terms], dtype=object)
     sign_dens = np.array([term.sign.denominator for term in terms],
                          dtype=object)
+    return _Terms(dimension, nu, count,
+                  {chi: (columns[r], owners[r], nums[r], sign_dens[r])
+                   for chi, r in rows.items()},
+                  tuple([p for _, p in bit.values()] for bit in seen))
+
+
+def _grid_table(dimension: int, nu: int, factors, chis=None) -> _Terms:
+    """The table of full grids of sign-1 rank-one forms, one term each:
+    for each chi in turn (default: every chi of the space), every choice
+    of one factor from ``factors[chi[t]]`` per axis t, in row-major order.
+    Column ids come from ``np.indices``, with no Python work per term; the
+    table equals :func:`_term_table` of the same forms."""
+    chis = enumerate_chi(dimension, nu) if chis is None else chis
+    seen = ({}, {})  # seen[bit]: id -> (column, p), as in _term_table
+    ids = [np.array([seen[bit].setdefault(id(p), (len(seen[bit]), p))[0]
+                     for p in factors[bit]], dtype=np.intp) for bit in (0, 1)]
+    groups, count = {}, 0
+    for chi in chis:
+        grid = np.indices([len(factors[bit]) for bit in chi],
+                          dtype=np.intp).reshape(dimension, -1)
+        size = grid.shape[1]
+        if size:
+            ones = np.ones(size, dtype=object)
+            groups[chi] = (np.stack([ids[bit][axis]
+                                     for bit, axis in zip(chi, grid)], 1),
+                           np.arange(count, count + size, dtype=np.intp),
+                           ones, ones)
+            count += size
+    used = {bit for chi in groups for bit in chi}
+    return _Terms(dimension, nu, count, groups,
+                  tuple([p for _, p in seen[bit].values()] if bit in used
+                        else [] for bit in (0, 1)))
+
+
+def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
+                       sign_rule=theta):
+    """Basis coefficients of the table's forms, for each ``times`` in
+    ``orders`` with d applied that many times (with ``sign_rule``): an
+    iterator of one ``(blocks, dens)`` per order, each built only when it
+    is asked for, so an earlier one can be freed first.
+
+    The factors of bit k are the columns of a monomial-coefficient matrix
+    P_k; ``source`` (:func:`interpolant_columns` or
+    :func:`_expansion_columns`) maps P_0, P_1 and D P_0 to the columns of
+    plain and differentiated axes, once for every order.  The terms of one
+    chi share their pieces (one per ordered choice of 0-form axes to
+    differentiate: target block, source per axis, sign; orders with the
+    same sources merge), so each piece of each chi fills its block with
+    one face-splitting product of picked columns.  Each order gives
+    Python-int numerator blocks of shape widths(chi) + (count,) and one
+    denominator per form: form p has coefficients
+    ``blocks[chi][..., p] / dens[p]``.
+    """
     matrices = [coefficient_matrix(
         polys, max((len(p.coeffs) for p in polys), default=0)).T
-        for polys in ([p for _, p in factors.values()] for factors in seen)]
-    sources = [source(element, bit, P) for bit, P in enumerate(matrices)]
-    if times:
+        for polys in table.factors]
+    sources = [source(element, bit, P) for bit, P in enumerate(matrices)] \
+        if orders else []
+    if any(orders):
         sources.append(source(element, 1, _derivative_rows(matrices[0])))
-    dens = np.ones(count, dtype=object)
+    return (_order_batch(element, table, sources, times, sign_rule)
+            for times in orders)
+
+
+def _order_batch(element: Element1D, table: _Terms, sources, times: int,
+                 sign_rule) -> tuple[dict, list[int]]:
+    """One order of :func:`_coefficient_batch`."""
+    dens = np.ones(table.count, dtype=object)
     pieces = {}  # chi -> {(target chi, source per axis): [sign, base]}
-    for chi, rows in by_chi.items():
+    for chi, (_, owners, _, sign_dens) in table.groups.items():
         # one piece per ordered choice of 0-form axes to differentiate;
         # orders that land on the same sources merge, their signs summed
         merged = pieces[chi] = {}
@@ -363,27 +431,29 @@ def _coefficient_batch(element: Element1D, dimension: int, nu: int, terms,
             merged.setdefault((target, kinds), [0, math.prod(
                 sources[k][1] for k in kinds)])[0] += sign
         # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
-        np.lcm.at(dens, owners[rows], sign_dens[rows] * math.lcm(
+        np.lcm.at(dens, owners, sign_dens * math.lcm(
             *(base for _, base in merged.values())))
-    blocks = _zero_batch(dimension, nu + times, element.n, count)
-    for chi, rows in by_chi.items():
-        scale = nums[rows] * (dens[owners[rows]] // sign_dens[rows])
+    blocks = _zero_batch(table.dimension, table.nu + times, element.n,
+                         table.count)
+    for chi, (columns, owners, nums, sign_dens) in table.groups.items():
+        scale = nums * (dens[owners] // sign_dens)
         for (target, kinds), (sign, base) in pieces[chi].items():
             if not sign:
                 continue
             product = sign * (scale // base)
             for axis, k in enumerate(kinds):
                 product = product[..., None, :] * \
-                    sources[k][0][:, columns[rows, axis]]
-            np.add.at(blocks[target], (Ellipsis, owners[rows]), product)
+                    sources[k][0][:, columns[:, axis]]
+            np.add.at(blocks[target], (Ellipsis, owners), product)
     return blocks, dens.tolist()
 
 
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
                  source) -> TensorForm:
     """The sum of ``terms`` as one Fraction-valued TensorForm."""
-    blocks, (den,) = _coefficient_batch(element, dimension, nu, terms,
-                                        [0] * len(terms), 1, source)
+    (blocks, (den,)), = _coefficient_batch(
+        element, _term_table(dimension, nu, terms, [0] * len(terms), 1),
+        source, (0,))
     return TensorForm(dimension, nu, element.n,
                       {chi: block[..., 0] * Fraction(1, den)
                        for chi, block in blocks.items()})
@@ -649,61 +719,70 @@ def verify_dd_zero(dimension: int, element: Element1D,
     expanded.  Route 2 extends route 1 to the polynomial representation
     by linearity, route 3 checks that argument directly.  Every basis
     element takes all three routes: the elements of one characteristic
-    vector run as one batch on a trailing axis, and each reports its
-    first failing route only.
+    vector are a grid of basis polynomials and run as one batch on a
+    trailing axis, one kernel call for both polynomial routes, and each
+    reports its first failing route only.
     """
     n = element.n
+    bases = [_family(element, bit)[1] for bit in (0, 1)]
     witness: list[dict] = []
     checked = 0
     for nu in range(dimension + 1):
         for chi in enumerate_chi(dimension, nu):
             widths = _block_widths(chi, n)
-            indices = list(itertools.product(*(range(w) for w in widths)))
-            count = len(indices)
+            count = math.prod(widths)
             checked += count
             if nu == dimension:
                 continue  # d maps top forms into the empty (N+1)-form space
+            twice = nu + 2 <= dimension
+            batches = _coefficient_batch(
+                element, _grid_table(dimension, nu, bases, [chi]),
+                _expansion_columns, (1, 2) if twice else (1,), sign_rule)
             units = np.eye(count, dtype=object).reshape(widths + (count,))
             first = _index_rule({chi: units}, n, sign_rule,
                                 _zero_batch(dimension, nu + 1, n, count))
-            bases = [_family(element, bit)[1] for bit in chi]
-            basis = [rank_one(zip(chi, f)) for f in itertools.product(*bases)]
-            expanded, dens = _coefficient_batch(
-                element, dimension, nu, basis, range(count), count,
-                _expansion_columns, 1, sign_rule)
+            expanded, dens = next(batches)
             scale = np.array(dens, dtype=object)
             route2 = _failing(count,
                               (block * scale - expanded[target]
                                for target, block in first.items()))
             route1 = route3 = np.zeros(count, dtype=bool)
-            if nu + 2 <= dimension:
+            if twice:
                 second = _index_rule(first, n, sign_rule,
                                      _zero_batch(dimension, nu + 2, n, count))
                 route1 = _failing(count, second.values())
-                twice, _ = _coefficient_batch(
-                    element, dimension, nu, basis, range(count), count,
-                    _expansion_columns, 2, sign_rule)
-                route3 = _failing(count, twice.values())
+                route3 = _failing(count, next(batches)[0].values())
             routes = (("dd-zero", route1),
                       ("representation-consistency", route2),
                       ("dd-zero-polynomial", route3))
-            for owner, idx in enumerate(indices):
-                check = next((name for name, bad in routes if bad[owner]),
-                             None)
-                if check is not None:
-                    witness.append({"check": check, "nu": nu,
-                                    "chi": list(chi),
-                                    "index": [j + 1 for j in idx]})
+            for owner in np.flatnonzero(route1 | route2 | route3):
+                check = next(name for name, bad in routes if bad[owner])
+                witness.append({"check": check, "nu": nu, "chi": list(chi),
+                                "index": [int(j) + 1 for j in
+                                          np.unravel_index(owner, widths)]})
     return VerificationReport.of("dd-zero", witness, N=dimension,
                                  m=element.m, n=element.n,
                                  basis_elements=checked)
 
 
+def _monomials(degrees) -> list[Polynomial]:
+    """x^a for each distinct probe degree a, ascending; a degree must be
+    an int (not a bool or numpy int) and nonnegative, never coerced."""
+    degrees = list(degrees)
+    for a in degrees:
+        if type(a) is not int:
+            raise TypeError(f"probe degree {a!r} is not an int")
+        if a < 0:
+            raise ValueError(f"probe degree {a} is negative")
+    return [Polynomial.monomial(a) for a in sorted(set(degrees))]
+
+
 def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
-    """Rank-one probes with monomial factors x^a, a drawn from degrees."""
-    monomials = {a: Polynomial.monomial(a) for a in sorted(map(int, degrees))}
-    return [rank_one([(bit, monomials[a]) for bit, a in zip(chi, combo)])
+    """Rank-one probes with monomial factors x^a, a drawn from degrees:
+    chi by chi, every choice of one degree per axis in row-major order."""
+    monomials = _monomials(degrees)
+    return [rank_one(zip(chi, combo))
             for chi in enumerate_chi(dimension, nu)
             for combo in itertools.product(monomials, repeat=dimension)]
 
@@ -724,17 +803,39 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
              for probe in probes]
     terms = [term for form in forms for term in form]
     owners = [index for index, form in enumerate(forms) for _ in form]
-    count = len(forms)
-    lhs, lhs_dens = _coefficient_batch(element, dimension, nu, terms, owners,
-                                       count, interpolant_columns)
+    return _commutation_report(
+        _term_table(dimension, nu, terms, owners, len(forms)), element,
+        sign_rule)
+
+
+def verify_monomial_commutation(dimension: int, nu: int, degrees,
+                                element: Element1D,
+                                sign_rule=theta) -> VerificationReport:
+    """:func:`verify_tensor_commutation` on
+    ``rank_one_monomial_probes(dimension, nu, degrees)``, the same report
+    with the same probe indices, without building the probes: they are a
+    full grid of monomials per chi, read straight into the kernel."""
+    monomials = _monomials(degrees)
+    return _commutation_report(
+        _grid_table(dimension, nu, (monomials, monomials)), element,
+        sign_rule)
+
+
+def _commutation_report(table: _Terms, element: Element1D,
+                        sign_rule) -> VerificationReport:
+    """The tensor-commutation report of the table's forms: I(u) and I(du)
+    from one kernel call."""
+    dimension, nu, count = table.dimension, table.nu, table.count
+    batches = _coefficient_batch(element, table, interpolant_columns,
+                                 (0, 1) if nu < dimension else (),
+                                 sign_rule)
     witness: list[dict] = []
     if nu < dimension:
+        lhs, lhs_dens = next(batches)
         # rebinding frees the interpolants before I(du) is built
         lhs = _index_rule(lhs, element.n, sign_rule,
                           _zero_batch(dimension, nu + 1, element.n, count))
-        rhs, rhs_dens = _coefficient_batch(
-            element, dimension, nu, terms, owners, count,
-            interpolant_columns, 1, sign_rule)
+        rhs, rhs_dens = next(batches)
         common = [math.lcm(a, b) for a, b in zip(lhs_dens, rhs_dens)]
         left, right = (np.array([c // d for c, d in zip(common, dens)],
                                 dtype=object) for dens in (lhs_dens, rhs_dens))

@@ -5,6 +5,7 @@ coefficients) are cross-checked against each other throughout; pointwise
 evaluation is the common ground truth.
 """
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -29,7 +30,8 @@ from derham.tensor import (DEFAULT_ND_TOLERANCE, RankOneForm, SmoothFormND,
                            space_dimension, tensor_interpolate,
                            tensor_node_functionals, theta,
                            verify_dd_zero, verify_dimensions,
-                           verify_kron_structure, verify_tensor_commutation)
+                           verify_kron_structure, verify_monomial_commutation,
+                           verify_tensor_commutation)
 
 
 def poly(*coeffs) -> Polynomial:
@@ -299,11 +301,42 @@ class TestRankOneForms:
         assert len(terms) == 1  # the constant factor's axis vanished
         assert terms[0].chi == (0, 1)
 
+    def test_chi_is_worked_out_once_and_is_not_a_field(self):
+        factors = ((0, poly(0, 1)), (1, poly(1, 1)), (0, poly(2)))
+        term = RankOneForm(Fraction(-2, 3), factors)
+        assert term.chi == (0, 1, 0) and vars(term)["chi"] is term.chi
+        # equality, hash and repr see sign and factors only, as before
+        assert [f.name for f in dataclasses.fields(term)] == \
+            ["sign", "factors"]
+        assert repr(term) == \
+            f"RankOneForm(sign={Fraction(-2, 3)!r}, factors={factors!r})"
+        assert hash(term) == hash((Fraction(-2, 3), factors))
+        twin = RankOneForm(Fraction(-2, 3), factors)
+        assert twin == term and hash(twin) == hash(term)
+        assert term != RankOneForm(Fraction(2, 3), factors)
+        assert dataclasses.replace(term, factors=factors[:2]).chi == (0, 1)
+
     def test_monomial_probes(self):
         probes = rank_one_monomial_probes(2, 1, [0, 2])
         # 2 chi vectors x 4 degree combinations
         assert len(probes) == 8
         assert all(p.nu == 1 for p in probes)
+
+    @pytest.mark.parametrize("build", [
+        rank_one_monomial_probes,
+        lambda N, nu, degrees: verify_monomial_commutation(
+            N, nu, degrees, build_element(0, 1))])
+    def test_monomial_probe_degrees_validated(self, build):
+        # degrees are never coerced: 1.5 used to become 1
+        for bad in (1.5, True, np.int64(2), "2", None):
+            with pytest.raises(TypeError, match=f"probe degree "
+                                                f"{re.escape(repr(bad))} "
+                                                "is not an int"):
+                build(2, 1, [0, bad])
+        # a negative degree is named, not failed deep in Polynomial
+        with pytest.raises(ValueError, match="probe degree -1 is negative"):
+            build(2, 1, range(-1, 3))
+        assert len(rank_one_monomial_probes(2, 0, (3, 0, 3))) == 4
 
 
 class TestCanonicalize:

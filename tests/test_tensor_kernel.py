@@ -14,11 +14,18 @@ and ``max_abs`` included.  The kernel itself, which reads every column
 out of one exact product per form degree and source, is checked form by
 form against the per-factor Fraction columns, and its derivative (the
 columns of D P_0) against the rank-one route ``d_rank_one``; its
-denominators against the lcm taken one (term, piece) at a time.
+denominators against the lcm taken one (term, piece) at a time.  One
+kernel call for several orders of d is checked against one call per
+order, the grid term table against the table of the same forms built
+one by one, and the grid entry ``verify_monomial_commutation`` against
+``verify_tensor_commutation`` on the explicit probes; a guard counts
+the kernel calls of each verifier.
 """
 
+import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import json
 import math
@@ -31,7 +38,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import linalg
+from derham import linalg, tensor
+from derham.cli import main
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
 from derham.element1d import (Element1D, build_element, interpolate,
                               interpolant_columns)
@@ -39,11 +47,13 @@ from derham.polycore import Polynomial, coefficient_matrix
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
                            _coefficient_batch, _expansion_columns,
+                           _grid_table, _monomials, _term_table,
                            canonicalize, d_rank_one, enumerate_chi,
                            expand_in_basis, flat_sign, rank_one,
                            rank_one_monomial_probes, tensor_interpolate,
                            tensor_node_functionals, theta, verify_dd_zero,
-                           verify_kron_structure, verify_tensor_commutation)
+                           verify_kron_structure, verify_monomial_commutation,
+                           verify_tensor_commutation)
 
 TENSOR_GRID = [(m, n) for m in (0, 1, 2) for n in range(2 * m + 1, 2 * m + 4)]
 
@@ -327,6 +337,7 @@ def test_elements_collectable_after_tensor_verifiers():
     verify_dd_zero(2, e)
     verify_tensor_commutation(2, 1, rank_one_monomial_probes(2, 1, range(6)),
                               e)
+    verify_monomial_commutation(2, 1, range(6), e)
     ref = weakref.ref(e)
     del e
     gc.collect()
@@ -377,13 +388,18 @@ def test_dd_zero_matches_oracle_4d():
     assert report.passed and report.parameters["basis_elements"] == 7 ** 4
 
 
+def form_table(dimension, nu, forms):
+    """The kernel's term table of a list of forms, each a list of terms."""
+    terms = [term for form in forms for term in form]
+    owners = [p for p, form in enumerate(forms) for _ in form]
+    return _term_table(dimension, nu, terms, owners, len(forms))
+
+
 def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
     """One batch of the kernel, split back into one TensorForm per form,
     and the kernel's denominators."""
-    terms = [term for form in forms for term in form]
-    owners = [p for p, form in enumerate(forms) for _ in form]
-    blocks, dens = _coefficient_batch(e, dimension, nu, terms, owners,
-                                      len(forms), source, times, sign_rule)
+    (blocks, dens), = _coefficient_batch(
+        e, form_table(dimension, nu, forms), source, (times,), sign_rule)
     return [TensorForm(dimension, nu + times, e.n,
                        {chi: block[..., p] * Fraction(1, dens[p])
                         for chi, block in blocks.items()})
@@ -555,6 +571,174 @@ def test_interpolated_du_matches_d_rank_one_per_probe(control, sign_rule):
             probes = rank_one_monomial_probes(dimension, nu, degrees)
             assert_kernel_matches(e, dimension, nu, [[p] for p in probes],
                                   "interpolant", 1, sign_rule)
+
+
+def assert_same_batches(got, want):
+    """Two lists of kernel (blocks, dens) pairs are equal entry by entry."""
+    assert len(got) == len(want)
+    for (blocks, dens), (want_blocks, want_dens) in zip(got, want):
+        assert dens == want_dens
+        assert list(blocks) == list(want_blocks)
+        for chi, block in blocks.items():
+            assert block.shape == want_blocks[chi].shape
+            assert bool((block == want_blocks[chi]).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.sampled_from([theta, flat_sign]), st.data())
+def test_multi_order_call_matches_per_order_calls(case, sign_rule, data):
+    """One kernel call for several orders of d (one term table, one set
+    of column sources) gives what one call per order gives."""
+    e, dimension, nu, forms, source = case
+    possible = [times for times in range(3) if nu + times <= dimension]
+    orders = tuple(data.draw(st.lists(st.sampled_from(possible), min_size=1,
+                                      max_size=3, unique=True)))
+    table = form_table(dimension, nu, forms)
+    kernel = SOURCES[source][0]
+    assert_same_batches(
+        list(_coefficient_batch(e, table, kernel, orders, sign_rule)),
+        [next(_coefficient_batch(e, table, kernel, (times,), sign_rule))
+         for times in orders])
+
+
+def assert_same_table(got, want):
+    assert got[:3] == want[:3]  # dimension, nu, count
+    assert list(got.groups) == list(want.groups)
+    for chi, arrays in got.groups.items():
+        for array, want_array in zip(arrays, want.groups[chi]):
+            assert array.shape == want_array.shape
+            assert array.dtype == want_array.dtype
+            assert bool((array == want_array).all())
+    assert [[id(p) for p in polys] for polys in got.factors] == \
+        [[id(p) for p in polys] for polys in want.factors]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_grid_table_matches_table_of_forms(dimension):
+    """The grid builder (column ids from np.indices) gives the table that
+    the term loop gives on the same forms, built explicitly."""
+    for nu in range(dimension + 1):
+        for degrees in ([], [0], [3, 0, 1], range(5)):
+            monomials = _monomials(degrees)
+            forms = [[rank_one(zip(chi, combo))]
+                     for chi in enumerate_chi(dimension, nu)
+                     for combo in itertools.product(monomials,
+                                                    repeat=dimension)]
+            assert forms == [[probe] for probe in rank_one_monomial_probes(
+                dimension, nu, degrees)]
+            assert_same_table(
+                _grid_table(dimension, nu, (monomials, monomials)),
+                form_table(dimension, nu, forms))
+    # dd-zero's grids: one chi of basis elements, here with basis0[0]
+    # listed twice (the same object), which both builders merge
+    for e in (element(1, 3), rank_deficient(0, 2)):
+        bases = (e.basis0, e.basis1)
+        for nu in range(dimension):
+            for chi in enumerate_chi(dimension, nu):
+                forms = [[rank_one(zip(chi, factors))] for factors in
+                         itertools.product(*(bases[bit] for bit in chi))]
+                assert_same_table(_grid_table(dimension, nu, bases, [chi]),
+                                  form_table(dimension, nu, forms))
+
+
+GRID_3D = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]
+
+
+def cli_degrees(dimension, n):
+    """The CLI's default per-axis probe degrees."""
+    return range(n + 4) if dimension <= 2 else sorted({0, 2, n, n + 3})
+
+
+def test_monomial_commutation_matches_explicit_probes():
+    """verify_monomial_commutation (a grid table) gives the report of
+    verify_tensor_commutation on the explicit probes, probe indices
+    included, over the benchmark's grids, pristine and under controls."""
+    failed = 0
+    for dimension, grid in ((2, TENSOR_GRID), (3, GRID_3D)):
+        for m, n in grid:
+            cases = [(None, theta), (None, flat_sign)]
+            if n >= 2:
+                cases.append(("permute-alpha", theta))
+            for control, sign_rule in cases:
+                e = element(m, n, control)
+                degrees = cli_degrees(dimension, n)
+                for nu in range(dimension + 1):
+                    got = verify_monomial_commutation(dimension, nu, degrees,
+                                                      e, sign_rule)
+                    probes = rank_one_monomial_probes(dimension, nu, degrees)
+                    assert report_json(got) == report_json(
+                        verify_tensor_commutation(dimension, nu, probes, e,
+                                                  sign_rule))
+                    failed += not got.passed
+    assert failed > 0
+
+
+def test_one_kernel_call_per_verifier_call(monkeypatch):
+    """Each tensor-commutation call makes one kernel call (one term pass,
+    one P_0/P_1 pair, one product per column source) and each order of
+    d once; dd-zero makes one per characteristic vector below the top
+    degree.  The CLI's tensor-commutation goes through the grid entry."""
+    calls = {}
+
+    def counting(name):
+        inner = getattr(tensor, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(tensor, name, wrapper)
+
+    for name in ("_coefficient_batch", "_order_batch", "_term_table",
+                 "_grid_table", "interpolant_columns", "_expansion_columns",
+                 "verify_monomial_commutation"):
+        counting(name)
+    e = build_element(1, 3)
+    for dimension in (2, 3):
+        for nu in range(dimension + 1):
+            for verify, probes in (
+                    (verify_tensor_commutation,
+                     rank_one_monomial_probes(dimension, nu, range(5))),
+                    (tensor.verify_monomial_commutation, range(5))):
+                calls.clear()
+                verify(dimension, nu, probes, e)
+                below = nu < dimension
+                want = {"_coefficient_batch": 1, "_order_batch": 2 * below,
+                        "interpolant_columns": 3 * below,
+                        **({"_term_table": 1}
+                           if verify is verify_tensor_commutation
+                           else {"_grid_table": 1,
+                                 "verify_monomial_commutation": 1})}
+                assert calls == {k: v for k, v in want.items() if v}
+        calls.clear()
+        verify_dd_zero(dimension, e)
+        chis = 2 ** dimension - 1  # every chi below the top degree
+        orders = sum(min(2, dimension - nu) * math.comb(dimension, nu)
+                     for nu in range(dimension))
+        assert calls == {"_coefficient_batch": chis, "_grid_table": chis,
+                         "_expansion_columns": 3 * chis,
+                         "_order_batch": orders}
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
+                     "--checks", "tensor-commutation"]) == 0
+    assert calls["verify_monomial_commutation"] == 4
+    assert calls["_coefficient_batch"] == 4 and "_term_table" not in calls
+
+
+def test_orders_are_built_lazily_and_freed():
+    """Each order's batch is built when it is asked for, and the iterator
+    keeps no reference to an earlier one (I(u) is freed before I(du))."""
+    e = element(1, 3)
+    table = _grid_table(2, 0, [_monomials(range(6))] * 2)
+    batches = _coefficient_batch(e, table, interpolant_columns, (0, 1))
+    first = next(batches)
+    ref = weakref.ref(first[0][(0, 0)])
+    del first
+    gc.collect()
+    assert ref() is None
+    blocks, _ = next(batches)
+    assert list(blocks) == [(0, 1), (1, 0)]
+    assert next(batches, None) is None
 
 
 def test_out_of_space_expansion_names_the_degree():
