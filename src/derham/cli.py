@@ -35,6 +35,16 @@ from .smooth import SmoothFunction1D, named_function
 OUTDIR_ENV = "DERHAM_OUTDIR"
 
 
+def _split_items(text: str) -> list[str]:
+    """The stripped items of a comma list; a blank item is never dropped
+    but rejected, quoting ``text``."""
+    items = [item.strip() for item in text.split(",")]
+    if not all(items):
+        empty = "empty item in" if any(items) else "empty"
+        raise ValueError(f"{empty} list {text!r}")
+    return items
+
+
 def parse_int_list(text: str) -> list[int]:
     """Accepts "3", "0..3", or "1,3,5"."""
     text = text.strip()
@@ -45,10 +55,7 @@ def parse_int_list(text: str) -> list[int]:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     if "," in text:
-        values = [int(part) for part in text.split(",") if part.strip()]
-        if not values:
-            raise ValueError(f"empty list {text!r}")
-        return values
+        return [int(part) for part in _split_items(text)]
     return [int(text)]
 
 
@@ -239,13 +246,10 @@ def run_verify_suite(cfg) -> SuiteResult:
 
 
 def cmd_verify(args) -> int:
-    args.checks = _distinct("checks", [c.strip() for c in
-                                       args.checks.split(",") if c.strip()])
+    args.checks = _distinct("checks", _split_items(args.checks))
     unknown = set(args.checks) - set(CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    if not args.checks:
-        raise ValueError("verify needs at least one check")
     suite = run_verify_suite(args)
     if args.fmt == "json":
         emit(serialize.json_text(suite.to_json()), args.output)

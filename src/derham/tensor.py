@@ -242,21 +242,19 @@ def d_tensor(u: TensorForm, sign_rule=theta) -> TensorForm:
     1-form basis function j with the sign of ``sign_rule``; the trailing
     constant basis function is dropped (its derivative vanishes).
     """
-    N, n = u.dimension, u.degree
-    if u.nu >= N:
-        return TensorForm(N, u.nu + 1, n, {})
-    exact = not any(block.dtype == float for block in u.blocks.values())
-    out = TensorForm.zero(N, u.nu + 1, n, exact=exact)
-    _index_rule(u.blocks, n, sign_rule, out.blocks)
-    return out
+    return TensorForm(u.dimension, u.nu + 1, u.degree,
+                      _index_rule(u.blocks, u.degree, sign_rule))
 
 
-def _index_rule(blocks: dict, n: int, sign_rule, out: dict) -> dict:
-    """Add d of the chi blocks into ``out`` (the blocks of degree nu+1).
+def _index_rule(blocks: dict, n: int, sign_rule) -> dict:
+    """d of the chi blocks: the blocks of degree nu+1 that it reaches,
+    each a new array.  Entry j of an image block comes from entry j of
+    its source blocks (d never moves a basis index).
 
     The rule acts on the leading N axes of each block; trailing axes,
     such as the probe axis of a batch, ride along untouched.
     """
+    out: dict = {}
     for chi, block in blocks.items():
         for t, bit in enumerate(chi):
             if bit == 1:
@@ -265,7 +263,7 @@ def _index_rule(blocks: dict, n: int, sign_rule, out: dict) -> dict:
             piece = block[(slice(None),) * t + (slice(0, n),)]
             if sign_rule(chi, t) < 0:
                 piece = -piece
-            out[target] = out[target] + piece
+            out[target] = out.get(target, 0) + piece
     return out
 
 
@@ -307,11 +305,6 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
     if dimension is None or nu is None:
         raise ValueError("empty term list needs explicit dimension and nu")
     return _single_form(element, dimension, nu, terms, _expansion_columns)
-
-
-def _zero_batch(dimension: int, nu: int, n: int, count: int) -> dict:
-    return {chi: np.zeros(_block_widths(chi, n) + (count,), dtype=object)
-            for chi in enumerate_chi(dimension, nu)}
 
 
 class _Terms(NamedTuple):
@@ -433,8 +426,9 @@ def _order_batch(element: Element1D, table: _Terms, sources, times: int,
         # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
         np.lcm.at(dens, owners, sign_dens * math.lcm(
             *(base for _, base in merged.values())))
-    blocks = _zero_batch(table.dimension, table.nu + times, element.n,
-                         table.count)
+    blocks = {chi: np.zeros(_block_widths(chi, element.n) + (table.count,),
+                            dtype=object)
+              for chi in enumerate_chi(table.dimension, table.nu + times)}
     for chi, (columns, owners, nums, sign_dens) in table.groups.items():
         scale = nums * (dens[owners] // sign_dens)
         for (target, kinds), (sign, base) in pieces[chi].items():
@@ -657,20 +651,18 @@ def _atom_grid(comp: SmoothFunctionND, chi: Chi, atoms) -> np.ndarray:
     return grid
 
 
-def verify_dimensions(dimension: int, element: Element1D,
-                      nu_values=None) -> VerificationReport:
+def verify_dimensions(dimension: int,
+                      element: Element1D) -> VerificationReport:
     """Dimension bookkeeping of the tensor spaces.
 
     Checks the binomial count of characteristic vectors, the product
-    formula against brute-force basis enumeration, and the closed-form
-    total dimension (2n+1)^N across all form degrees.
+    formula against the sizes of the basis and functional families, and
+    the closed-form total dimension (2n+1)^N across all form degrees.
     """
     n = element.n
-    if nu_values is None:
-        nu_values = range(dimension + 1)
     witness: list[dict] = []
     total = 0
-    for nu in nu_values:
+    for nu in range(dimension + 1):
         chis = enumerate_chi(dimension, nu)
         expected_count = math.comb(dimension, nu)
         if len(chis) != expected_count or len(set(chis)) != len(chis):
@@ -679,23 +671,21 @@ def verify_dimensions(dimension: int, element: Element1D,
         if any(sum(chi) != nu for chi in chis):
             witness.append({"check": "chi-weight", "nu": nu})
         formula = space_dimension(dimension, nu, element)
-        enumerated = 0
-        for chi in chis:
-            enumerated += sum(1 for _ in itertools.product(
-                *(range(w) for w in _block_widths(chi, n))))
+        # the space's size per family (0: functionals, 1: basis)
+        functional_count, enumerated = (
+            sum(math.prod(len(_family(element, bit)[k]) for bit in chi)
+                for chi in chis) for k in (0, 1))
         if formula != enumerated:
             witness.append({"check": "dimension", "nu": nu,
                             "formula": formula, "enumerated": enumerated})
-        functional_count = len(tensor_node_functionals(dimension, nu, element))
         if functional_count != formula:
             witness.append({"check": "functional-count", "nu": nu,
                             "count": functional_count, "expected": formula})
         total += formula
-    if list(nu_values) == list(range(dimension + 1)):
-        closed_form = (2 * n + 1) ** dimension
-        if total != closed_form:
-            witness.append({"check": "total-dimension", "total": total,
-                            "expected": closed_form})
+    closed_form = (2 * n + 1) ** dimension
+    if total != closed_form:
+        witness.append({"check": "total-dimension", "total": total,
+                        "expected": closed_form})
     return VerificationReport.of("dimensions", witness, N=dimension,
                                  m=element.m, n=element.n)
 
@@ -721,7 +711,9 @@ def verify_dd_zero(dimension: int, element: Element1D,
     element takes all three routes: the elements of one characteristic
     vector are a grid of basis polynomials and run as one batch on a
     trailing axis, one kernel call for both polynomial routes, and each
-    reports its first failing route only.
+    reports its first failing route only.  The index rule never moves a
+    basis index, so routes 1 and 2 apply it to one all-ones block per
+    characteristic vector and read basis element j off entry j.
     """
     n = element.n
     bases = [_family(element, bit)[1] for bit in (0, 1)]
@@ -738,19 +730,20 @@ def verify_dd_zero(dimension: int, element: Element1D,
             batches = _coefficient_batch(
                 element, _grid_table(dimension, nu, bases, [chi]),
                 _expansion_columns, (1, 2) if twice else (1,), sign_rule)
-            units = np.eye(count, dtype=object).reshape(widths + (count,))
-            first = _index_rule({chi: units}, n, sign_rule,
-                                _zero_batch(dimension, nu + 1, n, count))
+            first = _index_rule({chi: np.ones(widths, dtype=object)}, n,
+                                sign_rule)
             expanded, dens = next(batches)
-            scale = np.array(dens, dtype=object)
-            route2 = _failing(count,
-                              (block * scale - expanded[target]
-                               for target, block in first.items()))
-            route1 = route3 = np.zeros(count, dtype=bool)
+            dens = np.array(dens, dtype=object)
+            for target, block in first.items():
+                entries = np.indices(block.shape)
+                owners = np.ravel_multi_index(entries, widths)
+                expanded[target][(*entries, owners)] -= block * dens[owners]
+            route2 = _failing(count, expanded.values())
+            route1, route3 = np.zeros((2, count), dtype=bool)
             if twice:
-                second = _index_rule(first, n, sign_rule,
-                                     _zero_batch(dimension, nu + 2, n, count))
-                route1 = _failing(count, second.values())
+                for block in _index_rule(first, n, sign_rule).values():
+                    route1[np.ravel_multi_index(np.nonzero(block),
+                                                widths)] = True
                 route3 = _failing(count, next(batches)[0].values())
             routes = (("dd-zero", route1),
                       ("representation-consistency", route2),
@@ -833,15 +826,14 @@ def _commutation_report(table: _Terms, element: Element1D,
     if nu < dimension:
         lhs, lhs_dens = next(batches)
         # rebinding frees the interpolants before I(du) is built
-        lhs = _index_rule(lhs, element.n, sign_rule,
-                          _zero_batch(dimension, nu + 1, element.n, count))
+        lhs = _index_rule(lhs, element.n, sign_rule)
         rhs, rhs_dens = next(batches)
         common = [math.lcm(a, b) for a, b in zip(lhs_dens, rhs_dens)]
         left, right = (np.array([c // d for c, d in zip(common, dens)],
                                 dtype=object) for dens in (lhs_dens, rhs_dens))
         leading = tuple(range(dimension))
-        residual = {chi: block * left - rhs[chi] * right
-                    for chi, block in lhs.items()}
+        residual = {chi: lhs.get(chi, 0) * left - block * right
+                    for chi, block in rhs.items()}
         nonzero = {chi: (block != 0).any(axis=leading)
                    for chi, block in residual.items()}
         failing = np.flatnonzero(np.any(list(nonzero.values()), axis=0))

@@ -36,6 +36,9 @@ class TestArgumentParsing:
             parse_int_list("one")
         with pytest.raises(ValueError, match="empty list"):
             parse_int_list(",")
+        for text in ("1,", ",1", "1,,3", "1, ,3"):
+            with pytest.raises(ValueError, match="empty item in list"):
+                parse_int_list(text)
 
     def test_degrees_for(self):
         assert degrees_for(1, "auto") == [3]
@@ -495,9 +498,24 @@ class TestRejectedAtEntry:
         ("verify", "--nu", ",", "--checks", "tensor-commutation"),
         ("element", "--m", ","),
         ("tensor", "--nu", ","),
+        ("verify", "--checks", ","),
     ])
     def test_empty_list(self, capsys, argv):
         assert "error: empty list" in rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--m", "1", "--n", "3,,4", "--N", "2"),
+        ("verify", "--m", "1,"),
+        ("verify", "--nu", "0,,1", "--checks", "tensor-commutation"),
+        ("verify", "--checks", "dimensions,,dd-zero"),
+        ("tensor", "--emit", "basis-samples", "--chi", "0,,1"),
+    ])
+    def test_empty_item(self, capsys, argv):
+        # an empty item is rejected, not dropped: the list quoted in the
+        # message is the flag's value as given
+        err = rejected(capsys, *argv)
+        flag = next(a for a in argv if "," in a)
+        assert f"error: empty item in list {flag!r}" in err
 
     @pytest.mark.parametrize("grid", [("--m", "0..2"), ("--m", "0,1"),
                                       ("--n", "auto+1"), ("--n", "3,4")])

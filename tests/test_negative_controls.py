@@ -23,7 +23,7 @@ from derham.element1d import (build_element, verify_commutation,
                               verify_lemma_hypotheses, verify_unisolvence)
 from derham.linalg import Exact
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
-    rank_one_monomial_probes
+    rank_one_monomial_probes, verify_dimensions
 
 GRID = [(0, 2), (1, 3), (2, 5)]
 
@@ -142,6 +142,31 @@ class TestStoredTableMutants:
         # alpha0' M0 = I + e_4 (M0's first row) / 7, and that row is e_1
         assert report.witness == [{"check": "projection", "form": 0,
                                    "row": 4, "col": 1}]
+
+
+class TestShortFamily:
+    """The element constructor rejects a family of the wrong size, so the
+    control drops the last 1-form functional or basis function after the
+    build; every nu with a 1-form axis then counts short."""
+
+    @pytest.mark.parametrize("field, check", [
+        ("functionals1", "functional-count"), ("basis1", "dimension")])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_dimensions_fails(self, field, check, dimension):
+        e = dataclasses.replace(build_element(1, 3))
+        object.__setattr__(e, field, getattr(e, field)[:-1])
+        report = verify_dimensions(dimension, e)
+        assert not report.passed
+        assert [(w["check"], w["nu"]) for w in report.witness] == [
+            (check, nu) for nu in range(1, dimension + 1)]
+
+    def test_witness_counts(self):
+        e = dataclasses.replace(build_element(1, 3))
+        object.__setattr__(e, "functionals1", e.functionals1[:-1])
+        # nu = 1 in 1D: two 1-form functionals for three basis functions
+        assert verify_dimensions(1, e).witness == [
+            {"check": "functional-count", "nu": 1, "count": 2,
+             "expected": 3}]
 
 
 class TestFlatSign:

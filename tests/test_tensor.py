@@ -197,6 +197,39 @@ class TestDimensions:
             assert len({(f.chi, f.index) for f in fns}) == len(fns)
 
 
+class TestDTensorOutput:
+    """d_tensor builds new blocks of its input's entry type, one for every
+    chi of degree nu+1; at nu = N it gives the empty form."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+    def test_new_typed_complete(self, dimension):
+        rng = random.Random(dimension)
+        for nu in range(dimension + 1):
+            exact = TensorForm.zero(dimension, nu, 3)
+            for block in exact.blocks.values():
+                # dyadic entries, so the float form sums without rounding
+                block.flat = [Fraction(rng.randint(-9, 9), rng.choice((1, 4)))
+                              for _ in range(block.size)]
+            floats = TensorForm(dimension, nu, 3, {
+                chi: block.astype(float)
+                for chi, block in exact.blocks.items()})
+            d_exact, d_floats = d_tensor(exact), d_tensor(floats)
+            expected = set(enumerate_chi(dimension, nu + 1)) \
+                if nu < dimension else set()
+            for u, du in ((exact, d_exact), (floats, d_floats)):
+                assert (du.dimension, du.nu, du.degree) == \
+                    (dimension, nu + 1, 3)
+                assert set(du.blocks) == expected
+                for block in du.blocks.values():
+                    assert not any(np.shares_memory(block, source)
+                                   for source in u.blocks.values())
+            for chi, block in d_exact.blocks.items():
+                assert block.dtype == object
+                assert {type(x) for x in block.flat} == {Fraction}
+                assert d_floats.blocks[chi].dtype == np.float64
+                assert (d_floats.blocks[chi] == block.astype(float)).all()
+
+
 class TestTensorForm:
     def test_block_validation(self, e13):
         with pytest.raises(ValueError, match="characteristic"):
