@@ -27,6 +27,14 @@ table comes from explicit rank-one terms or, when the input is a full
 grid of factors per chi (monomial probes, basis elements), straight
 from the factor lists with no per-term Python work.
 
+The arithmetic stays exact either way, but not always on Python ints:
+before it fills a block, each order works out an a-priori bound on
+every numerator it will hold, and when that bound is below
+``_INT64_LIMIT`` (2**62) the same code runs on ``np.int64`` arrays;
+otherwise on Python-int object arrays.  The verifiers that combine
+batches (the commutation residual, route 2 of d-after-d) bound their
+own step from the exact peaks of its inputs in the same way.
+
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
 and commutation of interpolation with the exterior derivative.
@@ -55,6 +63,11 @@ from .smooth import SmoothFunctionND
 Chi = tuple[int, ...]
 
 DEFAULT_ND_TOLERANCE = 1e-11
+
+# An exact integer step runs on np.int64 only when a bound worked out
+# before the step puts every value it makes below this (int64 holds
+# magnitudes up to 2**63 - 1); otherwise it runs on Python ints.
+_INT64_LIMIT = 2 ** 62
 
 _VARIABLE_NAMES = ("u", "v", "w")
 
@@ -312,13 +325,15 @@ class _Terms(NamedTuple):
     reads them.  ``groups`` maps each chi to its terms' column ids (one
     row per term, one column per axis), owners (the form each term
     belongs to), sign numerators and sign denominators; ``factors[k]``
-    lists the distinct factors of bit k in column-id order."""
+    lists the distinct factors of bit k in column-id order.  ``depth`` is
+    the most terms any form has (0 for no terms)."""
 
     dimension: int
     nu: int
     count: int
     groups: dict
     factors: tuple
+    depth: int
 
 
 def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
@@ -344,7 +359,8 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
     return _Terms(dimension, nu, count,
                   {chi: (columns[r], owners[r], nums[r], sign_dens[r])
                    for chi, r in rows.items()},
-                  tuple([p for _, p in bit.values()] for bit in seen))
+                  tuple([p for _, p in bit.values()] for bit in seen),
+                  int(np.bincount(owners).max()) if len(owners) else 0)
 
 
 def _grid_table(dimension: int, nu: int, factors, chis=None) -> _Terms:
@@ -372,7 +388,7 @@ def _grid_table(dimension: int, nu: int, factors, chis=None) -> _Terms:
     used = {bit for chi in groups for bit in chi}
     return _Terms(dimension, nu, count, groups,
                   tuple([p for _, p in seen[bit].values()] if bit in used
-                        else [] for bit in (0, 1)))
+                        else [] for bit in (0, 1)), min(count, 1))
 
 
 def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
@@ -390,9 +406,12 @@ def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
     differentiate: target block, source per axis, sign; orders with the
     same sources merge), so each piece of each chi fills its block with
     one face-splitting product of picked columns.  Each order gives
-    Python-int numerator blocks of shape widths(chi) + (count,) and one
-    denominator per form: form p has coefficients
-    ``blocks[chi][..., p] / dens[p]``.
+    integer numerator blocks of shape widths(chi) + (count,) and one
+    Python-int denominator per form: form p has coefficients
+    ``blocks[chi][..., p] / dens[p]``.  The blocks are ``np.int64`` when
+    the order's bound on their entries (the depth of the table times, for
+    the worst piece, its sign, the peak of its terms' scales and the
+    peaks of its sources) is below ``_INT64_LIMIT``, else Python ints.
     """
     matrices = [coefficient_matrix(
         polys, max((len(p.coeffs) for p in polys), default=0)).T
@@ -401,13 +420,15 @@ def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
         if orders else []
     if any(orders):
         sources.append(source(element, 1, _derivative_rows(matrices[0])))
+    sources = [(nums, den, _peak([nums])) for nums, den in sources]
     return (_order_batch(element, table, sources, times, sign_rule)
             for times in orders)
 
 
 def _order_batch(element: Element1D, table: _Terms, sources, times: int,
                  sign_rule) -> tuple[dict, list[int]]:
-    """One order of :func:`_coefficient_batch`."""
+    """One order of :func:`_coefficient_batch`; ``sources`` holds the
+    (numerators, denominator, peak) of each column source."""
     dens = np.ones(table.count, dtype=object)
     pieces = {}  # chi -> {(target chi, source per axis): [sign, base]}
     for chi, (_, owners, _, sign_dens) in table.groups.items():
@@ -424,22 +445,61 @@ def _order_batch(element: Element1D, table: _Terms, sources, times: int,
             merged.setdefault((target, kinds), [0, math.prod(
                 sources[k][1] for k in kinds)])[0] += sign
         # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
-        np.lcm.at(dens, owners, sign_dens * math.lcm(
-            *(base for _, base in merged.values())))
+        den = sign_dens * math.lcm(*(base for _, base in merged.values()))
+        if table.depth == 1:  # a form's one term gives its denominator
+            dens[owners] = den
+        else:
+            np.lcm.at(dens, owners, den)
+    # an entry sums at most depth products (one per term of its form, since
+    # a chi has one piece per target), each below the worst piece's bound;
+    # every factor of a bound is at least 1, so partial products stay below
+    scales, bound = {}, 0
+    for chi, (_, owners, nums, sign_dens) in table.groups.items():
+        scale = scales[chi] = nums * (dens[owners] // sign_dens)
+        peak = _peak([scale])  # base divides every scale of the chi
+        for (_, kinds), (sign, base) in pieces[chi].items():
+            bound = max(bound, abs(sign) * max(peak // base, 1) * math.prod(
+                sources[k][2] for k in kinds))
+    dtype = _exact_dtype(table.depth * bound)
+    columns = {k: np.asarray(sources[k][0], dtype)
+               for merged in pieces.values()
+               for (_, kinds), (sign, _) in merged.items() if sign
+               for k in kinds}
     blocks = {chi: np.zeros(_block_widths(chi, element.n) + (table.count,),
-                            dtype=object)
+                            dtype=dtype)
               for chi in enumerate_chi(table.dimension, table.nu + times)}
-    for chi, (columns, owners, nums, sign_dens) in table.groups.items():
-        scale = nums * (dens[owners] // sign_dens)
+    for chi, (ids, owners, _, _) in table.groups.items():
+        # a grid's owners of one chi are a range: add into that slice
+        span = slice(owners[0], owners[-1] + 1) \
+            if (owners[1:] - owners[:-1] == 1).all() else None
         for (target, kinds), (sign, base) in pieces[chi].items():
             if not sign:
                 continue
-            product = sign * (scale // base)
+            product = np.asarray(sign * (scales[chi] // base), dtype)
             for axis, k in enumerate(kinds):
-                product = product[..., None, :] * \
-                    sources[k][0][:, columns[:, axis]]
-            np.add.at(blocks[target], (Ellipsis, owners), product)
+                product = product[..., None, :] * columns[k][:, ids[:, axis]]
+            if span is None:  # owners may repeat
+                np.add.at(blocks[target], (Ellipsis, owners), product)
+            else:
+                blocks[target][..., span] += product
     return blocks, dens.tolist()
+
+
+def _peak(arrays) -> int:
+    """The largest absolute entry of the arrays as a Python int, at least
+    1 (a bound multiplies by it)."""
+    return max([1, *(int(max(a.max(), -a.min())) for a in arrays if a.size)])
+
+
+def _exact_dtype(bound: int):
+    """np.int64 when ``bound`` is below ``_INT64_LIMIT``, else object."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def _astype(blocks: dict, dtype) -> dict:
+    """The blocks on ``dtype``, copied only where theirs differs."""
+    return {chi: block.astype(dtype, copy=False)
+            for chi, block in blocks.items()}
 
 
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
@@ -449,7 +509,7 @@ def _single_form(element: Element1D, dimension: int, nu: int, terms,
         element, _term_table(dimension, nu, terms, [0] * len(terms), 1),
         source, (0,))
     return TensorForm(dimension, nu, element.n,
-                      {chi: block[..., 0] * Fraction(1, den)
+                      {chi: block[..., 0].astype(object) * Fraction(1, den)
                        for chi, block in blocks.items()})
 
 
@@ -591,8 +651,12 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     if quadrature_order is None:
         quadrature_order = element.default_quadrature_order
     check_order(quadrature_order)
-    out = TensorForm.zero(dimension, nu, element.n, exact=False)
-    for chi, comp in form.components.items():
+    blocks = {}
+    for chi in enumerate_chi(dimension, nu):
+        comp = form.components.get(chi)
+        if comp is None:
+            blocks[chi] = np.zeros(_block_widths(chi, element.n))
+            continue
         atoms, tables = zip(*(_folded_table(element, bit, quadrature_order)
                               for bit in chi))
         # sum factorization: contracting the leading axis with each
@@ -600,8 +664,8 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
         coeffs = _atom_grid(comp, chi, atoms)
         for table in tables:
             coeffs = np.tensordot(coeffs, table, axes=(0, 1))
-        out.blocks[chi] = coeffs
-    return out
+        blocks[chi] = coeffs
+    return TensorForm(dimension, nu, element.n, blocks)
 
 
 def _folded_table(element: Element1D, bit: int,
@@ -730,10 +794,14 @@ def verify_dd_zero(dimension: int, element: Element1D,
             batches = _coefficient_batch(
                 element, _grid_table(dimension, nu, bases, [chi]),
                 _expansion_columns, (1, 2) if twice else (1,), sign_rule)
-            first = _index_rule({chi: np.ones(widths, dtype=object)}, n,
+            first = _index_rule({chi: np.ones(widths, dtype=np.int64)}, n,
                                 sign_rule)
             expanded, dens = next(batches)
             dens = np.array(dens, dtype=object)
+            # route 2 takes at most nu + 1 denominators off an entry
+            dtype = _exact_dtype(_peak(expanded.values())
+                                 + (nu + 1) * dens.max())
+            expanded, dens = _astype(expanded, dtype), dens.astype(dtype)
             for target, block in first.items():
                 entries = np.indices(block.shape)
                 owners = np.ravel_multi_index(entries, widths)
@@ -825,12 +893,19 @@ def _commutation_report(table: _Terms, element: Element1D,
     witness: list[dict] = []
     if nu < dimension:
         lhs, lhs_dens = next(batches)
-        # rebinding frees the interpolants before I(du) is built
-        lhs = _index_rule(lhs, element.n, sign_rule)
+        # rebinding frees the interpolants before I(du) is built; d adds
+        # at most nu + 1 blocks into each of its targets
+        lhs = _index_rule(_astype(lhs, _exact_dtype(
+            (nu + 1) * _peak(lhs.values()))), element.n, sign_rule)
         rhs, rhs_dens = next(batches)
-        common = [math.lcm(a, b) for a, b in zip(lhs_dens, rhs_dens)]
-        left, right = (np.array([c // d for c, d in zip(common, dens)],
-                                dtype=object) for dens in (lhs_dens, rhs_dens))
+        lhs_dens, rhs_dens = (np.array(dens, dtype=object)
+                              for dens in (lhs_dens, rhs_dens))
+        common = np.lcm(lhs_dens, rhs_dens)
+        left, right = common // lhs_dens, common // rhs_dens
+        dtype = _exact_dtype(_peak(lhs.values()) * left.max(initial=1)
+                             + _peak(rhs.values()) * right.max(initial=1))
+        # an int64 block times an object factor is taken on Python ints
+        left, right = left.astype(dtype), right.astype(dtype)
         leading = tuple(range(dimension))
         residual = {chi: lhs.get(chi, 0) * left - block * right
                     for chi, block in rhs.items()}
@@ -840,7 +915,7 @@ def _commutation_report(table: _Terms, element: Element1D,
         # peaks only for the failing probes, over every block
         peaks = np.max([np.abs(block[..., failing]).max(axis=leading)
                         for block in residual.values()], axis=0)
-        for index, largest in zip(failing.tolist(), peaks):
+        for index, largest in zip(failing.tolist(), peaks.tolist()):
             witness.append({"check": "tensor-commutation", "probe": index,
                             "blocks": [list(chi) for chi in residual
                                        if nonzero[chi][index]],

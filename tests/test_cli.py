@@ -316,6 +316,11 @@ class TestExactArtifacts:
     ND_VERIFY = ("verify", "--m", "1", "--n", "3", "--N", "3", "--checks",
                  "dimensions,dd-zero,tensor-commutation")
 
+    # (m, n) = (4, 14) at N = 2: numerators of 56 bits over denominators
+    # of 25 bits, so the commutation residual runs on Python ints
+    WIDE_VERIFY = ("verify", "--m", "4", "--n", "14", "--N", "2", "--checks",
+                   "tensor-commutation")
+
     # the corrupted N = 3 rows pin witnesses: tensor-commutation ones with
     # their blocks and max_abs (permute-alpha), dd-zero ones (flip-theta)
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -332,8 +337,13 @@ class TestExactArtifacts:
          "c289720e53856eaa148e80f7151674283a5dd36285ba2d055c046cd2450803df"),
         (ND_VERIFY + ("--corrupt", "flip-theta"), 1,
          "b3979bb0d7ddf45dfd955ef8d3f107db31e00dc65896e077af2cd8de658c5f87"),
+        (WIDE_VERIFY, 0,
+         "ecc1758ab0af8d2471cb88e4588c2c114853131c57aaaf0a1b3468c328dfeed4"),
+        (WIDE_VERIFY + ("--corrupt", "permute-alpha"), 1,
+         "76545eb0804505c2787dbfaf946b9405006a4463b795078c8093e216d67ef66a"),
     ], ids=["element", "tensor", "verify", "verify-3d",
-            "verify-3d-permute-alpha", "verify-3d-flip-theta"])
+            "verify-3d-permute-alpha", "verify-3d-flip-theta", "verify-wide",
+            "verify-wide-permute-alpha"])
     def test_sha256(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, *argv)
         assert code == exit_code

@@ -19,7 +19,10 @@ kernel call for several orders of d is checked against one call per
 order, the grid term table against the table of the same forms built
 one by one, and the grid entry ``verify_monomial_commutation`` against
 ``verify_tensor_commutation`` on the explicit probes; a guard counts
-the kernel calls of each verifier.
+the kernel calls of each verifier.  The int64 path is checked against
+the Python-int path it falls back to: batch by batch with the limit at
+0, at the exact edge of one batch's bound, and report by report under
+limits that mix the two.
 """
 
 import contextlib
@@ -584,25 +587,159 @@ def assert_same_batches(got, want):
             assert bool((block == want_blocks[chi]).all())
 
 
+@pytest.mark.parametrize("python_ints", [False, True])
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases(), st.sampled_from([theta, flat_sign]), st.data())
-def test_multi_order_call_matches_per_order_calls(case, sign_rule, data):
+def test_multi_order_call_matches_per_order_calls(python_ints, case,
+                                                  sign_rule, data):
     """One kernel call for several orders of d (one term table, one set
-    of column sources) gives what one call per order gives."""
+    of column sources) gives what one call per order gives.  With the
+    int64 limit at 0 the per-order calls run on Python ints, and the
+    blocks and denominators are still those of the int64 call."""
     e, dimension, nu, forms, source = case
     possible = [times for times in range(3) if nu + times <= dimension]
     orders = tuple(data.draw(st.lists(st.sampled_from(possible), min_size=1,
                                       max_size=3, unique=True)))
     table = form_table(dimension, nu, forms)
     kernel = SOURCES[source][0]
-    assert_same_batches(
-        list(_coefficient_batch(e, table, kernel, orders, sign_rule)),
-        [next(_coefficient_batch(e, table, kernel, (times,), sign_rule))
-         for times in orders])
+    got = list(_coefficient_batch(e, table, kernel, orders, sign_rule))
+    with pytest.MonkeyPatch.context() as patch:
+        if python_ints:
+            patch.setattr(tensor, "_INT64_LIMIT", 0)
+        want = [next(_coefficient_batch(e, table, kernel, (times,),
+                                        sign_rule))
+                for times in orders]
+    if python_ints:
+        assert all(block.dtype == object
+                   for blocks, _ in want for block in blocks.values())
+    assert_same_batches(got, want)
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_dtype_switches_at_the_limit(monkeypatch, source):
+    """A batch of one single-term form at times 0 has a bound equal to
+    its peak |numerator| (its sign numerator times the peak of each
+    axis's only column): with the limit one above that peak the batch
+    runs on int64, at the peak on Python ints, with the same entries."""
+    e = element(1, 3)
+    table = form_table(2, 1, [[rank_one(
+        [(0, poly(1, -2, 5)), (1, poly(Fraction(1, 2), 3))],
+        sign=Fraction(-3, 7))]])
+    kernel = SOURCES[source][0]
+    (blocks, dens), = _coefficient_batch(e, table, kernel, (0,))
+    peak = max(int(np.abs(block).max()) for block in blocks.values())
+    for limit, dtype in ((peak + 1, np.int64), (peak, object)):
+        monkeypatch.setattr(tensor, "_INT64_LIMIT", limit)
+        (got, got_dens), = _coefficient_batch(e, table, kernel, (0,))
+        assert got_dens == dens
+        assert list(got) == list(blocks)
+        for chi, block in got.items():
+            assert block.dtype == dtype
+            assert bool((block == blocks[chi]).all())
+
+
+def test_entries_past_int64_stay_exact():
+    """Signs of 64 and more bits push the batch past what int64 holds
+    (an entry, or a denominator ratio in the residual); the kernel and
+    the commutation report still match their Fraction oracles."""
+    e = element(1, 3, "permute-alpha")
+    forms = [[rank_one([(0, poly(1, 2, 3)), (1, poly(1, -1))],
+                       sign=Fraction(3 ** 41, 7))],
+             [rank_one([(1, poly(2, 0, 1)), (0, poly(0, 5))],
+                       sign=Fraction(5, 2 ** 70)),
+              rank_one([(0, poly(1, 1)), (1, poly(3))], sign=2 ** 66)]]
+    for source in SOURCES:
+        assert_kernel_matches(e, 2, 1, forms, source)
+    assert_kernel_matches(e, 2, 1, forms, "interpolant", 1)
+    assert not assert_same_report(2, 1, forms, e).passed
+    # a factor of 70-bit coefficients under d twice: every piece cancels,
+    # so the batch is zero and fits int64, though its sources do not
+    wide = [[rank_one([(0, poly(2 ** 70, 3, 2 ** 69)), (0, poly(1, 2))])]]
+    for source in SOURCES:
+        assert_kernel_matches(e, 2, 0, wide, source, 2)
+
+
+def test_wide_point_runs_both_paths(monkeypatch):
+    """At (m, n) = (4, 14), N = 2 (pinned byte for byte in
+    test_cli.TestExactArtifacts), nu = 0 runs every step on int64 and
+    nu = 1 every step on Python ints, whose bounds need 73 and 74 bits.
+    The steps are the two kernel orders, the index rule and the
+    residual."""
+    bounds = []
+
+    def recording(bound):
+        bounds.append(bound)
+        return dtype_of(bound)
+
+    dtype_of = tensor._exact_dtype
+    monkeypatch.setattr(tensor, "_exact_dtype", recording)
+    for nu, fits in ((0, True), (1, False)):
+        bounds.clear()
+        verify_monomial_commutation(2, nu, range(18), element(4, 14))
+        assert len(bounds) == 4
+        assert all((bound < 2 ** 62) == fits for bound in bounds)
+
+
+@pytest.mark.parametrize("limit", [0, 2 ** 20, 2 ** 40])
+def test_reports_do_not_depend_on_the_limit(monkeypatch, limit):
+    """Every mix of int64 and Python-int steps gives the same reports,
+    witnesses included: low limits push some steps (kernel, index rule,
+    residual, route 2 of dd-zero) onto Python ints and leave others on
+    int64."""
+    want = {}
+    for step in ("want", "got"):
+        if step == "got":
+            monkeypatch.setattr(tensor, "_INT64_LIMIT", limit)
+        for control, sign_rule in controls(4):
+            e = element(1, 4, control)
+            for dimension in (2, 3):
+                reports = [verify_monomial_commutation(
+                    dimension, nu, range(8), e, sign_rule)
+                    for nu in range(dimension)]
+                reports.append(verify_dd_zero(dimension, e, sign_rule))
+                key = control, sign_rule, dimension
+                text = [report_json(report) for report in reports]
+                if step == "want":
+                    want[key] = text
+                else:
+                    assert text == want[key]
+    assert any('"max_abs"' in text for texts in want.values()
+               for text in texts)
+
+
+def test_witness_and_block_types():
+    """Witness fields are plain JSON values (a Python int probe, a str
+    max_abs), every report serializes, and the exact single-form entry
+    points still give Fraction blocks over Python ints."""
+    e = element(1, 4, "permute-alpha")
+    reports = [verify_monomial_commutation(dimension, nu, range(8), e)
+               for dimension in (2, 3) for nu in range(dimension + 1)]
+    reports += [verify_tensor_commutation(2, 1, MULTI_TERM_PROBES[2, 1], e),
+                verify_dd_zero(2, e, flat_sign),
+                verify_dd_zero(2, element(1, 4, "scaled-basis1"))]
+    witnesses = [w for report in reports for w in report.witness]
+    assert {w["check"] for w in witnesses} == {
+        "tensor-commutation", "dd-zero", "representation-consistency"}
+    for w in witnesses:
+        if w["check"] == "tensor-commutation":
+            assert type(w["probe"]) is int and type(w["max_abs"]) is str
+        else:
+            assert all(type(j) is int for j in w["index"] + w["chi"])
+    for report in reports:
+        json.dumps(report.to_json())
+    (dimension, nu), (probe, *_) = next(iter(MULTI_TERM_PROBES.items()))
+    for form in (canonicalize(rank_one([(0, e.basis0[1]), (1, e.basis1[2])],
+                                       sign=Fraction(2, 3)), e),
+                 tensor_interpolate(dimension, nu, probe, e)):
+        for block in form.blocks.values():
+            assert block.dtype == object
+            assert all(type(v) is Fraction and type(v.numerator) is int
+                       and type(v.denominator) is int for v in block.flat)
 
 
 def assert_same_table(got, want):
     assert got[:3] == want[:3]  # dimension, nu, count
+    assert got.depth == want.depth
     assert list(got.groups) == list(want.groups)
     for chi, arrays in got.groups.items():
         for array, want_array in zip(arrays, want.groups[chi]):
