@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .functionals import (NodeFunctional, monomial_row, one_form_functionals,
                           zero_form_functionals)
-from .polycore import (Polynomial, coefficient_matrix, hermite_basis,
+from .polycore import (Polynomial, coefficients, hermite_basis,
                        integrated_legendre)
 from .quadrature import check_order
 from .report import VerificationReport
@@ -84,8 +84,7 @@ class Element1D:
                 if p.degree >= size:
                     raise ValueError(f"basis{k}[{j}] has degree {p.degree}, "
                                      f"above {size - 1}")
-            object.__setattr__(self, f"B{k}",
-                               _exact(coefficient_matrix(basis, size).T))
+            object.__setattr__(self, f"B{k}", coefficients(basis, size))
             for name, build in ((f"M{k}", lambda: self.node_table(k)),
                                 (f"alpha{k}", lambda: linalg.invert(
                                     getattr(self, f"M{k}")))):
@@ -127,14 +126,11 @@ def _exact(*factors) -> linalg.Exact:
     return linalg.Exact(*linalg.product(*factors))
 
 
-def _derivative_rows(coeffs: np.ndarray) -> np.ndarray:
-    """D P: row i of P's derivative columns is i + 1 times row i + 1."""
-    return coeffs[1:] * np.arange(1, len(coeffs), dtype=object)[:, None]
-
-
-def _derived(B: linalg.Exact) -> linalg.Exact:
-    """D B: the derivatives of B's columns."""
-    return linalg.Exact.reduced(_derivative_rows(B.nums), B.den)
+def _derived(P: linalg.Exact) -> linalg.Exact:
+    """D P: the derivatives of P's monomial-coefficient columns (row i
+    is i + 1 times row i + 1)."""
+    return linalg.Exact.reduced(
+        P.nums[1:] * np.arange(1, len(P.nums), dtype=object)[:, None], P.den)
 
 
 def zero_form_basis(m: int, n: int) -> list[Polynomial]:
@@ -169,11 +165,11 @@ def _family(e: Element1D, k: int):
 
 
 def interpolant_columns(e: Element1D, k: int,
-                        coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+                        P: linalg.Exact) -> tuple[np.ndarray, int]:
     """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
     over the k-form basis, of the polynomials whose monomial coefficients
     are P's columns; T_k holds the functionals' monomial rows."""
-    return linalg.product(_family(e, k)[3], e.rows(k, len(coeffs)), coeffs)
+    return linalg.product(_family(e, k)[3], e.rows(k, len(P.nums)), P)
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
@@ -333,13 +329,13 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     count = len(probes)
     width = max([e.n + 1] + [len(u.coeffs) for u in probes])
     # d(I0 u) is D B_0 alpha_0 T_0 P and I1(du) is B_1 alpha_1 T_1 D P
-    P, den = linalg.product(coefficient_matrix(probes, width).T)
+    P = coefficients(probes, width)
     left, left_den = linalg.product(_derived(e.B0), e.alpha0,
                                     e.rows(0, width), P)
     right, right_den = linalg.product(e.B1, e.alpha1, e.rows(1, width - 1),
-                                      _derivative_rows(P))
+                                      _derived(P))
     residuals = left * right_den - right * left_den
-    den *= left_den * right_den
+    den = left_den * right_den
     witness: list[dict] = []
     for index, u in enumerate(probes):
         if residuals[:, index].any():

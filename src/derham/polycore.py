@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -164,12 +164,18 @@ class Polynomial:
         return self.derivative(order)(x)
 
 
-def coefficient_matrix(polys, width: int) -> np.ndarray:
-    """Monomial coefficients of ``polys``, one zero-padded row each."""
-    out = np.full((len(polys), width), Fraction(0), dtype=object)
-    for row, p in zip(out, polys):
-        row[:len(p.coeffs)] = p.coeffs
-    return out
+def coefficients(polys, width: int | None = None) -> linalg.Exact:
+    """Monomial coefficients of ``polys``, one column each of ``width``
+    rows (default: the longest's), as ints over the lcm of their
+    denominators, so in lowest terms: the one place they become ints."""
+    if width is None:
+        width = max((len(p.coeffs) for p in polys), default=0)
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    nums = np.zeros((width, len(polys)), dtype=object)
+    for j, p in enumerate(polys):
+        nums[:len(p.coeffs), j] = [c.numerator * (den // c.denominator)
+                                   for c in p.coeffs]
+    return linalg.Exact(nums, den)
 
 
 def monomial_derivative(k: int, order: int, point) -> Fraction:

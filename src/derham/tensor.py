@@ -18,14 +18,14 @@ expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
 factor, linear in the factor's monomial coefficients.  One integer
 kernel (:func:`_coefficient_batch`) reads a term table of a whole batch
-of forms, takes every column from one exact product per form degree
-and, once per characteristic vector and piece of d, fills a block with
-one face-splitting (Khatri-Rao) product.  One call serves every order
-of d a verifier needs (I(u) and I(du); both polynomial routes of
-d-after-d), so the table and the products are made once per call.  The
-table comes from explicit rank-one terms or, when the input is a full
-grid of factors per chi (monomial probes, basis elements), straight
-from the factor lists with no per-term Python work.
+of forms, with one integer coefficient matrix P_k per form degree,
+takes every column from one exact product of P_k and, once per
+characteristic vector and piece of d, fills a block with one
+face-splitting (Khatri-Rao) product.  One call serves every order of d
+a verifier needs (I(u) and I(du); both polynomial routes of d-after-d),
+so the table and the products are made once per call.  Explicit terms
+give P_k from their factors; a full grid per chi (monomial probes,
+basis elements) gives it directly (0/1 columns, B_0 and B_1).
 
 The arithmetic stays exact either way, but not always on Python ints:
 before it fills a block, each order works out an a-priori bound on
@@ -52,10 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .element1d import (Element1D, _derivative_rows, _family,
-                        interpolant_columns)
+from .element1d import Element1D, _derived, _family, interpolant_columns
 from .functionals import NodeFunctional
-from .polycore import Polynomial, coefficient_matrix
+from .polycore import Polynomial, coefficients
 from .quadrature import check_order
 from .report import VerificationReport
 from .smooth import SmoothFunctionND
@@ -287,10 +286,10 @@ def _basis_inverse(element: Element1D, k: int) -> linalg.Exact:
 
 
 def _expansion_columns(element: Element1D, k: int,
-                       coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+                       P: linalg.Exact) -> tuple[np.ndarray, int]:
     """B_k^-1 P as (numerators, denominator): P's columns, which must lie
     in the k-form element space, over the k-form basis."""
-    width = element.n + 1 - k
+    width, coeffs = element.n + 1 - k, P.nums
     outside = (coeffs[width:] != 0).any(axis=0)
     if outside.any():
         degree = np.flatnonzero(coeffs[:, outside.argmax()] != 0)[-1]
@@ -298,13 +297,13 @@ def _expansion_columns(element: Element1D, k: int,
                          f"{k}-form element space (degree <= {width - 1})")
     padded = np.zeros((width, coeffs.shape[1]), dtype=object)
     padded[:len(coeffs)] = coeffs[:width]
-    return linalg.product(_basis_inverse(element, k), padded)
+    return linalg.product(_basis_inverse(element, k),
+                          linalg.Exact(padded, P.den))
 
 
 def expand_in_basis(element: Element1D, k: int, p: Polynomial) -> tuple:
     """(Numerators, denominator) of p over the element's k-form basis."""
-    nums, den = _expansion_columns(
-        element, k, coefficient_matrix([p], len(p.coeffs)).T)
+    nums, den = _expansion_columns(element, k, coefficients([p]))
     return nums[:, 0], den
 
 
@@ -324,15 +323,16 @@ class _Terms(NamedTuple):
     """The rank-one terms of ``count`` forms of one space, as the kernel
     reads them.  ``groups`` maps each chi to its terms' column ids (one
     row per term, one column per axis), owners (the form each term
-    belongs to), sign numerators and sign denominators; ``factors[k]``
-    lists the distinct factors of bit k in column-id order.  ``depth`` is
-    the most terms any form has (0 for no terms)."""
+    belongs to), sign numerators and sign denominators (per term, or one
+    for all); ``coefficients[k]`` is P_k, the monomial coefficients of
+    bit k's factors by column id.  ``depth`` is the most terms any form
+    has (0 for no terms)."""
 
     dimension: int
     nu: int
     count: int
     groups: dict
-    factors: tuple
+    coefficients: tuple
     depth: int
 
 
@@ -359,36 +359,32 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
     return _Terms(dimension, nu, count,
                   {chi: (columns[r], owners[r], nums[r], sign_dens[r])
                    for chi, r in rows.items()},
-                  tuple([p for _, p in bit.values()] for bit in seen),
+                  tuple(coefficients([p for _, p in bit.values()])
+                        for bit in seen),
                   int(np.bincount(owners).max()) if len(owners) else 0)
 
 
-def _grid_table(dimension: int, nu: int, factors, chis=None) -> _Terms:
+def _grid_table(dimension: int, nu: int, matrices, chis=None) -> _Terms:
     """The table of full grids of sign-1 rank-one forms, one term each:
     for each chi in turn (default: every chi of the space), every choice
-    of one factor from ``factors[chi[t]]`` per axis t, in row-major order.
-    Column ids come from ``np.indices``, with no Python work per term; the
-    table equals :func:`_term_table` of the same forms."""
+    of one column of ``matrices[chi[t]]`` (P_0, P_1) per axis t, in
+    row-major order.  Column ids come from ``np.indices``, with no Python
+    work per term, and a chi has one sign 1 for all of its terms; the
+    terms are those of :func:`_term_table` of the same forms."""
     chis = enumerate_chi(dimension, nu) if chis is None else chis
-    seen = ({}, {})  # seen[bit]: id -> (column, p), as in _term_table
-    ids = [np.array([seen[bit].setdefault(id(p), (len(seen[bit]), p))[0]
-                     for p in factors[bit]], dtype=np.intp) for bit in (0, 1)]
-    groups, count = {}, 0
+    groups, count, one = {}, 0, np.ones(1, dtype=object)
     for chi in chis:
-        grid = np.indices([len(factors[bit]) for bit in chi],
+        grid = np.indices([matrices[bit].shape[1] for bit in chi],
                           dtype=np.intp).reshape(dimension, -1)
         size = grid.shape[1]
         if size:
-            ones = np.ones(size, dtype=object)
-            groups[chi] = (np.stack([ids[bit][axis]
-                                     for bit, axis in zip(chi, grid)], 1),
-                           np.arange(count, count + size, dtype=np.intp),
-                           ones, ones)
+            groups[chi] = (grid.T, np.arange(count, count + size,
+                                             dtype=np.intp), one, one)
             count += size
     used = {bit for chi in groups for bit in chi}
     return _Terms(dimension, nu, count, groups,
-                  tuple([p for _, p in seen[bit].values()] if bit in used
-                        else [] for bit in (0, 1)), min(count, 1))
+                  tuple(matrices[bit] if bit in used else coefficients(())
+                        for bit in (0, 1)), min(count, 1))
 
 
 def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
@@ -398,11 +394,11 @@ def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
     iterator of one ``(blocks, dens)`` per order, each built only when it
     is asked for, so an earlier one can be freed first.
 
-    The factors of bit k are the columns of a monomial-coefficient matrix
-    P_k; ``source`` (:func:`interpolant_columns` or
-    :func:`_expansion_columns`) maps P_0, P_1 and D P_0 to the columns of
-    plain and differentiated axes, once for every order.  The terms of one
-    chi share their pieces (one per ordered choice of 0-form axes to
+    The factors of bit k are the columns of P_k, the table's integer
+    monomial-coefficient matrix; ``source`` (:func:`interpolant_columns`
+    or :func:`_expansion_columns`) maps P_0, P_1 and D P_0 to the columns
+    of plain and differentiated axes, once for every order.  The terms of
+    one chi share their pieces (one per ordered choice of 0-form axes to
     differentiate: target block, source per axis, sign; orders with the
     same sources merge), so each piece of each chi fills its block with
     one face-splitting product of picked columns.  Each order gives
@@ -413,13 +409,11 @@ def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
     the worst piece, its sign, the peak of its terms' scales and the
     peaks of its sources) is below ``_INT64_LIMIT``, else Python ints.
     """
-    matrices = [coefficient_matrix(
-        polys, max((len(p.coeffs) for p in polys), default=0)).T
-        for polys in table.factors]
-    sources = [source(element, bit, P) for bit, P in enumerate(matrices)] \
+    P = table.coefficients
+    sources = [source(element, bit, P[bit]) for bit in (0, 1)] \
         if orders else []
     if any(orders):
-        sources.append(source(element, 1, _derivative_rows(matrices[0])))
+        sources.append(source(element, 1, _derived(P[0])))
     sources = [(nums, den, _peak([nums])) for nums, den in sources]
     return (_order_batch(element, table, sources, times, sign_rule)
             for times in orders)
@@ -430,7 +424,7 @@ def _order_batch(element: Element1D, table: _Terms, sources, times: int,
     """One order of :func:`_coefficient_batch`; ``sources`` holds the
     (numerators, denominator, peak) of each column source."""
     dens = np.ones(table.count, dtype=object)
-    pieces = {}  # chi -> {(target chi, source per axis): [sign, base]}
+    pieces, lcms = {}, {}  # chi -> {(target, kinds): [sign, base]}, lcm
     for chi, (_, owners, _, sign_dens) in table.groups.items():
         # one piece per ordered choice of 0-form axes to differentiate;
         # orders that land on the same sources merge, their signs summed
@@ -445,7 +439,8 @@ def _order_batch(element: Element1D, table: _Terms, sources, times: int,
             merged.setdefault((target, kinds), [0, math.prod(
                 sources[k][1] for k in kinds)])[0] += sign
         # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
-        den = sign_dens * math.lcm(*(base for _, base in merged.values()))
+        den = sign_dens * lcms.setdefault(chi, math.lcm(
+            *(base for _, base in merged.values())))
         if table.depth == 1:  # a form's one term gives its denominator
             dens[owners] = den
         else:
@@ -455,7 +450,9 @@ def _order_batch(element: Element1D, table: _Terms, sources, times: int,
     # every factor of a bound is at least 1, so partial products stay below
     scales, bound = {}, 0
     for chi, (_, owners, nums, sign_dens) in table.groups.items():
-        scale = scales[chi] = nums * (dens[owners] // sign_dens)
+        # one term per form: dens[owners] // sign_dens is the chi's lcm
+        scale = scales[chi] = nums * (lcms[chi] if table.depth == 1
+                                      else dens[owners] // sign_dens)
         peak = _peak([scale])  # base divides every scale of the chi
         for (_, kinds), (sign, base) in pieces[chi].items():
             bound = max(bound, abs(sign) * max(peak // base, 1) * math.prod(
@@ -779,8 +776,7 @@ def verify_dd_zero(dimension: int, element: Element1D,
     basis index, so routes 1 and 2 apply it to one all-ones block per
     characteristic vector and read basis element j off entry j.
     """
-    n = element.n
-    bases = [_family(element, bit)[1] for bit in (0, 1)]
+    n, bases = element.n, (element.B0, element.B1)
     witness: list[dict] = []
     checked = 0
     for nu in range(dimension + 1):
@@ -826,23 +822,26 @@ def verify_dd_zero(dimension: int, element: Element1D,
                                  basis_elements=checked)
 
 
-def _monomials(degrees) -> list[Polynomial]:
-    """x^a for each distinct probe degree a, ascending; a degree must be
-    an int (not a bool or numpy int) and nonnegative, never coerced."""
+def _monomials(degrees) -> linalg.Exact:
+    """x^a for each distinct probe degree a, ascending, as 0/1 columns of
+    monomial coefficients; a degree must be an int (not a bool or numpy
+    int) and nonnegative, never coerced."""
     degrees = list(degrees)
     for a in degrees:
         if type(a) is not int:
             raise TypeError(f"probe degree {a!r} is not an int")
         if a < 0:
             raise ValueError(f"probe degree {a} is negative")
-    return [Polynomial.monomial(a) for a in sorted(set(degrees))]
+    degrees = sorted(set(degrees))
+    powers = np.arange(max(degrees, default=-1) + 1)[:, None]
+    return linalg.Exact((powers == degrees).astype(int).astype(object))
 
 
 def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
     """Rank-one probes with monomial factors x^a, a drawn from degrees:
     chi by chi, every choice of one degree per axis in row-major order."""
-    monomials = _monomials(degrees)
+    monomials = [Polynomial(column) for column in _monomials(degrees).nums.T]
     return [rank_one(zip(chi, combo))
             for chi in enumerate_chi(dimension, nu)
             for combo in itertools.product(monomials, repeat=dimension)]
@@ -876,9 +875,8 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     ``rank_one_monomial_probes(dimension, nu, degrees)``, the same report
     with the same probe indices, without building the probes: they are a
     full grid of monomials per chi, read straight into the kernel."""
-    monomials = _monomials(degrees)
     return _commutation_report(
-        _grid_table(dimension, nu, (monomials, monomials)), element,
+        _grid_table(dimension, nu, (_monomials(degrees),) * 2), element,
         sign_rule)
 
 

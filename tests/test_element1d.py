@@ -18,7 +18,7 @@ from derham.element1d import (Element1D, build_element, interpolate,
                               interpolant_columns, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
                               verify_unisolvence, zero_form_basis)
-from derham.polycore import Polynomial, coefficient_matrix
+from derham.polycore import Polynomial, coefficients
 
 GRID = [(0, 1), (0, 3), (1, 3), (1, 5), (2, 5), (2, 6), (3, 7)]
 
@@ -182,15 +182,14 @@ class TestConstruction:
                 for k, functionals, alpha in ((0, e.functionals0, e.alpha0),
                                               (1, e.functionals1, e.alpha1)):
                     nums, den = interpolant_columns(
-                        e, k, coefficient_matrix([u], len(u.coeffs)).T)
+                        e, k, coefficients([u]))
                     want = alpha.fractions() @ [f.apply(u)
                                                 for f in functionals]
                     assert list(nums[:, 0] * Fraction(1, den)) == list(want)
 
     def test_form_degree_must_be_0_or_1(self, e13):
         with pytest.raises(ValueError, match="form degree must be 0 or 1"):
-            interpolant_columns(e13, 2, coefficient_matrix([Polynomial.one()],
-                                                           1).T)
+            interpolant_columns(e13, 2, coefficients([Polynomial.one()]))
 
 
 class TestVerifiers:

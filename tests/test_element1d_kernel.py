@@ -31,7 +31,7 @@ from derham.element1d import (Element1D, _family, build_element,
 from derham.functionals import (EndpointDerivative, EndpointSum, Moment,
                                 monomial_row, one_form_functionals,
                                 zero_form_functionals)
-from derham.polycore import Polynomial, coefficient_matrix, legendre
+from derham.polycore import Polynomial, legendre
 from derham.report import VerificationReport
 
 UNISOLVENCE_GRID = [(m, n) for m in range(5)
@@ -51,6 +51,15 @@ def polynomial_route(f, u: Polynomial) -> Fraction:
         return (legendre(f.legendre_index) * integrand).integral01()
     assert isinstance(f, EndpointSum)
     return u(Fraction(1)) + u(Fraction(0))
+
+
+def coefficient_matrix(polys, width: int) -> np.ndarray:
+    """The old Fraction coefficient matrix: the monomial coefficients of
+    ``polys``, one zero-padded row each."""
+    out = np.full((len(polys), width), Fraction(0), dtype=object)
+    for row, p in zip(out, polys):
+        row[:len(p.coeffs)] = p.coeffs
+    return out
 
 
 def oracle_table(functionals, basis) -> np.ndarray:

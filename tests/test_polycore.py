@@ -12,8 +12,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from derham.polycore import (Polynomial, hermite_basis, integrated_legendre,
-                             legendre, legendre_expansion)
+from derham import linalg
+from derham.polycore import (Polynomial, coefficients, hermite_basis,
+                             integrated_legendre, legendre, legendre_expansion)
 
 X = sympy.Symbol("x")
 
@@ -105,6 +106,29 @@ class TestPolynomialRing:
         assert p.derivative(2) == from_coeffs(0, 6)
         assert p.derivative_value(3, Fraction(0)) == 6
         assert p.derivative(5).is_zero()
+
+
+class TestCoefficients:
+    @given(st.lists(polys_st, max_size=4), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_are_the_coefficients(self, polys, extra):
+        """Column j holds polys[j]'s coefficients, zero-padded, over one
+        denominator in lowest terms; the default width is the longest."""
+        widest = max((len(p.coeffs) for p in polys), default=0)
+        assert coefficients(polys).shape == (widest, len(polys))
+        P = coefficients(polys, widest + extra)
+        assert P.shape == (widest + extra, len(polys))
+        assert all(type(x) is int for x in P.nums.flat)
+        assert [Polynomial(column) for column in P.fractions().T] == polys
+        assert P == linalg.Exact.reduced(P.nums, P.den)
+
+    def test_frozen_matrix(self):
+        P = coefficients([from_coeffs(Fraction(1, 2), 3),
+                          from_coeffs(0, 0, Fraction(-2, 3)), Polynomial()], 4)
+        assert P.den == 6
+        assert P.nums.tolist() == [[3, 0, 0], [18, 0, 0], [0, -4, 0],
+                                   [0, 0, 0]]
+        assert coefficients(()).shape == (0, 0)
 
 
 class TestLegendre:

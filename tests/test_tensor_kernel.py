@@ -19,10 +19,12 @@ kernel call for several orders of d is checked against one call per
 order, the grid term table against the table of the same forms built
 one by one, and the grid entry ``verify_monomial_commutation`` against
 ``verify_tensor_commutation`` on the explicit probes; a guard counts
-the kernel calls of each verifier.  The int64 path is checked against
-the Python-int path it falls back to: batch by batch with the limit at
-0, at the exact edge of one batch's bound, and report by report under
-limits that mix the two.
+the kernel calls of each verifier, and checks that the grid entries
+make no Polynomial.  The int64 path is checked against the Python-int
+path it falls back to: batch by batch with the limit at 0, at the exact
+edge of one batch's bound, and report by report under limits that mix
+the two.  A report whose residuals pass 2**63, where int64 would wrap,
+is checked against the Fraction oracle.
 """
 
 import contextlib
@@ -41,12 +43,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import linalg, tensor
+from derham import element1d, linalg, polycore, tensor
 from derham.cli import main
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
 from derham.element1d import (Element1D, build_element, interpolate,
                               interpolant_columns)
-from derham.polycore import Polynomial, coefficient_matrix
+from derham.polycore import Polynomial
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
                            _coefficient_batch, _expansion_columns,
@@ -59,6 +61,15 @@ from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
                            verify_tensor_commutation)
 
 TENSOR_GRID = [(m, n) for m in (0, 1, 2) for n in range(2 * m + 1, 2 * m + 4)]
+
+
+def coefficient_matrix(polys, width: int) -> np.ndarray:
+    """The old Fraction coefficient matrix: the monomial coefficients of
+    ``polys``, one zero-padded row each."""
+    out = np.full((len(polys), width), Fraction(0), dtype=object)
+    for row, p in zip(out, polys):
+        row[:len(p.coeffs)] = p.coeffs
+    return out
 
 
 def fraction_expand(element, bit, p):
@@ -659,6 +670,27 @@ def test_entries_past_int64_stay_exact():
         assert_kernel_matches(e, 2, 0, wide, source, 2)
 
 
+def test_residuals_past_int64_stay_exact():
+    """Probe coefficients near 2**40 make permute-alpha residuals past
+    2**63.  int64 arithmetic is exact only modulo 2**64, so a kernel that
+    ran these on int64 would report wrapped residuals; every witness's
+    max_abs must be the Fraction oracle's."""
+    e = element(1, 3, "permute-alpha")
+    big = 2 ** 40
+    probes = [rank_one([(0, poly(big + 1, 3 * big - 5, 7)),
+                        (0, poly(5 * big, big - 3))]),
+              rank_one([(0, poly(0, big + 7, 0, -3 * big)),
+                        (0, poly(2 * big + 1, 0, 0, 1))],
+                       sign=Fraction(-3, 5))]
+    got = verify_tensor_commutation(2, 0, probes, e)
+    want = oracle_verify(2, 0, probes, e)
+    assert [w["probe"] for w in got.witness] == [0, 1]
+    assert [w["max_abs"] for w in got.witness] == \
+        [w["max_abs"] for w in want.witness]
+    assert max(Fraction(w["max_abs"]).numerator
+               for w in got.witness) > 2 ** 63
+
+
 def test_wide_point_runs_both_paths(monkeypatch):
     """At (m, n) = (4, 14), N = 2 (pinned byte for byte in
     test_cli.TestExactArtifacts), nu = 0 runs every step on int64 and
@@ -737,45 +769,77 @@ def test_witness_and_block_types():
                        and type(v.denominator) is int for v in block.flat)
 
 
-def assert_same_table(got, want):
+def columns(P):
+    """The polynomials whose monomial coefficients are P's columns."""
+    return [Polynomial(column) for column in P.fractions().T]
+
+
+def assert_same_table(got, want, e, source, orders):
+    """Two term tables hold the same terms, and the kernel gives the same
+    batches from both.  A grid table keeps a repeated factor in its own
+    column, where the term loop merges it, so column ids may differ: the
+    coefficient columns that every term picks on every axis must agree
+    by value, and every column must be picked.  A grid chi has one sign
+    for all of its terms."""
     assert got[:3] == want[:3]  # dimension, nu, count
     assert got.depth == want.depth
     assert list(got.groups) == list(want.groups)
-    for chi, arrays in got.groups.items():
-        for array, want_array in zip(arrays, want.groups[chi]):
-            assert array.shape == want_array.shape
+    tables = (got, want)
+    factors = [[columns(P) for P in table.coefficients] for table in tables]
+    picked = [[set(), set()] for _ in tables]
+    for chi, (ids, *arrays) in got.groups.items():
+        want_ids, *want_arrays = want.groups[chi]
+        assert ids.shape == want_ids.shape and ids.dtype == want_ids.dtype
+        for axis, bit in enumerate(chi):
+            for side, table_ids in enumerate((ids, want_ids)):
+                picked[side][bit].update(table_ids[:, axis].tolist())
+            assert [factors[0][bit][j] for j in ids[:, axis]] == \
+                [factors[1][bit][j] for j in want_ids[:, axis]]
+        for array, want_array in zip(arrays, want_arrays):
+            assert array.shape in (want_array.shape, (1,))
             assert array.dtype == want_array.dtype
             assert bool((array == want_array).all())
-    assert [[id(p) for p in polys] for polys in got.factors] == \
-        [[id(p) for p in polys] for polys in want.factors]
+    for side, table in enumerate(tables):
+        assert picked[side] == [set(range(P.shape[1]))
+                                for P in table.coefficients]
+    assert_same_batches(list(_coefficient_batch(e, got, source, orders)),
+                        list(_coefficient_batch(e, want, source, orders)))
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_grid_table_matches_table_of_forms(dimension):
-    """The grid builder (column ids from np.indices) gives the table that
-    the term loop gives on the same forms, built explicitly."""
+    """The grid builder (column ids from np.indices, one column per
+    factor) gives the terms, and the kernel batches, that the term loop
+    gives on the same forms, built explicitly."""
+    e = element(1, 3, "permute-alpha")
     for nu in range(dimension + 1):
+        orders = tuple(range(min(2, dimension - nu) + 1))
         for degrees in ([], [0], [3, 0, 1], range(5)):
             monomials = _monomials(degrees)
-            forms = [[rank_one(zip(chi, combo))]
-                     for chi in enumerate_chi(dimension, nu)
-                     for combo in itertools.product(monomials,
-                                                    repeat=dimension)]
-            assert forms == [[probe] for probe in rank_one_monomial_probes(
+            forms = [[probe] for probe in rank_one_monomial_probes(
                 dimension, nu, degrees)]
+            assert forms == [[rank_one(zip(chi, combo))]
+                             for chi in enumerate_chi(dimension, nu)
+                             for combo in itertools.product(
+                                 columns(monomials), repeat=dimension)]
             assert_same_table(
                 _grid_table(dimension, nu, (monomials, monomials)),
-                form_table(dimension, nu, forms))
+                form_table(dimension, nu, forms), e, interpolant_columns,
+                orders)
     # dd-zero's grids: one chi of basis elements, here with basis0[0]
-    # listed twice (the same object), which both builders merge
-    for e in (element(1, 3), rank_deficient(0, 2)):
+    # listed twice (the same object), which the term loop merges; that
+    # basis has no inverse, so its batches come from the interpolant
+    for e, source in ((element(1, 3), _expansion_columns),
+                      (rank_deficient(0, 2), interpolant_columns)):
         bases = (e.basis0, e.basis1)
         for nu in range(dimension):
+            orders = tuple(range(min(2, dimension - nu) + 1))
             for chi in enumerate_chi(dimension, nu):
                 forms = [[rank_one(zip(chi, factors))] for factors in
                          itertools.product(*(bases[bit] for bit in chi))]
-                assert_same_table(_grid_table(dimension, nu, bases, [chi]),
-                                  form_table(dimension, nu, forms))
+                assert_same_table(
+                    _grid_table(dimension, nu, (e.B0, e.B1), [chi]),
+                    form_table(dimension, nu, forms), e, source, orders)
 
 
 GRID_3D = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]
@@ -814,34 +878,43 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
     """Each tensor-commutation call makes one kernel call (one term pass,
     one P_0/P_1 pair, one product per column source) and each order of
     d once; dd-zero makes one per characteristic vector below the top
-    degree.  The CLI's tensor-commutation goes through the grid entry."""
+    degree.  The CLI's tensor-commutation goes through the grid entry.
+    The grid entries read their integer coefficient matrices straight
+    from the degrees and the element: they make no Polynomial and turn
+    none into coefficients."""
     calls = {}
 
-    def counting(name):
-        inner = getattr(tensor, name)
+    def counting(module, name, counts=lambda *args: True):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            if counts(*args):
+                calls[name] = calls.get(name, 0) + 1
             return inner(*args, **kwargs)
-        monkeypatch.setattr(tensor, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("_coefficient_batch", "_order_batch", "_term_table",
                  "_grid_table", "interpolant_columns", "_expansion_columns",
                  "verify_monomial_commutation"):
-        counting(name)
+        counting(tensor, name)
     e = build_element(1, 3)
+    counting(Polynomial, "__init__")
+    for module in (polycore, element1d, tensor):  # every binding of it
+        counting(module, "coefficients", lambda polys, *_: any(
+            isinstance(p, Polynomial) for p in polys))
     for dimension in (2, 3):
         for nu in range(dimension + 1):
-            for verify, probes in (
-                    (verify_tensor_commutation,
-                     rank_one_monomial_probes(dimension, nu, range(5))),
-                    (tensor.verify_monomial_commutation, range(5))):
+            probes = rank_one_monomial_probes(dimension, nu, range(5))
+            for verify, arg in ((verify_tensor_commutation, probes),
+                                (tensor.verify_monomial_commutation,
+                                 range(5))):
                 calls.clear()
-                verify(dimension, nu, probes, e)
+                verify(dimension, nu, arg, e)
                 below = nu < dimension
                 want = {"_coefficient_batch": 1, "_order_batch": 2 * below,
                         "interpolant_columns": 3 * below,
-                        **({"_term_table": 1}
+                        **({"_term_table": 1,  # one P_k per bit used
+                            "coefficients": 1 + (0 < nu < dimension)}
                            if verify is verify_tensor_commutation
                            else {"_grid_table": 1,
                                  "verify_monomial_commutation": 1})}
