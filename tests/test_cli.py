@@ -321,6 +321,11 @@ class TestExactArtifacts:
     WIDE_VERIFY = ("verify", "--m", "4", "--n", "14", "--N", "2", "--checks",
                    "tensor-commutation")
 
+    # N = 4: dd-zero takes d twice from chis of four and three 0-form
+    # axes, where pieces of both orders of an axis pair merge
+    VERIFY_4D = ("verify", "--m", "1", "--n", "3", "--N", "4", "--checks",
+                 "dd-zero,tensor-commutation")
+
     # the corrupted N = 3 rows pin witnesses: tensor-commutation ones with
     # their blocks and max_abs (permute-alpha), dd-zero ones (flip-theta)
     @pytest.mark.parametrize("argv, exit_code, digest", [
@@ -341,9 +346,14 @@ class TestExactArtifacts:
          "ecc1758ab0af8d2471cb88e4588c2c114853131c57aaaf0a1b3468c328dfeed4"),
         (WIDE_VERIFY + ("--corrupt", "permute-alpha"), 1,
          "76545eb0804505c2787dbfaf946b9405006a4463b795078c8093e216d67ef66a"),
+        (VERIFY_4D + ("--corrupt", "permute-alpha"), 1,
+         "66b6cbf010beaff7a096705e3999c1b803689a215b406d35221a225a532b9a87"),
+        (VERIFY_4D + ("--corrupt", "flip-theta"), 1,
+         "6d8da7f9a4a91b7928caab374afa6047783d561530a00c4a6156099a5f80cd05"),
     ], ids=["element", "tensor", "verify", "verify-3d",
             "verify-3d-permute-alpha", "verify-3d-flip-theta", "verify-wide",
-            "verify-wide-permute-alpha"])
+            "verify-wide-permute-alpha", "verify-4d-permute-alpha",
+            "verify-4d-flip-theta"])
     def test_sha256(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, *argv)
         assert code == exit_code
