@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .element1d import Element1D
+from .element1d import Element1D, _family
 from .functionals import FUNCTIONAL_ORDER_VERSION
 from .linalg import Exact, ratio_str
 from .polycore import Polynomial
@@ -72,17 +72,17 @@ def tensor_tables_json(dimension: int, element: Element1D,
         nu_values = list(range(dimension + 1))
     spaces = []
     for nu in nu_values:
+        texts: dict = {}  # chi -> its functionals' texts, in frozen order
+        for f in tensor_node_functionals(dimension, nu, element):
+            texts.setdefault(f.chi, []).append(f.describe())
         blocks = []
         for chi in enumerate_chi(dimension, nu):
             widths = _block_widths(chi, element.n)
-            functionals = [f for f in
-                           tensor_node_functionals(dimension, nu, element)
-                           if f.chi == chi]
             blocks.append({
                 "chi": list(chi),
                 "widths": list(widths),
                 "dimension": int(np.prod(widths)),
-                "functionals": [f.describe() for f in functionals],
+                "functionals": texts[chi],
             })
         spaces.append({
             "nu": nu,
@@ -105,7 +105,7 @@ def json_text(data: dict) -> str:
 
 def basis_samples_csv(e: Element1D, k: int, count: int = 101) -> str:
     """Uniform-grid samples of every k-form basis function (plot data)."""
-    basis = e.basis0 if k == 0 else e.basis1
+    basis = _family(e, k)[1]
     header = ["x"] + [f"phi{k}_{j + 1}" for j in range(len(basis))]
     lines = [",".join(header)]
     for i in range(count):
@@ -124,7 +124,7 @@ def tensor_basis_samples_csv(e: Element1D, chi, index, count: int = 33) -> str:
                          "0 (0-form) and 1 (1-form)")
     factors = []
     for bit, j in zip(chi, index):
-        basis = e.basis0 if bit == 0 else e.basis1
+        basis = _family(e, bit)[1]
         if not 1 <= j <= len(basis):
             raise ValueError(f"basis index {j} out of range 1..{len(basis)}")
         factors.append(basis[j - 1])

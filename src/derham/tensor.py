@@ -17,23 +17,19 @@ Interpolating a rank-one form factorizes into 1D interpolations, and
 expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
 factor, linear in the factor's monomial coefficients.  One integer
-kernel (:func:`_coefficient_batch`) reads a term table of a whole batch
-of forms, with one integer coefficient matrix P_k per form degree,
-takes every column from one exact product of P_k and, once per
-characteristic vector and piece of d, fills a block with one
-face-splitting (Khatri-Rao) product.  One call serves every order of d
-a verifier needs (I(u) and I(du); both polynomial routes of d-after-d),
-so the table and the products are made once per call.  Explicit terms
-give P_k from their factors; a full grid per chi (monomial probes,
-basis elements) gives it directly (0/1 columns, B_0 and B_1).
+kernel (:func:`_coefficient_batch`) reads a term table of a batch of
+forms (explicit terms, or a full grid per chi of columns of the integer
+coefficient matrices P_0 and P_1), takes every column from one exact
+product per form degree, and fills each block of d applied 0, 1 or 2
+times with face-splitting (Khatri-Rao) products.  One chi-level rule
+(:func:`_d_terms`) gives d to the index rule, to the smooth component
+formula and to the kernel's pieces; one kernel call makes the pieces
+and one denominator per form for every order of d a verifier needs
+(I(u) and I(du); both polynomial routes of d-after-d).
 
-The arithmetic stays exact either way, but not always on Python ints:
-before it fills a block, each order works out an a-priori bound on
-every numerator it will hold, and when that bound is below
-``_INT64_LIMIT`` (2**62) the same code runs on ``np.int64`` arrays;
-otherwise on Python-int object arrays.  The verifiers that combine
-batches (the commutation residual, route 2 of d-after-d) bound their
-own step from the exact peaks of its inputs in the same way.
+Each order runs on ``np.int64`` when an a-priori bound on its entries
+is below ``_INT64_LIMIT`` (2**62), else on Python ints; the verifier
+steps that combine batches bound themselves from their inputs' peaks.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -258,6 +254,13 @@ def d_tensor(u: TensorForm, sign_rule=theta) -> TensorForm:
                       _index_rule(u.blocks, u.degree, sign_rule))
 
 
+def _d_terms(chi: Chi, sign_rule) -> list[tuple[int, Chi, int]]:
+    """d on one characteristic vector: for each 0-form axis t, the
+    triple (t, chi with bit t set, ``sign_rule(chi, t)``)."""
+    return [(t, chi[:t] + (1,) + chi[t + 1:], sign_rule(chi, t))
+            for t, bit in enumerate(chi) if bit == 0]
+
+
 def _index_rule(blocks: dict, n: int, sign_rule) -> dict:
     """d of the chi blocks: the blocks of degree nu+1 that it reaches,
     each a new array.  Entry j of an image block comes from entry j of
@@ -268,12 +271,9 @@ def _index_rule(blocks: dict, n: int, sign_rule) -> dict:
     """
     out: dict = {}
     for chi, block in blocks.items():
-        for t, bit in enumerate(chi):
-            if bit == 1:
-                continue
-            target = chi[:t] + (1,) + chi[t + 1:]
+        for t, target, sign in _d_terms(chi, sign_rule):
             piece = block[(slice(None),) * t + (slice(0, n),)]
-            if sign_rule(chi, t) < 0:
+            if sign < 0:
                 piece = -piece
             out[target] = out.get(target, 0) + piece
     return out
@@ -390,78 +390,79 @@ def _grid_table(dimension: int, nu: int, matrices, chis=None) -> _Terms:
 def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
                        sign_rule=theta):
     """Basis coefficients of the table's forms, for each ``times`` in
-    ``orders`` with d applied that many times (with ``sign_rule``): an
-    iterator of one ``(blocks, dens)`` per order, each built only when it
-    is asked for, so an earlier one can be freed first.
+    ``orders`` with d applied that many times (with ``sign_rule``), as
+    ``(dens, batches)``: form p has coefficients ``blocks[chi][..., p] /
+    dens[p]`` in every order, and ``batches`` yields one ``blocks`` per
+    order, built only when it is asked for (an earlier one can be freed).
 
-    The factors of bit k are the columns of P_k, the table's integer
-    monomial-coefficient matrix; ``source`` (:func:`interpolant_columns`
-    or :func:`_expansion_columns`) maps P_0, P_1 and D P_0 to the columns
-    of plain and differentiated axes, once for every order.  The terms of
-    one chi share their pieces (one per ordered choice of 0-form axes to
-    differentiate: target block, source per axis, sign; orders with the
-    same sources merge), so each piece of each chi fills its block with
-    one face-splitting product of picked columns.  Each order gives
-    integer numerator blocks of shape widths(chi) + (count,) and one
-    Python-int denominator per form: form p has coefficients
-    ``blocks[chi][..., p] / dens[p]``.  The blocks are ``np.int64`` when
-    the order's bound on their entries (the depth of the table times, for
-    the worst piece, its sign, the peak of its terms' scales and the
-    peaks of its sources) is below ``_INT64_LIMIT``, else Python ints.
+    Bit k's factors are the columns of P_k; ``source``
+    (:func:`interpolant_columns` or :func:`_expansion_columns`) maps P_0,
+    P_1 and D P_0 to the columns of plain and differentiated axes.  The
+    pieces of order ``times`` of a chi are the blocks that
+    :func:`_index_rule`, applied that often to one unit entry, reaches,
+    with the sign it leaves there; a piece differentiates the axes where
+    its target and the chi differ and fills its block with one
+    face-splitting product of picked columns, times one integer factor
+    per term.  ``dens[p]`` is the lcm, over form p's terms and every
+    piece of every order, of the term's sign denominator times the
+    piece's column denominators.  Blocks have shape widths(chi) +
+    (count,), on ``np.int64`` when the order's bound (the table's depth
+    times, for the worst piece, the peak of its factors times the peaks
+    of its sources) is below ``_INT64_LIMIT``, else on Python ints.
     """
     P = table.coefficients
-    sources = [source(element, bit, P[bit]) for bit in (0, 1)] \
-        if orders else []
+    sources = [source(element, bit, P[bit]) for bit in (0, 1)]
     if any(orders):
         sources.append(source(element, 1, _derived(P[0])))
     sources = [(nums, den, _peak([nums])) for nums, den in sources]
-    return (_order_batch(element, table, sources, times, sign_rule)
-            for times in orders)
-
-
-def _order_batch(element: Element1D, table: _Terms, sources, times: int,
-                 sign_rule) -> tuple[dict, list[int]]:
-    """One order of :func:`_coefficient_batch`; ``sources`` holds the
-    (numerators, denominator, peak) of each column source."""
+    # pieces[times][chi]: (target, kinds, sign, base) per piece, kinds[t]
+    # the source of axis t (2: D P_0) and base the product of their dens
+    pieces, lcms = {times: {} for times in orders}, {}
     dens = np.ones(table.count, dtype=object)
-    pieces, lcms = {}, {}  # chi -> {(target, kinds): [sign, base]}, lcm
     for chi, (_, owners, _, sign_dens) in table.groups.items():
-        # one piece per ordered choice of 0-form axes to differentiate;
-        # orders that land on the same sources merge, their signs summed
-        merged = pieces[chi] = {}
-        for axes in itertools.permutations(
-                [t for t, bit in enumerate(chi) if bit == 0], times):
-            target, sign = chi, 1
-            for t in axes:
-                sign *= sign_rule(target, t)
-                target = target[:t] + (1,) + target[t + 1:]
-            kinds = tuple(2 if t in axes else bit for t, bit in enumerate(chi))
-            merged.setdefault((target, kinds), [0, math.prod(
-                sources[k][1] for k in kinds)])[0] += sign
+        reached = [{chi: np.ones((1,) * table.dimension, dtype=np.int64)}]
+        while len(reached) <= max(orders):
+            reached.append(_index_rule(reached[-1], 1, sign_rule))
+        for times in orders:
+            chi_pieces = pieces[times][chi] = []
+            for target, sign in reached[times].items():
+                kinds = tuple(2 if a != b else a for a, b in zip(chi, target))
+                chi_pieces.append((target, kinds, sign.item(), math.prod(
+                    sources[k][1] for k in kinds)))
         # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
         den = sign_dens * lcms.setdefault(chi, math.lcm(
-            *(base for _, base in merged.values())))
+            *(piece[3] for times in orders for piece in pieces[times][chi])))
         if table.depth == 1:  # a form's one term gives its denominator
             dens[owners] = den
         else:
             np.lcm.at(dens, owners, den)
+    for chi, (_, owners, nums, sign_dens) in table.groups.items():
+        # one term per form: dens[owners] // sign_dens is the chi's lcm
+        scale = nums * (lcms[chi] if table.depth == 1
+                        else dens[owners] // sign_dens)
+        for times in orders:  # pieces whose signs cancel are dropped
+            pieces[times][chi] = [(target, kinds, sign * (scale // base))
+                                  for target, kinds, sign, base
+                                  in pieces[times][chi] if sign]
+    return dens, (_order_batch(element, table, sources, pieces[times], times)
+                  for times in orders)
+
+
+def _order_batch(element: Element1D, table: _Terms, sources, pieces: dict,
+                 times: int) -> dict:
+    """The blocks of one order of :func:`_coefficient_batch`, from its
+    ``pieces`` per chi, each (target, kinds, per-term integer factor);
+    ``sources`` holds the (numerators, denominator, peak) of each kind."""
     # an entry sums at most depth products (one per term of its form, since
     # a chi has one piece per target), each below the worst piece's bound;
     # every factor of a bound is at least 1, so partial products stay below
-    scales, bound = {}, 0
-    for chi, (_, owners, nums, sign_dens) in table.groups.items():
-        # one term per form: dens[owners] // sign_dens is the chi's lcm
-        scale = scales[chi] = nums * (lcms[chi] if table.depth == 1
-                                      else dens[owners] // sign_dens)
-        peak = _peak([scale])  # base divides every scale of the chi
-        for (_, kinds), (sign, base) in pieces[chi].items():
-            bound = max(bound, abs(sign) * max(peak // base, 1) * math.prod(
-                sources[k][2] for k in kinds))
+    bound = max((_peak([factor]) * math.prod(sources[k][2] for k in kinds)
+                 for chi_pieces in pieces.values()
+                 for _, kinds, factor in chi_pieces), default=0)
     dtype = _exact_dtype(table.depth * bound)
     columns = {k: np.asarray(sources[k][0], dtype)
-               for merged in pieces.values()
-               for (_, kinds), (sign, _) in merged.items() if sign
-               for k in kinds}
+               for chi_pieces in pieces.values()
+               for _, kinds, _ in chi_pieces for k in kinds}
     blocks = {chi: np.zeros(_block_widths(chi, element.n) + (table.count,),
                             dtype=dtype)
               for chi in enumerate_chi(table.dimension, table.nu + times)}
@@ -469,17 +470,15 @@ def _order_batch(element: Element1D, table: _Terms, sources, times: int,
         # a grid's owners of one chi are a range: add into that slice
         span = slice(owners[0], owners[-1] + 1) \
             if (owners[1:] - owners[:-1] == 1).all() else None
-        for (target, kinds), (sign, base) in pieces[chi].items():
-            if not sign:
-                continue
-            product = np.asarray(sign * (scales[chi] // base), dtype)
+        for target, kinds, factor in pieces[chi]:
+            product = np.asarray(factor, dtype)
             for axis, k in enumerate(kinds):
                 product = product[..., None, :] * columns[k][:, ids[:, axis]]
             if span is None:  # owners may repeat
                 np.add.at(blocks[target], (Ellipsis, owners), product)
             else:
                 blocks[target][..., span] += product
-    return blocks, dens.tolist()
+    return blocks
 
 
 def _peak(arrays) -> int:
@@ -502,7 +501,7 @@ def _astype(blocks: dict, dtype) -> dict:
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
                  source) -> TensorForm:
     """The sum of ``terms`` as one Fraction-valued TensorForm."""
-    (blocks, (den,)), = _coefficient_batch(
+    (den,), (blocks,) = _coefficient_batch(
         element, _term_table(dimension, nu, terms, [0] * len(terms), 1),
         source, (0,))
     return TensorForm(dimension, nu, element.n,
@@ -555,13 +554,11 @@ def tensor_node_functionals(dimension: int, nu: int,
     """
     out = []
     for chi in enumerate_chi(dimension, nu):
-        families = [element.functionals0 if bit == 0 else element.functionals1
-                    for bit in chi]
-        widths = [len(f) for f in families]
-        for idx in itertools.product(*(range(w) for w in widths)):
-            parts = tuple(families[t][j] for t, j in enumerate(idx))
+        families = [_family(element, bit)[0] for bit in chi]
+        for idx in itertools.product(*(range(len(f)) for f in families)):
             out.append(TensorNodeFunctional(
-                chi=chi, index=tuple(j + 1 for j in idx), parts=parts))
+                chi=chi, index=tuple(j + 1 for j in idx),
+                parts=tuple(f[j] for f, j in zip(families, idx))))
     return out
 
 
@@ -606,24 +603,18 @@ def as_smooth_form(u, dimension: int, nu: int) -> SmoothFormND:
     return SmoothFormND(dimension, nu, {chi: u})
 
 
-def d_smooth(u, dimension: int | None = None, nu: int | None = None,
-             sign_rule=theta) -> SmoothFormND:
-    """Exterior derivative of a smooth form, via the component formula."""
+def d_smooth(u, *, sign_rule=theta) -> SmoothFormND:
+    """Exterior derivative of a smooth form (a bare function is a
+    0-form), via the component formula."""
     if isinstance(u, SmoothFunctionND):
         u = as_smooth_form(u, u.dimension, 0)
-    N, nu = u.dimension, u.nu
     components: dict = {}
     for chi, comp in u.components.items():
-        for t in range(N):
-            if chi[t] == 1:
-                continue
-            target = chi[:t] + (1,) + chi[t + 1:]
-            term = float(sign_rule(chi, t)) * comp.differentiated(t)
-            if target in components:
-                components[target] = components[target] + term
-            else:
-                components[target] = term
-    return SmoothFormND(N, nu + 1, components)
+        for t, target, sign in _d_terms(chi, sign_rule):
+            term = float(sign) * comp.differentiated(t)
+            components[target] = components[target] + term \
+                if target in components else term
+    return SmoothFormND(u.dimension, u.nu + 1, components)
 
 
 def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
@@ -787,13 +778,12 @@ def verify_dd_zero(dimension: int, element: Element1D,
             if nu == dimension:
                 continue  # d maps top forms into the empty (N+1)-form space
             twice = nu + 2 <= dimension
-            batches = _coefficient_batch(
+            dens, batches = _coefficient_batch(
                 element, _grid_table(dimension, nu, bases, [chi]),
                 _expansion_columns, (1, 2) if twice else (1,), sign_rule)
             first = _index_rule({chi: np.ones(widths, dtype=np.int64)}, n,
                                 sign_rule)
-            expanded, dens = next(batches)
-            dens = np.array(dens, dtype=object)
+            expanded = next(batches)
             # route 2 takes at most nu + 1 denominators off an entry
             dtype = _exact_dtype(_peak(expanded.values())
                                  + (nu + 1) * dens.max())
@@ -808,7 +798,7 @@ def verify_dd_zero(dimension: int, element: Element1D,
                 for block in _index_rule(first, n, sign_rule).values():
                     route1[np.ravel_multi_index(np.nonzero(block),
                                                 widths)] = True
-                route3 = _failing(count, next(batches)[0].values())
+                route3 = _failing(count, next(batches).values())
             routes = (("dd-zero", route1),
                       ("representation-consistency", route2),
                       ("dd-zero-polynomial", route3))
@@ -856,7 +846,7 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     batch: d(I(u)) is the index rule applied to the batched interpolants,
     I(du) interpolates every term of every du with its probe as owner,
     and the two sides are compared per probe on integer numerators over
-    the lcm of their denominators.  Top-degree probes need no comparison:
+    the probe's one denominator.  Top-degree probes need no comparison:
     d maps them into the empty (N+1)-form space.
     """
     forms = [[probe] if isinstance(probe, RankOneForm) else list(probe)
@@ -883,29 +873,23 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
 def _commutation_report(table: _Terms, element: Element1D,
                         sign_rule) -> VerificationReport:
     """The tensor-commutation report of the table's forms: I(u) and I(du)
-    from one kernel call."""
+    from one kernel call, over one denominator per form."""
     dimension, nu, count = table.dimension, table.nu, table.count
-    batches = _coefficient_batch(element, table, interpolant_columns,
-                                 (0, 1) if nu < dimension else (),
-                                 sign_rule)
     witness: list[dict] = []
     if nu < dimension:
-        lhs, lhs_dens = next(batches)
+        dens, batches = _coefficient_batch(element, table,
+                                           interpolant_columns, (0, 1),
+                                           sign_rule)
+        lhs = next(batches)
         # rebinding frees the interpolants before I(du) is built; d adds
         # at most nu + 1 blocks into each of its targets
         lhs = _index_rule(_astype(lhs, _exact_dtype(
             (nu + 1) * _peak(lhs.values()))), element.n, sign_rule)
-        rhs, rhs_dens = next(batches)
-        lhs_dens, rhs_dens = (np.array(dens, dtype=object)
-                              for dens in (lhs_dens, rhs_dens))
-        common = np.lcm(lhs_dens, rhs_dens)
-        left, right = common // lhs_dens, common // rhs_dens
-        dtype = _exact_dtype(_peak(lhs.values()) * left.max(initial=1)
-                             + _peak(rhs.values()) * right.max(initial=1))
-        # an int64 block times an object factor is taken on Python ints
-        left, right = left.astype(dtype), right.astype(dtype)
+        rhs = next(batches)
+        # an int64 block minus an object block is taken on Python ints
+        dtype = _exact_dtype(_peak(lhs.values()) + _peak(rhs.values()))
         leading = tuple(range(dimension))
-        residual = {chi: lhs.get(chi, 0) * left - block * right
+        residual = {chi: lhs.get(chi, 0) - block.astype(dtype, copy=False)
                     for chi, block in rhs.items()}
         nonzero = {chi: (block != 0).any(axis=leading)
                    for chi, block in residual.items()}
@@ -918,7 +902,7 @@ def _commutation_report(table: _Terms, element: Element1D,
                             "blocks": [list(chi) for chi in residual
                                        if nonzero[chi][index]],
                             "max_abs": str(Fraction(largest,
-                                                    common[index]))})
+                                                    dens[index]))})
     return VerificationReport.of("tensor-commutation", witness,
                                  N=dimension, nu=nu, m=element.m,
                                  n=element.n, probes=count)

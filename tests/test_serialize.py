@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from derham import serialize
 from derham.element1d import build_element
 from derham.polycore import Polynomial
 from derham.serialize import (SCHEMA_VERSION, basis_samples_csv, element_json,
@@ -86,6 +87,31 @@ def test_basis_samples_csv():
     assert lines[3].split(",")[0] == "1"
     # basis0 = [x - 1/2, 1/2] sampled at 1/2
     assert lines[2] == "0.5,0,0.5"
+
+
+def test_basis_samples_reject_a_form_degree_other_than_0_or_1():
+    e = build_element(0, 1)
+    assert basis_samples_csv(e, 1, count=2).startswith("x,phi1_1\n")
+    for k in (-1, 2, 7):
+        with pytest.raises(ValueError, match="form degree must be 0 or 1"):
+            basis_samples_csv(e, k)
+
+
+def test_tensor_tables_build_the_functionals_once_per_degree(monkeypatch):
+    calls = []
+    inner = serialize.tensor_node_functionals
+
+    def counting(dimension, nu, element):
+        calls.append(nu)
+        return inner(dimension, nu, element)
+
+    monkeypatch.setattr(serialize, "tensor_node_functionals", counting)
+    data = tensor_tables_json(3, build_element(1, 3))
+    assert calls == [0, 1, 2, 3]
+    assert [f for space in data["spaces"] for block in space["blocks"]
+            for f in block["functionals"]] == \
+        [f.describe() for nu in range(4)
+         for f in inner(3, nu, build_element(1, 3))]
 
 
 def test_tensor_basis_samples_csv():

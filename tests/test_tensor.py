@@ -498,6 +498,22 @@ class TestSmoothForms:
         expected = -sinusoid((1.0, 2.0)).derivative((0, 1), point)
         assert dv.components[(1, 1)].value(point) == pytest.approx(expected)
 
+    def test_d_smooth_reads_its_space_off_the_form(self):
+        """The form alone fixes the space of d u; the sign rule is
+        keyword-only, so passing a dimension and degree is an error."""
+        u = exponential_nd([1, 2])
+        with pytest.raises(TypeError):
+            d_smooth(u, 3, 2)
+        du = d_smooth(u, sign_rule=flat_sign)
+        assert (du.dimension, du.nu, set(du.components)) == \
+            (2, 1, {(1, 0), (0, 1)})
+        v = SmoothFormND(2, 1, {(1, 0): sinusoid((1.0, 2.0))})
+        point = (0.25, 0.5)
+        # the flat rule keeps the sign that theta flips past the 1-form bit
+        assert d_smooth(v, sign_rule=flat_sign).components[(1, 1)].value(
+            point) == pytest.approx(-d_smooth(v).components[(1, 1)].value(
+                point))
+
 
 class TestTensorInterpolate:
     def test_rank_one_factorizes(self, e13):

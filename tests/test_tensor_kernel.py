@@ -13,11 +13,13 @@ kernel must reproduce their reports exactly, witness order, ``blocks``
 and ``max_abs`` included.  The kernel itself, which reads every column
 out of one exact product per form degree and source, is checked form by
 form against the per-factor Fraction columns, and its derivative (the
-columns of D P_0) against the rank-one route ``d_rank_one``; its
-denominators against the lcm taken one (term, piece) at a time.  One
-kernel call for several orders of d is checked against one call per
-order, the grid term table against the table of the same forms built
-one by one, and the grid entry ``verify_monomial_commutation`` against
+columns of D P_0) against the rank-one route ``d_rank_one``, which
+keeps its own loop rather than the kernel's d rule; its denominators,
+one per form and shared by every order of a call, against the lcm taken
+one (term, order, piece) at a time.  One kernel call for several orders
+of d is checked against one call per order, the grid term table
+against the table of the same forms built one by one, and the grid
+entry ``verify_monomial_commutation`` against
 ``verify_tensor_commutation`` on the explicit probes; a guard counts
 the kernel calls of each verifier, and checks that the grid entries
 make no Polynomial.  The int64 path is checked against the Python-int
@@ -412,20 +414,21 @@ def form_table(dimension, nu, forms):
 def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
     """One batch of the kernel, split back into one TensorForm per form,
     and the kernel's denominators."""
-    (blocks, dens), = _coefficient_batch(
+    dens, (blocks,) = _coefficient_batch(
         e, form_table(dimension, nu, forms), source, (times,), sign_rule)
     return [TensorForm(dimension, nu + times, e.n,
                        {chi: block[..., p] * Fraction(1, dens[p])
                         for chi, block in blocks.items()})
-            for p in range(len(forms))], dens
+            for p in range(len(forms))], list(dens)
 
 
-def oracle_dens(e, forms, column, times):
-    """The denominators one (term, piece) at a time: form p's is the lcm,
-    over its terms and every ordered choice of ``times`` 0-form axes, of
-    the term's sign denominator times the batch denominator of each
-    axis's source (0-form, 1-form or differentiated 0-form columns), the
-    lcm of the denominators of those columns over the whole batch."""
+def oracle_dens(e, forms, column, orders):
+    """The denominators one (term, order, piece) at a time: form p's is
+    the lcm, over its terms, every ``times`` in ``orders`` and every
+    ordered choice of ``times`` 0-form axes, of the term's sign
+    denominator times the batch denominator of each axis's source
+    (0-form, 1-form or differentiated 0-form columns), the lcm of the
+    denominators of those columns over the whole batch."""
     factors = [(bit, p) for form in forms for term in form
                for bit, p in term.factors]
 
@@ -440,7 +443,7 @@ def oracle_dens(e, forms, column, times):
     dens = []
     for form in forms:
         den = 1
-        for term in form:
+        for term, times in itertools.product(form, orders):
             for axes in itertools.permutations(
                     [t for t, bit in enumerate(term.chi) if bit == 0], times):
                 den = math.lcm(den, term.sign.denominator * math.prod(
@@ -468,7 +471,7 @@ def assert_kernel_matches(e, dimension, nu, forms, source, times=0,
     kernel, column = SOURCES[source]
     got, dens = kernel_forms(e, dimension, nu, forms, kernel, times,
                              sign_rule)
-    assert dens == oracle_dens(e, forms, column, times)
+    assert dens == oracle_dens(e, forms, column, (times,))
     for form, kernel_form in zip(forms, got):
         assert kernel_form == oracle_expand(
             dimension, nu + times, rank_one_d(form, sign_rule, times), e,
@@ -575,6 +578,23 @@ def test_kernel_derivative_matches_d_rank_one(case, sign_rule, times):
                               sign_rule)
 
 
+def test_d_rank_one_stays_independent_of_the_shared_rule(monkeypatch):
+    """The index rule, d_smooth and the kernel's pieces all take d from
+    ``_d_terms``; ``d_rank_one`` keeps its own loop.  With that one rule
+    negated, d_rank_one is unchanged and the kernel's d no longer matches
+    it, so the kernel tests see a fault the kernel shares with d_tensor."""
+    e = element(1, 3)
+    u = rank_one([(0, poly(0, 1, 1)), (1, poly(2, 1)), (0, poly(1, 0, 3))])
+    want = d_rank_one(u)
+    assert_kernel_matches(e, 3, 1, [[u]], "interpolant", 1)
+    shared = tensor._d_terms
+    monkeypatch.setattr(tensor, "_d_terms", lambda chi, sign_rule: [
+        (t, target, -sign) for t, target, sign in shared(chi, sign_rule)])
+    assert d_rank_one(u) == want and len(want) == 2
+    with pytest.raises(AssertionError):
+        assert_kernel_matches(e, 3, 1, [[u]], "interpolant", 1)
+
+
 @pytest.mark.parametrize("control", [None, "wrong-functional",
                                      "permute-alpha"])
 @pytest.mark.parametrize("sign_rule", [theta, flat_sign])
@@ -587,15 +607,23 @@ def test_interpolated_du_matches_d_rank_one_per_probe(control, sign_rule):
                                   "interpolant", 1, sign_rule)
 
 
+def assert_same_blocks(got, want):
+    """Two blocks dicts hold the same chis, shapes and entries."""
+    assert list(got) == list(want)
+    for chi, block in got.items():
+        assert block.shape == want[chi].shape
+        assert bool((block == want[chi]).all())
+
+
 def assert_same_batches(got, want):
-    """Two lists of kernel (blocks, dens) pairs are equal entry by entry."""
-    assert len(got) == len(want)
-    for (blocks, dens), (want_blocks, want_dens) in zip(got, want):
-        assert dens == want_dens
-        assert list(blocks) == list(want_blocks)
-        for chi, block in blocks.items():
-            assert block.shape == want_blocks[chi].shape
-            assert bool((block == want_blocks[chi]).all())
+    """Two kernel calls give the same denominators and, order by order,
+    the same blocks."""
+    (dens, batches), (want_dens, want_batches) = got, want
+    assert list(dens) == list(want_dens)
+    batches, want_batches = list(batches), list(want_batches)
+    assert len(batches) == len(want_batches)
+    for blocks, want_blocks in zip(batches, want_batches):
+        assert_same_blocks(blocks, want_blocks)
 
 
 @pytest.mark.parametrize("python_ints", [False, True])
@@ -604,26 +632,53 @@ def assert_same_batches(got, want):
 def test_multi_order_call_matches_per_order_calls(python_ints, case,
                                                   sign_rule, data):
     """One kernel call for several orders of d (one term table, one set
-    of column sources) gives what one call per order gives.  With the
-    int64 limit at 0 the per-order calls run on Python ints, and the
-    blocks and denominators are still those of the int64 call."""
+    of column sources, one denominator per form) gives what one call per
+    order gives, over the shared denominators: those are the lcm over
+    every requested order's pieces, and each order's blocks are the
+    per-order call's numerators times dens // its own.  With the int64
+    limit at 0 the per-order calls run on Python ints, and the values
+    are still those of the int64 call."""
     e, dimension, nu, forms, source = case
     possible = [times for times in range(3) if nu + times <= dimension]
     orders = tuple(data.draw(st.lists(st.sampled_from(possible), min_size=1,
                                       max_size=3, unique=True)))
     table = form_table(dimension, nu, forms)
-    kernel = SOURCES[source][0]
-    got = list(_coefficient_batch(e, table, kernel, orders, sign_rule))
+    kernel, column = SOURCES[source]
+    dens, batches = _coefficient_batch(e, table, kernel, orders, sign_rule)
+    assert list(dens) == oracle_dens(e, forms, column, orders)
+    got = list(batches)
     with pytest.MonkeyPatch.context() as patch:
         if python_ints:
             patch.setattr(tensor, "_INT64_LIMIT", 0)
-        want = [next(_coefficient_batch(e, table, kernel, (times,),
-                                        sign_rule))
-                for times in orders]
+        want = [(times_dens, next(batch)) for times_dens, batch in (
+            _coefficient_batch(e, table, kernel, (times,), sign_rule)
+            for times in orders)]
     if python_ints:
         assert all(block.dtype == object
-                   for blocks, _ in want for block in blocks.values())
-    assert_same_batches(got, want)
+                   for _, blocks in want for block in blocks.values())
+    assert len(got) == len(want)
+    for blocks, (times_dens, want_blocks) in zip(got, want):
+        assert not (dens % times_dens).any()
+        assert_same_blocks(blocks, {chi: block * (dens // times_dens)
+                                    for chi, block in want_blocks.items()})
+
+
+def test_shared_denominators_cover_every_order():
+    """Where I(u) and I(du) need different denominators (the doubled
+    basis1[0] halves the derivative columns), one call for both gives
+    the form their lcm, and scales I(u)'s numerators up to it."""
+    e = element(1, 3, "scaled-basis1")
+    forms = [[rank_one([(0, poly(1, 2, 3)), (0, poly(0, 1))])]]
+    table = form_table(2, 0, forms)
+    (u_dens, (u,)), (du_dens, (du,)), (dens, batches) = (
+        _coefficient_batch(e, table, interpolant_columns, orders)
+        for orders in ((0,), (1,), (0, 1)))
+    assert (list(u_dens), list(du_dens), list(dens)) == ([1], [2], [2])
+    assert list(dens) == oracle_dens(e, forms, interpolated_column, (0, 1))
+    got_u, got_du = batches
+    assert any(block.any() for block in u.values())
+    assert_same_blocks(got_u, {chi: 2 * block for chi, block in u.items()})
+    assert_same_blocks(got_du, du)
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
@@ -637,12 +692,12 @@ def test_dtype_switches_at_the_limit(monkeypatch, source):
         [(0, poly(1, -2, 5)), (1, poly(Fraction(1, 2), 3))],
         sign=Fraction(-3, 7))]])
     kernel = SOURCES[source][0]
-    (blocks, dens), = _coefficient_batch(e, table, kernel, (0,))
+    dens, (blocks,) = _coefficient_batch(e, table, kernel, (0,))
     peak = max(int(np.abs(block).max()) for block in blocks.values())
     for limit, dtype in ((peak + 1, np.int64), (peak, object)):
         monkeypatch.setattr(tensor, "_INT64_LIMIT", limit)
-        (got, got_dens), = _coefficient_batch(e, table, kernel, (0,))
-        assert got_dens == dens
+        got_dens, (got,) = _coefficient_batch(e, table, kernel, (0,))
+        assert list(got_dens) == list(dens)
         assert list(got) == list(blocks)
         for chi, block in got.items():
             assert block.dtype == dtype
@@ -802,8 +857,8 @@ def assert_same_table(got, want, e, source, orders):
     for side, table in enumerate(tables):
         assert picked[side] == [set(range(P.shape[1]))
                                 for P in table.coefficients]
-    assert_same_batches(list(_coefficient_batch(e, got, source, orders)),
-                        list(_coefficient_batch(e, want, source, orders)))
+    assert_same_batches(_coefficient_batch(e, got, source, orders),
+                        _coefficient_batch(e, want, source, orders))
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -875,11 +930,12 @@ def test_monomial_commutation_matches_explicit_probes():
 
 
 def test_one_kernel_call_per_verifier_call(monkeypatch):
-    """Each tensor-commutation call makes one kernel call (one term pass,
-    one P_0/P_1 pair, one product per column source) and each order of
-    d once; dd-zero makes one per characteristic vector below the top
-    degree.  The CLI's tensor-commutation goes through the grid entry.
-    The grid entries read their integer coefficient matrices straight
+    """Each tensor-commutation call below the top degree makes one kernel
+    call (one P_0/P_1 pair, one product per column source) and each
+    order of d once, and each makes one term pass; dd-zero makes one
+    kernel call per characteristic vector below the top degree.  The
+    CLI's tensor-commutation goes through the grid entry.  The grid
+    entries read their integer coefficient matrices straight
     from the degrees and the element: they make no Polynomial and turn
     none into coefficients."""
     calls = {}
@@ -911,7 +967,8 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                 calls.clear()
                 verify(dimension, nu, arg, e)
                 below = nu < dimension
-                want = {"_coefficient_batch": 1, "_order_batch": 2 * below,
+                want = {"_coefficient_batch": below,
+                        "_order_batch": 2 * below,
                         "interpolant_columns": 3 * below,
                         **({"_term_table": 1,  # one P_k per bit used
                             "coefficients": 1 + (0 < nu < dimension)}
@@ -932,7 +989,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
-    assert calls["_coefficient_batch"] == 4 and "_term_table" not in calls
+    assert calls["_coefficient_batch"] == 3 and "_term_table" not in calls
 
 
 def test_orders_are_built_lazily_and_freed():
@@ -940,13 +997,13 @@ def test_orders_are_built_lazily_and_freed():
     keeps no reference to an earlier one (I(u) is freed before I(du))."""
     e = element(1, 3)
     table = _grid_table(2, 0, [_monomials(range(6))] * 2)
-    batches = _coefficient_batch(e, table, interpolant_columns, (0, 1))
+    _, batches = _coefficient_batch(e, table, interpolant_columns, (0, 1))
     first = next(batches)
-    ref = weakref.ref(first[0][(0, 0)])
+    ref = weakref.ref(first[(0, 0)])
     del first
     gc.collect()
     assert ref() is None
-    blocks, _ = next(batches)
+    blocks = next(batches)
     assert list(blocks) == [(0, 1), (1, 0)]
     assert next(batches, None) is None
 
