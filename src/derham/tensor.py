@@ -69,6 +69,8 @@ _VARIABLE_NAMES = ("u", "v", "w")
 
 def enumerate_chi(dimension: int, nu: int) -> list[Chi]:
     """All 0/1 vectors of the given length with nu ones, lexicographic."""
+    if type(dimension) is not int or type(nu) is not int:  # bools too
+        raise TypeError(f"dimension {dimension!r} or nu {nu!r} is not an int")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     if not 0 <= nu <= dimension:
@@ -319,6 +321,17 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
     return _single_form(element, dimension, nu, terms, _expansion_columns)
 
 
+def _column_sources(element: Element1D, source, P, derived: bool, key=None):
+    """(numerators, denominator, peak) of ``source`` on P_0, P_1 and, if
+    ``derived``, D P_0; made once per element under ``key`` if given."""
+    def make():
+        made = [source(element, bit, P[bit]) for bit in (0, 1)]
+        if derived:
+            made.append(source(element, 1, _derived(P[0])))
+        return [(nums, den, _peak([nums])) for nums, den in made]
+    return make() if key is None else element.cached(key, make)
+
+
 class _Terms(NamedTuple):
     """The rank-one terms of ``count`` forms of one space, as the kernel
     reads them.  ``groups`` maps each chi to its terms' column ids (one
@@ -387,7 +400,7 @@ def _grid_table(dimension: int, nu: int, matrices, chis=None) -> _Terms:
                         for bit in (0, 1)), min(count, 1))
 
 
-def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
+def _coefficient_batch(element: Element1D, table: _Terms, sources, orders,
                        sign_rule=theta):
     """Basis coefficients of the table's forms, for each ``times`` in
     ``orders`` with d applied that many times (with ``sign_rule``), as
@@ -395,26 +408,20 @@ def _coefficient_batch(element: Element1D, table: _Terms, source, orders,
     dens[p]`` in every order, and ``batches`` yields one ``blocks`` per
     order, built only when it is asked for (an earlier one can be freed).
 
-    Bit k's factors are the columns of P_k; ``source``
-    (:func:`interpolant_columns` or :func:`_expansion_columns`) maps P_0,
-    P_1 and D P_0 to the columns of plain and differentiated axes.  The
-    pieces of order ``times`` of a chi are the blocks that
-    :func:`_index_rule`, applied that often to one unit entry, reaches,
-    with the sign it leaves there; a piece differentiates the axes where
-    its target and the chi differ and fills its block with one
-    face-splitting product of picked columns, times one integer factor
-    per term.  ``dens[p]`` is the lcm, over form p's terms and every
-    piece of every order, of the term's sign denominator times the
-    piece's column denominators.  Blocks have shape widths(chi) +
-    (count,), on ``np.int64`` when the order's bound (the table's depth
-    times, for the worst piece, the peak of its factors times the peaks
-    of its sources) is below ``_INT64_LIMIT``, else on Python ints.
+    Bit k's factors are the columns of P_k; ``sources``
+    (:func:`_column_sources`) hold the columns of plain and differentiated
+    axes, the same for every chi and form degree.  The pieces of order
+    ``times`` of a chi are the blocks that :func:`_index_rule`, applied
+    that often to one unit entry, reaches, with the sign it leaves there;
+    a piece differentiates the axes where its target and the chi differ
+    and fills its block with one face-splitting product of picked
+    columns, times one integer factor per term.  ``dens[p]`` is the lcm,
+    over form p's terms and every piece of every order, of the term's sign
+    denominator times the piece's column denominators.  Blocks have shape
+    widths(chi) + (count,), on ``np.int64`` when the order's bound (the
+    table's depth times, for the worst piece, its factor's peak times its
+    sources' peaks) is below ``_INT64_LIMIT``, else on Python ints.
     """
-    P = table.coefficients
-    sources = [source(element, bit, P[bit]) for bit in (0, 1)]
-    if any(orders):
-        sources.append(source(element, 1, _derived(P[0])))
-    sources = [(nums, den, _peak([nums])) for nums, den in sources]
     # pieces[times][chi]: (target, kinds, sign, base) per piece, kinds[t]
     # the source of axis t (2: D P_0) and base the product of their dens
     pieces, lcms = {times: {} for times in orders}, {}
@@ -501,9 +508,9 @@ def _astype(blocks: dict, dtype) -> dict:
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
                  source) -> TensorForm:
     """The sum of ``terms`` as one Fraction-valued TensorForm."""
-    (den,), (blocks,) = _coefficient_batch(
-        element, _term_table(dimension, nu, terms, [0] * len(terms), 1),
-        source, (0,))
+    table = _term_table(dimension, nu, terms, [0] * len(terms), 1)
+    (den,), (blocks,) = _coefficient_batch(element, table, _column_sources(
+        element, source, table.coefficients, False), (0,))
     return TensorForm(dimension, nu, element.n,
                       {chi: block[..., 0].astype(object) * Fraction(1, den)
                        for chi, block in blocks.items()})
@@ -711,6 +718,7 @@ def verify_dimensions(dimension: int,
     formula against the sizes of the basis and functional families, and
     the closed-form total dimension (2n+1)^N across all form degrees.
     """
+    enumerate_chi(dimension, 0)  # a bad N raises before the loop
     n = element.n
     witness: list[dict] = []
     total = 0
@@ -755,11 +763,14 @@ def verify_dd_zero(dimension: int, element: Element1D,
     """d after d annihilates every rank-one basis element, exactly.
 
     Routes: (1) the index rule applied twice in the basis
-    representation; (2) consistency of the index rule with honest
-    polynomial differentiation (the basis expansion of d(poly) must equal
-    the index rule's d); (3) the polynomial route applied twice and
-    expanded.  Route 2 extends route 1 to the polynomial representation
-    by linearity, route 3 checks that argument directly.  Every basis
+    representation; (2) the basis expansion of d(poly), by honest
+    polynomial differentiation, against the index rule's d; (3) the
+    polynomial route applied twice and expanded.  Route 2 extends route
+    1 to the polynomial representation by linearity.  Route 3 never
+    fails first: the kernel merges the two orders of each axis pair into
+    one piece, so under ``theta`` every order-2 piece cancels before any
+    product is taken and route 3 is zero by construction; under
+    ``flat_sign`` it fails only where route 1 or 2 does.  Every basis
     element takes all three routes: the elements of one characteristic
     vector are a grid of basis polynomials and run as one batch on a
     trailing axis, one kernel call for both polynomial routes, and each
@@ -767,7 +778,10 @@ def verify_dd_zero(dimension: int, element: Element1D,
     basis index, so routes 1 and 2 apply it to one all-ones block per
     characteristic vector and read basis element j off entry j.
     """
+    enumerate_chi(dimension, 0)  # a bad N raises before the loop
     n, bases = element.n, (element.B0, element.B1)
+    sources = _column_sources(element, _expansion_columns, bases, True,
+                              "basis columns")
     witness: list[dict] = []
     checked = 0
     for nu in range(dimension + 1):
@@ -779,8 +793,8 @@ def verify_dd_zero(dimension: int, element: Element1D,
                 continue  # d maps top forms into the empty (N+1)-form space
             twice = nu + 2 <= dimension
             dens, batches = _coefficient_batch(
-                element, _grid_table(dimension, nu, bases, [chi]),
-                _expansion_columns, (1, 2) if twice else (1,), sign_rule)
+                element, _grid_table(dimension, nu, bases, [chi]), sources,
+                (1, 2) if twice else (1,), sign_rule)
             first = _index_rule({chi: np.ones(widths, dtype=np.int64)}, n,
                                 sign_rule)
             expanded = next(batches)
@@ -853,9 +867,8 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
              for probe in probes]
     terms = [term for form in forms for term in form]
     owners = [index for index, form in enumerate(forms) for _ in form]
-    return _commutation_report(
-        _term_table(dimension, nu, terms, owners, len(forms)), element,
-        sign_rule)
+    table = _term_table(dimension, nu, terms, owners, len(forms))
+    return _commutation_report(table, element, sign_rule, table.coefficients)
 
 
 def verify_monomial_commutation(dimension: int, nu: int, degrees,
@@ -864,22 +877,24 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     """:func:`verify_tensor_commutation` on
     ``rank_one_monomial_probes(dimension, nu, degrees)``, the same report
     with the same probe indices, without building the probes: they are a
-    full grid of monomials per chi, read straight into the kernel."""
+    full grid of monomials per chi, read straight into the kernel, with
+    column sources made once per element and degree set for every nu."""
+    degrees = list(degrees)
+    P = _monomials(degrees)
     return _commutation_report(
-        _grid_table(dimension, nu, (_monomials(degrees),) * 2), element,
-        sign_rule)
+        _grid_table(dimension, nu, (P, P)), element, sign_rule, (P, P),
+        ("monomial columns", *sorted(set(degrees))))
 
 
-def _commutation_report(table: _Terms, element: Element1D,
-                        sign_rule) -> VerificationReport:
-    """The tensor-commutation report of the table's forms: I(u) and I(du)
-    from one kernel call, over one denominator per form."""
+def _commutation_report(table: _Terms, element: Element1D, sign_rule, P,
+                        key=None) -> VerificationReport:
+    """The tensor-commutation report of the table's forms, P's columns:
+    I(u) and I(du) from one kernel call, over one denominator per form."""
     dimension, nu, count = table.dimension, table.nu, table.count
     witness: list[dict] = []
     if nu < dimension:
-        dens, batches = _coefficient_batch(element, table,
-                                           interpolant_columns, (0, 1),
-                                           sign_rule)
+        dens, batches = _coefficient_batch(element, table, _column_sources(
+            element, interpolant_columns, P, True, key), (0, 1), sign_rule)
         lhs = next(batches)
         # rebinding frees the interpolants before I(du) is built; d adds
         # at most nu + 1 blocks into each of its targets

@@ -160,6 +160,13 @@ class TestChiAndSigns:
         with pytest.raises(ValueError):
             enumerate_chi(2, -1)
 
+    @pytest.mark.parametrize("dimension, nu", [
+        (True, 0), (2, True), (2.0, 1), (2, 1.0), (np.int64(2), 1)])
+    def test_enumerate_chi_rejects_a_non_int(self, dimension, nu):
+        # a bool would count as N = 1 and a report would say "N": true
+        with pytest.raises(TypeError, match="not an int"):
+            enumerate_chi(dimension, nu)
+
     def test_theta_alternates_on_earlier_bits(self):
         assert theta((0, 0, 0), 2) == 1
         assert theta((1, 0, 0), 1) == -1
@@ -189,6 +196,20 @@ class TestDimensions:
             for e in (e13, e01):
                 report = verify_dimensions(dim, e)
                 assert report.passed, report.witness
+
+    @pytest.mark.parametrize("verify, args, error", [
+        (verify_dd_zero, (-1,), ValueError),
+        (verify_dd_zero, (0,), ValueError),
+        (verify_dimensions, (-1,), ValueError),
+        (verify_dd_zero, (True,), TypeError),
+        (verify_dimensions, (True,), TypeError),
+        (verify_kron_structure, (True, 0), TypeError)])
+    def test_verifiers_reject_a_bad_dimension(self, e13, verify, args,
+                                              error):
+        # before any loop: an empty one passed dd-zero with no elements
+        # and gave verify_dimensions a float (2n+1)^N
+        with pytest.raises(error):
+            verify(*args, e13)
 
     def test_functional_count_matches_dimension(self, e13):
         for nu in range(3):

@@ -53,9 +53,10 @@ from derham.element1d import (Element1D, build_element, interpolate,
 from derham.polycore import Polynomial
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
-                           _coefficient_batch, _expansion_columns,
-                           _grid_table, _monomials, _term_table,
-                           canonicalize, d_rank_one, enumerate_chi,
+                           _coefficient_batch, _column_sources,
+                           _expansion_columns, _grid_table, _monomials,
+                           _term_table, canonicalize, d_rank_one,
+                           enumerate_chi,
                            expand_in_basis, flat_sign, rank_one,
                            rank_one_monomial_probes, tensor_interpolate,
                            tensor_node_functionals, theta, verify_dd_zero,
@@ -411,10 +412,17 @@ def form_table(dimension, nu, forms):
     return _term_table(dimension, nu, terms, owners, len(forms))
 
 
+def kernel_batch(e, table, source, orders, sign_rule=theta):
+    """One kernel call on the table, with its column sources made from
+    the table's coefficient matrices by ``source``."""
+    return _coefficient_batch(e, table, _column_sources(
+        e, source, table.coefficients, any(orders)), orders, sign_rule)
+
+
 def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
     """One batch of the kernel, split back into one TensorForm per form,
     and the kernel's denominators."""
-    dens, (blocks,) = _coefficient_batch(
+    dens, (blocks,) = kernel_batch(
         e, form_table(dimension, nu, forms), source, (times,), sign_rule)
     return [TensorForm(dimension, nu + times, e.n,
                        {chi: block[..., p] * Fraction(1, dens[p])
@@ -644,14 +652,14 @@ def test_multi_order_call_matches_per_order_calls(python_ints, case,
                                       max_size=3, unique=True)))
     table = form_table(dimension, nu, forms)
     kernel, column = SOURCES[source]
-    dens, batches = _coefficient_batch(e, table, kernel, orders, sign_rule)
+    dens, batches = kernel_batch(e, table, kernel, orders, sign_rule)
     assert list(dens) == oracle_dens(e, forms, column, orders)
     got = list(batches)
     with pytest.MonkeyPatch.context() as patch:
         if python_ints:
             patch.setattr(tensor, "_INT64_LIMIT", 0)
         want = [(times_dens, next(batch)) for times_dens, batch in (
-            _coefficient_batch(e, table, kernel, (times,), sign_rule)
+            kernel_batch(e, table, kernel, (times,), sign_rule)
             for times in orders)]
     if python_ints:
         assert all(block.dtype == object
@@ -671,7 +679,7 @@ def test_shared_denominators_cover_every_order():
     forms = [[rank_one([(0, poly(1, 2, 3)), (0, poly(0, 1))])]]
     table = form_table(2, 0, forms)
     (u_dens, (u,)), (du_dens, (du,)), (dens, batches) = (
-        _coefficient_batch(e, table, interpolant_columns, orders)
+        kernel_batch(e, table, interpolant_columns, orders)
         for orders in ((0,), (1,), (0, 1)))
     assert (list(u_dens), list(du_dens), list(dens)) == ([1], [2], [2])
     assert list(dens) == oracle_dens(e, forms, interpolated_column, (0, 1))
@@ -692,11 +700,11 @@ def test_dtype_switches_at_the_limit(monkeypatch, source):
         [(0, poly(1, -2, 5)), (1, poly(Fraction(1, 2), 3))],
         sign=Fraction(-3, 7))]])
     kernel = SOURCES[source][0]
-    dens, (blocks,) = _coefficient_batch(e, table, kernel, (0,))
+    dens, (blocks,) = kernel_batch(e, table, kernel, (0,))
     peak = max(int(np.abs(block).max()) for block in blocks.values())
     for limit, dtype in ((peak + 1, np.int64), (peak, object)):
         monkeypatch.setattr(tensor, "_INT64_LIMIT", limit)
-        got_dens, (got,) = _coefficient_batch(e, table, kernel, (0,))
+        got_dens, (got,) = kernel_batch(e, table, kernel, (0,))
         assert list(got_dens) == list(dens)
         assert list(got) == list(blocks)
         for chi, block in got.items():
@@ -857,8 +865,8 @@ def assert_same_table(got, want, e, source, orders):
     for side, table in enumerate(tables):
         assert picked[side] == [set(range(P.shape[1]))
                                 for P in table.coefficients]
-    assert_same_batches(_coefficient_batch(e, got, source, orders),
-                        _coefficient_batch(e, want, source, orders))
+    assert_same_batches(kernel_batch(e, got, source, orders),
+                        kernel_batch(e, want, source, orders))
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -934,10 +942,13 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
     call (one P_0/P_1 pair, one product per column source) and each
     order of d once, and each makes one term pass; dd-zero makes one
     kernel call per characteristic vector below the top degree.  The
-    CLI's tensor-commutation goes through the grid entry.  The grid
-    entries read their integer coefficient matrices straight
-    from the degrees and the element: they make no Polynomial and turn
-    none into coefficients."""
+    column sources of dd-zero (the element's bases) and of the grid
+    entry (a probe degree set) are made once per element and shared by
+    every chi, N and nu: 3 products per element, where a second call
+    makes none.  The CLI's tensor-commutation goes through the grid
+    entry.  The grid entries read their integer coefficient matrices
+    straight from the degrees and the element: they make no Polynomial
+    and turn none into coefficients."""
     calls = {}
 
     def counting(module, name, counts=lambda *args: True):
@@ -953,12 +964,13 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                  "_grid_table", "interpolant_columns", "_expansion_columns",
                  "verify_monomial_commutation"):
         counting(tensor, name)
-    e = build_element(1, 3)
+    elements = {dimension: build_element(1, 3) for dimension in (1, 2, 3, 4)}
     counting(Polynomial, "__init__")
     for module in (polycore, element1d, tensor):  # every binding of it
         counting(module, "coefficients", lambda polys, *_: any(
             isinstance(p, Polynomial) for p in polys))
     for dimension in (2, 3):
+        e = elements[dimension]
         for nu in range(dimension + 1):
             probes = rank_one_monomial_probes(dimension, nu, range(5))
             for verify, arg in ((verify_tensor_commutation, probes),
@@ -969,27 +981,106 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                 below = nu < dimension
                 want = {"_coefficient_batch": below,
                         "_order_batch": 2 * below,
-                        "interpolant_columns": 3 * below,
                         **({"_term_table": 1,  # one P_k per bit used
-                            "coefficients": 1 + (0 < nu < dimension)}
+                            "coefficients": 1 + (0 < nu < dimension),
+                            "interpolant_columns": 3 * below}
                            if verify is verify_tensor_commutation
                            else {"_grid_table": 1,
-                                 "verify_monomial_commutation": 1})}
+                                 "verify_monomial_commutation": 1,
+                                 "interpolant_columns": 3 * (nu == 0)})}
                 assert calls == {k: v for k, v in want.items() if v}
-        calls.clear()
-        verify_dd_zero(dimension, e)
+    for dimension, e in elements.items():
         chis = 2 ** dimension - 1  # every chi below the top degree
         orders = sum(min(2, dimension - nu) * math.comb(dimension, nu)
                      for nu in range(dimension))
-        assert calls == {"_coefficient_batch": chis, "_grid_table": chis,
-                         "_expansion_columns": 3 * chis,
-                         "_order_batch": orders}
+        for sources in (3, 0):  # the second call reuses the first's
+            calls.clear()
+            verify_dd_zero(dimension, e)
+            want = {"_coefficient_batch": chis, "_grid_table": chis,
+                    "_order_batch": orders, "_expansion_columns": sources}
+            assert calls == {k: v for k, v in want.items() if v}
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
     assert calls["_coefficient_batch"] == 3 and "_term_table" not in calls
+    assert calls["interpolant_columns"] == 3
+
+
+def test_a_used_element_gives_the_reports_of_a_fresh_one():
+    """The shared column sources live in one element's memo.  After
+    pristine dd-zero and tensor-commutation have filled it, each
+    corruption of that element starts a memo of its own, and the flat
+    sign rule reads the same sources: every report is the one a fresh
+    element gives."""
+    def reports(e, sign_rule=theta):
+        return [report_json(report) for report in (
+            verify_dd_zero(3, e, sign_rule),
+            *(verify_monomial_commutation(3, nu, cli_degrees(3, 4), e,
+                                          sign_rule) for nu in range(4)))]
+
+    used = build_element(1, 4)
+    assert reports(used) == reports(build_element(1, 4))
+    assert "basis columns" in used._memo
+    verdicts = []
+    for corrupt in (swap_basis, wrong_functional, permute_alpha):
+        assert "basis columns" not in corrupt(used)._memo
+        got = reports(corrupt(used))
+        assert got == reports(corrupt(build_element(1, 4)))
+        verdicts.append(got)
+    got = reports(used, flat_sign)
+    assert got == reports(build_element(1, 4), flat_sign)
+    verdicts.append(got)
+    assert all('"passed": false' in " ".join(texts)
+               for texts in verdicts[1:])
+
+
+def test_a_second_call_leaves_the_cached_sources_unchanged(monkeypatch):
+    """With the int64 limit at 0 every step runs on Python ints, where
+    _order_batch reads the cached source arrays without copying.  A
+    second call on the same element reuses the same sources, gives an
+    identical report and leaves every cached array as it was."""
+    monkeypatch.setattr(tensor, "_INT64_LIMIT", 0)
+    e = permute_alpha(build_element(1, 4))
+    runs = [lambda: verify_dd_zero(3, e, flat_sign)] + [
+        lambda nu=nu: verify_monomial_commutation(3, nu, range(8), e)
+        for nu in range(3)]
+    first = [report_json(run()) for run in runs]
+    assert any('"passed": false' in text for text in first)
+    cached = {key: value for key, value in e._memo.items()
+              if key == "basis columns" or key[0] == "monomial columns"}
+    assert len(cached) == 2
+    copies = {key: [(nums.copy(), den, peak) for nums, den, peak in value]
+              for key, value in cached.items()}
+    assert [report_json(run()) for run in runs] == first
+    for key, value in cached.items():
+        assert e._memo[key] is value
+        for (nums, den, peak), (want, want_den, want_peak) in zip(
+                value, copies[key]):
+            assert nums.dtype == want.dtype == object
+            assert (den, peak) == (want_den, want_peak)
+            assert nums.shape == want.shape and bool((nums == want).all())
+
+
+@pytest.mark.parametrize("sign_rule", [theta, flat_sign])
+def test_route_3_pieces_cancel_only_under_theta(monkeypatch, sign_rule):
+    """dd-zero's route 3 (d twice on the columns) is zero by construction
+    under theta: the kernel merges both orders of each pair of axes into
+    one piece, and every order-2 piece's signs cancel before any product
+    is taken.  Under flat_sign every order-2 batch keeps its pieces."""
+    pieces = []
+    inner = tensor._order_batch
+
+    def recording(element, table, sources, chi_pieces, times):
+        if times == 2:
+            pieces.append(sum(map(len, chi_pieces.values())))
+        return inner(element, table, sources, chi_pieces, times)
+
+    monkeypatch.setattr(tensor, "_order_batch", recording)
+    verify_dd_zero(3, element(1, 3), sign_rule)
+    assert len(pieces) == 4  # the chis of nu = 0 and nu = 1
+    assert all((count == 0) == (sign_rule is theta) for count in pieces)
 
 
 def test_orders_are_built_lazily_and_freed():
@@ -997,7 +1088,7 @@ def test_orders_are_built_lazily_and_freed():
     keeps no reference to an earlier one (I(u) is freed before I(du))."""
     e = element(1, 3)
     table = _grid_table(2, 0, [_monomials(range(6))] * 2)
-    _, batches = _coefficient_batch(e, table, interpolant_columns, (0, 1))
+    _, batches = kernel_batch(e, table, interpolant_columns, (0, 1))
     first = next(batches)
     ref = weakref.ref(first[(0, 0)])
     del first

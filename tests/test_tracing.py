@@ -8,15 +8,20 @@ traced benchmark run.
 
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import derham  # noqa: F401  (imports every submodule the tracer patches)
 from derham import cli, functionals  # noqa: F401
 from derham.corruptions import permute_alpha
 from derham.element1d import build_element
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 def load_tracing():
@@ -69,3 +74,18 @@ def test_element_fingerprint_is_a_value_identity():
     assert first is not second
     assert fingerprint(first) == fingerprint(second)
     assert fingerprint(permute_alpha(first)) != fingerprint(first)
+
+
+@pytest.mark.parametrize("workload", ["grid_1d", "tensor_structure",
+                                      "tensor_interp", "smooth"])
+def test_one_traced_pass_runs_and_passes_the_gate(workload):
+    """One traced benchmark pass of each workload (spans go to the
+    git-ignored ``.bench_out/``): the tracer's named lookups resolve, and
+    the gate sees every verdict right."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
