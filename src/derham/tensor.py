@@ -16,20 +16,18 @@ basis functions.  Two representations coexist and are cross-checked:
 Interpolating a rank-one form factorizes into 1D interpolations, and
 expanding one over the basis into 1D basis changes, so either way its
 coefficients are the outer product of one 1D coefficient column per
-factor, linear in the factor's monomial coefficients.  One integer
-kernel (:func:`_coefficient_batch`) reads a term table of a batch of
-forms (explicit terms, or a full grid per chi of columns of the integer
-coefficient matrices P_0 and P_1), takes every column from one exact
-product per form degree, and fills each block of d applied 0, 1 or 2
-times with face-splitting (Khatri-Rao) products.  One chi-level rule
-(:func:`_d_terms`) gives d to the index rule, to the smooth component
-formula and to the kernel's pieces; one kernel call makes the pieces
-and one denominator per form for every order of d a verifier needs
-(I(u) and I(du); both polynomial routes of d-after-d).
-
-Each order runs on ``np.int64`` when an a-priori bound on its entries
-is below ``_INT64_LIMIT`` (2**62), else on Python ints; the verifier
-steps that combine batches bound themselves from their inputs' peaks.
+factor, linear in the factor's monomial coefficients.  One exact kernel
+(:func:`_coefficient_batch`) reads a term table of a batch of explicit
+forms, takes every column from one exact product per form degree, and
+fills the blocks of the forms, or of d applied to them once, with
+face-splitting (Khatri-Rao) products on Python ints.  One chi-level
+rule (:func:`_d_terms`) gives d to the index rule, to the smooth
+component formula and to the kernel's pieces.  On a grid input (the
+basis of dd-zero, the monomial probes of
+:func:`verify_monomial_commutation`) every block is a Kronecker product
+of 1D columns, so those verifiers decide from the 1D columns alone: a
+Kronecker product is nonzero iff every factor is, and its largest entry
+is the product of theirs.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -58,11 +56,6 @@ from .smooth import SmoothFunctionND
 Chi = tuple[int, ...]
 
 DEFAULT_ND_TOLERANCE = 1e-11
-
-# An exact integer step runs on np.int64 only when a bound worked out
-# before the step puts every value it makes below this (int64 holds
-# magnitudes up to 2**63 - 1); otherwise it runs on Python ints.
-_INT64_LIMIT = 2 ** 62
 
 _VARIABLE_NAMES = ("u", "v", "w")
 
@@ -321,32 +314,27 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
     return _single_form(element, dimension, nu, terms, _expansion_columns)
 
 
-def _column_sources(element: Element1D, source, P, derived: bool, key=None):
-    """(numerators, denominator, peak) of ``source`` on P_0, P_1 and, if
-    ``derived``, D P_0; made once per element under ``key`` if given."""
-    def make():
-        made = [source(element, bit, P[bit]) for bit in (0, 1)]
-        if derived:
-            made.append(source(element, 1, _derived(P[0])))
-        return [(nums, den, _peak([nums])) for nums, den in made]
-    return make() if key is None else element.cached(key, make)
+def _column_sources(element: Element1D, source, P, derived: bool) -> list:
+    """(numerators, denominator) of ``source`` on P_0, P_1 and, if
+    ``derived``, D P_0."""
+    made = [source(element, bit, P[bit]) for bit in (0, 1)]
+    if derived:
+        made.append(source(element, 1, _derived(P[0])))
+    return made
 
 
 class _Terms(NamedTuple):
     """The rank-one terms of ``count`` forms of one space, as the kernel
     reads them.  ``groups`` maps each chi to its terms' column ids (one
     row per term, one column per axis), owners (the form each term
-    belongs to), sign numerators and sign denominators (per term, or one
-    for all); ``coefficients[k]`` is P_k, the monomial coefficients of
-    bit k's factors by column id.  ``depth`` is the most terms any form
-    has (0 for no terms)."""
+    belongs to), sign numerators and sign denominators; ``coefficients[k]``
+    is P_k, the monomial coefficients of bit k's factors by column id."""
 
     dimension: int
     nu: int
     count: int
     groups: dict
     coefficients: tuple
-    depth: int
 
 
 def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
@@ -373,63 +361,37 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
                   {chi: (columns[r], owners[r], nums[r], sign_dens[r])
                    for chi, r in rows.items()},
                   tuple(coefficients([p for _, p in bit.values()])
-                        for bit in seen),
-                  int(np.bincount(owners).max()) if len(owners) else 0)
-
-
-def _grid_table(dimension: int, nu: int, matrices, chis=None) -> _Terms:
-    """The table of full grids of sign-1 rank-one forms, one term each:
-    for each chi in turn (default: every chi of the space), every choice
-    of one column of ``matrices[chi[t]]`` (P_0, P_1) per axis t, in
-    row-major order.  Column ids come from ``np.indices``, with no Python
-    work per term, and a chi has one sign 1 for all of its terms; the
-    terms are those of :func:`_term_table` of the same forms."""
-    chis = enumerate_chi(dimension, nu) if chis is None else chis
-    groups, count, one = {}, 0, np.ones(1, dtype=object)
-    for chi in chis:
-        grid = np.indices([matrices[bit].shape[1] for bit in chi],
-                          dtype=np.intp).reshape(dimension, -1)
-        size = grid.shape[1]
-        if size:
-            groups[chi] = (grid.T, np.arange(count, count + size,
-                                             dtype=np.intp), one, one)
-            count += size
-    used = {bit for chi in groups for bit in chi}
-    return _Terms(dimension, nu, count, groups,
-                  tuple(matrices[bit] if bit in used else coefficients(())
-                        for bit in (0, 1)), min(count, 1))
+                        for bit in seen))
 
 
 def _coefficient_batch(element: Element1D, table: _Terms, sources, orders,
                        sign_rule=theta):
     """Basis coefficients of the table's forms, for each ``times`` in
-    ``orders`` with d applied that many times (with ``sign_rule``), as
-    ``(dens, batches)``: form p has coefficients ``blocks[chi][..., p] /
-    dens[p]`` in every order, and ``batches`` yields one ``blocks`` per
-    order, built only when it is asked for (an earlier one can be freed).
+    ``orders`` (0 or 1) with d applied that many times (with
+    ``sign_rule``), as ``(dens, batches)``: form p has coefficients
+    ``blocks[chi][..., p] / dens[p]`` in every order, and ``batches``
+    yields one ``blocks`` per order, built only when it is asked for (an
+    earlier one can be freed).
 
     Bit k's factors are the columns of P_k; ``sources``
     (:func:`_column_sources`) hold the columns of plain and differentiated
     axes, the same for every chi and form degree.  The pieces of order
     ``times`` of a chi are the blocks that :func:`_index_rule`, applied
     that often to one unit entry, reaches, with the sign it leaves there;
-    a piece differentiates the axes where its target and the chi differ
+    a piece differentiates the axis where its target and the chi differ
     and fills its block with one face-splitting product of picked
     columns, times one integer factor per term.  ``dens[p]`` is the lcm,
     over form p's terms and every piece of every order, of the term's sign
-    denominator times the piece's column denominators.  Blocks have shape
-    widths(chi) + (count,), on ``np.int64`` when the order's bound (the
-    table's depth times, for the worst piece, its factor's peak times its
-    sources' peaks) is below ``_INT64_LIMIT``, else on Python ints.
+    denominator times the piece's column denominators.  Blocks hold
+    Python ints and have shape widths(chi) + (count,).
     """
     # pieces[times][chi]: (target, kinds, sign, base) per piece, kinds[t]
     # the source of axis t (2: D P_0) and base the product of their dens
-    pieces, lcms = {times: {} for times in orders}, {}
+    pieces = {times: {} for times in orders}
     dens = np.ones(table.count, dtype=object)
     for chi, (_, owners, _, sign_dens) in table.groups.items():
-        reached = [{chi: np.ones((1,) * table.dimension, dtype=np.int64)}]
-        while len(reached) <= max(orders):
-            reached.append(_index_rule(reached[-1], 1, sign_rule))
+        unit = {chi: np.ones((1,) * table.dimension, dtype=int)}
+        reached = (unit, _index_rule(unit, 1, sign_rule))
         for times in orders:
             chi_pieces = pieces[times][chi] = []
             for target, sign in reached[times].items():
@@ -437,20 +399,14 @@ def _coefficient_batch(element: Element1D, table: _Terms, sources, orders,
                 chi_pieces.append((target, kinds, sign.item(), math.prod(
                     sources[k][1] for k in kinds)))
         # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
-        den = sign_dens * lcms.setdefault(chi, math.lcm(
+        np.lcm.at(dens, owners, sign_dens * math.lcm(
             *(piece[3] for times in orders for piece in pieces[times][chi])))
-        if table.depth == 1:  # a form's one term gives its denominator
-            dens[owners] = den
-        else:
-            np.lcm.at(dens, owners, den)
     for chi, (_, owners, nums, sign_dens) in table.groups.items():
-        # one term per form: dens[owners] // sign_dens is the chi's lcm
-        scale = nums * (lcms[chi] if table.depth == 1
-                        else dens[owners] // sign_dens)
-        for times in orders:  # pieces whose signs cancel are dropped
+        scale = nums * (dens[owners] // sign_dens)
+        for times in orders:
             pieces[times][chi] = [(target, kinds, sign * (scale // base))
                                   for target, kinds, sign, base
-                                  in pieces[times][chi] if sign]
+                                  in pieces[times][chi]]
     return dens, (_order_batch(element, table, sources, pieces[times], times)
                   for times in orders)
 
@@ -459,50 +415,19 @@ def _order_batch(element: Element1D, table: _Terms, sources, pieces: dict,
                  times: int) -> dict:
     """The blocks of one order of :func:`_coefficient_batch`, from its
     ``pieces`` per chi, each (target, kinds, per-term integer factor);
-    ``sources`` holds the (numerators, denominator, peak) of each kind."""
-    # an entry sums at most depth products (one per term of its form, since
-    # a chi has one piece per target), each below the worst piece's bound;
-    # every factor of a bound is at least 1, so partial products stay below
-    bound = max((_peak([factor]) * math.prod(sources[k][2] for k in kinds)
-                 for chi_pieces in pieces.values()
-                 for _, kinds, factor in chi_pieces), default=0)
-    dtype = _exact_dtype(table.depth * bound)
-    columns = {k: np.asarray(sources[k][0], dtype)
-               for chi_pieces in pieces.values()
-               for _, kinds, _ in chi_pieces for k in kinds}
+    ``sources`` holds the (numerators, denominator) of each kind."""
     blocks = {chi: np.zeros(_block_widths(chi, element.n) + (table.count,),
-                            dtype=dtype)
+                            dtype=object)
               for chi in enumerate_chi(table.dimension, table.nu + times)}
     for chi, (ids, owners, _, _) in table.groups.items():
-        # a grid's owners of one chi are a range: add into that slice
-        span = slice(owners[0], owners[-1] + 1) \
-            if (owners[1:] - owners[:-1] == 1).all() else None
         for target, kinds, factor in pieces[chi]:
-            product = np.asarray(factor, dtype)
+            product = factor
             for axis, k in enumerate(kinds):
-                product = product[..., None, :] * columns[k][:, ids[:, axis]]
-            if span is None:  # owners may repeat
-                np.add.at(blocks[target], (Ellipsis, owners), product)
-            else:
-                blocks[target][..., span] += product
+                product = product[..., None, :] * \
+                    sources[k][0][:, ids[:, axis]]
+            # owners may repeat: a form's terms add into one column
+            np.add.at(blocks[target], (Ellipsis, owners), product)
     return blocks
-
-
-def _peak(arrays) -> int:
-    """The largest absolute entry of the arrays as a Python int, at least
-    1 (a bound multiplies by it)."""
-    return max([1, *(int(max(a.max(), -a.min())) for a in arrays if a.size)])
-
-
-def _exact_dtype(bound: int):
-    """np.int64 when ``bound`` is below ``_INT64_LIMIT``, else object."""
-    return np.int64 if bound < _INT64_LIMIT else object
-
-
-def _astype(blocks: dict, dtype) -> dict:
-    """The blocks on ``dtype``, copied only where theirs differs."""
-    return {chi: block.astype(dtype, copy=False)
-            for chi, block in blocks.items()}
 
 
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
@@ -512,7 +437,7 @@ def _single_form(element: Element1D, dimension: int, nu: int, terms,
     (den,), (blocks,) = _coefficient_batch(element, table, _column_sources(
         element, source, table.coefficients, False), (0,))
     return TensorForm(dimension, nu, element.n,
-                      {chi: block[..., 0].astype(object) * Fraction(1, den)
+                      {chi: block[..., 0] * Fraction(1, den)
                        for chi, block in blocks.items()})
 
 
@@ -750,12 +675,10 @@ def verify_dimensions(dimension: int,
                                  m=element.m, n=element.n)
 
 
-def _failing(count: int, blocks) -> np.ndarray:
-    """Which of ``count`` batched forms has a nonzero entry in any block."""
-    out = np.zeros(count, dtype=bool)
-    for block in blocks:
-        out |= (block != 0).reshape(-1, count).any(axis=0)
-    return out
+def _along(vector: np.ndarray, axis: int, dimension: int) -> np.ndarray:
+    """``vector`` as an array of ``dimension`` axes that runs along
+    ``axis``: it broadcasts against any block as that axis's factor."""
+    return vector.reshape([-1 if s == axis else 1 for s in range(dimension)])
 
 
 def verify_dd_zero(dimension: int, element: Element1D,
@@ -764,63 +687,41 @@ def verify_dd_zero(dimension: int, element: Element1D,
 
     Routes: (1) the index rule applied twice in the basis
     representation; (2) the basis expansion of d(poly), by honest
-    polynomial differentiation, against the index rule's d; (3) the
-    polynomial route applied twice and expanded.  Route 2 extends route
-    1 to the polynomial representation by linearity.  Route 3 never
-    fails first: the kernel merges the two orders of each axis pair into
-    one piece, so under ``theta`` every order-2 piece cancels before any
-    product is taken and route 3 is zero by construction; under
-    ``flat_sign`` it fails only where route 1 or 2 does.  Every basis
-    element takes all three routes: the elements of one characteristic
-    vector are a grid of basis polynomials and run as one batch on a
-    trailing axis, one kernel call for both polynomial routes, and each
-    reports its first failing route only.  The index rule never moves a
-    basis index, so routes 1 and 2 apply it to one all-ones block per
-    characteristic vector and read basis element j off entry j.
+    polynomial differentiation, against the index rule's d.  Route 2
+    extends route 1 to the polynomial representation by linearity; a
+    failing basis element reports its first failing route only.  The
+    index rule never moves a basis index, so route 1 applies it to one
+    all-ones block per characteristic vector and reads basis element j
+    off entry j.  Route 2 reads 1D columns: on the target of 0-form axis
+    t, both sides carry the sign of that axis, basis element j expands
+    to the Kronecker product of the columns B_k^-1 B_k e_{j_s} = e_{j_s}
+    of the other axes and column j_t of B_1^-1 D B_0, and the index rule
+    puts column j_t of [I_n | 0] there; so j fails iff some 0-form axis
+    t has a nonzero column j_t of B_1^-1 D B_0 - [I_n | 0].
     """
     enumerate_chi(dimension, 0)  # a bad N raises before the loop
-    n, bases = element.n, (element.B0, element.B1)
-    sources = _column_sources(element, _expansion_columns, bases, True,
-                              "basis columns")
+    n = element.n
+    _basis_inverse(element, 0)  # B_0^-1 B_0 = I needs B_0 to invert
+    nums, den = _expansion_columns(element, 1, _derived(element.B0))
+    moved = (nums != den * np.eye(n, n + 1, dtype=object)).any(axis=0)
     witness: list[dict] = []
     checked = 0
     for nu in range(dimension + 1):
         for chi in enumerate_chi(dimension, nu):
             widths = _block_widths(chi, n)
-            count = math.prod(widths)
-            checked += count
-            if nu == dimension:
-                continue  # d maps top forms into the empty (N+1)-form space
-            twice = nu + 2 <= dimension
-            dens, batches = _coefficient_batch(
-                element, _grid_table(dimension, nu, bases, [chi]), sources,
-                (1, 2) if twice else (1,), sign_rule)
-            first = _index_rule({chi: np.ones(widths, dtype=np.int64)}, n,
+            checked += math.prod(widths)
+            first = _index_rule({chi: np.ones(widths, dtype=int)}, n,
                                 sign_rule)
-            expanded = next(batches)
-            # route 2 takes at most nu + 1 denominators off an entry
-            dtype = _exact_dtype(_peak(expanded.values())
-                                 + (nu + 1) * dens.max())
-            expanded, dens = _astype(expanded, dtype), dens.astype(dtype)
-            for target, block in first.items():
-                entries = np.indices(block.shape)
-                owners = np.ravel_multi_index(entries, widths)
-                expanded[target][(*entries, owners)] -= block * dens[owners]
-            route2 = _failing(count, expanded.values())
-            route1, route3 = np.zeros((2, count), dtype=bool)
-            if twice:
-                for block in _index_rule(first, n, sign_rule).values():
-                    route1[np.ravel_multi_index(np.nonzero(block),
-                                                widths)] = True
-                route3 = _failing(count, next(batches).values())
-            routes = (("dd-zero", route1),
-                      ("representation-consistency", route2),
-                      ("dd-zero-polynomial", route3))
-            for owner in np.flatnonzero(route1 | route2 | route3):
-                check = next(name for name, bad in routes if bad[owner])
-                witness.append({"check": check, "nu": nu, "chi": list(chi),
-                                "index": [int(j) + 1 for j in
-                                          np.unravel_index(owner, widths)]})
+            route1, route2 = np.zeros((2, *widths), dtype=bool)
+            for block in _index_rule(first, n, sign_rule).values():
+                route1[tuple(map(slice, block.shape))] |= block != 0
+            for t, _, _ in _d_terms(chi, sign_rule):
+                route2 |= _along(moved, t, dimension)
+            for index in np.argwhere(route1 | route2):
+                witness.append({"check": "dd-zero" if route1[tuple(index)]
+                                else "representation-consistency",
+                                "nu": nu, "chi": list(chi),
+                                "index": [int(j) + 1 for j in index]})
     return VerificationReport.of("dd-zero", witness, N=dimension,
                                  m=element.m, n=element.n,
                                  basis_elements=checked)
@@ -868,44 +769,15 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     terms = [term for form in forms for term in form]
     owners = [index for index, form in enumerate(forms) for _ in form]
     table = _term_table(dimension, nu, terms, owners, len(forms))
-    return _commutation_report(table, element, sign_rule, table.coefficients)
-
-
-def verify_monomial_commutation(dimension: int, nu: int, degrees,
-                                element: Element1D,
-                                sign_rule=theta) -> VerificationReport:
-    """:func:`verify_tensor_commutation` on
-    ``rank_one_monomial_probes(dimension, nu, degrees)``, the same report
-    with the same probe indices, without building the probes: they are a
-    full grid of monomials per chi, read straight into the kernel, with
-    column sources made once per element and degree set for every nu."""
-    degrees = list(degrees)
-    P = _monomials(degrees)
-    return _commutation_report(
-        _grid_table(dimension, nu, (P, P)), element, sign_rule, (P, P),
-        ("monomial columns", *sorted(set(degrees))))
-
-
-def _commutation_report(table: _Terms, element: Element1D, sign_rule, P,
-                        key=None) -> VerificationReport:
-    """The tensor-commutation report of the table's forms, P's columns:
-    I(u) and I(du) from one kernel call, over one denominator per form."""
-    dimension, nu, count = table.dimension, table.nu, table.count
     witness: list[dict] = []
     if nu < dimension:
         dens, batches = _coefficient_batch(element, table, _column_sources(
-            element, interpolant_columns, P, True, key), (0, 1), sign_rule)
-        lhs = next(batches)
-        # rebinding frees the interpolants before I(du) is built; d adds
-        # at most nu + 1 blocks into each of its targets
-        lhs = _index_rule(_astype(lhs, _exact_dtype(
-            (nu + 1) * _peak(lhs.values()))), element.n, sign_rule)
-        rhs = next(batches)
-        # an int64 block minus an object block is taken on Python ints
-        dtype = _exact_dtype(_peak(lhs.values()) + _peak(rhs.values()))
+            element, interpolant_columns, table.coefficients, True), (0, 1),
+            sign_rule)
+        lhs = _index_rule(next(batches), element.n, sign_rule)  # I(u) freed
+        residual = {chi: lhs.get(chi, 0) - block
+                    for chi, block in next(batches).items()}
         leading = tuple(range(dimension))
-        residual = {chi: lhs.get(chi, 0) - block.astype(dtype, copy=False)
-                    for chi, block in rhs.items()}
         nonzero = {chi: (block != 0).any(axis=leading)
                    for chi, block in residual.items()}
         failing = np.flatnonzero(np.any(list(nonzero.values()), axis=0))
@@ -920,7 +792,56 @@ def _commutation_report(table: _Terms, element: Element1D, sign_rule, P,
                                                     dens[index]))})
     return VerificationReport.of("tensor-commutation", witness,
                                  N=dimension, nu=nu, m=element.m,
-                                 n=element.n, probes=count)
+                                 n=element.n, probes=len(forms))
+
+
+def verify_monomial_commutation(dimension: int, nu: int, degrees,
+                                element: Element1D,
+                                sign_rule=theta) -> VerificationReport:
+    """:func:`verify_tensor_commutation` on
+    ``rank_one_monomial_probes(dimension, nu, degrees)``, the same report
+    with the same probe indices, decided from 1D columns without building
+    the probes.  On the target chi + e_t of 0-form axis t, the residual
+    of the probe with degrees a is, up to the sign of that axis, the
+    Kronecker product of the interpolants I_{chi_s}(x^{a_s}) of the
+    other axes and r(a_t) = (I_0 x^{a_t})[:n] - I_1((x^{a_t})') on axis
+    t: it is nonzero iff every one of those columns is, and its largest
+    entry is the product of theirs."""
+    P = _monomials(degrees)
+    chis, shape = enumerate_chi(dimension, nu), (P.shape[1],) * dimension
+    witness: list[dict] = []
+    if nu < dimension:
+        (i0, den0), i1, (di, dden) = _column_sources(
+            element, interpolant_columns, (P, P), True)
+        r = (i0[:element.n] * dden - di * den0, den0 * dden)
+        # peaks[k][a]: the peak of column a of the kind-k factor (0, 1:
+        # the interpolants I_k, 2: r), one exact Fraction per degree
+        peaks = [np.array([Fraction(max(map(abs, column), default=0), den)
+                           for column in nums.T], dtype=object)
+                 for nums, den in ((i0, den0), i1, r)]
+        for position, chi in enumerate(chis):
+            targets, failing = [], np.zeros(shape, dtype=bool)
+            for t, target, _ in _d_terms(chi, sign_rule):
+                kinds = chi[:t] + (2,) + chi[t + 1:]
+                fails = reduce(np.logical_and, (
+                    _along(peaks[k] != 0, s, dimension)
+                    for s, k in enumerate(kinds)))
+                targets.append((target, kinds, fails))
+                failing |= fails
+            for a in map(tuple, np.argwhere(failing)):
+                hits = sorted(entry[:2] for entry in targets if entry[2][a])
+                witness.append({
+                    "check": "tensor-commutation",
+                    "probe": position * failing.size
+                    + int(np.ravel_multi_index(a, shape)),
+                    "blocks": [list(target) for target, _ in hits],
+                    "max_abs": str(max(math.prod(
+                        peaks[k][j] for k, j in zip(kinds, a))
+                        for _, kinds in hits))})
+    return VerificationReport.of("tensor-commutation", witness,
+                                 N=dimension, nu=nu, m=element.m,
+                                 n=element.n,
+                                 probes=len(chis) * math.prod(shape))
 
 
 def verify_kron_structure(dimension: int, nu: int,

@@ -327,7 +327,8 @@ class TestExactArtifacts:
                  "dd-zero,tensor-commutation")
 
     # the corrupted N = 3 rows pin witnesses: tensor-commutation ones with
-    # their blocks and max_abs (permute-alpha), dd-zero ones (flip-theta)
+    # their blocks and max_abs (permute-alpha, and wrong-functional with
+    # 37, 84 and 48 witnesses at nu = 0, 1, 2), dd-zero ones (flip-theta)
     @pytest.mark.parametrize("argv, exit_code, digest", [
         (("element", "--m", "2", "--n", "6"), 0,
          "ad6e89fe1ba6e403e3b272d307df1444bb8c34799f601fb52e720240dadaae05"),
@@ -342,6 +343,8 @@ class TestExactArtifacts:
          "c289720e53856eaa148e80f7151674283a5dd36285ba2d055c046cd2450803df"),
         (ND_VERIFY + ("--corrupt", "flip-theta"), 1,
          "b3979bb0d7ddf45dfd955ef8d3f107db31e00dc65896e077af2cd8de658c5f87"),
+        (ND_VERIFY + ("--corrupt", "wrong-functional"), 1,
+         "3e278a384c579695520733c6c8c0588f5875308aefa63125dba7de1ffde38b6e"),
         (WIDE_VERIFY, 0,
          "ecc1758ab0af8d2471cb88e4588c2c114853131c57aaaf0a1b3468c328dfeed4"),
         (WIDE_VERIFY + ("--corrupt", "permute-alpha"), 1,
@@ -351,7 +354,8 @@ class TestExactArtifacts:
         (VERIFY_4D + ("--corrupt", "flip-theta"), 1,
          "6d8da7f9a4a91b7928caab374afa6047783d561530a00c4a6156099a5f80cd05"),
     ], ids=["element", "tensor", "verify", "verify-3d",
-            "verify-3d-permute-alpha", "verify-3d-flip-theta", "verify-wide",
+            "verify-3d-permute-alpha", "verify-3d-flip-theta",
+            "verify-3d-wrong-functional", "verify-wide",
             "verify-wide-permute-alpha", "verify-4d-permute-alpha",
             "verify-4d-flip-theta"])
     def test_sha256(self, capsys, argv, exit_code, digest):

@@ -1,4 +1,5 @@
-"""The batched integer kernel against the per-form oracles it replaced.
+"""The exact kernel and the factored grid verifiers against the
+per-form oracles they replaced.
 
 The commutation oracle is the old Fraction route: every factor of every
 probe is interpolated to a Polynomial, re-expanded over the basis
@@ -6,27 +7,25 @@ through the inverse of its monomial-coefficient matrix, and the N-D
 blocks are built and compared probe by probe in Fraction object arrays.
 The dd-zero oracle is the old per-basis-element loop: one dense
 Fraction form per unit, d applied twice, and the polynomial routes
-expanded through per-term outer products.  The kron-structure oracle
-applies every product functional to every rank-one basis element and
-row-reduces the full product.  The
-kernel must reproduce their reports exactly, witness order, ``blocks``
-and ``max_abs`` included.  The kernel itself, which reads every column
-out of one exact product per form degree and source, is checked form by
-form against the per-factor Fraction columns, and its derivative (the
+expanded through per-term outer products (d twice included, so the
+reports show that route never names a witness the other two miss).  The
+kron-structure oracle applies every product functional to every
+rank-one basis element and row-reduces the full product.  The verifiers
+must reproduce their reports exactly, witness order, ``blocks`` and
+``max_abs`` included.  The kernel, which reads every column out of one
+exact product per form degree and source, is checked form by form
+against the per-factor Fraction columns, and its derivative (the
 columns of D P_0) against the rank-one route ``d_rank_one``, which
 keeps its own loop rather than the kernel's d rule; its denominators,
 one per form and shared by every order of a call, against the lcm taken
-one (term, order, piece) at a time.  One kernel call for several orders
-of d is checked against one call per order, the grid term table
-against the table of the same forms built one by one, and the grid
-entry ``verify_monomial_commutation`` against
-``verify_tensor_commutation`` on the explicit probes; a guard counts
-the kernel calls of each verifier, and checks that the grid entries
-make no Polynomial.  The int64 path is checked against the Python-int
-path it falls back to: batch by batch with the limit at 0, at the exact
-edge of one batch's bound, and report by report under limits that mix
-the two.  A report whose residuals pass 2**63, where int64 would wrap,
-is checked against the Fraction oracle.
+one (term, order, piece) at a time; one call for both orders of d
+against one call per order.  The kernel in turn is the oracle of the
+factored ``verify_monomial_commutation``, which decides from 1D columns
+and must give the report of ``verify_tensor_commutation`` on the
+explicit probes; a guard counts the kernel calls of each verifier, and
+checks that the factored verifiers make no kernel call and no
+Polynomial.  Entries past 2**63 are checked against the Fraction
+oracles.
 """
 
 import contextlib
@@ -54,9 +53,8 @@ from derham.polycore import Polynomial
 from derham.report import VerificationReport
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
                            _coefficient_batch, _column_sources,
-                           _expansion_columns, _grid_table, _monomials,
-                           _term_table, canonicalize, d_rank_one,
-                           enumerate_chi,
+                           _expansion_columns, _term_table, canonicalize,
+                           d_rank_one, enumerate_chi,
                            expand_in_basis, flat_sign, rank_one,
                            rank_one_monomial_probes, tensor_interpolate,
                            tensor_node_functionals, theta, verify_dd_zero,
@@ -397,6 +395,20 @@ def test_dd_zero_matches_oracle_3d(mn):
     check_dd_zero_controls(3, m, n, corruptions)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("k", [0, 1])
+def test_dd_zero_rejects_a_singular_basis(dimension, k):
+    """With its first function listed twice, the k-form basis has no
+    inverse, so route 2 cannot read B_k^-1 B_k = I: dd-zero raises
+    rather than report on the basis."""
+    e = element(1, 3)
+    basis = getattr(e, f"basis{k}")
+    e = dataclasses.replace(e, **{f"basis{k}": [basis[0], *basis[:1],
+                                                  *basis[2:]]})
+    with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+        verify_dd_zero(dimension, e)
+
+
 def test_dd_zero_matches_oracle_4d():
     check_dd_zero_controls(4, 0, 1, ["wrong-functional"])
     assert assert_same_dd_zero(4, element(1, 3, "scaled-basis1")) == \
@@ -510,7 +522,7 @@ def test_column_sources_never_mix(control, dd_zero_first):
              1: [[rank_one([(0, p), (1, q)]), rank_one([(1, q), (0, p)])]
                  for p in e.basis0 for q in e.basis1]}
     batches = [(nu, source, times) for nu in forms for source in SOURCES
-               for times in range(3 - nu)]
+               for times in range(2)]
     if not dd_zero_first:
         batches.reverse()
     got = {batch: assert_kernel_matches(e, 2, batch[0], forms[batch[0]],
@@ -573,17 +585,15 @@ def test_kernel_matches_per_factor_oracles(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel_cases(), st.sampled_from([theta, flat_sign]),
-       st.integers(1, 2))
-def test_kernel_derivative_matches_d_rank_one(case, sign_rule, times):
-    """The kernel's d (columns of D P_0 on the differentiated axes, signs
+@given(kernel_cases(), st.sampled_from([theta, flat_sign]))
+def test_kernel_derivative_matches_d_rank_one(case, sign_rule):
+    """The kernel's d (columns of D P_0 on the differentiated axis, signs
     from ``sign_rule``) equals the rank-one route, form by form: for the
     interpolant that is I(du) as tensor-commutation compares it, for the
-    expansion route 2 (times 1) and route 3 (times 2) of dd-zero."""
+    expansion the basis coefficients of d(poly)."""
     e, dimension, nu, forms, source = case
-    if nu + times <= dimension:
-        assert_kernel_matches(e, dimension, nu, forms, source, times,
-                              sign_rule)
+    if nu < dimension:
+        assert_kernel_matches(e, dimension, nu, forms, source, 1, sign_rule)
 
 
 def test_d_rank_one_stays_independent_of_the_shared_rule(monkeypatch):
@@ -623,47 +633,28 @@ def assert_same_blocks(got, want):
         assert bool((block == want[chi]).all())
 
 
-def assert_same_batches(got, want):
-    """Two kernel calls give the same denominators and, order by order,
-    the same blocks."""
-    (dens, batches), (want_dens, want_batches) = got, want
-    assert list(dens) == list(want_dens)
-    batches, want_batches = list(batches), list(want_batches)
-    assert len(batches) == len(want_batches)
-    for blocks, want_blocks in zip(batches, want_batches):
-        assert_same_blocks(blocks, want_blocks)
-
-
-@pytest.mark.parametrize("python_ints", [False, True])
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases(), st.sampled_from([theta, flat_sign]), st.data())
-def test_multi_order_call_matches_per_order_calls(python_ints, case,
-                                                  sign_rule, data):
-    """One kernel call for several orders of d (one term table, one set
-    of column sources, one denominator per form) gives what one call per
+def test_multi_order_call_matches_per_order_calls(case, sign_rule, data):
+    """One kernel call for both orders of d (one term table, one set of
+    column sources, one denominator per form) gives what one call per
     order gives, over the shared denominators: those are the lcm over
     every requested order's pieces, and each order's blocks are the
-    per-order call's numerators times dens // its own.  With the int64
-    limit at 0 the per-order calls run on Python ints, and the values
-    are still those of the int64 call."""
+    per-order call's numerators times dens // its own."""
     e, dimension, nu, forms, source = case
-    possible = [times for times in range(3) if nu + times <= dimension]
+    possible = [times for times in range(2) if nu + times <= dimension]
     orders = tuple(data.draw(st.lists(st.sampled_from(possible), min_size=1,
-                                      max_size=3, unique=True)))
+                                      max_size=2, unique=True)))
     table = form_table(dimension, nu, forms)
     kernel, column = SOURCES[source]
     dens, batches = kernel_batch(e, table, kernel, orders, sign_rule)
     assert list(dens) == oracle_dens(e, forms, column, orders)
     got = list(batches)
-    with pytest.MonkeyPatch.context() as patch:
-        if python_ints:
-            patch.setattr(tensor, "_INT64_LIMIT", 0)
-        want = [(times_dens, next(batch)) for times_dens, batch in (
-            kernel_batch(e, table, kernel, (times,), sign_rule)
-            for times in orders)]
-    if python_ints:
-        assert all(block.dtype == object
-                   for _, blocks in want for block in blocks.values())
+    want = [(times_dens, next(batch)) for times_dens, batch in (
+        kernel_batch(e, table, kernel, (times,), sign_rule)
+        for times in orders)]
+    assert all(block.dtype == object
+               for _, blocks in want for block in blocks.values())
     assert len(got) == len(want)
     for blocks, (times_dens, want_blocks) in zip(got, want):
         assert not (dens % times_dens).any()
@@ -689,33 +680,10 @@ def test_shared_denominators_cover_every_order():
     assert_same_blocks(got_du, du)
 
 
-@pytest.mark.parametrize("source", sorted(SOURCES))
-def test_dtype_switches_at_the_limit(monkeypatch, source):
-    """A batch of one single-term form at times 0 has a bound equal to
-    its peak |numerator| (its sign numerator times the peak of each
-    axis's only column): with the limit one above that peak the batch
-    runs on int64, at the peak on Python ints, with the same entries."""
-    e = element(1, 3)
-    table = form_table(2, 1, [[rank_one(
-        [(0, poly(1, -2, 5)), (1, poly(Fraction(1, 2), 3))],
-        sign=Fraction(-3, 7))]])
-    kernel = SOURCES[source][0]
-    dens, (blocks,) = kernel_batch(e, table, kernel, (0,))
-    peak = max(int(np.abs(block).max()) for block in blocks.values())
-    for limit, dtype in ((peak + 1, np.int64), (peak, object)):
-        monkeypatch.setattr(tensor, "_INT64_LIMIT", limit)
-        got_dens, (got,) = kernel_batch(e, table, kernel, (0,))
-        assert list(got_dens) == list(dens)
-        assert list(got) == list(blocks)
-        for chi, block in got.items():
-            assert block.dtype == dtype
-            assert bool((block == blocks[chi]).all())
-
-
 def test_entries_past_int64_stay_exact():
-    """Signs of 64 and more bits push the batch past what int64 holds
-    (an entry, or a denominator ratio in the residual); the kernel and
-    the commutation report still match their Fraction oracles."""
+    """Signs of 64 and more bits give values past what int64 holds (an
+    entry, or a denominator ratio in the residual); the kernel and the
+    commutation report still match their Fraction oracles."""
     e = element(1, 3, "permute-alpha")
     forms = [[rank_one([(0, poly(1, 2, 3)), (1, poly(1, -1))],
                        sign=Fraction(3 ** 41, 7))],
@@ -726,11 +694,10 @@ def test_entries_past_int64_stay_exact():
         assert_kernel_matches(e, 2, 1, forms, source)
     assert_kernel_matches(e, 2, 1, forms, "interpolant", 1)
     assert not assert_same_report(2, 1, forms, e).passed
-    # a factor of 70-bit coefficients under d twice: every piece cancels,
-    # so the batch is zero and fits int64, though its sources do not
+    # a factor of 70-bit coefficients, plain and under d
     wide = [[rank_one([(0, poly(2 ** 70, 3, 2 ** 69)), (0, poly(1, 2))])]]
-    for source in SOURCES:
-        assert_kernel_matches(e, 2, 0, wide, source, 2)
+    for source, times in itertools.product(SOURCES, (0, 1)):
+        assert_kernel_matches(e, 2, 0, wide, source, times)
 
 
 def test_residuals_past_int64_stay_exact():
@@ -752,54 +719,6 @@ def test_residuals_past_int64_stay_exact():
         [w["max_abs"] for w in want.witness]
     assert max(Fraction(w["max_abs"]).numerator
                for w in got.witness) > 2 ** 63
-
-
-def test_wide_point_runs_both_paths(monkeypatch):
-    """At (m, n) = (4, 14), N = 2 (pinned byte for byte in
-    test_cli.TestExactArtifacts), nu = 0 runs every step on int64 and
-    nu = 1 every step on Python ints, whose bounds need 73 and 74 bits.
-    The steps are the two kernel orders, the index rule and the
-    residual."""
-    bounds = []
-
-    def recording(bound):
-        bounds.append(bound)
-        return dtype_of(bound)
-
-    dtype_of = tensor._exact_dtype
-    monkeypatch.setattr(tensor, "_exact_dtype", recording)
-    for nu, fits in ((0, True), (1, False)):
-        bounds.clear()
-        verify_monomial_commutation(2, nu, range(18), element(4, 14))
-        assert len(bounds) == 4
-        assert all((bound < 2 ** 62) == fits for bound in bounds)
-
-
-@pytest.mark.parametrize("limit", [0, 2 ** 20, 2 ** 40])
-def test_reports_do_not_depend_on_the_limit(monkeypatch, limit):
-    """Every mix of int64 and Python-int steps gives the same reports,
-    witnesses included: low limits push some steps (kernel, index rule,
-    residual, route 2 of dd-zero) onto Python ints and leave others on
-    int64."""
-    want = {}
-    for step in ("want", "got"):
-        if step == "got":
-            monkeypatch.setattr(tensor, "_INT64_LIMIT", limit)
-        for control, sign_rule in controls(4):
-            e = element(1, 4, control)
-            for dimension in (2, 3):
-                reports = [verify_monomial_commutation(
-                    dimension, nu, range(8), e, sign_rule)
-                    for nu in range(dimension)]
-                reports.append(verify_dd_zero(dimension, e, sign_rule))
-                key = control, sign_rule, dimension
-                text = [report_json(report) for report in reports]
-                if step == "want":
-                    want[key] = text
-                else:
-                    assert text == want[key]
-    assert any('"max_abs"' in text for texts in want.values()
-               for text in texts)
 
 
 def test_witness_and_block_types():
@@ -832,79 +751,6 @@ def test_witness_and_block_types():
                        and type(v.denominator) is int for v in block.flat)
 
 
-def columns(P):
-    """The polynomials whose monomial coefficients are P's columns."""
-    return [Polynomial(column) for column in P.fractions().T]
-
-
-def assert_same_table(got, want, e, source, orders):
-    """Two term tables hold the same terms, and the kernel gives the same
-    batches from both.  A grid table keeps a repeated factor in its own
-    column, where the term loop merges it, so column ids may differ: the
-    coefficient columns that every term picks on every axis must agree
-    by value, and every column must be picked.  A grid chi has one sign
-    for all of its terms."""
-    assert got[:3] == want[:3]  # dimension, nu, count
-    assert got.depth == want.depth
-    assert list(got.groups) == list(want.groups)
-    tables = (got, want)
-    factors = [[columns(P) for P in table.coefficients] for table in tables]
-    picked = [[set(), set()] for _ in tables]
-    for chi, (ids, *arrays) in got.groups.items():
-        want_ids, *want_arrays = want.groups[chi]
-        assert ids.shape == want_ids.shape and ids.dtype == want_ids.dtype
-        for axis, bit in enumerate(chi):
-            for side, table_ids in enumerate((ids, want_ids)):
-                picked[side][bit].update(table_ids[:, axis].tolist())
-            assert [factors[0][bit][j] for j in ids[:, axis]] == \
-                [factors[1][bit][j] for j in want_ids[:, axis]]
-        for array, want_array in zip(arrays, want_arrays):
-            assert array.shape in (want_array.shape, (1,))
-            assert array.dtype == want_array.dtype
-            assert bool((array == want_array).all())
-    for side, table in enumerate(tables):
-        assert picked[side] == [set(range(P.shape[1]))
-                                for P in table.coefficients]
-    assert_same_batches(kernel_batch(e, got, source, orders),
-                        kernel_batch(e, want, source, orders))
-
-
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_grid_table_matches_table_of_forms(dimension):
-    """The grid builder (column ids from np.indices, one column per
-    factor) gives the terms, and the kernel batches, that the term loop
-    gives on the same forms, built explicitly."""
-    e = element(1, 3, "permute-alpha")
-    for nu in range(dimension + 1):
-        orders = tuple(range(min(2, dimension - nu) + 1))
-        for degrees in ([], [0], [3, 0, 1], range(5)):
-            monomials = _monomials(degrees)
-            forms = [[probe] for probe in rank_one_monomial_probes(
-                dimension, nu, degrees)]
-            assert forms == [[rank_one(zip(chi, combo))]
-                             for chi in enumerate_chi(dimension, nu)
-                             for combo in itertools.product(
-                                 columns(monomials), repeat=dimension)]
-            assert_same_table(
-                _grid_table(dimension, nu, (monomials, monomials)),
-                form_table(dimension, nu, forms), e, interpolant_columns,
-                orders)
-    # dd-zero's grids: one chi of basis elements, here with basis0[0]
-    # listed twice (the same object), which the term loop merges; that
-    # basis has no inverse, so its batches come from the interpolant
-    for e, source in ((element(1, 3), _expansion_columns),
-                      (rank_deficient(0, 2), interpolant_columns)):
-        bases = (e.basis0, e.basis1)
-        for nu in range(dimension):
-            orders = tuple(range(min(2, dimension - nu) + 1))
-            for chi in enumerate_chi(dimension, nu):
-                forms = [[rank_one(zip(chi, factors))] for factors in
-                         itertools.product(*(bases[bit] for bit in chi))]
-                assert_same_table(
-                    _grid_table(dimension, nu, (e.B0, e.B1), [chi]),
-                    form_table(dimension, nu, forms), e, source, orders)
-
-
 GRID_3D = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]
 
 
@@ -913,40 +759,55 @@ def cli_degrees(dimension, n):
     return range(n + 4) if dimension <= 2 else sorted({0, 2, n, n + 3})
 
 
-def test_monomial_commutation_matches_explicit_probes():
-    """verify_monomial_commutation (a grid table) gives the report of
-    verify_tensor_commutation on the explicit probes, probe indices
-    included, over the benchmark's grids, pristine and under controls."""
+# (N, (m, n)) points of the grid entry's cross-check: the benchmark's
+# grids, (4, 14) and three points in 4D
+GRID_CHECKS = ([(2, mn) for mn in TENSOR_GRID] + [(2, (4, 14))]
+               + [(3, mn) for mn in GRID_3D]
+               + [(4, mn) for mn in ((0, 1), (0, 2), (1, 3))])
+
+
+@pytest.mark.parametrize("dimension, mn", GRID_CHECKS)
+def test_monomial_commutation_matches_explicit_probes(dimension, mn):
+    """verify_monomial_commutation (decided from 1D columns) gives the
+    report of verify_tensor_commutation (the kernel) on the explicit
+    probes, probe indices included, for every nu, pristine and under
+    every control, under both sign rules.  Where it is cheap (n <= 3, and
+    n <= 2 in 4D) the per-probe Fraction oracle gives the same reports
+    too, on the CLI's degrees in 2D and on their lowest and highest
+    beyond."""
+    m, n = mn
+    degrees = list(cli_degrees(dimension, n))
+    checks = [(degrees, True)]
+    if n <= (3 if dimension < 4 else 2):
+        checks.append((degrees if dimension == 2 else degrees[::3], False))
     failed = 0
-    for dimension, grid in ((2, TENSOR_GRID), (3, GRID_3D)):
-        for m, n in grid:
-            cases = [(None, theta), (None, flat_sign)]
-            if n >= 2:
-                cases.append(("permute-alpha", theta))
-            for control, sign_rule in cases:
-                e = element(m, n, control)
-                degrees = cli_degrees(dimension, n)
-                for nu in range(dimension + 1):
-                    got = verify_monomial_commutation(dimension, nu, degrees,
-                                                      e, sign_rule)
-                    probes = rank_one_monomial_probes(dimension, nu, degrees)
-                    assert report_json(got) == report_json(
-                        verify_tensor_commutation(dimension, nu, probes, e,
-                                                  sign_rule))
-                    failed += not got.passed
+    for control in (None, "permute-alpha", "wrong-functional", "swap-basis",
+                    "scaled-basis1"):
+        if n < 2 and control in ("permute-alpha", "swap-basis"):
+            continue
+        e = element(m, n, control)
+        for sign_rule, (chosen, kernel) in itertools.product(
+                (theta, flat_sign), checks):
+            for nu in range(dimension + 1):
+                got = report_json(verify_monomial_commutation(
+                    dimension, nu, chosen, e, sign_rule))
+                probes = rank_one_monomial_probes(dimension, nu, chosen)
+                oracle = verify_tensor_commutation if kernel else oracle_verify
+                assert got == report_json(oracle(dimension, nu, probes, e,
+                                                 sign_rule))
+                failed += '"passed": false' in got
     assert failed > 0
 
 
 def test_one_kernel_call_per_verifier_call(monkeypatch):
-    """Each tensor-commutation call below the top degree makes one kernel
-    call (one P_0/P_1 pair, one product per column source) and each
-    order of d once, and each makes one term pass; dd-zero makes one
-    kernel call per characteristic vector below the top degree.  The
-    column sources of dd-zero (the element's bases) and of the grid
-    entry (a probe degree set) are made once per element and shared by
-    every chi, N and nu: 3 products per element, where a second call
-    makes none.  The CLI's tensor-commutation goes through the grid
-    entry.  The grid entries read their integer coefficient matrices
+    """Each tensor-commutation call on explicit probes below the top
+    degree makes one kernel call (one P_0/P_1 pair, one product per
+    column source), each order of d once, and one term pass.  The
+    factored verifiers make no kernel call: the grid entry
+    ``verify_monomial_commutation`` makes its 3 column products per call
+    below the top degree, and dd-zero one product (B_1^-1 D B_0) per
+    call.  The CLI's tensor-commutation goes through the grid entry.
+    The factored verifiers read their integer coefficient matrices
     straight from the degrees and the element: they make no Polynomial
     and turn none into coefficients."""
     calls = {}
@@ -961,16 +822,15 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("_coefficient_batch", "_order_batch", "_term_table",
-                 "_grid_table", "interpolant_columns", "_expansion_columns",
+                 "interpolant_columns", "_expansion_columns",
                  "verify_monomial_commutation"):
         counting(tensor, name)
-    elements = {dimension: build_element(1, 3) for dimension in (1, 2, 3, 4)}
+    e = build_element(1, 3)
     counting(Polynomial, "__init__")
     for module in (polycore, element1d, tensor):  # every binding of it
         counting(module, "coefficients", lambda polys, *_: any(
             isinstance(p, Polynomial) for p in polys))
     for dimension in (2, 3):
-        e = elements[dimension]
         for nu in range(dimension + 1):
             probes = rank_one_monomial_probes(dimension, nu, range(5))
             for verify, arg in ((verify_tensor_commutation, probes),
@@ -981,39 +841,31 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                 below = nu < dimension
                 want = {"_coefficient_batch": below,
                         "_order_batch": 2 * below,
-                        **({"_term_table": 1,  # one P_k per bit used
-                            "coefficients": 1 + (0 < nu < dimension),
-                            "interpolant_columns": 3 * below}
-                           if verify is verify_tensor_commutation
-                           else {"_grid_table": 1,
-                                 "verify_monomial_commutation": 1,
-                                 "interpolant_columns": 3 * (nu == 0)})}
+                        "_term_table": 1,  # one P_k per bit used
+                        "coefficients": 1 + (0 < nu < dimension),
+                        "interpolant_columns": 3 * below} \
+                    if verify is verify_tensor_commutation else \
+                    {"verify_monomial_commutation": 1,
+                     "interpolant_columns": 3 * below}
                 assert calls == {k: v for k, v in want.items() if v}
-    for dimension, e in elements.items():
-        chis = 2 ** dimension - 1  # every chi below the top degree
-        orders = sum(min(2, dimension - nu) * math.comb(dimension, nu)
-                     for nu in range(dimension))
-        for sources in (3, 0):  # the second call reuses the first's
-            calls.clear()
-            verify_dd_zero(dimension, e)
-            want = {"_coefficient_batch": chis, "_grid_table": chis,
-                    "_order_batch": orders, "_expansion_columns": sources}
-            assert calls == {k: v for k, v in want.items() if v}
+    for dimension in (1, 2, 3, 4):
+        calls.clear()
+        verify_dd_zero(dimension, e)
+        assert calls == {"_expansion_columns": 1}
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
-    assert calls["_coefficient_batch"] == 3 and "_term_table" not in calls
-    assert calls["interpolant_columns"] == 3
+    assert calls["interpolant_columns"] == 9  # nu = 0, 1, 2
+    assert "_coefficient_batch" not in calls and "_term_table" not in calls
 
 
 def test_a_used_element_gives_the_reports_of_a_fresh_one():
-    """The shared column sources live in one element's memo.  After
-    pristine dd-zero and tensor-commutation have filled it, each
-    corruption of that element starts a memo of its own, and the flat
-    sign rule reads the same sources: every report is the one a fresh
-    element gives."""
+    """The basis inverses live in one element's memo.  After pristine
+    dd-zero and tensor-commutation have filled it, each corruption of
+    that element starts a memo of its own, and the flat sign rule reads
+    the same inverses: every report is the one a fresh element gives."""
     def reports(e, sign_rule=theta):
         return [report_json(report) for report in (
             verify_dd_zero(3, e, sign_rule),
@@ -1022,10 +874,10 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
 
     used = build_element(1, 4)
     assert reports(used) == reports(build_element(1, 4))
-    assert "basis columns" in used._memo
+    assert ("basis inverse", 0) in used._memo
     verdicts = []
     for corrupt in (swap_basis, wrong_functional, permute_alpha):
-        assert "basis columns" not in corrupt(used)._memo
+        assert ("basis inverse", 0) not in corrupt(used)._memo
         got = reports(corrupt(used))
         assert got == reports(corrupt(build_element(1, 4)))
         verdicts.append(got)
@@ -1036,58 +888,39 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
                for texts in verdicts[1:])
 
 
-def test_a_second_call_leaves_the_cached_sources_unchanged(monkeypatch):
-    """With the int64 limit at 0 every step runs on Python ints, where
-    _order_batch reads the cached source arrays without copying.  A
-    second call on the same element reuses the same sources, gives an
-    identical report and leaves every cached array as it was."""
-    monkeypatch.setattr(tensor, "_INT64_LIMIT", 0)
+def test_a_second_call_leaves_the_cached_sources_unchanged():
+    """The verifiers read the element's cached exact tables (the basis
+    inverses, the functionals' monomial rows) without copying.  A second
+    call on the same element reuses them, gives an identical report and
+    leaves every cached table as it was."""
     e = permute_alpha(build_element(1, 4))
-    runs = [lambda: verify_dd_zero(3, e, flat_sign)] + [
+    probes = rank_one_monomial_probes(2, 0, range(8))
+    runs = [lambda: verify_dd_zero(3, e, flat_sign),
+            lambda: verify_tensor_commutation(2, 0, probes, e)] + [
         lambda nu=nu: verify_monomial_commutation(3, nu, range(8), e)
         for nu in range(3)]
     first = [report_json(run()) for run in runs]
     assert any('"passed": false' in text for text in first)
     cached = {key: value for key, value in e._memo.items()
-              if key == "basis columns" or key[0] == "monomial columns"}
-    assert len(cached) == 2
-    copies = {key: [(nums.copy(), den, peak) for nums, den, peak in value]
+              if isinstance(value, linalg.Exact)}
+    assert ("basis inverse", 1) in cached
+    assert any(key[0] == "rows" for key in cached)
+    copies = {key: (value.nums.copy(), value.den)
               for key, value in cached.items()}
     assert [report_json(run()) for run in runs] == first
     for key, value in cached.items():
-        assert e._memo[key] is value
-        for (nums, den, peak), (want, want_den, want_peak) in zip(
-                value, copies[key]):
-            assert nums.dtype == want.dtype == object
-            assert (den, peak) == (want_den, want_peak)
-            assert nums.shape == want.shape and bool((nums == want).all())
-
-
-@pytest.mark.parametrize("sign_rule", [theta, flat_sign])
-def test_route_3_pieces_cancel_only_under_theta(monkeypatch, sign_rule):
-    """dd-zero's route 3 (d twice on the columns) is zero by construction
-    under theta: the kernel merges both orders of each pair of axes into
-    one piece, and every order-2 piece's signs cancel before any product
-    is taken.  Under flat_sign every order-2 batch keeps its pieces."""
-    pieces = []
-    inner = tensor._order_batch
-
-    def recording(element, table, sources, chi_pieces, times):
-        if times == 2:
-            pieces.append(sum(map(len, chi_pieces.values())))
-        return inner(element, table, sources, chi_pieces, times)
-
-    monkeypatch.setattr(tensor, "_order_batch", recording)
-    verify_dd_zero(3, element(1, 3), sign_rule)
-    assert len(pieces) == 4  # the chis of nu = 0 and nu = 1
-    assert all((count == 0) == (sign_rule is theta) for count in pieces)
+        want, want_den = copies[key]
+        assert e._memo[key] is value and value.den == want_den
+        assert value.nums.shape == want.shape
+        assert bool((value.nums == want).all())
 
 
 def test_orders_are_built_lazily_and_freed():
     """Each order's batch is built when it is asked for, and the iterator
     keeps no reference to an earlier one (I(u) is freed before I(du))."""
     e = element(1, 3)
-    table = _grid_table(2, 0, [_monomials(range(6))] * 2)
+    table = form_table(2, 0, [[probe] for probe in
+                              rank_one_monomial_probes(2, 0, range(6))])
     _, batches = kernel_batch(e, table, interpolant_columns, (0, 1))
     first = next(batches)
     ref = weakref.ref(first[(0, 0)])
