@@ -15,19 +15,18 @@ basis functions.  Two representations coexist and are cross-checked:
 
 Interpolating a rank-one form factorizes into 1D interpolations, and
 expanding one over the basis into 1D basis changes, so either way its
-coefficients are the outer product of one 1D coefficient column per
-factor, linear in the factor's monomial coefficients.  One exact kernel
-(:func:`_coefficient_batch`) reads a term table of a batch of explicit
-forms, takes every column from one exact product per form degree, and
-fills the blocks of the forms, or of d applied to them once, with
-face-splitting (Khatri-Rao) products on Python ints.  One chi-level
-rule (:func:`_d_terms`) gives d to the index rule, to the smooth
-component formula and to the kernel's pieces.  On a grid input (the
-basis of dd-zero, the monomial probes of
-:func:`verify_monomial_commutation`) every block is a Kronecker product
-of 1D columns, so those verifiers decide from the 1D columns alone: a
-Kronecker product is nonzero iff every factor is, and its largest entry
-is the product of theirs.
+coefficients are the Kronecker product of one 1D column per factor.
+One exact routine (:func:`_kron_blocks`) fills the blocks of a batch of
+explicit forms with face-splitting (Khatri-Rao) products of such
+columns on Python ints.  One chi-level rule (:func:`_d_terms`) gives d
+to the index rule, to the smooth component formula and to the
+commutation residual, which is the 1D commuting diagram with the other
+axes riding along: on the target chi + e_t, d I u - I d u of a rank-one
+term is, up to sign, the interpolants of the other axes times the 1D
+residual r (:func:`_residual_sources`) on axis t.  On a grid input
+(dd-zero's basis, the probes of :func:`verify_monomial_commutation`)
+the verifiers decide from the 1D columns alone: a Kronecker product is
+nonzero iff every factor is, and its peak is the product of theirs.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -143,6 +142,15 @@ def rank_one(factors, sign=1) -> RankOneForm:
     return RankOneForm(sign, tuple((bit, p) for bit, p in factors))
 
 
+def _sign(sign_rule, chi: Chi, t: int) -> int:
+    """``sign_rule(chi, t)``, which must be the int 1 or -1."""
+    sign = sign_rule(chi, t)
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign rule gave {sign!r} for chi {chi}, axis {t}; "
+                         "expected the int 1 or -1")
+    return sign
+
+
 def d_rank_one(u: RankOneForm, sign_rule=theta) -> list[RankOneForm]:
     """Exterior derivative as a list of rank-one terms (may be empty)."""
     terms = []
@@ -153,7 +161,8 @@ def d_rank_one(u: RankOneForm, sign_rule=theta) -> list[RankOneForm]:
         if dp.is_zero():
             continue
         factors = u.factors[:t] + ((1, dp),) + u.factors[t + 1:]
-        terms.append(RankOneForm(u.sign * sign_rule(u.chi, t), factors))
+        terms.append(RankOneForm(u.sign * _sign(sign_rule, u.chi, t),
+                                 factors))
     return terms
 
 
@@ -252,7 +261,7 @@ def d_tensor(u: TensorForm, sign_rule=theta) -> TensorForm:
 def _d_terms(chi: Chi, sign_rule) -> list[tuple[int, Chi, int]]:
     """d on one characteristic vector: for each 0-form axis t, the
     triple (t, chi with bit t set, ``sign_rule(chi, t)``)."""
-    return [(t, chi[:t] + (1,) + chi[t + 1:], sign_rule(chi, t))
+    return [(t, chi[:t] + (1,) + chi[t + 1:], _sign(sign_rule, chi, t))
             for t, bit in enumerate(chi) if bit == 0]
 
 
@@ -260,16 +269,11 @@ def _index_rule(blocks: dict, n: int, sign_rule) -> dict:
     """d of the chi blocks: the blocks of degree nu+1 that it reaches,
     each a new array.  Entry j of an image block comes from entry j of
     its source blocks (d never moves a basis index).
-
-    The rule acts on the leading N axes of each block; trailing axes,
-    such as the probe axis of a batch, ride along untouched.
     """
     out: dict = {}
     for chi, block in blocks.items():
         for t, target, sign in _d_terms(chi, sign_rule):
-            piece = block[(slice(None),) * t + (slice(0, n),)]
-            if sign < 0:
-                piece = -piece
+            piece = sign * block[(slice(None),) * t + (slice(0, n),)]
             out[target] = out.get(target, 0) + piece
     return out
 
@@ -314,27 +318,19 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
     return _single_form(element, dimension, nu, terms, _expansion_columns)
 
 
-def _column_sources(element: Element1D, source, P, derived: bool) -> list:
-    """(numerators, denominator) of ``source`` on P_0, P_1 and, if
-    ``derived``, D P_0."""
-    made = [source(element, bit, P[bit]) for bit in (0, 1)]
-    if derived:
-        made.append(source(element, 1, _derived(P[0])))
-    return made
-
-
 class _Terms(NamedTuple):
     """The rank-one terms of ``count`` forms of one space, as the kernel
     reads them.  ``groups`` maps each chi to its terms' column ids (one
     row per term, one column per axis), owners (the form each term
-    belongs to), sign numerators and sign denominators; ``coefficients[k]``
-    is P_k, the monomial coefficients of bit k's factors by column id."""
+    belongs to) and signs, scaled to integers over the one denominator
+    ``den`` of every sign; ``coefficients[k]`` is P_k, the monomial
+    coefficients of bit k's factors by column id."""
 
     dimension: int
-    nu: int
     count: int
     groups: dict
     coefficients: tuple
+    den: int
 
 
 def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
@@ -343,6 +339,9 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
     a Polynomial hashes its Fractions) and numbered in term order."""
     seen, rows, columns = ({}, {}), {}, []  # seen[bit]: id -> (column, p)
     for i, term in enumerate(terms):
+        if not isinstance(term, RankOneForm):
+            raise TypeError(f"term {i} has type {type(term).__name__}, "
+                            "not RankOneForm")
         chi = term.chi
         if len(chi) != dimension or sum(chi) != nu:
             raise ValueError(
@@ -354,77 +353,47 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
     enumerate_chi(dimension, nu)  # an empty batch must still fit a space
     columns = np.array(columns, dtype=np.intp).reshape(len(terms), dimension)
     owners = np.asarray(owners, dtype=np.intp)
-    nums = np.array([term.sign.numerator for term in terms], dtype=object)
-    sign_dens = np.array([term.sign.denominator for term in terms],
-                         dtype=object)
-    return _Terms(dimension, nu, count,
-                  {chi: (columns[r], owners[r], nums[r], sign_dens[r])
+    den = math.lcm(*(term.sign.denominator for term in terms))
+    signs = np.array([term.sign.numerator * (den // term.sign.denominator)
+                      for term in terms], dtype=object)
+    return _Terms(dimension, count,
+                  {chi: (columns[r], owners[r], signs[r])
                    for chi, r in rows.items()},
                   tuple(coefficients([p for _, p in bit.values()])
-                        for bit in seen))
+                        for bit in seen), den)
 
 
-def _coefficient_batch(element: Element1D, table: _Terms, sources, orders,
-                       sign_rule=theta):
-    """Basis coefficients of the table's forms, for each ``times`` in
-    ``orders`` (0 or 1) with d applied that many times (with
-    ``sign_rule``), as ``(dens, batches)``: form p has coefficients
-    ``blocks[chi][..., p] / dens[p]`` in every order, and ``batches``
-    yields one ``blocks`` per order, built only when it is asked for (an
-    earlier one can be freed).
-
-    Bit k's factors are the columns of P_k; ``sources``
-    (:func:`_column_sources`) hold the columns of plain and differentiated
-    axes, the same for every chi and form degree.  The pieces of order
-    ``times`` of a chi are the blocks that :func:`_index_rule`, applied
-    that often to one unit entry, reaches, with the sign it leaves there;
-    a piece differentiates the axis where its target and the chi differ
-    and fills its block with one face-splitting product of picked
-    columns, times one integer factor per term.  ``dens[p]`` is the lcm,
-    over form p's terms and every piece of every order, of the term's sign
-    denominator times the piece's column denominators.  Blocks hold
-    Python ints and have shape widths(chi) + (count,).
-    """
-    # pieces[times][chi]: (target, kinds, sign, base) per piece, kinds[t]
-    # the source of axis t (2: D P_0) and base the product of their dens
-    pieces = {times: {} for times in orders}
-    dens = np.ones(table.count, dtype=object)
-    for chi, (_, owners, _, sign_dens) in table.groups.items():
-        unit = {chi: np.ones((1,) * table.dimension, dtype=int)}
-        reached = (unit, _index_rule(unit, 1, sign_rule))
-        for times in orders:
-            chi_pieces = pieces[times][chi] = []
-            for target, sign in reached[times].items():
-                kinds = tuple(2 if a != b else a for a, b in zip(chi, target))
-                chi_pieces.append((target, kinds, sign.item(), math.prod(
-                    sources[k][1] for k in kinds)))
-        # lcm over the pieces of sign_den * base = sign_den * lcm(bases)
-        np.lcm.at(dens, owners, sign_dens * math.lcm(
-            *(piece[3] for times in orders for piece in pieces[times][chi])))
-    for chi, (_, owners, nums, sign_dens) in table.groups.items():
-        scale = nums * (dens[owners] // sign_dens)
-        for times in orders:
-            pieces[times][chi] = [(target, kinds, sign * (scale // base))
-                                  for target, kinds, sign, base
-                                  in pieces[times][chi]]
-    return dens, (_order_batch(element, table, sources, pieces[times], times)
-                  for times in orders)
+def _shared(columns) -> tuple[list, int]:
+    """(numerators, denominator) pairs over their lcm denominator."""
+    den = math.lcm(*(d for _, d in columns))
+    return [nums * (den // d) for nums, d in columns], den
 
 
-def _order_batch(element: Element1D, table: _Terms, sources, pieces: dict,
-                 times: int) -> dict:
-    """The blocks of one order of :func:`_coefficient_batch`, from its
-    ``pieces`` per chi, each (target, kinds, per-term integer factor);
-    ``sources`` holds the (numerators, denominator) of each kind."""
-    blocks = {chi: np.zeros(_block_widths(chi, element.n) + (table.count,),
+def _residual_sources(element: Element1D, P0: linalg.Exact,
+                      P1: linalg.Exact) -> tuple[list, int]:
+    """The columns I_0 P_0, I_1 P_1 and r = (I_0 P_0)[:n] - I_1 (D P_0)
+    over one denominator: r is the 1D commutation residual of P_0's
+    columns, the one factor where d I u and I d u differ."""
+    (i0, i1, di), den = _shared([interpolant_columns(element, k, P) for k, P
+                                 in ((0, P0), (1, P1), (1, _derived(P0)))])
+    return [i0, i1, i0[:element.n] - di], den
+
+
+def _kron_blocks(n: int, table: _Terms, sources, nu: int, pieces) -> dict:
+    """The nu-form blocks the table's terms fill, of shape widths(chi) +
+    (count,), on Python ints.  For each (target, kinds, sign) of
+    ``pieces(chi)``, every term of that chi adds to its form's column of
+    the target block its scaled sign times ``sign`` times the Kronecker
+    product of the columns its factors pick from ``sources[kinds[s]]``
+    on axis s: one face-splitting product for all of the chi's terms."""
+    blocks = {chi: np.zeros(_block_widths(chi, n) + (table.count,),
                             dtype=object)
-              for chi in enumerate_chi(table.dimension, table.nu + times)}
-    for chi, (ids, owners, _, _) in table.groups.items():
-        for target, kinds, factor in pieces[chi]:
-            product = factor
+              for chi in enumerate_chi(table.dimension, nu)}
+    for chi, (ids, owners, signs) in table.groups.items():
+        for target, kinds, sign in pieces(chi):
+            product = sign * signs
             for axis, k in enumerate(kinds):
-                product = product[..., None, :] * \
-                    sources[k][0][:, ids[:, axis]]
+                product = product[..., None, :] * sources[k][:, ids[:, axis]]
             # owners may repeat: a form's terms add into one column
             np.add.at(blocks[target], (Ellipsis, owners), product)
     return blocks
@@ -432,13 +401,16 @@ def _order_batch(element: Element1D, table: _Terms, sources, pieces: dict,
 
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
                  source) -> TensorForm:
-    """The sum of ``terms`` as one Fraction-valued TensorForm."""
+    """The sum of ``terms`` as one Fraction-valued TensorForm, its
+    factors' columns taken from ``source``."""
     table = _term_table(dimension, nu, terms, [0] * len(terms), 1)
-    (den,), (blocks,) = _coefficient_batch(element, table, _column_sources(
-        element, source, table.coefficients, False), (0,))
-    return TensorForm(dimension, nu, element.n,
-                      {chi: block[..., 0] * Fraction(1, den)
-                       for chi, block in blocks.items()})
+    sources, den = _shared([source(element, bit, P)
+                            for bit, P in enumerate(table.coefficients)])
+    blocks = _kron_blocks(element.n, table, sources, nu,
+                          lambda chi: [(chi, chi, 1)])
+    scale = Fraction(1, table.den * den ** dimension)
+    return TensorForm(dimension, nu, element.n, {
+        chi: block[..., 0] * scale for chi, block in blocks.items()})
 
 
 @dataclass(frozen=True)
@@ -758,11 +730,12 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     """Interpolation commutes with d: I(du) == d(I(u)), exactly.
 
     A probe is a rank-one form or a list of them.  All probes run as one
-    batch: d(I(u)) is the index rule applied to the batched interpolants,
-    I(du) interpolates every term of every du with its probe as owner,
-    and the two sides are compared per probe on integer numerators over
-    the probe's one denominator.  Top-degree probes need no comparison:
-    d maps them into the empty (N+1)-form space.
+    batch, and the residual d(I(u)) - I(du) is built directly: on the
+    target chi + e_t of 0-form axis t, a term contributes its sign times
+    the axis's sign times the Kronecker product of the interpolants
+    I_{chi_s} p_s of the other axes and the 1D residual r(p_t)
+    (:func:`_residual_sources`) on axis t.  Top-degree probes need no
+    comparison: d maps them into the empty (N+1)-form space.
     """
     forms = [[probe] if isinstance(probe, RankOneForm) else list(probe)
              for probe in probes]
@@ -771,12 +744,10 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     table = _term_table(dimension, nu, terms, owners, len(forms))
     witness: list[dict] = []
     if nu < dimension:
-        dens, batches = _coefficient_batch(element, table, _column_sources(
-            element, interpolant_columns, table.coefficients, True), (0, 1),
-            sign_rule)
-        lhs = _index_rule(next(batches), element.n, sign_rule)  # I(u) freed
-        residual = {chi: lhs.get(chi, 0) - block
-                    for chi, block in next(batches).items()}
+        sources, den = _residual_sources(element, *table.coefficients)
+        residual = _kron_blocks(element.n, table, sources, nu + 1, lambda c: [
+            (target, c[:t] + (2,) + c[t + 1:], sign)  # r on axis t
+            for t, target, sign in _d_terms(c, sign_rule)])
         leading = tuple(range(dimension))
         nonzero = {chi: (block != 0).any(axis=leading)
                    for chi, block in residual.items()}
@@ -788,8 +759,8 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
             witness.append({"check": "tensor-commutation", "probe": index,
                             "blocks": [list(chi) for chi in residual
                                        if nonzero[chi][index]],
-                            "max_abs": str(Fraction(largest,
-                                                    dens[index]))})
+                            "max_abs": str(Fraction(
+                                largest, table.den * den ** dimension))})
     return VerificationReport.of("tensor-commutation", witness,
                                  N=dimension, nu=nu, m=element.m,
                                  n=element.n, probes=len(forms))
@@ -804,21 +775,19 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     the probes.  On the target chi + e_t of 0-form axis t, the residual
     of the probe with degrees a is, up to the sign of that axis, the
     Kronecker product of the interpolants I_{chi_s}(x^{a_s}) of the
-    other axes and r(a_t) = (I_0 x^{a_t})[:n] - I_1((x^{a_t})') on axis
-    t: it is nonzero iff every one of those columns is, and its largest
-    entry is the product of theirs."""
+    other axes and r(x^{a_t}) (:func:`_residual_sources`) on axis t: it
+    is nonzero iff every one of those columns is, and its largest entry
+    is the product of theirs."""
     P = _monomials(degrees)
     chis, shape = enumerate_chi(dimension, nu), (P.shape[1],) * dimension
     witness: list[dict] = []
     if nu < dimension:
-        (i0, den0), i1, (di, dden) = _column_sources(
-            element, interpolant_columns, (P, P), True)
-        r = (i0[:element.n] * dden - di * den0, den0 * dden)
+        sources, den = _residual_sources(element, P, P)
         # peaks[k][a]: the peak of column a of the kind-k factor (0, 1:
         # the interpolants I_k, 2: r), one exact Fraction per degree
         peaks = [np.array([Fraction(max(map(abs, column), default=0), den)
                            for column in nums.T], dtype=object)
-                 for nums, den in ((i0, den0), i1, r)]
+                 for nums in sources]
         for position, chi in enumerate(chis):
             targets, failing = [], np.zeros(shape, dtype=bool)
             for t, target, _ in _d_terms(chi, sign_rule):

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from derham.corruptions import (CORRUPTION_NAMES, ELEMENT_CORRUPTIONS,
                                 permute_alpha)
 from derham.element1d import build_element
 from derham.polycore import Polynomial
+from derham.tensor import (flat_sign, rank_one_monomial_probes, theta,
+                           verify_tensor_commutation)
 
 
 def run(capsys, *argv):
@@ -362,6 +365,36 @@ class TestExactArtifacts:
         code, out, _ = run(capsys, *argv)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_tensor_commutation_reports_sha256(self):
+        """The CLI's tensor-commutation runs the factored check, so no row
+        above reaches verify_tensor_commutation: its report JSON on the
+        criterion-07 inputs (the 2D and 3D tensor grid, every nu, the
+        acceptance degrees), pristine and under each element corruption,
+        with theta and the flat sign rule, is pinned here, witnesses,
+        blocks and max_abs included."""
+        texts = []
+        for m, n in [(m, n) for m in (0, 1, 2)
+                     for n in range(2 * m + 1, 2 * m + 4)]:
+            pristine = build_element(m, n)
+            for name in (None, "permute-alpha", "wrong-functional",
+                         "swap-basis"):
+                if name and n < 2 and name != "wrong-functional":
+                    continue  # nothing to swap or permute at n = 1
+                e = ELEMENT_CORRUPTIONS[name](pristine) if name else pristine
+                for sign_rule, dimension in itertools.product(
+                        (theta, flat_sign), (2, 3)):
+                    degrees = range(n + 4) if dimension == 2 \
+                        else sorted({0, 2, n, n + 3})
+                    for nu in range(dimension + 1):
+                        report = verify_tensor_commutation(
+                            dimension, nu, rank_one_monomial_probes(
+                                dimension, nu, degrees), e, sign_rule)
+                        texts.append(json.dumps(report.to_json(), indent=2))
+        assert len(texts) == 476
+        assert sum('"passed": false' in text for text in texts) == 170
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+            "dbb0aebf7c3f853a61eb791a0aaa1594935ef85d68c4a86a21509c232d0de6b5"
 
 
 class TestTensorCommand:

@@ -12,18 +12,17 @@ reports show that route never names a witness the other two miss).  The
 kron-structure oracle applies every product functional to every
 rank-one basis element and row-reduces the full product.  The verifiers
 must reproduce their reports exactly, witness order, ``blocks`` and
-``max_abs`` included.  The kernel, which reads every column out of one
-exact product per form degree and source, is checked form by form
-against the per-factor Fraction columns, and its derivative (the
-columns of D P_0) against the rank-one route ``d_rank_one``, which
-keeps its own loop rather than the kernel's d rule; its denominators,
-one per form and shared by every order of a call, against the lcm taken
-one (term, order, piece) at a time; one call for both orders of d
-against one call per order.  The kernel in turn is the oracle of the
-factored ``verify_monomial_commutation``, which decides from 1D columns
-and must give the report of ``verify_tensor_commutation`` on the
-explicit probes; a guard counts the kernel calls of each verifier, and
-checks that the factored verifiers make no kernel call and no
+``max_abs`` included.  The kernel, which fills blocks with Kronecker
+products of 1D columns, is checked through its single-form entry points
+(``canonicalize``, ``tensor_interpolate``) against the per-factor
+Fraction columns, and the commutation residual it builds from the 1D
+residual r entry by entry against d(I u) - I(du) of the oracles, with
+du from the rank-one route ``d_rank_one``, which keeps its own loop
+rather than the shared d rule.  The residual is in turn the oracle of
+the factored ``verify_monomial_commutation``, which decides from 1D
+columns and must give the report of ``verify_tensor_commutation`` on
+the explicit probes; a guard counts the column products and term passes
+of each verifier, and checks that neither grid verifier makes a
 Polynomial.  Entries past 2**63 are checked against the Fraction
 oracles.
 """
@@ -47,15 +46,13 @@ from hypothesis import strategies as st
 from derham import element1d, linalg, polycore, tensor
 from derham.cli import main
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
-from derham.element1d import (Element1D, build_element, interpolate,
-                              interpolant_columns)
+from derham.element1d import Element1D, build_element, interpolate
 from derham.polycore import Polynomial
 from derham.report import VerificationReport
+from derham.smooth import sinusoid
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
-                           _coefficient_batch, _column_sources,
-                           _expansion_columns, _term_table, canonicalize,
-                           d_rank_one, enumerate_chi,
-                           expand_in_basis, flat_sign, rank_one,
+                           canonicalize, d_rank_one, d_smooth, d_tensor,
+                           enumerate_chi, expand_in_basis, flat_sign, rank_one,
                            rank_one_monomial_probes, tensor_interpolate,
                            tensor_node_functionals, theta, verify_dd_zero,
                            verify_kron_structure, verify_monomial_commutation,
@@ -342,6 +339,45 @@ def test_probe_space_mismatch_rejected():
                                                    (0, poly(1))])], e)
 
 
+@pytest.mark.parametrize("value", [0, 0.5, True])
+def test_sign_rule_values_other_than_one_are_rejected(value):
+    """A sign rule must give the int 1 or -1: a 0 would act as +1 in the
+    index rule and the residual but weight d_rank_one's term by 0, and a
+    0.5 or True would be taken silently.  Every d raises, naming chi,
+    axis and value."""
+    e = element(1, 3)
+
+    def rule(chi, t):
+        return value if t == 1 else theta(chi, t)
+
+    u = rank_one([(0, poly(0, 1, 1)), (0, poly(1, 2))])
+    runs = [lambda: d_tensor(canonicalize(u, e), rule),
+            lambda: d_smooth(sinusoid([1.0, 2.0]), sign_rule=rule),
+            lambda: verify_dd_zero(2, e, rule),
+            lambda: verify_monomial_commutation(2, 0, range(3), e, rule),
+            lambda: verify_tensor_commutation(2, 0, [u], e, rule),
+            lambda: d_rank_one(u, rule)]
+    for run in runs:
+        with pytest.raises(ValueError, match=rf"sign rule gave {value!r} "
+                           r"for chi \(0, 0\), axis 1; expected the int 1"):
+            run()
+
+
+@pytest.mark.parametrize("run, bad", [
+    (lambda e, u, x: verify_tensor_commutation(2, 0, [[1, 2]], e),
+     "0 has type int"),
+    (lambda e, u, x: canonicalize([u, x], e, 2, 0), "1 has type Polynomial"),
+    (lambda e, u, x: tensor_interpolate(2, 0, [x], e),
+     "0 has type Polynomial"),
+], ids=["verify_tensor_commutation", "canonicalize", "tensor_interpolate"])
+def test_non_rank_one_terms_are_rejected(run, bad):
+    """A term that is not a RankOneForm is rejected where terms enter,
+    naming its index and type, not deep in the term table."""
+    x = poly(0, 1)
+    with pytest.raises(TypeError, match=f"term {bad}, not RankOneForm"):
+        run(element(1, 3), rank_one([(0, x), (0, x)]), x)
+
+
 def test_no_probes_is_vacuous():
     report = verify_tensor_commutation(2, 1, [], element(0, 2))
     assert report.passed and report.parameters["probes"] == 0
@@ -417,62 +453,6 @@ def test_dd_zero_matches_oracle_4d():
     assert report.passed and report.parameters["basis_elements"] == 7 ** 4
 
 
-def form_table(dimension, nu, forms):
-    """The kernel's term table of a list of forms, each a list of terms."""
-    terms = [term for form in forms for term in form]
-    owners = [p for p, form in enumerate(forms) for _ in form]
-    return _term_table(dimension, nu, terms, owners, len(forms))
-
-
-def kernel_batch(e, table, source, orders, sign_rule=theta):
-    """One kernel call on the table, with its column sources made from
-    the table's coefficient matrices by ``source``."""
-    return _coefficient_batch(e, table, _column_sources(
-        e, source, table.coefficients, any(orders)), orders, sign_rule)
-
-
-def kernel_forms(e, dimension, nu, forms, source, times=0, sign_rule=theta):
-    """One batch of the kernel, split back into one TensorForm per form,
-    and the kernel's denominators."""
-    dens, (blocks,) = kernel_batch(
-        e, form_table(dimension, nu, forms), source, (times,), sign_rule)
-    return [TensorForm(dimension, nu + times, e.n,
-                       {chi: block[..., p] * Fraction(1, dens[p])
-                        for chi, block in blocks.items()})
-            for p in range(len(forms))], list(dens)
-
-
-def oracle_dens(e, forms, column, orders):
-    """The denominators one (term, order, piece) at a time: form p's is
-    the lcm, over its terms, every ``times`` in ``orders`` and every
-    ordered choice of ``times`` 0-form axes, of the term's sign
-    denominator times the batch denominator of each axis's source
-    (0-form, 1-form or differentiated 0-form columns), the lcm of the
-    denominators of those columns over the whole batch."""
-    factors = [(bit, p) for form in forms for term in form
-               for bit, p in term.factors]
-
-    def batch_den(bit, polys):
-        return math.lcm(*(value.denominator for p in polys
-                          for value in column(e, bit, p)))
-
-    source_dens = [batch_den(bit, [p for b, p in factors if b == bit])
-                   for bit in (0, 1)]
-    source_dens.append(batch_den(1, [p.derivative() for b, p in factors
-                                     if b == 0]))
-    dens = []
-    for form in forms:
-        den = 1
-        for term, times in itertools.product(form, orders):
-            for axes in itertools.permutations(
-                    [t for t, bit in enumerate(term.chi) if bit == 0], times):
-                den = math.lcm(den, term.sign.denominator * math.prod(
-                    source_dens[2 if t in axes else bit]
-                    for t, bit in enumerate(term.chi)))
-        dens.append(den)
-    return dens
-
-
 def rank_one_d(terms, sign_rule, times):
     """d applied ``times`` times through d_rank_one, term by term."""
     for _ in range(times):
@@ -481,32 +461,36 @@ def rank_one_d(terms, sign_rule, times):
     return terms
 
 
-# kernel source -> the per-factor Fraction column it replaces
-SOURCES = {"interpolant": (interpolant_columns, interpolated_column),
-           "expansion": (_expansion_columns, fraction_expand)}
+# kernel source -> its single-form entry point and the per-factor
+# Fraction column it replaces
+SOURCES = {"interpolant": (tensor_interpolate, interpolated_column),
+           "expansion": (lambda N, nu, terms, e: canonicalize(terms, e, N, nu),
+                         fraction_expand)}
 
 
 def assert_kernel_matches(e, dimension, nu, forms, source, times=0,
                           sign_rule=theta):
-    kernel, column = SOURCES[source]
-    got, dens = kernel_forms(e, dimension, nu, forms, kernel, times,
-                             sign_rule)
-    assert dens == oracle_dens(e, forms, column, (times,))
-    for form, kernel_form in zip(forms, got):
-        assert kernel_form == oracle_expand(
-            dimension, nu + times, rank_one_d(form, sign_rule, times), e,
-            column)
+    """Each form, with d applied ``times`` times through d_rank_one, goes
+    through the single-form entry point of ``source``, which must give
+    the per-factor Fraction oracle's form."""
+    public, column = SOURCES[source]
+    got = []
+    for form in forms:
+        terms = rank_one_d(form, sign_rule, times)
+        got.append(public(dimension, nu + times, terms, e))
+        assert got[-1] == oracle_expand(dimension, nu + times, terms, e,
+                                        column)
     return got
 
 
 @pytest.mark.parametrize("control", ["permute-alpha", "scaled-basis1"])
 @pytest.mark.parametrize("dd_zero_first", [True, False])
 def test_column_sources_never_mix(control, dd_zero_first):
-    """The interpolant (alpha_k T_k P), the expansion (B_k^-1 P) and the
-    derivative columns (either one on D P_0) are different products, and
-    on these elements they differ for the same factors.  A report must
-    not depend on which verifier ran first on the element, and each
-    batch, in either order, must match its own oracle."""
+    """The interpolant (alpha_k T_k P) and the expansion (B_k^-1 P) are
+    different products, and on these elements they differ for the same
+    factors, of u and of du.  A report must not depend on which verifier
+    ran first on the element, and each entry point, in either order,
+    must match its own oracle."""
     def fresh():
         return _CORRUPTIONS[control](build_element(1, 3))
 
@@ -533,7 +517,7 @@ def test_column_sources_never_mix(control, dd_zero_first):
     if control == "permute-alpha":
         assert not verify_tensor_commutation(2, 0, probes, e).passed
         assert all(got[a] != got[b] for a, b in pairs)
-    else:  # alpha_1 fits the scaled basis; only D P_0 sees the scaling
+    else:  # alpha_1 fits the scaled basis; only dd-zero's D B_0 sees it
         assert all(got[a] == got[b] for a, b in pairs)
         assert not verify_dd_zero(2, e).passed
 
@@ -577,46 +561,88 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_kernel_matches_per_factor_oracles(case):
     e, dimension, nu, forms, source = case
-    got = assert_kernel_matches(e, dimension, nu, forms, source)
-    if len(forms) == 1:  # the public single-form entry points
-        public = tensor_interpolate if source == "interpolant" else \
-            (lambda N, k, terms, x: canonicalize(terms, x, N, k))
-        assert public(dimension, nu, forms[0], e) == got[0]
+    assert_kernel_matches(e, dimension, nu, forms, source)
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases(), st.sampled_from([theta, flat_sign]))
 def test_kernel_derivative_matches_d_rank_one(case, sign_rule):
-    """The kernel's d (columns of D P_0 on the differentiated axis, signs
-    from ``sign_rule``) equals the rank-one route, form by form: for the
-    interpolant that is I(du) as tensor-commutation compares it, for the
-    expansion the basis coefficients of d(poly)."""
+    """The single-form entry points on du (d from the rank-one route,
+    signs from ``sign_rule``) equal the per-factor oracles, form by form:
+    for the interpolant that is I(du), the side of the diagram the
+    residual's r replaces, for the expansion the basis coefficients of
+    d(poly)."""
     e, dimension, nu, forms, source = case
     if nu < dimension:
         assert_kernel_matches(e, dimension, nu, forms, source, 1, sign_rule)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.sampled_from([theta, flat_sign]))
+def test_residual_blocks_match_the_oracle(case, sign_rule):
+    """Report equality sees only which blocks are nonzero and the peak.
+    The residual that verify_tensor_commutation builds (``_kron_blocks``
+    over ``_residual_sources``, divided by its denominator) must equal
+    d(I u) - I(du) of the Fraction oracles, du from ``d_rank_one``,
+    entry by entry and form by form."""
+    e, dimension, nu, forms, _ = case
+    if nu == dimension:
+        return
+    seen = {}
+
+    def spy(name):
+        inner = getattr(tensor, name)
+
+        def wrapper(*args):
+            seen[name] = args, inner(*args)
+            return seen[name][1]
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_kron_blocks", "_residual_sources"):
+            patch.setattr(tensor, name, spy(name))
+        verify_tensor_commutation(dimension, nu, forms, e, sign_rule)
+    (_, table, *_), blocks = seen["_kron_blocks"]
+    _, (_, den) = seen["_residual_sources"]
+    scale = Fraction(1, table.den * den ** dimension)
+    for p, form in enumerate(forms):
+        want = oracle_d(oracle_interpolate(dimension, nu, form, e),
+                        sign_rule) - oracle_interpolate(
+            dimension, nu + 1, rank_one_d(form, sign_rule, 1), e)
+        assert list(blocks) == list(want.blocks)
+        for chi, block in blocks.items():
+            assert bool((block[..., p] * scale == want.blocks[chi]).all())
+
+
 def test_d_rank_one_stays_independent_of_the_shared_rule(monkeypatch):
-    """The index rule, d_smooth and the kernel's pieces all take d from
-    ``_d_terms``; ``d_rank_one`` keeps its own loop.  With that one rule
-    negated, d_rank_one is unchanged and the kernel's d no longer matches
-    it, so the kernel tests see a fault the kernel shares with d_tensor."""
+    """The index rule, d_smooth and the commutation residual all take d
+    from ``_d_terms``; ``d_rank_one`` keeps its own loop.  With that one
+    rule negated, d_rank_one is unchanged and d of the interpolant no
+    longer matches the interpolant of d_rank_one, so the tests that
+    compare against d_rank_one see a fault in the shared rule."""
     e = element(1, 3)
     u = rank_one([(0, poly(0, 1, 1)), (1, poly(2, 1)), (0, poly(1, 0, 3))])
     want = d_rank_one(u)
-    assert_kernel_matches(e, 3, 1, [[u]], "interpolant", 1)
+
+    def commutes():
+        return d_tensor(tensor_interpolate(3, 1, u, e)) == \
+            tensor_interpolate(3, 2, d_rank_one(u), e)
+
+    assert commutes()
     shared = tensor._d_terms
     monkeypatch.setattr(tensor, "_d_terms", lambda chi, sign_rule: [
         (t, target, -sign) for t, target, sign in shared(chi, sign_rule)])
     assert d_rank_one(u) == want and len(want) == 2
-    with pytest.raises(AssertionError):
-        assert_kernel_matches(e, 3, 1, [[u]], "interpolant", 1)
+    assert not commutes()
 
 
 @pytest.mark.parametrize("control", [None, "wrong-functional",
                                      "permute-alpha"])
 @pytest.mark.parametrize("sign_rule", [theta, flat_sign])
 def test_interpolated_du_matches_d_rank_one_per_probe(control, sign_rule):
+    """I(du) of every criterion-07 style probe, through
+    ``tensor_interpolate`` of ``d_rank_one``, equals the per-factor
+    oracle."""
     e = element(1, 4, control)
     for dimension, degrees in ((2, range(8)), (3, (0, 2, 4, 7))):
         for nu in range(dimension):
@@ -625,65 +651,11 @@ def test_interpolated_du_matches_d_rank_one_per_probe(control, sign_rule):
                                   "interpolant", 1, sign_rule)
 
 
-def assert_same_blocks(got, want):
-    """Two blocks dicts hold the same chis, shapes and entries."""
-    assert list(got) == list(want)
-    for chi, block in got.items():
-        assert block.shape == want[chi].shape
-        assert bool((block == want[chi]).all())
-
-
-@settings(max_examples=60, deadline=None)
-@given(kernel_cases(), st.sampled_from([theta, flat_sign]), st.data())
-def test_multi_order_call_matches_per_order_calls(case, sign_rule, data):
-    """One kernel call for both orders of d (one term table, one set of
-    column sources, one denominator per form) gives what one call per
-    order gives, over the shared denominators: those are the lcm over
-    every requested order's pieces, and each order's blocks are the
-    per-order call's numerators times dens // its own."""
-    e, dimension, nu, forms, source = case
-    possible = [times for times in range(2) if nu + times <= dimension]
-    orders = tuple(data.draw(st.lists(st.sampled_from(possible), min_size=1,
-                                      max_size=2, unique=True)))
-    table = form_table(dimension, nu, forms)
-    kernel, column = SOURCES[source]
-    dens, batches = kernel_batch(e, table, kernel, orders, sign_rule)
-    assert list(dens) == oracle_dens(e, forms, column, orders)
-    got = list(batches)
-    want = [(times_dens, next(batch)) for times_dens, batch in (
-        kernel_batch(e, table, kernel, (times,), sign_rule)
-        for times in orders)]
-    assert all(block.dtype == object
-               for _, blocks in want for block in blocks.values())
-    assert len(got) == len(want)
-    for blocks, (times_dens, want_blocks) in zip(got, want):
-        assert not (dens % times_dens).any()
-        assert_same_blocks(blocks, {chi: block * (dens // times_dens)
-                                    for chi, block in want_blocks.items()})
-
-
-def test_shared_denominators_cover_every_order():
-    """Where I(u) and I(du) need different denominators (the doubled
-    basis1[0] halves the derivative columns), one call for both gives
-    the form their lcm, and scales I(u)'s numerators up to it."""
-    e = element(1, 3, "scaled-basis1")
-    forms = [[rank_one([(0, poly(1, 2, 3)), (0, poly(0, 1))])]]
-    table = form_table(2, 0, forms)
-    (u_dens, (u,)), (du_dens, (du,)), (dens, batches) = (
-        kernel_batch(e, table, interpolant_columns, orders)
-        for orders in ((0,), (1,), (0, 1)))
-    assert (list(u_dens), list(du_dens), list(dens)) == ([1], [2], [2])
-    assert list(dens) == oracle_dens(e, forms, interpolated_column, (0, 1))
-    got_u, got_du = batches
-    assert any(block.any() for block in u.values())
-    assert_same_blocks(got_u, {chi: 2 * block for chi, block in u.items()})
-    assert_same_blocks(got_du, du)
-
-
 def test_entries_past_int64_stay_exact():
     """Signs of 64 and more bits give values past what int64 holds (an
-    entry, or a denominator ratio in the residual); the kernel and the
-    commutation report still match their Fraction oracles."""
+    entry, or a denominator ratio in the residual); the single-form entry
+    points and the commutation report still match their Fraction
+    oracles."""
     e = element(1, 3, "permute-alpha")
     forms = [[rank_one([(0, poly(1, 2, 3)), (1, poly(1, -1))],
                        sign=Fraction(3 ** 41, 7))],
@@ -801,15 +773,16 @@ def test_monomial_commutation_matches_explicit_probes(dimension, mn):
 
 def test_one_kernel_call_per_verifier_call(monkeypatch):
     """Each tensor-commutation call on explicit probes below the top
-    degree makes one kernel call (one P_0/P_1 pair, one product per
-    column source), each order of d once, and one term pass.  The
-    factored verifiers make no kernel call: the grid entry
-    ``verify_monomial_commutation`` makes its 3 column products per call
-    below the top degree, and dd-zero one product (B_1^-1 D B_0) per
-    call.  The CLI's tensor-commutation goes through the grid entry.
-    The factored verifiers read their integer coefficient matrices
-    straight from the degrees and the element: they make no Polynomial
-    and turn none into coefficients."""
+    degree makes one term pass, one set of residual sources (3 column
+    products: I_0 P_0, I_1 P_1, I_1 D P_0) and one kernel pass; at the
+    top degree it makes no column product.  The grid entry
+    ``verify_monomial_commutation`` reads the same 3 products per call
+    below the top degree and makes no kernel pass, and dd-zero one
+    product (B_1^-1 D B_0) per call.  The CLI's tensor-commutation goes
+    through the grid entry.  The verifiers make no Polynomial, and the
+    grid verifiers read their integer coefficient matrices straight from
+    the degrees and the element, turning no Polynomial into
+    coefficients."""
     calls = {}
 
     def counting(module, name, counts=lambda *args: True):
@@ -821,7 +794,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_coefficient_batch", "_order_batch", "_term_table",
+    for name in ("_kron_blocks", "_residual_sources", "_term_table",
                  "interpolant_columns", "_expansion_columns",
                  "verify_monomial_commutation"):
         counting(tensor, name)
@@ -839,13 +812,13 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                 calls.clear()
                 verify(dimension, nu, arg, e)
                 below = nu < dimension
-                want = {"_coefficient_batch": below,
-                        "_order_batch": 2 * below,
+                want = {"_kron_blocks": below, "_residual_sources": below,
                         "_term_table": 1,  # one P_k per bit used
                         "coefficients": 1 + (0 < nu < dimension),
                         "interpolant_columns": 3 * below} \
                     if verify is verify_tensor_commutation else \
                     {"verify_monomial_commutation": 1,
+                     "_residual_sources": below,
                      "interpolant_columns": 3 * below}
                 assert calls == {k: v for k, v in want.items() if v}
     for dimension in (1, 2, 3, 4):
@@ -858,7 +831,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
     assert calls["interpolant_columns"] == 9  # nu = 0, 1, 2
-    assert "_coefficient_batch" not in calls and "_term_table" not in calls
+    assert "_kron_blocks" not in calls and "_term_table" not in calls
 
 
 def test_a_used_element_gives_the_reports_of_a_fresh_one():
@@ -913,23 +886,6 @@ def test_a_second_call_leaves_the_cached_sources_unchanged():
         assert e._memo[key] is value and value.den == want_den
         assert value.nums.shape == want.shape
         assert bool((value.nums == want).all())
-
-
-def test_orders_are_built_lazily_and_freed():
-    """Each order's batch is built when it is asked for, and the iterator
-    keeps no reference to an earlier one (I(u) is freed before I(du))."""
-    e = element(1, 3)
-    table = form_table(2, 0, [[probe] for probe in
-                              rank_one_monomial_probes(2, 0, range(6))])
-    _, batches = kernel_batch(e, table, interpolant_columns, (0, 1))
-    first = next(batches)
-    ref = weakref.ref(first[(0, 0)])
-    del first
-    gc.collect()
-    assert ref() is None
-    blocks = next(batches)
-    assert list(blocks) == [(0, 1), (1, 0)]
-    assert next(batches, None) is None
 
 
 def test_out_of_space_expansion_names_the_degree():
