@@ -110,20 +110,16 @@ class Element1D:
     def rows(self, k: int, width: int) -> linalg.Exact:
         """T_k: the k-form functionals on 1, x, .., x^(width-1), one row
         per functional."""
-        return self.cached(("rows", k, width), lambda: _exact(
-            [monomial_row(f, width)[:width] for f in _family(self, k)[0]]))
+        return self.cached(("rows", k, width), lambda: linalg.Exact(
+            *linalg.integer_rows([monomial_row(f, width)[:width]
+                                  for f in _family(self, k)[0]], width)))
 
     def node_table(self, k: int) -> linalg.Exact:
         """T_k B_k from the functionals and basis themselves (a stored M_k
         may differ from it)."""
         basis = _family(self, k)[2]
-        return self.cached(("table", k), lambda: _exact(
-            self.rows(k, len(basis.nums)), basis))
-
-
-def _exact(*factors) -> linalg.Exact:
-    """The exact product of ``factors`` (one factor: its integer form)."""
-    return linalg.Exact(*linalg.product(*factors))
+        return self.cached(("table", k), lambda: linalg.Exact(
+            *linalg.product(self.rows(k, len(basis.nums)), basis)))
 
 
 def _derived(P: linalg.Exact) -> linalg.Exact:
@@ -227,8 +223,9 @@ def verify_unisolvence(e: Element1D) -> VerificationReport:
     the leading (2m+1)-block, zero where functionals of low derivative
     order meet bubbles, lower triangular on the bubble block, and pure
     e_{n+1} in the last row and column; M1 must be M0 without its last
-    row and column; both must have full rank.  Witness indices are
-    1-based.
+    row and column; both must have full rank, which the checks before
+    imply, so ranks are computed only once one of them has failed.
+    Witness indices are 1-based.
     """
     m, n, head = e.m, e.n, 2 * e.m + 1
     M0, den = e.M0.nums.tolist(), e.M0.den
@@ -254,11 +251,15 @@ def verify_unisolvence(e: Element1D) -> VerificationReport:
         witness.append(_entry_witness("deletion-identity", int(i) + 1,
                                       int(j) + 1, M1.nums[i, j], M1.den))
 
-    for name, matrix, expected in (("rank-M0", e.M0, n + 1),
-                                   ("rank-M1", M1, n)):
-        rank = linalg.rank(matrix)
-        if rank != expected:
-            witness.append({"check": name, "rank": rank, "expected": expected})
+    # with every check above passed, M0 is lower triangular with a
+    # nonzero diagonal and M1 its leading block: the ranks are n + 1, n
+    if witness:
+        for name, matrix, expected in (("rank-M0", e.M0, n + 1),
+                                       ("rank-M1", M1, n)):
+            rank = linalg.rank(matrix)
+            if rank != expected:
+                witness.append({"check": name, "rank": rank,
+                                "expected": expected})
 
     return VerificationReport.of("unisolvence", witness, m=m, n=n)
 

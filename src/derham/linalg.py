@@ -2,8 +2,9 @@
 ``dtype=object`` arrays or nested lists of Python ints and Fractions;
 any other entry (a float, NaN, a bool, a numpy scalar) raises
 ``TypeError`` where it enters.  Products, solve, invert and rank all run
-on Python-int rows; the last three share one fraction-free (Bareiss)
-loop, and solve and invert return an ``Exact`` read off its rows.
+on Python-int rows.  A lower-triangular ``Exact`` is inverted by forward
+substitution; solve, rank and every other inverse share one
+fraction-free (Bareiss) loop, and solve and invert return an ``Exact``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,15 @@ def _scaled(entries: list) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
+def integer_rows(rows, width: int) -> tuple[np.ndarray, int]:
+    """Rows of ints and Fractions, each padded with zeros to ``width``,
+    as (Python-int numerators, denominator): one pass of :func:`_scaled`
+    over all of them, so in lowest terms."""
+    nums, den = _scaled([x for row in rows
+                         for x in (*row, *[0] * (width - len(row)))])
+    return np.array(nums, dtype=object).reshape(len(rows), width), den
+
+
 def _rows(matrix, right=None) -> list[list[int]]:
     """The rows of ``matrix`` (and of ``right`` beside them) scaled to
     coprime Python ints: rank and solutions stay, and the ints small."""
@@ -161,7 +171,39 @@ def solve(matrix, rhs) -> Exact:
 
 
 def invert(matrix) -> Exact:
-    return solve(matrix, np.eye(np.shape(matrix)[0], dtype=int).astype(object))
+    """The exact inverse of a square matrix; a singular one raises
+    ``ZeroDivisionError``.  A lower-triangular ``Exact`` is forward
+    substituted, anything else goes through solve's Bareiss loop."""
+    n = np.shape(matrix)[0]
+    if isinstance(matrix, Exact) and matrix.shape == (n, n):
+        rows = matrix.nums.tolist()
+        if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
+            return _forward_inverse(rows, matrix.den)
+    return solve(matrix, np.eye(n, dtype=int).astype(object))
+
+
+def _forward_inverse(rows: list[list[int]], scale: int) -> Exact:
+    """(L / scale)^-1 for the lower-triangular integer rows L: row i of
+    L^-1 is (e_i - sum_{j<i} L_ij x_j) / L_ii, held as ints over its own
+    denominator, L_ii times the lcm of those of the rows x_j it reads."""
+    inverse, dens = [], []
+    for i, row in enumerate(rows):
+        den = math.lcm(*[dens[j] for j in range(i) if row[j]])
+        out = [0] * i + [den]
+        for j in range(i):
+            if row[j]:
+                f = row[j] * (den // dens[j])
+                out[:j + 1] = [x - f * y for x, y in zip(out, inverse[j])]
+        den *= row[i]
+        if not den:
+            raise ZeroDivisionError("matrix is singular")
+        common = math.gcd(den, *out) * (-1 if den < 0 else 1)
+        inverse.append([x // common for x in out])
+        dens.append(den // common)
+    n, den = len(rows), math.lcm(*dens)
+    nums = [[x * (den // d * scale) for x in row] + [0] * (n - len(row))
+            for row, d in zip(inverse, dens)]
+    return Exact.reduced(np.array(nums, dtype=object).reshape(n, n), den)
 
 
 def rank(matrix) -> int:

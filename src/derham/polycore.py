@@ -16,9 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import factorial, lcm
-
-import numpy as np
+from math import factorial
 
 from . import linalg
 
@@ -167,15 +165,11 @@ class Polynomial:
 def coefficients(polys, width: int | None = None) -> linalg.Exact:
     """Monomial coefficients of ``polys``, one column each of ``width``
     rows (default: the longest's), as ints over the lcm of their
-    denominators, so in lowest terms: the one place they become ints."""
+    denominators (:func:`linalg.integer_rows`), so in lowest terms."""
     if width is None:
         width = max((len(p.coeffs) for p in polys), default=0)
-    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    nums = np.zeros((width, len(polys)), dtype=object)
-    for j, p in enumerate(polys):
-        nums[:len(p.coeffs), j] = [c.numerator * (den // c.denominator)
-                                   for c in p.coeffs]
-    return linalg.Exact(nums, den)
+    nums, den = linalg.integer_rows([p.coeffs for p in polys], width)
+    return linalg.Exact(nums.T, den)
 
 
 def monomial_derivative(k: int, order: int, point) -> Fraction:

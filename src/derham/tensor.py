@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -310,11 +311,13 @@ def canonicalize(terms, element: Element1D, dimension: int | None = None,
                  nu: int | None = None) -> TensorForm:
     """Convert rank-one terms to the basis representation (exact)."""
     terms = [terms] if isinstance(terms, RankOneForm) else list(terms)
-    if terms:  # explicit values are checked against the terms, not replaced
+    if not terms and (dimension is None or nu is None):
+        raise ValueError("empty term list needs explicit dimension and nu")
+    # explicit values are checked against the terms, not replaced; a first
+    # term that is no RankOneForm is left to the term table to reject
+    if terms and isinstance(terms[0], RankOneForm):
         dimension = terms[0].dimension if dimension is None else dimension
         nu = terms[0].nu if nu is None else nu
-    if dimension is None or nu is None:
-        raise ValueError("empty term list needs explicit dimension and nu")
     return _single_form(element, dimension, nu, terms, _expansion_columns)
 
 
@@ -353,11 +356,10 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
     enumerate_chi(dimension, nu)  # an empty batch must still fit a space
     columns = np.array(columns, dtype=np.intp).reshape(len(terms), dimension)
     owners = np.asarray(owners, dtype=np.intp)
-    den = math.lcm(*(term.sign.denominator for term in terms))
-    signs = np.array([term.sign.numerator * (den // term.sign.denominator)
-                      for term in terms], dtype=object)
+    signs, den = linalg.integer_rows([[term.sign for term in terms]],
+                                     len(terms))
     return _Terms(dimension, count,
-                  {chi: (columns[r], owners[r], signs[r])
+                  {chi: (columns[r], owners[r], signs[0, r])
                    for chi, r in rows.items()},
                   tuple(coefficients([p for _, p in bit.values()])
                         for bit in seen), den)
@@ -737,8 +739,13 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     (:func:`_residual_sources`) on axis t.  Top-degree probes need no
     comparison: d maps them into the empty (N+1)-form space.
     """
-    forms = [[probe] if isinstance(probe, RankOneForm) else list(probe)
-             for probe in probes]
+    forms = []
+    for index, probe in enumerate(probes):
+        if not isinstance(probe, (RankOneForm, Iterable)):
+            raise TypeError(f"probe {index} has type {type(probe).__name__}, "
+                            "not a RankOneForm or a list of them")
+        forms.append([probe] if isinstance(probe, RankOneForm)
+                     else list(probe))
     terms = [term for form in forms for term in form]
     owners = [index for index, form in enumerate(forms) for _ in form]
     table = _term_table(dimension, nu, terms, owners, len(forms))

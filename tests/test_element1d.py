@@ -21,6 +21,7 @@ from derham.element1d import (Element1D, build_element, interpolate,
 from derham.polycore import Polynomial, coefficients
 
 GRID = [(0, 1), (0, 3), (1, 3), (1, 5), (2, 5), (2, 6), (3, 7)]
+GRID_1D = [(m, n) for m in range(5) for n in range(2 * m + 1, 2 * m + 7)]
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
@@ -207,6 +208,40 @@ class TestVerifiers:
         report = verify_unisolvence(dataclasses.replace(e13, M1=M1))
         assert {"check": "deletion-identity", "row": 2, "col": 3,
                 "value": "1"} in report.witness
+
+    def test_unisolvence_checks_ranks_once_the_structure_fails(self, e13):
+        # M0 with an entry above the diagonal and row 2 a copy of row 1:
+        # not triangular, and singular
+        nums = e13.M0.nums.copy()
+        nums[0, 3] = e13.M0.den
+        nums[1] = nums[0]
+        M0 = linalg.Exact.reduced(nums, e13.M0.den)
+        report = verify_unisolvence(dataclasses.replace(e13, M0=M0))
+        assert {"check": "rank-M0", "rank": 3, "expected": 4} \
+            in report.witness
+        assert linalg.rank(M0) == 3
+
+    def test_unisolvence_takes_full_rank_from_the_structure(self,
+                                                             monkeypatch):
+        # every structure check passing leaves M0 lower triangular with a
+        # nonzero diagonal and M1 its leading block, of full rank
+        def rank(matrix):
+            raise AssertionError("rank computed")
+
+        monkeypatch.setattr(linalg, "rank", rank)
+        for m, n in GRID_1D:
+            assert verify_unisolvence(build_element(m, n)).passed
+
+    @pytest.mark.parametrize("m, n", GRID_1D)
+    def test_inverse_tables_match_bareiss(self, m, n):
+        # the node matrices are lower triangular, so invert forward
+        # substitutes them; solve(M, I) and invert on their fractions
+        # still go through the Bareiss loop
+        e = build_element(m, n)
+        for M, alpha in ((e.M0, e.alpha0), (e.M1, e.alpha1)):
+            assert not np.triu(M.nums, 1).any()
+            assert alpha == linalg.solve(M, identity(len(M.nums)).nums) \
+                == linalg.invert(M.fractions()) == linalg.invert(M)
 
     def test_lemma_hypotheses_on_grid(self):
         for m, n in GRID:

@@ -201,6 +201,58 @@ def test_solve_and_invert_match_fraction_route(system):
                 outcome(oracle_solve, a, identity(a.shape[0])).tolist()
 
 
+@st.composite
+def lower_triangular(draw, max_size=6):
+    """A lower-triangular matrix of ints or of Fractions, its diagonal
+    of either sign and, about half the time, with one zero on it."""
+    n = draw(st.integers(0, max_size))
+    entries = draw(st.sampled_from([st.integers(-9, 9), mixed_st]))
+    a = np.zeros((n, n), dtype=int).astype(object)
+    for i in range(n):
+        a[i, :i] = [draw(entries) for _ in range(i)]
+        a[i, i] = draw(entries.filter(bool))
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        a[k, k] = 0
+    return a
+
+
+@given(lower_triangular())
+@settings(max_examples=200, deadline=None)
+def test_triangular_inverse_matches_bareiss_and_fraction_route(a):
+    # an Exact lower-triangular matrix is forward substituted; solve, and
+    # invert on the plain array, still run the Bareiss loop
+    exact, eye = linalg.Exact(*linalg.product(a)), identity(a.shape[0])
+    oracle = outcome(oracle_solve, a, eye)
+    routes = (outcome(linalg.invert, exact), outcome(linalg.solve, exact, eye),
+              outcome(linalg.invert, a))
+    if oracle is ZeroDivisionError:
+        assert routes == (ZeroDivisionError,) * 3
+        with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
+            linalg.invert(exact)
+        return
+    assert routes[0] == routes[1] == routes[2]
+    assert routes[0].fractions().tolist() == oracle.tolist()
+
+
+def test_only_triangular_exact_input_skips_bareiss(monkeypatch):
+    lower = linalg.Exact(np.array([[2, 0, 0], [-3, 1, 0], [5, 7, -4]],
+                                  dtype=object), 3)
+    upper = linalg.Exact(lower.nums.T.copy(), 3)
+    inverse = linalg.invert(lower)
+    assert linalg.invert(upper) == linalg.Exact(inverse.nums.T.copy(),
+                                                inverse.den)
+
+    def bareiss(*args, **kwargs):
+        raise AssertionError("Bareiss loop reached")
+
+    monkeypatch.setattr(linalg, "_eliminate", bareiss)
+    assert linalg.invert(lower) == inverse
+    for matrix in (upper, lower.fractions()):
+        with pytest.raises(AssertionError, match="Bareiss loop reached"):
+            linalg.invert(matrix)
+
+
 @given(rectangular())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_route(a):

@@ -11,6 +11,7 @@ it.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -60,6 +61,16 @@ class TestSwapBasis:
         assert checks <= {"identity-block", "diagonal", "bubble-columns",
                           "bubble-triangular", "deletion-identity"}
         assert "identity-block" in checks
+
+    def test_witnesses_are_pinned(self):
+        # the swapped M0 is not triangular: its inverse and ranks still
+        # take the Bareiss loop, and every report below stays as it was
+        texts = [json.dumps(verify_unisolvence(swap_basis(
+            build_element(m, n))).to_json(), indent=2)
+            for m in range(5) for n in range(max(2, 2 * m + 1), 2 * m + 7)]
+        assert sum(text.count('"check"') for text in texts) == 164
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+            "53d11a1bc33c9b1fde0d1656e8b649c37d839931a009f3527cdb50fece663628"
 
     def test_needs_two_basis_functions(self):
         with pytest.raises(ValueError):

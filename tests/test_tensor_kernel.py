@@ -378,6 +378,24 @@ def test_non_rank_one_terms_are_rejected(run, bad):
         run(element(1, 3), rank_one([(0, x), (0, x)]), x)
 
 
+def test_bare_first_term_reaches_the_term_table():
+    # dimension and nu are read off the first term only when it is one
+    x = poly(0, 1)
+    for terms in ([x], [x, rank_one([(0, x), (0, x)])]):
+        with pytest.raises(TypeError, match="^term 0 has type Polynomial, "
+                           "not RankOneForm$"):
+            canonicalize(terms, element(1, 3))
+
+
+@pytest.mark.parametrize("probes, index, kind", [
+    ([1], 0, "int"), ([rank_one([(0, poly(1)), (0, poly(1))]), None], 1,
+                      "NoneType")])
+def test_probe_that_is_no_form_is_named(probes, index, kind):
+    with pytest.raises(TypeError, match=rf"^probe {index} has type {kind}, "
+                       "not a RankOneForm or a list of them$"):
+        verify_tensor_commutation(2, 0, probes, element(1, 3))
+
+
 def test_no_probes_is_vacuous():
     report = verify_tensor_commutation(2, 1, [], element(0, 2))
     assert report.passed and report.parameters["probes"] == 0
