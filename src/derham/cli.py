@@ -327,9 +327,10 @@ def cmd_interp(args) -> int:
         report = element1d.two_cell_continuity_demo(
             element, u, args.tolerance, cells=cells)
         left, right = map(element1d.rounded, cells)
-        rows = [{"x": x, "u": u.value(x),
-                 "interp": left(x) if x <= 1.0 else right(x - 1.0)}
-                for x in (2.0 * g for g in grid)]
+        xs = [2.0 * g for g in grid]
+        pairs = zip(left(xs).tolist(), right([x - 1.0 for x in xs]).tolist())
+        rows = [{"x": x, "u": u.value(x), "interp": a if x <= 1.0 else b}
+                for x, (a, b) in zip(xs, pairs)]
         text = serialize.interp_csv(rows, ["x", "u", "interp"])
         mismatches = report.details["junction_mismatch"]
         text += "".join(
@@ -339,10 +340,10 @@ def cmd_interp(args) -> int:
         return 0 if report.passed else 1
 
     i0u = element1d.interpolate_smooth(element, 0, u, order)
-    d_i0u = i0u.deriv(1)
     i1du = element1d.interpolate_smooth(element, 1, u.differentiated(), order)
-    rows = [{"x": x, "u": u.value(x), "I0u": i0u(x), "dI0u": d_i0u(x),
-             "I1du": i1du(x), "residual": d_i0u(x) - i1du(x)} for x in grid]
+    values = zip(*(p(grid).tolist() for p in (i0u, i0u.deriv(1), i1du)))
+    rows = [{"x": x, "u": u.value(x), "I0u": a, "dI0u": b, "I1du": c,
+             "residual": b - c} for x, (a, b, c) in zip(grid, values)]
     emit(serialize.interp_csv(
         rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"]), args.output)
     worst = max(abs(row["residual"]) for row in rows)

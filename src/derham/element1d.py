@@ -24,6 +24,7 @@ of the first n of these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -392,10 +393,14 @@ def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,
     the input's regularity rather than to the element.  ``cells``, when
     given, are the two cell interpolants already built.
     """
-    left, right = cells or [cell_interpolant(e, u, a, a + 1, quadrature_order)
-                            for a in (0.0, 1.0)]
-    # exact junction derivatives, rounded once
-    mismatches = [float(abs(left.derivative(s)(1) - right.derivative(s)(0)))
+    cells = cells or [cell_interpolant(e, u, a, a + 1, quadrature_order)
+                      for a in (0.0, 1.0)]
+    # exact junction derivatives d^s p(1) = sum_k k!/(k-s)! p_k and d^s p(0)
+    # = s! p_s on numerators, rounded once as float(Fraction) rounds
+    P = coefficients(cells, max([e.n + 1] + [len(p.coeffs) for p in cells]))
+    left, right = P.nums.T.tolist()
+    mismatches = [abs(sum(math.perm(k, s) * c for k, c in enumerate(left))
+                      - math.factorial(s) * right[s]) / P.den
                   for s in range(e.m + 1)]
     witness = [{"check": "junction-continuity", "order": s, "mismatch": gap}
                for s, gap in enumerate(mismatches) if gap > tolerance]

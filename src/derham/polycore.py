@@ -165,10 +165,16 @@ class Polynomial:
 def coefficients(polys, width: int | None = None) -> linalg.Exact:
     """Monomial coefficients of ``polys``, one column each of ``width``
     rows (default: the longest's), as ints over the lcm of their
-    denominators (:func:`linalg.integer_rows`), so in lowest terms."""
+    denominators (:func:`linalg.integer_rows`), so in lowest terms; a
+    polynomial longer than ``width`` raises ``ValueError``."""
+    rows = [p.coeffs for p in polys]
     if width is None:
-        width = max((len(p.coeffs) for p in polys), default=0)
-    nums, den = linalg.integer_rows([p.coeffs for p in polys], width)
+        width = max(map(len, rows), default=0)
+    for j, row in enumerate(rows):
+        if len(row) > width:
+            raise ValueError(f"column {j} has degree {len(row) - 1}, "
+                             f"too high for width {width}")
+    nums, den = linalg.integer_rows(rows, width)
     return linalg.Exact(nums.T, den)
 
 

@@ -171,8 +171,8 @@ def _elementwise(fn, values):
     if isinstance(values, float):
         return fn(values)
     values = np.asarray(values, dtype=float)
-    out = list(map(fn, values.ravel().tolist()))
-    return np.array(out).reshape(values.shape) if values.ndim else out[0]
+    out = np.fromiter(map(fn, values.ravel().tolist()), float, values.size)
+    return out.reshape(values.shape) if values.ndim else float(out[0])
 
 
 def sinusoid(coefficients, phase: float = 0.0) -> SmoothFunctionND:

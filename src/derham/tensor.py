@@ -562,8 +562,20 @@ def tensor_interpolate(dimension: int, nu: int, u, element: Element1D,
     return TensorForm(dimension, nu, element.n, blocks)
 
 
+class _Atoms(tuple):
+    """Distinct (derivative order, node) atoms, with ``groups``: per order,
+    (order, those atoms' positions, their nodes), both as arrays."""
+
+    def __new__(cls, atoms):
+        self = super().__new__(cls, atoms)
+        self.groups = [(order, *map(np.array, zip(*(
+            (i, x) for i, (o, x) in enumerate(self) if o == order))))
+            for order in dict.fromkeys(o for o, _ in self)]
+        return self
+
+
 def _folded_table(element: Element1D, bit: int,
-                  quadrature_order: int) -> tuple[tuple, np.ndarray]:
+                  quadrature_order: int) -> tuple[_Atoms, np.ndarray]:
     """The distinct (derivative order, node) atoms of the bit-form
     functionals and alpha_bit @ W, W[j, a] the summed weight of atom a in
     functional j, one exact product rounded once per entry."""
@@ -576,31 +588,32 @@ def _folded_table(element: Element1D, bit: int,
                                             [0] * len(functionals))
                 column[j] += Fraction(w)
         nums, den = linalg.product(alpha, list(zip(*weights.values())))
-        return tuple(weights), (nums / den).astype(float)
+        return _Atoms(weights), (nums / den).astype(float)
     return element.cached(("folded", bit, quadrature_order), build)
 
 
 def _atom_grid(comp: SmoothFunctionND, chi: Chi, atoms) -> np.ndarray:
     """The component's mixed partials on the product of the axes' atom
-    lists: one callback per combination of per-axis derivative orders, on
-    the open mesh of those orders' nodes; bad or non-finite values raise."""
-    # per axis and derivative order: (order, grid positions, nodes)
-    groups = [[(order, *zip(*((i, x) for i, (o, x) in enumerate(axis)
-                              if o == order)))
-               for order in dict.fromkeys(o for o, _ in axis)]
-              for axis in atoms]
+    lists (``_Atoms``): one callback per combination of per-axis
+    derivative orders, on the open mesh of those orders' nodes; bad or
+    non-finite values raise."""
+    groups = []  # each axis's groups, varying along its own mesh axis
+    for t, axis in enumerate(atoms):
+        shape = [-1 if s == t else 1 for s in range(len(atoms))]
+        groups.append([(order, positions.reshape(shape), nodes.reshape(shape))
+                       for order, positions, nodes in axis.groups])
     grid = np.empty([len(axis) for axis in atoms])
     for block in itertools.product(*groups):
         orders, positions, nodes = zip(*block)
-        values = np.asarray(comp.derivative(orders, np.ix_(*nodes)))
-        shape = tuple(map(len, positions))
+        values = np.asarray(comp.derivative(orders, nodes))
+        shape = tuple(p.size for p in positions)
         fits = values.ndim <= len(shape) and all(
             s in (1, t) for s, t in zip(values.shape[::-1], shape[::-1]))
         if values.dtype.kind not in "iuf" or not fits:
             raise ValueError(f"component {chi}: derivative {orders} returned "
                              f"{values.dtype} values of shape {values.shape},"
                              f" not numbers broadcasting to {shape}")
-        grid[np.ix_(*positions)] = values
+        grid[positions] = values
     bad = np.argwhere(~np.isfinite(grid))
     if bad.size:
         orders, point = zip(*(axis[i] for axis, i in zip(atoms, bad[0])))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import cli, element1d
+from derham import cli, element1d, serialize
 from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
                         parse_polynomial, parse_input_function)
 from derham.corruptions import (CORRUPTION_NAMES, ELEMENT_CORRUPTIONS,
@@ -366,6 +366,31 @@ class TestExactArtifacts:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the float paths: interp samples its rounded interpolants and the
+    # continuity demo rounds exact junction derivatives once; both must
+    # keep every bit through any rewrite of how they are evaluated
+    @pytest.mark.parametrize("argv, digest", [
+        (("interp", "--m", "2", "--n", "5", "--input", "sin"),
+         "67256823354d438499505425ba827a2ce6f4654dbe199e8fbe806eeba88a191a"),
+        (("interp", "--m", "2", "--n", "5", "--input", "exp"),
+         "4c4739115ac61530e8329f186103a9aeab7f8dbbf64798190444dc1136d79a73"),
+        (("interp", "--m", "2", "--n", "5", "--input", "3/2x^2-x+1"),
+         "df68154667a0454b73927d0d169fbaf8c5d5c5b2b9f464904b37885460d570b8"),
+        (("interp", "--m", "1", "--n", "3", "--input", "sin", "--two-cell"),
+         "04ff839b370347097679d7991491e681f0a45a1b8002675b26324893fc69322e"),
+        (("interp", "--m", "4", "--n", "9", "--input", "cos", "--samples",
+          "1"),
+         "a4b682450949d34a5f0626e3d80c3133e552f4036c0de3595d1106fbf144d2ac"),
+        (("verify", "--m", "0..4", "--n", "auto+5", "--checks",
+          "continuity-demo", "--format", "json"),
+         "4ed810d573b98bfddb23763ed55975978e8fe1376241a7b73ad87d89a9332e43"),
+    ], ids=["interp-sin", "interp-exp", "interp-polynomial",
+            "interp-two-cell", "interp-one-sample", "continuity-demo"])
+    def test_float_sha256(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_tensor_commutation_reports_sha256(self):
         """The CLI's tensor-commutation runs the factored check, so no row
         above reaches verify_tensor_commutation: its report JSON on the
@@ -440,6 +465,34 @@ class TestInterpCommand:
             x, u, i0u, di0u, i1du, residual = map(float, line.split(","))
             assert i0u == pytest.approx(u, abs=1e-13)
             assert abs(residual) <= 1e-12
+
+    @pytest.mark.parametrize("mn", [(0, 1), (1, 4), (2, 5), (4, 9)])
+    @pytest.mark.parametrize("text", ["sin", "exp", "3/2x^2-x+1"])
+    @pytest.mark.parametrize("samples", [1, 7, 101])
+    def test_samples_equal_the_scalar_loop(self, capsys, mn, text, samples):
+        # interp evaluates each rounded interpolant once on the sample
+        # list; the per-sample scalar loop is the reference, bit for bit
+        e, u = build_element(*mn), parse_input_function(text)
+        grid = [i / (samples - 1) if samples > 1 else 0.0
+                for i in range(samples)]
+        i0u = element1d.interpolate_smooth(e, 0, u)
+        d_i0u = i0u.deriv(1)
+        i1du = element1d.interpolate_smooth(e, 1, u.differentiated())
+        rows = [{"x": x, "u": u.value(x), "I0u": i0u(x), "dI0u": d_i0u(x),
+                 "I1du": i1du(x), "residual": d_i0u(x) - i1du(x)}
+                for x in grid]
+        argv = ("interp", "--m", str(mn[0]), "--n", str(mn[1]), "--input",
+                text, "--samples", str(samples))
+        assert run(capsys, *argv)[1] == serialize.interp_csv(
+            rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"])
+
+        left, right = (element1d.rounded(element1d.cell_interpolant(
+            e, u, a, a + 1)) for a in (0.0, 1.0))
+        rows = [{"x": x, "u": u.value(x),
+                 "interp": left(x) if x <= 1.0 else right(x - 1.0)}
+                for x in (2.0 * g for g in grid)]
+        assert run(capsys, *argv, "--two-cell")[1].startswith(
+            serialize.interp_csv(rows, ["x", "u", "interp"]))
 
     def test_sine_residual_within_default_tolerance(self, capsys):
         code, out, _ = run(capsys, "interp", "--m", "2", "--n", "5",

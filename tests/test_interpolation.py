@@ -1,14 +1,16 @@
 """Floating-point interpolation paths: smooth inputs, cells, continuity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from derham.cli import parse_input_function
 from derham.element1d import (build_element, cell_interpolant, interpolate,
                               interpolate_smooth, two_cell_continuity_demo)
 from derham.polycore import Polynomial
-from derham.smooth import SmoothFunction1D, exponential, sine
+from derham.smooth import SmoothFunction1D, cosine, exponential, sine
 
 
 def poly(*coeffs) -> Polynomial:
@@ -97,6 +99,75 @@ class TestCellInterpolant:
             cell_interpolant(e, sine(), 0.5, 0.5)
 
 
+GRID_1D = [(m, n) for m in range(5) for n in range(2 * m + 1, 2 * m + 7)]
+
+
+def kink():
+    """u(x) = |x-1|(x-1): value and slope continuous at x=1, second
+    derivative jumps from -2 to +2."""
+    def two_sided(order, x, side):
+        t = x - 1.0
+        s = float(side) if t == 0.0 else math.copysign(1.0, t)
+        return (s * t * t, 2.0 * s * t, 2.0 * s, 0.0)[order] \
+            if order <= 3 else 0.0
+
+    return SmoothFunction1D(lambda order, x: two_sided(order, x, 1.0),
+                            sided=two_sided, name="kink")
+
+
+def junction_oracle(cells, m):
+    """The exact Polynomial route: d^s of each cell at the junction as
+    Fractions, the difference rounded once."""
+    left, right = cells
+    return [float(abs(left.derivative(s)(1) - right.derivative(s)(0)))
+            for s in range(m + 1)]
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestJunctionMismatchOracle:
+    """The demo takes its junction derivatives on integer numerators; they
+    must round to the bits of the Polynomial route."""
+
+    @pytest.mark.parametrize("mn", GRID_1D)
+    def test_grid_inputs(self, mn):
+        e = build_element(*mn)
+        for u in (sine(), cosine(), exponential(),
+                  parse_input_function("3/2x^2-x+1")):
+            cells = [cell_interpolant(e, u, a, a + 1) for a in (0.0, 1.0)]
+            report = two_cell_continuity_demo(e, u, cells=cells)
+            assert bits(report.details["junction_mismatch"]) == \
+                bits(junction_oracle(cells, e.m)), u.name
+            assert report == two_cell_continuity_demo(e, u)
+
+    def test_sided_input_keeps_its_regularity_details(self):
+        e = build_element(2, 5)
+        cells = [cell_interpolant(e, kink(), a, a + 1) for a in (0.0, 1.0)]
+        report = two_cell_continuity_demo(e, kink(), cells=cells)
+        assert bits(report.details["junction_mismatch"]) == \
+            bits(junction_oracle(cells, 2))
+        assert report.details["input_regularity"] == {
+            "message": "input lacks C^2 continuity at the junction",
+            "jumps": [{"order": 2, "jump": 4.0}]}
+
+    @pytest.mark.parametrize("cells", [
+        # caller-supplied cells of degree above n = 3
+        [Polynomial([Fraction(k + 1, 11 - k) for k in range(9)]),
+         Polynomial([Fraction(-1, k + 2) for k in range(6)])],
+        # cells shorter than m + 1, their trailing zeros stripped
+        [poly(1, 0, 0, 0), poly(Fraction(1, 3), 2)],
+        [Polynomial(), poly(Fraction(5, 2))],
+    ], ids=["above-n", "short", "zero"])
+    def test_caller_supplied_cells(self, cells):
+        for m, n in ((1, 3), (3, 7)):
+            e = build_element(m, n)
+            report = two_cell_continuity_demo(e, sine(), cells=cells)
+            assert bits(report.details["junction_mismatch"]) == \
+                bits(junction_oracle(cells, m))
+
+
 class TestTwoCellContinuity:
     def test_polynomial_is_glued_exactly(self):
         e = build_element(1, 3)
@@ -147,17 +218,7 @@ class TestTwoCellContinuity:
                 build()
 
     def test_kink_is_detected_and_attributed(self):
-        # u(x) = |x-1|(x-1): value and slope continuous at x=1, second
-        # derivative jumps from -2 to +2
-        def two_sided(order, x, side):
-            t = x - 1.0
-            s = float(side) if t == 0.0 else math.copysign(1.0, t)
-            return (s * t * t, 2.0 * s * t, 2.0 * s, 0.0)[order] \
-                if order <= 3 else 0.0
-
-        u = SmoothFunction1D(lambda order, x: two_sided(order, x, 1.0),
-                             sided=two_sided, name="kink")
-        report = two_cell_continuity_demo(build_element(2, 5), u)
+        report = two_cell_continuity_demo(build_element(2, 5), kink())
         assert not report.passed
         assert report.witness[0]["order"] == 2
         assert report.witness[0]["mismatch"] == pytest.approx(4.0, abs=1e-10)
@@ -167,13 +228,5 @@ class TestTwoCellContinuity:
 
     def test_kink_passes_low_order_element(self):
         # a C^1 junction is all the m=1 element asks for
-        def two_sided(order, x, side):
-            t = x - 1.0
-            s = float(side) if t == 0.0 else math.copysign(1.0, t)
-            return (s * t * t, 2.0 * s * t, 2.0 * s, 0.0)[order] \
-                if order <= 3 else 0.0
-
-        u = SmoothFunction1D(lambda order, x: two_sided(order, x, 1.0),
-                             sided=two_sided, name="kink")
-        report = two_cell_continuity_demo(build_element(1, 3), u)
+        report = two_cell_continuity_demo(build_element(1, 3), kink())
         assert report.passed, report.witness

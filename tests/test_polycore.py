@@ -130,6 +130,13 @@ class TestCoefficients:
                                    [0, 0, 0]]
         assert coefficients(()).shape == (0, 0)
 
+    def test_polynomial_longer_than_width_rejected(self):
+        polys = [from_coeffs(1, 2), from_coeffs(1, 2, 3, 4, 5)]
+        with pytest.raises(ValueError, match=r"column 1 has degree 4, too "
+                           r"high for width 3"):
+            coefficients(polys, 3)
+        assert coefficients(polys, 5).shape == (5, 2)
+
 
 class TestLegendre:
     def test_frozen_low_degrees(self):

@@ -23,7 +23,7 @@ from derham.polycore import Polynomial
 from derham.smooth import (SmoothFunction1D, SmoothFunctionND,
                            exponential_nd, sinusoid)
 from derham.tensor import (DEFAULT_ND_TOLERANCE, RankOneForm, SmoothFormND,
-                           TensorForm, _atom_grid, _folded_table,
+                           TensorForm, _atom_grid, _Atoms, _folded_table,
                            as_smooth_form, canonicalize,
                            d_rank_one, d_smooth, d_tensor, enumerate_chi,
                            flat_sign, rank_one, rank_one_monomial_probes,
@@ -655,6 +655,31 @@ class TestTensorInterpolate:
             assert calls[chi] == math.prod(
                 len({o for f in functionals for _, _, o in f.parts[t].atoms(8)})
                 for t in range(2))
+
+    def test_atom_groups_built_once_per_element_bit_and_order(
+            self, monkeypatch):
+        built = []
+
+        class Counted(_Atoms):
+            def __new__(cls, atoms):
+                built.append(atoms)
+                return super().__new__(cls, atoms)
+
+        monkeypatch.setattr("derham.tensor._Atoms", Counted)
+        e = build_element(1, 3)
+        form = d_smooth(sinusoid((1.0, -2.0), phase=0.5))
+        first = tensor_interpolate(2, 1, form, e)
+        assert len(built) == 2  # bits 0 and 1 at the default order
+        groups = [_folded_table(e, bit, e.default_quadrature_order)[0].groups
+                  for bit in (0, 1)]
+        second = tensor_interpolate(2, 1, form, e)
+        assert len(built) == 2
+        assert all(_folded_table(e, bit, e.default_quadrature_order)[0]
+                   .groups is before for bit, before in zip((0, 1), groups))
+        assert first == second
+        tensor_interpolate(2, 1, form, e, quadrature_order=8)
+        tensor_interpolate(2, 1, form, build_element(1, 3))
+        assert len(built) == 6
 
     def test_atom_grid_bitwise_equals_scalar_oracle(self):
         # seeded forms and their d_smooth, against the scalar closures
