@@ -110,16 +110,21 @@ class Element1D:
 
     def rows(self, k: int, width: int) -> linalg.Exact:
         """T_k: the k-form functionals on 1, x, .., x^(width-1), one row
-        per functional."""
-        return self.cached(("rows", k, width), lambda: linalg.Exact(
-            *linalg.integer_rows([monomial_row(f, width)[:width]
-                                  for f in _family(self, k)[0]], width)))
+        per functional: their memoized integer rows over one lcm."""
+        def stack():
+            rows = [monomial_row(f, width) for f in _family(self, k)[0]]
+            den = math.lcm(*[d for _, d in rows])
+            return linalg.Exact.reduced(np.array(
+                [nums[:width] if d == den else
+                 [x * (den // d) for x in nums[:width]] for nums, d in rows],
+                dtype=object).reshape(len(rows), width), den)
+        return self.cached(("rows", k, width), stack)
 
     def node_table(self, k: int) -> linalg.Exact:
         """T_k B_k from the functionals and basis themselves (a stored M_k
         may differ from it)."""
         basis = _family(self, k)[2]
-        return self.cached(("table", k), lambda: linalg.Exact(
+        return self.cached(("table", k), lambda: linalg.Exact.trusted(
             *linalg.product(self.rows(k, len(basis.nums)), basis)))
 
 
@@ -279,6 +284,8 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     m, n = e.m, e.n
     if probe_degree is None:
         probe_degree = n + 5
+    if type(probe_degree) is not int:  # bools too
+        raise TypeError(f"probe_degree {probe_degree!r} is not an int")
     if probe_degree < n:
         raise ValueError("probe_degree must be at least n")
     witness: list[dict] = []
@@ -304,48 +311,83 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
                              != e.B1.nums * derived.den).any(axis=0)):
         witness.append({"check": "basis-pairing", "basis": int(j) + 1})
 
-    # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k)
+    # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k):
+    # column k of T_1 D against column k of T_0, over the functionals i < n
     T0, T1 = e.rows(0, probe_degree + 1), e.rows(1, probe_degree)
-    rows0, rows1 = T0.nums.tolist(), T1.nums.tolist()
-    for k in range(probe_degree + 1):
-        for i in range(n):
-            left = k * rows1[i][k - 1] if k else 0
-            right = rows0[i][k]
-            if left * T0.den != right * T1.den:
-                witness.append({"check": "functional-pairing",
-                                "functional": i + 1, "probe_degree": k,
-                                "left": linalg.ratio_str(left, T1.den),
-                                "right": linalg.ratio_str(right, T0.den)})
+    left, right = _shifted(T1), T0.nums[:n]
+    for k, i in zip(*np.nonzero((left * T0.den != right * T1.den).T)):
+        witness.append({"check": "functional-pairing",
+                        "functional": int(i) + 1, "probe_degree": int(k),
+                        "left": linalg.ratio_str(left[i, k], T1.den),
+                        "right": linalg.ratio_str(right[i, k], T0.den)})
 
     return VerificationReport.of("lemma-hypotheses", witness, m=m, n=n,
                                  probe_degree=probe_degree)
+
+
+def _shifted(T: linalg.Exact) -> np.ndarray:
+    """The numerators of T D, over T's denominator: column k of T D is k
+    times column k - 1 of T, and column 0 is zero (D maps monomial
+    coefficients to those of the derivative)."""
+    height, width = T.shape
+    out = np.zeros((height, width + 1), dtype=object)
+    out[:, 1:] = T.nums * np.arange(1, width + 1, dtype=object)
+    return out
+
+
+def _defect(e: Element1D, width: int) -> tuple[np.ndarray, int]:
+    """C = D B_0 alpha_0 T_0 - B_1 alpha_1 T_1 D on x^0..x^(width-1), as
+    (n x width numerators, denominator): column j is d(I0 x^j) - I1(d x^j),
+    so the commutation residual of a probe is C times its coefficient
+    column.  Each side multiplies left to right, basis first."""
+    T0, T1 = e.rows(0, width), e.rows(1, width - 1)
+    left, left_den = linalg.product(_derived(e.B0), e.alpha0)
+    right, right_den = linalg.product(e.B1, e.alpha1)
+    left, left_den = left @ T0.nums, left_den * T0.den
+    right, right_den = right @ _shifted(T1), right_den * T1.den
+    den = math.lcm(left_den, right_den)
+    return left * (den // left_den) - right * (den // right_den), den
 
 
 def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     """d(I0 u) == I1(du) exactly, for every probe polynomial u, and each
     I_k is a projection: alpha_k (T_k B_k) = I, so every basis function
     interpolates to itself (d kills the constant, so commutation alone
-    cannot see alpha0's last row).  Projection witnesses are 1-based."""
+    cannot see alpha0's last row).  Projection witnesses are 1-based.
+
+    The residuals come from one defect operator C (:func:`_defect`) on
+    the monomials: a probe with one nonzero coefficient c x^j reads c
+    times column j of C, and the other probes multiply C by their
+    coefficient columns in one product."""
     if probes is None:
         probes = monomial_probes(e.n + 5)
-    count = len(probes)
-    width = max([e.n + 1] + [len(u.coeffs) for u in probes])
-    # d(I0 u) is D B_0 alpha_0 T_0 P and I1(du) is B_1 alpha_1 T_1 D P
-    P = coefficients(probes, width)
-    left, left_den = linalg.product(_derived(e.B0), e.alpha0,
-                                    e.rows(0, width), P)
-    right, right_den = linalg.product(e.B1, e.alpha1, e.rows(1, width - 1),
-                                      _derived(P))
-    residuals = left * right_den - right * left_den
-    den = left_den * right_den
-    witness: list[dict] = []
     for index, u in enumerate(probes):
-        if residuals[:, index].any():
-            residual = Polynomial([Fraction(c, den)
-                                   for c in residuals[:, index]])
-            witness.append({"check": "commutation", "probe": index,
-                            "probe_degree": u.degree,
-                            "residual": [str(c) for c in residual.coeffs]})
+        if not isinstance(u, Polynomial):
+            raise TypeError(f"probe {index} has type {type(u).__name__}, "
+                            "not a Polynomial")
+    width = max([e.n + 1] + [len(u.coeffs) for u in probes])
+    C, den = _defect(e, width)
+    witness: list[dict] = []
+    if C.any():  # else every residual is zero
+        terms = [[(j, c) for j, c in enumerate(u.coeffs) if c]
+                 for u in probes]
+        P = coefficients([u for u, t in zip(probes, terms) if len(t) > 1],
+                         width)
+        mixed = iter((C @ P.nums).T)
+        for index, (u, t) in enumerate(zip(probes, terms)):
+            if len(t) == 1:
+                (j, c), = t
+                column, scale = C[:, j] * c.numerator, den * c.denominator
+            elif t:
+                column, scale = next(mixed), den * P.den
+            else:
+                continue  # the zero probe
+            if column.any():
+                last = np.flatnonzero(column)[-1] + 1
+                witness.append({"check": "commutation", "probe": index,
+                                "probe_degree": u.degree, "residual": [
+                                    linalg.ratio_str(x, scale)
+                                    for x in column[:last].tolist()]})
     for k in (0, 1):
         nums, scale = linalg.product(_family(e, k)[3], e.node_table(k))
         for i, j in zip(*np.nonzero(
@@ -353,7 +395,7 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
             witness.append({"check": "projection", "form": k,
                             "row": int(i) + 1, "col": int(j) + 1})
     return VerificationReport.of("commutation", witness, m=e.m, n=e.n,
-                                 probes=count)
+                                 probes=len(probes))
 
 
 def cell_interpolant(e: Element1D, u: SmoothFunction1D, a: float, b: float,

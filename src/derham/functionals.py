@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite
+from math import factorial, isfinite, lcm
+from operator import mul
 from typing import Union
 
 from .polycore import Polynomial, legendre, monomial_derivative
@@ -40,23 +41,31 @@ Atom = tuple[float, float, int]
 
 # A functional is linear: its exact value on a polynomial is its monomial
 # row (f(1), f(x), ..), in closed form, dotted with the coefficients.
-# Descriptors are frozen values, so equal functionals share one row.
+# Descriptors are frozen values, so equal functionals share one row, held
+# as a tuple of int numerators over the lcm of the entries' denominators.
 _ROWS: dict = {}
 
 # Moment atoms per (descriptor, quadrature order), for the same reason.
 _ATOMS: dict = {}
 
 
-def monomial_row(f, length: int) -> list[Fraction]:
-    """``f`` on 1, x, .., x^(length-1), memoized; may be longer."""
-    row = _ROWS.setdefault(f, [])
-    row.extend(map(f.monomial_value, range(len(row), length)))
-    return row
+def monomial_row(f, length: int) -> tuple[tuple[int, ...], int]:
+    """``f`` on 1, x, .., x^(length-1) as (numerators, denominator),
+    memoized and read-only; the row may be longer, and its denominator
+    is then the lcm over all of it."""
+    nums, den = _ROWS.get(f, ((), 1))
+    if len(nums) < length:
+        values = [f.monomial_value(k) for k in range(len(nums), length)]
+        grown = lcm(den, *[v.denominator for v in values])
+        nums = tuple(x * (grown // den) for x in nums) + tuple(
+            v.numerator * (grown // v.denominator) for v in values)
+        _ROWS[f] = nums, den = nums, grown
+    return nums, den
 
 
 def _apply(f, u: Polynomial) -> Fraction:
-    return sum(map(Fraction.__mul__, monomial_row(f, len(u.coeffs)),
-                   u.coeffs), Fraction(0))
+    nums, den = monomial_row(f, len(u.coeffs))
+    return sum(map(mul, nums, u.coeffs), Fraction(0)) / den
 
 
 def _apply_smooth(f, u, quadrature_order: int = 0, telescope=False) -> float:

@@ -20,7 +20,9 @@ _INT, _RATIONAL = {int}, {int, Fraction}
 class Exact:
     """A rational vector or matrix as ``nums / den``: Python ints in an
     object array over one positive int, in lowest terms, so equal arrays
-    are equal pairs.  Construction checks all of it."""
+    are equal pairs.  Construction checks all of it; :meth:`trusted` and
+    :meth:`reduced` build pairs that are valid by construction and skip
+    the check."""
 
     __slots__ = ("nums", "den")  # unhashable: it defines __eq__
 
@@ -31,11 +33,20 @@ class Exact:
         self.check()
 
     @classmethod
+    def trusted(cls, nums: np.ndarray, den: int) -> "Exact":
+        """The pair ``nums / den`` unchecked: its maker guarantees a
+        vector or matrix of Python ints in an object array over a
+        positive int, in lowest terms (``product`` returns such pairs)."""
+        pair = object.__new__(cls)
+        pair.nums, pair.den = nums, den
+        return pair
+
+    @classmethod
     def reduced(cls, nums, den: int) -> "Exact":
-        """Integer ``nums`` over a nonzero ``den`` in lowest terms."""
+        """Python-int ``nums`` over a nonzero int ``den`` in lowest terms."""
         nums = np.asarray(nums, dtype=object)
         common = math.gcd(den, *nums.ravel().tolist()) * (-1 if den < 0 else 1)
-        return cls(nums // common, den // common)
+        return cls.trusted(nums // common, den // common)
 
     def check(self, name: str = "", shape: tuple | None = None) -> None:
         """Raise ``TypeError`` or ``ValueError``, naming ``name`` (the field

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(value) -> Fraction:
     if type(value) is Fraction:
         return value
@@ -70,7 +73,10 @@ class Polynomial:
     def monomial(power: int, coeff=1) -> "Polynomial":
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return Polynomial((0,) * power + (coeff,))
+        p = Polynomial((coeff,))
+        if p.coeffs:  # one shared zero pads it
+            object.__setattr__(p, "coeffs", (_ZERO,) * power + p.coeffs)
+        return p
 
     # -- basic protocol ---------------------------------------------------
 
@@ -175,7 +181,7 @@ def coefficients(polys, width: int | None = None) -> linalg.Exact:
             raise ValueError(f"column {j} has degree {len(row) - 1}, "
                              f"too high for width {width}")
     nums, den = linalg.integer_rows(rows, width)
-    return linalg.Exact(nums.T, den)
+    return linalg.Exact.trusted(nums.T, den)
 
 
 def monomial_derivative(k: int, order: int, point) -> Fraction:

@@ -298,7 +298,7 @@ def _expansion_columns(element: Element1D, k: int,
     padded = np.zeros((width, coeffs.shape[1]), dtype=object)
     padded[:len(coeffs)] = coeffs[:width]
     return linalg.product(_basis_inverse(element, k),
-                          linalg.Exact(padded, P.den))
+                          linalg.Exact.trusted(padded, P.den))
 
 
 def expand_in_basis(element: Element1D, k: int, p: Polynomial) -> tuple:

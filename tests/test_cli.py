@@ -329,6 +329,14 @@ class TestExactArtifacts:
     VERIFY_4D = ("verify", "--m", "1", "--n", "3", "--N", "4", "--checks",
                  "dd-zero,tensor-commutation")
 
+    # the 1D checks on two elements per m = 1, 2 with three random probes:
+    # the rows pin unisolvence witnesses (swap-basis: 36), functional-
+    # pairing and commutation ones (wrong-functional: 12 and 68) and
+    # commutation residuals with projection witnesses (permute-alpha: 96)
+    VERIFY_1D = ("verify", "--m", "1..2", "--n", "auto+2", "--checks",
+                 "unisolvence,lemma-hypotheses,commutation",
+                 "--random-probes", "3", "--seed", "1")
+
     # the corrupted N = 3 rows pin witnesses: tensor-commutation ones with
     # their blocks and max_abs (permute-alpha, and wrong-functional with
     # 37, 84 and 48 witnesses at nu = 0, 1, 2), dd-zero ones (flip-theta)
@@ -356,11 +364,20 @@ class TestExactArtifacts:
          "66b6cbf010beaff7a096705e3999c1b803689a215b406d35221a225a532b9a87"),
         (VERIFY_4D + ("--corrupt", "flip-theta"), 1,
          "6d8da7f9a4a91b7928caab374afa6047783d561530a00c4a6156099a5f80cd05"),
+        (VERIFY_1D, 0,
+         "8a517c758ab7e429c3d8e4239ce9ab0ea635072738bc50990184593e957eb4f2"),
+        (VERIFY_1D + ("--corrupt", "swap-basis"), 1,
+         "810d1783f00b0f931f90845c84b795debd7e86b52fd78e23ad3d64cd19d58870"),
+        (VERIFY_1D + ("--corrupt", "wrong-functional"), 1,
+         "1cb3d7080a97dc7400839116a285c277ce2f1dadf513ed9b82a8c0174066d7fe"),
+        (VERIFY_1D + ("--corrupt", "permute-alpha"), 1,
+         "69ded1af190bd22326ef46d8355c300f2f50d415c4b47dc8ee540e9d9f63232c"),
     ], ids=["element", "tensor", "verify", "verify-3d",
             "verify-3d-permute-alpha", "verify-3d-flip-theta",
             "verify-3d-wrong-functional", "verify-wide",
             "verify-wide-permute-alpha", "verify-4d-permute-alpha",
-            "verify-4d-flip-theta"])
+            "verify-4d-flip-theta", "verify-1d", "verify-1d-swap-basis",
+            "verify-1d-wrong-functional", "verify-1d-permute-alpha"])
     def test_sha256(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, *argv)
         assert code == exit_code

@@ -6,6 +6,7 @@ plus an independent sympy linear solve for a frozen instance.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,11 @@ class TestVerifiers:
     def test_lemma_probe_degree_validated(self, e13):
         with pytest.raises(ValueError):
             verify_lemma_hypotheses(e13, probe_degree=2)
+        # never coerced: True used to run as 1 and 4.0 failed in range
+        for bad in (True, 4.0, np.int64(4), "4"):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"probe_degree {bad!r} is not an int")):
+                verify_lemma_hypotheses(e13, probe_degree=bad)
 
     def test_commutation_on_grid(self):
         for m, n in GRID:
@@ -264,6 +270,13 @@ class TestVerifiers:
         report = verify_commutation(e13, probes)
         assert report.passed
         assert report.parameters["probes"] == 2
+
+    def test_commutation_rejects_probes_that_are_not_polynomials(self, e13):
+        for bad in (1, Fraction(1, 2), [1, 2], None):
+            with pytest.raises(TypeError, match=f"^probe 1 has type "
+                                                f"{type(bad).__name__}, not "
+                                                "a Polynomial$"):
+                verify_commutation(e13, [Polynomial.one(), bad])
 
     def test_monomial_probes(self):
         probes = monomial_probes(3)

@@ -29,8 +29,7 @@ from derham.element1d import (Element1D, _family, build_element,
                               monomial_probes, verify_commutation,
                               verify_lemma_hypotheses)
 from derham.functionals import (EndpointDerivative, EndpointSum, Moment,
-                                monomial_row, one_form_functionals,
-                                zero_form_functionals)
+                                one_form_functionals, zero_form_functionals)
 from derham.polycore import Polynomial, legendre
 from derham.report import VerificationReport
 
@@ -69,9 +68,11 @@ def oracle_table(functionals, basis) -> np.ndarray:
 
 def fraction_node_table(functionals, basis) -> np.ndarray:
     """The old ``node_table``: Fraction monomial rows of the functionals
-    times the Fraction coefficient columns of the basis."""
+    (their closed-form values) times the Fraction coefficient columns of
+    the basis."""
     width = max((len(p.coeffs) for p in basis), default=0)
-    rows = np.array([monomial_row(f, width)[:width] for f in functionals],
+    rows = np.array([[f.monomial_value(k) for k in range(width)]
+                     for f in functionals],
                     dtype=object).reshape(len(functionals), width)
     return rows @ coefficient_matrix(basis, width).T
 

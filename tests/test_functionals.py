@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derham.element1d import build_element
 from derham.functionals import (FUNCTIONAL_ORDER_VERSION, EndpointDerivative,
                                 EndpointSum, Moment, monomial_row,
                                 one_form_functionals, zero_form_functionals)
@@ -43,13 +44,19 @@ class TestExactAction:
         assert Moment(0, 0, of_derivative=True).apply(p) == telescoped
 
 
+def row_values(f, length: int) -> list[Fraction]:
+    """The memoized row of ``f`` on 1, x, .., x^(length-1) as Fractions."""
+    nums, den = monomial_row(f, length)
+    return [Fraction(x, den) for x in nums[:length]]
+
+
 class TestMonomialRows:
     """The closed-form rows against the functionals' definitions."""
 
     def test_moment_rows(self):
         for i in range(15):
-            value_row = monomial_row(Moment(1, i, of_derivative=False), 25)
-            derivative_row = monomial_row(Moment(0, i, of_derivative=True), 25)
+            value_row = row_values(Moment(1, i, of_derivative=False), 25)
+            derivative_row = row_values(Moment(0, i, of_derivative=True), 25)
             for k in range(25):
                 x_k = Polynomial.monomial(k)
                 assert value_row[k] == (legendre(i) * x_k).integral01()
@@ -59,17 +66,27 @@ class TestMonomialRows:
     def test_endpoint_rows(self):
         for order in range(8):
             for point in (0, 1):
-                row = monomial_row(EndpointDerivative(1, point, order), 25)
+                row = row_values(EndpointDerivative(1, point, order), 25)
                 for k in range(25):
                     assert row[k] == Polynomial.monomial(k).derivative_value(
                         order, Fraction(point))
-        assert monomial_row(EndpointSum(), 4)[:4] == [2, 1, 1, 1]
+        assert row_values(EndpointSum(), 4) == [2, 1, 1, 1]
 
     def test_rows_grow_on_demand_and_are_shared(self):
-        short = monomial_row(Moment(1, 3, of_derivative=False), 2)
-        long = monomial_row(Moment(1, 3, of_derivative=False), 30)
-        assert short is long and len(long) >= 30
-        assert all(type(x) is Fraction for x in long)
+        f = Moment(1, 3, of_derivative=False)
+        short = row_values(f, 2)
+        nums, den = monomial_row(f, 30)
+        assert len(nums) >= 30 and all(type(x) is int for x in nums)
+        assert math.gcd(den, *nums) == 1 and den > 0
+        assert monomial_row(f, 30)[0] is nums  # shared, not rebuilt
+        assert row_values(f, 2) == short
+
+    def test_rows_are_read_only(self):
+        f = Moment(0, 0, of_derivative=True)
+        nums, _ = monomial_row(f, 4)
+        with pytest.raises(TypeError):
+            nums[1] = 99
+        assert build_element(0, 1).M0.nums.tolist() == [[1, 0], [0, 1]]
 
 
 class TestSmoothAction:

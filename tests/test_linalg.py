@@ -14,6 +14,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from derham import linalg
+from derham.element1d import (build_element, verify_commutation,
+                              verify_lemma_hypotheses)
 
 entries_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # mixed denominators up to 60, with plenty of exact zeros
@@ -406,6 +408,29 @@ def test_exact_rejects_denominators_that_are_not_positive_ints(bad, error):
                                               if error is TypeError
                                               else f"den {bad} is not")):
         linalg.Exact([[1, 2]], bad)
+
+
+def test_only_the_public_constructor_checks(monkeypatch):
+    # Exact(nums, den) still rejects a float entry, a den that is not
+    # positive and a pair not in lowest terms
+    for nums, den, error in (([[1, 0.5]], 3, TypeError),
+                             ([[1, 2]], 0, ValueError),
+                             ([[1, 2]], -3, ValueError),
+                             ([[2, 4]], 6, ValueError)):
+        with pytest.raises(error):
+            linalg.Exact(nums, den)
+    # the pairs that are valid by construction never run check(): an
+    # element builds and verifies with it disabled
+    def unexpected(self, *args):
+        raise AssertionError("check() ran on an internal pair")
+    monkeypatch.setattr(linalg.Exact, "check", unexpected)
+    e = build_element(1, 3)
+    assert verify_commutation(e).passed
+    assert verify_lemma_hypotheses(e).passed
+    assert linalg.Exact.reduced([[3, 0], [9, -3]], 6).den == 2
+    assert linalg.Exact.trusted(e.M0.nums, e.M0.den) == e.M0
+    with pytest.raises(AssertionError, match="internal pair"):
+        linalg.Exact([[1]], 1)
 
 
 def test_exact_rejects_pairs_not_in_lowest_terms():

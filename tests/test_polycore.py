@@ -52,6 +52,17 @@ class TestPolynomialRing:
         with pytest.raises(TypeError):
             Polynomial([0.5])
 
+    def test_monomial(self):
+        for power in range(6):
+            for coeff in (1, Fraction(-3, 4), 0):
+                got = Polynomial.monomial(power, coeff)
+                assert got == Polynomial([0] * power + [coeff])
+                assert all(type(c) is Fraction for c in got.coeffs)
+        with pytest.raises(TypeError, match="got float"):
+            Polynomial.monomial(2, 1.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Polynomial.monomial(-1)
+
     def test_schoolbook_product(self):
         ell1 = from_coeffs(-1, 2)
         assert ell1 * ell1 == from_coeffs(1, -4, 4)
