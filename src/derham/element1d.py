@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,17 +53,19 @@ def _check_degrees(m: int, n: int) -> None:
 @dataclass(frozen=True, eq=False)
 class Element1D:
     """The element pair and its exact tables, all ``linalg.Exact``: the
-    node matrix ``M_k`` (functional i on basis function j) and its
-    inverse ``alpha_k``, built from the functionals and basis unless
-    given (a corrupted element's tables may lie), and the basis
-    coefficients ``B_k``, one column per basis function."""
+    basis coefficients ``B_k``, one column per basis function, the node
+    matrix ``M_k`` (functional i on basis function j) and its inverse
+    ``alpha_k``, built from the functionals and B_k unless given (a
+    corrupted element's tables may lie).  The constructor takes the
+    bases as polynomials; :func:`build_element` makes B_k on ints, and
+    its ``basis0`` and ``basis1`` are views made on first use."""
 
     m: int
     n: int
     functionals0: tuple[NodeFunctional, ...]
     functionals1: tuple[NodeFunctional, ...]
-    basis0: tuple[Polynomial, ...]
-    basis1: tuple[Polynomial, ...]
+    basis0: tuple[Polynomial, ...] = field(repr=False)
+    basis1: tuple[Polynomial, ...] = field(repr=False)
     M0: linalg.Exact | None = None
     M1: linalg.Exact | None = None
     alpha0: linalg.Exact | None = None
@@ -80,15 +83,31 @@ class Element1D:
                 if len(family) != size:
                     raise ValueError(f"{name} has shape {(len(family),)}, "
                                      f"expected {(size,)}")
-            basis = self.basis0 if k == 0 else self.basis1
-            for j, p in enumerate(basis):
+            for j, p in enumerate(family):  # the basis, named last
                 if p.degree >= size:
                     raise ValueError(f"basis{k}[{j}] has degree {p.degree}, "
                                      f"above {size - 1}")
-            object.__setattr__(self, f"B{k}", coefficients(basis, size))
+            object.__setattr__(self, f"B{k}", coefficients(family, size))
+        self._tables()
+
+    def _tables(self) -> None:
+        """The constructors' shared tail: each missing M_k and alpha_k is
+        built from B_k and the functionals, each given one checked.  With
+        alpha_0 = M_0^-1 built here and M_0 = diag(M_1, c), checked entry
+        by entry, alpha_1 = M_1^-1 is alpha_0's leading block."""
+        n, fresh = self.n, self.alpha0 is None
+
+        def inverse(k):
+            M0, M1, alpha0 = self.M0, self.M1, self.alpha0
+            if k and fresh and not M0.nums[n, :n].any() \
+                    and not M0.nums[:n, n].any() \
+                    and (M0.nums[:n, :n] * M1.den == M1.nums * M0.den).all():
+                return linalg.Exact.reduced(alpha0.nums[:n, :n], alpha0.den)
+            return linalg.invert(M1 if k else M0)
+
+        for k, size in ((0, n + 1), (1, n)):
             for name, build in ((f"M{k}", lambda: self.node_table(k)),
-                                (f"alpha{k}", lambda: linalg.invert(
-                                    getattr(self, f"M{k}")))):
+                                (f"alpha{k}", lambda: inverse(k))):
                 table = getattr(self, name)
                 if table is None:  # built here: nothing to check
                     object.__setattr__(self, name, build())
@@ -123,10 +142,32 @@ class Element1D:
     def node_table(self, k: int) -> linalg.Exact:
         """T_k B_k from the functionals and basis themselves (a stored M_k
         may differ from it)."""
-        basis = _family(self, k)[2]
+        basis = _family(self, k)[1]
         return self.cached(("table", k), lambda: linalg.Exact.trusted(
             *linalg.product(self.rows(k, len(basis.nums)), basis)))
 
+
+class _BasisView:
+    """``basis0`` and ``basis1`` of a built element: the columns of B_k as
+    Polynomials, made on first use and kept on the element.  A non-data
+    descriptor, so the bases an element was given, kept on it, come
+    first; unlike ``__getattr__`` it leaves every other attribute read
+    on the interpreter's fast path."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __get__(self, e, owner=None):
+        if e is None:
+            return self
+        B = getattr(e, f"B{self.k}")
+        view = vars(e)[f"basis{self.k}"] = tuple(
+            Polynomial([Fraction(x, B.den) for x in column])
+            for column in B.nums.T.tolist())
+        return view
+
+
+Element1D.basis0, Element1D.basis1 = _BasisView(0), _BasisView(1)
 
 def _derived(P: linalg.Exact) -> linalg.Exact:
     """D P: the derivatives of P's monomial-coefficient columns (row i
@@ -135,34 +176,58 @@ def _derived(P: linalg.Exact) -> linalg.Exact:
         P.nums[1:] * np.arange(1, len(P.nums), dtype=object)[:, None], P.den)
 
 
-def zero_form_basis(m: int, n: int) -> list[Polynomial]:
-    """The n+1 basis polynomials of the 0-form space, in frozen order."""
-    half = Fraction(1, 2)
-    basis: list[Polynomial] = []
-    for j in range(m):
-        basis.append(hermite_basis(m, 0, j + 1))
-        basis.append(hermite_basis(m, 1, j + 1))
-    basis.append((hermite_basis(m, 1, 0) - hermite_basis(m, 0, 0)) * half)
-    for j in range(2, n - 2 * m + 1):
-        basis.append(integrated_legendre(m + 1, j + m - 1))
-    basis.append(Polynomial.monomial(0, half))
-    return basis
+@lru_cache(maxsize=None)
+def _column(family, *args) -> tuple[tuple[int, ...], int]:
+    """The monomial coefficients of the polynomial ``family(*args)`` as
+    (int numerators, the lcm of their denominators), converted once per
+    family and arguments."""
+    coeffs = family(*args).coeffs
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _zero_form_columns(m: int, n: int) -> linalg.Exact:
+    """B_0 on ints, in the order of the module docstring: the cached
+    Hermite and integrated Legendre columns, with the half difference of
+    the two value-matching Hermite columns (both of degree 2m+1) and the
+    constant 1/2 formed on their numerators."""
+    h = [[_column(hermite_basis, m, a, j) for a in (0, 1)]
+         for j in range(m + 1)]
+    (zero, d0), (one, d1) = h[0]
+    columns = [c for pair in h[1:] for c in pair] + [(
+        [a * d0 - b * d1 for a, b in zip(one, zero)], 2 * d0 * d1)]
+    columns += [_column(integrated_legendre, m + 1, j + m - 1)
+                for j in range(2, n - 2 * m + 1)] + [((1,), 2)]
+    den = math.lcm(*[d for _, d in columns])
+    nums = np.zeros((n + 1, n + 1), dtype=object)
+    for j, (column, d) in enumerate(columns):
+        nums[:len(column), j] = [x * (den // d) for x in column]
+    return linalg.Exact.reduced(nums, den)
 
 
 def build_element(m: int, n: int) -> Element1D:
+    """The C^m element of degree n on its basis columns: B_0 on ints, B_1
+    = (D B_0)[:, :n], the bases views made on first use, and the tables
+    from the constructors' shared tail."""
     _check_degrees(m, n)
-    basis0 = zero_form_basis(m, n)
-    return Element1D(m, n, zero_form_functionals(m, n),
-                     one_form_functionals(m, n), basis0,
-                     [p.derivative() for p in basis0[:n]])
+    # past __init__, so every field is set here but M_k and alpha_k
+    # (their class default None) and basis0 and basis1 (_BasisView)
+    e, B0 = object.__new__(Element1D), _zero_form_columns(m, n)
+    vars(e).update(
+        m=m, n=n, _memo={}, B0=B0,
+        B1=_derived(linalg.Exact.trusted(B0.nums[:, :n], B0.den)),
+        functionals0=tuple(zero_form_functionals(m, n)),
+        functionals1=tuple(one_form_functionals(m, n)))
+    e._tables()
+    return e
 
 
 def _family(e: Element1D, k: int):
-    """(functionals, basis, B_k, alpha) of the k-form space."""
+    """(functionals, B_k, alpha_k) of the k-form space."""
     if k == 0:
-        return e.functionals0, e.basis0, e.B0, e.alpha0
+        return e.functionals0, e.B0, e.alpha0
     if k == 1:
-        return e.functionals1, e.basis1, e.B1, e.alpha1
+        return e.functionals1, e.B1, e.alpha1
     raise ValueError("form degree must be 0 or 1")
 
 
@@ -171,14 +236,14 @@ def interpolant_columns(e: Element1D, k: int,
     """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
     over the k-form basis, of the polynomials whose monomial coefficients
     are P's columns; T_k holds the functionals' monomial rows."""
-    return linalg.product(_family(e, k)[3], e.rows(k, len(P.nums)), P)
+    return linalg.product(_family(e, k)[2], e.rows(k, len(P.nums)), P)
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
     """The k-form element polynomial with node values ``values``: B_k
     alpha_k times values, on integer numerators.  Every interpolant,
     exact or smooth, is built here."""
-    nums, den = linalg.product(*_family(e, k)[2:], values)
+    nums, den = linalg.product(*_family(e, k)[1:], values)
     return Polynomial([Fraction(c, den) for c in nums])
 
 
@@ -302,14 +367,18 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
                      "value": linalg.ratio_str(value, table.den)}
                     for i, value in enumerate(values) if value]
 
-    if linalg.rank(derived.nums[:, :n]) != n:
+    pairing = np.flatnonzero((derived.nums[:, :n] * e.B1.den
+                              != e.B1.nums * derived.den).any(axis=0))
+    # with the pairing exact, D B_0[:, :n] is B_1, and T_1 B_1 lower
+    # triangular with a nonzero diagonal proves that B_1 has rank n
+    T1B1 = e.node_table(1).nums
+    if (len(pairing) or np.triu(T1B1, 1).any() or not all(T1B1.diagonal())) \
+            and linalg.rank(derived.nums[:, :n]) != n:
         witness.append({"check": "range", "detail":
                         "derivatives of the first n basis functions do not "
                         "span the 1-form space"})
-
-    for j in np.flatnonzero((derived.nums[:, :n] * e.B1.den
-                             != e.B1.nums * derived.den).any(axis=0)):
-        witness.append({"check": "basis-pairing", "basis": int(j) + 1})
+    witness += [{"check": "basis-pairing", "basis": int(j) + 1}
+                for j in pairing]
 
     # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k):
     # column k of T_1 D against column k of T_0, over the functionals i < n
@@ -389,7 +458,7 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
                                     linalg.ratio_str(x, scale)
                                     for x in column[:last].tolist()]})
     for k in (0, 1):
-        nums, scale = linalg.product(_family(e, k)[3], e.node_table(k))
+        nums, scale = linalg.product(_family(e, k)[2], e.node_table(k))
         for i, j in zip(*np.nonzero(
                 nums != scale * np.eye(len(nums), dtype=object))):
             witness.append({"check": "projection", "form": k,

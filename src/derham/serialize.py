@@ -11,36 +11,36 @@ runs with the same configuration produce identical bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
 from .element1d import Element1D, _family
 from .functionals import FUNCTIONAL_ORDER_VERSION
 from .linalg import Exact, ratio_str
-from .polycore import Polynomial
 from .tensor import (_block_widths, enumerate_chi, space_dimension,
                      tensor_node_functionals)
 
 SCHEMA_VERSION = 1
 
 
-def fraction_str(value: Fraction) -> str:
-    """An int or a Fraction as "num/den", read off as it is."""
-    return f"{value.numerator}/{value.denominator}"
-
-
 def float_str(value: float) -> str:
     return "%.17g" % float(value)
-
-
-def poly_json(p: Polynomial) -> list[str]:
-    return [fraction_str(c) for c in p.coeffs]
 
 
 def matrix_json(matrix: Exact) -> list[list[str]]:
     return [[ratio_str(num, matrix.den, whole=False) for num in row]
             for row in matrix.nums.tolist()]
+
+
+def columns_json(matrix: Exact) -> list[list[str]]:
+    """The columns of a coefficient matrix (``B_k``) as polynomials:
+    ascending powers, trailing zeros stripped."""
+    out = []
+    for column in matrix.nums.T.tolist():
+        while column and not column[-1]:
+            column.pop()
+        out.append([ratio_str(x, matrix.den, whole=False) for x in column])
+    return out
 
 
 def functional_json(f) -> dict:
@@ -57,8 +57,8 @@ def element_json(e: Element1D) -> dict:
         "n": e.n,
         "functionals0": [functional_json(f) for f in e.functionals0],
         "functionals1": [functional_json(f) for f in e.functionals1],
-        "basis0": [poly_json(p) for p in e.basis0],
-        "basis1": [poly_json(p) for p in e.basis1],
+        "basis0": columns_json(e.B0),
+        "basis1": columns_json(e.B1),
         "M0": matrix_json(e.M0),
         "M1": matrix_json(e.M1),
         "alpha0": matrix_json(e.alpha0),
@@ -105,7 +105,8 @@ def json_text(data: dict) -> str:
 
 def basis_samples_csv(e: Element1D, k: int, count: int = 101) -> str:
     """Uniform-grid samples of every k-form basis function (plot data)."""
-    basis = _family(e, k)[1]
+    _family(e, k)  # a form degree other than 0 or 1 raises
+    basis = getattr(e, f"basis{k}")
     header = ["x"] + [f"phi{k}_{j + 1}" for j in range(len(basis))]
     lines = [",".join(header)]
     for i in range(count):
@@ -124,7 +125,7 @@ def tensor_basis_samples_csv(e: Element1D, chi, index, count: int = 33) -> str:
                          "0 (0-form) and 1 (1-form)")
     factors = []
     for bit, j in zip(chi, index):
-        basis = _family(e, bit)[1]
+        basis = getattr(e, f"basis{bit}")
         if not 1 <= j <= len(basis):
             raise ValueError(f"basis index {j} out of range 1..{len(basis)}")
         factors.append(basis[j - 1])

@@ -282,7 +282,7 @@ def _index_rule(blocks: dict, n: int, sign_rule) -> dict:
 def _basis_inverse(element: Element1D, k: int) -> linalg.Exact:
     """B_k^-1: the inverse of the k-form basis coefficient matrix."""
     return element.cached(("basis inverse", k),
-                          lambda: linalg.invert(_family(element, k)[2]))
+                          lambda: linalg.invert(_family(element, k)[1]))
 
 
 def _expansion_columns(element: Element1D, k: int,
@@ -632,6 +632,9 @@ def verify_dimensions(dimension: int,
     """
     enumerate_chi(dimension, 0)  # a bad N raises before the loop
     n = element.n
+    # per form degree: (functionals, basis functions: the columns of B_k)
+    sizes = [(len(f), B.shape[1]) for f, B, _ in
+             (_family(element, k) for k in (0, 1))]
     witness: list[dict] = []
     total = 0
     for nu in range(dimension + 1):
@@ -643,10 +646,9 @@ def verify_dimensions(dimension: int,
         if any(sum(chi) != nu for chi in chis):
             witness.append({"check": "chi-weight", "nu": nu})
         formula = space_dimension(dimension, nu, element)
-        # the space's size per family (0: functionals, 1: basis)
         functional_count, enumerated = (
-            sum(math.prod(len(_family(element, bit)[k]) for bit in chi)
-                for chi in chis) for k in (0, 1))
+            sum(math.prod(sizes[bit][k] for bit in chi) for chi in chis)
+            for k in (0, 1))
         if formula != enumerated:
             witness.append({"check": "dimension", "nu": nu,
                             "formula": formula, "enumerated": enumerated})

@@ -312,6 +312,32 @@ class TestVerifyCommand:
                 [0.0] * report["parameters"]["m"]
 
 
+class TestNoPolynomialRoundTrip:
+    """A pristine 1D verify and an element call, from cold integer
+    columns, work on them alone: no Polynomial is
+    differentiated and neither basis view is built (counts, not
+    timings)."""
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--checks", "unisolvence,lemma-hypotheses,commutation",
+         "--random-probes", "3"],
+        ["element"]], ids=["verify", "element"])
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 4), (3, 9)])
+    def test_counts(self, capsys, monkeypatch, command, m, n):
+        element1d.build_element(m, n)  # the family polynomials, cached
+        element1d._column.cache_clear()
+        differentiated, built = [], []
+        derivative, build = Polynomial.derivative, element1d.build_element
+        monkeypatch.setattr(Polynomial, "derivative", lambda p, order=1: (
+            differentiated.append(p) or derivative(p, order)))
+        monkeypatch.setattr(element1d, "build_element", lambda m, n: (
+            built.append(build(m, n)) or built[-1]))
+        code, _, _ = run(capsys, *command, "--m", str(m), "--n", str(n))
+        assert code == 0 and len(built) == 1
+        assert differentiated == []
+        assert not {"basis0", "basis1"} & set(vars(built[0]))
+
+
 class TestExactArtifacts:
     """The exact-arithmetic artifacts are pinned byte for byte; a change
     that moves one of these hashes changes what users read."""

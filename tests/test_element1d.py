@@ -18,8 +18,10 @@ from derham import linalg
 from derham.element1d import (Element1D, build_element, interpolate,
                               interpolant_columns, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
-                              verify_unisolvence, zero_form_basis)
-from derham.polycore import Polynomial, coefficients
+                              verify_unisolvence)
+from derham.functionals import one_form_functionals, zero_form_functionals
+from derham.polycore import (Polynomial, coefficients, hermite_basis,
+                             integrated_legendre)
 
 GRID = [(0, 1), (0, 3), (1, 3), (1, 5), (2, 5), (2, 6), (3, 7)]
 GRID_1D = [(m, n) for m in range(5) for n in range(2 * m + 1, 2 * m + 7)]
@@ -33,6 +35,31 @@ def identity(n: int) -> linalg.Exact:
 
 def poly(*coeffs) -> Polynomial:
     return Polynomial([Fraction(c) for c in coeffs])
+
+
+def zero_form_basis(m: int, n: int) -> list[Polynomial]:
+    """The n+1 basis polynomials of the 0-form space, in frozen order, on
+    Fractions: the route ``build_element`` took before it worked on
+    integer columns."""
+    half = Fraction(1, 2)
+    basis: list[Polynomial] = []
+    for j in range(m):
+        basis.append(hermite_basis(m, 0, j + 1))
+        basis.append(hermite_basis(m, 1, j + 1))
+    basis.append((hermite_basis(m, 1, 0) - hermite_basis(m, 0, 0)) * half)
+    for j in range(2, n - 2 * m + 1):
+        basis.append(integrated_legendre(m + 1, j + m - 1))
+    basis.append(Polynomial.monomial(0, half))
+    return basis
+
+
+def polynomial_route(m: int, n: int) -> Element1D:
+    """The element built through the public constructor from the
+    Fraction basis and its derivatives."""
+    basis0 = zero_form_basis(m, n)
+    return Element1D(m, n, zero_form_functionals(m, n),
+                     one_form_functionals(m, n), basis0,
+                     [p.derivative() for p in basis0[:n]])
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +194,55 @@ class TestConstruction:
         for m, n in GRID:
             assert list(build_element(m, n).basis0) == zero_form_basis(m, n)
 
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(5)
+                                      for n in range(2 * m + 1, 2 * m + 13)])
+    def test_integer_build_matches_polynomial_route(self, m, n):
+        e, old = build_element(m, n), polynomial_route(m, n)
+        for name in ("B0", "B1", "M0", "M1", "alpha0", "alpha1"):
+            assert getattr(e, name) == getattr(old, name), name
+        assert e.alpha1 == linalg.invert(e.M1)  # the block-sliced inverse
+        assert "basis0" not in vars(e) and "basis1" not in vars(e)
+        assert e.basis0 == tuple(zero_form_basis(m, n)) == old.basis0
+        assert e.basis1 == tuple(p.derivative() for p in e.basis0[:n]) \
+            == old.basis1
+
+    def test_every_field_reads_on_a_built_element(self):
+        # build_element fills the fields past __init__
+        e = build_element(2, 6)
+        assert "basis" not in repr(e) and "basis0" not in vars(e)
+        for f in dataclasses.fields(e):
+            assert getattr(e, f.name) is not None, f.name
+
+    def test_alpha1_inverts_m1_when_m0_is_not_block_diagonal(self, e13):
+        # h_{0,1} + 1 meets u(1)+u(0) and 1/2 plus the half difference
+        # meets int l_0 u': M0 = [[A, b], [r, c]] with b, r nonzero, so
+        # the leading block of M0^-1 is not A^-1
+        half_difference = e13.basis0[2]
+        basis0 = (e13.basis0[0] + Polynomial.one(), *e13.basis0[1:3],
+                  e13.basis0[3] + half_difference)
+        e = Element1D(1, 3, e13.functionals0, e13.functionals1, basis0,
+                      e13.basis1)
+        assert e.M0.nums[3, 0] and e.M0.nums[2, 3]
+        assert e.M1 == identity(3) == e.alpha1 == linalg.invert(e.M1)
+        assert linalg.Exact.reduced(e.alpha0.nums[:3, :3], e.alpha0.den) \
+            != e.alpha1
+
+    def test_alpha1_inverts_a_stored_m1(self, e13):
+        nums = e13.M1.nums.copy()
+        nums[2, 0] = 5
+        M1 = linalg.Exact(nums)
+        e = Element1D(1, 3, e13.functionals0, e13.functionals1, e13.basis0,
+                      e13.basis1, M1=M1)
+        assert e.M0 == identity(4) and e.alpha1 == linalg.invert(M1)
+        assert e.alpha1.nums[2, 0] == -5
+
+    def test_alpha1_ignores_a_stored_alpha0(self, e13):
+        # the leading block of a given alpha0 proves nothing about M1
+        alpha0 = linalg.Exact(2 * np.eye(4, dtype=int).astype(object))
+        e = Element1D(1, 3, e13.functionals0, e13.functionals1, e13.basis0,
+                      e13.basis1, alpha0=alpha0)
+        assert e.alpha0 == alpha0 and e.alpha1 == identity(3)
+
     def test_stored_inverses(self):
         for m, n in GRID:
             e = build_element(m, n)
@@ -232,6 +308,17 @@ class TestVerifiers:
         monkeypatch.setattr(linalg, "rank", rank)
         for m, n in GRID_1D:
             assert verify_unisolvence(build_element(m, n)).passed
+
+    def test_lemma_takes_the_derived_rank_from_the_node_table(self,
+                                                              monkeypatch):
+        # the pairing passing makes the derived basis B1, and T1 B1 lower
+        # triangular with a nonzero diagonal gives it rank n
+        def rank(matrix):
+            raise AssertionError("rank computed")
+
+        monkeypatch.setattr(linalg, "rank", rank)
+        for m, n in GRID_1D:
+            assert verify_lemma_hypotheses(build_element(m, n)).passed
 
     @pytest.mark.parametrize("m, n", GRID_1D)
     def test_inverse_tables_match_bareiss(self, m, n):

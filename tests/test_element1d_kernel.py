@@ -196,7 +196,8 @@ def test_tables_match_entrywise_assembly(m, n):
         tables = (oracle_table(e.functionals0, e.basis0),
                   oracle_table(e.functionals1, e.basis1))
         for k, table in enumerate(tables):
-            assert (fraction_node_table(*_family(e, k)[:2]) == table).all()
+            assert (fraction_node_table(_family(e, k)[0],
+                                        getattr(e, f"basis{k}")) == table).all()
             assert (e.node_table(k).fractions() == table).all()
         # wrong-functional keeps the pristine tables on purpose, and
         # permute-alpha the pristine alpha_1 with two rows swapped

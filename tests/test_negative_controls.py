@@ -17,10 +17,11 @@ import json
 import numpy as np
 import pytest
 
+from derham import linalg, tensor
 from derham.cli import main
 from derham.corruptions import (CORRUPTION_NAMES, corrupt, permute_alpha,
                                 swap_basis, wrong_functional)
-from derham.element1d import (build_element, verify_commutation,
+from derham.element1d import (Element1D, build_element, verify_commutation,
                               verify_lemma_hypotheses, verify_unisolvence)
 from derham.linalg import Exact
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
@@ -157,15 +158,20 @@ class TestStoredTableMutants:
 
 class TestShortFamily:
     """The element constructor rejects a family of the wrong size, so the
-    control drops the last 1-form functional or basis function after the
-    build; every nu with a 1-form axis then counts short."""
+    control drops the last 1-form functional or basis function (the last
+    column of B1) after the build; every nu with a 1-form axis then
+    counts short."""
 
     @pytest.mark.parametrize("field, check", [
         ("functionals1", "functional-count"), ("basis1", "dimension")])
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_dimensions_fails(self, field, check, dimension):
         e = dataclasses.replace(build_element(1, 3))
-        object.__setattr__(e, field, getattr(e, field)[:-1])
+        if field == "basis1":
+            object.__setattr__(e, "B1", Exact.trusted(e.B1.nums[:, :-1],
+                                                      e.B1.den))
+        else:
+            object.__setattr__(e, field, e.functionals1[:-1])
         report = verify_dimensions(dimension, e)
         assert not report.passed
         assert [(w["check"], w["nu"]) for w in report.witness] == [
@@ -178,6 +184,74 @@ class TestShortFamily:
         assert verify_dimensions(1, e).witness == [
             {"check": "functional-count", "nu": 1, "count": 2,
              "expected": 3}]
+
+
+class TestSubChecks:
+    """One control per sub-check that no other control reaches: each
+    pins the sub-check's exact witness."""
+
+    def test_bubble_superdiagonal_fails_bubble_triangular(self,
+                                                          monkeypatch):
+        # one entry on the first superdiagonal of the bubble block; the
+        # structure has failed, so both ranks are computed (and are full)
+        e = build_element(1, 5)
+        nums = e.M0.nums.copy()
+        nums[3, 4] = 1
+        ranked = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank",
+                            lambda matrix: ranked.append(matrix) or
+                            rank(matrix))
+        report = verify_unisolvence(
+            dataclasses.replace(e, M0=Exact.reduced(nums, e.M0.den)))
+        assert report.witness == [
+            {"check": "bubble-triangular", "row": 4, "col": 5,
+             "value": f"1/{e.M0.den}"},
+            {"check": "deletion-identity", "row": 4, "col": 5,
+             "value": "0"}]
+        assert len(ranked) == 2
+
+    def test_basis_pairing_names_the_changed_basis_function(self):
+        e = build_element(1, 3)
+        basis1 = list(e.basis1)
+        basis1[2] = basis1[2] * 2
+        report = verify_lemma_hypotheses(Element1D(
+            1, 3, e.functionals0, e.functionals1, e.basis0, basis1))
+        assert report.witness == [{"check": "basis-pairing", "basis": 3}]
+
+    @pytest.mark.parametrize("derived", [True, False],
+                             ids=["paired", "unpaired"])
+    def test_rank_deficient_derivatives_fail_range(self, derived):
+        # b0 + b1 twice: T1 B1 is [[1, 1, 0], [1, 1, 0], [0, 0, 1]] when
+        # basis1 is the derived basis, a full diagonal that proves nothing;
+        # kept pristine, basis1 is triangular but no longer the derived
+        # basis.  The stored tables stay pristine, so nothing is inverted.
+        e = build_element(1, 3)
+        s = e.basis0[0] + e.basis0[1]
+        basis0 = (s, s, *e.basis0[2:])
+        basis1 = tuple(p.derivative() for p in basis0[:3]) if derived \
+            else e.basis1
+        report = verify_lemma_hypotheses(
+            dataclasses.replace(e, basis0=basis0, basis1=basis1))
+        unpaired = [] if derived else [{"check": "basis-pairing", "basis": j}
+                                       for j in (1, 2)]
+        assert report.witness == [
+            {"check": "range", "detail": "derivatives of the first n basis "
+             "functions do not span the 1-form space"}, *unpaired]
+
+    @pytest.mark.parametrize("wrong, witness", [
+        (lambda chis: chis[:-1] + chis[:1],  # a duplicate for the last
+         [{"check": "chi-count", "nu": 1, "count": 2, "expected": 2}]),
+        (lambda chis: chis[:-1],  # the last one missing
+         [{"check": "chi-count", "nu": 1, "count": 1, "expected": 2},
+          {"check": "total-dimension", "total": 37, "expected": 49}])],
+        ids=["duplicate", "missing"])
+    def test_wrong_enumeration_fails_chi_count(self, monkeypatch, wrong,
+                                               witness):
+        enumerate_chi = tensor.enumerate_chi
+        monkeypatch.setattr(tensor, "enumerate_chi", lambda dimension, nu: (
+            wrong if nu == 1 else list)(enumerate_chi(dimension, nu)))
+        assert verify_dimensions(2, build_element(1, 3)).witness == witness
 
 
 class TestFlatSign:

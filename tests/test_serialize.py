@@ -7,19 +7,20 @@ import pytest
 
 from derham import serialize
 from derham.element1d import build_element
-from derham.polycore import Polynomial
-from derham.serialize import (SCHEMA_VERSION, basis_samples_csv, element_json,
-                              float_str, fraction_str, interp_csv, json_text,
-                              matrix_json, poly_json, tensor_basis_samples_csv,
+from derham.polycore import Polynomial, coefficients
+from derham.serialize import (SCHEMA_VERSION, basis_samples_csv, columns_json,
+                              element_json, float_str, interp_csv, json_text,
+                              matrix_json, tensor_basis_samples_csv,
                               tensor_tables_json)
 
 
-def test_fraction_str_always_spells_denominator():
-    assert fraction_str(Fraction(1, 2)) == "1/2"
-    assert fraction_str(Fraction(-3, 4)) == "-3/4"
-    assert fraction_str(Fraction(5)) == "5/1"
-    assert fraction_str(Fraction(0)) == "0/1"
-    assert fraction_str(Fraction(2, 4)) == "1/2"  # lowest terms
+def test_columns_json_always_spells_denominator():
+    # each entry in lowest terms, over its own denominator; trailing zeros
+    # of a column are stripped, so the zero polynomial is empty
+    polys = [Polynomial([Fraction(1, 2), Fraction(-3, 4), 5, 0,
+                         Fraction(2, 4)]), Polynomial(), Polynomial([0, 7])]
+    assert columns_json(coefficients(polys, 6)) == [
+        ["1/2", "-3/4", "5/1", "0/1", "1/2"], [], ["0/1", "7/1"]]
 
 
 def test_float_str_17_digits():
@@ -28,9 +29,9 @@ def test_float_str_17_digits():
     assert float_str(-0.0) == "-0"
 
 
-def test_poly_and_matrix_json():
+def test_columns_and_matrix_json():
     p = Polynomial([Fraction(1, 3), Fraction(-2)])
-    assert poly_json(p) == ["1/3", "-2/1"]
+    assert columns_json(coefficients([p], 3)) == [["1/3", "-2/1"]]
     e = build_element(0, 1)
     assert matrix_json(e.M0) == [["1/1", "0/1"], ["0/1", "1/1"]]
 
@@ -51,6 +52,18 @@ def test_element_json_layout_and_roundtrip():
     # the whole thing must be plain JSON
     parsed = json.loads(json_text(data))
     assert parsed["M0"][0][0] == "1/1"
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 3), (2, 9), (4, 15)])
+def test_element_json_basis_spells_the_polynomials(m, n):
+    # the entries written from B_k are those of the basis views'
+    # Fraction coefficients
+    e = build_element(m, n)
+    data = element_json(e)
+    for k in (0, 1):
+        assert data[f"basis{k}"] == [
+            [f"{c.numerator}/{c.denominator}" for c in p.coeffs]
+            for p in getattr(e, f"basis{k}")]
 
 
 def test_json_text_shape():
