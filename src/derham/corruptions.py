@@ -28,9 +28,7 @@ verifier:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .element1d import Element1D
+from .element1d import Element1D, altered
 from .functionals import EndpointDerivative
 from .linalg import Exact
 from .tensor import flat_sign, theta
@@ -48,19 +46,15 @@ def swap_basis(element: Element1D) -> Element1D:
 
 
 def wrong_functional(element: Element1D) -> Element1D:
-    """Replace the first 1-form functional with one of the wrong order.
-
-    The matrices are kept, so the element's tables lie about what they
-    were built from; the functional-pairing check is the verifier that
-    catches the lie.
-    """
+    """Replace the first 1-form functional with one of the wrong order,
+    keeping the tables, which then lie about what they were built from."""
     pristine = element.functionals1[0]
     if isinstance(pristine, EndpointDerivative):
         corrupted = EndpointDerivative(1, pristine.point, pristine.order + 1)
     else:
         corrupted = EndpointDerivative(1, 0, element.m + 1)
     functionals1 = (corrupted,) + element.functionals1[1:]
-    return replace(element, functionals1=functionals1)
+    return altered(element, functionals1=functionals1)
 
 
 def permute_alpha(element: Element1D) -> Element1D:
@@ -69,7 +63,7 @@ def permute_alpha(element: Element1D) -> Element1D:
         raise ValueError("need at least a 2x2 inverse to permute")
     nums = element.alpha1.nums.copy()
     nums[[0, 1]] = nums[[1, 0]]
-    return replace(element, alpha1=Exact(nums, element.alpha1.den))
+    return altered(element, alpha1=Exact(nums, element.alpha1.den))
 
 
 # CLI name -> fixture.  The element fixtures rebuild or patch the 1D

@@ -27,21 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .functionals import (NodeFunctional, monomial_row, one_form_functionals,
                           zero_form_functionals)
-from .polycore import (Polynomial, coefficients, hermite_basis,
-                       integrated_legendre)
+from .polycore import (Polynomial, coefficients, from_column, hermite_column,
+                       legendre_column)
 from .quadrature import check_order
 from .report import VerificationReport
 from .smooth import SmoothFunction1D
 
 
 def _check_degrees(m: int, n: int) -> None:
+    if type(m) is not int or type(n) is not int:  # bools too
+        raise TypeError(f"m {m!r} or n {n!r} is not an int")
     if m < 0:
         raise ValueError("continuity order m must be >= 0")
     if n < 2 * m + 1:
@@ -150,9 +151,8 @@ class Element1D:
 class _BasisView:
     """``basis0`` and ``basis1`` of a built element: the columns of B_k as
     Polynomials, made on first use and kept on the element.  A non-data
-    descriptor, so the bases an element was given, kept on it, come
-    first; unlike ``__getattr__`` it leaves every other attribute read
-    on the interpreter's fast path."""
+    descriptor, so the bases an element was given, kept on it, come first
+    and every other attribute read stays on the interpreter's fast path."""
 
     def __init__(self, k: int):
         self.k = k
@@ -162,8 +162,7 @@ class _BasisView:
             return self
         B = getattr(e, f"B{self.k}")
         view = vars(e)[f"basis{self.k}"] = tuple(
-            Polynomial([Fraction(x, B.den) for x in column])
-            for column in B.nums.T.tolist())
+            from_column(column, B.den) for column in B.nums.T.tolist())
         return view
 
 
@@ -176,27 +175,16 @@ def _derived(P: linalg.Exact) -> linalg.Exact:
         P.nums[1:] * np.arange(1, len(P.nums), dtype=object)[:, None], P.den)
 
 
-@lru_cache(maxsize=None)
-def _column(family, *args) -> tuple[tuple[int, ...], int]:
-    """The monomial coefficients of the polynomial ``family(*args)`` as
-    (int numerators, the lcm of their denominators), converted once per
-    family and arguments."""
-    coeffs = family(*args).coeffs
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
 def _zero_form_columns(m: int, n: int) -> linalg.Exact:
     """B_0 on ints, in the order of the module docstring: the cached
     Hermite and integrated Legendre columns, with the half difference of
     the two value-matching Hermite columns (both of degree 2m+1) and the
     constant 1/2 formed on their numerators."""
-    h = [[_column(hermite_basis, m, a, j) for a in (0, 1)]
-         for j in range(m + 1)]
+    h = [[hermite_column(m, a, j) for a in (0, 1)] for j in range(m + 1)]
     (zero, d0), (one, d1) = h[0]
     columns = [c for pair in h[1:] for c in pair] + [(
         [a * d0 - b * d1 for a, b in zip(one, zero)], 2 * d0 * d1)]
-    columns += [_column(integrated_legendre, m + 1, j + m - 1)
+    columns += [legendre_column(m + 1, j + m - 1)
                 for j in range(2, n - 2 * m + 1)] + [((1,), 2)]
     den = math.lcm(*[d for _, d in columns])
     nums = np.zeros((n + 1, n + 1), dtype=object)
@@ -210,14 +198,27 @@ def build_element(m: int, n: int) -> Element1D:
     = (D B_0)[:, :n], the bases views made on first use, and the tables
     from the constructors' shared tail."""
     _check_degrees(m, n)
-    # past __init__, so every field is set here but M_k and alpha_k
-    # (their class default None) and basis0 and basis1 (_BasisView)
-    e, B0 = object.__new__(Element1D), _zero_form_columns(m, n)
-    vars(e).update(
-        m=m, n=n, _memo={}, B0=B0,
+    B0 = _zero_form_columns(m, n)
+    return _assembled(dict(
+        m=m, n=n, B0=B0,
         B1=_derived(linalg.Exact.trusted(B0.nums[:, :n], B0.den)),
         functionals0=tuple(zero_form_functionals(m, n)),
-        functionals1=tuple(one_form_functionals(m, n)))
+        functionals1=tuple(one_form_functionals(m, n))))
+
+
+def altered(e: Element1D, **changes) -> Element1D:
+    """A copy of ``e`` with ``changes`` to its fields: it shares e's B_k
+    and leaves e's memo and basis views behind."""
+    return _assembled({name: value for name, value in vars(e).items()
+                       if name not in ("basis0", "basis1")} | changes)
+
+
+def _assembled(fields: dict) -> Element1D:
+    """An element made past __init__ from ``fields``, all but basis0 and
+    basis1 (_BasisView) and any M_k or alpha_k left to the constructors'
+    shared tail (class default None), with a fresh memo."""
+    e = object.__new__(Element1D)
+    vars(e).update(fields, _memo={})
     e._tables()
     return e
 
@@ -243,8 +244,7 @@ def _interpolant(e: Element1D, k: int, values) -> Polynomial:
     """The k-form element polynomial with node values ``values``: B_k
     alpha_k times values, on integer numerators.  Every interpolant,
     exact or smooth, is built here."""
-    nums, den = linalg.product(*_family(e, k)[1:], values)
-    return Polynomial([Fraction(c, den) for c in nums])
+    return from_column(*linalg.product(*_family(e, k)[1:], values))
 
 
 def interpolate(e: Element1D, k: int, u: Polynomial) -> Polynomial:

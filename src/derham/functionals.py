@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isfinite, lcm
+from math import factorial, isfinite, lcm, perm
 from operator import mul
 from typing import Union
 
-from .polycore import Polynomial, legendre, monomial_derivative
+from .polycore import Polynomial, legendre
 from .quadrature import gauss_rule
 
 FUNCTIONAL_ORDER_VERSION = 1
@@ -95,8 +95,10 @@ class EndpointDerivative:
                 f"endpoint derivative order must be >= {minimum} "
                 f"for {self.form_degree}-forms")
 
-    def monomial_value(self, k: int) -> Fraction:
-        return monomial_derivative(k, self.order, self.point)
+    def monomial_value(self, k: int) -> int:
+        """d^order x^k at 1 is perm(k, order); at 0, order! if k = order."""
+        return perm(k, self.order) if self.point else \
+            factorial(k) if k == self.order else 0
 
     apply = _apply
     apply_smooth = _apply_smooth
@@ -184,8 +186,8 @@ class EndpointSum:
         if self.form_degree != 0:
             raise ValueError("endpoint sum exists for 0-forms only")
 
-    def monomial_value(self, k: int) -> Fraction:
-        return Fraction(2 if k == 0 else 1)
+    def monomial_value(self, k: int) -> int:
+        return 2 if k == 0 else 1
 
     apply = _apply
     apply_smooth = _apply_smooth

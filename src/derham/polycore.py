@@ -1,9 +1,10 @@
 """Exact univariate polynomial algebra on the reference interval [0, 1].
 
 Coefficients are :class:`fractions.Fraction` values indexed by monomial
-power, so all ring operations, derivatives, antiderivatives and definite
-integrals are exact.  On top of the plain algebra this module provides the
-special families everything else is built from:
+power, so all ring operations, derivatives and definite integrals are
+exact.  On top of the plain algebra this module provides the special
+families everything else is built from, each a cached view of an int
+column made from its closed form (``legendre_column``, ``hermite_column``):
 
 * shifted Legendre polynomials ``legendre(j)``, orthogonal in L2(0, 1) and
   normalized by ``l_j(1) = 1``,
@@ -16,17 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import factorial
+from math import comb, factorial, gcd, perm
 
 from . import linalg
 
-__all__ = [
-    "Polynomial",
-    "legendre",
-    "integrated_legendre",
-    "legendre_expansion",
-    "hermite_basis",
-]
+__all__ = ["Polynomial", "legendre", "integrated_legendre",
+           "legendre_expansion", "hermite_basis"]
 
 
 _ZERO = Fraction(0)
@@ -146,11 +142,6 @@ class Polynomial:
                            else c for k, c in enumerate(coeffs[1:], 1))
         return Polynomial(coeffs)
 
-    def antiderivative(self) -> "Polynomial":
-        """The antiderivative vanishing at x = 0."""
-        return Polynomial((Fraction(0),) + tuple(
-            c / (k + 1) for k, c in enumerate(self.coeffs)))
-
     def integral01(self) -> Fraction:
         """Exact definite integral over [0, 1]."""
         return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), Fraction(0))
@@ -184,84 +175,97 @@ def coefficients(polys, width: int | None = None) -> linalg.Exact:
     return linalg.Exact.trusted(nums.T, den)
 
 
-def monomial_derivative(k: int, order: int, point) -> Fraction:
-    """d^order x^k at ``point``: a falling factorial times a power."""
-    if k < order:
-        return Fraction(0)
-    falling = factorial(k) // factorial(k - order)
-    return falling * Fraction(point) ** (k - order)
+def from_column(nums, den: int) -> Polynomial:
+    """The polynomial with monomial coefficients ``nums`` over ``den``."""
+    return Polynomial([Fraction(x, den) for x in nums])
 
 
-@lru_cache(maxsize=None)
-def legendre(j: int) -> Polynomial:
-    """Shifted Legendre polynomial of degree j on [0, 1].
-
-    Three-term recurrence for the family orthogonal w.r.t. Lebesgue
-    measure on [0, 1]; the recurrence already yields l_j(1) = 1, which is
-    the normalization used throughout.
-    """
-    if j < 0:
-        raise ValueError("Legendre index must be nonnegative")
-    if j == 0:
-        return Polynomial.one()
-    if j == 1:
-        return Polynomial((-1, 2))
-    two_x_minus_1 = Polynomial((-1, 2))
-    p_prev, p = legendre(j - 2), legendre(j - 1)
-    k = j - 1
-    return (Fraction(2 * k + 1, k + 1) * (two_x_minus_1 * p)
-            - Fraction(k, k + 1) * p_prev)
+def _lowest(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
 
 
-@lru_cache(maxsize=None)
-def integrated_legendre(alpha: int, j: int) -> Polynomial:
-    """alpha-fold iterated antiderivative L^alpha_j of legendre(j).
-
-    L^0_j = l_j and L^{alpha+1}_j(x) = int_0^x L^alpha_j; the result has
-    degree j + alpha and an alpha-fold root at x = 0.
-    """
+@lru_cache(maxsize=None, typed=True)
+def legendre_column(alpha: int, j: int) -> tuple[tuple[int, ...], int]:
+    """L^alpha_j as (int monomial coefficients, denominator) in lowest
+    terms.  l_j(x) = sum_k (-1)^(j+k) C(j,k) C(j+k,k) x^k, so x^(k+alpha)
+    has that coefficient times k!/(k+alpha)!, an int over (j+alpha)!;
+    the normalization d^alpha L^alpha_j(1) = l_j(1) = 1 is re-checked."""
+    if type(alpha) is not int or type(j) is not int:  # bools too
+        raise TypeError(f"alpha {alpha!r} or j {j!r} is not an int")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    if alpha == 0:
-        return legendre(j)
-    return integrated_legendre(alpha - 1, j).antiderivative()
+    if j < 0:
+        raise ValueError("Legendre index must be nonnegative")
+    den = factorial(j + alpha)
+    nums = [0] * alpha + [(-1) ** (j + k) * comb(j, k) * comb(j + k, k)
+                          * (den // perm(k + alpha, alpha))
+                          for k in range(j + 1)]
+    if sum(perm(k, alpha) * c for k, c in enumerate(nums)) != den:
+        raise ArithmeticError("Legendre normalization l_j(1) = 1 violated")
+    return _lowest(nums, den)
+
+
+@lru_cache(maxsize=None, typed=True)
+def legendre(j: int) -> Polynomial:
+    """Shifted Legendre polynomial l_j of degree j on [0, 1], with
+    l_j(1) = 1: the view of ``legendre_column(0, j)``."""
+    return from_column(*legendre_column(0, j))
+
+
+@lru_cache(maxsize=None, typed=True)
+def integrated_legendre(alpha: int, j: int) -> Polynomial:
+    """L^alpha_j, the alpha-fold antiderivative of l_j with an alpha-fold
+    root at x = 0: the view of ``legendre_column(alpha, j)``."""
+    return from_column(*legendre_column(alpha, j))
 
 
 def legendre_expansion(p: Polynomial) -> list[Fraction]:
-    """Coefficients c with p = sum_i c[i] * legendre(i), computed exactly.
-
-    Uses orthogonality: int_0^1 l_i^2 = 1/(2i+1), so c_i = (2i+1) int p l_i.
-    """
+    """Coefficients c with p = sum_i c[i] * legendre(i), exactly: by
+    orthogonality, int_0^1 l_i^2 = 1/(2i+1), so c_i = (2i+1) int p l_i."""
     if p.is_zero():
         return []
     return [(2 * i + 1) * (p * legendre(i)).integral01()
             for i in range(p.degree + 1)]
 
 
-@lru_cache(maxsize=None)
-def hermite_basis(m: int, endpoint: int, beta: int) -> Polynomial:
-    """Two-point Hermite basis polynomial h_{endpoint, beta} of degree 2m+1.
-
-    Defined by d^g h(endpoint) = delta(g, beta) and d^g h(1 - endpoint) = 0
-    for g = 0..m.  Hermite interpolation is unisolvent, so the defining
-    system always has a unique solution; the postconditions are re-checked
-    and a violation raises ArithmeticError.
-    """
+@lru_cache(maxsize=None, typed=True)
+def hermite_column(m: int, endpoint: int,
+                   beta: int) -> tuple[tuple[int, ...], int]:
+    """Two-point Hermite basis function h_{endpoint, beta} (d^g h(endpoint)
+    = delta(g, beta) and d^g h(1 - endpoint) = 0 for g <= m) as (int
+    monomial coefficients, denominator) in lowest terms: h_{0,b}(x) = x^b/b!
+    (1-x)^(m+1) sum_{j<=m-b} C(m+j, j) x^j, the sum cutting (1-x)^-(m+1)
+    after x^(m-b), and h_{1,b}(x) = (-1)^b h_{0,b}(1-x).  It fills 2m+2
+    slots, so its degree is at most 2m+1 by construction.  The conditions
+    are re-checked on the ints, apart from the formula (d^g h(0) = g! c_g,
+    d^g h(1) = sum_k perm(k, g) c_k); a violation raises ArithmeticError."""
+    if not all(type(x) is int for x in (m, endpoint, beta)):  # bools too
+        raise TypeError(f"m, endpoint or beta in {(m, endpoint, beta)} "
+                        "is not an int")
     if endpoint not in (0, 1):
         raise ValueError("endpoint must be 0 or 1")
     if not 0 <= beta <= m:
         raise ValueError(f"beta must lie in 0..{m}")
-    conditions = [(point, gamma) for point in (endpoint, 1 - endpoint)
-                  for gamma in range(m + 1)]
-    h = Polynomial(linalg.solve(
-        [[monomial_derivative(k, gamma, point) for k in range(2 * m + 2)]
-         for point, gamma in conditions],
-        [int(c == (endpoint, beta)) for c in conditions]).fractions())
-    for gamma in range(m + 1):
-        want = Fraction(1) if gamma == beta else Fraction(0)
-        if h.derivative_value(gamma, Fraction(endpoint)) != want \
-                or h.derivative_value(gamma, Fraction(1 - endpoint)) != 0:
+    nums = [0] * (2 * m + 2)
+    for i in range(m + 2):
+        for j in range(m - beta + 1):
+            nums[beta + i + j] += (-1) ** i * comb(m + 1, i) * comb(m + j, j)
+    if endpoint:  # the Taylor shift x -> 1 - x, times (-1)^beta
+        nums = [(-1) ** (i + beta) * sum(comb(k, i) * c for k, c in
+                                         enumerate(nums))
+                for i in range(2 * m + 2)]
+    nums, den = _lowest(nums, factorial(beta))
+    for g in range(m + 1):
+        at = (factorial(g) * nums[g],
+              sum(perm(k, g) * c for k, c in enumerate(nums)))
+        if at[endpoint] != den * (g == beta) or at[1 - endpoint]:
             raise ArithmeticError("Hermite basis postcondition violated")
-    if h.degree > 2 * m + 1:
-        raise ArithmeticError("Hermite basis degree exceeds 2m+1")
-    return h
+    return nums, den
+
+
+@lru_cache(maxsize=None, typed=True)
+def hermite_basis(m: int, endpoint: int, beta: int) -> Polynomial:
+    """Two-point Hermite basis polynomial h_{endpoint, beta} of degree
+    2m+1: the view of ``hermite_column(m, endpoint, beta)``."""
+    return from_column(*hermite_column(m, endpoint, beta))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import cli, element1d, serialize
+from derham import cli, element1d, functionals, linalg, polycore, serialize
 from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
                         parse_polynomial, parse_input_function)
 from derham.corruptions import (CORRUPTION_NAMES, ELEMENT_CORRUPTIONS,
@@ -312,11 +312,20 @@ class TestVerifyCommand:
                 [0.0] * report["parameters"]["m"]
 
 
+def cold_families(monkeypatch):
+    """Empty every cached polynomial family and the functionals' rows."""
+    for family in (polycore.hermite_column, polycore.legendre_column,
+                   polycore.hermite_basis, polycore.legendre,
+                   polycore.integrated_legendre):
+        family.cache_clear()
+    monkeypatch.setattr(functionals, "_ROWS", {})
+
+
 class TestNoPolynomialRoundTrip:
-    """A pristine 1D verify and an element call, from cold integer
-    columns, work on them alone: no Polynomial is
-    differentiated and neither basis view is built (counts, not
-    timings)."""
+    """A pristine 1D verify and an element call, from cold caches, work
+    on integer columns alone: no Polynomial is differentiated and
+    neither basis view is built; a cold build makes no Polynomial and
+    solves no system (counts, not timings)."""
 
     @pytest.mark.parametrize("command", [
         ["verify", "--checks", "unisolvence,lemma-hypotheses,commutation",
@@ -324,8 +333,7 @@ class TestNoPolynomialRoundTrip:
         ["element"]], ids=["verify", "element"])
     @pytest.mark.parametrize("m, n", [(0, 1), (1, 4), (3, 9)])
     def test_counts(self, capsys, monkeypatch, command, m, n):
-        element1d.build_element(m, n)  # the family polynomials, cached
-        element1d._column.cache_clear()
+        cold_families(monkeypatch)
         differentiated, built = [], []
         derivative, build = Polynomial.derivative, element1d.build_element
         monkeypatch.setattr(Polynomial, "derivative", lambda p, order=1: (
@@ -336,6 +344,22 @@ class TestNoPolynomialRoundTrip:
         assert code == 0 and len(built) == 1
         assert differentiated == []
         assert not {"basis0", "basis1"} & set(vars(built[0]))
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 4), (3, 9)])
+    def test_cold_build_makes_no_polynomial_and_no_solve(self, monkeypatch,
+                                                          m, n):
+        cold_families(monkeypatch)
+        made, solved = [], []
+        init, solve = Polynomial.__init__, linalg.solve
+        monkeypatch.setattr(Polynomial, "__init__", lambda p, *args: (
+            made.append(args) or init(p, *args)))
+        monkeypatch.setattr(linalg, "solve", lambda *args: (
+            solved.append(args) or solve(*args)))
+        element1d.build_element(m, n)
+        assert made == [] and solved == []
+        # every column was made here, not read from a warm cache
+        assert polycore.hermite_column.cache_info().misses == 2 * (m + 1)
+        assert polycore.legendre_column.cache_info().misses == n - 2 * m - 1
 
 
 class TestExactArtifacts:

@@ -14,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from derham import linalg
+from derham import linalg, polycore
 from derham.element1d import (Element1D, build_element, interpolate,
                               interpolant_columns, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
@@ -73,6 +73,20 @@ class TestConstruction:
             build_element(-1, 3)
         with pytest.raises(ValueError, match="n >= 5"):
             build_element(2, 4)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("m, n, name", [
+        (True, 3, "m"), (1.0, 3, "m"), (1, 3.0, "n"), (0, True, "n")])
+    def test_rejects_degrees_that_are_not_ints(self, e13, warm, m, n, name):
+        # equal ints must not let a cache answer for a float or a bool
+        for family in (polycore.hermite_column, polycore.legendre_column):
+            family.cache_clear()
+        if warm:
+            build_element(int(m), int(n))
+        with pytest.raises(TypeError, match=r"^m .* or n .* is not an int"):
+            build_element(m, n)
+        with pytest.raises(TypeError, match=r"^m .* or n .* is not an int"):
+            dataclasses.replace(e13, **{name: {"m": m, "n": n}[name]})
 
     @pytest.mark.parametrize("field", ["functionals0", "functionals1",
                                        "basis0", "basis1"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derham import functionals
 from derham.element1d import build_element
 from derham.functionals import (FUNCTIONAL_ORDER_VERSION, EndpointDerivative,
                                 EndpointSum, Moment, monomial_row,
@@ -50,8 +51,45 @@ def row_values(f, length: int) -> list[Fraction]:
     return [Fraction(x, den) for x in nums[:length]]
 
 
+def fraction_value(f, k: int) -> Fraction:
+    """The entry of ``f``'s row at x^k on Fractions, the route the
+    endpoint functionals took before their entries were ints."""
+    if isinstance(f, EndpointSum):
+        return Fraction(2 if k == 0 else 1)
+    if isinstance(f, EndpointDerivative):
+        if k < f.order:
+            return Fraction(0)
+        falling = math.factorial(k) // math.factorial(k - f.order)
+        return falling * Fraction(f.point) ** (k - f.order)
+    return f.monomial_value(k)
+
+
+def fraction_row(f, length: int) -> tuple[tuple[int, ...], int]:
+    """``f``'s row of ``length`` Fraction entries over their lcm."""
+    values = [fraction_value(f, k) for k in range(length)]
+    den = math.lcm(*[v.denominator for v in values])
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 class TestMonomialRows:
     """The closed-form rows against the functionals' definitions."""
+
+    def test_rows_equal_the_fraction_route(self, monkeypatch):
+        for m in range(5):
+            for n in range(2 * m + 1, 2 * m + 7):
+                family = set(zero_form_functionals(m, n)) | \
+                    set(one_form_functionals(m, n))
+                for f in family:
+                    for width in (n + 1, 2 * m + 20):
+                        monkeypatch.setattr(functionals, "_ROWS", {})
+                        nums, den = monomial_row(f, width)
+                        assert (nums, den) == fraction_row(f, width), f
+                        assert all(type(x) is int for x in nums)
+
+    def test_endpoint_entries_are_ints(self):
+        for f in (EndpointDerivative(0, 0, 2), EndpointDerivative(1, 1, 0),
+                  EndpointSum()):
+            assert all(type(f.monomial_value(k)) is int for k in range(9))
 
     def test_moment_rows(self):
         for i in range(15):

@@ -21,8 +21,9 @@ from derham import linalg, tensor
 from derham.cli import main
 from derham.corruptions import (CORRUPTION_NAMES, corrupt, permute_alpha,
                                 swap_basis, wrong_functional)
-from derham.element1d import (Element1D, build_element, verify_commutation,
-                              verify_lemma_hypotheses, verify_unisolvence)
+from derham.element1d import (Element1D, altered, build_element,
+                              verify_commutation, verify_lemma_hypotheses,
+                              verify_unisolvence)
 from derham.linalg import Exact
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
     rank_one_monomial_probes, verify_dimensions
@@ -115,6 +116,28 @@ class TestPermuteAlpha:
         assert [w for w in report.witness if w["check"] == "projection"] == [
             {"check": "projection", "form": 1, "row": row, "col": col}
             for row, col in ((1, 1), (1, 2), (2, 1), (2, 2))]
+
+
+class TestCopiesStayOnIntegers:
+    """The patching corruptions copy the element past __init__: the
+    integer B_k are shared, no Polynomial view is made, and every given
+    table is still checked."""
+
+    @pytest.mark.parametrize("corruption", [permute_alpha, wrong_functional])
+    def test_no_basis_view_is_made(self, corruption):
+        pristine = build_element(2, 7)
+        corrupted = corruption(pristine)
+        for e in (pristine, corrupted):
+            assert not {"basis0", "basis1"} & set(vars(e))
+        assert corrupted.B0 is pristine.B0 and corrupted.B1 is pristine.B1
+        assert corrupted._memo is not pristine._memo
+        assert corrupted.basis0 == pristine.basis0
+
+    def test_given_tables_are_checked(self):
+        e = build_element(1, 3)
+        bad = Exact.trusted(e.alpha1.nums * 2, e.alpha1.den * 2)
+        with pytest.raises(ValueError, match="^alpha1: .* not in lowest"):
+            altered(e, alpha1=bad)
 
 
 def perturbed(element, field: str, index):

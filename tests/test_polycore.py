@@ -1,20 +1,25 @@
 """Exact polynomial core: ring axioms, calculus, Legendre and Hermite families.
 
 Independent oracles: sympy (symbolic integration/differentiation and
-linear solves) and a from-scratch Gram-Schmidt construction of the
-orthogonal family.  Frozen values were computed by hand and are
-asserted literally.
+linear solves), a from-scratch Gram-Schmidt construction of the
+orthogonal family, and the routes the package used before the closed
+forms: a Fraction solve of the Hermite conditions and the Legendre
+three-term recurrence with its antiderivative chain.  Frozen values were
+computed by hand and are asserted literally.
 """
 
 from fractions import Fraction
+import math
+from math import factorial
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from derham import linalg
+from derham import linalg, polycore
 from derham.polycore import (Polynomial, coefficients, hermite_basis,
-                             integrated_legendre, legendre, legendre_expansion)
+                             hermite_column, integrated_legendre, legendre,
+                             legendre_column, legendre_expansion)
 
 X = sympy.Symbol("x")
 
@@ -31,6 +36,68 @@ def from_coeffs(*coeffs) -> Polynomial:
     return Polynomial([Fraction(c) for c in coeffs])
 
 
+def monomial_derivative(k: int, order: int, point) -> Fraction:
+    """d^order x^k at ``point``: a falling factorial times a power."""
+    if k < order:
+        return Fraction(0)
+    falling = factorial(k) // factorial(k - order)
+    return falling * Fraction(point) ** (k - order)
+
+
+def solved_hermite(m: int, endpoint: int, beta: int) -> Polynomial:
+    """h_{endpoint, beta} by a Fraction solve of its 2m+2 conditions,
+    re-checked through ``derivative_value``."""
+    conditions = [(point, gamma) for point in (endpoint, 1 - endpoint)
+                  for gamma in range(m + 1)]
+    h = Polynomial(linalg.solve(
+        [[monomial_derivative(k, gamma, point) for k in range(2 * m + 2)]
+         for point, gamma in conditions],
+        [int(c == (endpoint, beta)) for c in conditions]).fractions())
+    for gamma in range(m + 1):
+        assert h.derivative_value(gamma, Fraction(endpoint)) == \
+            (gamma == beta)
+        assert h.derivative_value(gamma, Fraction(1 - endpoint)) == 0
+    assert h.degree <= 2 * m + 1
+    return h
+
+
+def recurrence_legendre(j: int) -> Polynomial:
+    """l_j by the three-term recurrence of the family orthogonal on
+    [0, 1], which yields l_j(1) = 1."""
+    two_x_minus_1, p_prev, p = Polynomial((-1, 2)), None, Polynomial.one()
+    for k in range(j):
+        p_prev, p = p, (two_x_minus_1 if k == 0 else
+                        Fraction(2 * k + 1, k + 1) * (two_x_minus_1 * p)
+                        - Fraction(k, k + 1) * p_prev)
+    return p
+
+
+def antiderivative(p: Polynomial) -> Polynomial:
+    """The antiderivative of p vanishing at x = 0."""
+    return Polynomial((Fraction(0),) + tuple(
+        c / (k + 1) for k, c in enumerate(p.coeffs)))
+
+
+def antiderivative_legendre(alpha: int, j: int) -> Polynomial:
+    """L^alpha_j as alpha antiderivatives of the recurrence's l_j."""
+    p = recurrence_legendre(j)
+    for _ in range(alpha):
+        p = antiderivative(p)
+    return p
+
+
+def as_column(p: Polynomial) -> tuple[tuple[int, ...], int]:
+    """p's coefficients over the lcm of their denominators."""
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    return tuple(int(c * den) for c in p.coeffs), den
+
+
+def clear_families():
+    for family in (hermite_column, legendre_column, hermite_basis, legendre,
+                   integrated_legendre):
+        family.cache_clear()
+
+
 class TestPolynomialRing:
     def test_zero_polynomial_conventions(self):
         zero = Polynomial.zero()
@@ -40,7 +107,7 @@ class TestPolynomialRing:
         assert not zero
         assert zero(Fraction(7)) == 0
         assert zero.derivative().is_zero()
-        assert zero.antiderivative().is_zero()
+        assert antiderivative(zero).is_zero()
         assert zero.integral01() == 0
 
     def test_trailing_zeros_stripped(self):
@@ -98,7 +165,7 @@ class TestPolynomialRing:
     @given(polys_st)
     @settings(max_examples=40, deadline=None)
     def test_antiderivative_inverts_derivative(self, p):
-        anti = p.antiderivative()
+        anti = antiderivative(p)
         assert anti.derivative() == p
         assert anti(Fraction(0)) == 0
         assert p.integral01() == anti(Fraction(1))
@@ -287,3 +354,77 @@ class TestHermiteBasis:
             hermite_basis(1, 2, 0)
         with pytest.raises(ValueError):
             hermite_basis(1, 0, 2)
+
+
+class TestClosedFormsAgainstOracles:
+    """The integer closed forms equal the routes they replaced, entry
+    for entry, and the Hermite postcondition catches a wrong column."""
+
+    def test_hermite_equals_the_solve(self):
+        for m in range(9):
+            for endpoint in (0, 1):
+                for beta in range(m + 1):
+                    oracle = solved_hermite(m, endpoint, beta)
+                    assert hermite_column(m, endpoint, beta) == \
+                        as_column(oracle)
+                    assert hermite_basis(m, endpoint, beta) == oracle
+
+    def test_legendre_equals_the_recurrence(self):
+        for j in range(25):
+            assert legendre(j) == recurrence_legendre(j)
+            for alpha in range(7):
+                oracle = antiderivative_legendre(alpha, j)
+                assert legendre_column(alpha, j) == as_column(oracle)
+                assert integrated_legendre(alpha, j) == oracle
+
+    def test_columns_are_ints_in_lowest_terms(self):
+        for column in ([hermite_column(5, a, b) for a in (0, 1)
+                        for b in range(6)]
+                       + [legendre_column(a, 9) for a in range(7)]):
+            nums, den = column
+            assert all(type(x) is int for x in nums) and type(den) is int
+            assert den > 0 and math.gcd(den, *nums) == 1
+
+    @pytest.mark.parametrize("m, endpoint, beta",
+                             [(0, 0, 0), (1, 1, 0), (3, 0, 2), (4, 1, 4)])
+    def test_a_perturbed_column_fails_the_postcondition(
+            self, monkeypatch, m, endpoint, beta):
+        # one coefficient of the reduced column is moved by +-1 before
+        # hermite_column checks the conditions on it
+        lowest = polycore._lowest
+        for k in range(2 * m + 2):
+            for delta in (1, -1):
+                def perturbed(nums, den):
+                    nums, den = lowest(nums, den)
+                    return nums[:k] + (nums[k] + delta,) + nums[k + 1:], den
+                monkeypatch.setattr(polycore, "_lowest", perturbed)
+                hermite_column.cache_clear()
+                with pytest.raises(ArithmeticError, match="postcondition"):
+                    hermite_column(m, endpoint, beta)
+        monkeypatch.undo()
+        hermite_column.cache_clear()
+        assert hermite_column(m, endpoint, beta) == \
+            as_column(solved_hermite(m, endpoint, beta))
+
+
+class TestIntegerArguments:
+    """A float or bool that equals an int is rejected whether or not the
+    int's entry is cached."""
+
+    CALLS = [(hermite_basis, (1, 0, 0)), (hermite_column, (1, 1, 1)),
+             (legendre, (2,)), (integrated_legendre, (1, 2)),
+             (legendre_column, (1, 2))]
+
+    @pytest.mark.parametrize("family, args", CALLS)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("bad", [float, bool], ids=["float", "bool"])
+    def test_non_int_rejected(self, family, args, warm, bad):
+        clear_families()
+        if warm:
+            family(*args)
+        for i, value in enumerate(args):
+            if bad is bool and value not in (0, 1):
+                continue
+            wrong = args[:i] + (bad(value),) + args[i + 1:]
+            with pytest.raises(TypeError, match="is not an int"):
+                family(*wrong)
