@@ -28,21 +28,24 @@ verifier:
 
 from __future__ import annotations
 
-from .element1d import Element1D, altered
+from .element1d import Element1D, _derived, altered
 from .functionals import EndpointDerivative
 from .linalg import Exact
 from .tensor import flat_sign, theta
 
 
 def swap_basis(element: Element1D) -> Element1D:
-    """Swap the first two 0-form basis functions; rebuild consistently."""
-    if element.n < 2:
+    """Swap the first two 0-form basis functions (columns 0 and 1 of B_0),
+    take B_1 = (D B_0)[:, :n] and rebuild every table consistently."""
+    n = element.n
+    if n < 2:
         raise ValueError("need at least two basis functions to swap")
-    basis0 = list(element.basis0)
-    basis0[0], basis0[1] = basis0[1], basis0[0]
-    basis1 = [p.derivative() for p in basis0[:element.n]]
-    return Element1D(element.m, element.n, element.functionals0,
-                     element.functionals1, basis0, basis1)
+    nums = element.B0.nums.copy()
+    nums[:, [0, 1]] = nums[:, [1, 0]]
+    B0 = Exact.trusted(nums, element.B0.den)
+    return altered(element, B0=B0,
+                   B1=_derived(Exact.trusted(nums[:, :n], B0.den)),
+                   M0=None, M1=None, alpha0=None, alpha1=None)
 
 
 def wrong_functional(element: Element1D) -> Element1D:

@@ -87,6 +87,8 @@ class Exact:
 def ratio_str(num: int, den: int, whole: bool = True) -> str:
     """``num / den`` (den > 0) in lowest terms, spelled as ``str(Fraction)``
     does, or always as "n/d" without ``whole``."""
+    if not num:  # most table entries: no gcd to take
+        return "0" if whole else "0/1"
     common = math.gcd(num, den)
     num, den = num // common, den // common
     return str(num) if whole and den == 1 else f"{num}/{den}"

@@ -5,12 +5,15 @@ the numerator, denominator always spelled out) so element tables are
 exact and byte-comparable across runs.  Floating values appear only in
 sample CSVs, printed with 17 significant digits.  Dictionaries are
 built in a fixed field order and dumped without re-sorting, so repeated
-runs with the same configuration produce identical bytes.
+runs with the same configuration produce identical bytes.  ``json_text``
+writes exactly what ``json.dumps(data, indent=2)`` would, plus a
+newline; the tests use ``json.dumps`` as its oracle.
 """
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii as _quoted
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .tensor import (_block_widths, enumerate_chi, space_dimension,
                      tensor_node_functionals)
 
 SCHEMA_VERSION = 1
+_STR = {str}
 
 
 def float_str(value: float) -> str:
@@ -99,8 +103,65 @@ def tensor_tables_json(dimension: int, element: Element1D,
     }
 
 
-def json_text(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+def json_text(data) -> str:
+    """``json.dumps(data, indent=2)`` and a newline, byte for byte.
+
+    With ``indent`` set, json runs its pure-Python encoder, one generator
+    frame per value; this writer lays the containers out the same way
+    but quotes a list of strings (a matrix row, a basis column) in one
+    join over json's C string encoder.  Scalars and keys are spelled,
+    and anything else rejected with ``TypeError``, as json does."""
+    return _json(data, "\n") + "\n"
+
+
+def _json(x, newline: str) -> str:
+    if isinstance(x, str):
+        return _quoted(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float(x)
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = map(_quoted, x) if _STR.issuperset(map(type, x)) else \
+            [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _key(k) + ": " + _json(v, inner) for k, v in x.items()]) \
+            + newline + "}"
+    raise TypeError(f"Object of type {type(x).__name__} "
+                    "is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A dict key quoted, converted first as json converts it."""
+    if isinstance(k, str):
+        return _quoted(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quoted(_json(k, ""))
+    raise TypeError("keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
 
 
 def basis_samples_csv(e: Element1D, k: int, count: int = 101) -> str:

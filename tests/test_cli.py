@@ -345,6 +345,30 @@ class TestNoPolynomialRoundTrip:
         assert differentiated == []
         assert not {"basis0", "basis1"} & set(vars(built[0]))
 
+    @pytest.mark.parametrize("command, exit_code", [
+        (["verify", "--checks", "unisolvence,lemma-hypotheses,commutation",
+          "--random-probes", "3"], 1),
+        (["element"], 0)], ids=["verify", "element"])
+    @pytest.mark.parametrize("m, n", [(0, 2), (1, 4), (3, 9)])
+    def test_swap_basis_counts(self, capsys, monkeypatch, command,
+                               exit_code, m, n):
+        # the swapped element is made on B_k too: no basis view on it or
+        # on the element it came from, and no Polynomial differentiated
+        cold_families(monkeypatch)
+        differentiated, swapped = [], []
+        derivative, swap = Polynomial.derivative, ELEMENT_CORRUPTIONS[
+            "swap-basis"]
+        monkeypatch.setattr(Polynomial, "derivative", lambda p, order=1: (
+            differentiated.append(p) or derivative(p, order)))
+        monkeypatch.setitem(ELEMENT_CORRUPTIONS, "swap-basis", lambda e: (
+            swapped.extend([e, swap(e)]) or swapped[-1]))
+        code, _, _ = run(capsys, *command, "--m", str(m), "--n", str(n),
+                         "--corrupt", "swap-basis")
+        assert code == exit_code and len(swapped) == 2
+        assert differentiated == []
+        for e in swapped:
+            assert not {"basis0", "basis1"} & set(vars(e))
+
     @pytest.mark.parametrize("m, n", [(0, 1), (1, 4), (3, 9)])
     def test_cold_build_makes_no_polynomial_and_no_solve(self, monkeypatch,
                                                           m, n):
@@ -422,12 +446,29 @@ class TestExactArtifacts:
          "1cb3d7080a97dc7400839116a285c277ce2f1dadf513ed9b82a8c0174066d7fe"),
         (VERIFY_1D + ("--corrupt", "permute-alpha"), 1,
          "69ded1af190bd22326ef46d8355c300f2f50d415c4b47dc8ee540e9d9f63232c"),
+        (("element", "--m", "4", "--n", "14"), 0,
+         "7572211c2752f60c3e7f989b7e736a9e2951e951d39caac1536fb41ceace4ae1"),
+        (("element", "--m", "2", "--n", "6", "--emit", "matrix"), 0,
+         "c47e154a2111065b109a79d5cb74d8b922a9e93a2468a54576347f6a779af038"),
+        (("element", "--m", "2", "--n", "6", "--emit", "basis"), 0,
+         "93e48a584b67a774b44011addbad5c04896fbd630057f8161a06a33b41178729"),
+        (("element", "--m", "2", "--n", "6", "--emit", "functionals"), 0,
+         "efa2f08f567e85f2f7319420f4bc215b9cc23d32edaf00b7d5e5b9ee2d96440c"),
+        (("element", "--m", "1", "--n", "3", "--corrupt", "swap-basis"), 0,
+         "ea6a1f4b5ef24b805ed855fd1c6b5cd530220b490f5d7fe8649918dd5de69488"),
+        (("element", "--m", "1", "--n", "3", "--corrupt", "permute-alpha"), 0,
+         "55c7b52271c760f5688632c90a336451c842b11154e344fa96aa34b9852106a3"),
+        (("tensor", "--m", "2", "--n", "5", "--N", "2", "--nu", "1"), 0,
+         "1161d002768232d8b3ec023c9fe3bccbb3c6e2aa3f0500321454b12509cb601c"),
     ], ids=["element", "tensor", "verify", "verify-3d",
             "verify-3d-permute-alpha", "verify-3d-flip-theta",
             "verify-3d-wrong-functional", "verify-wide",
             "verify-wide-permute-alpha", "verify-4d-permute-alpha",
             "verify-4d-flip-theta", "verify-1d", "verify-1d-swap-basis",
-            "verify-1d-wrong-functional", "verify-1d-permute-alpha"])
+            "verify-1d-wrong-functional", "verify-1d-permute-alpha",
+            "element-wide", "element-matrix", "element-basis",
+            "element-functionals", "element-swap-basis",
+            "element-permute-alpha", "tensor-2d-nu1"])
     def test_sha256(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, *argv)
         assert code == exit_code

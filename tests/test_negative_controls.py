@@ -78,6 +78,20 @@ class TestSwapBasis:
         with pytest.raises(ValueError):
             swap_basis(build_element(0, 1))
 
+    @pytest.mark.parametrize("m", range(5))
+    def test_matches_the_polynomial_route(self, m):
+        # oracle: swap the basis polynomials, differentiate them and build
+        # every table through the public constructor
+        for n in range(max(2, 2 * m + 1), 2 * m + 8):
+            e = build_element(m, n)
+            basis0 = list(e.basis0)
+            basis0[0], basis0[1] = basis0[1], basis0[0]
+            want = Element1D(m, n, e.functionals0, e.functionals1, basis0,
+                             [p.derivative() for p in basis0[:n]])
+            got = swap_basis(e)
+            for name in ("B0", "B1", "M0", "M1", "alpha0", "alpha1"):
+                assert getattr(got, name) == getattr(want, name), (n, name)
+
 
 class TestWrongFunctional:
     @pytest.mark.parametrize("mn", GRID)

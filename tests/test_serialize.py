@@ -1,9 +1,14 @@
 """Deterministic serialization: exact rationals, stable field order."""
 
+import enum
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derham import serialize
 from derham.element1d import build_element
@@ -72,6 +77,66 @@ def test_json_text_shape():
     assert json.loads(text) == {"b": 1, "a": 2}
     # insertion order preserved, not re-sorted
     assert text.index('"b"') < text.index('"a"')
+
+
+class Mode(enum.IntEnum):
+    OFF, ON = 0, 1
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "Ratio()"
+
+
+class Text(str):
+    def __repr__(self):
+        return "Text()"
+
+
+# json_text against its oracle, json.dumps(indent=2): the scalars at
+# the edges of json's spelling, and keys of every type json converts
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     np.float64(-0.0), np.float64("nan")]),
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é∑😀", "\ud800"]))
+KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(),
+                 st.none())
+JSON = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    st.lists(st.text()), st.lists(st.lists(st.text())),
+    st.dictionaries(KEYS, children)), max_leaves=40)
+
+
+@given(JSON)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_json_text_is_json_dumps(data):
+    assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    [], {}, (), [[]], {"a": {}}, [(), [[], {}]], {"": [""]}, "top", 7,
+    {1: "int", 2.5: "float", True: "bool", None: "none", "s": "str"},
+    {-0.0: 0, math.inf: 1, -math.inf: 2}, {math.nan: [math.nan]},
+    # subclasses spelled by int, float and str themselves, not their repr
+    {Mode.ON: [Mode.OFF, Ratio(0.5), Text("x")], Ratio(2.0): Text("y")},
+    [Text("a"), "b"]])
+def test_json_text_edge_containers_and_keys(data):
+    assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    np.int64(1), Fraction(1, 2), {1, 2}, {(1, 2): 3}, np.bool_(True),
+    ["ok", np.int64(1)], {"a": [Fraction(1, 2)]}, {"a": {b"k": 1}}])
+def test_json_text_rejects_what_json_rejects(data):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(data, indent=2)
+    with pytest.raises(TypeError) as got:
+        json_text(data)
+    assert str(got.value) == str(expected.value)
 
 
 def test_tensor_tables_json():
