@@ -1,8 +1,8 @@
 """Deliberately broken elements: negative controls for the verifiers.
 
 A verifier that cannot fail proves nothing, so the test suite (and the
-CLI via ``--corrupt``) ships four corruption fixtures, each aimed at one
-verifier:
+CLI via ``--corrupt``) ships five corruption fixtures, each aimed at one
+verifier or at one identity:
 
 * ``swap_basis`` — exchanges the first two 0-form basis functions and
   rebuilds all matrices consistently.  The element is still a valid
@@ -19,6 +19,10 @@ verifier:
   without recomputing it.  The node matrices themselves stay pristine,
   so unisolvence and the hypothesis checks pass; interpolation uses the
   broken inverse and the commutation verifier reports residuals.
+* ``scale_basis1`` — doubles the first 1-form basis function, so d of
+  the first 0-form one is half of it.  Only checks that compare the two
+  bases' coefficients fail: unisolvence, lemma-hypotheses, dd-zero (its
+  polynomial route) and tensor-commutation below the top degree.
 * the flat sign rule (``tensor.flat_sign``) — drops the alternating sign
   of the tensor exterior derivative.  A global sign flip or a mirrored
   bit count would cancel out of both d(d(u)) and the commutation
@@ -60,6 +64,14 @@ def wrong_functional(element: Element1D) -> Element1D:
     return altered(element, functionals1=functionals1)
 
 
+def scale_basis1(element: Element1D) -> Element1D:
+    """Double column 0 of B_1 and rebuild M_1 and alpha_1 from it."""
+    nums = element.B1.nums.copy()
+    nums[:, 0] *= 2
+    return altered(element, B1=Exact.reduced(nums, element.B1.den),
+                   M1=None, alpha1=None)
+
+
 def permute_alpha(element: Element1D) -> Element1D:
     """Swap the first two rows of the stored 1-form inverse."""
     if element.n < 2:
@@ -74,7 +86,8 @@ def permute_alpha(element: Element1D) -> Element1D:
 # theta in the tensor exterior derivative.
 ELEMENT_CORRUPTIONS = {"swap-basis": swap_basis,
                        "wrong-functional": wrong_functional,
-                       "permute-alpha": permute_alpha}
+                       "permute-alpha": permute_alpha,
+                       "scale-basis1": scale_basis1}
 SIGN_RULE_CORRUPTIONS = {"flip-theta": flat_sign}
 CORRUPTION_NAMES = (*ELEMENT_CORRUPTIONS, *SIGN_RULE_CORRUPTIONS)
 

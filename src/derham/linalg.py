@@ -3,8 +3,9 @@
 any other entry (a float, NaN, a bool, a numpy scalar) raises
 ``TypeError`` where it enters.  Products, solve, invert and rank all run
 on Python-int rows.  A lower-triangular ``Exact`` is inverted by forward
-substitution; solve, rank and every other inverse share one
-fraction-free (Bareiss) loop, and solve and invert return an ``Exact``.
+substitution, and has full rank when its diagonal is nonzero; solve,
+every other rank and every other inverse share one fraction-free
+(Bareiss) loop, and solve and invert return an ``Exact``.
 """
 
 from __future__ import annotations
@@ -183,15 +184,23 @@ def solve(matrix, rhs) -> Exact:
                          .reshape(b.shape), last)
 
 
+def _lower_rows(matrix) -> list[list[int]] | None:
+    """The numerator rows of ``matrix`` if it is a square lower-triangular
+    ``Exact``, else None."""
+    if isinstance(matrix, Exact) and matrix.shape == (len(matrix.nums),) * 2:
+        rows = matrix.nums.tolist()
+        if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
+            return rows
+    return None
+
+
 def invert(matrix) -> Exact:
     """The exact inverse of a square matrix; a singular one raises
     ``ZeroDivisionError``.  A lower-triangular ``Exact`` is forward
     substituted, anything else goes through solve's Bareiss loop."""
+    if (rows := _lower_rows(matrix)) is not None:
+        return _forward_inverse(rows, matrix.den)
     n = np.shape(matrix)[0]
-    if isinstance(matrix, Exact) and matrix.shape == (n, n):
-        rows = matrix.nums.tolist()
-        if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
-            return _forward_inverse(rows, matrix.den)
     return solve(matrix, np.eye(n, dtype=int).astype(object))
 
 
@@ -220,7 +229,11 @@ def _forward_inverse(rows: list[list[int]], scale: int) -> Exact:
 
 
 def rank(matrix) -> int:
-    """Exact rank by forward fraction-free row reduction."""
+    """Exact rank by forward fraction-free row reduction, which a square
+    lower-triangular ``Exact`` with a nonzero diagonal skips."""
+    rows = _lower_rows(matrix)
+    if rows is not None and all(row[i] for i, row in enumerate(rows)):
+        return len(rows)
     return _eliminate(_rows(matrix), np.shape(matrix)[1], back=False)
 
 

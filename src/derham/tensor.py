@@ -679,32 +679,45 @@ def verify_dd_zero(dimension: int, element: Element1D,
     polynomial differentiation, against the index rule's d.  Route 2
     extends route 1 to the polynomial representation by linearity; a
     failing basis element reports its first failing route only.  The
-    index rule never moves a basis index, so route 1 applies it to one
-    all-ones block per characteristic vector and reads basis element j
-    off entry j.  Route 2 reads 1D columns: on the target of 0-form axis
-    t, both sides carry the sign of that axis, basis element j expands
-    to the Kronecker product of the columns B_k^-1 B_k e_{j_s} = e_{j_s}
-    of the other axes and column j_t of B_1^-1 D B_0, and the index rule
-    puts column j_t of [I_n | 0] there; so j fails iff some 0-form axis
-    t has a nonzero column j_t of B_1^-1 D B_0 - [I_n | 0].
+    index rule never moves a basis index, so route 1 fails basis element
+    j iff two 0-form axes s < t whose two orders of d do not cancel have
+    j_s, j_t < n.  Route 2 reads 1D columns: on the target of 0-form axis
+    t, j expands to the unit columns of the other axes times column j_t
+    of B_1^-1 D B_0, where the index rule puts that of [I_n | 0]; so j
+    fails iff column j_t of D B_0 is not that of [B_1 | 0], B_1 being
+    invertible.  A nonsingular node table T_k B_k proves B_k invertible;
+    only a singular one has B_k ranked, and a singular B_k raises.  Only
+    a chi with a failing pair or column fills masks of its block's shape.
     """
     enumerate_chi(dimension, 0)  # a bad N raises before the loop
     n = element.n
-    _basis_inverse(element, 0)  # B_0^-1 B_0 = I needs B_0 to invert
-    nums, den = _expansion_columns(element, 1, _derived(element.B0))
-    moved = (nums != den * np.eye(n, n + 1, dtype=object)).any(axis=0)
+    for k in (0, 1):
+        B, size = _family(element, k)[1], n + 1 - k
+        if linalg.rank(element.node_table(k)) < size \
+                and linalg.rank(B) < size:
+            raise ZeroDivisionError("matrix is singular")
+    D, B1, below = _derived(element.B0), element.B1, np.arange(n + 1) < n
+    moved = np.append((D.nums[:, :n] * B1.den != B1.nums * D.den).any(0),
+                      D.nums[:, n].any())  # against the columns of [B_1 | 0]
     witness: list[dict] = []
     checked = 0
     for nu in range(dimension + 1):
         for chi in enumerate_chi(dimension, nu):
             widths = _block_widths(chi, n)
             checked += math.prod(widths)
-            first = _index_rule({chi: np.ones(widths, dtype=int)}, n,
-                                sign_rule)
+            terms = _d_terms(chi, sign_rule)
+            # the sign of d along t, then along s, in the index rule's order
+            order = {(t, s): first * second for t, target, first in terms
+                     for s, _, second in _d_terms(target, sign_rule)}
+            pairs = [(s, t) for s, t in order
+                     if s < t and order[s, t] + order[t, s]]
+            if not pairs and not (terms and moved.any()):
+                continue
             route1, route2 = np.zeros((2, *widths), dtype=bool)
-            for block in _index_rule(first, n, sign_rule).values():
-                route1[tuple(map(slice, block.shape))] |= block != 0
-            for t, _, _ in _d_terms(chi, sign_rule):
+            for s, t in pairs:
+                route1 |= _along(below, s, dimension) \
+                    & _along(below, t, dimension)
+            for t, _, _ in terms:
                 route2 |= _along(moved, t, dimension)
             for index in np.argwhere(route1 | route2):
                 witness.append({"check": "dd-zero" if route1[tuple(index)]
@@ -845,7 +858,8 @@ def verify_kron_structure(dimension: int, nu: int,
     functionals and basis; it must equal the Kronecker product of the
     stored node matrices (built only when a factor differs), and must be
     exactly invertible.  The rank of a Kronecker product is the product
-    of the factors' ranks, so only the 1D tables are row-reduced.
+    of the factors' ranks, so only the 1D tables are ranked, by
+    :func:`linalg.rank`: on a built element without elimination.
     """
     witness: list[dict] = []
     matrices = {0: element.M0, 1: element.M1}

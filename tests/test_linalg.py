@@ -2,6 +2,8 @@
 the Fraction Gauss-Jordan route that the fraction-free loop replaced;
 ``Exact`` pairs are checked where they are built."""
 
+import hashlib
+import json
 import math
 import operator
 import re
@@ -14,8 +16,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from derham import linalg
+from derham.corruptions import swap_basis
 from derham.element1d import (build_element, verify_commutation,
-                              verify_lemma_hypotheses)
+                              verify_lemma_hypotheses, verify_unisolvence)
 
 entries_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 # mixed denominators up to 60, with plenty of exact zeros
@@ -253,6 +256,62 @@ def test_only_triangular_exact_input_skips_bareiss(monkeypatch):
     for matrix in (upper, lower.fractions()):
         with pytest.raises(AssertionError, match="Bareiss loop reached"):
             linalg.invert(matrix)
+
+
+@given(lower_triangular())
+@settings(max_examples=200, deadline=None)
+def test_triangular_rank_matches_the_elimination(a):
+    # a square lower-triangular Exact with a nonzero diagonal has full
+    # rank without elimination; with a zero on its diagonal it is reduced
+    exact = linalg.Exact(*linalg.product(a))
+    want = linalg._eliminate(linalg._rows(exact), a.shape[1], back=False)
+    eliminated, eliminate = [], linalg._eliminate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_eliminate", lambda *args, **kwargs: (
+            eliminated.append(args) or eliminate(*args, **kwargs)))
+        got = linalg.rank(exact)
+    assert got == want == oracle_rank(a)
+    assert bool(eliminated) == (not all(a.diagonal()))
+
+
+def test_only_a_full_triangular_exact_skips_the_rank_elimination(
+        monkeypatch):
+    lower = linalg.Exact(np.array([[2, 0, 0], [-3, 1, 0], [5, 7, -4]],
+                                  dtype=object), 3)
+    others = [linalg.Exact(lower.nums.T.copy(), 3),  # upper triangular
+              linalg.Exact.reduced(lower.nums[:, :2], 3),  # tall
+              linalg.Exact.reduced(lower.nums[:2], 3),  # wide
+              lower.fractions(), lower.nums.tolist(),
+              linalg.Exact(np.array([[2, 0, 0], [-3, 0, 0], [5, 7, -4]],
+                                    dtype=object), 3)]  # zero diagonal
+    ranks = [linalg.rank(matrix) for matrix in others]
+    assert ranks == [3, 2, 2, 3, 3, 2]
+
+    def bareiss(*args, **kwargs):
+        raise AssertionError("Bareiss loop reached")
+
+    monkeypatch.setattr(linalg, "_eliminate", bareiss)
+    assert linalg.rank(lower) == 3
+    for matrix in others:
+        with pytest.raises(AssertionError, match="Bareiss loop reached"):
+            linalg.rank(matrix)
+
+
+def test_swap_basis_unisolvence_ranks_by_elimination(monkeypatch):
+    """swap-basis permutes M0's columns, so M0 and M1 are not lower
+    triangular: the ranks that verify_unisolvence takes after its
+    structure checks fail run the Bareiss loop, and the reports keep
+    their bytes."""
+    elements = [swap_basis(build_element(m, n)) for m in range(3)
+                for n in range(max(2, 2 * m + 1), 2 * m + 4)]
+    eliminated, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args, **kwargs: (
+        eliminated.append(args) or eliminate(*args, **kwargs)))
+    texts = [json.dumps(verify_unisolvence(e).to_json(), indent=2)
+             for e in elements]
+    assert len(eliminated) == 2 * len(texts) == 16
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
+        "f29de49e21799ec75d59baca6d0b5925ee094ce7a89fb276dce73fb1d243c1a7"
 
 
 @given(rectangular())

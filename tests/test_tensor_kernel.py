@@ -24,7 +24,9 @@ columns and must give the report of ``verify_tensor_commutation`` on
 the explicit probes; a guard counts the column products and term passes
 of each verifier, and checks that neither grid verifier makes a
 Polynomial.  Entries past 2**63 are checked against the Fraction
-oracles.
+oracles.  The materializing dd-zero (the index rule twice on an all-ones
+block per chi, and B_1^-1 D B_0 through two inverses) is the oracle of
+the one that decides from axis pairs and from D B_0 against [B_1 | 0].
 """
 
 import contextlib
@@ -45,7 +47,8 @@ from hypothesis import strategies as st
 
 from derham import element1d, linalg, polycore, tensor
 from derham.cli import main
-from derham.corruptions import permute_alpha, swap_basis, wrong_functional
+from derham.corruptions import (permute_alpha, scale_basis1, swap_basis,
+                               wrong_functional)
 from derham.element1d import Element1D, build_element, interpolate
 from derham.polycore import Polynomial
 from derham.report import VerificationReport
@@ -449,18 +452,21 @@ def test_dd_zero_matches_oracle_3d(mn):
     check_dd_zero_controls(3, m, n, corruptions)
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
 @pytest.mark.parametrize("k", [0, 1])
 def test_dd_zero_rejects_a_singular_basis(dimension, k):
     """With its first function listed twice, the k-form basis has no
     inverse, so route 2 cannot read B_k^-1 B_k = I: dd-zero raises
-    rather than report on the basis."""
+    rather than report on the basis, as the inverting routes did.  The
+    element is built through the constructor with the stored tables
+    given, so nothing is inverted before dd-zero."""
     e = element(1, 3)
     basis = getattr(e, f"basis{k}")
     e = dataclasses.replace(e, **{f"basis{k}": [basis[0], *basis[:1],
                                                   *basis[2:]]})
-    with pytest.raises(ZeroDivisionError, match="matrix is singular"):
-        verify_dd_zero(dimension, e)
+    for verify in (routes_dd_zero, verify_dd_zero):
+        with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
+            verify(dimension, e)
 
 
 def test_dd_zero_matches_oracle_4d():
@@ -469,6 +475,189 @@ def test_dd_zero_matches_oracle_4d():
         {"representation-consistency"}
     report = verify_dd_zero(4, element(1, 3))
     assert report.passed and report.parameters["basis_elements"] == 7 ** 4
+
+
+def routes_dd_zero(dimension, e, sign_rule=theta):
+    """The materializing dd-zero that the axis-pair one replaced.  Route
+    1 applies the index rule twice to an all-ones block per chi and
+    fails the nonzero entries; route 2 inverts B_0 (B_0^-1 B_0 = I) and
+    B_1 and fails the basis elements with a nonzero column j_t of
+    B_1^-1 D B_0 - [I_n | 0] on some 0-form axis t.  Both boolean masks
+    are filled for every chi."""
+    enumerate_chi(dimension, 0)
+    n = e.n
+    linalg.invert(e.B0)
+    nums, den = linalg.product(linalg.invert(e.B1), element1d._derived(e.B0))
+    moved = (nums != den * np.eye(n, n + 1, dtype=object)).any(axis=0)
+    witness, checked = [], 0
+    for nu in range(dimension + 1):
+        for chi in enumerate_chi(dimension, nu):
+            widths = tensor._block_widths(chi, n)
+            checked += math.prod(widths)
+            first = tensor._index_rule({chi: np.ones(widths, dtype=int)}, n,
+                                       sign_rule)
+            route1, route2 = np.zeros((2, *widths), dtype=bool)
+            for block in tensor._index_rule(first, n, sign_rule).values():
+                route1[tuple(map(slice, block.shape))] |= block != 0
+            for t, _, _ in tensor._d_terms(chi, sign_rule):
+                route2 |= tensor._along(moved, t, dimension)
+            for index in np.argwhere(route1 | route2):
+                witness.append({"check": "dd-zero" if route1[tuple(index)]
+                                else "representation-consistency",
+                                "nu": nu, "chi": list(chi),
+                                "index": [int(j) + 1 for j in index]})
+    return VerificationReport.of("dd-zero", witness, N=dimension, m=e.m,
+                                 n=e.n, basis_elements=checked)
+
+
+def mixed_sign(chi, t):
+    """theta on the first two axes and +1 on the others: the two orders
+    of the axis pair (0, 1) cancel, those of a pair with a later axis
+    add up to +-2."""
+    return theta(chi, t) if t < 2 else 1
+
+
+DD_ZERO_CONTROLS = [(None, theta), ("swap-basis", theta),
+                    ("wrong-functional", theta), ("permute-alpha", theta),
+                    ("scaled-basis1", theta), (None, flat_sign),
+                    (None, mixed_sign)]
+
+
+@pytest.mark.parametrize("mn", TENSOR_GRID)
+def test_dd_zero_matches_the_materializing_routes(mn):
+    """verify_dd_zero, which decides route 1 from axis pairs and route 2
+    from D B_0 against [B_1 | 0], gives the report of the two masks for
+    N = 1..4, pristine and under every control."""
+    m, n = mn
+    checks = {}
+    for control, sign_rule in DD_ZERO_CONTROLS:
+        if n < 2 and control in ("swap-basis", "permute-alpha"):
+            continue
+        e = element(m, n, control)
+        for dimension in (1, 2, 3, 4):
+            got = verify_dd_zero(dimension, e, sign_rule)
+            assert report_json(got) == \
+                report_json(routes_dd_zero(dimension, e, sign_rule))
+            checks[control, sign_rule, dimension] = \
+                {w["check"] for w in got.witness}
+    assert checks[None, flat_sign, 2] == {"dd-zero"}
+    assert checks["scaled-basis1", theta, 2] == {"representation-consistency"}
+    # only the cancelling pair (0, 1) exists at N = 2
+    assert checks[None, mixed_sign, 2] == set()
+    assert checks[None, mixed_sign, 3] == {"dd-zero"}
+    assert not any(found for (control, rule, _), found in checks.items()
+                   if rule is theta and control != "scaled-basis1")
+
+
+@pytest.mark.parametrize("dimension, zeros", [
+    (2, {((1, 0), 1), ((0, 1), 0)}),
+    (3, {((0, 1, 0), 2), ((1, 0, 0), 2)}),
+    (3, {((1, 1, 0), 2), ((0, 0, 1), 1)}),
+    (3, {((0, 0, 0), 2), ((1, 0, 0), 1)}),
+    (4, {((0, 1, 1, 0), 3), ((1, 0, 0, 1), 2), ((0, 0, 1, 0), 3)}),
+])
+def test_a_zero_sign_raises_the_routes_error(dimension, zeros):
+    """A sign rule that gives 0, at a target of d or at a chi itself,
+    raises the ValueError that the materializing routes raise: the sign
+    rule is asked in their order, so the first bad (chi, axis) is the
+    same."""
+    def rule(chi, t):
+        return 0 if (chi, t) in zeros else theta(chi, t)
+
+    e = element(1, 3)
+    with pytest.raises(ValueError, match="^sign rule gave 0") as want:
+        routes_dd_zero(dimension, e, rule)
+    with pytest.raises(ValueError) as got:
+        verify_dd_zero(dimension, e, rule)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_singular_table_falls_back_to_the_basis_rank(monkeypatch, k):
+    """A duplicated k-form functional makes T_k B_k singular, which
+    proves nothing about B_k: dd-zero ranks B_k itself, finds it
+    invertible and gives the report of the inverting routes."""
+    e = element(1, 3)
+    functionals = getattr(e, f"functionals{k}")
+    e = dataclasses.replace(e, **{f"functionals{k}": (functionals[0],
+                                                      *functionals[:-1])})
+    assert linalg.rank(e.node_table(k)) < len(functionals)
+    ranked = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda matrix: ranked.append(matrix)
+                        or rank(matrix))
+    failed = 0
+    for sign_rule, dimension in itertools.product((theta, flat_sign),
+                                                  (1, 2, 3)):
+        got = report_json(verify_dd_zero(dimension, e, sign_rule))
+        assert got == report_json(routes_dd_zero(dimension, e, sign_rule))
+        failed += '"passed": false' in got
+    assert failed == 2  # flat_sign at N = 2 and 3
+    assert any(matrix is getattr(e, f"B{k}") for matrix in ranked)
+
+
+def test_built_elements_make_no_elimination(monkeypatch):
+    """On built elements the node tables T_k B_k are lower triangular
+    with a nonzero diagonal: that proves B_k invertible for dd-zero and
+    gives kron-structure its ranks, so neither verifier reaches the
+    Bareiss loop or an inverse."""
+    elements = [build_element(m, n) for m, n in TENSOR_GRID]
+    calls = []
+    for name in ("_eliminate", "invert"):
+        inner = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, name=name,
+                            inner=inner, **kwargs: calls.append(name)
+                            or inner(*args, **kwargs))
+    for e in elements:
+        for dimension in (2, 3):
+            assert verify_dd_zero(dimension, e).passed
+            for nu in range(dimension + 1):
+                assert verify_kron_structure(dimension, nu, e).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("mn", TENSOR_GRID + [(3, 7), (4, 14)])
+def test_scale_basis1_is_the_scaled_basis1_fixture(mn):
+    """The CLI corruption doubles column 0 of B_1 on ints; its tables are
+    the ones the fixture builds from doubled polynomials."""
+    e = element(*mn)
+    got, want = scale_basis1(e), scaled_basis1(e)
+    for name in ("B0", "B1", "M0", "M1", "alpha0", "alpha1"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.basis1 == want.basis1
+
+
+def test_scale_basis1_targets(capsys):
+    """The checks that the fixture fails, through the CLI: everything
+    that compares coefficients over the 1-form basis with those over the
+    0-form basis; commutation of polynomials, dimensions, kron-structure
+    and the continuity demo pass, and tensor-commutation passes only at
+    the top degree."""
+    checks = ("unisolvence,lemma-hypotheses,commutation,dimensions,dd-zero,"
+              "tensor-commutation,kron-structure,continuity-demo")
+    assert main(["verify", "--m", "1", "--n", "3", "--N", "2", "--checks",
+                 checks, "--corrupt", "scale-basis1"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    failed = [(r["name"], r["parameters"].get("nu")) for r in reports
+              if not r["passed"]]
+    assert failed == [("unisolvence", None), ("lemma-hypotheses", None),
+                      ("dd-zero", None), ("tensor-commutation", 0),
+                      ("tensor-commutation", 1)]
+    assert all(r["witness"] for r in reports if not r["passed"])
+
+
+def test_scale_basis1_reaches_the_polynomial_route(capsys):
+    """``derham verify --checks dd-zero --corrupt scale-basis1`` reports
+    the representation-consistency witnesses of both oracles: the
+    inverting routes and the per-basis-element Fraction loop."""
+    assert main(["verify", "--m", "1", "--n", "3", "--N", "2", "--checks",
+                 "dd-zero", "--corrupt", "scale-basis1"]) == 1
+    report, = json.loads(capsys.readouterr().out)["reports"]
+    e = element(1, 3, "scaled-basis1")
+    for oracle in (routes_dd_zero, oracle_dd_zero):
+        assert report == json.loads(report_json(oracle(2, e)))
+    assert {w["check"] for w in report["witness"]} == \
+        {"representation-consistency"}
 
 
 def rank_one_d(terms, sign_rule, times):
@@ -795,8 +984,8 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
     products: I_0 P_0, I_1 P_1, I_1 D P_0) and one kernel pass; at the
     top degree it makes no column product.  The grid entry
     ``verify_monomial_commutation`` reads the same 3 products per call
-    below the top degree and makes no kernel pass, and dd-zero one
-    product (B_1^-1 D B_0) per call.  The CLI's tensor-commutation goes
+    below the top degree and makes no kernel pass, and dd-zero none: it
+    compares D B_0 with [B_1 | 0].  The CLI's tensor-commutation goes
     through the grid entry.  The verifiers make no Polynomial, and the
     grid verifiers read their integer coefficient matrices straight from
     the degrees and the element, turning no Polynomial into
@@ -842,7 +1031,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
     for dimension in (1, 2, 3, 4):
         calls.clear()
         verify_dd_zero(dimension, e)
-        assert calls == {"_expansion_columns": 1}
+        assert calls == {}
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
@@ -853,10 +1042,10 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
 
 
 def test_a_used_element_gives_the_reports_of_a_fresh_one():
-    """The basis inverses live in one element's memo.  After pristine
+    """The node tables live in one element's memo.  After pristine
     dd-zero and tensor-commutation have filled it, each corruption of
     that element starts a memo of its own, and the flat sign rule reads
-    the same inverses: every report is the one a fresh element gives."""
+    the same tables: every report is the one a fresh element gives."""
     def reports(e, sign_rule=theta):
         return [report_json(report) for report in (
             verify_dd_zero(3, e, sign_rule),
@@ -865,10 +1054,11 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
 
     used = build_element(1, 4)
     assert reports(used) == reports(build_element(1, 4))
-    assert ("basis inverse", 0) in used._memo
+    assert ("table", 0) in used._memo
     verdicts = []
     for corrupt in (swap_basis, wrong_functional, permute_alpha):
-        assert ("basis inverse", 0) not in corrupt(used)._memo
+        assert corrupt(used)._memo.get(("table", 0)) is not \
+            used._memo[("table", 0)]
         got = reports(corrupt(used))
         assert got == reports(corrupt(build_element(1, 4)))
         verdicts.append(got)
@@ -880,8 +1070,8 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
 
 
 def test_a_second_call_leaves_the_cached_sources_unchanged():
-    """The verifiers read the element's cached exact tables (the basis
-    inverses, the functionals' monomial rows) without copying.  A second
+    """The verifiers read the element's cached exact tables (the node
+    tables, the functionals' monomial rows) without copying.  A second
     call on the same element reuses them, gives an identical report and
     leaves every cached table as it was."""
     e = permute_alpha(build_element(1, 4))
@@ -894,7 +1084,7 @@ def test_a_second_call_leaves_the_cached_sources_unchanged():
     assert any('"passed": false' in text for text in first)
     cached = {key: value for key, value in e._memo.items()
               if isinstance(value, linalg.Exact)}
-    assert ("basis inverse", 1) in cached
+    assert ("table", 1) in cached
     assert any(key[0] == "rows" for key in cached)
     copies = {key: (value.nums.copy(), value.den)
               for key, value in cached.items()}
