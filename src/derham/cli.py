@@ -49,8 +49,7 @@ def parse_int_list(text: str) -> list[int]:
     """Accepts "3", "0..3", or "1,3,5"."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = map(int, text.split("..", 1))
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
@@ -144,9 +143,7 @@ def emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:
         handle.write(text)
 
@@ -245,7 +242,13 @@ def run_verify_suite(cfg) -> SuiteResult:
     return suite
 
 
+def _check_nu(nu, dimension: int) -> None:
+    if nu is not None and not all(0 <= v <= dimension for v in nu):
+        raise ValueError(f"--nu {nu} out of range 0..{dimension}")
+
+
 def cmd_verify(args) -> int:
+    _check_nu(args.nu, args.dimension)
     args.checks = _distinct("checks", _split_items(args.checks))
     unknown = set(args.checks) - set(CHECKS)
     if unknown:
@@ -296,11 +299,16 @@ def cmd_element(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    given = [f"--{flag}" for flag in ("chi", "index", "samples")
-             if getattr(args, flag) is not None]
-    if given and args.emit != "basis-samples":
-        raise ValueError(f"{', '.join(given)}: only --emit basis-samples "
-                         "reads them")
+    reads = {"basis-samples": {"--chi": args.chi, "--index": args.index,
+                               "--samples": args.samples},
+             "tables": {"--N": args.dimension, "--nu": args.nu}}
+    for emitted, flags in reads.items():
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given and args.emit != emitted:
+            raise ValueError(f"{', '.join(given)}: only --emit {emitted} "
+                             "reads them")
+    dimension = args.dimension or 2
+    _check_nu(args.nu, dimension)
     element = _one_element(args)
     if args.emit == "basis-samples":
         chi = parse_int_list("0,0" if args.chi is None else args.chi)
@@ -310,7 +318,7 @@ def cmd_tensor(args) -> int:
             element, tuple(chi), tuple(index), samples), args.output)
         return 0
     emit(serialize.json_text(
-        serialize.tensor_tables_json(args.dimension, element, args.nu)),
+        serialize.tensor_tables_json(dimension, element, args.nu)),
         args.output)
     return 0
 
@@ -318,8 +326,7 @@ def cmd_tensor(args) -> int:
 def cmd_interp(args) -> int:
     element = _one_element(args)
     u = parse_input_function(args.input)
-    order, samples = args.quadrature_order, args.samples
-    grid = [i / (samples - 1) if samples > 1 else 0.0 for i in range(samples)]
+    order, grid = args.quadrature_order, serialize.uniform_grid(args.samples)
 
     if args.two_cell:
         cells = [element1d.cell_interpolant(element, u, a, a + 1, order)
@@ -444,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tensor = command("tensor", cmd_tensor, grid=False,
                        help="emit tensor space tables")
-    p_tensor.add_argument("--N", type=_int_at_least(1), default=2,
-                          dest="dimension")
+    p_tensor.add_argument("--N", type=_int_at_least(1), dest="dimension",
+                          help="dimension for tables (default 2)")
     p_tensor.add_argument("--nu", default=None)
     p_tensor.add_argument("--emit", default="tables",
                           choices=["tables", "basis-samples"])
@@ -478,9 +485,6 @@ def main(argv=None) -> int:
                      for n in _distinct("n", degrees_for(m, args.n))]
         if getattr(args, "nu", None) is not None:
             args.nu = _distinct("nu", parse_int_list(args.nu))
-            if not all(0 <= nu <= args.dimension for nu in args.nu):
-                raise ValueError(f"--nu {args.nu} out of range "
-                                 f"0..{args.dimension}")
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

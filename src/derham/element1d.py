@@ -175,6 +175,15 @@ def _derived(P: linalg.Exact) -> linalg.Exact:
         P.nums[1:] * np.arange(1, len(P.nums), dtype=object)[:, None], P.den)
 
 
+def _pairing(e: Element1D) -> tuple[np.ndarray, bool]:
+    """D B_0 against the columns of [B_1 | 0]: one flag per column j < n,
+    set where d of 0-form basis function j is not 1-form basis function
+    j, and the kernel flag, set where d of the constant is not zero."""
+    D, B1, n = _derived(e.B0), e.B1, e.n
+    return ((D.nums[:, :n] * B1.den != B1.nums * D.den).any(axis=0),
+            bool(D.nums[:, n].any()))
+
+
 def _zero_form_columns(m: int, n: int) -> linalg.Exact:
     """B_0 on ints, in the order of the module docstring: the cached
     Hermite and integrated Legendre columns, with the half difference of
@@ -355,8 +364,8 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
         raise ValueError("probe_degree must be at least n")
     witness: list[dict] = []
 
-    derived = _derived(e.B0)
-    if derived.nums[:, n].any():
+    moved, kernel = _pairing(e)
+    if kernel:
         witness.append({"check": "kernel", "detail":
                         "d of the last basis function is not zero"})
 
@@ -367,13 +376,11 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
                      "value": linalg.ratio_str(value, table.den)}
                     for i, value in enumerate(values) if value]
 
-    pairing = np.flatnonzero((derived.nums[:, :n] * e.B1.den
-                              != e.B1.nums * derived.den).any(axis=0))
     # with the pairing exact, D B_0[:, :n] is B_1, and T_1 B_1 lower
     # triangular with a nonzero diagonal proves that B_1 has rank n
-    T1B1 = e.node_table(1).nums
+    T1B1, pairing = e.node_table(1).nums, np.flatnonzero(moved)
     if (len(pairing) or np.triu(T1B1, 1).any() or not all(T1B1.diagonal())) \
-            and linalg.rank(derived.nums[:, :n]) != n:
+            and linalg.rank(_derived(e.B0).nums[:, :n]) != n:
         witness.append({"check": "range", "detail":
                         "derivatives of the first n basis functions do not "
                         "span the 1-form space"})
@@ -425,9 +432,8 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     cannot see alpha0's last row).  Projection witnesses are 1-based.
 
     The residuals come from one defect operator C (:func:`_defect`) on
-    the monomials: a probe with one nonzero coefficient c x^j reads c
-    times column j of C, and the other probes multiply C by their
-    coefficient columns in one product."""
+    the monomials: the probes' residuals are the columns of one product,
+    C times their coefficient columns."""
     if probes is None:
         probes = monomial_probes(e.n + 5)
     for index, u in enumerate(probes):
@@ -438,24 +444,13 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     C, den = _defect(e, width)
     witness: list[dict] = []
     if C.any():  # else every residual is zero
-        terms = [[(j, c) for j, c in enumerate(u.coeffs) if c]
-                 for u in probes]
-        P = coefficients([u for u, t in zip(probes, terms) if len(t) > 1],
-                         width)
-        mixed = iter((C @ P.nums).T)
-        for index, (u, t) in enumerate(zip(probes, terms)):
-            if len(t) == 1:
-                (j, c), = t
-                column, scale = C[:, j] * c.numerator, den * c.denominator
-            elif t:
-                column, scale = next(mixed), den * P.den
-            else:
-                continue  # the zero probe
+        P = coefficients(probes, width)
+        for index, (u, column) in enumerate(zip(probes, (C @ P.nums).T)):
             if column.any():
                 last = np.flatnonzero(column)[-1] + 1
                 witness.append({"check": "commutation", "probe": index,
                                 "probe_degree": u.degree, "residual": [
-                                    linalg.ratio_str(x, scale)
+                                    linalg.ratio_str(x, den * P.den)
                                     for x in column[:last].tolist()]})
     for k in (0, 1):
         nums, scale = linalg.product(_family(e, k)[2], e.node_table(k))

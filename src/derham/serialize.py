@@ -164,17 +164,23 @@ def _key(k) -> str:
                     f"not {type(k).__name__}")
 
 
+def uniform_grid(count: int) -> list[float]:
+    """``count`` evenly spaced points from 0 to 1 (just 0 for one)."""
+    return [i / (count - 1) if count > 1 else 0.0 for i in range(count)]
+
+
+def csv_text(header, rows) -> str:
+    """A CSV of numeric rows under ``header``, each value by float_str."""
+    return "\n".join([",".join(header)] + [
+        ",".join(map(float_str, row)) for row in rows]) + "\n"
+
+
 def basis_samples_csv(e: Element1D, k: int, count: int = 101) -> str:
     """Uniform-grid samples of every k-form basis function (plot data)."""
     _family(e, k)  # a form degree other than 0 or 1 raises
     basis = getattr(e, f"basis{k}")
-    header = ["x"] + [f"phi{k}_{j + 1}" for j in range(len(basis))]
-    lines = [",".join(header)]
-    for i in range(count):
-        x = i / (count - 1) if count > 1 else 0.0
-        row = [float_str(x)] + [float_str(float(p(x))) for p in basis]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return csv_text(["x"] + [f"phi{k}_{j + 1}" for j in range(len(basis))],
+                    ([x] + [p(x) for p in basis] for x in uniform_grid(count)))
 
 
 def tensor_basis_samples_csv(e: Element1D, chi, index, count: int = 33) -> str:
@@ -184,26 +190,15 @@ def tensor_basis_samples_csv(e: Element1D, chi, index, count: int = 33) -> str:
     if any(bit not in (0, 1) for bit in chi):
         raise ValueError(f"characteristic vector {list(chi)} may hold only "
                          "0 (0-form) and 1 (1-form)")
-    factors = []
-    for bit, j in zip(chi, index):
+    grid, (xs, ys) = uniform_grid(count), ([], [])
+    for values, bit, j in zip((xs, ys), chi, index):  # each factor once
         basis = getattr(e, f"basis{bit}")
         if not 1 <= j <= len(basis):
             raise ValueError(f"basis index {j} out of range 1..{len(basis)}")
-        factors.append(basis[j - 1])
-    lines = ["x,y,value"]
-    for i in range(count):
-        x = i / (count - 1) if count > 1 else 0.0
-        fx = float(factors[0](x))
-        for jj in range(count):
-            y = jj / (count - 1) if count > 1 else 0.0
-            value = fx * float(factors[1](y))
-            lines.append(",".join([float_str(x), float_str(y),
-                                   float_str(value)]))
-    return "\n".join(lines) + "\n"
+        values += [float(basis[j - 1](t)) for t in grid]
+    return csv_text(["x", "y", "value"], (
+        (x, y, a * b) for x, a in zip(grid, xs) for y, b in zip(grid, ys)))
 
 
 def interp_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(float_str(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    return csv_text(columns, ([row[c] for c in columns] for row in rows))

@@ -46,7 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .element1d import Element1D, _derived, _family, interpolant_columns
+from .element1d import (Element1D, _derived, _family, _pairing,
+                        interpolant_columns)
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficients
 from .quadrature import check_order
@@ -696,9 +697,7 @@ def verify_dd_zero(dimension: int, element: Element1D,
         if linalg.rank(element.node_table(k)) < size \
                 and linalg.rank(B) < size:
             raise ZeroDivisionError("matrix is singular")
-    D, B1, below = _derived(element.B0), element.B1, np.arange(n + 1) < n
-    moved = np.append((D.nums[:, :n] * B1.den != B1.nums * D.den).any(0),
-                      D.nums[:, n].any())  # against the columns of [B_1 | 0]
+    below, moved = np.arange(n + 1) < n, np.append(*_pairing(element))
     witness: list[dict] = []
     checked = 0
     for nu in range(dimension + 1):
@@ -812,26 +811,31 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     Kronecker product of the interpolants I_{chi_s}(x^{a_s}) of the
     other axes and r(x^{a_t}) (:func:`_residual_sources`) on axis t: it
     is nonzero iff every one of those columns is, and its largest entry
-    is the product of theirs."""
+    is the product of theirs.  A target whose factor kinds include one
+    with no nonzero column passes, so a chi with no other target builds
+    no mask of its probes."""
     P = _monomials(degrees)
     chis, shape = enumerate_chi(dimension, nu), (P.shape[1],) * dimension
     witness: list[dict] = []
     if nu < dimension:
         sources, den = _residual_sources(element, P, P)
-        # peaks[k][a]: the peak of column a of the kind-k factor (0, 1:
-        # the interpolants I_k, 2: r), one exact Fraction per degree
-        peaks = [np.array([Fraction(max(map(abs, column), default=0), den)
-                           for column in nums.T], dtype=object)
-                 for nums in sources]
+        # live[k][a]: column a of the kind-k factor (0, 1: the
+        # interpolants I_k, 2: r) is nonzero; peaks[k][a]: its peak
+        live, peaks = [(nums != 0).any(axis=0) for nums in sources], None
         for position, chi in enumerate(chis):
-            targets, failing = [], np.zeros(shape, dtype=bool)
+            targets = []
             for t, target, _ in _d_terms(chi, sign_rule):
                 kinds = chi[:t] + (2,) + chi[t + 1:]
-                fails = reduce(np.logical_and, (
-                    _along(peaks[k] != 0, s, dimension)
-                    for s, k in enumerate(kinds)))
-                targets.append((target, kinds, fails))
-                failing |= fails
+                if all(live[k].any() for k in kinds):  # else it passes
+                    targets.append((target, kinds, reduce(np.logical_and, (
+                        _along(live[k], s, dimension)
+                        for s, k in enumerate(kinds)))))
+            if not targets:
+                continue
+            peaks = peaks or [np.array(
+                [Fraction(max(map(abs, column), default=0), den)
+                 for column in nums.T], dtype=object) for nums in sources]
+            failing = reduce(np.logical_or, [fails for *_, fails in targets])
             for a in map(tuple, np.argwhere(failing)):
                 hits = sorted(entry[:2] for entry in targets if entry[2][a])
                 witness.append({

@@ -827,6 +827,18 @@ class TestRejectedAtEntry:
         err = rejected(capsys, "tensor", "--m", "1", "--n", "3", *argv)
         assert "only --emit basis-samples reads them" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        # the 2D sample used to come out whatever --N and --nu said
+        (("--N", "3", "--nu", "1"), "--N, --nu"),
+        (("--N", "2"), "--N"),
+        (("--nu", "0"), "--nu"),
+        (("--nu", "1", "--chi", "0,1"), "--nu"),
+    ])
+    def test_tables_flags_not_with_basis_samples(self, capsys, argv, named):
+        err = rejected(capsys, "tensor", "--m", "1", "--n", "3", "--emit",
+                       "basis-samples", *argv)
+        assert f"error: {named}: only --emit tables reads them" in err
+
     @pytest.mark.parametrize("extra", [(), ("--two-cell",)])
     def test_non_finite_node_value(self, capsys, extra):
         # 1e308 is finite, but u(1) + u(0) overflows
@@ -867,7 +879,8 @@ VOCABULARY = {
                 "--form": (["0", "1"], ["2"])},
     "tensor": {**GRID, **DIMENSION, **NU, **SAMPLES,
                "--emit": (["tables", "basis-samples"], ["bogus"]),
-               # without --emit basis-samples these three flags exit 2
+               # without --emit basis-samples these three flags exit 2,
+               # and --N and --nu exit 2 with it
                "--chi": (["0,0", "0,1", "1,1", "0,2", "1", "1,1,1"], ["x"]),
                "--index": (["1,1", "2,1", "9,9", "0,1", "1"], ["x", ","])},
     "interp": {**GRID, **TOLERANCE, **QUADRATURE, **SAMPLES,

@@ -13,6 +13,7 @@ it.
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from derham.element1d import (Element1D, altered, build_element,
                               verify_commutation, verify_lemma_hypotheses,
                               verify_unisolvence)
 from derham.linalg import Exact
+from derham.polycore import Polynomial
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
     rank_one_monomial_probes, verify_dimensions
 
@@ -255,6 +257,25 @@ class TestSubChecks:
         report = verify_lemma_hypotheses(Element1D(
             1, 3, e.functionals0, e.functionals1, e.basis0, basis1))
         assert report.witness == [{"check": "basis-pairing", "basis": 3}]
+
+    @pytest.mark.parametrize("j, added, expected", [
+        # b_2 + 1/2: the last functional u(1)+u(0) no longer kills b_2
+        (1, [Fraction(1, 2)], [{"check": "kernel-separation", "basis": 2,
+                                "value": "1"}]),
+        # the constant made 1/2 + x: d no longer kills it, and the first
+        # n functionals no longer annihilate it
+        (3, [0, 1], [{"check": "kernel", "detail":
+                      "d of the last basis function is not zero"}] + [
+            {"check": "kernel-separation", "functional": i, "value": "1"}
+            for i in (1, 2, 3)]),
+    ], ids=["basis", "functional"])
+    def test_kernel_separation_names_the_entry(self, j, added, expected):
+        e = build_element(1, 3)
+        basis0 = list(e.basis0)
+        basis0[j] = basis0[j] + Polynomial(added)
+        report = verify_lemma_hypotheses(Element1D(
+            1, 3, e.functionals0, e.functionals1, basis0, e.basis1))
+        assert report.witness == expected
 
     @pytest.mark.parametrize("derived", [True, False],
                              ids=["paired", "unpaired"])

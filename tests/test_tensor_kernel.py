@@ -978,6 +978,23 @@ def test_monomial_commutation_matches_explicit_probes(dimension, mn):
     assert failed > 0
 
 
+def test_pristine_monomial_commutation_builds_no_probe_mask(monkeypatch):
+    """On a pristine element the 1D residual r is zero, so every target
+    of every chi passes without a mask over the probes: (2, 7) at N = 8,
+    over every nu and the full degree range, never reaches _along (one
+    such mask has 11^8 entries)."""
+    def refuse(*args):
+        raise AssertionError("a passing chi built a probe mask")
+
+    e = build_element(2, 7)
+    monkeypatch.setattr(tensor, "_along", refuse)
+    for nu in range(9):
+        report = verify_monomial_commutation(8, nu, range(e.n + 4), e)
+        assert report.passed
+        assert report.to_json()["parameters"]["probes"] == \
+            math.comb(8, nu) * (e.n + 4) ** 8
+
+
 def test_one_kernel_call_per_verifier_call(monkeypatch):
     """Each tensor-commutation call on explicit probes below the top
     degree makes one term pass, one set of residual sources (3 column
