@@ -168,12 +168,13 @@ def _random_probe_polys(seed: int, count: int, max_degree: int) -> list[Polynomi
                         for _ in range(max_degree + 1)]) for _ in range(count)]
 
 
-def _probe_degree(cfg, n: int) -> int:
-    return n + 5 if cfg.probe_degree is None else cfg.probe_degree
+def _probe_degree(cfg, element) -> int:
+    return element.default_probe_degree if cfg.probe_degree is None \
+        else cfg.probe_degree
 
 
 def _commutation(cfg, element, nu):
-    degree = _probe_degree(cfg, element.n)
+    degree = _probe_degree(cfg, element)
     probes = element1d.monomial_probes(degree)
     if cfg.random_probes:
         probes += _random_probe_polys(cfg.seed, cfg.random_probes, degree)
@@ -182,7 +183,7 @@ def _commutation(cfg, element, nu):
 
 def _tensor_commutation(cfg, element, nu):
     n = element.n
-    cap = min(n + 3, _probe_degree(cfg, n))
+    cap = min(n + 3, _probe_degree(cfg, element))
     degrees = range(cap + 1) if cfg.dimension <= 2 else \
         [a for a in sorted({0, 2, n, n + 3}) if a <= cap]
     return tensor.verify_monomial_commutation(
@@ -200,7 +201,7 @@ CHECKS = {
         (_1D, lambda cfg, e, nu: element1d.verify_unisolvence(e)),
     "lemma-hypotheses":
         (_1D, lambda cfg, e, nu: element1d.verify_lemma_hypotheses(
-            e, _probe_degree(cfg, e.n))),
+            e, _probe_degree(cfg, e))),
     "commutation": (_1D, _commutation),
     "dimensions":
         (_ND, lambda cfg, e, nu: tensor.verify_dimensions(cfg.dimension, e)),

@@ -32,23 +32,22 @@ verifier or at one identity:
 
 from __future__ import annotations
 
-from .element1d import Element1D, _derived, altered
+from dataclasses import replace
+
+from .element1d import Element1D
 from .functionals import EndpointDerivative
 from .linalg import Exact
 from .tensor import flat_sign, theta
 
 
 def swap_basis(element: Element1D) -> Element1D:
-    """Swap the first two 0-form basis functions (columns 0 and 1 of B_0),
-    take B_1 = (D B_0)[:, :n] and rebuild every table consistently."""
-    n = element.n
-    if n < 2:
+    """Swap the first two 0-form basis functions (columns 0 and 1 of B_0)
+    and rebuild B_1 and every table consistently."""
+    if element.n < 2:
         raise ValueError("need at least two basis functions to swap")
     nums = element.B0.nums.copy()
     nums[:, [0, 1]] = nums[:, [1, 0]]
-    B0 = Exact.trusted(nums, element.B0.den)
-    return altered(element, B0=B0,
-                   B1=_derived(Exact.trusted(nums[:, :n], B0.den)),
+    return replace(element, B0=Exact.trusted(nums, element.B0.den), B1=None,
                    M0=None, M1=None, alpha0=None, alpha1=None)
 
 
@@ -60,15 +59,15 @@ def wrong_functional(element: Element1D) -> Element1D:
         corrupted = EndpointDerivative(1, pristine.point, pristine.order + 1)
     else:
         corrupted = EndpointDerivative(1, 0, element.m + 1)
-    functionals1 = (corrupted,) + element.functionals1[1:]
-    return altered(element, functionals1=functionals1)
+    return replace(element,
+                   functionals1=(corrupted,) + element.functionals1[1:])
 
 
 def scale_basis1(element: Element1D) -> Element1D:
     """Double column 0 of B_1 and rebuild M_1 and alpha_1 from it."""
     nums = element.B1.nums.copy()
     nums[:, 0] *= 2
-    return altered(element, B1=Exact.reduced(nums, element.B1.den),
+    return replace(element, B1=Exact.reduced(nums, element.B1.den),
                    M1=None, alpha1=None)
 
 
@@ -78,7 +77,7 @@ def permute_alpha(element: Element1D) -> Element1D:
         raise ValueError("need at least a 2x2 inverse to permute")
     nums = element.alpha1.nums.copy()
     nums[[0, 1]] = nums[[1, 0]]
-    return altered(element, alpha1=Exact(nums, element.alpha1.den))
+    return replace(element, alpha1=Exact.trusted(nums, element.alpha1.den))
 
 
 # CLI name -> fixture.  The element fixtures rebuild or patch the 1D

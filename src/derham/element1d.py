@@ -24,6 +24,7 @@ of the first n of these.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,71 +57,75 @@ class Element1D:
     """The element pair and its exact tables, all ``linalg.Exact``: the
     basis coefficients ``B_k``, one column per basis function, the node
     matrix ``M_k`` (functional i on basis function j) and its inverse
-    ``alpha_k``, built from the functionals and B_k unless given (a
-    corrupted element's tables may lie).  The constructor takes the
-    bases as polynomials; :func:`build_element` makes B_k on ints, and
-    its ``basis0`` and ``basis1`` are views made on first use."""
+    ``alpha_k``.  A field left out is built on ints and never checked; a
+    field given is checked in full and kept as it is (a corrupted
+    element's tables may lie).  ``basis0`` and ``basis1`` are views of
+    the columns of B_k, made on first use."""
 
     m: int
     n: int
-    functionals0: tuple[NodeFunctional, ...]
-    functionals1: tuple[NodeFunctional, ...]
-    basis0: tuple[Polynomial, ...] = field(repr=False)
-    basis1: tuple[Polynomial, ...] = field(repr=False)
+    functionals0: tuple[NodeFunctional, ...] | None = None
+    functionals1: tuple[NodeFunctional, ...] | None = None
+    B0: linalg.Exact | None = field(default=None, repr=False)
+    B1: linalg.Exact | None = field(default=None, repr=False)
     M0: linalg.Exact | None = None
     M1: linalg.Exact | None = None
     alpha0: linalg.Exact | None = None
     alpha1: linalg.Exact | None = None
-    B0: linalg.Exact = field(init=False, repr=False)
-    B1: linalg.Exact = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         _check_degrees(self.m, self.n)
-        for k, size in ((0, self.n + 1), (1, self.n)):
-            for name in (f"functionals{k}", f"basis{k}"):
-                family = tuple(getattr(self, name))
-                object.__setattr__(self, name, family)
-                if len(family) != size:
-                    raise ValueError(f"{name} has shape {(len(family),)}, "
-                                     f"expected {(size,)}")
-            for j, p in enumerate(family):  # the basis, named last
-                if p.degree >= size:
-                    raise ValueError(f"basis{k}[{j}] has degree {p.degree}, "
-                                     f"above {size - 1}")
-            object.__setattr__(self, f"B{k}", coefficients(family, size))
-        self._tables()
+        fresh = self.alpha0 is None  # then alpha0 = M0^-1, built here
+        for name in ("functionals0", "functionals1", "B0", "B1", "M0", "M1",
+                     "alpha0", "alpha1"):  # each built from those before
+            k, value = int(name[-1]), getattr(self, name)
+            object.__setattr__(self, name, self._built(name, k, fresh)
+                               if value is None else
+                               _checked(name, k, self.n + 1 - k, value))
 
-    def _tables(self) -> None:
-        """The constructors' shared tail: each missing M_k and alpha_k is
-        built from B_k and the functionals, each given one checked.  With
-        alpha_0 = M_0^-1 built here and M_0 = diag(M_1, c), checked entry
-        by entry, alpha_1 = M_1^-1 is alpha_0's leading block."""
-        n, fresh = self.n, self.alpha0 is None
+    def _built(self, name: str, k: int, fresh: bool):
+        """Field ``name`` on ints: the frozen families, B_0 from the cached
+        columns, B_1 = (D B_0)[:, :n] and M_k = T_k B_k.  With alpha_0 =
+        M_0^-1 built here and M_0 = diag(M_1, c), checked entry by entry,
+        alpha_1 = M_1^-1 is alpha_0's leading block."""
+        m, n = self.m, self.n
+        match name:
+            case "functionals0":
+                return tuple(zero_form_functionals(m, n))
+            case "functionals1":
+                return tuple(one_form_functionals(m, n))
+            case "B0":
+                return _zero_form_columns(m, n)
+            case "B1":
+                return _derived(linalg.Exact.trusted(self.B0.nums[:, :n],
+                                                     self.B0.den))
+            case "M0" | "M1":
+                return self.node_table(k)
+        M0, M1, alpha0 = self.M0, self.M1, self.alpha0
+        if k and fresh and not M0.nums[n, :n].any() \
+                and not M0.nums[:n, n].any() \
+                and (M0.nums[:n, :n] * M1.den == M1.nums * M0.den).all():
+            return linalg.Exact.reduced(alpha0.nums[:n, :n], alpha0.den)
+        return linalg.invert(M1 if k else M0)
 
-        def inverse(k):
-            M0, M1, alpha0 = self.M0, self.M1, self.alpha0
-            if k and fresh and not M0.nums[n, :n].any() \
-                    and not M0.nums[:n, n].any() \
-                    and (M0.nums[:n, :n] * M1.den == M1.nums * M0.den).all():
-                return linalg.Exact.reduced(alpha0.nums[:n, :n], alpha0.den)
-            return linalg.invert(M1 if k else M0)
+    @functools.cached_property
+    def basis0(self) -> tuple[Polynomial, ...]:
+        return _columns(self.B0)
 
-        for k, size in ((0, n + 1), (1, n)):
-            for name, build in ((f"M{k}", lambda: self.node_table(k)),
-                                (f"alpha{k}", lambda: inverse(k))):
-                table = getattr(self, name)
-                if table is None:  # built here: nothing to check
-                    object.__setattr__(self, name, build())
-                elif not isinstance(table, linalg.Exact):
-                    raise TypeError(f"{name} is a {type(table).__name__}, "
-                                    "not a linalg.Exact")
-                else:
-                    table.check(name, (size, size))
+    @functools.cached_property
+    def basis1(self) -> tuple[Polynomial, ...]:
+        return _columns(self.B1)
 
     @property
     def default_quadrature_order(self) -> int:
         return 2 * (self.n + 2)
+
+    @property
+    def default_probe_degree(self) -> int:
+        """The largest monomial probe degree of the 1D verifiers and the
+        CLI, unless one is given."""
+        return self.n + 5
 
     def cached(self, key, build):
         """``build()``, made once per element and ``key``."""
@@ -148,25 +153,34 @@ class Element1D:
             *linalg.product(self.rows(k, len(basis.nums)), basis)))
 
 
-class _BasisView:
-    """``basis0`` and ``basis1`` of a built element: the columns of B_k as
-    Polynomials, made on first use and kept on the element.  A non-data
-    descriptor, so the bases an element was given, kept on it, come first
-    and every other attribute read stays on the interpreter's fast path."""
+def _checked(name: str, k: int, size: int, value):
+    """A given field: a family of ``size`` k-form node functionals, kept
+    as a tuple, or a ``size`` x ``size`` Exact table; else ``TypeError``
+    or ``ValueError`` naming the field and, in a family, the index."""
+    if not name.startswith("functionals"):
+        if not isinstance(value, linalg.Exact):
+            raise TypeError(f"{name} is a {type(value).__name__}, "
+                            "not a linalg.Exact")
+        value.check(name, (size, size))
+        return value
+    family = tuple(value)
+    if len(family) != size:
+        raise ValueError(f"{name} has shape {(len(family),)}, "
+                         f"expected {(size,)}")
+    for i, f in enumerate(family):
+        if not isinstance(f, NodeFunctional):
+            raise TypeError(f"{name}[{i}] is a {type(f).__name__}, "
+                            "not a node functional")
+        if f.form_degree != k:
+            raise ValueError(f"{name}[{i}] is a {f.form_degree}-form "
+                             f"functional, not a {k}-form one")
+    return family
 
-    def __init__(self, k: int):
-        self.k = k
 
-    def __get__(self, e, owner=None):
-        if e is None:
-            return self
-        B = getattr(e, f"B{self.k}")
-        view = vars(e)[f"basis{self.k}"] = tuple(
-            from_column(column, B.den) for column in B.nums.T.tolist())
-        return view
+def _columns(B: linalg.Exact) -> tuple[Polynomial, ...]:
+    """The columns of B as Polynomials."""
+    return tuple(from_column(column, B.den) for column in B.nums.T.tolist())
 
-
-Element1D.basis0, Element1D.basis1 = _BasisView(0), _BasisView(1)
 
 def _derived(P: linalg.Exact) -> linalg.Exact:
     """D P: the derivatives of P's monomial-coefficient columns (row i
@@ -203,33 +217,8 @@ def _zero_form_columns(m: int, n: int) -> linalg.Exact:
 
 
 def build_element(m: int, n: int) -> Element1D:
-    """The C^m element of degree n on its basis columns: B_0 on ints, B_1
-    = (D B_0)[:, :n], the bases views made on first use, and the tables
-    from the constructors' shared tail."""
-    _check_degrees(m, n)
-    B0 = _zero_form_columns(m, n)
-    return _assembled(dict(
-        m=m, n=n, B0=B0,
-        B1=_derived(linalg.Exact.trusted(B0.nums[:, :n], B0.den)),
-        functionals0=tuple(zero_form_functionals(m, n)),
-        functionals1=tuple(one_form_functionals(m, n))))
-
-
-def altered(e: Element1D, **changes) -> Element1D:
-    """A copy of ``e`` with ``changes`` to its fields: it shares e's B_k
-    and leaves e's memo and basis views behind."""
-    return _assembled({name: value for name, value in vars(e).items()
-                       if name not in ("basis0", "basis1")} | changes)
-
-
-def _assembled(fields: dict) -> Element1D:
-    """An element made past __init__ from ``fields``, all but basis0 and
-    basis1 (_BasisView) and any M_k or alpha_k left to the constructors'
-    shared tail (class default None), with a fresh memo."""
-    e = object.__new__(Element1D)
-    vars(e).update(fields, _memo={})
-    e._tables()
-    return e
+    """The C^m element of degree n, every field built on ints."""
+    return Element1D(m, n)
 
 
 def _family(e: Element1D, k: int):
@@ -357,7 +346,7 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     """
     m, n = e.m, e.n
     if probe_degree is None:
-        probe_degree = n + 5
+        probe_degree = e.default_probe_degree
     if type(probe_degree) is not int:  # bools too
         raise TypeError(f"probe_degree {probe_degree!r} is not an int")
     if probe_degree < n:
@@ -435,7 +424,7 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     the monomials: the probes' residuals are the columns of one product,
     C times their coefficient columns."""
     if probes is None:
-        probes = monomial_probes(e.n + 5)
+        probes = monomial_probes(e.default_probe_degree)
     for index, u in enumerate(probes):
         if not isinstance(u, Polynomial):
             raise TypeError(f"probe {index} has type {type(u).__name__}, "

@@ -6,6 +6,8 @@ plus an independent sympy linear solve for a frozen instance.
 """
 
 import dataclasses
+import hashlib
+import json
 import re
 from fractions import Fraction
 
@@ -15,11 +17,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from derham import linalg, polycore
+from derham.corruptions import permute_alpha
 from derham.element1d import (Element1D, build_element, interpolate,
                               interpolant_columns, monomial_probes,
                               verify_commutation, verify_lemma_hypotheses,
                               verify_unisolvence)
-from derham.functionals import one_form_functionals, zero_form_functionals
+from derham.functionals import (EndpointDerivative, EndpointSum, Moment,
+                                one_form_functionals, zero_form_functionals)
 from derham.polycore import (Polynomial, coefficients, hermite_basis,
                              integrated_legendre)
 
@@ -54,12 +58,12 @@ def zero_form_basis(m: int, n: int) -> list[Polynomial]:
 
 
 def polynomial_route(m: int, n: int) -> Element1D:
-    """The element built through the public constructor from the
-    Fraction basis and its derivatives."""
+    """The element built from the coefficients of the Fraction basis and
+    its derivatives."""
     basis0 = zero_form_basis(m, n)
     return Element1D(m, n, zero_form_functionals(m, n),
-                     one_form_functionals(m, n), basis0,
-                     [p.derivative() for p in basis0[:n]])
+                     one_form_functionals(m, n), coefficients(basis0, n + 1),
+                     coefficients([p.derivative() for p in basis0[:n]], n))
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +92,33 @@ class TestConstruction:
         with pytest.raises(TypeError, match=r"^m .* or n .* is not an int"):
             dataclasses.replace(e13, **{name: {"m": m, "n": n}[name]})
 
-    @pytest.mark.parametrize("field", ["functionals0", "functionals1",
-                                       "basis0", "basis1"])
+    @pytest.mark.parametrize("field", ["functionals0", "functionals1"])
     def test_rejects_wrong_family_length(self, e13, field):
         with pytest.raises(ValueError, match=f"^{field} has"):
             dataclasses.replace(e13, **{field: getattr(e13, field)[:-1]})
 
-    @pytest.mark.parametrize("field", ["M0", "M1", "alpha0", "alpha1"])
+    def test_rejects_entries_that_are_not_node_functionals(self, e13):
+        # with the tables given no table reads the family, so the first
+        # reader would be a verifier
+        with pytest.raises(TypeError, match=r"^functionals1\[0\] is a int, "
+                                            "not a node functional$"):
+            dataclasses.replace(e13, functionals1=(1, 2, 3))
+
+    @pytest.mark.parametrize("field, index, functional", [
+        ("functionals0", 3, Moment(1, 0, of_derivative=False)),
+        ("functionals1", 1, EndpointDerivative(0, 1, 1)),
+        ("functionals1", 2, EndpointSum())])
+    def test_rejects_functionals_of_the_other_form_degree(self, e13, field,
+                                                          index, functional):
+        family = list(getattr(e13, field))
+        family[index] = functional
+        k = int(field[-1])
+        with pytest.raises(ValueError, match=rf"^{field}\[{index}\] is a "
+                           rf"{1 - k}-form functional, not a {k}-form one$"):
+            dataclasses.replace(e13, **{field: family})
+
+    @pytest.mark.parametrize("field", ["B0", "B1", "M0", "M1", "alpha0",
+                                       "alpha1"])
     def test_rejects_wrong_matrix_shape(self, e13, field):
         table = getattr(e13, field)
         for nums in (table.nums[:-1], table.nums[:, :-1], table.nums[0]):
@@ -120,7 +144,7 @@ class TestConstruction:
     def edited(table: linalg.Exact) -> linalg.Exact:
         return linalg.Exact(table.nums.copy(), table.den)
 
-    @pytest.mark.parametrize("field", ["M0", "alpha1"])
+    @pytest.mark.parametrize("field", ["B0", "M0", "alpha1"])
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.int64(1),
                                      Fraction(1, 2)])
     def test_rejects_numerators_that_are_not_python_ints(self, e13, field,
@@ -131,7 +155,7 @@ class TestConstruction:
                                             "not a Python int"):
             dataclasses.replace(e13, **{field: table})
 
-    @pytest.mark.parametrize("field", ["M1", "alpha0"])
+    @pytest.mark.parametrize("field", ["B1", "M1", "alpha0"])
     @pytest.mark.parametrize("bad, error", [(0, ValueError), (-1, ValueError),
                                             (1.0, TypeError),
                                             (True, TypeError),
@@ -143,15 +167,17 @@ class TestConstruction:
         with pytest.raises(error, match=f"^{field}: den "):
             dataclasses.replace(e13, **{field: table})
 
-    @pytest.mark.parametrize("field", ["M0", "M1", "alpha0", "alpha1"])
+    @pytest.mark.parametrize("field", ["B0", "B1", "M0", "M1", "alpha0",
+                                       "alpha1"])
     def test_rejects_tables_not_in_lowest_terms(self, e13, field):
         table = self.edited(getattr(e13, field))
         table.nums, table.den = table.nums * 6, table.den * 4
-        with pytest.raises(ValueError, match=f"^{field}: nums and den 4 "
-                                             "share the factor 2"):
+        with pytest.raises(ValueError, match=f"^{field}: nums and den "
+                                             f"{table.den} share the "
+                                             "factor 2"):
             dataclasses.replace(e13, **{field: table})
 
-    @pytest.mark.parametrize("field", ["M0", "alpha1"])
+    @pytest.mark.parametrize("field", ["B0", "B1", "M0", "alpha1"])
     def test_rejects_tables_that_are_not_exact_pairs(self, e13, field):
         fractions = getattr(e13, field).fractions()
         with pytest.raises(TypeError,
@@ -159,10 +185,15 @@ class TestConstruction:
             dataclasses.replace(e13, **{field: fractions})
 
     def test_rejects_basis_outside_the_element_space(self, e13):
+        # a basis polynomial of too high a degree has no column of the
+        # right height, and a taller B_k has the wrong shape
         basis1 = (Polynomial.monomial(3),) + e13.basis1[1:]
-        with pytest.raises(ValueError, match=r"^basis1\[0\] has degree 3, "
-                                             "above 2"):
-            dataclasses.replace(e13, basis1=basis1)
+        with pytest.raises(ValueError, match=r"^column 0 has degree 3, too "
+                                             "high for width 3$"):
+            coefficients(basis1, 3)
+        with pytest.raises(ValueError, match=r"^B1 has shape \(4, 3\), "
+                                             r"expected \(3, 3\)$"):
+            dataclasses.replace(e13, B1=coefficients(basis1))
 
     def test_tables_are_exact_pairs(self):
         for m, n in GRID:
@@ -221,7 +252,7 @@ class TestConstruction:
             == old.basis1
 
     def test_every_field_reads_on_a_built_element(self):
-        # build_element fills the fields past __init__
+        # every field left out is built, and the basis views wait
         e = build_element(2, 6)
         assert "basis" not in repr(e) and "basis0" not in vars(e)
         for f in dataclasses.fields(e):
@@ -234,8 +265,7 @@ class TestConstruction:
         half_difference = e13.basis0[2]
         basis0 = (e13.basis0[0] + Polynomial.one(), *e13.basis0[1:3],
                   e13.basis0[3] + half_difference)
-        e = Element1D(1, 3, e13.functionals0, e13.functionals1, basis0,
-                      e13.basis1)
+        e = Element1D(1, 3, B0=coefficients(basis0, 4), B1=e13.B1)
         assert e.M0.nums[3, 0] and e.M0.nums[2, 3]
         assert e.M1 == identity(3) == e.alpha1 == linalg.invert(e.M1)
         assert linalg.Exact.reduced(e.alpha0.nums[:3, :3], e.alpha0.den) \
@@ -245,16 +275,14 @@ class TestConstruction:
         nums = e13.M1.nums.copy()
         nums[2, 0] = 5
         M1 = linalg.Exact(nums)
-        e = Element1D(1, 3, e13.functionals0, e13.functionals1, e13.basis0,
-                      e13.basis1, M1=M1)
+        e = Element1D(1, 3, M1=M1)
         assert e.M0 == identity(4) and e.alpha1 == linalg.invert(M1)
         assert e.alpha1.nums[2, 0] == -5
 
     def test_alpha1_ignores_a_stored_alpha0(self, e13):
         # the leading block of a given alpha0 proves nothing about M1
         alpha0 = linalg.Exact(2 * np.eye(4, dtype=int).astype(object))
-        e = Element1D(1, 3, e13.functionals0, e13.functionals1, e13.basis0,
-                      e13.basis1, alpha0=alpha0)
+        e = Element1D(1, 3, alpha0=alpha0)
         assert e.alpha0 == alpha0 and e.alpha1 == identity(3)
 
     def test_stored_inverses(self):
@@ -350,6 +378,23 @@ class TestVerifiers:
             report = verify_lemma_hypotheses(build_element(m, n))
             assert report.passed, (m, n, report.witness)
             assert report.parameters["probe_degree"] == n + 5
+
+    @pytest.mark.parametrize("corruption, digest", [
+        (None, "82e81653c09a70c86e71ccfa372e858e"
+               "cbdaed1b383c4d5ec7b4da94264afb26"),
+        (permute_alpha, "e01b86ec3e7a794909038ffb3c5a2e83"
+                        "8ac790b2ef00a6611e7eb6bb9a43a457")],
+        ids=["pristine", "permute-alpha"])
+    def test_default_commutation_probes_are_pinned(self, e13, corruption,
+                                                   digest):
+        # the default probes are x^0 .. x^(n+5), the degree the lemma
+        # hypotheses and the CLI default to; under permute-alpha each
+        # probe of degree 2 and up leaves a residual in the report
+        e = corruption(e13) if corruption else e13
+        report = verify_commutation(e)
+        assert report.parameters["probes"] == e.n + 6
+        text = json.dumps(report.to_json(), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_lemma_probe_degree_validated(self, e13):
         with pytest.raises(ValueError):

@@ -211,7 +211,7 @@ def test_tables_match_entrywise_assembly(m, n):
             M, alpha = (e.M0, e.alpha0) if k == 0 else (e.M1, e.alpha1)
             assert (M.fractions() == stored[k]).all()
             assert (alpha.fractions() == inverses[k]).all()
-        parts = (m, n, e.functionals0, e.functionals1, e.basis0, e.basis1)
+        parts = (m, n, e.functionals0, e.functionals1, e.B0, e.B1)
         if linalg.rank(tables[1]) < n:  # a wrong functional can do this
             with pytest.raises(ZeroDivisionError):
                 Element1D(*parts)

@@ -22,11 +22,10 @@ from derham import linalg, tensor
 from derham.cli import main
 from derham.corruptions import (CORRUPTION_NAMES, corrupt, permute_alpha,
                                 swap_basis, wrong_functional)
-from derham.element1d import (Element1D, altered, build_element,
-                              verify_commutation, verify_lemma_hypotheses,
-                              verify_unisolvence)
+from derham.element1d import (Element1D, build_element, verify_commutation,
+                              verify_lemma_hypotheses, verify_unisolvence)
 from derham.linalg import Exact
-from derham.polycore import Polynomial
+from derham.polycore import Polynomial, coefficients
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
     rank_one_monomial_probes, verify_dimensions
 
@@ -83,13 +82,14 @@ class TestSwapBasis:
     @pytest.mark.parametrize("m", range(5))
     def test_matches_the_polynomial_route(self, m):
         # oracle: swap the basis polynomials, differentiate them and build
-        # every table through the public constructor
+        # every table from their coefficients
         for n in range(max(2, 2 * m + 1), 2 * m + 8):
             e = build_element(m, n)
             basis0 = list(e.basis0)
             basis0[0], basis0[1] = basis0[1], basis0[0]
-            want = Element1D(m, n, e.functionals0, e.functionals1, basis0,
-                             [p.derivative() for p in basis0[:n]])
+            want = Element1D(m, n, B0=coefficients(basis0, n + 1),
+                             B1=coefficients([p.derivative()
+                                              for p in basis0[:n]], n))
             got = swap_basis(e)
             for name in ("B0", "B1", "M0", "M1", "alpha0", "alpha1"):
                 assert getattr(got, name) == getattr(want, name), (n, name)
@@ -135,9 +135,9 @@ class TestPermuteAlpha:
 
 
 class TestCopiesStayOnIntegers:
-    """The patching corruptions copy the element past __init__: the
-    integer B_k are shared, no Polynomial view is made, and every given
-    table is still checked."""
+    """The patching corruptions copy the element with
+    ``dataclasses.replace``: the integer B_k are shared, no Polynomial
+    view is made, and every given table is still checked."""
 
     @pytest.mark.parametrize("corruption", [permute_alpha, wrong_functional])
     def test_no_basis_view_is_made(self, corruption):
@@ -153,7 +153,7 @@ class TestCopiesStayOnIntegers:
         e = build_element(1, 3)
         bad = Exact.trusted(e.alpha1.nums * 2, e.alpha1.den * 2)
         with pytest.raises(ValueError, match="^alpha1: .* not in lowest"):
-            altered(e, alpha1=bad)
+            dataclasses.replace(e, alpha1=bad)
 
 
 def perturbed(element, field: str, index):
@@ -250,12 +250,37 @@ class TestSubChecks:
              "value": "0"}]
         assert len(ranked) == 2
 
+    def test_lower_hermite_entry_fails_identity_block(self):
+        # M0 and M1 both given 1 at (2m, 0), below the diagonal in the last
+        # row of the Hermite block: the deletion identity holds and M0
+        # stays lower triangular of full rank, so only the identity-block
+        # region, all 2m + 1 rows of it, sees the entry
+        e = build_element(2, 5)
+        M0, M1 = e.M0.nums.copy(), e.M1.nums.copy()
+        M0[4, 0] = M1[4, 0] = 1
+        report = verify_unisolvence(
+            dataclasses.replace(e, M0=Exact(M0), M1=Exact(M1)))
+        assert report.witness == [{"check": "identity-block", "row": 5,
+                                   "col": 1, "value": "1"}]
+
+    def test_zero_corner_fails_each_region_through_it(self):
+        # M0[n][n] lies in the last row, the last column and the diagonal,
+        # and with it zero M0 has rank n
+        e = build_element(1, 3)
+        nums = e.M0.nums.copy()
+        nums[3, 3] = 0
+        report = verify_unisolvence(dataclasses.replace(e, M0=Exact(nums)))
+        assert report.witness == [
+            *[{"check": check, "row": 4, "col": 4, "value": "0"}
+              for check in ("last-row", "last-column", "diagonal")],
+            {"check": "rank-M0", "rank": 3, "expected": 4}]
+
     def test_basis_pairing_names_the_changed_basis_function(self):
         e = build_element(1, 3)
         basis1 = list(e.basis1)
         basis1[2] = basis1[2] * 2
         report = verify_lemma_hypotheses(Element1D(
-            1, 3, e.functionals0, e.functionals1, e.basis0, basis1))
+            1, 3, B1=coefficients(basis1, 3)))
         assert report.witness == [{"check": "basis-pairing", "basis": 3}]
 
     @pytest.mark.parametrize("j, added, expected", [
@@ -274,7 +299,7 @@ class TestSubChecks:
         basis0 = list(e.basis0)
         basis0[j] = basis0[j] + Polynomial(added)
         report = verify_lemma_hypotheses(Element1D(
-            1, 3, e.functionals0, e.functionals1, basis0, e.basis1))
+            1, 3, B0=coefficients(basis0, 4), B1=e.B1))
         assert report.witness == expected
 
     @pytest.mark.parametrize("derived", [True, False],
@@ -289,8 +314,8 @@ class TestSubChecks:
         basis0 = (s, s, *e.basis0[2:])
         basis1 = tuple(p.derivative() for p in basis0[:3]) if derived \
             else e.basis1
-        report = verify_lemma_hypotheses(
-            dataclasses.replace(e, basis0=basis0, basis1=basis1))
+        report = verify_lemma_hypotheses(dataclasses.replace(
+            e, B0=coefficients(basis0, 4), B1=coefficients(basis1, 3)))
         unpaired = [] if derived else [{"check": "basis-pairing", "basis": j}
                                        for j in (1, 2)]
         assert report.witness == [

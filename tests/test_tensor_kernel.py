@@ -50,7 +50,7 @@ from derham.cli import main
 from derham.corruptions import (permute_alpha, scale_basis1, swap_basis,
                                wrong_functional)
 from derham.element1d import Element1D, build_element, interpolate
-from derham.polycore import Polynomial
+from derham.polycore import Polynomial, coefficients
 from derham.report import VerificationReport
 from derham.smooth import sinusoid
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
@@ -202,8 +202,8 @@ def scaled_basis1(e):
     half a 1-form basis function, which the index rule cannot see."""
     basis1 = list(e.basis1)
     basis1[0] = basis1[0] * 2
-    return Element1D(e.m, e.n, e.functionals0, e.functionals1, e.basis0,
-                     basis1)
+    return Element1D(e.m, e.n, e.functionals0, e.functionals1, e.B0,
+                     coefficients(basis1, e.n))
 
 
 _CORRUPTIONS = {"permute-alpha": permute_alpha,
@@ -462,8 +462,8 @@ def test_dd_zero_rejects_a_singular_basis(dimension, k):
     given, so nothing is inverted before dd-zero."""
     e = element(1, 3)
     basis = getattr(e, f"basis{k}")
-    e = dataclasses.replace(e, **{f"basis{k}": [basis[0], *basis[:1],
-                                                  *basis[2:]]})
+    e = dataclasses.replace(e, **{f"B{k}": coefficients(
+        [basis[0], *basis[:1], *basis[2:]], len(basis))})
     for verify in (routes_dd_zero, verify_dd_zero):
         with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
             verify(dimension, e)
@@ -1197,7 +1197,8 @@ def rank_deficient(m, n):
     e = element(m, n)
     basis0 = (e.basis0[0],) + e.basis0[:1] + e.basis0[2:]
     basis1 = tuple(p.derivative() for p in basis0[:n])
-    e = dataclasses.replace(e, basis0=basis0, basis1=basis1)
+    e = dataclasses.replace(e, B0=coefficients(basis0, n + 1),
+                            B1=coefficients(basis1, n))
     return dataclasses.replace(e, M0=e.node_table(0), M1=e.node_table(1))
 
 

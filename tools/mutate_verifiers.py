@@ -27,7 +27,7 @@ Usage (standard library only; one pytest process at a time)::
 
 ``--sample K`` runs K mutants per function, drawn with ``--seed`` (0:
 all of them); ``--functions`` names the verifiers to score (default:
-all four), and ``--root`` points at another checkout to score.
+all five), and ``--root`` points at another checkout to score.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ TIMEOUT = 300.0  # seconds per pytest run
 SELECTIONS = {
     "verify_commutation": ELEMENT_TESTS,
     "verify_lemma_hypotheses": ELEMENT_TESTS,
+    "verify_unisolvence": ELEMENT_TESTS,
     "verify_dd_zero": TENSOR_TESTS,
     "verify_monomial_commutation": TENSOR_TESTS,
 }
