@@ -45,17 +45,27 @@ def _split_items(text: str) -> list[str]:
     return items
 
 
-def parse_int_list(text: str) -> list[int]:
-    """Accepts "3", "0..3", or "1,3,5"."""
+def parse_int_list(text: str, flag: str) -> list[int]:
+    """Accepts "3", "0..3", or "1,3,5" as the value of ``--flag``; an item
+    that is no int is rejected, naming the flag and quoting the item and
+    the value."""
     text = text.strip()
+
+    def number(item: str) -> int:
+        try:
+            return int(item)
+        except ValueError:
+            raise ValueError(f"--{flag} {text!r}: {item.strip()!r} is not "
+                             "an integer") from None
+
     if ".." in text:
-        lo, hi = map(int, text.split("..", 1))
+        lo, hi = map(number, text.split("..", 1))
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
     if "," in text:
-        return [int(part) for part in _split_items(text)]
-    return [int(text)]
+        return [number(part) for part in _split_items(text)]
+    return [number(text)]
 
 
 def _distinct(flag: str, values: list) -> list:
@@ -83,7 +93,7 @@ def degrees_for(m: int, n_spec: str) -> list[int]:
             extra = int(match.group(1))
         base = 2 * m + 1
         return list(range(base, base + extra + 1))
-    values = parse_int_list(n_spec)
+    values = parse_int_list(n_spec, "n")
     for n in values:
         if n < 2 * m + 1:
             raise ValueError(f"degree n={n} too low for m={m}; "
@@ -312,8 +322,9 @@ def cmd_tensor(args) -> int:
     _check_nu(args.nu, dimension)
     element = _one_element(args)
     if args.emit == "basis-samples":
-        chi = parse_int_list("0,0" if args.chi is None else args.chi)
-        index = parse_int_list("1,1" if args.index is None else args.index)
+        chi = parse_int_list("0,0" if args.chi is None else args.chi, "chi")
+        index = parse_int_list("1,1" if args.index is None else args.index,
+                               "index")
         samples = 33 if args.samples is None else args.samples
         emit(serialize.tensor_basis_samples_csv(
             element, tuple(chi), tuple(index), samples), args.output)
@@ -482,10 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.grid = [(m, n) for m in _distinct("m", parse_int_list(args.m))
+        args.grid = [(m, n)
+                     for m in _distinct("m", parse_int_list(args.m, "m"))
                      for n in _distinct("n", degrees_for(m, args.n))]
         if getattr(args, "nu", None) is not None:
-            args.nu = _distinct("nu", parse_int_list(args.nu))
+            args.nu = _distinct("nu", parse_int_list(args.nu, "nu"))
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

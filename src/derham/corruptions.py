@@ -5,10 +5,10 @@ CLI via ``--corrupt``) ships five corruption fixtures, each aimed at one
 verifier or at one identity:
 
 * ``swap_basis`` — exchanges the first two 0-form basis functions and
-  rebuilds all matrices consistently.  The element is still a valid
-  element with a permuted basis, so interpolation and the commutation
-  identity survive; only the structural node-matrix checks (the
-  identity block) break.
+  rebuilds all matrices consistently (the inverses by swapping rows).
+  The element is still a valid element with a permuted basis, so
+  interpolation and the commutation identity survive; only the
+  structural node-matrix checks (the identity block) break.
 * ``wrong_functional`` — replaces the first 1-form functional descriptor
   with an endpoint derivative of the wrong order, without touching the
   matrices.  The functional-pairing hypothesis fails; because the
@@ -42,13 +42,17 @@ from .tensor import flat_sign, theta
 
 def swap_basis(element: Element1D) -> Element1D:
     """Swap the first two 0-form basis functions (columns 0 and 1 of B_0)
-    and rebuild B_1 and every table consistently."""
+    and rebuild B_1 and M_k consistently.  With P that column swap, M_k
+    becomes M_k P, so alpha_k = (M_k P)^-1 = P alpha_k is the source's
+    inverse with rows 0 and 1 swapped: no elimination."""
     if element.n < 2:
         raise ValueError("need at least two basis functions to swap")
-    nums = element.B0.nums.copy()
-    nums[:, [0, 1]] = nums[:, [1, 0]]
-    return replace(element, B0=Exact.trusted(nums, element.B0.den), B1=None,
-                   M0=None, M1=None, alpha0=None, alpha1=None)
+    order = [1, 0, *range(2, element.n + 1)]  # P, as an index
+    B0, alpha0, alpha1 = element.B0, element.alpha0, element.alpha1
+    return replace(element, B0=Exact.trusted(B0.nums[:, order], B0.den),
+                   B1=None, M0=None, M1=None,
+                   alpha0=Exact.trusted(alpha0.nums[order], alpha0.den),
+                   alpha1=Exact.trusted(alpha1.nums[order[:-1]], alpha1.den))
 
 
 def wrong_functional(element: Element1D) -> Element1D:

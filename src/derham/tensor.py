@@ -728,26 +728,60 @@ def verify_dd_zero(dimension: int, element: Element1D,
                                  basis_elements=checked)
 
 
-def _monomials(degrees) -> linalg.Exact:
-    """x^a for each distinct probe degree a, ascending, as 0/1 columns of
-    monomial coefficients; a degree must be an int (not a bool or numpy
-    int) and nonnegative, never coerced."""
+def _degree_set(degrees) -> tuple[int, ...]:
+    """The distinct probe degrees, ascending; a degree must be an int (not
+    a bool or numpy int) and nonnegative, never coerced."""
     degrees = list(degrees)
     for a in degrees:
         if type(a) is not int:
             raise TypeError(f"probe degree {a!r} is not an int")
         if a < 0:
             raise ValueError(f"probe degree {a} is negative")
-    degrees = sorted(set(degrees))
+    return tuple(sorted(set(degrees)))
+
+
+def _monomials(degrees: tuple[int, ...]) -> linalg.Exact:
+    """x^a for each degree a of a degree set, as 0/1 columns of monomial
+    coefficients."""
     powers = np.arange(max(degrees, default=-1) + 1)[:, None]
-    return linalg.Exact((powers == degrees).astype(int).astype(object))
+    return linalg.Exact.trusted((powers == degrees).astype(int)
+                                .astype(object), 1)
+
+
+class _Residuals(NamedTuple):
+    """The 1D columns of the monomials x^a of one degree set, kind k = 0,
+    1, 2 for I_0 x^a, I_1 x^a and r(x^a): ``sources[k]`` their numerators
+    over ``den``, ``live[k]`` the flags of the nonzero columns and
+    ``alive[k]`` whether any is, ``peaks[k]`` each column's largest
+    absolute numerator, as ints."""
+
+    sources: list
+    den: int
+    live: list
+    alive: tuple[bool, ...]
+    peaks: list
+
+
+def _monomial_residuals(element: Element1D,
+                        degrees: tuple[int, ...]) -> _Residuals:
+    """The residual table of a degree set, built once per element."""
+    def build():
+        P = _monomials(degrees)
+        sources, den = _residual_sources(element, P, P)
+        live = [(nums != 0).any(axis=0) for nums in sources]
+        return _Residuals(sources, den, live,
+                          tuple(bool(flags.any()) for flags in live),
+                          [np.abs(nums).max(axis=0).tolist()
+                           for nums in sources])
+    return element.cached(("monomial residual", degrees), build)
 
 
 def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
     """Rank-one probes with monomial factors x^a, a drawn from degrees:
     chi by chi, every choice of one degree per axis in row-major order."""
-    monomials = [Polynomial(column) for column in _monomials(degrees).nums.T]
+    monomials = [Polynomial(column)
+                 for column in _monomials(_degree_set(degrees)).nums.T]
     return [rank_one(zip(chi, combo))
             for chi in enumerate_chi(dimension, nu)
             for combo in itertools.product(monomials, repeat=dimension)]
@@ -811,30 +845,28 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     Kronecker product of the interpolants I_{chi_s}(x^{a_s}) of the
     other axes and r(x^{a_t}) (:func:`_residual_sources`) on axis t: it
     is nonzero iff every one of those columns is, and its largest entry
-    is the product of theirs.  A target whose factor kinds include one
-    with no nonzero column passes, so a chi with no other target builds
-    no mask of its probes."""
-    P = _monomials(degrees)
-    chis, shape = enumerate_chi(dimension, nu), (P.shape[1],) * dimension
+    is the product of theirs.  Those columns depend only on the element
+    and the degree set, not on nu or chi: their table
+    (:func:`_monomial_residuals`) is kept in the element's memo, so every
+    nu after the first on one element makes no column product.  A target
+    whose factor kinds include one with no nonzero column passes, so a
+    chi with no other target builds no mask of its probes."""
+    degrees = _degree_set(degrees)
+    chis, shape = enumerate_chi(dimension, nu), (len(degrees),) * dimension
     witness: list[dict] = []
     if nu < dimension:
-        sources, den = _residual_sources(element, P, P)
-        # live[k][a]: column a of the kind-k factor (0, 1: the
-        # interpolants I_k, 2: r) is nonzero; peaks[k][a]: its peak
-        live, peaks = [(nums != 0).any(axis=0) for nums in sources], None
+        table = _monomial_residuals(element, degrees)
+        live, scale = table.live, table.den ** dimension
         for position, chi in enumerate(chis):
             targets = []
             for t, target, _ in _d_terms(chi, sign_rule):
                 kinds = chi[:t] + (2,) + chi[t + 1:]
-                if all(live[k].any() for k in kinds):  # else it passes
+                if all(table.alive[k] for k in kinds):  # else it passes
                     targets.append((target, kinds, reduce(np.logical_and, (
                         _along(live[k], s, dimension)
                         for s, k in enumerate(kinds)))))
             if not targets:
                 continue
-            peaks = peaks or [np.array(
-                [Fraction(max(map(abs, column), default=0), den)
-                 for column in nums.T], dtype=object) for nums in sources]
             failing = reduce(np.logical_or, [fails for *_, fails in targets])
             for a in map(tuple, np.argwhere(failing)):
                 hits = sorted(entry[:2] for entry in targets if entry[2][a])
@@ -843,9 +875,9 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
                     "probe": position * failing.size
                     + int(np.ravel_multi_index(a, shape)),
                     "blocks": [list(target) for target, _ in hits],
-                    "max_abs": str(max(math.prod(
-                        peaks[k][j] for k, j in zip(kinds, a))
-                        for _, kinds in hits))})
+                    "max_abs": str(Fraction(max(math.prod(
+                        table.peaks[k][j] for k, j in zip(kinds, a))
+                        for _, kinds in hits), scale))})
     return VerificationReport.of("tensor-commutation", witness,
                                  N=dimension, nu=nu, m=element.m,
                                  n=element.n,

@@ -30,18 +30,18 @@ def run(capsys, *argv):
 
 class TestArgumentParsing:
     def test_parse_int_list(self):
-        assert parse_int_list("3") == [3]
-        assert parse_int_list("0..3") == [0, 1, 2, 3]
-        assert parse_int_list("1,3,5") == [1, 3, 5]
+        assert parse_int_list("3", "m") == [3]
+        assert parse_int_list("0..3", "m") == [0, 1, 2, 3]
+        assert parse_int_list("1,3,5", "m") == [1, 3, 5]
         with pytest.raises(ValueError):
-            parse_int_list("3..1")
-        with pytest.raises(ValueError):
-            parse_int_list("one")
+            parse_int_list("3..1", "m")
+        with pytest.raises(ValueError, match="^--m 'one': 'one' is not an "):
+            parse_int_list("one", "m")
         with pytest.raises(ValueError, match="empty list"):
-            parse_int_list(",")
+            parse_int_list(",", "m")
         for text in ("1,", ",1", "1,,3", "1, ,3"):
             with pytest.raises(ValueError, match="empty item in list"):
-                parse_int_list(text)
+                parse_int_list(text, "m")
 
     def test_degrees_for(self):
         assert degrees_for(1, "auto") == [3]
@@ -720,6 +720,22 @@ class TestRejectedAtEntry:
     ])
     def test_empty_list(self, capsys, argv):
         assert "error: empty list" in rejected(capsys, *argv)
+
+    @pytest.mark.parametrize("argv, flag, text, item", [
+        (("verify", "--m", "x"), "m", "x", "x"),
+        (("element", "--m", "1", "--n", "3..x"), "n", "3..x", "x"),
+        (("verify", "--nu", "", "--checks", "tensor-commutation"), "nu",
+         "", ""),
+        (("tensor", "--emit", "basis-samples", "--chi", "0,x"), "chi",
+         "0,x", "x"),
+        (("tensor", "--emit", "basis-samples", "--index", "1..2.5"),
+         "index", "1..2.5", "2.5"),
+    ], ids=["m", "n", "nu", "chi", "index"])
+    def test_integer_flag_names_itself(self, capsys, argv, flag, text,
+                                       item):
+        err = rejected(capsys, *argv)
+        assert err == f"error: --{flag} {text!r}: {item!r} is not an " \
+            "integer\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--m", "1", "--n", "3,,4", "--N", "2"),

@@ -66,14 +66,34 @@ class TestSwapBasis:
         assert "identity-block" in checks
 
     def test_witnesses_are_pinned(self):
-        # the swapped M0 is not triangular: its inverse and ranks still
-        # take the Bareiss loop, and every report below stays as it was
+        # the swapped M0 is not triangular: its inverse is the source's
+        # with two rows swapped, its ranks take the Bareiss loop, and
+        # every report below stays as it was
         texts = [json.dumps(verify_unisolvence(swap_basis(
             build_element(m, n))).to_json(), indent=2)
             for m in range(5) for n in range(max(2, 2 * m + 1), 2 * m + 7)]
         assert sum(text.count('"check"') for text in texts) == 164
         assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == \
             "53d11a1bc33c9b1fde0d1656e8b649c37d839931a009f3527cdb50fece663628"
+
+    @pytest.mark.parametrize("mn", [(m, n) for m in range(5)
+                                    for n in range(2 * m + 1, 2 * m + 7)
+                                    if n >= 2])
+    def test_inverses_match_the_bareiss_route(self, mn):
+        # oracle: the swapped node matrices are not lower triangular, so
+        # linalg.invert takes solve's Bareiss loop; the source's inverses
+        # with two rows swapped, built with no solve, must equal it
+        calls, solve = [], linalg.solve
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "solve",
+                          lambda *args: calls.append(1) or solve(*args))
+            got = swap_basis(build_element(*mn))
+            assert calls == []
+            for k, (M, alpha) in enumerate(((got.M0, got.alpha0),
+                                            (got.M1, got.alpha1))):
+                assert M == got.node_table(k)
+                assert linalg.invert(M) == alpha
+                assert len(calls) == k + 1
 
     def test_needs_two_basis_functions(self):
         with pytest.raises(ValueError):

@@ -1000,13 +1000,15 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
     degree makes one term pass, one set of residual sources (3 column
     products: I_0 P_0, I_1 P_1, I_1 D P_0) and one kernel pass; at the
     top degree it makes no column product.  The grid entry
-    ``verify_monomial_commutation`` reads the same 3 products per call
-    below the top degree and makes no kernel pass, and dd-zero none: it
-    compares D B_0 with [B_1 | 0].  The CLI's tensor-commutation goes
-    through the grid entry.  The verifiers make no Polynomial, and the
-    grid verifiers read their integer coefficient matrices straight from
-    the degrees and the element, turning no Polynomial into
-    coefficients."""
+    ``verify_monomial_commutation`` reads the same 3 products once per
+    element and degree set, from its first call below the top degree,
+    and none on a repeat call, at any nu; it makes no kernel pass, and
+    dd-zero none: it compares D B_0 with [B_1 | 0].  The CLI's
+    tensor-commutation goes through the grid entry, so one element's
+    calls over every nu share 3 products.  The verifiers make no
+    Polynomial, and the grid verifiers read their integer coefficient
+    matrices straight from the degrees and the element, turning no
+    Polynomial into coefficients."""
     calls = {}
 
     def counting(module, name, counts=lambda *args: True):
@@ -1027,6 +1029,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
     for module in (polycore, element1d, tensor):  # every binding of it
         counting(module, "coefficients", lambda polys, *_: any(
             isinstance(p, Polynomial) for p in polys))
+    built = False  # whether e holds the table of range(5)
     for dimension in (2, 3):
         for nu in range(dimension + 1):
             probes = rank_one_monomial_probes(dimension, nu, range(5))
@@ -1042,9 +1045,16 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                         "interpolant_columns": 3 * below} \
                     if verify is verify_tensor_commutation else \
                     {"verify_monomial_commutation": 1,
-                     "_residual_sources": below,
-                     "interpolant_columns": 3 * below}
+                     "_residual_sources": below and not built,
+                     "interpolant_columns": 3 * (below and not built)}
                 assert calls == {k: v for k, v in want.items() if v}
+                built = built or (below and verify is not
+                                  verify_tensor_commutation)
+    for degrees, products in (([4, 0, 2, 1, 3, 0], 0), (range(6), 3),
+                              (range(6), 0)):
+        calls.clear()  # a degree set is a set: order and repeats aside
+        verify_monomial_commutation(2, 0, degrees, e)
+        assert calls.get("interpolant_columns", 0) == products
     for dimension in (1, 2, 3, 4):
         calls.clear()
         verify_dd_zero(dimension, e)
@@ -1054,7 +1064,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
-    assert calls["interpolant_columns"] == 9  # nu = 0, 1, 2
+    assert calls["interpolant_columns"] == 3  # nu = 0 only
     assert "_kron_blocks" not in calls and "_term_table" not in calls
 
 
@@ -1086,11 +1096,97 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
                for texts in verdicts[1:])
 
 
+def residual_keys(e):
+    return sorted(key for key in e._memo if key[0] == "monomial residual")
+
+
+@pytest.mark.parametrize("control", [
+    None, swap_basis, wrong_functional, permute_alpha, scale_basis1,
+    flat_sign], ids=["pristine", "swap-basis", "wrong-functional",
+                     "permute-alpha", "scale-basis1", "flat-sign"])
+def test_the_residual_memo_gives_the_reports_of_fresh_elements(control):
+    """verify_monomial_commutation keeps its 1D residual table on the
+    element, one per degree set.  For N <= 3, every nu run in turn on one
+    shared element gives, nu by nu, the report of that nu on a freshly
+    built element: pristine, under each element corruption and under the
+    flat sign rule.  The shared element then holds one table per degree
+    set it was asked (the CLI's 1D-2D range and its 3D subset)."""
+    sign_rule = flat_sign if control is flat_sign else theta
+    corrupt = control if control not in (None, flat_sign) else lambda e: e
+    verdicts = []
+    for m, n in ((0, 2), (1, 3), (2, 6)):
+        shared = corrupt(build_element(m, n))
+        for dimension in (1, 2, 3):
+            degrees = cli_degrees(dimension, n)
+            for nu in range(dimension + 1):
+                got = report_json(verify_monomial_commutation(
+                    dimension, nu, degrees, shared, sign_rule))
+                fresh = corrupt(build_element(m, n))
+                assert got == report_json(verify_monomial_commutation(
+                    dimension, nu, degrees, fresh, sign_rule))
+                verdicts.append('"passed": false' in got)
+        assert residual_keys(shared) == sorted(
+            ("monomial residual", tuple(degrees))
+            for degrees in (range(n + 4), sorted({0, 2, n, n + 3})))
+    # the element corruptions reach tensor-commutation (swap-basis at
+    # none of these points), the flat sign rule never does
+    assert any(verdicts) == (control in (wrong_functional, permute_alpha,
+                                         scale_basis1))
+
+
+def test_two_degree_sets_do_not_share_a_table():
+    """Two degree sets of one size on one element are two entries: each
+    call reads the table of its own set, built from its own monomials,
+    and gives the report of a fresh element."""
+    e = permute_alpha(build_element(1, 3))
+    reports = {}
+    for degrees in ((0, 1, 5), (0, 2, 5), (0, 1, 5)):
+        got = report_json(verify_monomial_commutation(2, 0, degrees, e))
+        assert got == report_json(verify_monomial_commutation(
+            2, 0, degrees, permute_alpha(build_element(1, 3))))
+        reports.setdefault(degrees, got)
+        assert reports[degrees] == got
+    assert reports[(0, 1, 5)] != reports[(0, 2, 5)]
+    first, second = (e._memo[key] for key in residual_keys(e))
+    assert first is not second and first.sources[0].shape == \
+        second.sources[0].shape
+    assert any(bool((a != b).any())
+               for a, b in zip(first.sources, second.sources))
+
+
+def test_degrees_are_checked_on_a_memo_hit():
+    """The degree checks run on every call, before the memo is read: on
+    an element that holds the table of {0, 1, 2}, a bool, a numpy int or
+    a negative degree still raises, at every nu, the top one included."""
+    e = build_element(1, 3)
+    verify_monomial_commutation(2, 0, range(3), e)
+    for nu in range(3):
+        for bad in (True, np.int64(1)):
+            with pytest.raises(TypeError, match="is not an int"):
+                verify_monomial_commutation(2, nu, [0, bad, 2], e)
+        with pytest.raises(ValueError, match="probe degree -1 is negative"):
+            verify_monomial_commutation(2, nu, [2, 1, 0, -1], e)
+    assert residual_keys(e) == [("monomial residual", (0, 1, 2))]
+
+
+def test_a_replaced_element_starts_with_an_empty_memo():
+    """The memo is not a field that dataclasses.replace copies: a copy
+    with every field given starts empty, and each corruption holds only
+    the tables it rebuilt, no residual table of its source."""
+    e = build_element(1, 3)
+    verify_monomial_commutation(2, 0, range(5), e)
+    assert residual_keys(e) == [("monomial residual", tuple(range(5)))]
+    assert dataclasses.replace(e)._memo == {}
+    for corrupt in (swap_basis, wrong_functional, permute_alpha,
+                    scale_basis1):
+        assert residual_keys(corrupt(e)) == []
+
+
 def test_a_second_call_leaves_the_cached_sources_unchanged():
     """The verifiers read the element's cached exact tables (the node
-    tables, the functionals' monomial rows) without copying.  A second
-    call on the same element reuses them, gives an identical report and
-    leaves every cached table as it was."""
+    tables, the functionals' monomial rows, the monomial residual table)
+    without copying.  A second call on the same element reuses them,
+    gives an identical report and leaves every cached table as it was."""
     e = permute_alpha(build_element(1, 4))
     probes = rank_one_monomial_probes(2, 0, range(8))
     runs = [lambda: verify_dd_zero(3, e, flat_sign),
@@ -1105,12 +1201,21 @@ def test_a_second_call_leaves_the_cached_sources_unchanged():
     assert any(key[0] == "rows" for key in cached)
     copies = {key: (value.nums.copy(), value.den)
               for key, value in cached.items()}
+    residual_key = ("monomial residual", tuple(range(8)))
+    residuals = e._memo[residual_key]
+    arrays = [array.copy() for array in (*residuals.sources,
+                                         *residuals.live)]
+    peaks = [list(column) for column in residuals.peaks]
     assert [report_json(run()) for run in runs] == first
     for key, value in cached.items():
         want, want_den = copies[key]
         assert e._memo[key] is value and value.den == want_den
         assert value.nums.shape == want.shape
         assert bool((value.nums == want).all())
+    assert e._memo[residual_key] is residuals
+    assert all(bool((array == want).all()) for array, want in zip(
+        (*residuals.sources, *residuals.live), arrays))
+    assert residuals.peaks == peaks
 
 
 def test_out_of_space_expansion_names_the_degree():

@@ -27,7 +27,7 @@ Usage (standard library only; one pytest process at a time)::
 
 ``--sample K`` runs K mutants per function, drawn with ``--seed`` (0:
 all of them); ``--functions`` names the verifiers to score (default:
-all five), and ``--root`` points at another checkout to score.
+all of them), and ``--root`` points at another checkout to score.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ SELECTIONS = {
     "verify_unisolvence": ELEMENT_TESTS,
     "verify_dd_zero": TENSOR_TESTS,
     "verify_monomial_commutation": TENSOR_TESTS,
+    "verify_tensor_commutation": TENSOR_TESTS,
+    # the residual table that verify_monomial_commutation reads
+    "_monomial_residuals": TENSOR_TESTS,
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
