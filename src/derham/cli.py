@@ -35,13 +35,13 @@ from .smooth import SmoothFunction1D, named_function
 OUTDIR_ENV = "DERHAM_OUTDIR"
 
 
-def _split_items(text: str) -> list[str]:
-    """The stripped items of a comma list; a blank item is never dropped
-    but rejected, quoting ``text``."""
+def _split_items(text: str, flag: str) -> list[str]:
+    """The stripped items of the comma list ``text`` of ``--flag``; a
+    blank item is never dropped but rejected, quoting ``text``."""
     items = [item.strip() for item in text.split(",")]
     if not all(items):
-        empty = "empty item in" if any(items) else "empty"
-        raise ValueError(f"{empty} list {text!r}")
+        empty = "empty item in list" if any(items) else "empty list"
+        raise ValueError(f"--{flag} {text!r}: {empty}")
     return items
 
 
@@ -61,10 +61,10 @@ def parse_int_list(text: str, flag: str) -> list[int]:
     if ".." in text:
         lo, hi = map(number, text.split("..", 1))
         if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise ValueError(f"--{flag} {text!r}: empty range")
         return list(range(lo, hi + 1))
     if "," in text:
-        return [number(part) for part in _split_items(text)]
+        return [number(part) for part in _split_items(text, flag)]
     return [number(text)]
 
 
@@ -84,20 +84,17 @@ def degrees_for(m: int, n_spec: str) -> list[int]:
     """
     n_spec = n_spec.strip()
     if n_spec.startswith("auto"):
-        extra = 0
-        if n_spec != "auto":
-            match = re.fullmatch(r"auto\+(\d+)", n_spec)
-            if not match:
-                raise ValueError(f"bad degree spec {n_spec!r}; "
-                                 "expected auto, auto+K, a value, or a range")
-            extra = int(match.group(1))
+        match = re.fullmatch(r"auto(?:\+(\d+))?", n_spec)
+        if not match:
+            raise ValueError(f"--n {n_spec!r}: bad degree spec; expected "
+                             "auto, auto+K, a value, or a range")
         base = 2 * m + 1
-        return list(range(base, base + extra + 1))
+        return list(range(base, base + int(match.group(1) or 0) + 1))
     values = parse_int_list(n_spec, "n")
     for n in values:
         if n < 2 * m + 1:
-            raise ValueError(f"degree n={n} too low for m={m}; "
-                             f"need n >= {2 * m + 1}")
+            raise ValueError(f"--n {n_spec!r}: degree n={n} too low for "
+                             f"m={m}; need n >= {2 * m + 1}")
     return values
 
 
@@ -228,6 +225,11 @@ CHECKS = {
 }
 # the default --checks: every row but the opt-in kron-structure
 CHECK_ORDER = tuple(name for name in CHECKS if name != "kron-structure")
+# optional verify flag -> the checks that read it; given to none, it exits 2
+READERS = {"--nu": ("tensor-commutation", "kron-structure"),
+           "--probe-degree": ("lemma-hypotheses", "commutation",
+                              "tensor-commutation"),
+           "--quadrature-order": ("continuity-demo",)}
 
 
 def run_verify_suite(cfg) -> SuiteResult:
@@ -260,10 +262,16 @@ def _check_nu(nu, dimension: int) -> None:
 
 def cmd_verify(args) -> int:
     _check_nu(args.nu, args.dimension)
-    args.checks = _distinct("checks", _split_items(args.checks))
+    text, args.checks = args.checks, _distinct(
+        "checks", _split_items(args.checks, "checks"))
     unknown = set(args.checks) - set(CHECKS)
     if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+        raise ValueError(f"--checks {text!r}: unknown checks "
+                         f"{sorted(unknown)}")
+    for flag, readers in READERS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None \
+                and not set(readers) & set(args.checks):
+            raise ValueError(f"{flag}: only {', '.join(readers)} read it")
     suite = run_verify_suite(args)
     if args.fmt == "json":
         emit(serialize.json_text(suite.to_json()), args.output)
@@ -322,12 +330,18 @@ def cmd_tensor(args) -> int:
     _check_nu(args.nu, dimension)
     element = _one_element(args)
     if args.emit == "basis-samples":
-        chi = parse_int_list("0,0" if args.chi is None else args.chi, "chi")
-        index = parse_int_list("1,1" if args.index is None else args.index,
-                               "index")
+        texts = {"chi": "0,0" if args.chi is None else args.chi,
+                 "index": "1,1" if args.index is None else args.index}
+        chi, index = (tuple(parse_int_list(texts[flag], flag))
+                      for flag in texts)
         samples = 33 if args.samples is None else args.samples
-        emit(serialize.tensor_basis_samples_csv(
-            element, tuple(chi), tuple(index), samples), args.output)
+        try:
+            text = serialize.tensor_basis_samples_csv(element, chi, index,
+                                                      samples)
+        except ValueError as error:  # the sampler checks chi, then index
+            flag = "chi" if len(chi) != 2 or set(chi) - {0, 1} else "index"
+            raise ValueError(f"--{flag} {texts[flag]!r}: {error}") from None
+        emit(text, args.output)
         return 0
     emit(serialize.json_text(
         serialize.tensor_tables_json(dimension, element, args.nu)),
@@ -348,9 +362,9 @@ def cmd_interp(args) -> int:
         left, right = map(element1d.rounded, cells)
         xs = [2.0 * g for g in grid]
         pairs = zip(left(xs).tolist(), right([x - 1.0 for x in xs]).tolist())
-        rows = [{"x": x, "u": u.value(x), "interp": a if x <= 1.0 else b}
-                for x, (a, b) in zip(xs, pairs)]
-        text = serialize.interp_csv(rows, ["x", "u", "interp"])
+        text = serialize.csv_text(["x", "u", "interp"], (
+            [x, u.value(x), a if x <= 1.0 else b]
+            for x, (a, b) in zip(xs, pairs)))
         mismatches = report.details["junction_mismatch"]
         text += "".join(
             f"# junction mismatch order {s}: {serialize.float_str(gap)}\n"
@@ -361,11 +375,11 @@ def cmd_interp(args) -> int:
     i0u = element1d.interpolate_smooth(element, 0, u, order)
     i1du = element1d.interpolate_smooth(element, 1, u.differentiated(), order)
     values = zip(*(p(grid).tolist() for p in (i0u, i0u.deriv(1), i1du)))
-    rows = [{"x": x, "u": u.value(x), "I0u": a, "dI0u": b, "I1du": c,
-             "residual": b - c} for x, (a, b, c) in zip(grid, values)]
-    emit(serialize.interp_csv(
-        rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"]), args.output)
-    worst = max(abs(row["residual"]) for row in rows)
+    rows = [[x, u.value(x), a, b, c, b - c]
+            for x, (a, b, c) in zip(grid, values)]
+    emit(serialize.csv_text(["x", "u", "I0u", "dI0u", "I1du", "residual"],
+                            rows), args.output)
+    worst = max(abs(row[-1]) for row in rows)
     return 0 if worst <= args.tolerance else 1
 
 

@@ -230,12 +230,35 @@ def _family(e: Element1D, k: int):
     raise ValueError("form degree must be 0 or 1")
 
 
+def _shared(columns) -> tuple[list, int]:
+    """(numerators, denominator) pairs over their lcm denominator."""
+    den = math.lcm(*(d for _, d in columns))
+    return [nums * (den // d) for nums, d in columns], den
+
+
+def monomial_columns(e: Element1D, width: int) -> tuple[list, int]:
+    """The 1D columns of the monomials x^j, j < width, over one
+    denominator: I_0 x^j = alpha_0 T_0, I_1 x^j = alpha_1 T_1 and the
+    commutation residual r(x^j) = (I_0 x^j)[:n] - I_1 (x^j)', the one
+    factor where the tensor d I u and I d u differ.  I_1 D shifts the I_1
+    columns, so a build, once per element and width, reads T_0 and T_1
+    at ``width`` only."""
+    def build():
+        (i0, i1), den = _shared([linalg.product(_family(e, k)[2],
+                                                e.rows(k, width))
+                                 for k in (0, 1)])
+        return [i0, i1, i0[:e.n] - _shifted(i1)[:, :width]], den
+    return e.cached(("monomial columns", width), build)
+
+
 def interpolant_columns(e: Element1D, k: int,
                         P: linalg.Exact) -> tuple[np.ndarray, int]:
     """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
     over the k-form basis, of the polynomials whose monomial coefficients
-    are P's columns; T_k holds the functionals' monomial rows."""
-    return linalg.product(_family(e, k)[2], e.rows(k, len(P.nums)), P)
+    are P's columns, from block k of :func:`monomial_columns`."""
+    _family(e, k)  # a form degree other than 0 or 1 raises
+    columns, den = monomial_columns(e, len(P.nums))
+    return linalg.product(linalg.Exact.trusted(columns[k], den), P)
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
@@ -379,7 +402,7 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k):
     # column k of T_1 D against column k of T_0, over the functionals i < n
     T0, T1 = e.rows(0, probe_degree + 1), e.rows(1, probe_degree)
-    left, right = _shifted(T1), T0.nums[:n]
+    left, right = _shifted(T1.nums), T0.nums[:n]
     for k, i in zip(*np.nonzero((left * T0.den != right * T1.den).T)):
         witness.append({"check": "functional-pairing",
                         "functional": int(i) + 1, "probe_degree": int(k),
@@ -390,13 +413,13 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
                                  probe_degree=probe_degree)
 
 
-def _shifted(T: linalg.Exact) -> np.ndarray:
-    """The numerators of T D, over T's denominator: column k of T D is k
-    times column k - 1 of T, and column 0 is zero (D maps monomial
-    coefficients to those of the derivative)."""
-    height, width = T.shape
+def _shifted(nums: np.ndarray) -> np.ndarray:
+    """T D for the numerators of T, over T's denominator: column k of
+    T D is k times column k - 1 of T, and column 0 is zero (D maps
+    monomial coefficients to those of the derivative)."""
+    height, width = nums.shape
     out = np.zeros((height, width + 1), dtype=object)
-    out[:, 1:] = T.nums * np.arange(1, width + 1, dtype=object)
+    out[:, 1:] = nums * np.arange(1, width + 1, dtype=object)
     return out
 
 
@@ -409,7 +432,7 @@ def _defect(e: Element1D, width: int) -> tuple[np.ndarray, int]:
     left, left_den = linalg.product(_derived(e.B0), e.alpha0)
     right, right_den = linalg.product(e.B1, e.alpha1)
     left, left_den = left @ T0.nums, left_den * T0.den
-    right, right_den = right @ _shifted(T1), right_den * T1.den
+    right, right_den = right @ _shifted(T1.nums), right_den * T1.den
     den = math.lcm(left_den, right_den)
     return left * (den // left_den) - right * (den // right_den), den
 

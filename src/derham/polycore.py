@@ -55,8 +55,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors ----------------------------------------------------
-
     @staticmethod
     def zero() -> "Polynomial":
         return Polynomial()
@@ -73,8 +71,6 @@ class Polynomial:
         if p.coeffs:  # one shared zero pads it
             object.__setattr__(p, "coeffs", (_ZERO,) * power + p.coeffs)
         return p
-
-    # -- basic protocol ---------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -98,8 +94,6 @@ class Polynomial:
         terms = [f"{c}*x^{k}" if k > 1 else f"{c}*x" if k else str(c)
                  for k, c in enumerate(self.coeffs) if c]
         return "Polynomial(" + (" + ".join(terms) or "0") + ")"
-
-    # -- ring operations --------------------------------------------------
 
     def __add__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -131,8 +125,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    # -- calculus ---------------------------------------------------------
-
     def derivative(self, order: int = 1) -> "Polynomial":
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -145,8 +137,6 @@ class Polynomial:
     def integral01(self) -> Fraction:
         """Exact definite integral over [0, 1]."""
         return sum((c / (k + 1) for k, c in enumerate(self.coeffs)), Fraction(0))
-
-    # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int arguments, float for float."""

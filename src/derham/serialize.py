@@ -198,7 +198,3 @@ def tensor_basis_samples_csv(e: Element1D, chi, index, count: int = 33) -> str:
         values += [float(basis[j - 1](t)) for t in grid]
     return csv_text(["x", "y", "value"], (
         (x, y, a * b) for x, a in zip(grid, xs) for y, b in zip(grid, ys)))
-
-
-def interp_csv(rows: list[dict], columns: list[str]) -> str:
-    return csv_text(columns, ([row[c] for c in columns] for row in rows))

@@ -74,14 +74,11 @@ class SmoothFunction1D:
         return self._derivative(order, x)
 
     def differentiated(self) -> "SmoothFunction1D":
-        base = self._derivative
-        sided = self._sided
-        exact = None
-        if self.exact_polynomial is not None:
-            exact = self.exact_polynomial.derivative()
+        base, sided = self._derivative, self._sided
+        exact = self.exact_polynomial
         return SmoothFunction1D(
             lambda order, x: base(order + 1, x),
-            exact_polynomial=exact,
+            exact_polynomial=None if exact is None else exact.derivative(),
             sided=None if sided is None else
             (lambda order, x, side: sided(order + 1, x, side)),
             name=self.name + "'")
@@ -158,8 +155,7 @@ class SmoothFunctionND:
             self.dimension, lambda orders, point: a(orders, point) + b(orders, point))
 
     def __rmul__(self, scalar) -> "SmoothFunctionND":
-        scale = float(scalar)
-        base = self._mixed
+        scale, base = float(scalar), self._mixed
         return SmoothFunctionND(
             self.dimension, lambda orders, point: scale * base(orders, point))
 

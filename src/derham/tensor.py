@@ -23,7 +23,8 @@ to the index rule, to the smooth component formula and to the
 commutation residual, which is the 1D commuting diagram with the other
 axes riding along: on the target chi + e_t, d I u - I d u of a rank-one
 term is, up to sign, the interpolants of the other axes times the 1D
-residual r (:func:`_residual_sources`) on axis t.  On a grid input
+residual r on axis t, columns of the monomial table that the element
+keeps per width (:func:`element1d.monomial_columns`).  On a grid input
 (dd-zero's basis, the probes of :func:`verify_monomial_commutation`)
 the verifiers decide from the 1D columns alone: a Kronecker product is
 nonzero iff every factor is, and its peak is the product of theirs.
@@ -46,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .element1d import (Element1D, _derived, _family, _pairing,
-                        interpolant_columns)
+from .element1d import (Element1D, _family, _pairing, _shared,
+                        interpolant_columns, monomial_columns)
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficients
 from .quadrature import check_order
@@ -181,10 +182,7 @@ class TensorForm:
     __slots__ = ("dimension", "nu", "degree", "blocks")
 
     def __init__(self, dimension: int, nu: int, degree: int, blocks: dict):
-        if nu > dimension:
-            expected: list[Chi] = []
-        else:
-            expected = enumerate_chi(dimension, nu)
+        expected = enumerate_chi(dimension, nu) if nu <= dimension else []
         if set(blocks) != set(expected):
             raise ValueError("blocks must cover exactly the characteristic "
                              f"vectors of nu={nu}")
@@ -201,13 +199,10 @@ class TensorForm:
     def zero(cls, dimension: int, nu: int, degree: int,
              exact: bool = True) -> "TensorForm":
         blocks = {}
-        if nu <= dimension:
-            for chi in enumerate_chi(dimension, nu):
-                shape = _block_widths(chi, degree)
-                if exact:
-                    blocks[chi] = np.full(shape, Fraction(0), dtype=object)
-                else:
-                    blocks[chi] = np.zeros(shape)
+        for chi in enumerate_chi(dimension, nu) if nu <= dimension else []:
+            shape = _block_widths(chi, degree)
+            blocks[chi] = np.full(shape, Fraction(0), dtype=object) \
+                if exact else np.zeros(shape)
         return cls(dimension, nu, degree, blocks)
 
     def _space(self) -> tuple[int, int, int]:
@@ -366,20 +361,15 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
                         for bit in seen), den)
 
 
-def _shared(columns) -> tuple[list, int]:
-    """(numerators, denominator) pairs over their lcm denominator."""
-    den = math.lcm(*(d for _, d in columns))
-    return [nums * (den // d) for nums, d in columns], den
-
-
 def _residual_sources(element: Element1D, P0: linalg.Exact,
                       P1: linalg.Exact) -> tuple[list, int]:
-    """The columns I_0 P_0, I_1 P_1 and r = (I_0 P_0)[:n] - I_1 (D P_0)
-    over one denominator: r is the 1D commutation residual of P_0's
-    columns, the one factor where d I u and I d u differ."""
-    (i0, i1, di), den = _shared([interpolant_columns(element, k, P) for k, P
-                                 in ((0, P0), (1, P1), (1, _derived(P0)))])
-    return [i0, i1, i0[:element.n] - di], den
+    """The columns I_0 P_0, I_1 P_1 and r P_0 over one denominator: the
+    blocks of the monomial table (:func:`monomial_columns`) times P_0, P_1
+    and P_0, r P_0 being the 1D commutation residual of P_0's columns."""
+    columns, den = monomial_columns(element, max(len(P0.nums), len(P1.nums)))
+    scale = math.lcm(P0.den, P1.den)
+    return [block[:, :len(P.nums)] @ (P.nums * (scale // P.den))
+            for block, P in zip(columns, (P0, P1, P0))], den * scale
 
 
 def _kron_blocks(n: int, table: _Terms, sources, nu: int, pieces) -> dict:
@@ -740,22 +730,12 @@ def _degree_set(degrees) -> tuple[int, ...]:
     return tuple(sorted(set(degrees)))
 
 
-def _monomials(degrees: tuple[int, ...]) -> linalg.Exact:
-    """x^a for each degree a of a degree set, as 0/1 columns of monomial
-    coefficients."""
-    powers = np.arange(max(degrees, default=-1) + 1)[:, None]
-    return linalg.Exact.trusted((powers == degrees).astype(int)
-                                .astype(object), 1)
-
-
 class _Residuals(NamedTuple):
-    """The 1D columns of the monomials x^a of one degree set, kind k = 0,
-    1, 2 for I_0 x^a, I_1 x^a and r(x^a): ``sources[k]`` their numerators
-    over ``den``, ``live[k]`` the flags of the nonzero columns and
-    ``alive[k]`` whether any is, ``peaks[k]`` each column's largest
-    absolute numerator, as ints."""
+    """What the verifier reads of the 1D columns of one degree set's
+    monomials x^a, kind k = 0, 1, 2 for I_0 x^a, I_1 x^a and r(x^a), over
+    ``den``: ``live[k]`` the flags of the nonzero columns and ``alive[k]``
+    whether any is, ``peaks[k]`` each column's largest |numerator|, an int."""
 
-    sources: list
     den: int
     live: list
     alive: tuple[bool, ...]
@@ -764,15 +744,16 @@ class _Residuals(NamedTuple):
 
 def _monomial_residuals(element: Element1D,
                         degrees: tuple[int, ...]) -> _Residuals:
-    """The residual table of a degree set, built once per element."""
+    """The residual table of a degree set, built once per element: the
+    degree columns of the monomial table, no product."""
     def build():
-        P = _monomials(degrees)
-        sources, den = _residual_sources(element, P, P)
-        live = [(nums != 0).any(axis=0) for nums in sources]
-        return _Residuals(sources, den, live,
+        columns, den = monomial_columns(element, max(degrees, default=-1) + 1)
+        picked = [block[:, list(degrees)] for block in columns]
+        live = [(nums != 0).any(axis=0) for nums in picked]
+        return _Residuals(den, live,
                           tuple(bool(flags.any()) for flags in live),
                           [np.abs(nums).max(axis=0).tolist()
-                           for nums in sources])
+                           for nums in picked])
     return element.cached(("monomial residual", degrees), build)
 
 
@@ -780,8 +761,7 @@ def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
     """Rank-one probes with monomial factors x^a, a drawn from degrees:
     chi by chi, every choice of one degree per axis in row-major order."""
-    monomials = [Polynomial(column)
-                 for column in _monomials(_degree_set(degrees)).nums.T]
+    monomials = [Polynomial.monomial(a) for a in _degree_set(degrees)]
     return [rank_one(zip(chi, combo))
             for chi in enumerate_chi(dimension, nu)
             for combo in itertools.product(monomials, repeat=dimension)]
@@ -843,12 +823,13 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     the probes.  On the target chi + e_t of 0-form axis t, the residual
     of the probe with degrees a is, up to the sign of that axis, the
     Kronecker product of the interpolants I_{chi_s}(x^{a_s}) of the
-    other axes and r(x^{a_t}) (:func:`_residual_sources`) on axis t: it
-    is nonzero iff every one of those columns is, and its largest entry
-    is the product of theirs.  Those columns depend only on the element
+    other axes and r(x^{a_t}) on axis t, columns of the element's
+    monomial table (:func:`element1d.monomial_columns`): it is nonzero
+    iff every one of those columns is, and its largest entry is the
+    product of theirs.  Their flags and peaks depend only on the element
     and the degree set, not on nu or chi: their table
     (:func:`_monomial_residuals`) is kept in the element's memo, so every
-    nu after the first on one element makes no column product.  A target
+    nu after the first on one element only reads it.  A target
     whose factor kinds include one with no nonzero column passes, so a
     chi with no other target builds no mask of its probes."""
     degrees = _degree_set(degrees)

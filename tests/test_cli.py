@@ -586,21 +586,19 @@ class TestInterpCommand:
         i0u = element1d.interpolate_smooth(e, 0, u)
         d_i0u = i0u.deriv(1)
         i1du = element1d.interpolate_smooth(e, 1, u.differentiated())
-        rows = [{"x": x, "u": u.value(x), "I0u": i0u(x), "dI0u": d_i0u(x),
-                 "I1du": i1du(x), "residual": d_i0u(x) - i1du(x)}
-                for x in grid]
+        rows = [[x, u.value(x), i0u(x), d_i0u(x), i1du(x),
+                 d_i0u(x) - i1du(x)] for x in grid]
         argv = ("interp", "--m", str(mn[0]), "--n", str(mn[1]), "--input",
                 text, "--samples", str(samples))
-        assert run(capsys, *argv)[1] == serialize.interp_csv(
-            rows, ["x", "u", "I0u", "dI0u", "I1du", "residual"])
+        assert run(capsys, *argv)[1] == serialize.csv_text(
+            ["x", "u", "I0u", "dI0u", "I1du", "residual"], rows)
 
         left, right = (element1d.rounded(element1d.cell_interpolant(
             e, u, a, a + 1)) for a in (0.0, 1.0))
-        rows = [{"x": x, "u": u.value(x),
-                 "interp": left(x) if x <= 1.0 else right(x - 1.0)}
+        rows = [[x, u.value(x), left(x) if x <= 1.0 else right(x - 1.0)]
                 for x in (2.0 * g for g in grid)]
         assert run(capsys, *argv, "--two-cell")[1].startswith(
-            serialize.interp_csv(rows, ["x", "u", "interp"]))
+            serialize.csv_text(["x", "u", "interp"], rows))
 
     def test_sine_residual_within_default_tolerance(self, capsys):
         code, out, _ = run(capsys, "interp", "--m", "2", "--n", "5",
@@ -719,7 +717,8 @@ class TestRejectedAtEntry:
         ("verify", "--checks", ","),
     ])
     def test_empty_list(self, capsys, argv):
-        assert "error: empty list" in rejected(capsys, *argv)
+        flag = argv[argv.index(",") - 1]
+        assert rejected(capsys, *argv) == f"error: {flag} ',': empty list\n"
 
     @pytest.mark.parametrize("argv, flag, text, item", [
         (("verify", "--m", "x"), "m", "x", "x"),
@@ -748,8 +747,69 @@ class TestRejectedAtEntry:
         # an empty item is rejected, not dropped: the list quoted in the
         # message is the flag's value as given
         err = rejected(capsys, *argv)
-        flag = next(a for a in argv if "," in a)
-        assert f"error: empty item in list {flag!r}" in err
+        value = next(a for a in argv if "," in a)
+        flag = argv[argv.index(value) - 1]
+        assert err == f"error: {flag} {value!r}: empty item in list\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--m", "1..0"), "--m '1..0': empty range"),
+        (("verify", "--n", "auto+x"), "--n 'auto+x': bad degree spec; "
+         "expected auto, auto+K, a value, or a range"),
+        (("verify", "--m", "1", "--n", "2"),
+         "--n '2': degree n=2 too low for m=1; need n >= 3"),
+        (("verify", "--m", "1,,2"), "--m '1,,2': empty item in list"),
+        (("verify", "--m", "1", "--n", "3,,4"),
+         "--n '3,,4': empty item in list"),
+        (("verify", "--nu", "0,,1", "--checks", "tensor-commutation"),
+         "--nu '0,,1': empty item in list"),
+        (("tensor", "--emit", "basis-samples", "--chi", "0,,1"),
+         "--chi '0,,1': empty item in list"),
+        (("tensor", "--emit", "basis-samples", "--index", "1,,1"),
+         "--index '1,,1': empty item in list"),
+        (("verify", "--checks", "dd-zero,,unisolvence"),
+         "--checks 'dd-zero,,unisolvence': empty item in list"),
+        (("verify", "--checks", "foo"),
+         "--checks 'foo': unknown checks ['foo']"),
+        (("tensor", "--m", "1", "--n", "3", "--emit", "basis-samples",
+          "--chi", "0,2"), "--chi '0,2': characteristic vector [0, 2] may "
+         "hold only 0 (0-form) and 1 (1-form)"),
+        (("tensor", "--m", "1", "--n", "3", "--emit", "basis-samples",
+          "--chi", "0,0,0"), "--chi '0,0,0': grid sampling covers the 2D "
+         "case"),
+        (("tensor", "--m", "1", "--n", "3", "--emit", "basis-samples",
+          "--index", "1,9"), "--index '1,9': basis index 9 out of range "
+         "1..4"),
+        (("tensor", "--m", "1", "--n", "3", "--emit", "basis-samples",
+          "--chi", "1,1", "--index", "4,1"), "--index '4,1': basis index 4 "
+         "out of range 1..3"),
+    ], ids=["empty-range", "degree-spec", "degree-too-low", "empty-item-m",
+            "empty-item-n", "empty-item-nu", "empty-item-chi",
+            "empty-item-index", "empty-item-checks", "unknown-check",
+            "chi-bit", "chi-length", "index-range", "index-range-1-form"])
+    def test_value_error_names_its_flag(self, capsys, argv, message):
+        # each message starts with the flag and its quoted value
+        assert rejected(capsys, *argv) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, flag, readers", [
+        (("--checks", "dd-zero", "--nu", "0..1"), "--nu",
+         "tensor-commutation, kron-structure"),
+        (("--checks", "unisolvence,continuity-demo", "--probe-degree", "4"),
+         "--probe-degree",
+         "lemma-hypotheses, commutation, tensor-commutation"),
+        (("--checks", "commutation,dd-zero", "--quadrature-order", "8"),
+         "--quadrature-order", "continuity-demo"),
+    ], ids=["nu", "probe-degree", "quadrature-order"])
+    def test_flag_that_no_selected_check_reads(self, capsys, argv, flag,
+                                               readers):
+        # used to exit 0 with the flag ignored
+        err = rejected(capsys, "verify", "--m", "1", "--n", "3", *argv)
+        assert err == f"error: {flag}: only {readers} read it\n"
+        for reader in readers.split(", "):  # one reader is enough
+            checks = argv.index("--checks") + 1
+            code, _, err = run(capsys, "verify", "--m", "1", "--n", "3",
+                               *argv[:checks], argv[checks] + "," + reader,
+                               *argv[checks + 1:])
+            assert code == 0 and err == ""
 
     @pytest.mark.parametrize("grid", [("--m", "0..2"), ("--m", "0,1"),
                                       ("--n", "auto+1"), ("--n", "3,4")])

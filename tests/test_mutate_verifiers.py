@@ -28,7 +28,7 @@ def test_every_site_of_every_named_verifier_makes_a_mutant():
     sites = tool.find_sites(ROOT / "src" / "derham", tool.SELECTIONS)
     assert {site.function for site in sites} == set(tool.SELECTIONS)
     assert {site.kind for site in sites} == {"comparison", "boolean",
-                                             "constant", "not"}
+                                             "arithmetic", "constant", "not"}
     originals = {}
     for site in sites:
         if site.path not in originals:

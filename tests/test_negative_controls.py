@@ -27,7 +27,8 @@ from derham.element1d import (Element1D, build_element, verify_commutation,
 from derham.linalg import Exact
 from derham.polycore import Polynomial, coefficients
 from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
-    rank_one_monomial_probes, verify_dimensions
+    rank_one_monomial_probes, verify_dimensions, verify_kron_structure, \
+    verify_monomial_commutation
 
 GRID = [(0, 2), (1, 3), (2, 5)]
 
@@ -213,6 +214,73 @@ class TestStoredTableMutants:
         # alpha0' M0 = I + e_4 (M0's first row) / 7, and that row is e_1
         assert report.witness == [{"check": "projection", "form": 0,
                                    "row": 4, "col": 1}]
+
+
+def plus_one(element, field: str, index):
+    """``element`` with 1 added to one entry of ``alpha_k``, ``M_k`` or
+    ``B_k``.  A changed ``B_k`` is given with the other basis table and
+    its ``M_k`` and ``alpha_k`` are rebuilt from it; a changed node table
+    or inverse is stored as it is."""
+    table = getattr(element, field)
+    nums = table.nums.copy()
+    nums[index] += table.den
+    value = Exact.reduced(nums, table.den)
+    if field[0] == "B":
+        return Element1D(element.m, element.n,
+                         **{"B0": element.B0, "B1": element.B1, field: value})
+    return dataclasses.replace(element, **{field: value})
+
+
+class TestPerturbationSweep:
+    """Every check that decides from a shortcut (the triangular ranks,
+    the dd-zero pair and column skip, the monomial residual table, the
+    kron ``same`` skip) must still see a single-entry error in any table.
+    Adding 1 to one entry of alpha_k, M_k or B_k, on four elements, makes
+    an element that fails at least one of unisolvence, lemma-hypotheses,
+    commutation, and at N = 2 dd-zero, kron-structure and
+    tensor-commutation on the CLI's degrees."""
+
+    POINTS = ((0, 1), (1, 3), (1, 4), (2, 7))
+    FIELDS = ("alpha0", "alpha1", "M0", "M1", "B0", "B1")
+
+    @staticmethod
+    def tensor_commutation_passes(e):
+        return all(verify_monomial_commutation(2, nu, range(e.n + 4), e)
+                   .passed for nu in range(3))
+
+    @pytest.mark.parametrize("mn", POINTS)
+    def test_every_perturbation_fails_a_check(self, mn):
+        e = build_element(*mn)
+        checks = [verify_unisolvence, verify_lemma_hypotheses,
+                  verify_commutation, lambda e: verify_dd_zero(2, e)] + [
+            lambda e, nu=nu: verify_kron_structure(2, nu, e)
+            for nu in range(3)]
+        mutants = [(field, index) for field in self.FIELDS
+                   for index in np.ndindex(getattr(e, field).nums.shape)]
+        assert len(mutants) == 3 * ((e.n + 1) ** 2 + e.n ** 2)
+
+        def passes(p):
+            return all(check(p).passed for check in checks) \
+                and self.tensor_commutation_passes(p)
+        assert [(field, index) for field, index in mutants
+                if passes(plus_one(e, field, index))] == []
+
+    @pytest.mark.parametrize("mn", POINTS)
+    def test_tensor_commutation_sees_every_interpolant_change(self, mn):
+        """On its own, tensor-commutation fails every perturbation of
+        alpha_1 and B_1, and of alpha_0 and B_0 but for alpha_0's last row
+        and B_0's first row.  Both change only the coefficient of the
+        constant basis function, which d kills: a constant added to a
+        0-form basis function changes only the row of M_0 of the one
+        functional that sees constants, u(1)+u(0)."""
+        e = build_element(*mn)
+        passing = [(field, index) for field in ("alpha0", "alpha1", "B0",
+                                                "B1")
+                   for index in np.ndindex(getattr(e, field).nums.shape)
+                   if self.tensor_commutation_passes(
+                       plus_one(e, field, index))]
+        assert passing == [("alpha0", (e.n, j)) for j in range(e.n + 1)] \
+            + [("B0", (0, j)) for j in range(e.n + 1)]
 
 
 class TestShortFamily:

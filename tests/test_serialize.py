@@ -14,7 +14,7 @@ from derham import serialize
 from derham.element1d import build_element
 from derham.polycore import Polynomial, coefficients
 from derham.serialize import (SCHEMA_VERSION, basis_samples_csv, columns_json,
-                              element_json, float_str, interp_csv, json_text,
+                              csv_text, element_json, float_str, json_text,
                               matrix_json, tensor_basis_samples_csv,
                               tensor_tables_json)
 
@@ -207,8 +207,7 @@ def test_tensor_basis_samples_csv():
 
 
 def test_interp_csv():
-    text = interp_csv([{"x": 0.0, "u": 1.5}, {"x": 1.0, "u": -2.0}],
-                      ["x", "u"])
+    text = csv_text(["x", "u"], [[0.0, 1.5], [1.0, -2.0]])
     assert text == "x,u\n0,1.5\n1,-2\n"
 
 

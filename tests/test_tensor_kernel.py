@@ -36,6 +36,7 @@ import io
 import itertools
 import json
 import math
+import random
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -997,19 +998,19 @@ def test_pristine_monomial_commutation_builds_no_probe_mask(monkeypatch):
 
 def test_one_kernel_call_per_verifier_call(monkeypatch):
     """Each tensor-commutation call on explicit probes below the top
-    degree makes one term pass, one set of residual sources (3 column
-    products: I_0 P_0, I_1 P_1, I_1 D P_0) and one kernel pass; at the
-    top degree it makes no column product.  The grid entry
-    ``verify_monomial_commutation`` reads the same 3 products once per
-    element and degree set, from its first call below the top degree,
-    and none on a repeat call, at any nu; it makes no kernel pass, and
-    dd-zero none: it compares D B_0 with [B_1 | 0].  The CLI's
+    degree makes one term pass, one set of residual sources and one
+    kernel pass; at the top degree it makes neither.  Both read the 1D
+    columns from the element's monomial table, built once per element
+    and width (here width 5) by the first call below the top degree and
+    by no later one; the grid entry ``verify_monomial_commutation`` makes
+    no ``interpolant_columns`` call, no residual sources and no kernel
+    pass, and dd-zero none: it compares D B_0 with [B_1 | 0].  The CLI's
     tensor-commutation goes through the grid entry, so one element's
-    calls over every nu share 3 products.  The verifiers make no
+    calls over every nu share one table build.  The verifiers make no
     Polynomial, and the grid verifiers read their integer coefficient
     matrices straight from the degrees and the element, turning no
     Polynomial into coefficients."""
-    calls = {}
+    calls, built = {}, []
 
     def counting(module, name, counts=lambda *args: True):
         inner = getattr(module, name)
@@ -1020,16 +1021,29 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    inner_cached = Element1D.cached
+
+    def cached(self, key, build):  # records the key of every build run
+        return inner_cached(self, key, lambda: built.append(key) or build())
+    monkeypatch.setattr(Element1D, "cached", cached)
+
+    def table_builds():
+        widths = [key[1] for key in built if key[0] == "monomial columns"]
+        built.clear()
+        return widths
+
     for name in ("_kron_blocks", "_residual_sources", "_term_table",
-                 "interpolant_columns", "_expansion_columns",
-                 "verify_monomial_commutation"):
+                 "_expansion_columns", "verify_monomial_commutation"):
         counting(tensor, name)
+    for module in (element1d, tensor):
+        counting(module, "interpolant_columns")
     e = build_element(1, 3)
     counting(Polynomial, "__init__")
     for module in (polycore, element1d, tensor):  # every binding of it
         counting(module, "coefficients", lambda polys, *_: any(
             isinstance(p, Polynomial) for p in polys))
-    built = False  # whether e holds the table of range(5)
+    has_table = False  # whether e holds the table of width 5
+    table_builds()
     for dimension in (2, 3):
         for nu in range(dimension + 1):
             probes = rank_one_monomial_probes(dimension, nu, range(5))
@@ -1041,31 +1055,30 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                 below = nu < dimension
                 want = {"_kron_blocks": below, "_residual_sources": below,
                         "_term_table": 1,  # one P_k per bit used
-                        "coefficients": 1 + (0 < nu < dimension),
-                        "interpolant_columns": 3 * below} \
+                        "coefficients": 1 + (0 < nu < dimension)} \
                     if verify is verify_tensor_commutation else \
-                    {"verify_monomial_commutation": 1,
-                     "_residual_sources": below and not built,
-                     "interpolant_columns": 3 * (below and not built)}
+                    {"verify_monomial_commutation": 1}
                 assert calls == {k: v for k, v in want.items() if v}
-                built = built or (below and verify is not
-                                  verify_tensor_commutation)
-    for degrees, products in (([4, 0, 2, 1, 3, 0], 0), (range(6), 3),
-                              (range(6), 0)):
+                assert table_builds() == [5] * (below and not has_table)
+                has_table = has_table or below
+    for degrees, widths in (([4, 0, 2, 1, 3, 0], []), (range(6), [6]),
+                            (range(6), []), ([5, 0], [])):
         calls.clear()  # a degree set is a set: order and repeats aside
         verify_monomial_commutation(2, 0, degrees, e)
-        assert calls.get("interpolant_columns", 0) == products
+        assert table_builds() == widths  # one table per width
+        assert "interpolant_columns" not in calls
     for dimension in (1, 2, 3, 4):
         calls.clear()
         verify_dd_zero(dimension, e)
-        assert calls == {}
+        assert calls == {} and table_builds() == []
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
-    assert calls["interpolant_columns"] == 3  # nu = 0 only
+    assert table_builds() == [7]  # degrees 0, 2, 3, 6; nu = 0 only
     assert "_kron_blocks" not in calls and "_term_table" not in calls
+    assert "interpolant_columns" not in calls
 
 
 def test_a_used_element_gives_the_reports_of_a_fresh_one():
@@ -1094,6 +1107,87 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
     verdicts.append(got)
     assert all('"passed": false' in " ".join(texts)
                for texts in verdicts[1:])
+
+
+GRID_1D = [(m, n) for m in range(5) for n in range(2 * m + 1, 2 * m + 7)]
+ELEMENT_CONTROLS = (None, swap_basis, wrong_functional, permute_alpha,
+                    scale_basis1)
+
+
+def controlled(e, control):
+    """``e`` under an element corruption (None: e itself); swap-basis and
+    permute-alpha need n >= 2, else None."""
+    if control in (swap_basis, permute_alpha) and e.n < 2:
+        return None
+    return e if control is None else control(e)
+
+
+def old_route(e, P0, P1):
+    """I_0 P_0, I_1 P_1 and r P_0 by the route the monomial table
+    replaced, as Fraction arrays: alpha_k T_k P_k, T_k read at the height
+    of P_k, and r P_0 = (I_0 P_0)[:n] - alpha_1 T_1 (D P_0), T_1 read
+    again at the height of the derived columns D P_0."""
+    def interpolants(k, P):
+        return linalg.Exact.trusted(*linalg.product(
+            element1d._family(e, k)[2], e.rows(k, len(P.nums)),
+            P)).fractions()
+    i0 = interpolants(0, P0)
+    return [i0, interpolants(1, P1),
+            i0[:e.n] - interpolants(1, element1d._derived(P0))]
+
+
+def random_columns(rng, height):
+    """One to three random coefficient columns of ``height`` rows."""
+    return coefficients([Polynomial([
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for _ in range(height)]) for _ in range(rng.randint(1, 3))], height)
+
+
+def assert_columns_equal(got, den, want):
+    assert [block.shape for block in got] == [block.shape for block in want]
+    for block, oracle in zip(got, want):
+        assert bool((linalg.Exact.trusted(block, den).fractions()
+                     == oracle).all())
+
+
+@pytest.mark.parametrize("mn", GRID_1D)
+def test_monomial_columns_match_the_old_route(mn):
+    """Every tensor reader takes its 1D columns from the monomial table.
+    At widths 1 to n + 6, on every GRID_1D element, pristine and under
+    the four element corruptions, the table equals the route it replaced
+    entry for entry as Fractions: directly, against that route on the
+    0/1 monomial matrix, and through ``_residual_sources`` on random
+    coefficient columns, the taller of P_0 and P_1 at the width."""
+    rng = random.Random(repr(mn))
+    for control in ELEMENT_CONTROLS:
+        e = controlled(build_element(*mn), control)
+        if e is None:
+            continue
+        for width in range(1, e.n + 7):
+            monomials = linalg.Exact.trusted(
+                np.eye(width, dtype=int).astype(object), 1)
+            assert_columns_equal(*element1d.monomial_columns(e, width),
+                                 old_route(e, monomials, monomials))
+            heights = [width, rng.randint(0, width)]
+            rng.shuffle(heights)
+            P0, P1 = (random_columns(rng, height) for height in heights)
+            assert_columns_equal(*tensor._residual_sources(e, P0, P1),
+                                 old_route(e, P0, P1))
+
+
+@pytest.mark.parametrize("control", ELEMENT_CONTROLS,
+                         ids=["pristine", "swap-basis", "wrong-functional",
+                              "permute-alpha", "scale-basis1"])
+def test_an_empty_degree_set_passes_with_no_probes(control):
+    """No degree, no probe: the table of width 0 has no column, so every
+    nu passes with ``probes`` 0, on a failing element too."""
+    for m, n in ((0, 2), (1, 3), (2, 6)):
+        e = controlled(build_element(m, n), control)
+        for dimension in (1, 2, 3):
+            for nu in range(dimension + 1):
+                report = verify_monomial_commutation(dimension, nu, [], e)
+                assert report.passed
+                assert report.parameters["probes"] == 0
 
 
 def residual_keys(e):
@@ -1148,10 +1242,17 @@ def test_two_degree_sets_do_not_share_a_table():
         assert reports[degrees] == got
     assert reports[(0, 1, 5)] != reports[(0, 2, 5)]
     first, second = (e._memo[key] for key in residual_keys(e))
-    assert first is not second and first.sources[0].shape == \
-        second.sources[0].shape
-    assert any(bool((a != b).any())
-               for a, b in zip(first.sources, second.sources))
+    assert first is not second
+    # both read the one table of width 6, each at its own degrees
+    columns, den = e._memo[("monomial columns", 6)]
+    for table, degrees in ((first, [0, 1, 5]), (second, [0, 2, 5])):
+        assert table.den == den
+        for k, block in enumerate(columns):
+            picked = block[:, degrees]
+            assert table.live[k].tolist() == \
+                (picked != 0).any(axis=0).tolist()
+            assert table.peaks[k] == np.abs(picked).max(axis=0).tolist()
+    assert first.peaks != second.peaks
 
 
 def test_degrees_are_checked_on_a_memo_hit():
@@ -1202,9 +1303,9 @@ def test_a_second_call_leaves_the_cached_sources_unchanged():
     copies = {key: (value.nums.copy(), value.den)
               for key, value in cached.items()}
     residual_key = ("monomial residual", tuple(range(8)))
-    residuals = e._memo[residual_key]
-    arrays = [array.copy() for array in (*residuals.sources,
-                                         *residuals.live)]
+    residuals, (columns, den) = (e._memo[residual_key],
+                                 e._memo[("monomial columns", 8)])
+    arrays = [array.copy() for array in (*columns, *residuals.live)]
     peaks = [list(column) for column in residuals.peaks]
     assert [report_json(run()) for run in runs] == first
     for key, value in cached.items():
@@ -1213,8 +1314,10 @@ def test_a_second_call_leaves_the_cached_sources_unchanged():
         assert value.nums.shape == want.shape
         assert bool((value.nums == want).all())
     assert e._memo[residual_key] is residuals
+    assert e._memo[("monomial columns", 8)][0] is columns
+    assert e._memo[("monomial columns", 8)][1] == den
     assert all(bool((array == want).all()) for array, want in zip(
-        (*residuals.sources, *residuals.live), arrays))
+        (*columns, *residuals.live), arrays))
     assert residuals.peaks == peaks
 
 

@@ -10,6 +10,8 @@ selection against each mutant in a scratch copy of the repository:
   ``is``/``is not``);
 * boolean operator: ``and``/``or`` swapped, and ``&``/``|`` swapped
   (also in ``&=``/``|=``), the boolean mask operators;
+* arithmetic operator: ``+``/``-`` swapped and ``*``/``//`` swapped
+  (also in augmented assignments), for the exact integer kernels;
 * int constant: each int literal (not a bool) made one larger and,
   separately, one smaller;
 * ``not``: a ``not x`` made ``x``.
@@ -62,6 +64,12 @@ SELECTIONS = {
     "verify_tensor_commutation": TENSOR_TESTS,
     # the residual table that verify_monomial_commutation reads
     "_monomial_residuals": TENSOR_TESTS,
+    # the 1D columns and the chi-level helpers every tensor verifier shares
+    "monomial_columns": TENSOR_TESTS,
+    "_residual_sources": TENSOR_TESTS,
+    "_d_terms": TENSOR_TESTS,
+    "_along": TENSOR_TESTS,
+    "_kron_blocks": TENSOR_TESTS,
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
@@ -70,10 +78,13 @@ NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
            ast.IsNot: ast.Is}
 SWAPPED = {ast.And: ast.Or, ast.Or: ast.And, ast.BitAnd: ast.BitOr,
            ast.BitOr: ast.BitAnd}
+ARITHMETIC = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv,
+              ast.FloorDiv: ast.Mult}
 SYMBOL = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.GtE: ">=",
           ast.LtE: "<=", ast.Gt: ">", ast.In: "in", ast.NotIn: "not in",
           ast.Is: "is", ast.IsNot: "is not", ast.And: "and", ast.Or: "or",
-          ast.BitAnd: "&", ast.BitOr: "|"}
+          ast.BitAnd: "&", ast.BitOr: "|", ast.Add: "+", ast.Sub: "-",
+          ast.Mult: "*", ast.FloorDiv: "//"}
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,9 @@ def _nodes(tree: ast.Module, function: str):
                 isinstance(node, (ast.BinOp, ast.AugAssign))
                 and type(node.op) in SWAPPED):
             yield "boolean", node
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and type(node.op) in ARITHMETIC:
+            yield "arithmetic", node
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             yield "constant", node
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
@@ -124,9 +138,10 @@ def find_sites(src: Path, functions) -> list[Site]:
                     changes = [(str(i), f"{SYMBOL[type(op)]} -> "
                                 f"{SYMBOL[NEGATED[type(op)]]}")
                                for i, op in enumerate(node.ops)]
-                elif kind == "boolean":
+                elif kind in ("boolean", "arithmetic"):
                     op = type(node.op)
-                    changes = [("0", f"{SYMBOL[op]} -> {SYMBOL[SWAPPED[op]]}")]
+                    swap = SWAPPED if kind == "boolean" else ARITHMETIC
+                    changes = [("0", f"{SYMBOL[op]} -> {SYMBOL[swap[op]]}")]
                 elif kind == "constant":
                     changes = [(step, f"{node.value} -> "
                                 f"{node.value + int(step)}")
@@ -148,6 +163,8 @@ def mutated_source(root: Path, site: Site) -> str:
         target.ops[i] = NEGATED[type(target.ops[i])]()
     elif kind == "boolean":
         target.op = SWAPPED[type(target.op)]()
+    elif kind == "arithmetic":
+        target.op = ARITHMETIC[type(target.op)]()
     elif kind == "constant":
         target.value += int(site.change)
     else:  # not x -> x: x takes the place of the ``not`` in its parent
