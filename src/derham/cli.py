@@ -68,12 +68,23 @@ def parse_int_list(text: str, flag: str) -> list[int]:
     return [number(text)]
 
 
-def _distinct(flag: str, values: list) -> list:
-    """``values``; a repeat would run (or emit) the same thing twice."""
+def _distinct(flag: str, text: str, values: list) -> list:
+    """``values``, read from the value ``text`` of ``--flag``; a repeat
+    would run (or emit) the same thing twice."""
     repeated = [value for i, value in enumerate(values) if value in values[:i]]
     if repeated:
-        raise ValueError(f"--{flag} repeats {repeated[0]}")
+        raise ValueError(f"--{flag} {text!r}: repeats {repeated[0]}")
     return values
+
+
+def _orders(text: str) -> list[int]:
+    """The distinct continuity orders of ``--m text``, each >= 0."""
+    orders = _distinct("m", text, parse_int_list(text, "m"))
+    low = next((m for m in orders if m < 0), None)
+    if low is not None:
+        raise ValueError(f"--m {text!r}: continuity order m={low} too low; "
+                         "need m >= 0")
+    return orders
 
 
 def degrees_for(m: int, n_spec: str) -> list[int]:
@@ -255,15 +266,22 @@ def run_verify_suite(cfg) -> SuiteResult:
     return suite
 
 
-def _check_nu(nu, dimension: int) -> None:
-    if nu is not None and not all(0 <= v <= dimension for v in nu):
-        raise ValueError(f"--nu {nu} out of range 0..{dimension}")
+def _form_degrees(text: str | None, dimension: int) -> list[int] | None:
+    """The distinct form degrees of ``--nu text``, each in 0..dimension
+    (None where the flag is not given)."""
+    if text is None:
+        return None
+    degrees = _distinct("nu", text, parse_int_list(text, "nu"))
+    bad = next((nu for nu in degrees if not 0 <= nu <= dimension), None)
+    if bad is not None:
+        raise ValueError(f"--nu {text!r}: {bad} out of range 0..{dimension}")
+    return degrees
 
 
 def cmd_verify(args) -> int:
-    _check_nu(args.nu, args.dimension)
+    args.nu = _form_degrees(args.nu, args.dimension)
     text, args.checks = args.checks, _distinct(
-        "checks", _split_items(args.checks, "checks"))
+        "checks", args.checks, _split_items(args.checks, "checks"))
     unknown = set(args.checks) - set(CHECKS)
     if unknown:
         raise ValueError(f"--checks {text!r}: unknown checks "
@@ -272,6 +290,12 @@ def cmd_verify(args) -> int:
         if getattr(args, flag[2:].replace("-", "_")) is not None \
                 and not set(readers) & set(args.checks):
             raise ValueError(f"{flag}: only {', '.join(readers)} read it")
+    if args.probe_degree is not None and "lemma-hypotheses" in args.checks:
+        above = [n for _, n in args.grid if n > args.probe_degree]
+        if above:
+            raise ValueError(f"--probe-degree {args.probe_degree}: below "
+                             f"n={min(above)} in the grid; lemma-hypotheses "
+                             "needs at least n")
     suite = run_verify_suite(args)
     if args.fmt == "json":
         emit(serialize.json_text(suite.to_json()), args.output)
@@ -327,7 +351,7 @@ def cmd_tensor(args) -> int:
             raise ValueError(f"{', '.join(given)}: only --emit {emitted} "
                              "reads them")
     dimension = args.dimension or 2
-    _check_nu(args.nu, dimension)
+    nu = _form_degrees(args.nu, dimension)
     element = _one_element(args)
     if args.emit == "basis-samples":
         texts = {"chi": "0,0" if args.chi is None else args.chi,
@@ -344,7 +368,7 @@ def cmd_tensor(args) -> int:
         emit(text, args.output)
         return 0
     emit(serialize.json_text(
-        serialize.tensor_tables_json(dimension, element, args.nu)),
+        serialize.tensor_tables_json(dimension, element, nu)),
         args.output)
     return 0
 
@@ -507,11 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.grid = [(m, n)
-                     for m in _distinct("m", parse_int_list(args.m, "m"))
-                     for n in _distinct("n", degrees_for(m, args.n))]
-        if getattr(args, "nu", None) is not None:
-            args.nu = _distinct("nu", parse_int_list(args.nu, "nu"))
+        args.grid = [(m, n) for m in _orders(args.m)
+                     for n in _distinct("n", args.n, degrees_for(m, args.n))]
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -255,10 +255,11 @@ def interpolant_columns(e: Element1D, k: int,
                         P: linalg.Exact) -> tuple[np.ndarray, int]:
     """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
     over the k-form basis, of the polynomials whose monomial coefficients
-    are P's columns, from block k of :func:`monomial_columns`."""
+    are P's columns, from block k of :func:`monomial_columns` (over the
+    denominator of both blocks, so reduced before it enters the product)."""
     _family(e, k)  # a form degree other than 0 or 1 raises
     columns, den = monomial_columns(e, len(P.nums))
-    return linalg.product(linalg.Exact.trusted(columns[k], den), P)
+    return linalg.product(linalg.Exact.reduced(columns[k], den), P)
 
 
 def _interpolant(e: Element1D, k: int, values) -> Polynomial:
@@ -388,10 +389,10 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
                      "value": linalg.ratio_str(value, table.den)}
                     for i, value in enumerate(values) if value]
 
-    # with the pairing exact, D B_0[:, :n] is B_1, and T_1 B_1 lower
-    # triangular with a nonzero diagonal proves that B_1 has rank n
-    T1B1, pairing = e.node_table(1).nums, np.flatnonzero(moved)
-    if (len(pairing) or np.triu(T1B1, 1).any() or not all(T1B1.diagonal())) \
+    # with the pairing exact, D B_0[:, :n] is B_1, and a nonsingular
+    # T_1 B_1 proves that B_1 has rank n
+    pairing = np.flatnonzero(moved)
+    if (len(pairing) or linalg.rank(e.node_table(1)) < n) \
             and linalg.rank(_derived(e.B0).nums[:, :n]) != n:
         witness.append({"check": "range", "detail":
                         "derivatives of the first n basis functions do not "

@@ -117,8 +117,8 @@ def integer_rows(rows, width: int) -> tuple[np.ndarray, int]:
     """Rows of ints and Fractions, each padded with zeros to ``width``,
     as (Python-int numerators, denominator): one pass of :func:`_scaled`
     over all of them, so in lowest terms."""
-    nums, den = _scaled([x for row in rows
-                         for x in (*row, *[0] * (width - len(row)))])
+    nums, den = _scaled(_entries([x for row in rows
+                                  for x in (*row, *[0] * (width - len(row)))]))
     return np.array(nums, dtype=object).reshape(len(rows), width), den
 
 
@@ -255,7 +255,5 @@ def product(*factors) -> tuple[np.ndarray, int]:
 
 
 def kron(a, b):
-    """Exact Kronecker product of two object arrays or two ``Exact``."""
-    if isinstance(a, Exact) and isinstance(b, Exact):
-        return Exact.reduced(np.kron(a.nums, b.nums), a.den * b.den)
+    """Exact Kronecker product of two object arrays."""
     return np.kron(a, b)

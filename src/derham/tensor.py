@@ -31,7 +31,11 @@ nonzero iff every factor is, and its peak is the product of theirs.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
-and commutation of interpolation with the exterior derivative.
+and commutation of interpolation with the exterior derivative.  The
+Kronecker structure is decided from the two 1D factor pairs (T_k B_k,
+M_k) too: two Kronecker products are equal iff the products of their
+factors' first nonzero entries are and, where those are nonzero, each
+factor pair agrees once divided by its first entries.
 """
 
 from __future__ import annotations
@@ -865,31 +869,57 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
                                  probes=len(chis) * math.prod(shape))
 
 
+def _kron_factors(element: Element1D) -> list[tuple]:
+    """What kron-structure reads of the 1D factor pairs (T_k B_k, M_k),
+    built once per element: per form degree k, the first nonzero entries
+    (row-major, 0 if there is none) of T_k B_k and of M_k, as integers in
+    their ratio (each numerator times the other table's denominator),
+    whether the two tables agree once each is divided by its own, and
+    the rank of T_k B_k."""
+    def build():
+        factors = []
+        for k, stored in enumerate((element.M0, element.M1)):
+            table = element.node_table(k)
+            a, b = (next((x for x in pair.nums.ravel().tolist() if x), 0)
+                    for pair in (table, stored))
+            # T_k B_k / a == M_k / b on the numerators, read only where no
+            # first entry of a chi is zero
+            factors.append((a * stored.den, b * table.den,
+                            bool((table.nums * b == stored.nums * a).all()),
+                            linalg.rank(table)))
+        return factors
+    return element.cached("kron factors", build)
+
+
 def verify_kron_structure(dimension: int, nu: int,
                           element: Element1D) -> VerificationReport:
     """Per-chi node matrices factor as Kronecker products and invert.
 
     The direct route applies the product functionals to the rank-one
     basis elements.  Both act factor by factor, so the direct matrix is
-    the Kronecker product of the 1D tables f(b) built from the element's
-    functionals and basis; it must equal the Kronecker product of the
-    stored node matrices (built only when a factor differs), and must be
-    exactly invertible.  The rank of a Kronecker product is the product
-    of the factors' ranks, so only the 1D tables are ranked, by
+    the Kronecker product of the 1D tables T_k B_k built from the
+    element's functionals and basis; it must equal the Kronecker product
+    of the stored node matrices M_k, and must be exactly invertible.
+    Both are decided from the two 1D factor pairs (:func:`_kron_factors`),
+    so no N-D matrix is built.  The first nonzero entry (row-major) of a
+    Kronecker product is the product of its factors' first nonzero
+    entries, and its nonzero factors are unique up to scalars (Van Loan,
+    J. Comput. Appl. Math. 123, 2000): a chi's two products are equal iff
+    the products of those first entries over its bits are, and, where
+    that product is nonzero, each bit's two tables agree once each is
+    divided by its first entry.  The rank of a Kronecker product is the
+    product of the factors' ranks, so only the 1D tables are ranked, by
     :func:`linalg.rank`: on a built element without elimination.
     """
+    factors = _kron_factors(element)
     witness: list[dict] = []
-    matrices = {0: element.M0, 1: element.M1}
-    tables = {k: element.node_table(k) for k in matrices}
-    ranks = {k: linalg.rank(table) for k, table in tables.items()}
-    same = {k: tables[k] == matrices[k] for k in tables}
     for chi in enumerate_chi(dimension, nu):
         size = math.prod(_block_widths(chi, element.n))
-        if not all(same[bit] for bit in chi) and (
-                reduce(linalg.kron, (tables[bit] for bit in chi))
-                != reduce(linalg.kron, (matrices[bit] for bit in chi))):
+        direct, stored, agree, ranks = zip(*(factors[bit] for bit in chi))
+        if math.prod(direct) != math.prod(stored) or (
+                math.prod(direct) and not all(agree)):
             witness.append({"check": "kron-factorization", "chi": list(chi)})
-        elif math.prod(ranks[bit] for bit in chi) != size:
+        elif math.prod(ranks) != size:
             witness.append({"check": "kron-invertibility", "chi": list(chi),
                             "size": size})
     return VerificationReport.of("kron-structure", witness, N=dimension,

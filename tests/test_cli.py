@@ -242,7 +242,8 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--m", "1", "--n", "3",
                              "--probe-degree", "0", "--format", "text")
         assert code == 2 and out == ""
-        assert "error: probe_degree must be at least n" in err
+        assert err == "error: --probe-degree 0: below n=3 in the grid; " \
+            "lemma-hypotheses needs at least n\n"
 
     @pytest.mark.parametrize("dimension, flag, probes", [
         (2, (), 7 ** 2), (2, ("--probe-degree", "0"), 1),
@@ -847,37 +848,71 @@ class TestRejectedAtEntry:
                        "--quadrature-order", value)
         assert f"--quadrature-order: must be >= 1, got {value}" in err
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, message", [
         # no selected check reads --nu, so 7 used to pass unnoticed
-        ("verify", "--checks", "unisolvence", "--nu", "7"),
-        ("verify", "--checks", "tensor-commutation", "--nu", "3"),
-        ("verify", "--checks", "dimensions", "--N", "3", "--nu", "0..4"),
-        ("verify", "--nu=-1"),
-        ("tensor", "--nu", "3"),
-        ("tensor", "--N", "1", "--nu", "0,2"),
+        (("verify", "--checks", "unisolvence", "--nu", "7"),
+         "--nu '7': 7 out of range 0..2"),
+        (("verify", "--checks", "tensor-commutation", "--nu", "3"),
+         "--nu '3': 3 out of range 0..2"),
+        (("verify", "--checks", "dimensions", "--N", "3", "--nu", "0..4"),
+         "--nu '0..4': 4 out of range 0..3"),
+        (("verify", "--nu=-1"), "--nu '-1': -1 out of range 0..2"),
+        (("verify", "--nu", "0,3"), "--nu '0,3': 3 out of range 0..2"),
+        (("tensor", "--nu", "3"), "--nu '3': 3 out of range 0..2"),
+        (("tensor", "--N", "1", "--nu", "0,2"),
+         "--nu '0,2': 2 out of range 0..1"),
     ])
-    def test_nu_outside_zero_to_dimension(self, capsys, argv):
+    def test_nu_outside_zero_to_dimension(self, capsys, argv, message):
         err = rejected(capsys, *argv, "--m", "1", "--n", "3")
-        assert "--nu" in err and "out of range 0.." in err
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, repeated", [
         # each used to run (or emit) the same thing twice
         (("verify", "--m", "1", "--n", "3", "--nu", "1,1",
-          "--checks", "tensor-commutation"), "--nu repeats 1"),
-        (("verify", "--m", "1,1", "--n", "3"), "--m repeats 1"),
+          "--checks", "tensor-commutation"), "--nu '1,1': repeats 1"),
+        (("verify", "--m", "1,1", "--n", "3"), "--m '1,1': repeats 1"),
         (("verify", "--m", "0,1,0", "--checks", "dimensions"),
-         "--m repeats 0"),
-        (("verify", "--m", "1", "--n", "3,3"), "--n repeats 3"),
-        (("verify", "--m", "0..1", "--n", "3,4,3"), "--n repeats 3"),
+         "--m '0,1,0': repeats 0"),
+        (("verify", "--m", "1", "--n", "3,3"), "--n '3,3': repeats 3"),
+        (("verify", "--m", "0..1", "--n", "3,4,3"),
+         "--n '3,4,3': repeats 3"),
         # used to be silently de-duplicated
         (("verify", "--checks", "unisolvence,dd-zero,unisolvence"),
-         "--checks repeats unisolvence"),
+         "--checks 'unisolvence,dd-zero,unisolvence': repeats unisolvence"),
         (("tensor", "--m", "1", "--n", "3", "--nu", "0,2,0"),
-         "--nu repeats 0"),
-        (("tensor", "--m", "1,1", "--n", "3"), "--m repeats 1"),
+         "--nu '0,2,0': repeats 0"),
+        (("tensor", "--m", "1,1", "--n", "3"), "--m '1,1': repeats 1"),
     ])
     def test_repeated_values(self, capsys, argv, repeated):
-        assert f"error: {repeated}" in rejected(capsys, *argv)
+        assert rejected(capsys, *argv) == f"error: {repeated}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # each used to reach the library and print its message
+        (("verify", "--m=-1"),
+         "--m '-1': continuity order m=-1 too low; need m >= 0"),
+        (("element", "--m=-2", "--n", "3"),
+         "--m '-2': continuity order m=-2 too low; need m >= 0"),
+        (("tensor", "--m=-1..1", "--n", "3"),
+         "--m '-1..1': continuity order m=-1 too low; need m >= 0"),
+        (("verify", "--m", "0", "--n", "1", "--probe-degree", "0",
+          "--checks", "lemma-hypotheses"), "--probe-degree 0: below n=1 "
+         "in the grid; lemma-hypotheses needs at least n"),
+        (("verify", "--m", "0..1", "--n", "auto+2", "--probe-degree", "3"),
+         "--probe-degree 3: below n=4 in the grid; lemma-hypotheses "
+         "needs at least n"),
+    ], ids=["verify-m", "element-m", "tensor-m-range", "probe-degree",
+            "probe-degree-grid"])
+    def test_rejected_before_any_check_runs(self, capsys, monkeypatch, argv,
+                                            message):
+        monkeypatch.setattr(cli, "run_verify_suite", None)  # never reached
+        monkeypatch.setattr(element1d, "build_element", None)
+        assert rejected(capsys, *argv) == f"error: {message}\n"
+
+    def test_probe_degree_below_n_without_the_lemma(self, capsys):
+        # only lemma-hypotheses needs probe degree >= n
+        code, _, _ = run(capsys, "verify", "--m", "0", "--n", "1..3",
+                         "--probe-degree", "0", "--checks", "commutation")
+        assert code == 0
 
     def test_repeats_kept_where_they_name_a_basis_function(self, capsys):
         code, out, _ = run(capsys, "tensor", "--m", "1", "--n", "3",

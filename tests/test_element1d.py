@@ -354,13 +354,20 @@ class TestVerifiers:
     def test_lemma_takes_the_derived_rank_from_the_node_table(self,
                                                               monkeypatch):
         # the pairing passing makes the derived basis B1, and T1 B1 lower
-        # triangular with a nonzero diagonal gives it rank n
-        def rank(matrix):
+        # triangular with a nonzero diagonal gives it rank n: linalg.rank
+        # is asked only about the node table, and its triangular test
+        # answers without elimination
+        def eliminate(*args, **kwargs):
             raise AssertionError("rank computed")
 
-        monkeypatch.setattr(linalg, "rank", rank)
+        ranked, rank = [], linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda matrix: ranked.append(
+            matrix) or rank(matrix))
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
         for m, n in GRID_1D:
-            assert verify_lemma_hypotheses(build_element(m, n)).passed
+            e = build_element(m, n)
+            assert verify_lemma_hypotheses(e).passed
+            assert len(ranked) == 1 and ranked.pop() is e.node_table(1)
 
     @pytest.mark.parametrize("m, n", GRID_1D)
     def test_inverse_tables_match_bareiss(self, m, n):

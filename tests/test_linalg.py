@@ -314,6 +314,23 @@ def test_swap_basis_unisolvence_ranks_by_elimination(monkeypatch):
         "f29de49e21799ec75d59baca6d0b5925ee094ce7a89fb276dce73fb1d243c1a7"
 
 
+def test_lemma_range_ranks_the_node_table_first(monkeypatch):
+    """verify_lemma_hypotheses asks linalg.rank whether T_1 B_1 is
+    singular before it ranks the derived basis: a built element's table
+    is lower triangular with a nonzero diagonal and needs no elimination,
+    and swap-basis's column-permuted table needs exactly one."""
+    eliminated, eliminate = [], linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args, **kwargs: (
+        eliminated.append(args) or eliminate(*args, **kwargs)))
+    for m in range(3):
+        for n in range(max(2, 2 * m + 1), 2 * m + 4):
+            e = build_element(m, n)
+            assert verify_lemma_hypotheses(e).passed and eliminated == []
+            assert verify_lemma_hypotheses(swap_basis(e)).passed
+            assert len(eliminated) == 1 and len(eliminated[0][0]) == n
+            eliminated.clear()
+
+
 @given(rectangular())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_route(a):
@@ -366,6 +383,17 @@ def test_non_rational_entries_rejected(bad):
                         (linalg.product, (identity(2), matrix))):
         with pytest.raises(TypeError, match=re.escape(message)):
             route(*args)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, float("nan"), np.int64(1)])
+def test_integer_rows_rejects_non_rational_entries(bad):
+    message = f"entry {bad!r} is not an int or Fraction"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        linalg.integer_rows([[Fraction(1, 2), 1], [bad]], 2)
+    with pytest.raises(TypeError, match=re.escape("entry 0.5 is not")):
+        linalg.integer_rows([[0.5, True]], 2)
+    nums, den = linalg.integer_rows([[Fraction(1, 2), 1], [3]], 2)
+    assert nums.tolist() == [[1, 2], [6, 0]] and den == 2
 
 
 def test_rhs_row_count_must_match():
@@ -535,12 +563,3 @@ def test_exact_factors_multiply_as_their_fractions(factors):
     nums, den = linalg.product(*exact)
     want, scale = linalg.product(*factors)
     assert den == scale and np.array_equal(nums, want)
-
-
-def test_kron_of_exact_pairs_is_reduced():
-    a = linalg.Exact([[2, 0], [0, 4]], 1)
-    b = linalg.Exact([[1, 3], [0, 1]], 2)
-    k = linalg.kron(a, b)
-    assert k == linalg.Exact.reduced(
-        np.kron(a.nums, b.nums), a.den * b.den)
-    assert (k.fractions() == linalg.kron(a.fractions(), b.fractions())).all()

@@ -47,7 +47,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derham import element1d, linalg, polycore, tensor
-from derham.cli import main
+from derham.cli import CHECKS, main
 from derham.corruptions import (permute_alpha, scale_basis1, swap_basis,
                                wrong_functional)
 from derham.element1d import Element1D, build_element, interpolate
@@ -1381,7 +1381,8 @@ def oracle_kron_structure(dimension, nu, element):
                          + [(3, (0, 1)), (3, (1, 3))])
 def test_kron_structure_matches_oracle(dimension, mn):
     m, n = mn
-    for control in (None, "swap-basis", "wrong-functional", "permute-alpha"):
+    for control in (None, "swap-basis", "wrong-functional", "permute-alpha",
+                    "scaled-basis1"):
         if n < 2 and control in ("swap-basis", "permute-alpha"):
             continue
         e = element(m, n, control)
@@ -1421,3 +1422,94 @@ def test_kron_invertibility_from_rank_deficient_tables(dimension, mn):
             report_json(oracle_kron_structure(dimension, nu, e))
         assert [w["check"] for w in got.witness] == \
             ["kron-invertibility"] * len(enumerate_chi(dimension, nu))
+
+
+def zero_table(size):
+    return linalg.Exact([[0] * size] * size)
+
+
+def scaled_pair(m, n):
+    """M_0 = 2 T_0 B_0 and M_1 = T_1 B_1 / 2: each factor differs from
+    its table by a scalar, so a chi factors iff its scalars cancel."""
+    e = element(m, n)
+    T0, T1 = e.node_table(0), e.node_table(1)
+    return dataclasses.replace(
+        e, M0=linalg.Exact.reduced(2 * T0.nums, T0.den),
+        M1=linalg.Exact.reduced(T1.nums, 2 * T1.den))
+
+
+def zero_stored_M1(m, n):
+    """M_1 = 0 alone: every product with a 1-form factor is zero on the
+    stored side only."""
+    return dataclasses.replace(element(m, n), M1=zero_table(n))
+
+
+def zero_basis1(m, n, scale0=1):
+    """B_1 = M_1 = 0 and M_0 = scale0 T_0 B_0: both products with a
+    1-form factor are zero whatever their 0-form factors, so they factor
+    but do not invert."""
+    e = element(m, n)
+    T0 = e.node_table(0)
+    return dataclasses.replace(e, B1=zero_table(n), M1=zero_table(n),
+                               M0=linalg.Exact.reduced(scale0 * T0.nums,
+                                                       T0.den))
+
+
+@pytest.mark.parametrize("mn", [(0, 1), (0, 2), (1, 3)])
+def test_kron_structure_controls_match_oracle(mn):
+    """Inputs that break the factor rule's premises: factors equal only
+    up to scalars whose product does or does not cancel, and a zero
+    factor on one side or on both.  Up to N = 3 the report is the
+    oracle's, which builds both Kronecker products; up to N = 4 the
+    verdicts are the ones the factor pairs give."""
+    def checks(report):
+        return {tuple(w["chi"]): w["check"] for w in report.witness}
+
+    cases = (scaled_pair(*mn), zero_stored_M1(*mn), zero_basis1(*mn),
+             zero_basis1(*mn, scale0=2))
+    for dimension in (1, 2, 3, 4):
+        for nu in range(dimension + 1):
+            chis = enumerate_chi(dimension, nu)
+            got = [verify_kron_structure(dimension, nu, e) for e in cases]
+            if dimension <= 3:
+                assert [report_json(report) for report in got] == [
+                    report_json(oracle_kron_structure(dimension, nu, e))
+                    for e in cases]
+            scaled, one_side, both, both_scaled = map(checks, got)
+            assert scaled == {chi: "kron-factorization" for chi in chis
+                              if chi.count(0) != chi.count(1)}
+            assert one_side == {chi: "kron-factorization" for chi in chis
+                                if 1 in chi}
+            assert both == {chi: "kron-invertibility" for chi in chis
+                            if 1 in chi}
+            assert both_scaled == {chi: "kron-invertibility" if 1 in chi
+                                   else "kron-factorization"
+                                   for chi in chis}
+
+
+def test_every_trusted_pair_is_in_lowest_terms(monkeypatch):
+    """``Exact.trusted`` skips the check, so its callers keep the promise:
+    every pair made in a rank-one ``tensor_interpolate``, a
+    ``canonicalize``, a ``verify_tensor_commutation`` and an all-checks
+    ``derham verify --N 3`` is over a positive den in lowest terms."""
+    made = []
+    inner = linalg.Exact.trusted.__func__
+
+    def trusted(cls, nums, den):
+        made.append((nums.ravel().tolist(), den))
+        return inner(cls, nums, den)
+    monkeypatch.setattr(linalg.Exact, "trusted", classmethod(trusted))
+    x = Polynomial.monomial
+    for m, n in TENSOR_GRID:
+        e = build_element(m, n)
+        tensor_interpolate(3, 1, rank_one([(0, x(n + 2)), (1, x(3)),
+                                           (0, x(1))]), e)
+        canonicalize(rank_one([(0, x(n)), (1, x(n - 1))]), e)
+        verify_tensor_commutation(
+            2, 0, rank_one_monomial_probes(2, 0, range(n + 4)), e)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--m", "0..2", "--n", "auto+2", "--N", "3",
+                     "--checks", ",".join(CHECKS)]) == 0
+    assert made
+    assert [(nums, den) for nums, den in made
+            if den <= 0 or math.gcd(den, *nums) != 1] == []

@@ -62,6 +62,9 @@ SELECTIONS = {
     "verify_dd_zero": TENSOR_TESTS,
     "verify_monomial_commutation": TENSOR_TESTS,
     "verify_tensor_commutation": TENSOR_TESTS,
+    "verify_kron_structure": TENSOR_TESTS,
+    # the 1D factor pairs that verify_kron_structure decides from
+    "_kron_factors": TENSOR_TESTS,
     # the residual table that verify_monomial_commutation reads
     "_monomial_residuals": TENSOR_TESTS,
     # the 1D columns and the chi-level helpers every tensor verifier shares
