@@ -168,7 +168,13 @@ def emit(text: str, path: str | None) -> None:
 
 def _build(m: int, n: int, corrupt: str | None):
     element = element1d.build_element(m, n)
-    return corruptions.corrupt(element, corrupt) if corrupt else element
+    if not corrupt:
+        return element
+    try:
+        return corruptions.corrupt(element, corrupt)
+    except ValueError as error:  # too small an element to corrupt
+        raise ValueError(f"--corrupt {corrupt!r}: {error} "
+                         f"(m={m}, n={n})") from None
 
 
 def _one_element(args, corrupt: str | None = None):
@@ -195,18 +201,9 @@ def _commutation(cfg, element, nu):
     degree = _probe_degree(cfg, element)
     probes = element1d.monomial_probes(degree)
     if cfg.random_probes:
-        probes += _random_probe_polys(cfg.seed, cfg.random_probes, degree)
+        probes += _random_probe_polys(cfg.seed or 0, cfg.random_probes,
+                                      degree)
     return element1d.verify_commutation(element, probes)
-
-
-def _tensor_commutation(cfg, element, nu):
-    n = element.n
-    cap = min(n + 3, _probe_degree(cfg, element))
-    degrees = range(cap + 1) if cfg.dimension <= 2 else \
-        [a for a in sorted({0, 2, n, n + 3}) if a <= cap]
-    return tensor.verify_monomial_commutation(
-        cfg.dimension, nu, degrees, element,
-        sign_rule=corruptions.sign_rule(cfg.corrupt))
 
 
 # Label scopes: the parameters that name one report (and one timing).
@@ -226,13 +223,18 @@ CHECKS = {
     "dd-zero":
         (_ND, lambda cfg, e, nu: tensor.verify_dd_zero(
             cfg.dimension, e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
-    "tensor-commutation": (_PER_NU, _tensor_commutation),
+    "tensor-commutation":  # probe degrees 0..min(n+3, --probe-degree)
+        (_PER_NU, lambda cfg, e, nu: tensor.verify_monomial_commutation(
+            cfg.dimension, nu, range(min(e.n + 3, _probe_degree(cfg, e)) + 1),
+            e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
     "kron-structure":
         (_PER_NU, lambda cfg, e, nu: tensor.verify_kron_structure(
             cfg.dimension, nu, e)),
     "continuity-demo":
         (_1D, lambda cfg, e, nu: element1d.two_cell_continuity_demo(
-            e, named_function("sin"), cfg.tolerance, cfg.quadrature_order)),
+            e, named_function("sin"),
+            1e-12 if cfg.tolerance is None else cfg.tolerance,
+            cfg.quadrature_order)),
 }
 # the default --checks: every row but the opt-in kron-structure
 CHECK_ORDER = tuple(name for name in CHECKS if name != "kron-structure")
@@ -240,7 +242,9 @@ CHECK_ORDER = tuple(name for name in CHECKS if name != "kron-structure")
 READERS = {"--nu": ("tensor-commutation", "kron-structure"),
            "--probe-degree": ("lemma-hypotheses", "commutation",
                               "tensor-commutation"),
-           "--quadrature-order": ("continuity-demo",)}
+           "--quadrature-order": ("continuity-demo",),
+           "--random-probes": ("commutation",), "--seed": ("commutation",),
+           "--tolerance": ("continuity-demo",)}
 
 
 def run_verify_suite(cfg) -> SuiteResult:
@@ -306,7 +310,11 @@ def cmd_verify(args) -> int:
             params = ",".join(f"{k}={v}" for k, v in report.parameters.items())
             line = f"{status} {report.name} ({params})"
             if not report.passed:
-                line += f" witness[{len(report.witness)}]: {report.witness[0]}"
+                count = len(report.witness)
+                if "failures" in report.details:  # past the witness cap
+                    count = f"{report.details['failures']}, first {count} " \
+                        "listed"
+                line += f" witness[{count}]: {report.witness[0]}"
             lines.append(line)
         good = sum(report.passed for report in suite.reports)
         lines.append(f"{good}/{len(suite.reports)} checks passed")
@@ -485,13 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--probe-degree", type=_int_at_least(0),
                           default=None,
                           help="largest monomial probe degree (default "
-                               "n+5); tensor-commutation caps it at n+3 "
-                               "and for N >= 3 keeps only the degrees "
-                               "0, 2, n, n+3 up to that cap")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--random-probes", type=_int_at_least(0), default=0,
-                          help="extra seeded random probes for commutation")
-    p_verify.add_argument("--tolerance", type=_tolerance, default=1e-12)
+                               "n+5); tensor-commutation caps it at n+3")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the random probes (default 0)")
+    p_verify.add_argument("--random-probes", type=_int_at_least(0),
+                          default=None,
+                          help="extra seeded random probes for commutation "
+                               "(default 0)")
+    p_verify.add_argument("--tolerance", type=_tolerance, default=None,
+                          help="continuity-demo junction tolerance "
+                               "(default 1e-12)")
     p_verify.add_argument("--format", default="json", dest="fmt",
                           choices=["json", "text"])
     p_verify.add_argument("--timings", metavar="PATH|-",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+WITNESS_CAP = 2000  # the most witnesses a report lists
+
 
 @dataclass
 class VerificationReport:
@@ -26,10 +28,16 @@ class VerificationReport:
 
     @classmethod
     def of(cls, name: str, witness: list, details: dict | None = None,
-           **parameters) -> "VerificationReport":
-        """The report of check ``name``: it passes iff ``witness`` is
-        empty; ``parameters`` keep their keyword order."""
-        return cls(name, not witness, parameters, witness, details or {})
+           failures: int = 0, **parameters) -> "VerificationReport":
+        """The report of check ``name``: it passes iff ``max(failures,
+        len(witness))`` is 0, lists the first ``WITNESS_CAP`` witnesses, and
+        past the cap states that count and the cap in ``details``."""
+        failures, details = max(failures, len(witness)), details or {}
+        if failures > WITNESS_CAP:
+            details = {**details, "failures": failures,
+                       "witness_cap": WITNESS_CAP}
+        return cls(name, not failures, parameters, witness[:WITNESS_CAP],
+                   details)
 
     def to_json(self) -> dict:
         return {

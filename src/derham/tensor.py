@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import linalg, report
 from .element1d import (Element1D, _family, _pairing, _shared,
                         interpolant_columns, monomial_columns)
 from .functionals import NodeFunctional
@@ -682,8 +682,8 @@ def verify_dd_zero(dimension: int, element: Element1D,
     fails iff column j_t of D B_0 is not that of [B_1 | 0], B_1 being
     invertible.  A nonsingular node table T_k B_k proves B_k invertible;
     only a singular one has B_k ranked, and a singular B_k raises.  Only
-    a chi with a failing pair or column fills masks of its block's shape.
-    """
+    a chi with a failing pair or column fills masks of its block's shape,
+    which count its failures; witnesses stop at ``report.WITNESS_CAP``."""
     enumerate_chi(dimension, 0)  # a bad N raises before the loop
     n = element.n
     for k in (0, 1):
@@ -693,7 +693,7 @@ def verify_dd_zero(dimension: int, element: Element1D,
             raise ZeroDivisionError("matrix is singular")
     below, moved = np.arange(n + 1) < n, np.append(*_pairing(element))
     witness: list[dict] = []
-    checked = 0
+    checked = failures = 0
     for nu in range(dimension + 1):
         for chi in enumerate_chi(dimension, nu):
             widths = _block_widths(chi, n)
@@ -712,13 +712,16 @@ def verify_dd_zero(dimension: int, element: Element1D,
                     & _along(below, t, dimension)
             for t, _, _ in terms:
                 route2 |= _along(moved, t, dimension)
-            for index in np.argwhere(route1 | route2):
+            failed = route1 | route2
+            failures += int(failed.sum())
+            for index in np.argwhere(failed)[:report.WITNESS_CAP
+                                             - len(witness)]:
                 witness.append({"check": "dd-zero" if route1[tuple(index)]
                                 else "representation-consistency",
                                 "nu": nu, "chi": list(chi),
                                 "index": [int(j) + 1 for j in index]})
-    return VerificationReport.of("dd-zero", witness, N=dimension,
-                                 m=element.m, n=element.n,
+    return VerificationReport.of("dd-zero", witness, failures=failures,
+                                 N=dimension, m=element.m, n=element.n,
                                  basis_elements=checked)
 
 
@@ -835,10 +838,12 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
     (:func:`_monomial_residuals`) is kept in the element's memo, so every
     nu after the first on one element only reads it.  A target
     whose factor kinds include one with no nonzero column passes, so a
-    chi with no other target builds no mask of its probes."""
+    chi with no other target builds no mask of its probes.  The masks
+    count the failing probes; witnesses stop at ``report.WITNESS_CAP``."""
     degrees = _degree_set(degrees)
     chis, shape = enumerate_chi(dimension, nu), (len(degrees),) * dimension
     witness: list[dict] = []
+    failures = 0
     if nu < dimension:
         table = _monomial_residuals(element, degrees)
         live, scale = table.live, table.den ** dimension
@@ -853,7 +858,9 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
             if not targets:
                 continue
             failing = reduce(np.logical_or, [fails for *_, fails in targets])
-            for a in map(tuple, np.argwhere(failing)):
+            failures += int(failing.sum())
+            for a in map(tuple, np.argwhere(failing)[:report.WITNESS_CAP
+                                                      - len(witness)]):
                 hits = sorted(entry[:2] for entry in targets if entry[2][a])
                 witness.append({
                     "check": "tensor-commutation",
@@ -864,8 +871,8 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
                         table.peaks[k][j] for k, j in zip(kinds, a))
                         for _, kinds in hits), scale))})
     return VerificationReport.of("tensor-commutation", witness,
-                                 N=dimension, nu=nu, m=element.m,
-                                 n=element.n,
+                                 failures=failures, N=dimension, nu=nu,
+                                 m=element.m, n=element.n,
                                  probes=len(chis) * math.prod(shape))
 
 

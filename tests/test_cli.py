@@ -179,6 +179,40 @@ class TestVerifyCommand:
             "FAIL kron-structure (N=2,nu=1,m=1,n=3) witness[2]: "
             "{'check': 'kron-factorization', 'chi': [0, 1]}")
 
+    def test_text_format_states_the_count_past_the_witness_cap(self,
+                                                               capsys):
+        # a report past the cap lists 2000 witnesses; the line gives the
+        # exact count, and one under the cap stays as it was
+        code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3", "--N",
+                           "4", "--checks", "tensor-commutation", "--corrupt",
+                           "permute-alpha", "--nu", "2", "--format", "text")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL tensor-commutation (N=4,nu=2,m=1,n=3,probes=14406) "
+            "witness[13230, first 2000 listed]: {'check': "
+            "'tensor-commutation', 'probe': 98, 'blocks': [[0, 1, 1, 1]], "
+            "'max_abs': '4'}", "0/1 checks passed"]
+        code, out, _ = run(capsys, "verify", "--m", "0", "--n", "1", "--N",
+                           "5", "--checks", "dd-zero", "--corrupt",
+                           "flip-theta", "--format", "text")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL dd-zero (N=5,m=0,n=1,basis_elements=243) witness[131]: "
+            "{'check': 'dd-zero', 'nu': 0, 'chi': [0, 0, 0, 0, 0], "
+            "'index': [1, 1, 1, 1, 1]}")
+
+    @pytest.mark.parametrize("checks, flags", [
+        ("commutation", ("--random-probes", "3", "--seed", "0")),
+        ("commutation", ("--random-probes", "0")),
+        ("continuity-demo", ("--tolerance", "1e-12"))])
+    def test_optional_flags_default_where_read(self, capsys, checks, flags):
+        # --seed, --random-probes and --tolerance have None defaults, so
+        # that READERS sees them given; left out, each reads as 0, 0, 1e-12
+        args = ("verify", "--m", "1", "--n", "3", "--checks", checks)
+        given = run(capsys, *args, *flags)
+        omitted = run(capsys, *args, *flags[:-2])
+        assert given == omitted and given[0] == 0
+
     def test_nu_restriction(self, capsys):
         code, out, _ = run(capsys, "verify", "--m", "0", "--n", "1",
                            "--checks", "tensor-commutation", "--N", "2",
@@ -247,14 +281,13 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("dimension, flag, probes", [
         (2, (), 7 ** 2), (2, ("--probe-degree", "0"), 1),
-        (3, (), 4 ** 3), (3, ("--probe-degree", "0"), 1),
-        (3, ("--probe-degree", "2"), 2 ** 3),
-        (3, ("--probe-degree", "5"), 3 ** 3),
-        (3, ("--probe-degree", "9"), 4 ** 3)])
+        (3, (), 7 ** 3), (3, ("--probe-degree", "0"), 1),
+        (3, ("--probe-degree", "2"), 3 ** 3),
+        (3, ("--probe-degree", "5"), 6 ** 3),
+        (3, ("--probe-degree", "9"), 7 ** 3)])
     def test_probe_degree_caps_tensor_commutation(self, capsys, dimension,
                                                   flag, probes):
-        # N = 3 keeps the degrees 0, 2, n, n+3 (here 0, 2, 3, 6) that are
-        # at most min(n+3, --probe-degree); N = 2 keeps all of 0..that cap
+        # every N runs the degrees 0..min(n+3, --probe-degree), here n = 3
         code, out, _ = run(capsys, "verify", "--m", "1", "--n", "3",
                            "--N", str(dimension), "--nu", "0", "--checks",
                            "tensor-commutation", *flag)
@@ -400,7 +433,9 @@ class TestExactArtifacts:
                    "tensor-commutation")
 
     # N = 4: dd-zero takes d twice from chis of four and three 0-form
-    # axes, where pieces of both orders of an axis pair merge
+    # axes, where pieces of both orders of an axis pair merge; under
+    # permute-alpha each tensor-commutation report below the top degree
+    # fails 2385 to 13230 probes and lists the first 2000 (the witness cap)
     VERIFY_4D = ("verify", "--m", "1", "--n", "3", "--N", "4", "--checks",
                  "dd-zero,tensor-commutation")
 
@@ -414,7 +449,7 @@ class TestExactArtifacts:
 
     # the corrupted N = 3 rows pin witnesses: tensor-commutation ones with
     # their blocks and max_abs (permute-alpha, and wrong-functional with
-    # 37, 84 and 48 witnesses at nu = 0, 1, 2), dd-zero ones (flip-theta)
+    # 218, 504 and 294 witnesses at nu = 0, 1, 2), dd-zero ones (flip-theta)
     @pytest.mark.parametrize("argv, exit_code, digest", [
         (("element", "--m", "2", "--n", "6"), 0,
          "ad6e89fe1ba6e403e3b272d307df1444bb8c34799f601fb52e720240dadaae05"),
@@ -424,21 +459,21 @@ class TestExactArtifacts:
           ",".join(c for c in CHECK_ORDER if c != "continuity-demo")), 0,
          "40e56589dbc866beabea8ecf3eb5202e56f07196395b6d2e7959b34e0e1cd3a1"),
         (ND_VERIFY, 0,
-         "19ffcb65c15cedf2a331e6d7a9cfae5893d9c3b799701b2a0b396cc31566020e"),
+         "10aaef75545fe24740575f39b55345ade5670716ebcb80a153a872e8a9ef00cc"),
         (ND_VERIFY + ("--corrupt", "permute-alpha"), 1,
-         "c289720e53856eaa148e80f7151674283a5dd36285ba2d055c046cd2450803df"),
+         "d62bafaf97dfecd7e28d4ee3f0ca127c33c923f79c4207078937fbdf02354b5e"),
         (ND_VERIFY + ("--corrupt", "flip-theta"), 1,
-         "b3979bb0d7ddf45dfd955ef8d3f107db31e00dc65896e077af2cd8de658c5f87"),
+         "94db0ef909fa5bbb18807d9dde0951a45faada607380b47aaf80ba0459e6aa0f"),
         (ND_VERIFY + ("--corrupt", "wrong-functional"), 1,
-         "3e278a384c579695520733c6c8c0588f5875308aefa63125dba7de1ffde38b6e"),
+         "5a3bfa9c1315a2acc3961a78ff4817f9dc2da6c598ada0537118bbbd7f55bfe3"),
         (WIDE_VERIFY, 0,
          "ecc1758ab0af8d2471cb88e4588c2c114853131c57aaaf0a1b3468c328dfeed4"),
         (WIDE_VERIFY + ("--corrupt", "permute-alpha"), 1,
          "76545eb0804505c2787dbfaf946b9405006a4463b795078c8093e216d67ef66a"),
         (VERIFY_4D + ("--corrupt", "permute-alpha"), 1,
-         "66b6cbf010beaff7a096705e3999c1b803689a215b406d35221a225a532b9a87"),
+         "4d51fee85bf47f88ca097fbc37c2c4697aa5b142393f2242e6e00392d33922f8"),
         (VERIFY_4D + ("--corrupt", "flip-theta"), 1,
-         "6d8da7f9a4a91b7928caab374afa6047783d561530a00c4a6156099a5f80cd05"),
+         "531f60a593ae9071d0d7cc37b59ab4fb52e769a2b928afe1f63e532f9f3ce2d8"),
         (VERIFY_1D, 0,
          "8a517c758ab7e429c3d8e4239ce9ab0ea635072738bc50990184593e957eb4f2"),
         (VERIFY_1D + ("--corrupt", "swap-basis"), 1,
@@ -783,10 +818,18 @@ class TestRejectedAtEntry:
         (("tensor", "--m", "1", "--n", "3", "--emit", "basis-samples",
           "--chi", "1,1", "--index", "4,1"), "--index '4,1': basis index 4 "
          "out of range 1..3"),
+        # an element too small for its corruption
+        (("element", "--m", "0", "--n", "1", "--corrupt", "swap-basis"),
+         "--corrupt 'swap-basis': need at least two basis functions to "
+         "swap (m=0, n=1)"),
+        (("verify", "--m", "0", "--n", "1", "--corrupt", "permute-alpha",
+          "--checks", "unisolvence"), "--corrupt 'permute-alpha': need at "
+         "least a 2x2 inverse to permute (m=0, n=1)"),
     ], ids=["empty-range", "degree-spec", "degree-too-low", "empty-item-m",
             "empty-item-n", "empty-item-nu", "empty-item-chi",
             "empty-item-index", "empty-item-checks", "unknown-check",
-            "chi-bit", "chi-length", "index-range", "index-range-1-form"])
+            "chi-bit", "chi-length", "index-range", "index-range-1-form",
+            "corrupt-swap-basis", "corrupt-permute-alpha"])
     def test_value_error_names_its_flag(self, capsys, argv, message):
         # each message starts with the flag and its quoted value
         assert rejected(capsys, *argv) == f"error: {message}\n"
@@ -799,7 +842,14 @@ class TestRejectedAtEntry:
          "lemma-hypotheses, commutation, tensor-commutation"),
         (("--checks", "commutation,dd-zero", "--quadrature-order", "8"),
          "--quadrature-order", "continuity-demo"),
-    ], ids=["nu", "probe-degree", "quadrature-order"])
+        (("--checks", "dd-zero", "--random-probes", "2"), "--random-probes",
+         "commutation"),
+        (("--checks", "unisolvence", "--seed", "3"), "--seed",
+         "commutation"),
+        (("--checks", "commutation", "--tolerance", "1e-9"), "--tolerance",
+         "continuity-demo"),
+    ], ids=["nu", "probe-degree", "quadrature-order", "random-probes", "seed",
+            "tolerance"])
     def test_flag_that_no_selected_check_reads(self, capsys, argv, flag,
                                                readers):
         # used to exit 0 with the flag ignored

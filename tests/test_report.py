@@ -2,7 +2,7 @@
 
 import pytest
 
-from derham.report import SuiteResult, VerificationReport
+from derham.report import WITNESS_CAP, SuiteResult, VerificationReport
 
 
 def test_failing_report_requires_witness():
@@ -36,3 +36,35 @@ def test_timings_excluded_from_json():
     assert "timings" not in out
     assert out["all_pass"] is True
     assert [r["name"] for r in out["reports"]] == ["a"]
+
+
+def test_a_report_at_the_witness_cap_lists_every_witness():
+    witness = [{"check": "x", "index": i} for i in range(WITNESS_CAP)]
+    r = VerificationReport.of("a", witness, {"k": 1}, m=1)
+    assert r.witness == witness and r.details == {"k": 1}
+    assert r.to_json() == VerificationReport(
+        "a", False, {"m": 1}, witness, {"k": 1}).to_json()
+
+
+def test_a_report_past_the_witness_cap_states_the_count():
+    witness = [{"check": "x", "index": i} for i in range(WITNESS_CAP + 1)]
+    r = VerificationReport.of("a", witness, {"k": 1}, m=1)
+    assert not r.passed and r.witness == witness[:WITNESS_CAP]
+    assert r.details == {"k": 1, "failures": WITNESS_CAP + 1,
+                         "witness_cap": WITNESS_CAP}
+    assert r.parameters == {"m": 1}
+
+
+def test_failures_counts_the_witnesses_not_listed():
+    """A verifier that stops listing at the cap passes its exact count:
+    the report takes the larger of it and the list's length, and states
+    it only past the cap."""
+    witness = [{"check": "x", "index": i} for i in range(WITNESS_CAP)]
+    r = VerificationReport.of("a", witness, failures=WITNESS_CAP + 7)
+    assert r.witness == witness
+    assert r.details == {"failures": WITNESS_CAP + 7,
+                         "witness_cap": WITNESS_CAP}
+    assert VerificationReport.of("a", witness[:3], failures=2).details == {}
+    assert VerificationReport.of("a", [], failures=0).passed
+    with pytest.raises(ValueError, match="witness"):
+        VerificationReport.of("a", [], failures=1)

@@ -468,6 +468,12 @@ def test_dd_zero_rejects_a_singular_basis(dimension, k):
     for verify in (routes_dd_zero, verify_dd_zero):
         with pytest.raises(ZeroDivisionError, match="^matrix is singular$"):
             verify(dimension, e)
+        # a bad N is named first, by enumerate_chi for the form degree 0
+        with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+            verify(0, e)
+        with pytest.raises(TypeError, match="^dimension True or nu 0 is "
+                                            "not an int$"):
+            verify(True, e)
 
 
 def test_dd_zero_matches_oracle_4d():
@@ -550,6 +556,30 @@ def test_dd_zero_matches_the_materializing_routes(mn):
                    if rule is theta and control != "scaled-basis1")
 
 
+CAPS = [1, 5, 37]  # 37 cuts inside a chi past the first in some cases
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_capped_dd_zero_lists_the_first_witnesses_of_the_routes(
+        monkeypatch, cap):
+    """Under a lowered witness cap, verify_dd_zero lists the first ``cap``
+    witnesses of the materializing routes' report (uncapped: each is
+    under the real cap) and states that report's length as its count."""
+    cases = [(3, element(1, 3), mixed_sign),
+             (3, element(0, 2, "scaled-basis1"), theta),
+             (3, element(1, 3, "scaled-basis1"), flat_sign),
+             (4, element(0, 2), flat_sign)]
+    for dimension, e, sign_rule in cases:
+        want = routes_dd_zero(dimension, e, sign_rule).to_json()
+        assert cap < len(want["witness"]) and want["details"] == {}
+        monkeypatch.setattr("derham.report.WITNESS_CAP", cap)
+        got = verify_dd_zero(dimension, e, sign_rule).to_json()
+        monkeypatch.undo()
+        assert got == {**want, "witness": want["witness"][:cap],
+                       "details": {"failures": len(want["witness"]),
+                                   "witness_cap": cap}}
+
+
 @pytest.mark.parametrize("dimension, zeros", [
     (2, {((1, 0), 1), ((0, 1), 0)}),
     (3, {((0, 1, 0), 2), ((1, 0, 0), 2)}),
@@ -595,6 +625,19 @@ def test_a_singular_table_falls_back_to_the_basis_rank(monkeypatch, k):
         failed += '"passed": false' in got
     assert failed == 2  # flat_sign at N = 2 and 3
     assert any(matrix is getattr(e, f"B{k}") for matrix in ranked)
+
+
+def test_pristine_dd_zero_fills_no_mask(monkeypatch):
+    """On a pristine element no axis pair fails and D B_0 is [B_1 | 0],
+    so no chi fills a mask: (2, 7) at N = 8 never reaches _along (one
+    block mask has 8^8 entries)."""
+    def refuse(*args):
+        raise AssertionError("a passing chi filled a mask")
+
+    e = build_element(2, 7)
+    monkeypatch.setattr(tensor, "_along", refuse)
+    report = verify_dd_zero(8, e)
+    assert report.passed and report.parameters["basis_elements"] == 15 ** 8
 
 
 def test_built_elements_make_no_elimination(monkeypatch):
@@ -934,11 +977,6 @@ def test_witness_and_block_types():
 GRID_3D = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]
 
 
-def cli_degrees(dimension, n):
-    """The CLI's default per-axis probe degrees."""
-    return range(n + 4) if dimension <= 2 else sorted({0, 2, n, n + 3})
-
-
 # (N, (m, n)) points of the grid entry's cross-check: the benchmark's
 # grids, (4, 14) and three points in 4D
 GRID_CHECKS = ([(2, mn) for mn in TENSOR_GRID] + [(2, (4, 14))]
@@ -956,7 +994,7 @@ def test_monomial_commutation_matches_explicit_probes(dimension, mn):
     too, on the CLI's degrees in 2D and on their lowest and highest
     beyond."""
     m, n = mn
-    degrees = list(cli_degrees(dimension, n))
+    degrees = list(range(n + 4))  # the CLI's default per-axis degrees
     checks = [(degrees, True)]
     if n <= (3 if dimension < 4 else 2):
         checks.append((degrees if dimension == 2 else degrees[::3], False))
@@ -977,6 +1015,69 @@ def test_monomial_commutation_matches_explicit_probes(dimension, mn):
                                                  sign_rule))
                 failed += '"passed": false' in got
     assert failed > 0
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_capped_monomial_commutation_lists_the_first_witnesses_of_the_kernel(
+        monkeypatch, cap):
+    """Under a lowered witness cap, verify_monomial_commutation lists the
+    first ``cap`` witnesses of verify_tensor_commutation's report on the
+    explicit probes (uncapped: each is under the real cap) and states
+    that report's length as its count; the kernel, which lists every
+    witness, gives the same report under the same cap."""
+    cases = [(3, nu, element(1, 3, "permute-alpha"), range(7), theta)
+             for nu in range(3)]
+    cases += [(2, 1, element(2, 6, "wrong-functional"), range(10), theta),
+              (3, 1, element(0, 2, "scaled-basis1"), range(6), theta)]
+    for dimension, nu, e, degrees, sign_rule in cases:
+        probes = rank_one_monomial_probes(dimension, nu, degrees)
+        want = verify_tensor_commutation(dimension, nu, probes, e,
+                                         sign_rule).to_json()
+        assert cap < len(want["witness"]) and want["details"] == {}
+        monkeypatch.setattr("derham.report.WITNESS_CAP", cap)
+        got = verify_monomial_commutation(dimension, nu, degrees, e,
+                                          sign_rule).to_json()
+        assert got == verify_tensor_commutation(dimension, nu, probes, e,
+                                                sign_rule).to_json()
+        monkeypatch.undo()
+        assert got == {**want, "witness": want["witness"][:cap],
+                       "details": {"failures": len(want["witness"]),
+                                   "witness_cap": cap}}
+
+
+def test_monomial_commutation_matches_the_kernel_across_the_witness_cap(
+        monkeypatch):
+    """permute-alpha at (1, 3), N = 4, nu = 2 over the CLI's degrees 0..6
+    fails more probes than the real cap: both verifiers list the first
+    2000 witnesses of the uncapped kernel report and state its length."""
+    e, degrees = element(1, 3, "permute-alpha"), range(7)
+    probes = rank_one_monomial_probes(4, 2, degrees)
+    got = verify_monomial_commutation(4, 2, degrees, e)
+    assert report_json(got) == \
+        report_json(verify_tensor_commutation(4, 2, probes, e))
+    monkeypatch.setattr("derham.report.WITNESS_CAP", len(probes))
+    uncapped = verify_tensor_commutation(4, 2, probes, e).witness
+    assert len(uncapped) == 13230 and len(got.witness) == 2000
+    assert got.witness == uncapped[:2000]
+    assert got.details == {"failures": 13230, "witness_cap": 2000}
+
+
+def test_capped_verifiers_build_no_witness_past_the_cap(monkeypatch):
+    """verify_dd_zero and verify_monomial_commutation stop building
+    witnesses at the cap, across chis, rather than leave the cut to
+    VerificationReport.of: each hands it exactly ``cap`` of them."""
+    handed = []
+    inner = VerificationReport.of.__func__
+
+    def of(cls, name, witness, *args, **kwargs):
+        handed.append(len(witness))
+        return inner(cls, name, witness, *args, **kwargs)
+    monkeypatch.setattr(VerificationReport, "of", classmethod(of))
+    monkeypatch.setattr("derham.report.WITNESS_CAP", 5)
+    verify_dd_zero(3, element(1, 3), flat_sign)
+    verify_monomial_commutation(3, 1, range(7), element(1, 3,
+                                                        "permute-alpha"))
+    assert handed == [5, 5]
 
 
 def test_pristine_monomial_commutation_builds_no_probe_mask(monkeypatch):
@@ -1076,7 +1177,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
         assert main(["verify", "--m", "1", "--n", "3", "--N", "3",
                      "--checks", "tensor-commutation"]) == 0
     assert calls["verify_monomial_commutation"] == 4
-    assert table_builds() == [7]  # degrees 0, 2, 3, 6; nu = 0 only
+    assert table_builds() == [7]  # degrees 0..6; nu = 0 only
     assert "_kron_blocks" not in calls and "_term_table" not in calls
     assert "interpolant_columns" not in calls
 
@@ -1089,7 +1190,7 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
     def reports(e, sign_rule=theta):
         return [report_json(report) for report in (
             verify_dd_zero(3, e, sign_rule),
-            *(verify_monomial_commutation(3, nu, cli_degrees(3, 4), e,
+            *(verify_monomial_commutation(3, nu, range(8), e,
                                           sign_rule) for nu in range(4)))]
 
     used = build_element(1, 4)
@@ -1204,14 +1305,16 @@ def test_the_residual_memo_gives_the_reports_of_fresh_elements(control):
     shared element gives, nu by nu, the report of that nu on a freshly
     built element: pristine, under each element corruption and under the
     flat sign rule.  The shared element then holds one table per degree
-    set it was asked (the CLI's 1D-2D range and its 3D subset)."""
+    set it was asked: here the range 0..n+3 in 1D and 2D, and the degrees
+    0, 2, n, n+3 in 3D."""
     sign_rule = flat_sign if control is flat_sign else theta
     corrupt = control if control not in (None, flat_sign) else lambda e: e
     verdicts = []
     for m, n in ((0, 2), (1, 3), (2, 6)):
         shared = corrupt(build_element(m, n))
         for dimension in (1, 2, 3):
-            degrees = cli_degrees(dimension, n)
+            degrees = range(n + 4) if dimension <= 2 \
+                else sorted({0, 2, n, n + 3})
             for nu in range(dimension + 1):
                 got = report_json(verify_monomial_commutation(
                     dimension, nu, degrees, shared, sign_rule))

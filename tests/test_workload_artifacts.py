@@ -19,7 +19,7 @@ from derham.element1d import build_element
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "benchmarks" / "workloads.py"
 
-PINNED = "f8effe521f7a49175d5779ea552c8cafb7505470d5ec07b56bcceb8610272c18"
+PINNED = "f74d46dbcf5ee52a2a9244c179674ef0d7521e2d0786810a0803c204a6437c92"
 
 
 def load_workloads():
