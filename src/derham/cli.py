@@ -147,20 +147,13 @@ def parse_input_function(text: str) -> SmoothFunction1D:
     return SmoothFunction1D.from_polynomial(p, name=text)
 
 
-def resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
-
-
 def emit(text: str, path: str | None) -> None:
-    path = resolve_output(path)
     if path is None:
         sys.stdout.write(text)
         return
+    outdir = os.environ.get(OUTDIR_ENV)
+    if outdir and not os.path.isabs(path):
+        path = os.path.join(outdir, path)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as handle:
         handle.write(text)
@@ -186,9 +179,13 @@ def _one_element(args, corrupt: str | None = None):
     return _build(m, n, corrupt)
 
 
+# every coefficient a random probe can draw, each Fraction built once
+_RATIOS = {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)}
+
+
 def _random_probe_polys(seed: int, count: int, max_degree: int) -> list[Polynomial]:
     rng = random.Random(seed)
-    return [Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return [Polynomial([_RATIOS[rng.randint(-9, 9), rng.randint(1, 9)]
                         for _ in range(max_degree + 1)]) for _ in range(count)]
 
 
@@ -294,6 +291,8 @@ def cmd_verify(args) -> int:
         if getattr(args, flag[2:].replace("-", "_")) is not None \
                 and not set(readers) & set(args.checks):
             raise ValueError(f"{flag}: only {', '.join(readers)} read it")
+    if args.seed is not None and not args.random_probes:
+        raise ValueError(f"--seed {args.seed}: no random probes to draw")
     if args.probe_degree is not None and "lemma-hypotheses" in args.checks:
         above = [n for _, n in args.grid if n > args.probe_degree]
         if above:

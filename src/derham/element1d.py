@@ -190,12 +190,25 @@ def _derived(P: linalg.Exact) -> linalg.Exact:
 
 
 def _pairing(e: Element1D) -> tuple[np.ndarray, bool]:
-    """D B_0 against the columns of [B_1 | 0]: one flag per column j < n,
+    """D B_0 against [B_1 | 0], once per element: one flag per column j < n,
     set where d of 0-form basis function j is not 1-form basis function
     j, and the kernel flag, set where d of the constant is not zero."""
-    D, B1, n = _derived(e.B0), e.B1, e.n
-    return ((D.nums[:, :n] * B1.den != B1.nums * D.den).any(axis=0),
-            bool(D.nums[:, n].any()))
+    def build():
+        D, B1, n = _derived(e.B0), e.B1, e.n
+        return ((D.nums[:, :n] * B1.den != B1.nums * D.den).any(axis=0),
+                bool(D.nums[:, n].any()))
+    return e.cached("pairing", build)
+
+
+def _functional_pairing(e: Element1D, width: int) -> tuple:
+    """T_1 D and T_0[:n] on x^0..x^(width-1), each as (numerators,
+    denominator), and the mask where they differ; once per width."""
+    def build():
+        T0, T1 = e.rows(0, width), e.rows(1, width - 1)
+        left, right = _shifted(T1.nums), T0.nums[:e.n]
+        return ((left, T1.den), (right, T0.den),
+                left * T0.den != right * T1.den)
+    return e.cached(("functional pairing", width), build)
 
 
 def _zero_form_columns(m: int, n: int) -> linalg.Exact:
@@ -299,8 +312,13 @@ def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
 
 
 def monomial_probes(max_degree: int) -> list[Polynomial]:
-    """1, x, .., x^max_degree — a spanning probe set for the verifiers."""
-    return [Polynomial.monomial(d) for d in range(max_degree + 1)]
+    """1, x, .., x^max_degree, built once per process: a spanning probe set."""
+    return list(_monomials(max_degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(max_degree: int) -> tuple[Polynomial, ...]:
+    return tuple(Polynomial.monomial(d) for d in range(max_degree + 1))
 
 
 def _entry_witness(check: str, row: int, col: int, num: int,
@@ -400,15 +418,13 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     witness += [{"check": "basis-pairing", "basis": int(j) + 1}
                 for j in pairing]
 
-    # on the monomial probe x^k the pairing reads k f1_i(x^(k-1)) = f0_i(x^k):
-    # column k of T_1 D against column k of T_0, over the functionals i < n
-    T0, T1 = e.rows(0, probe_degree + 1), e.rows(1, probe_degree)
-    left, right = _shifted(T1.nums), T0.nums[:n]
-    for k, i in zip(*np.nonzero((left * T0.den != right * T1.den).T)):
+    (left, left_den), (right, right_den), differ = _functional_pairing(
+        e, probe_degree + 1)
+    for k, i in zip(*np.nonzero(differ.T)):
         witness.append({"check": "functional-pairing",
                         "functional": int(i) + 1, "probe_degree": int(k),
-                        "left": linalg.ratio_str(left[i, k], T1.den),
-                        "right": linalg.ratio_str(right[i, k], T0.den)})
+                        "left": linalg.ratio_str(left[i, k], left_den),
+                        "right": linalg.ratio_str(right[i, k], right_den)})
 
     return VerificationReport.of("lemma-hypotheses", witness, m=m, n=n,
                                  probe_degree=probe_degree)
@@ -438,15 +454,27 @@ def _defect(e: Element1D, width: int) -> tuple[np.ndarray, int]:
     return left * (den // left_den) - right * (den // right_den), den
 
 
+def _premises_hold(e: Element1D, width: int) -> bool:
+    """Whether premises (a) :func:`_pairing`, (b) :func:`_functional_pairing`
+    at ``width`` and (c) of :func:`verify_commutation` hold exactly."""
+    (moved, kernel), a0, a1, n = _pairing(e), e.alpha0, e.alpha1, e.n
+    return not (kernel or moved.any() or a0.nums[:n, n].any()
+                or (a0.nums[:n, :n] * a1.den != a1.nums * a0.den).any()
+                or _functional_pairing(e, width)[2].any())
+
+
 def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     """d(I0 u) == I1(du) exactly, for every probe polynomial u, and each
     I_k is a projection: alpha_k (T_k B_k) = I, so every basis function
     interpolates to itself (d kills the constant, so commutation alone
     cannot see alpha0's last row).  Projection witnesses are 1-based.
 
-    The residuals come from one defect operator C (:func:`_defect`) on
-    the monomials: the probes' residuals are the columns of one product,
-    C times their coefficient columns."""
+    The residuals are the columns of C P, with P the probes' coefficient
+    columns and C the defect on the monomials (:func:`_defect`), built
+    only where a premise fails (:func:`_premises_hold`): with (a) D B_0 =
+    [B_1 | 0], (b) T_1 D = T_0[:n] and (c) alpha_0[:n] = [alpha_1 | 0],
+    C = D B_0 alpha_0 T_0 - B_1 alpha_1 T_1 D = B_1 alpha_0[:n] T_0 -
+    B_1 alpha_1 T_0[:n] = B_1 (alpha_0[:n] - [alpha_1 | 0]) T_0 = 0."""
     if probes is None:
         probes = monomial_probes(e.default_probe_degree)
     for index, u in enumerate(probes):
@@ -454,9 +482,9 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
             raise TypeError(f"probe {index} has type {type(u).__name__}, "
                             "not a Polynomial")
     width = max([e.n + 1] + [len(u.coeffs) for u in probes])
-    C, den = _defect(e, width)
     witness: list[dict] = []
-    if C.any():  # else every residual is zero
+    if not _premises_hold(e, width):  # else C = 0
+        C, den = _defect(e, width)
         P = coefficients(probes, width)
         for index, (u, column) in enumerate(zip(probes, (C @ P.nums).T)):
             if column.any():

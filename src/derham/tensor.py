@@ -785,7 +785,8 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     the axis's sign times the Kronecker product of the interpolants
     I_{chi_s} p_s of the other axes and the 1D residual r(p_t)
     (:func:`_residual_sources`) on axis t.  Top-degree probes need no
-    comparison: d maps them into the empty (N+1)-form space.
+    comparison: d maps them into the empty (N+1)-form space.  The masks
+    count the failing probes; witnesses stop at ``report.WITNESS_CAP``.
     """
     forms = []
     for index, probe in enumerate(probes):
@@ -798,6 +799,7 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
     owners = [index for index, form in enumerate(forms) for _ in form]
     table = _term_table(dimension, nu, terms, owners, len(forms))
     witness: list[dict] = []
+    failures = 0
     if nu < dimension:
         sources, den = _residual_sources(element, *table.coefficients)
         residual = _kron_blocks(element.n, table, sources, nu + 1, lambda c: [
@@ -807,7 +809,8 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
         nonzero = {chi: (block != 0).any(axis=leading)
                    for chi, block in residual.items()}
         failing = np.flatnonzero(np.any(list(nonzero.values()), axis=0))
-        # peaks only for the failing probes, over every block
+        failures, failing = len(failing), failing[:report.WITNESS_CAP]
+        # peaks only for the listed failing probes, over every block
         peaks = np.max([np.abs(block[..., failing]).max(axis=leading)
                         for block in residual.values()], axis=0)
         for index, largest in zip(failing.tolist(), peaks.tolist()):
@@ -817,8 +820,8 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
                             "max_abs": str(Fraction(
                                 largest, table.den * den ** dimension))})
     return VerificationReport.of("tensor-commutation", witness,
-                                 N=dimension, nu=nu, m=element.m,
-                                 n=element.n, probes=len(forms))
+                                 failures=failures, N=dimension, nu=nu,
+                                 m=element.m, n=element.n, probes=len(forms))
 
 
 def verify_monomial_commutation(dimension: int, nu: int, degrees,

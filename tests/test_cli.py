@@ -855,12 +855,22 @@ class TestRejectedAtEntry:
         # used to exit 0 with the flag ignored
         err = rejected(capsys, "verify", "--m", "1", "--n", "3", *argv)
         assert err == f"error: {flag}: only {readers} read it\n"
+        # a seed is read only with random probes to draw
+        drawn = ("--random-probes", "1") if flag == "--seed" else ()
         for reader in readers.split(", "):  # one reader is enough
             checks = argv.index("--checks") + 1
             code, _, err = run(capsys, "verify", "--m", "1", "--n", "3",
                                *argv[:checks], argv[checks] + "," + reader,
-                               *argv[checks + 1:])
+                               *argv[checks + 1:], *drawn)
             assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("drawn", [(), ("--random-probes", "0")],
+                             ids=["no-random-probes", "zero-random-probes"])
+    def test_seed_without_random_probes(self, capsys, drawn):
+        # used to exit 0 with a report byte-identical to the unseeded one
+        err = rejected(capsys, "verify", "--m", "1", "--n", "3", "--checks",
+                       "commutation", "--seed", "5", *drawn)
+        assert err == "error: --seed 5: no random probes to draw\n"
 
     @pytest.mark.parametrize("grid", [("--m", "0..2"), ("--m", "0,1"),
                                       ("--n", "auto+1"), ("--n", "3,4")])
@@ -1089,7 +1099,11 @@ class TestProperties:
         argv, bad = case
         status, out = run_captured(argv)
         assert status in (0, 1, 2), (argv, status)
-        if bad is not None:
+        given = dict(arg.split("=", 1) for arg in argv if "=" in arg)
+        # a seed with no random probes to draw is rejected too
+        unread_seed = "--seed" in given \
+            and given.get("--random-probes", "0") == "0"
+        if bad is not None or unread_seed:
             assert status == 2, argv
         if status == 2:
             assert out == "", argv

@@ -13,6 +13,7 @@ reproduce their matrices and reports exactly, witness order and
 residual strings included.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import linalg
+from derham import cli, element1d, linalg
 from derham.corruptions import permute_alpha, swap_basis, wrong_functional
 from derham.element1d import (Element1D, _family, build_element,
                               monomial_probes, verify_commutation,
@@ -236,7 +237,7 @@ def test_lemma_hypotheses_match_oracle(m, n):
 
 
 @pytest.mark.parametrize("m, n", UNISOLVENCE_GRID)
-def test_commutation_matches_oracle(m, n):
+def test_commutation_matches_oracle(m, n, monkeypatch):
     for name, e in elements(m, n).items():
         for degree in (n, n + 9):
             probes = monomial_probes(degree) + random_probes(m + n, 3, degree)
@@ -244,6 +245,69 @@ def test_commutation_matches_oracle(m, n):
             assert report_json(got) == \
                 report_json(oracle_commutation(e, probes))
             assert got.passed == (name in (None, "swap-basis"))
+            # a proved zero defect gives the report that building C gives
+            with monkeypatch.context() as patch:
+                patch.setattr(element1d, "_premises_hold", lambda e, w: False)
+                assert report_json(verify_commutation(e, probes)) == \
+                    report_json(got)
+
+
+def spied_defect(monkeypatch) -> list:
+    """The widths of every ``_defect`` call from now on."""
+    widths, defect = [], element1d._defect
+    monkeypatch.setattr(element1d, "_defect", lambda e, width: (
+        widths.append(width), defect(e, width))[1])
+    return widths
+
+
+class TestDefectOnlyWhereAPremiseFails:
+    ARGV = ["verify", "--checks", "unisolvence,lemma-hypotheses,commutation",
+            "--random-probes", "3", "--seed", "1"]
+
+    def test_not_built_on_the_pristine_grid(self, monkeypatch, capsys):
+        widths = spied_defect(monkeypatch)
+        assert cli.main(self.ARGV + ["--m", "0..4", "--n", "auto+5"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 90
+        assert widths == []
+
+    @pytest.mark.parametrize("corrupt", ["permute-alpha", "wrong-functional"])
+    def test_built_on_the_controls(self, monkeypatch, capsys, corrupt):
+        widths = spied_defect(monkeypatch)
+        assert cli.main(self.ARGV + ["--m", "1", "--n", "3", "--corrupt",
+                                     corrupt]) == 1
+        assert widths == [9]  # the CLI's probes reach x^(n+5)
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 3), (2, 7)])
+    def test_not_built_for_inverses_scaled_alike(self, monkeypatch, m, n):
+        """alpha_0 / 7 and alpha_1 / 7 keep premise (c) over denominators
+        other than 1 (a built element's inverses are integer): C is still
+        zero, so only the projection check fails."""
+        e = build_element(m, n)
+        e = dataclasses.replace(e, **{
+            name: linalg.Exact.reduced(table.nums, 7 * table.den)
+            for name, table in (("alpha0", e.alpha0), ("alpha1", e.alpha1))})
+        assert (e.alpha0.den, e.alpha1.den) == (7, 7)
+        widths = spied_defect(monkeypatch)
+        report = verify_commutation(e)
+        assert widths == []
+        assert {w["check"] for w in report.witness} == {"projection"}
+        assert report_json(report) == report_json(
+            oracle_commutation(e, monomial_probes(n + 5)))
+
+    def test_functional_pairing_read_at_the_call_width(self, monkeypatch):
+        e, widths = wrong_functional(build_element(1, 3)), []
+        pairing = element1d._functional_pairing
+        monkeypatch.setattr(element1d, "_functional_pairing", lambda e, w: (
+            widths.append(w), pairing(e, w))[1])
+        assert not verify_lemma_hypotheses(e, 3).passed
+        # a narrower mask, cleared, must not stand in for the call's width
+        left, right, differ = pairing(e, 4)
+        e._memo["functional pairing", 4] = left, right, np.zeros_like(differ)
+        report = verify_commutation(e, monomial_probes(12))
+        assert widths == [4, 13]
+        assert report_json(report) == report_json(
+            oracle_commutation(e, monomial_probes(12)))
+        assert report.witness[0]["check"] == "commutation"
 
 
 @pytest.mark.parametrize("probes", [

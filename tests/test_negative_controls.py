@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from derham import linalg, tensor
+from derham import element1d, linalg, tensor
 from derham.cli import main
 from derham.corruptions import (CORRUPTION_NAMES, corrupt, permute_alpha,
                                 swap_basis, wrong_functional)
@@ -264,6 +264,43 @@ class TestPerturbationSweep:
                 and self.tensor_commutation_passes(p)
         assert [(field, index) for field, index in mutants
                 if passes(plus_one(e, field, index))] == []
+
+    @pytest.mark.parametrize("mn", POINTS)
+    def test_commutation_premises_match_the_defect_route(self, mn,
+                                                         monkeypatch):
+        """Where the premises of the commutation lemma hold, the defect
+        C is zero without being built; the report must be the one that
+        building C gives, perturbation by perturbation."""
+        e = build_element(*mn)
+        perturbations = [plus_one(e, field, index) for field in self.FIELDS
+                         for index in np.ndindex(getattr(e, field).nums.shape)]
+
+        def reports():
+            return [json.dumps(verify_commutation(p).to_json())
+                    for p in perturbations]
+        shortcut = reports()
+        monkeypatch.setattr(element1d, "_premises_hold", lambda e, w: False)
+        assert reports() == shortcut
+
+    @pytest.mark.parametrize("mn", POINTS)
+    def test_only_premise_c_broken(self, mn):
+        """1 added to alpha0[i, n], i < n, keeps D B_0 = [B_1 | 0] and the
+        functional pairing but not alpha0[:n] = [alpha1 | 0]: C is then
+        delta B_1[:, i] T_0[n] with T_0[n] = (2, 1, 1, ..), so every
+        monomial probe fails, before the projection witnesses."""
+        e = build_element(*mn)
+        n, width = e.n, e.default_probe_degree + 1
+        for i in range(n):
+            p = plus_one(e, "alpha0", (i, n))
+            moved, kernel = element1d._pairing(p)
+            assert not (moved.any() or kernel)
+            assert not element1d._functional_pairing(p, width)[2].any()
+            assert not element1d._premises_hold(p, width)
+            report = verify_commutation(p)
+            assert [w["probe"] for w in report.witness
+                    if w["check"] == "commutation"] == list(range(width))
+            assert {w["check"] for w in report.witness[width:]} \
+                == {"projection"}
 
     @pytest.mark.parametrize("mn", POINTS)
     def test_tensor_commutation_sees_every_interpolant_change(self, mn):

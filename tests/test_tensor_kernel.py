@@ -1063,9 +1063,10 @@ def test_monomial_commutation_matches_the_kernel_across_the_witness_cap(
 
 
 def test_capped_verifiers_build_no_witness_past_the_cap(monkeypatch):
-    """verify_dd_zero and verify_monomial_commutation stop building
-    witnesses at the cap, across chis, rather than leave the cut to
-    VerificationReport.of: each hands it exactly ``cap`` of them."""
+    """verify_dd_zero, verify_monomial_commutation and the explicit-probe
+    verify_tensor_commutation stop building witnesses at the cap, across
+    chis, rather than leave the cut to VerificationReport.of: each hands
+    it exactly ``cap`` of them."""
     handed = []
     inner = VerificationReport.of.__func__
 
@@ -1077,7 +1078,9 @@ def test_capped_verifiers_build_no_witness_past_the_cap(monkeypatch):
     verify_dd_zero(3, element(1, 3), flat_sign)
     verify_monomial_commutation(3, 1, range(7), element(1, 3,
                                                         "permute-alpha"))
-    assert handed == [5, 5]
+    verify_tensor_commutation(3, 1, rank_one_monomial_probes(3, 1, range(7)),
+                              element(1, 3, "permute-alpha"))
+    assert handed == [5, 5, 5]
 
 
 def test_pristine_monomial_commutation_builds_no_probe_mask(monkeypatch):

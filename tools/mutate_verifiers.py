@@ -57,6 +57,9 @@ TENSOR_TESTS = ("tests/test_negative_controls.py",
 TIMEOUT = 300.0  # seconds per pytest run
 SELECTIONS = {
     "verify_commutation": ELEMENT_TESTS,
+    # the premises that let verify_commutation skip its defect operator
+    "_premises_hold": ELEMENT_TESTS,
+    "_functional_pairing": ELEMENT_TESTS,
     "verify_lemma_hypotheses": ELEMENT_TESTS,
     "verify_unisolvence": ELEMENT_TESTS,
     "verify_dd_zero": TENSOR_TESTS,
