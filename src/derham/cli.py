@@ -68,23 +68,17 @@ def parse_int_list(text: str, flag: str) -> list[int]:
     return [number(text)]
 
 
-def _distinct(flag: str, text: str, values: list) -> list:
-    """``values``, read from the value ``text`` of ``--flag``; a repeat
-    would run (or emit) the same thing twice."""
-    repeated = [value for i, value in enumerate(values) if value in values[:i]]
-    if repeated:
-        raise ValueError(f"--{flag} {text!r}: repeats {repeated[0]}")
+def _distinct(flag: str, text: str, values: list,
+              bad=lambda value: None) -> list:
+    """``values``, read from the value ``text`` of ``--flag``; the first
+    repeat (it would run or emit the same thing twice) or value for which
+    ``bad`` gives a reason (a message; a false value is none) is
+    rejected, quoting ``text``."""
+    for i, value in enumerate(values):
+        reason = f"repeats {value}" if value in values[:i] else bad(value)
+        if reason:
+            raise ValueError(f"--{flag} {text!r}: {reason}")
     return values
-
-
-def _orders(text: str) -> list[int]:
-    """The distinct continuity orders of ``--m text``, each >= 0."""
-    orders = _distinct("m", text, parse_int_list(text, "m"))
-    low = next((m for m in orders if m < 0), None)
-    if low is not None:
-        raise ValueError(f"--m {text!r}: continuity order m={low} too low; "
-                         "need m >= 0")
-    return orders
 
 
 def degrees_for(m: int, n_spec: str) -> list[int]:
@@ -101,12 +95,9 @@ def degrees_for(m: int, n_spec: str) -> list[int]:
                              "auto, auto+K, a value, or a range")
         base = 2 * m + 1
         return list(range(base, base + int(match.group(1) or 0) + 1))
-    values = parse_int_list(n_spec, "n")
-    for n in values:
-        if n < 2 * m + 1:
-            raise ValueError(f"--n {n_spec!r}: degree n={n} too low for "
-                             f"m={m}; need n >= {2 * m + 1}")
-    return values
+    return _distinct("n", n_spec, parse_int_list(n_spec, "n"), lambda n: (
+        n < 2 * m + 1 and f"degree n={n} too low for m={m}; "
+        f"need n >= {2 * m + 1}"))
 
 
 _TERM_RE = re.compile(
@@ -222,7 +213,7 @@ CHECKS = {
             cfg.dimension, e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
     "tensor-commutation":  # probe degrees 0..min(n+3, --probe-degree)
         (_PER_NU, lambda cfg, e, nu: tensor.verify_monomial_commutation(
-            cfg.dimension, nu, range(min(e.n + 3, _probe_degree(cfg, e)) + 1),
+            cfg.dimension, nu, min(e.n + 3, _probe_degree(cfg, e)),
             e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
     "kron-structure":
         (_PER_NU, lambda cfg, e, nu: tensor.verify_kron_structure(
@@ -272,11 +263,8 @@ def _form_degrees(text: str | None, dimension: int) -> list[int] | None:
     (None where the flag is not given)."""
     if text is None:
         return None
-    degrees = _distinct("nu", text, parse_int_list(text, "nu"))
-    bad = next((nu for nu in degrees if not 0 <= nu <= dimension), None)
-    if bad is not None:
-        raise ValueError(f"--nu {text!r}: {bad} out of range 0..{dimension}")
-    return degrees
+    return _distinct("nu", text, parse_int_list(text, "nu"), lambda nu: (
+        not 0 <= nu <= dimension and f"{nu} out of range 0..{dimension}"))
 
 
 def cmd_verify(args) -> int:
@@ -334,11 +322,24 @@ ELEMENT_FIELDS = {"matrix": ("M0", "M1"), "basis": ("basis0", "basis1"),
                   "functionals": ("functionals0", "functionals1")}
 
 
+def _emitted_reads(emit: str, reads: dict) -> None:
+    """Rejects each flag given (not None) under an ``--emit`` that does not
+    read it; ``reads`` maps an --emit value to the values of its flags."""
+    for emitted, flags in reads.items():
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given and emit != emitted:
+            raise ValueError(f"{', '.join(given)}: only --emit {emitted} "
+                             "reads them")
+
+
 def cmd_element(args) -> int:
+    _emitted_reads(args.emit, {"basis-samples": {"--form": args.form,
+                                                 "--samples": args.samples}})
     element = _one_element(args, args.corrupt)
     if args.emit == "basis-samples":
-        emit(serialize.basis_samples_csv(element, args.form, args.samples),
-             args.output)
+        emit(serialize.basis_samples_csv(
+            element, args.form or 0,
+            101 if args.samples is None else args.samples), args.output)
         return 0
     data = serialize.element_json(element)
     if args.emit in ELEMENT_FIELDS:
@@ -349,14 +350,9 @@ def cmd_element(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    reads = {"basis-samples": {"--chi": args.chi, "--index": args.index,
-                               "--samples": args.samples},
-             "tables": {"--N": args.dimension, "--nu": args.nu}}
-    for emitted, flags in reads.items():
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given and args.emit != emitted:
-            raise ValueError(f"{', '.join(given)}: only --emit {emitted} "
-                             "reads them")
+    _emitted_reads(args.emit, {"basis-samples": {
+        "--chi": args.chi, "--index": args.index, "--samples": args.samples},
+        "tables": {"--N": args.dimension, "--nu": args.nu}})
     dimension = args.dimension or 2
     nu = _form_degrees(args.nu, dimension)
     element = _one_element(args)
@@ -469,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_element.add_argument("--emit", default="element",
                            choices=["element", *ELEMENT_FIELDS,
                                     "basis-samples"])
-    p_element.add_argument("--form", type=int, default=0, choices=[0, 1],
-                           help="form degree for basis-samples")
-    p_element.add_argument("--samples", type=_int_at_least(1), default=101)
+    p_element.add_argument("--form", type=int, choices=[0, 1],
+                           help="form degree for basis-samples (default 0)")
+    p_element.add_argument("--samples", type=_int_at_least(1),
+                           help="samples for basis-samples (default 101)")
     p_element.add_argument("--corrupt",
                            choices=tuple(corruptions.ELEMENT_CORRUPTIONS))
 
@@ -541,8 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.grid = [(m, n) for m in _orders(args.m)
-                     for n in _distinct("n", args.n, degrees_for(m, args.n))]
+        orders = _distinct("m", args.m, parse_int_list(args.m, "m"),
+                           lambda m: m < 0 and f"continuity order m={m} too "
+                           "low; need m >= 0")
+        args.grid = [(m, n) for m in orders for n in degrees_for(m, args.n)]
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

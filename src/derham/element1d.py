@@ -249,18 +249,21 @@ def _shared(columns) -> tuple[list, int]:
     return [nums * (den // d) for nums, d in columns], den
 
 
-def monomial_columns(e: Element1D, width: int) -> tuple[list, int]:
+def monomial_columns(e: Element1D, width: int) -> tuple:
     """The 1D columns of the monomials x^j, j < width, over one
     denominator: I_0 x^j = alpha_0 T_0, I_1 x^j = alpha_1 T_1 and the
     commutation residual r(x^j) = (I_0 x^j)[:n] - I_1 (x^j)', the one
-    factor where the tensor d I u and I d u differ.  I_1 D shifts the I_1
-    columns, so a build, once per element and width, reads T_0 and T_1
-    at ``width`` only."""
+    factor where the tensor d I u and I d u differ, as (blocks,
+    denominator, each block's nonzero-column flags, whether each block
+    has a nonzero column).  I_1 D shifts the I_1 columns, so a build,
+    once per element and width, reads T_0 and T_1 at ``width`` only."""
     def build():
         (i0, i1), den = _shared([linalg.product(_family(e, k)[2],
                                                 e.rows(k, width))
                                  for k in (0, 1)])
-        return [i0, i1, i0[:e.n] - _shifted(i1)[:, :width]], den
+        blocks = [i0, i1, i0[:e.n] - _shifted(i1)[:, :width]]
+        live = [(block != 0).any(axis=0) for block in blocks]
+        return blocks, den, live, tuple(bool(flags.any()) for flags in live)
     return e.cached(("monomial columns", width), build)
 
 
@@ -271,7 +274,7 @@ def interpolant_columns(e: Element1D, k: int,
     are P's columns, from block k of :func:`monomial_columns` (over the
     denominator of both blocks, so reduced before it enters the product)."""
     _family(e, k)  # a form degree other than 0 or 1 raises
-    columns, den = monomial_columns(e, len(P.nums))
+    columns, den, *_ = monomial_columns(e, len(P.nums))
     return linalg.product(linalg.Exact.reduced(columns[k], den), P)
 
 

@@ -24,10 +24,11 @@ commutation residual, which is the 1D commuting diagram with the other
 axes riding along: on the target chi + e_t, d I u - I d u of a rank-one
 term is, up to sign, the interpolants of the other axes times the 1D
 residual r on axis t, columns of the monomial table that the element
-keeps per width (:func:`element1d.monomial_columns`).  On a grid input
-(dd-zero's basis, the probes of :func:`verify_monomial_commutation`)
-the verifiers decide from the 1D columns alone: a Kronecker product is
-nonzero iff every factor is, and its peak is the product of theirs.
+keeps per width with their nonzero flags (:func:`monomial_columns`).
+On a grid input (dd-zero's basis, the monomial probes of degree 0..d
+of :func:`verify_monomial_commutation`) the verifiers decide from the
+1D columns alone: a Kronecker product is nonzero iff every factor is,
+and its peak, taken only for a witness, is the product of theirs.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
@@ -370,7 +371,8 @@ def _residual_sources(element: Element1D, P0: linalg.Exact,
     """The columns I_0 P_0, I_1 P_1 and r P_0 over one denominator: the
     blocks of the monomial table (:func:`monomial_columns`) times P_0, P_1
     and P_0, r P_0 being the 1D commutation residual of P_0's columns."""
-    columns, den = monomial_columns(element, max(len(P0.nums), len(P1.nums)))
+    columns, den, *_ = monomial_columns(element,
+                                        max(len(P0.nums), len(P1.nums)))
     scale = math.lcm(P0.den, P1.den)
     return [block[:, :len(P.nums)] @ (P.nums * (scale // P.den))
             for block, P in zip(columns, (P0, P1, P0))], den * scale
@@ -737,33 +739,6 @@ def _degree_set(degrees) -> tuple[int, ...]:
     return tuple(sorted(set(degrees)))
 
 
-class _Residuals(NamedTuple):
-    """What the verifier reads of the 1D columns of one degree set's
-    monomials x^a, kind k = 0, 1, 2 for I_0 x^a, I_1 x^a and r(x^a), over
-    ``den``: ``live[k]`` the flags of the nonzero columns and ``alive[k]``
-    whether any is, ``peaks[k]`` each column's largest |numerator|, an int."""
-
-    den: int
-    live: list
-    alive: tuple[bool, ...]
-    peaks: list
-
-
-def _monomial_residuals(element: Element1D,
-                        degrees: tuple[int, ...]) -> _Residuals:
-    """The residual table of a degree set, built once per element: the
-    degree columns of the monomial table, no product."""
-    def build():
-        columns, den = monomial_columns(element, max(degrees, default=-1) + 1)
-        picked = [block[:, list(degrees)] for block in columns]
-        live = [(nums != 0).any(axis=0) for nums in picked]
-        return _Residuals(den, live,
-                          tuple(bool(flags.any()) for flags in live),
-                          [np.abs(nums).max(axis=0).tolist()
-                           for nums in picked])
-    return element.cached(("monomial residual", degrees), build)
-
-
 def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
     """Rank-one probes with monomial factors x^a, a drawn from degrees:
@@ -824,37 +799,37 @@ def verify_tensor_commutation(dimension: int, nu: int, probes,
                                  m=element.m, n=element.n, probes=len(forms))
 
 
-def verify_monomial_commutation(dimension: int, nu: int, degrees,
+def verify_monomial_commutation(dimension: int, nu: int, max_degree: int,
                                 element: Element1D,
                                 sign_rule=theta) -> VerificationReport:
     """:func:`verify_tensor_commutation` on
-    ``rank_one_monomial_probes(dimension, nu, degrees)``, the same report
-    with the same probe indices, decided from 1D columns without building
-    the probes.  On the target chi + e_t of 0-form axis t, the residual
-    of the probe with degrees a is, up to the sign of that axis, the
-    Kronecker product of the interpolants I_{chi_s}(x^{a_s}) of the
-    other axes and r(x^{a_t}) on axis t, columns of the element's
-    monomial table (:func:`element1d.monomial_columns`): it is nonzero
-    iff every one of those columns is, and its largest entry is the
-    product of theirs.  Their flags and peaks depend only on the element
-    and the degree set, not on nu or chi: their table
-    (:func:`_monomial_residuals`) is kept in the element's memo, so every
-    nu after the first on one element only reads it.  A target
-    whose factor kinds include one with no nonzero column passes, so a
-    chi with no other target builds no mask of its probes.  The masks
-    count the failing probes; witnesses stop at ``report.WITNESS_CAP``."""
-    degrees = _degree_set(degrees)
-    chis, shape = enumerate_chi(dimension, nu), (len(degrees),) * dimension
+    ``rank_one_monomial_probes(dimension, nu, range(max_degree + 1))``,
+    the same report with the same probe indices, decided from 1D columns
+    without building the probes.  On the target chi + e_t of 0-form axis
+    t, the residual of the probe with degrees a is, up to the sign of
+    that axis, the Kronecker product of the interpolants I_{chi_s}(x^{a_s})
+    of the other axes and r(x^{a_t}) on axis t, columns of the element's
+    monomial table (:func:`element1d.monomial_columns`) of width
+    ``max_degree + 1``: it is nonzero iff every one of those columns is,
+    and its largest entry is the product of theirs.  The table keeps each
+    block's nonzero-column flags and whether any is set, once per element
+    and width, so every call after the first on one element only reads
+    them, and column peaks are taken only when a call lists a failing
+    probe.  A target whose factor kinds include a block with no nonzero
+    column passes, so a chi with no other target builds no mask of its
+    probes.  The masks count the failing probes; witnesses stop at
+    ``report.WITNESS_CAP``."""
+    _degree_set([max_degree])  # an int >= 0, checked on every call
+    chis, shape = enumerate_chi(dimension, nu), (max_degree + 1,) * dimension
     witness: list[dict] = []
-    failures = 0
+    failures, peaks = 0, None
     if nu < dimension:
-        table = _monomial_residuals(element, degrees)
-        live, scale = table.live, table.den ** dimension
+        columns, den, live, alive = monomial_columns(element, max_degree + 1)
         for position, chi in enumerate(chis):
             targets = []
             for t, target, _ in _d_terms(chi, sign_rule):
                 kinds = chi[:t] + (2,) + chi[t + 1:]
-                if all(table.alive[k] for k in kinds):  # else it passes
+                if all(alive[k] for k in kinds):  # else it passes
                     targets.append((target, kinds, reduce(np.logical_and, (
                         _along(live[k], s, dimension)
                         for s, k in enumerate(kinds)))))
@@ -864,6 +839,8 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
             failures += int(failing.sum())
             for a in map(tuple, np.argwhere(failing)[:report.WITNESS_CAP
                                                       - len(witness)]):
+                peaks = peaks or [np.abs(block).max(axis=0).tolist()
+                                  for block in columns]
                 hits = sorted(entry[:2] for entry in targets if entry[2][a])
                 witness.append({
                     "check": "tensor-commutation",
@@ -871,8 +848,8 @@ def verify_monomial_commutation(dimension: int, nu: int, degrees,
                     + int(np.ravel_multi_index(a, shape)),
                     "blocks": [list(target) for target, _ in hits],
                     "max_abs": str(Fraction(max(math.prod(
-                        table.peaks[k][j] for k, j in zip(kinds, a))
-                        for _, kinds in hits), scale))})
+                        peaks[k][j] for k, j in zip(kinds, a))
+                        for _, kinds in hits), den ** dimension))})
     return VerificationReport.of("tensor-commutation", witness,
                                  failures=failures, N=dimension, nu=nu,
                                  m=element.m, n=element.n,

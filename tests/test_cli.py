@@ -947,6 +947,23 @@ class TestRejectedAtEntry:
         assert rejected(capsys, *argv) == f"error: {repeated}\n"
 
     @pytest.mark.parametrize("argv, message", [
+        (("verify", "--m", "1", "--n", "2,2"),
+         "--n '2,2': degree n=2 too low for m=1; need n >= 3"),
+        (("verify", "--m", "1", "--n", "3,3,2"), "--n '3,3,2': repeats 3"),
+        (("verify", "--m=-1,0,0"),
+         "--m '-1,0,0': continuity order m=-1 too low; need m >= 0"),
+        (("verify", "--m=0,0,-1"), "--m '0,0,-1': repeats 0"),
+        (("tensor", "--m", "1", "--n", "3", "--nu", "5,0,0"),
+         "--nu '5,0,0': 5 out of range 0..2"),
+        (("tensor", "--m", "1", "--n", "3", "--nu", "0,0,5"),
+         "--nu '0,0,5': repeats 0"),
+    ])
+    def test_first_fault_of_a_list_is_named(self, capsys, argv, message):
+        # one rule per list flag: its values in order, the first that
+        # repeats an earlier one or is out of range named
+        assert rejected(capsys, *argv) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
         # each used to reach the library and print its message
         (("verify", "--m=-1"),
          "--m '-1': continuity order m=-1 too low; need m >= 0"),
@@ -997,6 +1014,30 @@ class TestRejectedAtEntry:
     def test_sample_flags_only_with_basis_samples(self, capsys, argv):
         err = rejected(capsys, "tensor", "--m", "1", "--n", "3", *argv)
         assert "only --emit basis-samples reads them" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        # each used to be silently ignored, exit 0
+        (("--form", "1", "--emit", "matrix"), "--form"),
+        (("--samples", "5", "--emit", "functionals"), "--samples"),
+        (("--form", "0", "--samples", "101"), "--form, --samples"),
+        (("--emit", "basis", "--samples", "101"), "--samples"),
+    ])
+    def test_element_sample_flags_only_with_basis_samples(self, capsys, argv,
+                                                          named):
+        err = rejected(capsys, "element", "--m", "1", "--n", "3", *argv)
+        assert err == f"error: {named}: only --emit basis-samples reads " \
+            "them\n"
+
+    def test_element_sample_defaults(self, capsys):
+        # form 0 and 101 samples, given or left out
+        _, default, _ = run(capsys, "element", "--m", "1", "--n", "3",
+                            "--emit", "basis-samples")
+        code, given, _ = run(capsys, "element", "--m", "1", "--n", "3",
+                             "--emit", "basis-samples", "--form", "0",
+                             "--samples", "101")
+        assert code == 0 and given == default
+        assert default.startswith("x,phi0_1,") \
+            and len(default.strip().split("\n")) == 102
 
     @pytest.mark.parametrize("argv, named", [
         # the 2D sample used to come out whatever --N and --nu said
@@ -1103,7 +1144,11 @@ class TestProperties:
         # a seed with no random probes to draw is rejected too
         unread_seed = "--seed" in given \
             and given.get("--random-probes", "0") == "0"
-        if bad is not None or unread_seed:
+        # so is element --form or --samples without --emit basis-samples
+        unread_sample = argv[0] == "element" \
+            and {"--form", "--samples"} & set(given) \
+            and given.get("--emit") != "basis-samples"
+        if bad is not None or unread_seed or unread_sample:
             assert status == 2, argv
         if status == 2:
             assert out == "", argv

@@ -377,19 +377,20 @@ class TestRankOneForms:
         assert all(p.nu == 1 for p in probes)
 
     @pytest.mark.parametrize("build", [
-        rank_one_monomial_probes,
-        lambda N, nu, degrees: verify_monomial_commutation(
-            N, nu, degrees, build_element(0, 1))])
+        lambda N, nu, bad: rank_one_monomial_probes(N, nu, [0, bad]),
+        lambda N, nu, bad: verify_monomial_commutation(
+            N, nu, bad, build_element(0, 1))],
+        ids=["rank_one_monomial_probes", "verify_monomial_commutation"])
     def test_monomial_probe_degrees_validated(self, build):
         # degrees are never coerced: 1.5 used to become 1
         for bad in (1.5, True, np.int64(2), "2", None):
             with pytest.raises(TypeError, match=f"probe degree "
                                                 f"{re.escape(repr(bad))} "
                                                 "is not an int"):
-                build(2, 1, [0, bad])
+                build(2, 1, bad)
         # a negative degree is named, not failed deep in Polynomial
         with pytest.raises(ValueError, match="probe degree -1 is negative"):
-            build(2, 1, range(-1, 3))
+            build(2, 1, -1)
         assert len(rank_one_monomial_probes(2, 0, (3, 0, 3))) == 4
 
 

@@ -37,6 +37,7 @@ import itertools
 import json
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 from functools import reduce
@@ -358,7 +359,7 @@ def test_sign_rule_values_other_than_one_are_rejected(value):
     runs = [lambda: d_tensor(canonicalize(u, e), rule),
             lambda: d_smooth(sinusoid([1.0, 2.0]), sign_rule=rule),
             lambda: verify_dd_zero(2, e, rule),
-            lambda: verify_monomial_commutation(2, 0, range(3), e, rule),
+            lambda: verify_monomial_commutation(2, 0, 2, e, rule),
             lambda: verify_tensor_commutation(2, 0, [u], e, rule),
             lambda: d_rank_one(u, rule)]
     for run in runs:
@@ -410,7 +411,7 @@ def test_elements_collectable_after_tensor_verifiers():
     verify_dd_zero(2, e)
     verify_tensor_commutation(2, 1, rank_one_monomial_probes(2, 1, range(6)),
                               e)
-    verify_monomial_commutation(2, 1, range(6), e)
+    verify_monomial_commutation(2, 1, 5, e)
     ref = weakref.ref(e)
     del e
     gc.collect()
@@ -949,7 +950,7 @@ def test_witness_and_block_types():
     max_abs), every report serializes, and the exact single-form entry
     points still give Fraction blocks over Python ints."""
     e = element(1, 4, "permute-alpha")
-    reports = [verify_monomial_commutation(dimension, nu, range(8), e)
+    reports = [verify_monomial_commutation(dimension, nu, 7, e)
                for dimension in (2, 3) for nu in range(dimension + 1)]
     reports += [verify_tensor_commutation(2, 1, MULTI_TERM_PROBES[2, 1], e),
                 verify_dd_zero(2, e, flat_sign),
@@ -989,31 +990,39 @@ def test_monomial_commutation_matches_explicit_probes(dimension, mn):
     """verify_monomial_commutation (decided from 1D columns) gives the
     report of verify_tensor_commutation (the kernel) on the explicit
     probes, probe indices included, for every nu, pristine and under
-    every control, under both sign rules.  Where it is cheap (n <= 3, and
-    n <= 2 in 4D) the per-probe Fraction oracle gives the same reports
-    too, on the CLI's degrees in 2D and on their lowest and highest
-    beyond."""
+    every control, under both sign rules, on the CLI's default per-axis
+    degrees 0..n+3.  Where it is cheap (n <= 3, and n <= 2 in 4D) the
+    per-probe Fraction oracle gives the same reports too: as the
+    monomial verifier's on those degrees in 2D, and as the kernel's on
+    their lowest and highest beyond."""
     m, n = mn
     degrees = list(range(n + 4))  # the CLI's default per-axis degrees
-    checks = [(degrees, True)]
-    if n <= (3 if dimension < 4 else 2):
-        checks.append((degrees if dimension == 2 else degrees[::3], False))
+    cheap = n <= (3 if dimension < 4 else 2)
     failed = 0
     for control in (None, "permute-alpha", "wrong-functional", "swap-basis",
                     "scaled-basis1"):
         if n < 2 and control in ("permute-alpha", "swap-basis"):
             continue
         e = element(m, n, control)
-        for sign_rule, (chosen, kernel) in itertools.product(
-                (theta, flat_sign), checks):
+        for sign_rule in (theta, flat_sign):
             for nu in range(dimension + 1):
                 got = report_json(verify_monomial_commutation(
-                    dimension, nu, chosen, e, sign_rule))
-                probes = rank_one_monomial_probes(dimension, nu, chosen)
-                oracle = verify_tensor_commutation if kernel else oracle_verify
-                assert got == report_json(oracle(dimension, nu, probes, e,
-                                                 sign_rule))
+                    dimension, nu, n + 3, e, sign_rule))
+                probes = rank_one_monomial_probes(dimension, nu, degrees)
+                assert got == report_json(verify_tensor_commutation(
+                    dimension, nu, probes, e, sign_rule))
                 failed += '"passed": false' in got
+                if not cheap:
+                    continue
+                if dimension == 2:
+                    assert got == report_json(oracle_verify(
+                        dimension, nu, probes, e, sign_rule))
+                    continue
+                probes = rank_one_monomial_probes(dimension, nu,
+                                                  degrees[::3])
+                assert report_json(verify_tensor_commutation(
+                    dimension, nu, probes, e, sign_rule)) == report_json(
+                    oracle_verify(dimension, nu, probes, e, sign_rule))
     assert failed > 0
 
 
@@ -1025,17 +1034,17 @@ def test_capped_monomial_commutation_lists_the_first_witnesses_of_the_kernel(
     explicit probes (uncapped: each is under the real cap) and states
     that report's length as its count; the kernel, which lists every
     witness, gives the same report under the same cap."""
-    cases = [(3, nu, element(1, 3, "permute-alpha"), range(7), theta)
+    cases = [(3, nu, element(1, 3, "permute-alpha"), 6, theta)
              for nu in range(3)]
-    cases += [(2, 1, element(2, 6, "wrong-functional"), range(10), theta),
-              (3, 1, element(0, 2, "scaled-basis1"), range(6), theta)]
-    for dimension, nu, e, degrees, sign_rule in cases:
-        probes = rank_one_monomial_probes(dimension, nu, degrees)
+    cases += [(2, 1, element(2, 6, "wrong-functional"), 9, theta),
+              (3, 1, element(0, 2, "scaled-basis1"), 5, theta)]
+    for dimension, nu, e, degree, sign_rule in cases:
+        probes = rank_one_monomial_probes(dimension, nu, range(degree + 1))
         want = verify_tensor_commutation(dimension, nu, probes, e,
                                          sign_rule).to_json()
         assert cap < len(want["witness"]) and want["details"] == {}
         monkeypatch.setattr("derham.report.WITNESS_CAP", cap)
-        got = verify_monomial_commutation(dimension, nu, degrees, e,
+        got = verify_monomial_commutation(dimension, nu, degree, e,
                                           sign_rule).to_json()
         assert got == verify_tensor_commutation(dimension, nu, probes, e,
                                                 sign_rule).to_json()
@@ -1050,9 +1059,9 @@ def test_monomial_commutation_matches_the_kernel_across_the_witness_cap(
     """permute-alpha at (1, 3), N = 4, nu = 2 over the CLI's degrees 0..6
     fails more probes than the real cap: both verifiers list the first
     2000 witnesses of the uncapped kernel report and state its length."""
-    e, degrees = element(1, 3, "permute-alpha"), range(7)
-    probes = rank_one_monomial_probes(4, 2, degrees)
-    got = verify_monomial_commutation(4, 2, degrees, e)
+    e = element(1, 3, "permute-alpha")
+    probes = rank_one_monomial_probes(4, 2, range(7))
+    got = verify_monomial_commutation(4, 2, 6, e)
     assert report_json(got) == \
         report_json(verify_tensor_commutation(4, 2, probes, e))
     monkeypatch.setattr("derham.report.WITNESS_CAP", len(probes))
@@ -1076,8 +1085,7 @@ def test_capped_verifiers_build_no_witness_past_the_cap(monkeypatch):
     monkeypatch.setattr(VerificationReport, "of", classmethod(of))
     monkeypatch.setattr("derham.report.WITNESS_CAP", 5)
     verify_dd_zero(3, element(1, 3), flat_sign)
-    verify_monomial_commutation(3, 1, range(7), element(1, 3,
-                                                        "permute-alpha"))
+    verify_monomial_commutation(3, 1, 6, element(1, 3, "permute-alpha"))
     verify_tensor_commutation(3, 1, rank_one_monomial_probes(3, 1, range(7)),
                               element(1, 3, "permute-alpha"))
     assert handed == [5, 5, 5]
@@ -1094,7 +1102,7 @@ def test_pristine_monomial_commutation_builds_no_probe_mask(monkeypatch):
     e = build_element(2, 7)
     monkeypatch.setattr(tensor, "_along", refuse)
     for nu in range(9):
-        report = verify_monomial_commutation(8, nu, range(e.n + 4), e)
+        report = verify_monomial_commutation(8, nu, e.n + 3, e)
         assert report.passed
         assert report.to_json()["parameters"]["probes"] == \
             math.comb(8, nu) * (e.n + 4) ** 8
@@ -1152,8 +1160,7 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
         for nu in range(dimension + 1):
             probes = rank_one_monomial_probes(dimension, nu, range(5))
             for verify, arg in ((verify_tensor_commutation, probes),
-                                (tensor.verify_monomial_commutation,
-                                 range(5))):
+                                (tensor.verify_monomial_commutation, 4)):
                 calls.clear()
                 verify(dimension, nu, arg, e)
                 below = nu < dimension
@@ -1165,10 +1172,9 @@ def test_one_kernel_call_per_verifier_call(monkeypatch):
                 assert calls == {k: v for k, v in want.items() if v}
                 assert table_builds() == [5] * (below and not has_table)
                 has_table = has_table or below
-    for degrees, widths in (([4, 0, 2, 1, 3, 0], []), (range(6), [6]),
-                            (range(6), []), ([5, 0], [])):
-        calls.clear()  # a degree set is a set: order and repeats aside
-        verify_monomial_commutation(2, 0, degrees, e)
+    for degree, widths in ((4, []), (5, [6]), (5, []), (2, [3])):
+        calls.clear()
+        verify_monomial_commutation(2, 0, degree, e)
         assert table_builds() == widths  # one table per width
         assert "interpolant_columns" not in calls
     for dimension in (1, 2, 3, 4):
@@ -1193,8 +1199,8 @@ def test_a_used_element_gives_the_reports_of_a_fresh_one():
     def reports(e, sign_rule=theta):
         return [report_json(report) for report in (
             verify_dd_zero(3, e, sign_rule),
-            *(verify_monomial_commutation(3, nu, range(8), e,
-                                          sign_rule) for nu in range(4)))]
+            *(verify_monomial_commutation(3, nu, 7, e, sign_rule)
+              for nu in range(4)))]
 
     used = build_element(1, 4)
     assert reports(used) == reports(build_element(1, 4))
@@ -1261,7 +1267,9 @@ def test_monomial_columns_match_the_old_route(mn):
     the four element corruptions, the table equals the route it replaced
     entry for entry as Fractions: directly, against that route on the
     0/1 monomial matrix, and through ``_residual_sources`` on random
-    coefficient columns, the taller of P_0 and P_1 at the width."""
+    coefficient columns, the taller of P_0 and P_1 at the width.  Its
+    flags are those of the old route's nonzero columns, block by block,
+    and whether any is set."""
     rng = random.Random(repr(mn))
     for control in ELEMENT_CONTROLS:
         e = controlled(build_element(*mn), control)
@@ -1270,8 +1278,13 @@ def test_monomial_columns_match_the_old_route(mn):
         for width in range(1, e.n + 7):
             monomials = linalg.Exact.trusted(
                 np.eye(width, dtype=int).astype(object), 1)
-            assert_columns_equal(*element1d.monomial_columns(e, width),
-                                 old_route(e, monomials, monomials))
+            blocks, den, live, alive = element1d.monomial_columns(e, width)
+            want = old_route(e, monomials, monomials)
+            assert_columns_equal(blocks, den, want)
+            assert [flags.tolist() for flags in live] == \
+                [(oracle != 0).any(axis=0).tolist() for oracle in want]
+            assert alive == tuple(bool((oracle != 0).any())
+                                  for oracle in want)
             heights = [width, rng.randint(0, width)]
             rng.shuffle(heights)
             P0, P1 = (random_columns(rng, height) for height in heights)
@@ -1282,123 +1295,174 @@ def test_monomial_columns_match_the_old_route(mn):
 @pytest.mark.parametrize("control", ELEMENT_CONTROLS,
                          ids=["pristine", "swap-basis", "wrong-functional",
                               "permute-alpha", "scale-basis1"])
-def test_an_empty_degree_set_passes_with_no_probes(control):
-    """No degree, no probe: the table of width 0 has no column, so every
-    nu passes with ``probes`` 0, on a failing element too."""
+def test_the_lowest_degrees_match_the_kernel(control):
+    """At the narrowest tables, degrees 0..0 and 0..1, the monomial
+    verifier gives the kernel's report on the explicit probes, at every
+    nu in 1D to 3D, on failing elements too."""
     for m, n in ((0, 2), (1, 3), (2, 6)):
         e = controlled(build_element(m, n), control)
-        for dimension in (1, 2, 3):
-            for nu in range(dimension + 1):
-                report = verify_monomial_commutation(dimension, nu, [], e)
-                assert report.passed
-                assert report.parameters["probes"] == 0
+        for dimension, nu, degree in itertools.product((1, 2, 3), range(4),
+                                                       (0, 1)):
+            if nu > dimension:
+                continue
+            probes = rank_one_monomial_probes(dimension, nu,
+                                              range(degree + 1))
+            assert report_json(verify_monomial_commutation(
+                dimension, nu, degree, e)) == report_json(
+                verify_tensor_commutation(dimension, nu, probes, e))
 
 
-def residual_keys(e):
-    return sorted(key for key in e._memo if key[0] == "monomial residual")
+def table_keys(e):
+    return sorted(key for key in e._memo if key[0] == "monomial columns")
 
 
 @pytest.mark.parametrize("control", [
     None, swap_basis, wrong_functional, permute_alpha, scale_basis1,
     flat_sign], ids=["pristine", "swap-basis", "wrong-functional",
                      "permute-alpha", "scale-basis1", "flat-sign"])
-def test_the_residual_memo_gives_the_reports_of_fresh_elements(control):
-    """verify_monomial_commutation keeps its 1D residual table on the
-    element, one per degree set.  For N <= 3, every nu run in turn on one
-    shared element gives, nu by nu, the report of that nu on a freshly
-    built element: pristine, under each element corruption and under the
-    flat sign rule.  The shared element then holds one table per degree
-    set it was asked: here the range 0..n+3 in 1D and 2D, and the degrees
-    0, 2, n, n+3 in 3D."""
+def test_the_table_memo_gives_the_reports_of_fresh_elements(control):
+    """verify_monomial_commutation reads the element's monomial table of
+    width max_degree + 1, one memo entry per width.  For N <= 3, every
+    nu run in turn on one shared element gives, nu by nu, the report of
+    that nu on a freshly built element: pristine, under each element
+    corruption and under the flat sign rule.  The shared element then
+    holds one table per width it was asked: here max_degree n + 3 in
+    every dimension and n in 3D."""
     sign_rule = flat_sign if control is flat_sign else theta
     corrupt = control if control not in (None, flat_sign) else lambda e: e
     verdicts = []
     for m, n in ((0, 2), (1, 3), (2, 6)):
         shared = corrupt(build_element(m, n))
         for dimension in (1, 2, 3):
-            degrees = range(n + 4) if dimension <= 2 \
-                else sorted({0, 2, n, n + 3})
-            for nu in range(dimension + 1):
-                got = report_json(verify_monomial_commutation(
-                    dimension, nu, degrees, shared, sign_rule))
-                fresh = corrupt(build_element(m, n))
-                assert got == report_json(verify_monomial_commutation(
-                    dimension, nu, degrees, fresh, sign_rule))
-                verdicts.append('"passed": false' in got)
-        assert residual_keys(shared) == sorted(
-            ("monomial residual", tuple(degrees))
-            for degrees in (range(n + 4), sorted({0, 2, n, n + 3})))
+            for degree in (n + 3,) if dimension <= 2 else (n + 3, n):
+                for nu in range(dimension + 1):
+                    got = report_json(verify_monomial_commutation(
+                        dimension, nu, degree, shared, sign_rule))
+                    fresh = corrupt(build_element(m, n))
+                    assert got == report_json(verify_monomial_commutation(
+                        dimension, nu, degree, fresh, sign_rule))
+                    verdicts.append('"passed": false' in got)
+        assert table_keys(shared) == [("monomial columns", n + 1),
+                                      ("monomial columns", n + 4)]
     # the element corruptions reach tensor-commutation (swap-basis at
     # none of these points), the flat sign rule never does
     assert any(verdicts) == (control in (wrong_functional, permute_alpha,
                                          scale_basis1))
 
 
-def test_two_degree_sets_do_not_share_a_table():
-    """Two degree sets of one size on one element are two entries: each
-    call reads the table of its own set, built from its own monomials,
-    and gives the report of a fresh element."""
-    e = permute_alpha(build_element(1, 3))
-    reports = {}
-    for degrees in ((0, 1, 5), (0, 2, 5), (0, 1, 5)):
-        got = report_json(verify_monomial_commutation(2, 0, degrees, e))
-        assert got == report_json(verify_monomial_commutation(
-            2, 0, degrees, permute_alpha(build_element(1, 3))))
-        reports.setdefault(degrees, got)
-        assert reports[degrees] == got
-    assert reports[(0, 1, 5)] != reports[(0, 2, 5)]
-    first, second = (e._memo[key] for key in residual_keys(e))
-    assert first is not second
-    # both read the one table of width 6, each at its own degrees
-    columns, den = e._memo[("monomial columns", 6)]
-    for table, degrees in ((first, [0, 1, 5]), (second, [0, 2, 5])):
-        assert table.den == den
-        for k, block in enumerate(columns):
-            picked = block[:, degrees]
-            assert table.live[k].tolist() == \
-                (picked != 0).any(axis=0).tolist()
-            assert table.peaks[k] == np.abs(picked).max(axis=0).tolist()
-    assert first.peaks != second.peaks
+def test_one_table_build_per_width_serves_every_reader(monkeypatch):
+    """verify_tensor_commutation, the rank-one tensor_interpolate and
+    verify_monomial_commutation read one monomial table per element and
+    width: whichever of them comes first builds it, once, and the others
+    only read it, at every nu below the top.  The monomial verifier adds
+    to the memo nothing but that table and the two functional row stacks
+    it is built from, pristine and failing alike."""
+    built = []
+    inner = Element1D.cached
+
+    def cached(self, key, build):  # records the key of every build run
+        return inner(self, key, lambda: built.append(key) or build())
+    monkeypatch.setattr(Element1D, "cached", cached)
+    x = Polynomial.monomial
+    readers = [
+        lambda e, w, nu: verify_tensor_commutation(
+            2, nu, rank_one_monomial_probes(2, nu, range(w)), e),
+        # at nu = 1, so that both 1D kinds are interpolated
+        lambda e, w, nu: tensor_interpolate(
+            2, 1, rank_one([(0, x(w - 1)), (1, x(w - 1))]), e),
+        lambda e, w, nu: verify_monomial_commutation(2, nu, w - 1, e)]
+    for width, order in itertools.product((3, 6), itertools.permutations(
+            range(3))):
+        for control in (None, permute_alpha):
+            e = controlled(build_element(1, 3), control)
+            built.clear()
+            for reader in order:
+                for nu in range(2):  # below the top degree
+                    readers[reader](e, width, nu)
+            assert [key for key in built if key[0] == "monomial columns"] \
+                == [("monomial columns", width)]
+            assert table_keys(e) == [("monomial columns", width)]
+    for control in (None, permute_alpha):
+        e = controlled(build_element(1, 4), control)
+        before = set(e._memo)
+        for nu in range(4):
+            verify_monomial_commutation(3, nu, 5, e)
+        assert set(e._memo) - before == {
+            ("monomial columns", 6), ("rows", 0, 6), ("rows", 1, 6)}
 
 
-def test_degrees_are_checked_on_a_memo_hit():
-    """The degree checks run on every call, before the memo is read: on
-    an element that holds the table of {0, 1, 2}, a bool, a numpy int or
-    a negative degree still raises, at every nu, the top one included."""
-    e = build_element(1, 3)
-    verify_monomial_commutation(2, 0, range(3), e)
-    for nu in range(3):
-        for bad in (True, np.int64(1)):
-            with pytest.raises(TypeError, match="is not an int"):
-                verify_monomial_commutation(2, nu, [0, bad, 2], e)
-        with pytest.raises(ValueError, match="probe degree -1 is negative"):
-            verify_monomial_commutation(2, nu, [2, 1, 0, -1], e)
-    assert residual_keys(e) == [("monomial residual", (0, 1, 2))]
+def test_a_passing_call_builds_no_peaks():
+    """Column peaks are taken from the table's blocks only for a listed
+    witness: with the blocks of the memo entry replaced by an object
+    that refuses any use, every passing call still runs, pristine at
+    every nu up to N = 3 under both sign rules and over a corrupted
+    element's passing chis, and a failing call reaches the blocks."""
+    class Refused:
+        def __iter__(self):
+            raise AssertionError("the blocks were read")
+
+    def planted(e, width):
+        _, den, live, alive = element1d.monomial_columns(e, width)
+        e._memo[("monomial columns", width)] = (Refused(), den, live, alive)
+        return e
+
+    for m, n in ((0, 2), (1, 3), (2, 6)):
+        e = planted(build_element(m, n), n + 4)
+        for dimension, sign_rule in itertools.product((1, 2, 3),
+                                                      (theta, flat_sign)):
+            for nu in range(dimension + 1):
+                assert verify_monomial_commutation(dimension, nu, n + 3, e,
+                                                   sign_rule).passed
+    e = planted(permute_alpha(build_element(1, 3)), 7)
+    assert verify_monomial_commutation(2, 2, 6, e).passed
+    with pytest.raises(AssertionError, match="the blocks were read"):
+        verify_monomial_commutation(2, 0, 6, e)
+
+
+def test_max_degree_is_checked_on_every_call():
+    """max_degree is checked on every call, before the memo is read: on
+    a fresh element and on one that holds the table of width 3, a bool,
+    a numpy int, a float or a negative degree raises, at every nu, the
+    top one included, and builds no table."""
+    warm = build_element(1, 3)
+    verify_monomial_commutation(2, 0, 2, warm)
+    for e, keys in ((build_element(1, 3), []),
+                    (warm, [("monomial columns", 3)])):
+        for nu in range(3):
+            for bad in (True, np.int64(1), 1.5, 2.0):
+                with pytest.raises(TypeError, match=rf"^probe degree "
+                                   rf"{re.escape(repr(bad))} is not an int$"):
+                    verify_monomial_commutation(2, nu, bad, e)
+            with pytest.raises(ValueError,
+                               match="^probe degree -1 is negative$"):
+                verify_monomial_commutation(2, nu, -1, e)
+        assert table_keys(e) == keys
 
 
 def test_a_replaced_element_starts_with_an_empty_memo():
     """The memo is not a field that dataclasses.replace copies: a copy
     with every field given starts empty, and each corruption holds only
-    the tables it rebuilt, no residual table of its source."""
+    the tables it rebuilt, no monomial table of its source."""
     e = build_element(1, 3)
-    verify_monomial_commutation(2, 0, range(5), e)
-    assert residual_keys(e) == [("monomial residual", tuple(range(5)))]
+    verify_monomial_commutation(2, 0, 4, e)
+    assert table_keys(e) == [("monomial columns", 5)]
     assert dataclasses.replace(e)._memo == {}
     for corrupt in (swap_basis, wrong_functional, permute_alpha,
                     scale_basis1):
-        assert residual_keys(corrupt(e)) == []
+        assert table_keys(corrupt(e)) == []
 
 
 def test_a_second_call_leaves_the_cached_sources_unchanged():
     """The verifiers read the element's cached exact tables (the node
-    tables, the functionals' monomial rows, the monomial residual table)
-    without copying.  A second call on the same element reuses them,
-    gives an identical report and leaves every cached table as it was."""
+    tables, the functionals' monomial rows, the monomial table and its
+    flags) without copying.  A second call on the same element reuses
+    them, gives an identical report and leaves every cached table as it
+    was."""
     e = permute_alpha(build_element(1, 4))
     probes = rank_one_monomial_probes(2, 0, range(8))
     runs = [lambda: verify_dd_zero(3, e, flat_sign),
             lambda: verify_tensor_commutation(2, 0, probes, e)] + [
-        lambda nu=nu: verify_monomial_commutation(3, nu, range(8), e)
+        lambda nu=nu: verify_monomial_commutation(3, nu, 7, e)
         for nu in range(3)]
     first = [report_json(run()) for run in runs]
     assert any('"passed": false' in text for text in first)
@@ -1408,23 +1472,19 @@ def test_a_second_call_leaves_the_cached_sources_unchanged():
     assert any(key[0] == "rows" for key in cached)
     copies = {key: (value.nums.copy(), value.den)
               for key, value in cached.items()}
-    residual_key = ("monomial residual", tuple(range(8)))
-    residuals, (columns, den) = (e._memo[residual_key],
-                                 e._memo[("monomial columns", 8)])
-    arrays = [array.copy() for array in (*columns, *residuals.live)]
-    peaks = [list(column) for column in residuals.peaks]
+    table = e._memo[("monomial columns", 8)]
+    blocks, den, live, alive = table
+    arrays = [array.copy() for array in (*blocks, *live)]
     assert [report_json(run()) for run in runs] == first
     for key, value in cached.items():
         want, want_den = copies[key]
         assert e._memo[key] is value and value.den == want_den
         assert value.nums.shape == want.shape
         assert bool((value.nums == want).all())
-    assert e._memo[residual_key] is residuals
-    assert e._memo[("monomial columns", 8)][0] is columns
-    assert e._memo[("monomial columns", 8)][1] == den
+    assert e._memo[("monomial columns", 8)] is table
+    assert table == (blocks, den, live, alive)
     assert all(bool((array == want).all()) for array, want in zip(
-        (*columns, *residuals.live), arrays))
-    assert residuals.peaks == peaks
+        (*blocks, *live), arrays))
 
 
 def test_out_of_space_expansion_names_the_degree():

@@ -68,9 +68,8 @@ SELECTIONS = {
     "verify_kron_structure": TENSOR_TESTS,
     # the 1D factor pairs that verify_kron_structure decides from
     "_kron_factors": TENSOR_TESTS,
-    # the residual table that verify_monomial_commutation reads
-    "_monomial_residuals": TENSOR_TESTS,
-    # the 1D columns and the chi-level helpers every tensor verifier shares
+    # the 1D columns and flags and the chi-level helpers every tensor
+    # verifier shares
     "monomial_columns": TENSOR_TESTS,
     "_residual_sources": TENSOR_TESTS,
     "_d_terms": TENSOR_TESTS,
