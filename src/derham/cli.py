@@ -117,6 +117,8 @@ def parse_polynomial(text: str) -> Polynomial:
         match = _TERM_RE.fullmatch(chunk)
         if not match or (match.group("coeff") is None and match.group("x") is None):
             raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
+        if (match.group("coeff") or "").rstrip("0").endswith("/"):  # n/0..0
+            raise ZeroDivisionError(f"zero denominator in term {chunk!r}")
         coeff = Fraction(match.group("coeff") or 1)
         if match.group("sign") == "-":
             coeff = -coeff
@@ -132,6 +134,8 @@ def parse_input_function(text: str) -> SmoothFunction1D:
         pass
     try:
         p = parse_polynomial(text)
+    except ZeroDivisionError as error:
+        raise ValueError(f"--input {text!r}: {error}") from None
     except ValueError:
         raise ValueError(f"unknown function {text!r}: not a built-in name "
                          "(sin, cos, exp) and not a polynomial literal")
@@ -180,17 +184,10 @@ def _random_probe_polys(seed: int, count: int, max_degree: int) -> list[Polynomi
                         for _ in range(max_degree + 1)]) for _ in range(count)]
 
 
-def _probe_degree(cfg, element) -> int:
-    return element.default_probe_degree if cfg.probe_degree is None \
-        else cfg.probe_degree
-
-
 def _commutation(cfg, element, nu):
-    degree = _probe_degree(cfg, element)
-    probes = element1d.monomial_probes(degree)
-    if cfg.random_probes:
-        probes += _random_probe_polys(cfg.seed or 0, cfg.random_probes,
-                                      degree)
+    degree = element.probe_degree(cfg.probe_degree)
+    probes = element1d.monomial_probes(degree) + _random_probe_polys(
+        cfg.seed, cfg.random_probes, degree)
     return element1d.verify_commutation(element, probes)
 
 
@@ -204,7 +201,7 @@ CHECKS = {
         (_1D, lambda cfg, e, nu: element1d.verify_unisolvence(e)),
     "lemma-hypotheses":
         (_1D, lambda cfg, e, nu: element1d.verify_lemma_hypotheses(
-            e, _probe_degree(cfg, e))),
+            e, cfg.probe_degree)),
     "commutation": (_1D, _commutation),
     "dimensions":
         (_ND, lambda cfg, e, nu: tensor.verify_dimensions(cfg.dimension, e)),
@@ -213,26 +210,17 @@ CHECKS = {
             cfg.dimension, e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
     "tensor-commutation":  # probe degrees 0..min(n+3, --probe-degree)
         (_PER_NU, lambda cfg, e, nu: tensor.verify_monomial_commutation(
-            cfg.dimension, nu, min(e.n + 3, _probe_degree(cfg, e)),
+            cfg.dimension, nu, min(e.n + 3, e.probe_degree(cfg.probe_degree)),
             e, sign_rule=corruptions.sign_rule(cfg.corrupt))),
     "kron-structure":
         (_PER_NU, lambda cfg, e, nu: tensor.verify_kron_structure(
             cfg.dimension, nu, e)),
     "continuity-demo":
         (_1D, lambda cfg, e, nu: element1d.two_cell_continuity_demo(
-            e, named_function("sin"),
-            1e-12 if cfg.tolerance is None else cfg.tolerance,
-            cfg.quadrature_order)),
+            e, named_function("sin"), cfg.tolerance, cfg.quadrature_order)),
 }
 # the default --checks: every row but the opt-in kron-structure
 CHECK_ORDER = tuple(name for name in CHECKS if name != "kron-structure")
-# optional verify flag -> the checks that read it; given to none, it exits 2
-READERS = {"--nu": ("tensor-commutation", "kron-structure"),
-           "--probe-degree": ("lemma-hypotheses", "commutation",
-                              "tensor-commutation"),
-           "--quadrature-order": ("continuity-demo",),
-           "--random-probes": ("commutation",), "--seed": ("commutation",),
-           "--tolerance": ("continuity-demo",)}
 
 
 def run_verify_suite(cfg) -> SuiteResult:
@@ -243,12 +231,11 @@ def run_verify_suite(cfg) -> SuiteResult:
     """
     rows = [(name, *row) for name, row in CHECKS.items()
             if name in cfg.checks]
-    nu_values = cfg.nu if cfg.nu is not None else range(cfg.dimension + 1)
     suite = SuiteResult()
     for m, n in cfg.grid:
         element = _build(m, n, cfg.corrupt)
         for name, scope, check in rows:
-            for nu in nu_values if "nu" in scope else (None,):
+            for nu in cfg.nu if "nu" in scope else (None,):
                 values = {"N": cfg.dimension, "nu": nu, "m": m, "n": n}
                 params = ",".join(f"{k}={values[k]}" for k in scope)
                 started = time.perf_counter()
@@ -258,30 +245,53 @@ def run_verify_suite(cfg) -> SuiteResult:
     return suite
 
 
-def _form_degrees(text: str | None, dimension: int) -> list[int] | None:
-    """The distinct form degrees of ``--nu text``, each in 0..dimension
-    (None where the flag is not given)."""
+def _form_degrees(text: str | None, dimension: int) -> list[int]:
+    """The distinct form degrees of ``--nu text``, each in 0..dimension;
+    all of them where the flag is left out."""
     if text is None:
-        return None
+        return list(range(dimension + 1))
     return _distinct("nu", text, parse_int_list(text, "nu"), lambda nu: (
         not 0 <= nu <= dimension and f"{nu} out of range 0..{dimension}"))
 
 
+def _resolve(args, flags: dict, selected) -> set[str]:
+    """Fills each flag of the table ``flags`` that ``args`` left out
+    (None) with its default, and rejects a flag given, even at its
+    default, that no reader in ``selected`` reads; returns the flags that
+    came with a value."""
+    given, unread, selected = set(), [], set(selected)
+    for flag, (keywords, default, readers) in flags.items():
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        else:
+            given.add(flag)
+            if readers and selected.isdisjoint(readers):
+                unread.append(flag)
+    if unread:  # named in the order of their names
+        unread.sort()
+        readers = ", ".join(flags[unread[0]][2])
+        if args.command == "verify":  # the first, with the checks that read it
+            raise ValueError(f"{unread[0]}: only {readers} read it")
+        raise ValueError(f"{', '.join(unread)}: only --emit {readers} "
+                         "reads them")
+    return given
+
+
 def cmd_verify(args) -> int:
-    args.nu = _form_degrees(args.nu, args.dimension)
+    """Run verifier suites on a grid."""
+    nu = _form_degrees(args.nu, args.dimension)  # named before an unread --nu
     text, args.checks = args.checks, _distinct(
         "checks", args.checks, _split_items(args.checks, "checks"))
     unknown = set(args.checks) - set(CHECKS)
     if unknown:
         raise ValueError(f"--checks {text!r}: unknown checks "
                          f"{sorted(unknown)}")
-    for flag, readers in READERS.items():
-        if getattr(args, flag[2:].replace("-", "_")) is not None \
-                and not set(readers) & set(args.checks):
-            raise ValueError(f"{flag}: only {', '.join(readers)} read it")
-    if args.seed is not None and not args.random_probes:
+    given = _resolve(args, VERIFY_FLAGS, args.checks)
+    args.nu = nu
+    if "--seed" in given and not args.random_probes:
         raise ValueError(f"--seed {args.seed}: no random probes to draw")
-    if args.probe_degree is not None and "lemma-hypotheses" in args.checks:
+    if "--probe-degree" in given and "lemma-hypotheses" in args.checks:
         above = [n for _, n in args.grid if n > args.probe_degree]
         if above:
             raise ValueError(f"--probe-degree {args.probe_degree}: below "
@@ -322,24 +332,13 @@ ELEMENT_FIELDS = {"matrix": ("M0", "M1"), "basis": ("basis0", "basis1"),
                   "functionals": ("functionals0", "functionals1")}
 
 
-def _emitted_reads(emit: str, reads: dict) -> None:
-    """Rejects each flag given (not None) under an ``--emit`` that does not
-    read it; ``reads`` maps an --emit value to the values of its flags."""
-    for emitted, flags in reads.items():
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given and emit != emitted:
-            raise ValueError(f"{', '.join(given)}: only --emit {emitted} "
-                             "reads them")
-
-
 def cmd_element(args) -> int:
-    _emitted_reads(args.emit, {"basis-samples": {"--form": args.form,
-                                                 "--samples": args.samples}})
+    """Emit one element's tables."""
+    _resolve(args, ELEMENT_FLAGS, (args.emit,))
     element = _one_element(args, args.corrupt)
     if args.emit == "basis-samples":
-        emit(serialize.basis_samples_csv(
-            element, args.form or 0,
-            101 if args.samples is None else args.samples), args.output)
+        emit(serialize.basis_samples_csv(element, args.form, args.samples),
+             args.output)
         return 0
     data = serialize.element_json(element)
     if args.emit in ELEMENT_FIELDS:
@@ -350,33 +349,30 @@ def cmd_element(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    _emitted_reads(args.emit, {"basis-samples": {
-        "--chi": args.chi, "--index": args.index, "--samples": args.samples},
-        "tables": {"--N": args.dimension, "--nu": args.nu}})
-    dimension = args.dimension or 2
-    nu = _form_degrees(args.nu, dimension)
+    """Emit tensor space tables."""
+    _resolve(args, TENSOR_FLAGS, (args.emit,))
+    nu = _form_degrees(args.nu, args.dimension)
     element = _one_element(args)
     if args.emit == "basis-samples":
-        texts = {"chi": "0,0" if args.chi is None else args.chi,
-                 "index": "1,1" if args.index is None else args.index}
-        chi, index = (tuple(parse_int_list(texts[flag], flag))
-                      for flag in texts)
-        samples = 33 if args.samples is None else args.samples
+        chi, index = (tuple(parse_int_list(getattr(args, flag), flag))
+                      for flag in ("chi", "index"))
         try:
             text = serialize.tensor_basis_samples_csv(element, chi, index,
-                                                      samples)
+                                                      args.samples)
         except ValueError as error:  # the sampler checks chi, then index
             flag = "chi" if len(chi) != 2 or set(chi) - {0, 1} else "index"
-            raise ValueError(f"--{flag} {texts[flag]!r}: {error}") from None
+            raise ValueError(f"--{flag} {getattr(args, flag)!r}: "
+                             f"{error}") from None
         emit(text, args.output)
         return 0
     emit(serialize.json_text(
-        serialize.tensor_tables_json(dimension, element, nu)),
+        serialize.tensor_tables_json(args.dimension, element, nu)),
         args.output)
     return 0
 
 
 def cmd_interp(args) -> int:
+    """Interpolate a function and emit samples."""
     element = _one_element(args)
     u = parse_input_function(args.input)
     order, grid = args.quadrature_order, serialize.uniform_grid(args.samples)
@@ -433,6 +429,89 @@ def _tolerance(text: str) -> float:
 _tolerance.__name__ = "float"  # argparse names the type in its messages
 
 
+# A command's flag table maps each flag to (argparse keywords, default,
+# readers).  Readers are CHECKS rows (verify) or --emit values (element,
+# tensor): a flag given, even at its default, while no selected reader
+# reads it exits 2, and one with no readers is always read.  A None
+# default is no file or fixture, every form degree (--nu), or the
+# library's pick per element.
+def _flag(default=None, readers=(), **keywords) -> tuple:
+    return keywords, default, readers
+
+
+_COMMON = {
+    "--m": _flag("0", help="continuity order; value, range 0..3, or list"),
+    "--n": _flag("auto", help="polynomial degree; value, range, list, or "
+                 "auto+K for 2m+1..2m+1+K"),
+    "--output": _flag(help="output file (default: stdout); relative paths "
+                      f"resolve under ${OUTDIR_ENV}"),
+}
+# flags of two commands, each command naming its own readers
+_DIMENSION = dict(default=2, dest="dimension", type=_int_at_least(1),
+                  help="dimension N of the tensor spaces")
+_NU = dict(help="form degrees, each in 0..N (default: all)")
+_QUADRATURE = dict(type=_int_at_least(1),
+                   help="Gauss points for smooth inputs (default 2(n+2))")
+_SAMPLES = dict(default=101, type=_int_at_least(1), help="sample points")
+_TOLERANCE = dict(default=1e-12, type=_tolerance,
+                  help="largest junction mismatch or residual that passes")
+_SAMPLED = ("basis-samples",)
+
+ELEMENT_FLAGS = {
+    **_COMMON,
+    "--emit": _flag("element", choices=["element", *ELEMENT_FIELDS, *_SAMPLED],
+                    help="what to emit"),
+    "--form": _flag(0, _SAMPLED, type=int, choices=[0, 1], help="form degree"),
+    "--samples": _flag(readers=_SAMPLED, **_SAMPLES),
+    "--corrupt": _flag(choices=tuple(corruptions.ELEMENT_CORRUPTIONS),
+                       help="negative-control fixture"),
+}
+VERIFY_FLAGS = {
+    **_COMMON,
+    "--quadrature-order": _flag(readers=("continuity-demo",), **_QUADRATURE),
+    "--checks": _flag(",".join(CHECK_ORDER),
+                      help="comma list from: " + ", ".join(CHECKS)),
+    "--N": _flag(**_DIMENSION),
+    "--nu": _flag(readers=("tensor-commutation", "kron-structure"), **_NU),
+    "--corrupt": _flag(choices=corruptions.CORRUPTION_NAMES,
+                       help="negative-control fixture"),
+    "--probe-degree": _flag(
+        None, ("lemma-hypotheses", "commutation", "tensor-commutation"),
+        type=_int_at_least(0), help="largest monomial probe degree (default "
+        "n+5); tensor-commutation caps it at n+3"),
+    "--seed": _flag(0, ("commutation",), type=int, help="random probe seed"),
+    "--random-probes": _flag(0, ("commutation",), type=_int_at_least(0),
+                             help="extra seeded random probes"),
+    "--tolerance": _flag(readers=("continuity-demo",), **_TOLERANCE),
+    "--format": _flag("json", dest="fmt", choices=["json", "text"],
+                      help="report format"),
+    "--timings": _flag(metavar="PATH|-", help="write per-check wall times "
+                       "as label<TAB>seconds lines to PATH, or to stderr "
+                       "for -; never part of the report"),
+}
+TENSOR_FLAGS = {
+    **_COMMON,
+    "--N": _flag(readers=("tables",), **_DIMENSION),
+    "--nu": _flag(readers=("tables",), **_NU),
+    "--emit": _flag("tables", choices=["tables", *_SAMPLED],
+                    help="what to emit"),
+    "--chi": _flag("0,0", _SAMPLED, help="characteristic vector"),
+    "--index": _flag("1,1", _SAMPLED, help="1-based basis indices"),
+    "--samples": _flag(33, _SAMPLED, type=_int_at_least(1),
+                       help="sample points per axis"),
+}
+INTERP_FLAGS = {
+    **_COMMON,
+    "--quadrature-order": _flag(**_QUADRATURE),
+    "--input": _flag(required=True, help="sin, cos, exp, or a polynomial "
+                     "literal like 3/2x^2-x+1"),
+    "--samples": _flag(**_SAMPLES),
+    "--two-cell": _flag(False, action="store_true",
+                        help="run the two-cell continuity demo on [0,2]"),
+    "--tolerance": _flag(**_TOLERANCE),
+}
+
+
 @functools.cache  # parse_args builds a fresh namespace on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -440,98 +519,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact C^m finite element cochain complexes on [0,1]^N: "
                     "construction, interpolation, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, run, grid: bool, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(run=run)
-        p.add_argument("--m", default="0",
-                       help="continuity order; value, range 0..3, or list")
-        p.add_argument("--n", default="auto",
-                       help="polynomial degree; value, range, list, or "
-                            "auto+K for 2m+1..2m+1+K"
-                       + (" (grids allowed)" if grid else ""))
-        p.add_argument("--output", help="output file (default: stdout); "
-                       f"relative paths resolve under ${OUTDIR_ENV}")
-        return p
-
-    def quadrature_order(p):
-        p.add_argument("--quadrature-order", type=_int_at_least(1),
-                       default=None,
-                       help="Gauss points for smooth inputs "
-                            "(default 2(n+2))")
-
-    p_element = command("element", cmd_element, grid=False,
-                        help="emit one element's tables")
-    p_element.add_argument("--emit", default="element",
-                           choices=["element", *ELEMENT_FIELDS,
-                                    "basis-samples"])
-    p_element.add_argument("--form", type=int, choices=[0, 1],
-                           help="form degree for basis-samples (default 0)")
-    p_element.add_argument("--samples", type=_int_at_least(1),
-                           help="samples for basis-samples (default 101)")
-    p_element.add_argument("--corrupt",
-                           choices=tuple(corruptions.ELEMENT_CORRUPTIONS))
-
-    p_verify = command("verify", cmd_verify, grid=True,
-                       help="run verifier suites on a grid")
-    quadrature_order(p_verify)
-    p_verify.add_argument("--checks", default=",".join(CHECK_ORDER),
-                          help="comma list from: " + ", ".join(CHECKS)
-                          + " (default: all but kron-structure)")
-    p_verify.add_argument("--N", type=_int_at_least(1), default=2,
-                          dest="dimension",
-                          help="tensorization order for tensor checks")
-    p_verify.add_argument("--nu", default=None,
-                          help="form degrees for tensor-commutation and "
-                               "kron-structure (default: all)")
-    p_verify.add_argument("--corrupt", choices=corruptions.CORRUPTION_NAMES,
-                          help="negative-control fixture")
-    p_verify.add_argument("--probe-degree", type=_int_at_least(0),
-                          default=None,
-                          help="largest monomial probe degree (default "
-                               "n+5); tensor-commutation caps it at n+3")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="seed of the random probes (default 0)")
-    p_verify.add_argument("--random-probes", type=_int_at_least(0),
-                          default=None,
-                          help="extra seeded random probes for commutation "
-                               "(default 0)")
-    p_verify.add_argument("--tolerance", type=_tolerance, default=None,
-                          help="continuity-demo junction tolerance "
-                               "(default 1e-12)")
-    p_verify.add_argument("--format", default="json", dest="fmt",
-                          choices=["json", "text"])
-    p_verify.add_argument("--timings", metavar="PATH|-",
-                          help="write per-check wall times as "
-                               "label<TAB>seconds lines to PATH, or to "
-                               "stderr for -; never part of the report")
-
-    p_tensor = command("tensor", cmd_tensor, grid=False,
-                       help="emit tensor space tables")
-    p_tensor.add_argument("--N", type=_int_at_least(1), dest="dimension",
-                          help="dimension for tables (default 2)")
-    p_tensor.add_argument("--nu", default=None)
-    p_tensor.add_argument("--emit", default="tables",
-                          choices=["tables", "basis-samples"])
-    p_tensor.add_argument("--chi", help="characteristic vector for "
-                          "basis-samples (default 0,0)")
-    p_tensor.add_argument("--index", help="1-based basis indices for "
-                          "basis-samples (default 1,1)")
-    p_tensor.add_argument("--samples", type=_int_at_least(1),
-                          help="samples per axis for basis-samples "
-                               "(default 33)")
-
-    p_interp = command("interp", cmd_interp, grid=False,
-                       help="interpolate a function and emit samples")
-    quadrature_order(p_interp)
-    p_interp.add_argument("--input", required=True,
-                          help="sin, cos, exp, or a polynomial literal "
-                               "like 3/2x^2-x+1")
-    p_interp.add_argument("--samples", type=_int_at_least(1), default=101)
-    p_interp.add_argument("--two-cell", action="store_true",
-                          help="run the two-cell continuity demo on [0,2]")
-    p_interp.add_argument("--tolerance", type=_tolerance, default=1e-12)
-
+    for run, flags in ((cmd_element, ELEMENT_FLAGS),
+                       (cmd_verify, VERIFY_FLAGS), (cmd_tensor, TENSOR_FLAGS),
+                       (cmd_interp, INTERP_FLAGS)):
+        command = sub.add_parser(run.__name__[4:], help=run.__doc__)
+        command.set_defaults(run=run)
+        for flag, (keywords, default, readers) in flags.items():
+            if default is not None:
+                keywords = {**keywords,
+                            "help": f"{keywords['help']} (default {default})"}
+            # a flag with readers stays None, for _resolve to see it given
+            command.add_argument(flag, default=None if readers else default,
+                                 **keywords)
     return parser
 
 

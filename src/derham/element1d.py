@@ -121,11 +121,10 @@ class Element1D:
     def default_quadrature_order(self) -> int:
         return 2 * (self.n + 2)
 
-    @property
-    def default_probe_degree(self) -> int:
-        """The largest monomial probe degree of the 1D verifiers and the
-        CLI, unless one is given."""
-        return self.n + 5
+    def probe_degree(self, degree: int | None = None) -> int:
+        """``degree``, or where it is None the largest monomial probe
+        degree of the 1D verifiers and the CLI: n + 5."""
+        return self.n + 5 if degree is None else degree
 
     def cached(self, key, build):
         """``build()``, made once per element and ``key``."""
@@ -390,8 +389,7 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     probe polynomials.
     """
     m, n = e.m, e.n
-    if probe_degree is None:
-        probe_degree = e.default_probe_degree
+    probe_degree = e.probe_degree(probe_degree)
     if type(probe_degree) is not int:  # bools too
         raise TypeError(f"probe_degree {probe_degree!r} is not an int")
     if probe_degree < n:
@@ -479,7 +477,7 @@ def verify_commutation(e: Element1D, probes=None) -> VerificationReport:
     C = D B_0 alpha_0 T_0 - B_1 alpha_1 T_1 D = B_1 alpha_0[:n] T_0 -
     B_1 alpha_1 T_0[:n] = B_1 (alpha_0[:n] - [alpha_1 | 0]) T_0 = 0."""
     if probes is None:
-        probes = monomial_probes(e.default_probe_degree)
+        probes = monomial_probes(e.probe_degree())
     for index, u in enumerate(probes):
         if not isinstance(u, Polynomial):
             raise TypeError(f"probe {index} has type {type(u).__name__}, "

@@ -401,9 +401,10 @@ def _kron_blocks(n: int, table: _Terms, sources, nu: int, pieces) -> dict:
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
                  source) -> TensorForm:
     """The sum of ``terms`` as one Fraction-valued TensorForm, its
-    factors' columns taken from ``source``."""
+    factors' columns taken from ``source`` for each bit some factor has."""
     table = _term_table(dimension, nu, terms, [0] * len(terms), 1)
-    sources, den = _shared([source(element, bit, P)
+    sources, den = _shared([source(element, bit, P) if P.nums.shape[1]
+                            else (P.nums, 1)
                             for bit, P in enumerate(table.coefficients)])
     blocks = _kron_blocks(element.n, table, sources, nu,
                           lambda chi: [(chi, chi, 1)])

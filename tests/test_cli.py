@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -206,8 +207,9 @@ class TestVerifyCommand:
         ("commutation", ("--random-probes", "0")),
         ("continuity-demo", ("--tolerance", "1e-12"))])
     def test_optional_flags_default_where_read(self, capsys, checks, flags):
-        # --seed, --random-probes and --tolerance have None defaults, so
-        # that READERS sees them given; left out, each reads as 0, 0, 1e-12
+        # argparse leaves --seed, --random-probes and --tolerance None, so
+        # that cli._resolve sees them given; left out, each reads as 0, 0
+        # and 1e-12
         args = ("verify", "--m", "1", "--n", "3", "--checks", checks)
         given = run(capsys, *args, *flags)
         omitted = run(capsys, *args, *flags[:-2])
@@ -711,6 +713,46 @@ def test_samples_must_be_positive(capsys, command, samples):
     assert f"--samples: must be >= 1, got {samples}" in captured.err
 
 
+FLAG_TABLES = {"element": cli.ELEMENT_FLAGS, "verify": cli.VERIFY_FLAGS,
+               "tensor": cli.TENSOR_FLAGS, "interp": cli.INTERP_FLAGS}
+
+
+def subparser(command: str):
+    """The built parser of one command."""
+    action, = cli.build_parser()._subparsers._group_actions
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", FLAG_TABLES)
+class TestFlagTables:
+    """Each command's flag table against the parser built from it."""
+
+    def test_every_table_flag_is_declared(self, command):
+        declared = {option for action in subparser(command)._actions
+                    for option in action.option_strings}
+        assert declared == {"-h", "--help", *FLAG_TABLES[command]}
+
+    def test_every_reader_exists(self, command):
+        # a check row for verify, else a value of the command's --emit
+        emits = [action.choices for action in subparser(command)._actions
+                 if "--emit" in action.option_strings]
+        known = set(cli.CHECKS) if command == "verify" else {
+            value for choices in emits for value in choices}
+        for flag, (_, _, readers) in FLAG_TABLES[command].items():
+            assert set(readers) <= known, flag
+            assert len(set(readers)) == len(readers), flag
+
+    def test_help_states_every_default(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no default split by a wrap
+        # one entry per option: its invocation, then its help
+        entries = [" ".join(entry.split()) for entry in re.split(
+            r"\n  (?=-)", subparser(command).format_help())]
+        for flag, (_, default, _) in FLAG_TABLES[command].items():
+            if default is not None:
+                entry, = [e for e in entries if e.split()[0] == flag]
+                assert f"(default {default})" in entry, flag
+
+
 def rejected(capsys, *argv) -> str:
     """Run argv, expect exit status 2 and an empty stdout; return stderr."""
     try:
@@ -825,11 +867,15 @@ class TestRejectedAtEntry:
         (("verify", "--m", "0", "--n", "1", "--corrupt", "permute-alpha",
           "--checks", "unisolvence"), "--corrupt 'permute-alpha': need at "
          "least a 2x2 inverse to permute (m=0, n=1)"),
+        # used to print "error: Fraction(3, 0)"
+        (("interp", "--m", "0", "--n", "1", "--input", "3/0"),
+         "--input '3/0': zero denominator in term '3/0'"),
     ], ids=["empty-range", "degree-spec", "degree-too-low", "empty-item-m",
             "empty-item-n", "empty-item-nu", "empty-item-chi",
             "empty-item-index", "empty-item-checks", "unknown-check",
             "chi-bit", "chi-length", "index-range", "index-range-1-form",
-            "corrupt-swap-basis", "corrupt-permute-alpha"])
+            "corrupt-swap-basis", "corrupt-permute-alpha",
+            "input-zero-denominator"])
     def test_value_error_names_its_flag(self, capsys, argv, message):
         # each message starts with the flag and its quoted value
         assert rejected(capsys, *argv) == f"error: {message}\n"

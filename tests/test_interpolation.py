@@ -115,6 +115,19 @@ def kink():
                             sided=two_sided, name="kink")
 
 
+def corner():
+    """u(x) = |x-1| + |x-1|(x-1): continuous at x=1, slope jumps from -1
+    to +1 and second derivative from -2 to +2."""
+    def two_sided(order, x, side):
+        t = x - 1.0
+        s = float(side) if t == 0.0 else math.copysign(1.0, t)
+        return (s * (t + t * t), s * (1.0 + 2.0 * t), 2.0 * s, 0.0)[order] \
+            if order <= 3 else 0.0
+
+    return SmoothFunction1D(lambda order, x: two_sided(order, x, 1.0),
+                            sided=two_sided, name="corner")
+
+
 def junction_oracle(cells, m):
     """The exact Polynomial route: d^s of each cell at the junction as
     Fractions, the difference rounded once."""
@@ -159,9 +172,11 @@ class TestJunctionMismatchOracle:
         # cells shorter than m + 1, their trailing zeros stripped
         [poly(1, 0, 0, 0), poly(Fraction(1, 3), 2)],
         [Polynomial(), poly(Fraction(5, 2))],
-    ], ids=["above-n", "short", "zero"])
+        # no coefficients at all: the n + 1 rows alone hold order 0
+        [Polynomial(), Polynomial()],
+    ], ids=["above-n", "short", "zero", "both-zero"])
     def test_caller_supplied_cells(self, cells):
-        for m, n in ((1, 3), (3, 7)):
+        for m, n in ((0, 1), (1, 3), (3, 7)):
             e = build_element(m, n)
             report = two_cell_continuity_demo(e, sine(), cells=cells)
             assert bits(report.details["junction_mismatch"]) == \
@@ -225,6 +240,21 @@ class TestTwoCellContinuity:
         regularity = report.details["input_regularity"]
         assert "lacks C^2" in regularity["message"]
         assert regularity["jumps"] == [{"order": 2, "jump": pytest.approx(4.0)}]
+
+    def test_glued_cells_report_no_regularity(self):
+        # the input's jumps only explain a failure: cells that agree at
+        # x=1 pass, though the kink's second derivative jumps there
+        e = build_element(2, 5)
+        cells = [cell_interpolant(e, sine(), a, a + 1) for a in (0.0, 1.0)]
+        report = two_cell_continuity_demo(e, kink(), cells=cells)
+        assert report.passed and "input_regularity" not in report.details
+
+    def test_regularity_jumps_stop_at_order_m(self):
+        # slope and second derivative both jump at x=1; the m = 1 element
+        # asks for C^1, so only the slope is reported
+        report = two_cell_continuity_demo(build_element(1, 3), corner())
+        assert report.details["input_regularity"]["jumps"] == [
+            {"order": 1, "jump": 2.0}]
 
     def test_kink_passes_low_order_element(self):
         # a C^1 junction is all the m=1 element asks for

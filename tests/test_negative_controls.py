@@ -289,7 +289,7 @@ class TestPerturbationSweep:
         delta B_1[:, i] T_0[n] with T_0[n] = (2, 1, 1, ..), so every
         monomial probe fails, before the projection witnesses."""
         e = build_element(*mn)
-        n, width = e.n, e.default_probe_degree + 1
+        n, width = e.n, e.probe_degree() + 1
         for i in range(n):
             p = plus_one(e, "alpha0", (i, n))
             moved, kernel = element1d._pairing(p)

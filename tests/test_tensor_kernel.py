@@ -1354,9 +1354,11 @@ def test_one_table_build_per_width_serves_every_reader(monkeypatch):
     """verify_tensor_commutation, the rank-one tensor_interpolate and
     verify_monomial_commutation read one monomial table per element and
     width: whichever of them comes first builds it, once, and the others
-    only read it, at every nu below the top.  The monomial verifier adds
-    to the memo nothing but that table and the two functional row stacks
-    it is built from, pristine and failing alike."""
+    only read it, at every nu below the top.  A pure 0-form interpolant
+    builds no table for the 1-form kind that none of its factors has (it
+    used to leave a width-0 table in the memo).  The monomial verifier
+    adds to the memo nothing but that table and the two functional row
+    stacks it is built from, pristine and failing alike."""
     built = []
     inner = Element1D.cached
 
@@ -1370,9 +1372,12 @@ def test_one_table_build_per_width_serves_every_reader(monkeypatch):
         # at nu = 1, so that both 1D kinds are interpolated
         lambda e, w, nu: tensor_interpolate(
             2, 1, rank_one([(0, x(w - 1)), (1, x(w - 1))]), e),
-        lambda e, w, nu: verify_monomial_commutation(2, nu, w - 1, e)]
+        lambda e, w, nu: verify_monomial_commutation(2, nu, w - 1, e),
+        # at nu = 0, so that only the 0-form kind is interpolated
+        lambda e, w, nu: tensor_interpolate(
+            2, 0, rank_one([(0, x(w - 1)), (0, x(w - 2))]), e)]
     for width, order in itertools.product((3, 6), itertools.permutations(
-            range(3))):
+            range(len(readers)))):
         for control in (None, permute_alpha):
             e = controlled(build_element(1, 3), control)
             built.clear()

@@ -54,6 +54,9 @@ ELEMENT_TESTS = ("tests/test_negative_controls.py",
 TENSOR_TESTS = ("tests/test_negative_controls.py",
                 "tests/test_acceptance.py", "tests/test_cli.py",
                 "tests/test_tensor.py", "tests/test_tensor_kernel.py")
+# every file that calls the two-cell continuity demo, directly or by the CLI
+DEMO_TESTS = ("tests/test_interpolation.py", "tests/test_acceptance.py",
+              "tests/test_cli.py", "tests/test_tensor_kernel.py")
 TIMEOUT = 300.0  # seconds per pytest run
 SELECTIONS = {
     "verify_commutation": ELEMENT_TESTS,
@@ -66,6 +69,8 @@ SELECTIONS = {
     "verify_monomial_commutation": TENSOR_TESTS,
     "verify_tensor_commutation": TENSOR_TESTS,
     "verify_kron_structure": TENSOR_TESTS,
+    "verify_dimensions": TENSOR_TESTS,
+    "two_cell_continuity_demo": DEMO_TESTS,
     # the 1D factor pairs that verify_kron_structure decides from
     "_kron_factors": TENSOR_TESTS,
     # the 1D columns and flags and the chi-level helpers every tensor
