@@ -142,16 +142,19 @@ def parse_input_function(text: str) -> SmoothFunction1D:
     return SmoothFunction1D.from_polynomial(p, name=text)
 
 
-def emit(text: str, path: str | None) -> None:
+def emit(text: str, path: str | None, flag: str = "--output") -> None:
+    """``text`` to stdout, or to the file ``path``, the value of ``flag``."""
     if path is None:
         sys.stdout.write(text)
         return
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as handle:
-        handle.write(text)
+    # under $DERHAM_OUTDIR when it is set; join keeps an absolute path
+    full = os.path.join(os.environ.get(OUTDIR_ENV, ""), path)
+    try:
+        os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
+        with open(full, "w") as handle:
+            handle.write(text)
+    except OSError as error:
+        raise ValueError(f"{flag} {path!r}: {error.strerror}") from None
 
 
 def _build(m: int, n: int, corrupt: str | None):
@@ -322,7 +325,7 @@ def cmd_verify(args) -> int:
         if args.timings == "-":
             sys.stderr.write(text)
         else:
-            emit(text, args.timings)
+            emit(text, args.timings, "--timings")
     return suite.exit_status
 
 

@@ -151,6 +151,62 @@ class Element1D:
         return self.cached(("table", k), lambda: linalg.Exact.trusted(
             *linalg.product(self.rows(k, len(basis.nums)), basis)))
 
+    def table_rank(self, k: int) -> int:
+        """The rank of :meth:`node_table` ``k``, once per k."""
+        key = ("table rank", k)
+        if key not in self._memo:
+            self._memo[key] = linalg.rank(self.node_table(k))
+        return self._memo[key]
+
+    @property
+    def sizes(self) -> tuple[tuple[int, int], ...]:
+        """(node functionals, basis functions) per form degree."""
+        return ((len(self.functionals0), self.B0.shape[1]),
+                (len(self.functionals1), self.B1.shape[1]))
+
+    @functools.cached_property
+    def pairing(self) -> tuple[np.ndarray, bool]:
+        """D B_0 against [B_1 | 0]: one flag per column j < n, set where d
+        of 0-form basis function j is not 1-form basis function j, and the
+        kernel flag, set where d of the constant is not zero."""
+        D, B1, n = _derived(self.B0), self.B1, self.n
+        return ((D.nums[:, :n] * B1.den != B1.nums * D.den).any(axis=0),
+                bool(D.nums[:, n].any()))
+
+    @functools.cached_property
+    def kron_factors(self) -> list[tuple]:
+        """Per form degree k, what kron-structure reads of (T_k B_k, M_k):
+        their first nonzero entries (row-major, 0 if none) as integers in
+        their ratio (each numerator times the other's denominator), whether
+        the two agree once each is divided by its own, and the table rank."""
+        factors = []
+        for k, stored in enumerate((self.M0, self.M1)):
+            table = self.node_table(k)
+            a, b = (next((x for x in pair.nums.ravel().tolist() if x), 0)
+                    for pair in (table, stored))
+            # T_k B_k / a == M_k / b, on the numerators
+            factors.append((a * stored.den, b * table.den,
+                            bool((table.nums * b == stored.nums * a).all()),
+                            self.table_rank(k)))
+        return factors
+
+    def monomial_columns(self, width: int) -> tuple:
+        """The 1D columns of the monomials x^j, j < width, over one
+        denominator: I_0 x^j = alpha_0 T_0, I_1 x^j = alpha_1 T_1 and the
+        commutation residual r(x^j) = (I_0 x^j)[:n] - I_1 (x^j)', the one
+        factor where the tensor d I u and I d u differ, as (blocks,
+        denominator, each block's nonzero-column flags, whether each block
+        has a nonzero column).  I_1 D shifts the I_1 columns, so a build,
+        once per width, reads T_0 and T_1 at ``width`` only."""
+        def build():
+            (i0, i1), den = _shared([linalg.product(_family(self, k)[2],
+                                                    self.rows(k, width))
+                                     for k in (0, 1)])
+            blocks = [i0, i1, i0[:self.n] - _shifted(i1)[:, :width]]
+            live = [(block != 0).any(axis=0) for block in blocks]
+            return blocks, den, live, tuple(bool(mask.any()) for mask in live)
+        return self.cached(("monomial columns", width), build)
+
 
 def _checked(name: str, k: int, size: int, value):
     """A given field: a family of ``size`` k-form node functionals, kept
@@ -186,17 +242,6 @@ def _derived(P: linalg.Exact) -> linalg.Exact:
     is i + 1 times row i + 1)."""
     return linalg.Exact.reduced(
         P.nums[1:] * np.arange(1, len(P.nums), dtype=object)[:, None], P.den)
-
-
-def _pairing(e: Element1D) -> tuple[np.ndarray, bool]:
-    """D B_0 against [B_1 | 0], once per element: one flag per column j < n,
-    set where d of 0-form basis function j is not 1-form basis function
-    j, and the kernel flag, set where d of the constant is not zero."""
-    def build():
-        D, B1, n = _derived(e.B0), e.B1, e.n
-        return ((D.nums[:, :n] * B1.den != B1.nums * D.den).any(axis=0),
-                bool(D.nums[:, n].any()))
-    return e.cached("pairing", build)
 
 
 def _functional_pairing(e: Element1D, width: int) -> tuple:
@@ -248,32 +293,14 @@ def _shared(columns) -> tuple[list, int]:
     return [nums * (den // d) for nums, d in columns], den
 
 
-def monomial_columns(e: Element1D, width: int) -> tuple:
-    """The 1D columns of the monomials x^j, j < width, over one
-    denominator: I_0 x^j = alpha_0 T_0, I_1 x^j = alpha_1 T_1 and the
-    commutation residual r(x^j) = (I_0 x^j)[:n] - I_1 (x^j)', the one
-    factor where the tensor d I u and I d u differ, as (blocks,
-    denominator, each block's nonzero-column flags, whether each block
-    has a nonzero column).  I_1 D shifts the I_1 columns, so a build,
-    once per element and width, reads T_0 and T_1 at ``width`` only."""
-    def build():
-        (i0, i1), den = _shared([linalg.product(_family(e, k)[2],
-                                                e.rows(k, width))
-                                 for k in (0, 1)])
-        blocks = [i0, i1, i0[:e.n] - _shifted(i1)[:, :width]]
-        live = [(block != 0).any(axis=0) for block in blocks]
-        return blocks, den, live, tuple(bool(flags.any()) for flags in live)
-    return e.cached(("monomial columns", width), build)
-
-
 def interpolant_columns(e: Element1D, k: int,
                         P: linalg.Exact) -> tuple[np.ndarray, int]:
     """alpha_k T_k P as (numerators, denominator): the interpolants I_k,
     over the k-form basis, of the polynomials whose monomial coefficients
-    are P's columns, from block k of :func:`monomial_columns` (over the
-    denominator of both blocks, so reduced before it enters the product)."""
+    are P's columns, from block k of the element's monomial table (over
+    both blocks' denominator, so reduced before it enters the product)."""
     _family(e, k)  # a form degree other than 0 or 1 raises
-    columns, den, *_ = monomial_columns(e, len(P.nums))
+    columns, den, *_ = e.monomial_columns(len(P.nums))
     return linalg.product(linalg.Exact.reduced(columns[k], den), P)
 
 
@@ -396,7 +423,7 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
         raise ValueError("probe_degree must be at least n")
     witness: list[dict] = []
 
-    moved, kernel = _pairing(e)
+    moved, kernel = e.pairing
     if kernel:
         witness.append({"check": "kernel", "detail":
                         "d of the last basis function is not zero"})
@@ -411,7 +438,7 @@ def verify_lemma_hypotheses(e: Element1D, probe_degree: int | None = None) -> Ve
     # with the pairing exact, D B_0[:, :n] is B_1, and a nonsingular
     # T_1 B_1 proves that B_1 has rank n
     pairing = np.flatnonzero(moved)
-    if (len(pairing) or linalg.rank(e.node_table(1)) < n) \
+    if (len(pairing) or e.table_rank(1) < n) \
             and linalg.rank(_derived(e.B0).nums[:, :n]) != n:
         witness.append({"check": "range", "detail":
                         "derivatives of the first n basis functions do not "
@@ -456,9 +483,9 @@ def _defect(e: Element1D, width: int) -> tuple[np.ndarray, int]:
 
 
 def _premises_hold(e: Element1D, width: int) -> bool:
-    """Whether premises (a) :func:`_pairing`, (b) :func:`_functional_pairing`
+    """Whether premises (a) ``e.pairing``, (b) :func:`_functional_pairing`
     at ``width`` and (c) of :func:`verify_commutation` hold exactly."""
-    (moved, kernel), a0, a1, n = _pairing(e), e.alpha0, e.alpha1, e.n
+    (moved, kernel), a0, a1, n = e.pairing, e.alpha0, e.alpha1, e.n
     return not (kernel or moved.any() or a0.nums[:n, n].any()
                 or (a0.nums[:n, :n] * a1.den != a1.nums * a0.den).any()
                 or _functional_pairing(e, width)[2].any())

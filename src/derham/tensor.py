@@ -23,8 +23,8 @@ to the index rule, to the smooth component formula and to the
 commutation residual, which is the 1D commuting diagram with the other
 axes riding along: on the target chi + e_t, d I u - I d u of a rank-one
 term is, up to sign, the interpolants of the other axes times the 1D
-residual r on axis t, columns of the monomial table that the element
-keeps per width with their nonzero flags (:func:`monomial_columns`).
+residual r on axis t, columns of the element's monomial table
+(:meth:`Element1D.monomial_columns`) with their nonzero flags.
 On a grid input (dd-zero's basis, the monomial probes of degree 0..d
 of :func:`verify_monomial_commutation`) the verifiers decide from the
 1D columns alone: a Kronecker product is nonzero iff every factor is,
@@ -32,11 +32,10 @@ and its peak, taken only for a witness, is the product of theirs.
 
 The verifiers at the bottom are the executable content: dimension
 counts, d after d vanishing, Kronecker structure of the node matrices,
-and commutation of interpolation with the exterior derivative.  The
-Kronecker structure is decided from the two 1D factor pairs (T_k B_k,
-M_k) too: two Kronecker products are equal iff the products of their
-factors' first nonzero entries are and, where those are nonzero, each
-factor pair agrees once divided by its first entries.
+and commutation of interpolation with the exterior derivative.  On a
+grid input each reads, beside the sign rule, only m, n and the width-free
+1D facts that the element keeps (``sizes``, ``table_rank``, ``pairing``,
+``kron_factors``) or its monomial table.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, report
-from .element1d import (Element1D, _family, _pairing, _shared,
-                        interpolant_columns, monomial_columns)
+from .element1d import Element1D, _family, _shared, interpolant_columns
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficients
 from .quadrature import check_order
@@ -369,10 +367,10 @@ def _term_table(dimension: int, nu: int, terms, owners, count: int) -> _Terms:
 def _residual_sources(element: Element1D, P0: linalg.Exact,
                       P1: linalg.Exact) -> tuple[list, int]:
     """The columns I_0 P_0, I_1 P_1 and r P_0 over one denominator: the
-    blocks of the monomial table (:func:`monomial_columns`) times P_0, P_1
-    and P_0, r P_0 being the 1D commutation residual of P_0's columns."""
-    columns, den, *_ = monomial_columns(element,
-                                        max(len(P0.nums), len(P1.nums)))
+    element's monomial table times P_0, P_1 and P_0, r P_0 being the 1D
+    commutation residual of P_0's columns."""
+    columns, den, *_ = element.monomial_columns(max(len(P0.nums),
+                                                    len(P1.nums)))
     scale = math.lcm(P0.den, P1.den)
     return [block[:, :len(P.nums)] @ (P.nums * (scale // P.den))
             for block, P in zip(columns, (P0, P1, P0))], den * scale
@@ -401,11 +399,12 @@ def _kron_blocks(n: int, table: _Terms, sources, nu: int, pieces) -> dict:
 def _single_form(element: Element1D, dimension: int, nu: int, terms,
                  source) -> TensorForm:
     """The sum of ``terms`` as one Fraction-valued TensorForm, its
-    factors' columns taken from ``source`` for each bit some factor has."""
+    factors' columns taken from ``source`` for each bit some nonzero
+    factor has (zero columns for the other bits)."""
     table = _term_table(dimension, nu, terms, [0] * len(terms), 1)
-    sources, den = _shared([source(element, bit, P) if P.nums.shape[1]
-                            else (P.nums, 1)
-                            for bit, P in enumerate(table.coefficients)])
+    sources, den = _shared([source(element, bit, P) if P.nums.any() else (
+        np.zeros((element.n + 1 - bit, P.nums.shape[1]), dtype=object), 1)
+        for bit, P in enumerate(table.coefficients)])
     blocks = _kron_blocks(element.n, table, sources, nu,
                           lambda chi: [(chi, chi, 1)])
     scale = Fraction(1, table.den * den ** dimension)
@@ -629,12 +628,7 @@ def verify_dimensions(dimension: int,
     the closed-form total dimension (2n+1)^N across all form degrees.
     """
     enumerate_chi(dimension, 0)  # a bad N raises before the loop
-    n = element.n
-    # per form degree: (functionals, basis functions: the columns of B_k)
-    sizes = [(len(f), B.shape[1]) for f, B, _ in
-             (_family(element, k) for k in (0, 1))]
-    witness: list[dict] = []
-    total = 0
+    sizes, witness, total = element.sizes, [], 0
     for nu in range(dimension + 1):
         chis = enumerate_chi(dimension, nu)
         expected_count = math.comb(dimension, nu)
@@ -654,7 +648,7 @@ def verify_dimensions(dimension: int,
             witness.append({"check": "functional-count", "nu": nu,
                             "count": functional_count, "expected": formula})
         total += formula
-    closed_form = (2 * n + 1) ** dimension
+    closed_form = (2 * element.n + 1) ** dimension
     if total != closed_form:
         witness.append({"check": "total-dimension", "total": total,
                         "expected": closed_form})
@@ -683,18 +677,18 @@ def verify_dd_zero(dimension: int, element: Element1D,
     t, j expands to the unit columns of the other axes times column j_t
     of B_1^-1 D B_0, where the index rule puts that of [I_n | 0]; so j
     fails iff column j_t of D B_0 is not that of [B_1 | 0], B_1 being
-    invertible.  A nonsingular node table T_k B_k proves B_k invertible;
-    only a singular one has B_k ranked, and a singular B_k raises.  Only
-    a chi with a failing pair or column fills masks of its block's shape,
-    which count its failures; witnesses stop at ``report.WITNESS_CAP``."""
+    invertible.  A nonsingular node table T_k B_k (``table_rank``) proves
+    B_k invertible; only a singular one has B_k ranked, and a singular B_k
+    raises.  Only a chi with a failing pair or column fills masks of its
+    block's shape, which count its failures; witnesses stop at
+    ``report.WITNESS_CAP``."""
     enumerate_chi(dimension, 0)  # a bad N raises before the loop
     n = element.n
-    for k in (0, 1):
-        B, size = _family(element, k)[1], n + 1 - k
-        if linalg.rank(element.node_table(k)) < size \
-                and linalg.rank(B) < size:
+    for k, size in ((0, n + 1), (1, n)):
+        if element.table_rank(k) < size \
+                and linalg.rank(getattr(element, f"B{k}")) < size:
             raise ZeroDivisionError("matrix is singular")
-    below, moved = np.arange(n + 1) < n, np.append(*_pairing(element))
+    below, moved = np.arange(n + 1) < n, np.append(*element.pairing)
     witness: list[dict] = []
     checked = failures = 0
     for nu in range(dimension + 1):
@@ -810,22 +804,20 @@ def verify_monomial_commutation(dimension: int, nu: int, max_degree: int,
     t, the residual of the probe with degrees a is, up to the sign of
     that axis, the Kronecker product of the interpolants I_{chi_s}(x^{a_s})
     of the other axes and r(x^{a_t}) on axis t, columns of the element's
-    monomial table (:func:`element1d.monomial_columns`) of width
+    monomial table (:meth:`Element1D.monomial_columns`) of width
     ``max_degree + 1``: it is nonzero iff every one of those columns is,
-    and its largest entry is the product of theirs.  The table keeps each
-    block's nonzero-column flags and whether any is set, once per element
-    and width, so every call after the first on one element only reads
-    them, and column peaks are taken only when a call lists a failing
-    probe.  A target whose factor kinds include a block with no nonzero
-    column passes, so a chi with no other target builds no mask of its
-    probes.  The masks count the failing probes; witnesses stop at
+    and its largest entry is the product of theirs.  A call reads the
+    table's nonzero-column flags, and its column peaks only to list a
+    failing probe.  A target whose factor kinds include a block with no
+    nonzero column passes, so a chi with no other target builds no mask of
+    its probes.  The masks count the failing probes; witnesses stop at
     ``report.WITNESS_CAP``."""
     _degree_set([max_degree])  # an int >= 0, checked on every call
     chis, shape = enumerate_chi(dimension, nu), (max_degree + 1,) * dimension
     witness: list[dict] = []
     failures, peaks = 0, None
     if nu < dimension:
-        columns, den, live, alive = monomial_columns(element, max_degree + 1)
+        columns, den, live, alive = element.monomial_columns(max_degree + 1)
         for position, chi in enumerate(chis):
             targets = []
             for t, target, _ in _d_terms(chi, sign_rule):
@@ -857,28 +849,6 @@ def verify_monomial_commutation(dimension: int, nu: int, max_degree: int,
                                  probes=len(chis) * math.prod(shape))
 
 
-def _kron_factors(element: Element1D) -> list[tuple]:
-    """What kron-structure reads of the 1D factor pairs (T_k B_k, M_k),
-    built once per element: per form degree k, the first nonzero entries
-    (row-major, 0 if there is none) of T_k B_k and of M_k, as integers in
-    their ratio (each numerator times the other table's denominator),
-    whether the two tables agree once each is divided by its own, and
-    the rank of T_k B_k."""
-    def build():
-        factors = []
-        for k, stored in enumerate((element.M0, element.M1)):
-            table = element.node_table(k)
-            a, b = (next((x for x in pair.nums.ravel().tolist() if x), 0)
-                    for pair in (table, stored))
-            # T_k B_k / a == M_k / b on the numerators, read only where no
-            # first entry of a chi is zero
-            factors.append((a * stored.den, b * table.den,
-                            bool((table.nums * b == stored.nums * a).all()),
-                            linalg.rank(table)))
-        return factors
-    return element.cached("kron factors", build)
-
-
 def verify_kron_structure(dimension: int, nu: int,
                           element: Element1D) -> VerificationReport:
     """Per-chi node matrices factor as Kronecker products and invert.
@@ -888,7 +858,7 @@ def verify_kron_structure(dimension: int, nu: int,
     the Kronecker product of the 1D tables T_k B_k built from the
     element's functionals and basis; it must equal the Kronecker product
     of the stored node matrices M_k, and must be exactly invertible.
-    Both are decided from the two 1D factor pairs (:func:`_kron_factors`),
+    Both are decided from the two 1D factor pairs (``kron_factors``),
     so no N-D matrix is built.  The first nonzero entry (row-major) of a
     Kronecker product is the product of its factors' first nonzero
     entries, and its nonzero factors are unique up to scalars (Van Loan,
@@ -896,11 +866,10 @@ def verify_kron_structure(dimension: int, nu: int,
     the products of those first entries over its bits are, and, where
     that product is nonzero, each bit's two tables agree once each is
     divided by its first entry.  The rank of a Kronecker product is the
-    product of the factors' ranks, so only the 1D tables are ranked, by
-    :func:`linalg.rank`: on a built element without elimination.
+    product of the factors' ranks, so only the 1D tables are ranked
+    (``table_rank``), on a built element without elimination.
     """
-    factors = _kron_factors(element)
-    witness: list[dict] = []
+    factors, witness = element.kron_factors, []
     for chi in enumerate_chi(dimension, nu):
         size = math.prod(_block_widths(chi, element.n))
         direct, stored, agree, ranks = zip(*(factors[bit] for bit in chi))

@@ -870,14 +870,25 @@ class TestRejectedAtEntry:
         # used to print "error: Fraction(3, 0)"
         (("interp", "--m", "0", "--n", "1", "--input", "3/0"),
          "--input '3/0': zero denominator in term '3/0'"),
+        # an unwritable path ({tmp}, a directory) used to end in a
+        # traceback with exit 1, the status of a failed check
+        (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
+          "--output", "{tmp}"), "--output '{tmp}': Is a directory"),
+        (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
+          "--output", "{tmp}/report.json", "--timings", "{tmp}"),
+         "--timings '{tmp}': Is a directory"),
     ], ids=["empty-range", "degree-spec", "degree-too-low", "empty-item-m",
             "empty-item-n", "empty-item-nu", "empty-item-chi",
             "empty-item-index", "empty-item-checks", "unknown-check",
             "chi-bit", "chi-length", "index-range", "index-range-1-form",
             "corrupt-swap-basis", "corrupt-permute-alpha",
-            "input-zero-denominator"])
-    def test_value_error_names_its_flag(self, capsys, argv, message):
+            "input-zero-denominator", "output-directory",
+            "timings-directory"])
+    def test_value_error_names_its_flag(self, capsys, tmp_path, argv,
+                                        message):
         # each message starts with the flag and its quoted value
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        message = message.replace("{tmp}", str(tmp_path))
         assert rejected(capsys, *argv) == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv, flag, readers", [

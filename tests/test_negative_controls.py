@@ -21,14 +21,14 @@ import pytest
 from derham import element1d, linalg, tensor
 from derham.cli import main
 from derham.corruptions import (CORRUPTION_NAMES, corrupt, permute_alpha,
-                                swap_basis, wrong_functional)
+                                scale_basis1, swap_basis, wrong_functional)
 from derham.element1d import (Element1D, build_element, verify_commutation,
                               verify_lemma_hypotheses, verify_unisolvence)
 from derham.linalg import Exact
 from derham.polycore import Polynomial, coefficients
-from derham.tensor import flat_sign, verify_dd_zero, verify_tensor_commutation, \
-    rank_one_monomial_probes, verify_dimensions, verify_kron_structure, \
-    verify_monomial_commutation
+from derham.tensor import flat_sign, theta, verify_dd_zero, \
+    verify_tensor_commutation, rank_one_monomial_probes, verify_dimensions, \
+    verify_kron_structure, verify_monomial_commutation
 
 GRID = [(0, 2), (1, 3), (2, 5)]
 
@@ -292,7 +292,7 @@ class TestPerturbationSweep:
         n, width = e.n, e.probe_degree() + 1
         for i in range(n):
             p = plus_one(e, "alpha0", (i, n))
-            moved, kernel = element1d._pairing(p)
+            moved, kernel = p.pairing
             assert not (moved.any() or kernel)
             assert not element1d._functional_pairing(p, width)[2].any()
             assert not element1d._premises_hold(p, width)
@@ -320,26 +320,157 @@ class TestPerturbationSweep:
             + [("B0", (0, j)) for j in range(e.n + 1)]
 
 
+class OneDFacts:
+    """An element's view that gives m, n and the named members only: any
+    other attribute raises, so a verifier handed it reads nothing else of
+    the element."""
+
+    def __init__(self, element, names):
+        self._element, self._names = element, {"m", "n", *names}
+
+    def __getattr__(self, name):
+        if name not in self._names:
+            raise AssertionError(f"the verifier read {name!r}")
+        return getattr(self._element, name)
+
+
+def short_tables(e):
+    """The form degrees k whose node table T_k B_k is singular."""
+    return [k for k in (0, 1) if e.table_rank(k) < e.n + 1 - k]
+
+
+def duplicated_functional(k):
+    """The element with its first k-form functional in place of its last:
+    T_k B_k is singular, B_k is not."""
+    def corrupt(e):
+        family = getattr(e, f"functionals{k}")
+        return dataclasses.replace(e, **{f"functionals{k}": (
+            family[0], *family[:-1])})
+    corrupt.__name__ = f"duplicated_functional{k}"
+    return corrupt
+
+
+def nd_reports(dimension, build, sign_rule, view=lambda e, names: e):
+    """The N-D reports of the element ``build()`` makes, at every nu and
+    on the CLI's probe degrees, each verifier handed ``view(element,
+    the members it may read)``."""
+    e = build()
+    bases = {f"B{k}" for k in short_tables(e)}
+    calls = [(lambda e: verify_dimensions(dimension, e), {"sizes"}),
+             (lambda e: verify_dd_zero(dimension, e, sign_rule),
+              {"table_rank", "pairing", *bases})]
+    for nu in range(dimension + 1):
+        calls += [
+            (lambda e, nu=nu: verify_kron_structure(dimension, nu, e),
+             {"kron_factors"}),
+            (lambda e, nu=nu: verify_monomial_commutation(
+                dimension, nu, e.n + 3, e, sign_rule), {"monomial_columns"})]
+    return [json.dumps(verify(view(e, names)).to_json())
+            for verify, names in calls]
+
+
+class TestStrictTensorProduct:
+    """The N-D complex is a strict tensor product, so every N-D verdict
+    is a function of the sign rule and of 1D facts that the element keeps:
+    dimensions reads the family sizes, dd-zero the node-table ranks, the
+    pairing D B_0 against [B_1 | 0] and, only where a node table is
+    singular, B_k, kron-structure the factor pairs and tensor-commutation
+    the monomial table.  Handed a view of the element that gives nothing
+    else, each gives the report of the element itself, byte for byte."""
+
+    CONTROLS = [None, swap_basis, wrong_functional, permute_alpha,
+                scale_basis1, flat_sign, duplicated_functional(0),
+                duplicated_functional(1)]
+
+    @pytest.mark.parametrize("control", CONTROLS, ids=lambda c: getattr(
+        c, "__name__", "pristine"))
+    @pytest.mark.parametrize("mn", [(0, 2), (1, 3), (2, 5)])
+    def test_verdicts_read_only_the_facts(self, mn, control):
+        sign_rule = flat_sign if control is flat_sign else theta
+        fixture = control if control not in (None, flat_sign) else \
+            lambda e: e
+
+        def build():
+            return fixture(build_element(*mn))
+        for dimension in (1, 2, 3, 4):
+            assert nd_reports(dimension, build, sign_rule, OneDFacts) \
+                == nd_reports(dimension, build, sign_rule)
+
+    @pytest.mark.parametrize("mn", TestPerturbationSweep.POINTS)
+    def test_over_the_perturbation_sweep(self, mn):
+        e = build_element(*mn)
+        for field in TestPerturbationSweep.FIELDS:
+            for index in np.ndindex(getattr(e, field).nums.shape):
+                def build():
+                    return plus_one(e, field, index)
+                assert nd_reports(2, build, theta, OneDFacts) \
+                    == nd_reports(2, build, theta)
+
+    def test_a_singular_table_lets_dd_zero_read_its_basis(self):
+        for k in (0, 1):
+            e = duplicated_functional(k)(build_element(1, 3))
+            assert short_tables(e) == [k]
+            with pytest.raises(AssertionError, match=f"read 'B{k}'"):
+                verify_dd_zero(2, OneDFacts(e, {"table_rank", "pairing"}))
+
+
+@pytest.mark.parametrize("control", [
+    c for c in TestStrictTensorProduct.CONTROLS if c is not flat_sign],
+    ids=lambda c: getattr(c, "__name__", "pristine"))
+@pytest.mark.parametrize("mn", [(0, 2), (1, 3), (2, 5)])
+def test_each_node_table_is_ranked_once(monkeypatch, mn, control):
+    """Over lemma-hypotheses, dd-zero under both sign rules and
+    kron-structure at every nu up to N = 3 on one element, each node table
+    T_k B_k is ranked once.  Every other rank is dd-zero's B_k where T_k
+    B_k is singular, or the lemma's derived basis where the pairing fails
+    or T_1 B_1 is singular."""
+    ranked, rank = [], linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda matrix: ranked.append(
+        matrix) or rank(matrix))
+    e = build_element(*mn)
+    e = control(e) if control else e
+    verify_lemma_hypotheses(e)
+    for dimension in (1, 2, 3):
+        for sign_rule in (theta, flat_sign):
+            verify_dd_zero(dimension, e, sign_rule)
+        for nu in range(dimension + 1):
+            verify_kron_structure(dimension, nu, e)
+    tables = [e.node_table(k) for k in (0, 1)]
+    assert [sum(matrix is table for matrix in ranked)
+            for table in tables] == [1, 1]
+    short, (moved, _) = short_tables(e), e.pairing
+    bases = [getattr(e, f"B{k}") for k in short]
+    others = [matrix for matrix in ranked
+              if not any(matrix is table for table in tables)]
+    derived = [matrix for matrix in others
+               if not any(matrix is basis for basis in bases)]
+    assert len(others) - len(derived) == 6 * len(short)  # per dd-zero call
+    assert len(derived) == (moved.any() or 1 in short)
+
+
 class TestShortFamily:
     """The element constructor rejects a family of the wrong size, so the
-    control drops the last 1-form functional or basis function (the last
-    column of B1) after the build; every nu with a 1-form axis then
+    control drops the last k-form functional or basis function (the last
+    column of B_k) after the build; every nu with a k-form axis then
     counts short."""
 
     @pytest.mark.parametrize("field, check", [
-        ("functionals1", "functional-count"), ("basis1", "dimension")])
+        ("functionals1", "functional-count"), ("basis1", "dimension"),
+        ("functionals0", "functional-count"), ("basis0", "dimension")])
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_dimensions_fails(self, field, check, dimension):
         e = dataclasses.replace(build_element(1, 3))
-        if field == "basis1":
-            object.__setattr__(e, "B1", Exact.trusted(e.B1.nums[:, :-1],
-                                                      e.B1.den))
+        k = int(field[-1])
+        if field.startswith("basis"):
+            B = getattr(e, f"B{k}")
+            object.__setattr__(e, f"B{k}", Exact.trusted(B.nums[:, :-1],
+                                                         B.den))
         else:
-            object.__setattr__(e, field, e.functionals1[:-1])
+            object.__setattr__(e, field, getattr(e, field)[:-1])
         report = verify_dimensions(dimension, e)
         assert not report.passed
         assert [(w["check"], w["nu"]) for w in report.witness] == [
-            (check, nu) for nu in range(1, dimension + 1)]
+            (check, nu) for nu in range(k, dimension + k)]
 
     def test_witness_counts(self):
         e = dataclasses.replace(build_element(1, 3))

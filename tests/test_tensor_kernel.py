@@ -1278,7 +1278,7 @@ def test_monomial_columns_match_the_old_route(mn):
         for width in range(1, e.n + 7):
             monomials = linalg.Exact.trusted(
                 np.eye(width, dtype=int).astype(object), 1)
-            blocks, den, live, alive = element1d.monomial_columns(e, width)
+            blocks, den, live, alive = e.monomial_columns(width)
             want = old_route(e, monomials, monomials)
             assert_columns_equal(blocks, den, want)
             assert [flags.tolist() for flags in live] == \
@@ -1355,8 +1355,9 @@ def test_one_table_build_per_width_serves_every_reader(monkeypatch):
     verify_monomial_commutation read one monomial table per element and
     width: whichever of them comes first builds it, once, and the others
     only read it, at every nu below the top.  A pure 0-form interpolant
-    builds no table for the 1-form kind that none of its factors has (it
-    used to leave a width-0 table in the memo).  The monomial verifier
+    builds no table for the 1-form kind that none of its factors has, and
+    an interpolant none for a kind whose factors are all zero (both used
+    to leave a width-0 table in the memo).  The monomial verifier
     adds to the memo nothing but that table and the two functional row
     stacks it is built from, pristine and failing alike."""
     built = []
@@ -1394,6 +1395,15 @@ def test_one_table_build_per_width_serves_every_reader(monkeypatch):
             verify_monomial_commutation(3, nu, 5, e)
         assert set(e._memo) - before == {
             ("monomial columns", 6), ("rows", 0, 6), ("rows", 1, 6)}
+    zero = Polynomial()
+    for nu, factors, keys in (
+            (0, [(0, zero), (0, zero)], []),
+            (1, [(0, zero), (1, x(2))], [("monomial columns", 3)]),
+            (1, [(0, x(3)), (1, zero)], [("monomial columns", 4)])):
+        e = build_element(1, 3)
+        assert tensor_interpolate(2, nu, rank_one(factors), e).is_zero()
+        assert table_keys(e) == keys
+        assert not any(key[0] == "rows" and key[2] == 0 for key in e._memo)
 
 
 def test_a_passing_call_builds_no_peaks():
@@ -1407,7 +1417,7 @@ def test_a_passing_call_builds_no_peaks():
             raise AssertionError("the blocks were read")
 
     def planted(e, width):
-        _, den, live, alive = element1d.monomial_columns(e, width)
+        _, den, live, alive = e.monomial_columns(width)
         e._memo[("monomial columns", width)] = (Refused(), den, live, alive)
         return e
 

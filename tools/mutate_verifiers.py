@@ -71,11 +71,15 @@ SELECTIONS = {
     "verify_kron_structure": TENSOR_TESTS,
     "verify_dimensions": TENSOR_TESTS,
     "two_cell_continuity_demo": DEMO_TESTS,
-    # the 1D factor pairs that verify_kron_structure decides from
-    "_kron_factors": TENSOR_TESTS,
-    # the 1D columns and flags and the chi-level helpers every tensor
-    # verifier shares
+    # the element's 1D facts that the N-D verifiers decide from: the
+    # family sizes, the node-table ranks, the pairing D B_0 against
+    # [B_1 | 0], the factor pairs and the monomial columns and flags
+    "sizes": TENSOR_TESTS,
+    "table_rank": TENSOR_TESTS,
+    "pairing": TENSOR_TESTS,
+    "kron_factors": TENSOR_TESTS,
     "monomial_columns": TENSOR_TESTS,
+    # the chi-level helpers every tensor verifier shares
     "_residual_sources": TENSOR_TESTS,
     "_d_terms": TENSOR_TESTS,
     "_along": TENSOR_TESTS,
