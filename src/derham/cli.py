@@ -18,6 +18,7 @@ when that variable is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -35,69 +36,56 @@ from .smooth import SmoothFunction1D, named_function
 OUTDIR_ENV = "DERHAM_OUTDIR"
 
 
-def _split_items(text: str, flag: str) -> list[str]:
-    """The stripped items of the comma list ``text`` of ``--flag``; a
-    blank item is never dropped but rejected, quoting ``text``."""
-    items = [item.strip() for item in text.split(",")]
-    if not all(items):
-        empty = "empty item in list" if any(items) else "empty list"
-        raise ValueError(f"--{flag} {text!r}: {empty}")
-    return items
+def _values(flag: str, text: str, bad=lambda value: None, item=int,
+            repeats: bool = False) -> list:
+    """The values of ``--flag text``: one item, a comma list, or (ints
+    only) a range ``a..b``.  A blank item of a list (a lone blank int is
+    an item ``item`` cannot read), an unreadable item, an empty range, a
+    repeat (unless ``repeats``: it would run or emit the same thing twice)
+    and the first value for which ``bad`` gives a reason (a message; a
+    false value is none) are rejected, quoting ``text`` as given."""
+    def fault(reason: str) -> ValueError:
+        return ValueError(f"--{flag} {text!r}: {reason}")
 
-
-def parse_int_list(text: str, flag: str) -> list[int]:
-    """Accepts "3", "0..3", or "1,3,5" as the value of ``--flag``; an item
-    that is no int is rejected, naming the flag and quoting the item and
-    the value."""
-    text = text.strip()
-
-    def number(item: str) -> int:
+    def read(part: str):
         try:
-            return int(item)
+            return item(part.strip())
         except ValueError:
-            raise ValueError(f"--{flag} {text!r}: {item.strip()!r} is not "
-                             "an integer") from None
+            raise fault(f"{part.strip()!r} is not an integer") from None
 
-    if ".." in text:
-        lo, hi = map(number, text.split("..", 1))
+    if item is int and ".." in text:
+        lo, hi = map(read, text.split("..", 1))
         if hi < lo:
-            raise ValueError(f"--{flag} {text!r}: empty range")
-        return list(range(lo, hi + 1))
-    if "," in text:
-        return [number(part) for part in _split_items(text, flag)]
-    return [number(text)]
-
-
-def _distinct(flag: str, text: str, values: list,
-              bad=lambda value: None) -> list:
-    """``values``, read from the value ``text`` of ``--flag``; the first
-    repeat (it would run or emit the same thing twice) or value for which
-    ``bad`` gives a reason (a message; a false value is none) is
-    rejected, quoting ``text``."""
-    for i, value in enumerate(values):
-        reason = f"repeats {value}" if value in values[:i] else bad(value)
+            raise fault("empty range")
+        values = list(range(lo, hi + 1))
+    else:
+        parts = text.split(",")
+        blank = [not part.strip() for part in parts]
+        if any(blank) and (len(parts) > 1 or item is str):
+            raise fault("empty list" if all(blank) else "empty item in list")
+        values = [read(part) for part in parts]
+    seen = set()
+    for value in values:
+        reason = (not repeats and value in seen and f"repeats {value}"
+                  or bad(value))
         if reason:
-            raise ValueError(f"--{flag} {text!r}: {reason}")
+            raise fault(reason)
+        seen.add(value)
     return values
 
 
 def degrees_for(m: int, n_spec: str) -> list[int]:
-    """Resolve the --n specification for one m.
-
-    "auto+K" means n = 2m+1 .. 2m+1+K, keeping the n >= 2m+1 constraint
-    implicit; explicit values are validated against it.
-    """
-    n_spec = n_spec.strip()
-    if n_spec.startswith("auto"):
-        match = re.fullmatch(r"auto(?:\+(\d+))?", n_spec)
-        if not match:
-            raise ValueError(f"--n {n_spec!r}: bad degree spec; expected "
-                             "auto, auto+K, a value, or a range")
-        base = 2 * m + 1
-        return list(range(base, base + int(match.group(1) or 0) + 1))
-    return _distinct("n", n_spec, parse_int_list(n_spec, "n"), lambda n: (
-        n < 2 * m + 1 and f"degree n={n} too low for m={m}; "
-        f"need n >= {2 * m + 1}"))
+    """The degrees of ``--n n_spec`` for one m: "auto+K" means n = 2m+1
+    .. 2m+1+K, and each value given must be at least 2m+1."""
+    if not n_spec.strip().startswith("auto"):
+        return _values("n", n_spec, lambda n: n < 2 * m + 1 and (
+            f"degree n={n} too low for m={m}; need n >= {2 * m + 1}"))
+    match = re.fullmatch(r"auto(?:\+(\d+))?", n_spec.strip())
+    if not match:
+        raise ValueError(f"--n {n_spec!r}: bad degree spec; expected "
+                         "auto, auto+K, a value, or a range")
+    base = 2 * m + 1
+    return list(range(base, base + int(match.group(1) or 0) + 1))
 
 
 _TERM_RE = re.compile(
@@ -128,18 +116,29 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def parse_input_function(text: str) -> SmoothFunction1D:
-    try:
+    with contextlib.suppress(ValueError):
         return named_function(text)
-    except ValueError:
-        pass
     try:
         p = parse_polynomial(text)
     except ZeroDivisionError as error:
         raise ValueError(f"--input {text!r}: {error}") from None
     except ValueError:
-        raise ValueError(f"unknown function {text!r}: not a built-in name "
-                         "(sin, cos, exp) and not a polynomial literal")
+        raise ValueError(f"--input {text!r}: not a built-in name (sin, cos, "
+                         "exp) and not a polynomial literal") from None
     return SmoothFunction1D.from_polynomial(p, name=text)
+
+
+def _target(path: str, flag: str) -> str:
+    """The file ``path`` (of ``flag``) names, under $DERHAM_OUTDIR when set
+    (join keeps an absolute path); a directory or one under a file fails."""
+    full = os.path.join(os.environ.get(OUTDIR_ENV, ""), path)
+    above = os.path.dirname(full)
+    while above and not os.path.exists(above):  # the nearest that exists
+        above = os.path.dirname(above)
+    if os.path.isdir(full) or not os.path.isdir(above or "."):
+        kind = "Is" if os.path.isdir(full) else "Not"
+        raise ValueError(f"{flag} {path!r}: {kind} a directory")
+    return full
 
 
 def emit(text: str, path: str | None, flag: str = "--output") -> None:
@@ -147,8 +146,7 @@ def emit(text: str, path: str | None, flag: str = "--output") -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    # under $DERHAM_OUTDIR when it is set; join keeps an absolute path
-    full = os.path.join(os.environ.get(OUTDIR_ENV, ""), path)
+    full = _target(path, flag)
     try:
         os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
         with open(full, "w") as handle:
@@ -253,7 +251,7 @@ def _form_degrees(text: str | None, dimension: int) -> list[int]:
     all of them where the flag is left out."""
     if text is None:
         return list(range(dimension + 1))
-    return _distinct("nu", text, parse_int_list(text, "nu"), lambda nu: (
+    return _values("nu", text, lambda nu: (
         not 0 <= nu <= dimension and f"{nu} out of range 0..{dimension}"))
 
 
@@ -284,8 +282,7 @@ def _resolve(args, flags: dict, selected) -> set[str]:
 def cmd_verify(args) -> int:
     """Run verifier suites on a grid."""
     nu = _form_degrees(args.nu, args.dimension)  # named before an unread --nu
-    text, args.checks = args.checks, _distinct(
-        "checks", args.checks, _split_items(args.checks, "checks"))
+    text, args.checks = args.checks, _values("checks", args.checks, item=str)
     unknown = set(args.checks) - set(CHECKS)
     if unknown:
         raise ValueError(f"--checks {text!r}: unknown checks "
@@ -357,7 +354,7 @@ def cmd_tensor(args) -> int:
     nu = _form_degrees(args.nu, args.dimension)
     element = _one_element(args)
     if args.emit == "basis-samples":
-        chi, index = (tuple(parse_int_list(getattr(args, flag), flag))
+        chi, index = (tuple(_values(flag, getattr(args, flag), repeats=True))
                       for flag in ("chi", "index"))
         try:
             text = serialize.tensor_basis_samples_csv(element, chi, index,
@@ -409,27 +406,25 @@ def cmd_interp(args) -> int:
     return 0 if worst <= args.tolerance else 1
 
 
-def _int_at_least(low: int):
-    """argparse type for integers >= low; argparse rejects the rest."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+def _bounded(convert, need: str, ok):
+    """argparse type: ``convert`` of a text whose value must be ``need``
+    (``ok`` of it holds); the rest is rejected, quoting the text as given."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
         return value
-    parse.__name__ = "int"  # argparse names the type in its messages
+    parse.__name__ = convert.__name__  # the type argparse's messages name
     return parse
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for finite tolerances >= 0; a NaN or infinite one
-    would let every comparison pass."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+def _int_at_least(low: int):
+    return _bounded(int, f">= {low}", lambda value: value >= low)
 
 
-_tolerance.__name__ = "float"  # argparse names the type in its messages
+# a NaN or infinite tolerance would let every comparison pass
+_tolerance = _bounded(float, "finite and >= 0",
+                      lambda value: math.isfinite(value) and value >= 0)
 
 
 # A command's flag table maps each flag to (argparse keywords, default,
@@ -540,10 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        orders = _distinct("m", args.m, parse_int_list(args.m, "m"),
-                           lambda m: m < 0 and f"continuity order m={m} too "
-                           "low; need m >= 0")
+        orders = _values("m", args.m, lambda m: m < 0 and (
+            f"continuity order m={m} too low; need m >= 0"))
         args.grid = [(m, n) for m in orders for n in degrees_for(m, args.n)]
+        for flag in ("--output", "--timings"):  # before any element is built
+            path = getattr(args, flag[2:], None)
+            if path is not None and (flag, path) != ("--timings", "-"):
+                _target(path, flag)
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -568,6 +568,8 @@ def two_cell_continuity_demo(e: Element1D, u: SmoothFunction1D,
     the input's regularity rather than to the element.  ``cells``, when
     given, are the two cell interpolants already built.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):  # gap > nan: False
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     cells = cells or [cell_interpolant(e, u, a, a + 1, quadrature_order)
                       for a in (0.0, 1.0)]
     # exact junction derivatives d^s p(1) = sum_k k!/(k-s)! p_k and d^s p(0)

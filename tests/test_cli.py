@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derham import cli, element1d, functionals, linalg, polycore, serialize
-from derham.cli import (CHECK_ORDER, degrees_for, main, parse_int_list,
+from derham.cli import (CHECK_ORDER, _values, degrees_for, main,
                         parse_polynomial, parse_input_function)
 from derham.corruptions import (CORRUPTION_NAMES, ELEMENT_CORRUPTIONS,
                                 permute_alpha)
@@ -31,18 +31,18 @@ def run(capsys, *argv):
 
 class TestArgumentParsing:
     def test_parse_int_list(self):
-        assert parse_int_list("3", "m") == [3]
-        assert parse_int_list("0..3", "m") == [0, 1, 2, 3]
-        assert parse_int_list("1,3,5", "m") == [1, 3, 5]
+        assert _values("m", "3") == [3]
+        assert _values("m", "0..3") == [0, 1, 2, 3]
+        assert _values("m", "1,3,5") == [1, 3, 5]
         with pytest.raises(ValueError):
-            parse_int_list("3..1", "m")
+            _values("m", "3..1")
         with pytest.raises(ValueError, match="^--m 'one': 'one' is not an "):
-            parse_int_list("one", "m")
+            _values("m", "one")
         with pytest.raises(ValueError, match="empty list"):
-            parse_int_list(",", "m")
+            _values("m", ",")
         for text in ("1,", ",1", "1,,3", "1, ,3"):
             with pytest.raises(ValueError, match="empty item in list"):
-                parse_int_list(text, "m")
+                _values("m", text)
 
     def test_degrees_for(self):
         assert degrees_for(1, "auto") == [3]
@@ -62,7 +62,7 @@ class TestArgumentParsing:
         assert parse_polynomial("-x") == Polynomial([0, -1])
         assert parse_polynomial("2*x") == Polynomial([0, 2])
         assert parse_polynomial("1 + x") == Polynomial([1, 1])
-        for bad in ("", "x**2", "3//2", "y"):
+        for bad in ("", "x**2", "3//2", "y", "x+", "1-"):
             with pytest.raises(ValueError):
                 parse_polynomial(bad)
 
@@ -807,7 +807,9 @@ class TestRejectedAtEntry:
          "0,x", "x"),
         (("tensor", "--emit", "basis-samples", "--index", "1..2.5"),
          "index", "1..2.5", "2.5"),
-    ], ids=["m", "n", "nu", "chi", "index"])
+        # a range splits at its first "..": the rest is one item
+        (("verify", "--m", "0..1..2"), "m", "0..1..2", "1..2"),
+    ], ids=["m", "n", "nu", "chi", "index", "m-two-ranges"])
     def test_integer_flag_names_itself(self, capsys, argv, flag, text,
                                        item):
         err = rejected(capsys, *argv)
@@ -835,6 +837,8 @@ class TestRejectedAtEntry:
          "expected auto, auto+K, a value, or a range"),
         (("verify", "--m", "1", "--n", "2"),
          "--n '2': degree n=2 too low for m=1; need n >= 3"),
+        (("verify", "--m", "2", "--n", "4"),
+         "--n '4': degree n=4 too low for m=2; need n >= 5"),
         (("verify", "--m", "1,,2"), "--m '1,,2': empty item in list"),
         (("verify", "--m", "1", "--n", "3,,4"),
          "--n '3,,4': empty item in list"),
@@ -877,13 +881,21 @@ class TestRejectedAtEntry:
         (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
           "--output", "{tmp}/report.json", "--timings", "{tmp}"),
          "--timings '{tmp}': Is a directory"),
-    ], ids=["empty-range", "degree-spec", "degree-too-low", "empty-item-m",
+        # used to start "unknown function 'tan'"
+        (("interp", "--m", "0", "--n", "1", "--input", "tan"),
+         "--input 'tan': not a built-in name (sin, cos, exp) and not a "
+         "polynomial literal"),
+        (("interp", "--m", "0", "--n", "1", "--input", "x+"),
+         "--input 'x+': not a built-in name (sin, cos, exp) and not a "
+         "polynomial literal"),
+    ], ids=["empty-range", "degree-spec", "degree-too-low",
+            "degree-too-low-m2", "empty-item-m",
             "empty-item-n", "empty-item-nu", "empty-item-chi",
             "empty-item-index", "empty-item-checks", "unknown-check",
             "chi-bit", "chi-length", "index-range", "index-range-1-form",
             "corrupt-swap-basis", "corrupt-permute-alpha",
             "input-zero-denominator", "output-directory",
-            "timings-directory"])
+            "timings-directory", "input-unknown-name", "input-bad-literal"])
     def test_value_error_names_its_flag(self, capsys, tmp_path, argv,
                                         message):
         # each message starts with the flag and its quoted value
@@ -1034,12 +1046,27 @@ class TestRejectedAtEntry:
         (("verify", "--m", "0..1", "--n", "auto+2", "--probe-degree", "3"),
          "--probe-degree 3: below n=4 in the grid; lemma-hypotheses "
          "needs at least n"),
+        # each path used to be tried only after the whole run; {tmp} is
+        # a directory and {tmp}/file a file
+        (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
+          "--output", "{tmp}"), "--output '{tmp}': Is a directory"),
+        (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
+          "--timings", "{tmp}"), "--timings '{tmp}': Is a directory"),
+        (("element", "--m", "0", "--n", "1", "--output", "{tmp}/file/x.json"),
+         "--output '{tmp}/file/x.json': Not a directory"),
+        (("interp", "--m", "0", "--n", "1", "--input", "sin", "--output",
+          "{tmp}"), "--output '{tmp}': Is a directory"),
     ], ids=["verify-m", "element-m", "tensor-m-range", "probe-degree",
-            "probe-degree-grid"])
-    def test_rejected_before_any_check_runs(self, capsys, monkeypatch, argv,
-                                            message):
+            "probe-degree-grid", "verify-output-directory",
+            "verify-timings-directory", "element-output-under-a-file",
+            "interp-output-directory"])
+    def test_rejected_before_any_check_runs(self, capsys, monkeypatch,
+                                            tmp_path, argv, message):
         monkeypatch.setattr(cli, "run_verify_suite", None)  # never reached
         monkeypatch.setattr(element1d, "build_element", None)
+        (tmp_path / "file").touch()
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        message = message.replace("{tmp}", str(tmp_path))
         assert rejected(capsys, *argv) == f"error: {message}\n"
 
     def test_probe_degree_below_n_without_the_lemma(self, capsys):
@@ -1209,6 +1236,33 @@ class TestProperties:
             assert status == 2, argv
         if status == 2:
             assert out == "", argv
+
+    @given(st.text("0123456789-, .x", max_size=8), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_values_against_a_plain_reference(self, text, repeats):
+        # the list rule gives what a plain reading gives, or names the
+        # flag and quotes the text as given
+        try:
+            if ".." in text:
+                lo, hi = text.split("..", 1)
+                expected = list(range(int(lo), int(hi) + 1))
+            else:
+                expected = [int(part) for part in text.split(",")]
+        except ValueError:  # no plain reading
+            expected = []
+        if expected and (repeats or len(set(expected)) == len(expected)):
+            assert _values("m", text, repeats=repeats) == expected
+        else:
+            with pytest.raises(ValueError) as error:
+                _values("m", text, repeats=repeats)
+            assert str(error.value).startswith(f"--m {text!r}: ")
+        names = [part.strip() for part in text.split(",")]
+        if all(names) and len(set(names)) == len(names):
+            assert _values("checks", text, item=str) == names
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"--checks {text!r}: ")):
+                _values("checks", text, item=str)
 
     @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12),
                               st.integers(0, 6), st.sampled_from(["", "*"]),

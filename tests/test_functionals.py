@@ -199,6 +199,8 @@ class TestValidation:
             EndpointDerivative(0, 2, 1)
         with pytest.raises(ValueError):
             EndpointDerivative(2, 0, 1)
+        with pytest.raises(ValueError, match="form_degree must be 0 or 1"):
+            Moment(2, 0, of_derivative=False)
 
     def test_moment_derivative_flag_is_tied_to_form_degree(self):
         with pytest.raises(ValueError):

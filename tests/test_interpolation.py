@@ -256,6 +256,14 @@ class TestTwoCellContinuity:
         assert report.details["input_regularity"]["jumps"] == [
             {"order": 1, "jump": 2.0}]
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-12],
+                             ids=["nan", "inf", "negative"])
+    def test_tolerance_finite_and_nonnegative(self, tolerance):
+        # gap > nan and gap > inf are False: the kink used to pass
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            two_cell_continuity_demo(build_element(2, 5), kink(),
+                                     tolerance=tolerance)
+
     def test_kink_passes_low_order_element(self):
         # a C^1 junction is all the m=1 element asks for
         report = two_cell_continuity_demo(build_element(1, 3), kink())

@@ -119,6 +119,17 @@ class TestPolynomialRing:
         with pytest.raises(TypeError):
             Polynomial([0.5])
 
+    def test_immutable_and_closed(self):
+        p = from_coeffs(1, 2)
+        with pytest.raises(AttributeError, match="immutable"):
+            p.coeffs = ()
+        # a foreign operand is left to the other side: p + 1 is no sum
+        for method in (p.__eq__, p.__add__, p.__sub__):
+            assert method(1) is NotImplemented
+        assert p != (1, 2)
+        with pytest.raises(TypeError):
+            p + 1
+
     def test_monomial(self):
         for power in range(6):
             for coeff in (1, Fraction(-3, 4), 0):
@@ -184,6 +195,8 @@ class TestPolynomialRing:
         assert p.derivative(2) == from_coeffs(0, 6)
         assert p.derivative_value(3, Fraction(0)) == 6
         assert p.derivative(5).is_zero()
+        with pytest.raises(ValueError, match="nonnegative"):
+            p.derivative(-1)
 
 
 class TestCoefficients:
@@ -428,3 +441,9 @@ class TestIntegerArguments:
             wrong = args[:i] + (bad(value),) + args[i + 1:]
             with pytest.raises(TypeError, match="is not an int"):
                 family(*wrong)
+
+    def test_negative_legendre_column_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            legendre_column(-1, 0)
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            legendre_column(0, -1)

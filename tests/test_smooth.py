@@ -119,6 +119,8 @@ class TestSmoothFunctionND:
             pytest.approx(u.value(point) - v.value(point))
         assert (3.0 * u).derivative((1, 0), point) == \
             pytest.approx(3.0 * u.derivative((1, 0), point))
+        with pytest.raises(TypeError):  # a sum of functions only
+            u + 1
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError):

@@ -268,7 +268,7 @@ class TestTensorForm:
         assert a.is_zero() and not b.is_zero()
         assert (b - b).is_zero()
         assert (b + b).blocks[(0, 1)][0, 0] == 4
-        assert b == b and not (a == b)
+        assert b == b and not (a == b) and not (a == 0)
         assert b.max_abs() == 2
 
     @pytest.mark.parametrize("where", [(0, 1), (1, 0)])
@@ -587,6 +587,16 @@ class TestTensorInterpolate:
                 oracle = np.array(alpha.fractions() @ weights, dtype=float)
                 assert table.dtype == float and table.shape == oracle.shape
                 assert table.tobytes() == oracle.tobytes(), (mn, bit, q)
+
+    def test_omitted_component_is_a_zero_float_block(self, e13):
+        u = sinusoid((1.0, 2.0))
+        full = tensor_interpolate(2, 1, SmoothFormND(
+            2, 1, {(0, 1): u, (1, 0): u}), e13)
+        form = tensor_interpolate(2, 1, SmoothFormND(2, 1, {(1, 0): u}), e13)
+        zero = form.blocks[(0, 1)]
+        assert zero.dtype == float and zero.shape == (4, 3)
+        assert not zero.any()
+        assert form.blocks[(1, 0)].tobytes() == full.blocks[(1, 0)].tobytes()
 
     def test_smooth_commutation_residual(self, e13):
         u = sinusoid((1.0, 2.0), phase=0.3)

@@ -3,7 +3,10 @@
 A verifier that no mutation of its own code can make fail proves
 nothing.  This script applies one small change at a time inside the
 named verifier functions of ``src/derham`` and runs a named pytest
-selection against each mutant in a scratch copy of the repository:
+selection against each mutant in a scratch copy of the repository.  It
+also scores the command line's value rules (its list and bound rules
+and the ``--n`` grammar), whose faults would let a bad value through to
+a verifier or reject a good one:
 
 * comparison: each comparison operator made its negation
   (``==``/``!=``, ``<``/``>=``, ``<=``/``>``, ``in``/``not in``,
@@ -57,6 +60,7 @@ TENSOR_TESTS = ("tests/test_negative_controls.py",
 # every file that calls the two-cell continuity demo, directly or by the CLI
 DEMO_TESTS = ("tests/test_interpolation.py", "tests/test_acceptance.py",
               "tests/test_cli.py", "tests/test_tensor_kernel.py")
+CLI_TESTS = ("tests/test_cli.py",)
 TIMEOUT = 300.0  # seconds per pytest run
 SELECTIONS = {
     "verify_commutation": ELEMENT_TESTS,
@@ -84,6 +88,12 @@ SELECTIONS = {
     "_d_terms": TENSOR_TESTS,
     "_along": TENSOR_TESTS,
     "_kron_blocks": TENSOR_TESTS,
+    # the command line's value rules: every list flag, every bounded
+    # number and the --n grammar
+    "_values": CLI_TESTS,
+    "_bounded": CLI_TESTS,
+    "_int_at_least": CLI_TESTS,
+    "degrees_for": CLI_TESTS,
 }
 
 NEGATED = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
