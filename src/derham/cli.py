@@ -373,8 +373,8 @@ def cmd_tensor(args) -> int:
 
 def cmd_interp(args) -> int:
     """Interpolate a function and emit samples."""
-    element = _one_element(args)
     u = parse_input_function(args.input)
+    element = _one_element(args)
     order, grid = args.quadrature_order, serialize.uniform_grid(args.samples)
 
     if args.two_cell:

@@ -2,10 +2,9 @@
 
 Exact rational arithmetic covers polynomial inputs; everything else
 enters through callback objects.  A :class:`SmoothFunction1D` bundles a
-derivative callback (order 0 is the value itself), an optional exact
-polynomial (so tests can cross-check float paths against the exact
-ones), and an optional one-sided derivative callback for functions that
-are smooth on each side of a point but not across it.
+derivative callback (order 0 is the value itself) and an optional
+one-sided derivative callback for functions that are smooth on each
+side of a point but not across it.
 
 :class:`SmoothFunctionND` is the N-variable analogue keyed by a mixed
 partial-derivative callback on point grids; sums and scalar multiples
@@ -15,23 +14,18 @@ let exterior derivatives of component functions be formed on the fly.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .polycore import Polynomial
 
-_SPOT_CHECK_POINTS = (0.25, 0.75)
-_SPOT_CHECK_TOL = 1e-9
-
 
 class SmoothFunction1D:
     """A scalar function on [0,1] known through derivative callbacks."""
 
-    __slots__ = ("_derivative", "exact_polynomial", "_sided", "name")
+    __slots__ = ("_derivative", "_sided", "name")
 
-    def __init__(self, derivative, *, exact_polynomial: Polynomial | None = None,
-                 sided=None, name: str = "u"):
+    def __init__(self, derivative, *, sided=None, name: str = "u"):
         """``derivative(order, x)`` returns d^order u / dx^order at x.
 
         ``sided(order, x, side)`` (optional) returns the one-sided limit
@@ -39,23 +33,13 @@ class SmoothFunction1D:
         continuity check work with inputs that have a kink.
         """
         self._derivative = derivative
-        self.exact_polynomial = exact_polynomial
         self._sided = sided
         self.name = name
-        if exact_polynomial is not None:
-            for x in _SPOT_CHECK_POINTS:
-                for order in (0, 1):
-                    expect = float(exact_polynomial.derivative_value(order, Fraction(x)))
-                    got = derivative(order, x)
-                    if abs(got - expect) > _SPOT_CHECK_TOL * (1.0 + abs(expect)):
-                        raise ValueError(
-                            "derivative callback disagrees with exact_polynomial "
-                            f"at x={x}, order={order}: {got} vs {expect}")
 
     @classmethod
     def from_polynomial(cls, p: Polynomial, name: str = "u") -> "SmoothFunction1D":
         return cls(lambda order, x: float(p.derivative_value(order, x)),
-                   exact_polynomial=p, name=name)
+                   name=name)
 
     def value(self, x: float) -> float:
         return self._derivative(0, x)
@@ -75,10 +59,8 @@ class SmoothFunction1D:
 
     def differentiated(self) -> "SmoothFunction1D":
         base, sided = self._derivative, self._sided
-        exact = self.exact_polynomial
         return SmoothFunction1D(
             lambda order, x: base(order + 1, x),
-            exact_polynomial=None if exact is None else exact.derivative(),
             sided=None if sided is None else
             (lambda order, x, side: sided(order + 1, x, side)),
             name=self.name + "'")

@@ -231,9 +231,6 @@ class TensorForm:
             bool((self.blocks[chi] == other.blocks[chi]).all())
             for chi in self.blocks)
 
-    def __hash__(self):
-        return object.__hash__(self)
-
     def is_zero(self) -> bool:
         return all(bool((block == 0).all()) for block in self.blocks.values())
 
@@ -437,10 +434,11 @@ class TensorNodeFunctional:
             total += weight * u.derivative(orders, point)
         return total
 
-    def describe(self, variables=_VARIABLE_NAMES) -> str:
+    def describe(self) -> str:
         pieces = []
         for t, part in enumerate(self.parts):
-            var = variables[t] if t < len(variables) else f"u{t + 1}"
+            var = (_VARIABLE_NAMES[t] if t < len(_VARIABLE_NAMES)
+                   else f"u{t + 1}")
             text = part.describe(var)
             if "+" in text or "-" in text:
                 text = f"({text})"
@@ -711,8 +709,8 @@ def verify_dd_zero(dimension: int, element: Element1D,
                 route2 |= _along(moved, t, dimension)
             failed = route1 | route2
             failures += int(failed.sum())
-            for index in np.argwhere(failed)[:report.WITNESS_CAP
-                                             - len(witness)]:
+            room = report.WITNESS_CAP - len(witness)
+            for index in np.argwhere(failed)[:room] if room > 0 else ():
                 witness.append({"check": "dd-zero" if route1[tuple(index)]
                                 else "representation-consistency",
                                 "nu": nu, "chi": list(chi),
@@ -830,8 +828,9 @@ def verify_monomial_commutation(dimension: int, nu: int, max_degree: int,
                 continue
             failing = reduce(np.logical_or, [fails for *_, fails in targets])
             failures += int(failing.sum())
-            for a in map(tuple, np.argwhere(failing)[:report.WITNESS_CAP
-                                                      - len(witness)]):
+            room = report.WITNESS_CAP - len(witness)
+            for a in map(tuple, np.argwhere(failing)[:room]
+                         if room > 0 else ()):
                 peaks = peaks or [np.abs(block).max(axis=0).tolist()
                                   for block in columns]
                 hits = sorted(entry[:2] for entry in targets if entry[2][a])

@@ -69,7 +69,7 @@ class TestArgumentParsing:
     def test_parse_input_function(self):
         assert parse_input_function("sin").name == "sin"
         u = parse_input_function("x^2")
-        assert u.exact_polynomial == Polynomial([0, 0, 1])
+        assert [u.derivative(k, 0.5) for k in range(4)] == [0.25, 1, 2, 0]
         with pytest.raises(ValueError, match="not a polynomial literal"):
             parse_input_function("bogus")
 
@@ -903,6 +903,15 @@ class TestRejectedAtEntry:
         message = message.replace("{tmp}", str(tmp_path))
         assert rejected(capsys, *argv) == f"error: {message}\n"
 
+    def test_failed_write_names_its_flag(self, capsys, tmp_path):
+        # a name too long for the file system passes the checks at entry
+        # and fails only when the file is opened
+        path = str(tmp_path / ("x" * 300 + ".json"))
+        err = rejected(capsys, "element", "--m", "0", "--n", "1",
+                       "--output", path)
+        assert err == f"error: --output {path!r}: File name too long\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, flag, readers", [
         (("--checks", "dd-zero", "--nu", "0..1"), "--nu",
          "tensor-commutation, kron-structure"),
@@ -1056,10 +1065,17 @@ class TestRejectedAtEntry:
          "--output '{tmp}/file/x.json': Not a directory"),
         (("interp", "--m", "0", "--n", "1", "--input", "sin", "--output",
           "{tmp}"), "--output '{tmp}': Is a directory"),
+        # each used to build the element before it read --input
+        (("interp", "--m", "4", "--n", "12", "--input", "tan"),
+         "--input 'tan': not a built-in name (sin, cos, exp) and not a "
+         "polynomial literal"),
+        (("interp", "--m", "1", "--n", "3", "--input", "3/0"),
+         "--input '3/0': zero denominator in term '3/0'"),
     ], ids=["verify-m", "element-m", "tensor-m-range", "probe-degree",
             "probe-degree-grid", "verify-output-directory",
             "verify-timings-directory", "element-output-under-a-file",
-            "interp-output-directory"])
+            "interp-output-directory", "interp-input-name",
+            "interp-input-zero-denominator"])
     def test_rejected_before_any_check_runs(self, capsys, monkeypatch,
                                             tmp_path, argv, message):
         monkeypatch.setattr(cli, "run_verify_suite", None)  # never reached

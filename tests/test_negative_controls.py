@@ -592,6 +592,15 @@ class TestSubChecks:
             wrong if nu == 1 else list)(enumerate_chi(dimension, nu)))
         assert verify_dimensions(2, build_element(1, 3)).witness == witness
 
+    def test_wrong_weight_fails_chi_weight(self, monkeypatch):
+        # the right count of distinct vectors, one of weight 2 at nu = 1
+        enumerate_chi = tensor.enumerate_chi
+        monkeypatch.setattr(tensor, "enumerate_chi", lambda dimension, nu: (
+            [(0, 1), (1, 1)] if nu == 1 else enumerate_chi(dimension, nu)))
+        assert verify_dimensions(2, build_element(1, 3)).witness == [
+            {"check": "chi-weight", "nu": 1},
+            {"check": "total-dimension", "total": 46, "expected": 49}]
+
 
 class TestFlatSign:
     @pytest.mark.parametrize("mn", [(0, 1), (1, 3)])

@@ -20,23 +20,12 @@ class TestSmoothFunction1D:
         assert u.value(0.5) == pytest.approx(1.5)
         assert u.derivative(1, 0.5) == pytest.approx(2.0)
         assert u.derivative(2, 0.0) == pytest.approx(4.0)
-        assert u.exact_polynomial == p
-
-    def test_spot_check_rejects_mismatched_exact_polynomial(self):
-        p = Polynomial([Fraction(0), Fraction(1)])  # x
-        with pytest.raises(ValueError, match="disagrees"):
-            SmoothFunction1D(lambda order, x: 0.0, exact_polynomial=p)
 
     def test_differentiated_shifts_orders(self):
         u = sine()
         du = u.differentiated()
         assert du.value(0.3) == pytest.approx(math.cos(0.3))
         assert du.derivative(1, 0.3) == pytest.approx(-math.sin(0.3))
-
-    def test_differentiated_keeps_exact_polynomial(self):
-        p = Polynomial([Fraction(0), Fraction(0), Fraction(1)])  # x^2
-        du = SmoothFunction1D.from_polynomial(p).differentiated()
-        assert du.exact_polynomial == p.derivative()
 
     def test_sided_fallback_and_propagation(self):
         u = SmoothFunction1D(lambda order, x: float(order))

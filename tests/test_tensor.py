@@ -271,6 +271,12 @@ class TestTensorForm:
         assert b == b and not (a == b) and not (a == 0)
         assert b.max_abs() == 2
 
+    def test_unhashable(self):
+        # __eq__ compares values, so an identity hash would give two
+        # equal forms different hashes
+        with pytest.raises(TypeError):
+            hash(TensorForm.zero(2, 0, 3))
+
     @pytest.mark.parametrize("where", [(0, 1), (1, 0)])
     def test_max_abs_propagates_nan(self, where):
         # a nan residual must not read as a pass: nan > x is always False

@@ -53,7 +53,7 @@ from derham.corruptions import (permute_alpha, scale_basis1, swap_basis,
                                wrong_functional)
 from derham.element1d import Element1D, build_element, interpolate
 from derham.polycore import Polynomial, coefficients
-from derham.report import VerificationReport
+from derham.report import WITNESS_CAP, VerificationReport
 from derham.smooth import sinusoid
 from derham.tensor import (RankOneForm, TensorForm, _basis_inverse,
                            canonicalize, d_rank_one, d_smooth, d_tensor,
@@ -579,6 +579,52 @@ def test_capped_dd_zero_lists_the_first_witnesses_of_the_routes(
         assert got == {**want, "witness": want["witness"][:cap],
                        "details": {"failures": len(want["witness"]),
                                    "witness_cap": cap}}
+
+
+# name -> (verifier, the kernel it must match), each failing in many masks
+ROOM_CASES = {
+    "dd-zero": (lambda: verify_dd_zero(4, element(0, 2), flat_sign),
+                lambda: routes_dd_zero(4, element(0, 2), flat_sign)),
+    "tensor-commutation": (
+        lambda: verify_monomial_commutation(
+            4, 2, 6, element(1, 3, "permute-alpha")),
+        lambda: verify_tensor_commutation(
+            4, 2, rank_one_monomial_probes(4, 2, range(7)),
+            element(1, 3, "permute-alpha")))}
+
+
+@pytest.mark.parametrize("name", ROOM_CASES)
+def test_failing_indices_taken_only_while_there_is_room(monkeypatch, name):
+    """verify_dd_zero and verify_monomial_commutation ask np.argwhere for
+    a mask's failing indices only while fewer than the cap's witnesses
+    are listed, and still list the kernel's first witnesses: under the
+    real cap, and under a cap that leaves room for one witness after the
+    first mask with a failure."""
+    verify, kernel = ROOM_CASES[name]
+    monkeypatch.setattr("derham.report.WITNESS_CAP", 10 ** 9)  # uncapped
+    want = kernel().to_json()
+    failures = len(want["witness"])
+    counts = []  # the failures of each mask np.argwhere gets
+    argwhere = np.argwhere
+    monkeypatch.setattr(np, "argwhere", lambda mask: counts.append(
+        int(np.count_nonzero(mask))) or argwhere(mask))
+
+    def check(cap):
+        monkeypatch.setattr("derham.report.WITNESS_CAP", cap)
+        counts.clear()
+        got = verify().to_json()
+        # each mask came while its predecessors' failures were below cap
+        before = list(itertools.accumulate(counts, initial=0))[:-1]
+        assert all(total < cap for total in before)
+        assert got == {**want, "witness": want["witness"][:cap], "details": {
+            "failures": failures, "witness_cap": cap} if failures > cap
+            else {}}
+
+    check(WITNESS_CAP)
+    cap = next(count for count in counts if count) + 1
+    assert cap < failures
+    check(cap)
+    assert failures == {"dd-zero": 328, "tensor-commutation": 13230}[name]
 
 
 @pytest.mark.parametrize("dimension, zeros", [
