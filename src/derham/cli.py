@@ -538,10 +538,14 @@ def main(argv=None) -> int:
         orders = _values("m", args.m, lambda m: m < 0 and (
             f"continuity order m={m} too low; need m >= 0"))
         args.grid = [(m, n) for m in orders for n in degrees_for(m, args.n)]
+        written = []
         for flag in ("--output", "--timings"):  # before any element is built
             path = getattr(args, flag[2:], None)
             if path is not None and (flag, path) != ("--timings", "-"):
-                _target(path, flag)
+                written.append(os.path.realpath(_target(path, flag)))
+        if len(written) == 2 and written[0] == written[1]:
+            raise ValueError(f"--timings {args.timings!r}: names the --output "
+                             "file")
         return args.run(args)
     except (ValueError, ZeroDivisionError) as error:
         print(f"error: {error}", file=sys.stderr)

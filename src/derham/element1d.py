@@ -139,8 +139,8 @@ class Element1D:
             rows = [monomial_row(f, width) for f in _family(self, k)[0]]
             den = math.lcm(*[d for _, d in rows])
             return linalg.Exact.reduced(np.array(
-                [nums[:width] if d == den else
-                 [x * (den // d) for x in nums[:width]] for nums, d in rows],
+                [nums if d == den else [x * (den // d) for x in nums]
+                 for nums, d in rows],
                 dtype=object).reshape(len(rows), width), den)
         return self.cached(("rows", k, width), stack)
 
@@ -153,10 +153,8 @@ class Element1D:
 
     def table_rank(self, k: int) -> int:
         """The rank of :meth:`node_table` ``k``, once per k."""
-        key = ("table rank", k)
-        if key not in self._memo:
-            self._memo[key] = linalg.rank(self.node_table(k))
-        return self._memo[key]
+        return self.cached(("table rank", k),
+                           lambda: linalg.rank(self.node_table(k)))
 
     @property
     def sizes(self) -> tuple[tuple[int, int], ...]:
@@ -340,9 +338,19 @@ def interpolate_smooth(e: Element1D, k: int, u: SmoothFunction1D,
                                                      quadrature_order)))
 
 
+def _valid_degree(a) -> int:
+    """``a``, a monomial probe degree: an int (not a bool or numpy int)
+    and nonnegative, never coerced."""
+    if type(a) is not int:
+        raise TypeError(f"probe degree {a!r} is not an int")
+    if a < 0:
+        raise ValueError(f"probe degree {a} is negative")
+    return a
+
+
 def monomial_probes(max_degree: int) -> list[Polynomial]:
     """1, x, .., x^max_degree, built once per process: a spanning probe set."""
-    return list(_monomials(max_degree))
+    return list(_monomials(_valid_degree(max_degree)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isfinite, lcm, perm
 from operator import mul
 from typing import Union
@@ -39,28 +40,25 @@ FUNCTIONAL_ORDER_VERSION = 1
 #: weights, so they are exact only up to the quadrature error.
 Atom = tuple[float, float, int]
 
-# A functional is linear: its exact value on a polynomial is its monomial
-# row (f(1), f(x), ..), in closed form, dotted with the coefficients.
-# Descriptors are frozen values, so equal functionals share one row, held
-# as a tuple of int numerators over the lcm of the entries' denominators.
-_ROWS: dict = {}
 
-# Moment atoms per (descriptor, quadrature order), for the same reason.
-_ATOMS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def monomial_row(f, length: int) -> tuple[tuple[int, ...], int]:
-    """``f`` on 1, x, .., x^(length-1) as (numerators, denominator),
-    memoized and read-only; the row may be longer, and its denominator
-    is then the lcm over all of it."""
-    nums, den = _ROWS.get(f, ((), 1))
-    if len(nums) < length:
-        values = [f.monomial_value(k) for k in range(len(nums), length)]
-        grown = lcm(den, *[v.denominator for v in values])
-        nums = tuple(x * (grown // den) for x in nums) + tuple(
-            v.numerator * (grown // v.denominator) for v in values)
-        _ROWS[f] = nums, den = nums, grown
-    return nums, den
+    """``f`` on 1, x, .., x^(length-1): int numerators over the lcm of the
+    entries' denominators, in lowest terms.  A functional is linear, so
+    its value on a polynomial is this row dotted with the coefficients;
+    descriptors are frozen values, so equal functionals share a row."""
+    values = [f.monomial_value(k) for k in range(length)]
+    den = lcm(*[v.denominator for v in values])
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+@lru_cache(maxsize=None)
+def _moment_atoms(f, quadrature_order: int) -> tuple[Atom, ...]:
+    """The Gauss atoms of moment ``f``: weight times l_i at each node."""
+    nodes, weights = gauss_rule(quadrature_order)
+    l_i = legendre(f.legendre_index)
+    return tuple((w * l_i(x), x, int(f.of_derivative))
+                 for x, w in zip(nodes, weights))
 
 
 def _apply(f, u: Polynomial) -> Fraction:
@@ -152,13 +150,7 @@ class Moment:
         # telescoped, int l_0 u' is u(1) - u(0), free of quadrature error
         if telescope and self.of_derivative and self.legendre_index == 0:
             return ((1.0, 1.0, 0), (-1.0, 0.0, 0))
-        key = (self, quadrature_order)
-        if key not in _ATOMS:
-            nodes, weights = gauss_rule(quadrature_order)
-            l_i = legendre(self.legendre_index)
-            _ATOMS[key] = tuple((w * l_i(x), x, int(self.of_derivative))
-                                for x, w in zip(nodes, weights))
-        return _ATOMS[key]
+        return _moment_atoms(self, quadrature_order)
 
     def describe(self, var: str = "u") -> str:
         if self.of_derivative:

@@ -51,7 +51,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, report
-from .element1d import Element1D, _family, _shared, interpolant_columns
+from .element1d import (Element1D, _family, _shared, _valid_degree,
+                        interpolant_columns)
 from .functionals import NodeFunctional
 from .polycore import Polynomial, coefficients
 from .quadrature import check_order
@@ -720,23 +721,13 @@ def verify_dd_zero(dimension: int, element: Element1D,
                                  basis_elements=checked)
 
 
-def _degree_set(degrees) -> tuple[int, ...]:
-    """The distinct probe degrees, ascending; a degree must be an int (not
-    a bool or numpy int) and nonnegative, never coerced."""
-    degrees = list(degrees)
-    for a in degrees:
-        if type(a) is not int:
-            raise TypeError(f"probe degree {a!r} is not an int")
-        if a < 0:
-            raise ValueError(f"probe degree {a} is negative")
-    return tuple(sorted(set(degrees)))
-
-
 def rank_one_monomial_probes(dimension: int, nu: int,
                              degrees) -> list[RankOneForm]:
-    """Rank-one probes with monomial factors x^a, a drawn from degrees:
-    chi by chi, every choice of one degree per axis in row-major order."""
-    monomials = [Polynomial.monomial(a) for a in _degree_set(degrees)]
+    """Rank-one probes with monomial factors x^a, a drawn from the distinct
+    degrees, ascending: chi by chi, every choice of one degree per axis in
+    row-major order."""
+    monomials = [Polynomial.monomial(a)
+                 for a in sorted({_valid_degree(d) for d in degrees})]
     return [rank_one(zip(chi, combo))
             for chi in enumerate_chi(dimension, nu)
             for combo in itertools.product(monomials, repeat=dimension)]
@@ -810,7 +801,7 @@ def verify_monomial_commutation(dimension: int, nu: int, max_degree: int,
     nonzero column passes, so a chi with no other target builds no mask of
     its probes.  The masks count the failing probes; witnesses stop at
     ``report.WITNESS_CAP``."""
-    _degree_set([max_degree])  # an int >= 0, checked on every call
+    _valid_degree(max_degree)  # checked on every call
     chis, shape = enumerate_chi(dimension, nu), (max_degree + 1,) * dimension
     witness: list[dict] = []
     failures, peaks = 0, None

@@ -348,13 +348,15 @@ class TestVerifyCommand:
                 [0.0] * report["parameters"]["m"]
 
 
-def cold_families(monkeypatch):
-    """Empty every cached polynomial family and the functionals' rows."""
+def cold_families():
+    """Empty every cached polynomial family and the functionals' rows and
+    moment atoms."""
     for family in (polycore.hermite_column, polycore.legendre_column,
                    polycore.hermite_basis, polycore.legendre,
                    polycore.integrated_legendre):
         family.cache_clear()
-    monkeypatch.setattr(functionals, "_ROWS", {})
+    functionals.monomial_row.cache_clear()
+    functionals._moment_atoms.cache_clear()
 
 
 class TestNoPolynomialRoundTrip:
@@ -369,7 +371,7 @@ class TestNoPolynomialRoundTrip:
         ["element"]], ids=["verify", "element"])
     @pytest.mark.parametrize("m, n", [(0, 1), (1, 4), (3, 9)])
     def test_counts(self, capsys, monkeypatch, command, m, n):
-        cold_families(monkeypatch)
+        cold_families()
         differentiated, built = [], []
         derivative, build = Polynomial.derivative, element1d.build_element
         monkeypatch.setattr(Polynomial, "derivative", lambda p, order=1: (
@@ -390,7 +392,7 @@ class TestNoPolynomialRoundTrip:
                                exit_code, m, n):
         # the swapped element is made on B_k too: no basis view on it or
         # on the element it came from, and no Polynomial differentiated
-        cold_families(monkeypatch)
+        cold_families()
         differentiated, swapped = [], []
         derivative, swap = Polynomial.derivative, ELEMENT_CORRUPTIONS[
             "swap-basis"]
@@ -408,7 +410,7 @@ class TestNoPolynomialRoundTrip:
     @pytest.mark.parametrize("m, n", [(0, 1), (1, 4), (3, 9)])
     def test_cold_build_makes_no_polynomial_and_no_solve(self, monkeypatch,
                                                           m, n):
-        cold_families(monkeypatch)
+        cold_families()
         made, solved = [], []
         init, solve = Polynomial.__init__, linalg.solve
         monkeypatch.setattr(Polynomial, "__init__", lambda p, *args: (
@@ -1063,6 +1065,13 @@ class TestRejectedAtEntry:
           "--timings", "{tmp}"), "--timings '{tmp}': Is a directory"),
         (("element", "--m", "0", "--n", "1", "--output", "{tmp}/file/x.json"),
          "--output '{tmp}/file/x.json': Not a directory"),
+        # each used to write the timings over the report, exit 0
+        (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
+          "--output", "{tmp}/same.txt", "--timings", "{tmp}/same.txt"),
+         "--timings '{tmp}/same.txt': names the --output file"),
+        (("verify", "--m", "0", "--n", "1", "--checks", "unisolvence",
+          "--output", "{tmp}/a/../same.txt", "--timings", "{tmp}/same.txt"),
+         "--timings '{tmp}/same.txt': names the --output file"),
         (("interp", "--m", "0", "--n", "1", "--input", "sin", "--output",
           "{tmp}"), "--output '{tmp}': Is a directory"),
         # each used to build the element before it read --input
@@ -1074,6 +1083,7 @@ class TestRejectedAtEntry:
     ], ids=["verify-m", "element-m", "tensor-m-range", "probe-degree",
             "probe-degree-grid", "verify-output-directory",
             "verify-timings-directory", "element-output-under-a-file",
+            "verify-timings-output-same", "verify-timings-output-resolved",
             "interp-output-directory", "interp-input-name",
             "interp-input-zero-denominator"])
     def test_rejected_before_any_check_runs(self, capsys, monkeypatch,

@@ -434,6 +434,19 @@ class TestVerifiers:
     def test_monomial_probes(self):
         probes = monomial_probes(3)
         assert [p.degree for p in probes] == [0, 1, 2, 3]
+        assert monomial_probes(0) == [Polynomial.one()]
+
+    @pytest.mark.parametrize("bad", [True, np.int64(2), 2.0])
+    def test_monomial_probes_reject_a_degree_that_is_not_an_int(self, bad):
+        # True used to give [1, x]
+        with pytest.raises(TypeError, match=re.escape(
+                f"probe degree {bad!r} is not an int")):
+            monomial_probes(bad)
+
+    def test_monomial_probes_reject_a_negative_degree(self):
+        # used to give no probes, so commutation passed with probes=0
+        with pytest.raises(ValueError, match="^probe degree -1 is negative$"):
+            monomial_probes(-1)
 
 
 class TestInterpolation:

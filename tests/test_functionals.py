@@ -1,12 +1,13 @@
 """Node functionals: exact action, quadrature action, atoms, descriptors."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derham import functionals
+from derham import cli, functionals
 from derham.element1d import build_element
 from derham.functionals import (FUNCTIONAL_ORDER_VERSION, EndpointDerivative,
                                 EndpointSum, Moment, monomial_row,
@@ -18,6 +19,7 @@ fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 polys_st = st.lists(fractions_st, min_size=0, max_size=7).map(Polynomial)
 
 X = Polynomial.monomial(1)
+GRID_1D = [(m, n) for m in range(5) for n in range(2 * m + 1, 2 * m + 7)]
 
 
 class TestExactAction:
@@ -64,6 +66,11 @@ def fraction_value(f, k: int) -> Fraction:
     return f.monomial_value(k)
 
 
+def family(m: int, n: int) -> set:
+    """The distinct functionals of the (m, n) element's two families."""
+    return set(zero_form_functionals(m, n)) | set(one_form_functionals(m, n))
+
+
 def fraction_row(f, length: int) -> tuple[tuple[int, ...], int]:
     """``f``'s row of ``length`` Fraction entries over their lcm."""
     values = [fraction_value(f, k) for k in range(length)]
@@ -74,17 +81,14 @@ def fraction_row(f, length: int) -> tuple[tuple[int, ...], int]:
 class TestMonomialRows:
     """The closed-form rows against the functionals' definitions."""
 
-    def test_rows_equal_the_fraction_route(self, monkeypatch):
-        for m in range(5):
-            for n in range(2 * m + 1, 2 * m + 7):
-                family = set(zero_form_functionals(m, n)) | \
-                    set(one_form_functionals(m, n))
-                for f in family:
-                    for width in (n + 1, 2 * m + 20):
-                        monkeypatch.setattr(functionals, "_ROWS", {})
-                        nums, den = monomial_row(f, width)
-                        assert (nums, den) == fraction_row(f, width), f
-                        assert all(type(x) is int for x in nums)
+    def test_rows_equal_the_fraction_route(self):
+        for m, n in GRID_1D:
+            for f in family(m, n):
+                for width in (n + 1, 2 * m + 20):
+                    functionals.monomial_row.cache_clear()
+                    nums, den = monomial_row(f, width)
+                    assert (nums, den) == fraction_row(f, width), f
+                    assert all(type(x) is int for x in nums)
 
     def test_endpoint_entries_are_ints(self):
         for f in (EndpointDerivative(0, 0, 2), EndpointDerivative(1, 1, 0),
@@ -110,14 +114,37 @@ class TestMonomialRows:
                         order, Fraction(point))
         assert row_values(EndpointSum(), 4) == [2, 1, 1, 1]
 
-    def test_rows_grow_on_demand_and_are_shared(self):
-        f = Moment(1, 3, of_derivative=False)
-        short = row_values(f, 2)
-        nums, den = monomial_row(f, 30)
-        assert len(nums) >= 30 and all(type(x) is int for x in nums)
-        assert math.gcd(den, *nums) == 1 and den > 0
-        assert monomial_row(f, 30)[0] is nums  # shared, not rebuilt
-        assert row_values(f, 2) == short
+    def test_earlier_calls_do_not_change_a_row(self):
+        # a 2-entry row asked after a 30-entry one used to have 30 entries
+        for m, n in GRID_1D:
+            for f in family(m, n):
+                for length in (30, 2, n + 1, 2):
+                    row = monomial_row(f, length)
+                    nums, den = row
+                    assert len(nums) == length and den > 0, (f, length)
+                    assert row == fraction_row(f, length), (f, length)
+                    assert math.gcd(den, *nums) == 1
+                    assert monomial_row(f, length) is row
+
+    def test_cold_start_fills_rows_and_atoms(self, capsys):
+        def clear_caches():
+            # every cache of every derham module, as the benchmark clears
+            for name, module in list(sys.modules.items()):
+                if module is not None and (name == "derham"
+                                           or name.startswith("derham.")):
+                    for value in vars(module).values():
+                        if hasattr(value, "cache_clear"):
+                            value.cache_clear()
+
+        caches = (functionals.monomial_row, functionals._moment_atoms)
+        clear_caches()
+        # at n = 5 the one moment telescopes; n = 6 adds a Gauss moment
+        assert cli.main(["verify", "--m", "2", "--n", "5..6", "--checks",
+                         "commutation,continuity-demo"]) == 0
+        capsys.readouterr()
+        assert all(cache.cache_info().misses for cache in caches)
+        clear_caches()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
     def test_rows_are_read_only(self):
         f = Moment(0, 0, of_derivative=True)

@@ -76,13 +76,14 @@ SELECTIONS = {
     "verify_dimensions": TENSOR_TESTS,
     "two_cell_continuity_demo": DEMO_TESTS,
     # the element's 1D facts that the N-D verifiers decide from: the
-    # family sizes, the node-table ranks, the pairing D B_0 against
-    # [B_1 | 0], the factor pairs and the monomial columns and flags
+    # family sizes, the pairing D B_0 against [B_1 | 0], the factor pairs
+    # and the monomial columns and flags
     "sizes": TENSOR_TESTS,
-    "table_rank": TENSOR_TESTS,
     "pairing": TENSOR_TESTS,
     "kron_factors": TENSOR_TESTS,
     "monomial_columns": TENSOR_TESTS,
+    # the functionals' closed-form rows, which every exact table stacks
+    "monomial_row": ELEMENT_TESTS + ("tests/test_functionals.py",),
     # the chi-level helpers every tensor verifier shares
     "_residual_sources": TENSOR_TESTS,
     "_d_terms": TENSOR_TESTS,
